@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: check lint ruff test bench chaos scale bench-shards telemetry bench-telemetry incremental bench-incremental analyze bench-analyze durable bench-durable ingest bench-ingest serve bench-serve reshard bench-reshard
+.PHONY: check lint ruff test bench chaos scale bench-shards telemetry bench-telemetry incremental bench-incremental analyze bench-analyze durable bench-durable ingest bench-ingest serve bench-serve reshard bench-reshard bench-e2e
 
 check:
 	bash scripts/check.sh
@@ -130,3 +130,10 @@ reshard:
 # of the catalog; grown deployment within 10% of native throughput).
 bench-reshard:
 	$(PYTHON) -m pytest benchmarks/test_bench_reshard.py --benchmark-only -q -s
+
+# End-to-end benchmark smoke (the CI bench-e2e job): every workload at
+# tiny size through `python -m bench run`, then the benchmark's own tests.
+# The full run is `python -m bench run` (see bench/README.md).
+bench-e2e:
+	$(PYTHON) -m bench run --smoke
+	$(PYTHON) -m pytest bench/tests -q

@@ -43,7 +43,7 @@ from repro.privacy.uploads import (
     UploadScheduler,
     hardened_config,
 )
-from repro.sensing.location import extract_stay_points
+from repro.sensing.location import StayPoint, StayPointFold, extract_stay_points
 from repro.sensing.resolution import EntityResolver, ObservedInteraction
 from repro.sensing.traces import DeviceTrace
 from repro.core.protocol import AnonymousRecord, Envelope
@@ -57,14 +57,23 @@ from repro.world.geography import Point
 CHECKPOINT_FORMAT = "rsp-checkpoint/1"
 
 
-def infer_home(trace: DeviceTrace) -> Point:
+def infer_home(
+    trace: DeviceTrace,
+    stays: list[StayPoint] | None = None,
+    first_point: Point | None = None,
+) -> Point:
     """The client's own guess at the user's primary anchor.
 
     The location with the most total dwell time across the trace's stay
-    points — no ground truth involved.
+    points — no ground truth involved.  With no stay points, the first
+    fix stands in.  A caller holding the stream's stay points and first
+    fix (a window trace starts mid-stream) passes them in.
     """
-    stays = extract_stay_points(trace.location_samples)
+    if stays is None:
+        stays = extract_stay_points(trace.location_samples)
     if not stays:
+        if first_point is not None:
+            return first_point
         if trace.location_samples:
             return trace.location_samples[0].point
         return Point(0.0, 0.0)
@@ -157,6 +166,8 @@ class RSPClient:
         #: order (see docs/RELIABILITY.md).
         self._opinion_seqs: dict[str, int] = {}
         self._inferred_home: Point | None = None
+        #: Stay-point fold over the final location samples seen so far.
+        self._fold = StayPointFold(self.resolver.config.stay_points)
 
     def attach_telemetry(self, telemetry: Telemetry) -> None:
         """Share one deployment-wide sink with this client's components."""
@@ -174,16 +185,21 @@ class RSPClient:
     ) -> list[ObservedInteraction]:
         """Resolve a trace, update the snapshot, infer opinions.
 
+        ``trace`` is either a full trace (``window_start == 0``, which
+        starts the stay-point fold afresh) or a window continuing the
+        samples folded so far; any other window raises ``ValueError``.
         ``emotion`` optionally supplies per-entity wearable valence means
         (see :mod:`repro.sensing.wearables`).
         """
-        interactions = self.resolver.resolve(trace)
+        stream = self._fold_window(trace)
+        stays = stream.stays()
+        interactions = self.resolver.resolve(trace, stays)
         self._interactions = interactions
         self.stats.interactions_observed = len(interactions)
         self.snapshot.add_all(interactions)
         self.stats.snapshot_purged += self.snapshot.purge(now)
 
-        home = infer_home(trace)
+        home = infer_home(trace, stays, stream.first_point)
         self._inferred_home = home
         features = extract_all_features(interactions, self.catalog, home, emotion=emotion)
         for entity_id, feature_vector in features.items():
@@ -200,6 +216,22 @@ class RSPClient:
                 self.stats.inferences_made += 1
         self._stage_envelopes(features)
         return interactions
+
+    def _fold_window(self, trace: DeviceTrace) -> StayPointFold:
+        """Fold the window's final samples for keeps; return a fold of the
+        whole stream so far, its provisional tail included."""
+        if trace.window_start == 0:
+            self._fold = StayPointFold(self.resolver.config.stay_points)
+        elif trace.window_start != self._fold.n_folded:
+            raise ValueError(
+                f"trace window starts at sample {trace.window_start}, but "
+                f"{self._fold.n_folded} samples are folded"
+            )
+        samples = trace.location_samples
+        self._fold.extend(samples[: trace.n_final])
+        stream = self._fold.copy()
+        stream.extend(samples[trace.n_final :])
+        return stream
 
     def _fresh_nonce(self) -> bytes:
         return bytes(self._nonce_rng.bytes(16))
@@ -363,9 +395,12 @@ class RSPClient:
         tokens, in-flight blindings, mint counter), the scheduler and nonce
         RNG streams, the staged-work dedup sets, user transparency
         overrides, and the stats counters.  Deliberately *not* covered:
-        resolved interactions, the local snapshot, and model inferences —
-        those are rederived from the next ``observe_trace``, and the staged
-        sets guarantee rederivation never re-uploads anything.
+        resolved interactions, the local snapshot, model inferences, and
+        the stay-point fold — those are rederived from the next
+        ``observe_trace``, and the staged sets guarantee rederivation never
+        re-uploads anything.  A restored client's fold is empty, so its
+        next trace must be a full one (``window_start == 0``): the stays
+        are rebuilt from the whole stream.
 
         The result is sealed through the same canonical serializer the
         server's snapshots use (:func:`repro.durability.seal`), so a

@@ -28,7 +28,7 @@ from repro.ingest import BoundedIntakeQueue, ingest_all
 from repro.privacy.anonymity import AnonymityNetwork, batching_network
 from repro.reshard import Autoscaler, AutoscalePolicy, ReshardOp, perform
 from repro.sensing.policy import duty_cycled_policy
-from repro.sensing.sensors import generate_trace
+from repro.sensing.sensors import generate_trace, trace_carries
 from repro.orchestration.pipeline import PipelineConfig, train_classifier
 from repro.scale.server import ShardedRSPServer
 from repro.serve.loadgen import QueryWorkload, SyntheticQueries
@@ -316,6 +316,9 @@ def run_epochs(
     }
     for client in clients.values():
         client.attach_telemetry(telemetry)
+    # Each device's place in its own sensor stream: every epoch generates
+    # only the samples that are new since the last one.
+    carries = trace_carries(result, clients)
     # Durable state as of the last completed sync (install-time initially);
     # a crash rolls the client back to exactly this.
     checkpoints: dict[str, dict] = {
@@ -391,6 +394,8 @@ def run_epochs(
                         retransmit=config.retransmit,
                     )
                     restored.attach_telemetry(telemetry)
+                    # The restored install rebuilds its stays from a full trace.
+                    carries[user.user_id] = carries[user.user_id].rewound()
                     clients[user.user_id] = restored
                     outcome.clients[user.user_id] = restored
 
@@ -405,7 +410,13 @@ def run_epochs(
             skew = injector.skew_for(user.user_id) if injector is not None else 0.0
             local_now = end_time + skew
             trace = generate_trace(
-                user.user_id, town, result, end_time, duty_cycled_policy(), seed=config.seed
+                user.user_id,
+                town,
+                result,
+                end_time,
+                duty_cycled_policy(),
+                seed=config.seed,
+                carry=carries[user.user_id],
             )
             client.observe_trace(trace, now=local_now)
             client.sync(network, server.issuer, now=local_now)

@@ -120,17 +120,49 @@ class RSAPublicKey:
 
 @dataclass(frozen=True)
 class RSAKeyPair:
+    """An RSA key with its Chinese-remainder form.
+
+    ``p`` and ``q`` are the primes; ``dp = d mod (p-1)``,
+    ``dq = d mod (q-1)`` and ``qinv = q^-1 mod p`` let :meth:`sign_raw`
+    work modulo each prime separately (see :meth:`from_primes`).
+    """
+
     public: RSAPublicKey
     d: int
+    p: int
+    q: int
+    dp: int
+    dq: int
+    qinv: int
+
+    @classmethod
+    def from_primes(cls, p: int, q: int, e: int) -> "RSAKeyPair":
+        """The keypair for distinct primes ``p``, ``q`` with ``gcd(e, phi) = 1``."""
+        d = pow(e, -1, (p - 1) * (q - 1))
+        return cls(
+            public=RSAPublicKey(n=p * q, e=e),
+            d=d,
+            p=p,
+            q=q,
+            dp=d % (p - 1),
+            dq=d % (q - 1),
+            qinv=pow(q, -1, p),
+        )
 
     def sign_raw(self, value: int) -> int:
         """Raw RSA exponentiation — used by the signer on *blinded* values.
 
         The signer never learns what it is signing; that is the point.
+        Computed as two half-size exponentiations recombined with
+        Garner's formula, which equals ``pow(value, d, n)`` for every
+        ``value`` in ``[0, n)``.
         """
         if not 0 <= value < self.public.n:
             raise ValueError("value out of range")
-        return pow(value, self.d, self.public.n)
+        p, q = self.p, self.q
+        sp = pow(value % p, self.dp, p)
+        sq = pow(value % q, self.dq, q)
+        return sq + q * ((self.qinv * (sp - sq)) % p)
 
 
 def generate_keypair(bits: int = 512, seed: int = 0, e: int = 65537) -> RSAKeyPair:
@@ -139,13 +171,10 @@ def generate_keypair(bits: int = 512, seed: int = 0, e: int = 65537) -> RSAKeyPa
     q = generate_prime(bits, seed + 1)
     while q == p:
         q = generate_prime(bits, seed + 2)
-    n = p * q
-    phi = (p - 1) * (q - 1)
-    if math.gcd(e, phi) != 1:
+    if math.gcd(e, (p - 1) * (q - 1)) != 1:
         # Rare with e = 65537; fall back to a nearby seed.
         return generate_keypair(bits, seed + 7, e)
-    d = pow(e, -1, phi)
-    return RSAKeyPair(public=RSAPublicKey(n=n, e=e), d=d)
+    return RSAKeyPair.from_primes(p, q, e)
 
 
 @dataclass(frozen=True)

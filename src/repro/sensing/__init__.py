@@ -10,6 +10,7 @@ from repro.sensing.energy import PolicyEvaluation, evaluate_policy
 from repro.sensing.location import (
     StayPoint,
     StayPointConfig,
+    StayPointFold,
     extract_stay_points,
     travel_distance_before,
 )
@@ -20,7 +21,13 @@ from repro.sensing.resolution import (
     ObservedInteraction,
     ResolverConfig,
 )
-from repro.sensing.sensors import TraceConfig, generate_trace, generate_traces
+from repro.sensing.sensors import (
+    TraceCarry,
+    TraceConfig,
+    generate_trace,
+    generate_traces,
+    trace_carries,
+)
 from repro.sensing.spatial import GridIndex
 from repro.sensing.wearables import (
     EmotionSample,
@@ -57,6 +64,8 @@ __all__ = [
     "SensingPolicy",
     "StayPoint",
     "StayPointConfig",
+    "StayPointFold",
+    "TraceCarry",
     "TraceConfig",
     "continuous_policy",
     "duty_cycled_policy",
@@ -64,5 +73,6 @@ __all__ = [
     "extract_stay_points",
     "generate_trace",
     "generate_traces",
+    "trace_carries",
     "travel_distance_before",
 ]

@@ -49,6 +49,9 @@ class SensingPolicy:
     accelerometer_cost_j_per_hour: float = 3.6
 
     def __post_init__(self) -> None:
+        offsets = self.burst_offsets
+        if any(o < 0 for o in offsets) or any(a > b for a, b in zip(offsets, offsets[1:])):
+            raise ValueError("burst_offsets must be non-negative and non-decreasing")
         if self.stationary_interval <= 0:
             raise ValueError("stationary_interval must be positive")
         if self.moving_interval is not None and self.moving_interval <= 0:

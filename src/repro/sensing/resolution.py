@@ -23,7 +23,7 @@ import enum
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from repro.sensing.location import StayPointConfig, extract_stay_points
+from repro.sensing.location import StayPoint, StayPointConfig, extract_stay_points
 from repro.sensing.spatial import GridIndex
 from repro.sensing.traces import DeviceTrace
 from repro.world.entities import Entity
@@ -88,10 +88,19 @@ class EntityResolver:
         """Directory lookup of a call-log number; None for personal calls."""
         return self._by_phone.get(number)
 
-    def resolve(self, trace: DeviceTrace) -> list[ObservedInteraction]:
-        """Turn one device trace into time-ordered observed interactions."""
+    def resolve(
+        self, trace: DeviceTrace, stays: list[StayPoint] | None = None
+    ) -> list[ObservedInteraction]:
+        """Turn one device trace into time-ordered observed interactions.
+
+        ``stays`` are the stay points of the device's whole location
+        stream, for a caller that folds them itself (a window trace holds
+        only part of the stream); by default they are extracted from the
+        trace.
+        """
         interactions: list[ObservedInteraction] = []
-        stays = extract_stay_points(trace.location_samples, self.config.stay_points)
+        if stays is None:
+            stays = extract_stay_points(trace.location_samples, self.config.stay_points)
 
         for index, stay in enumerate(stays):
             if stay.duration >= self.config.anchor_dwell_threshold:

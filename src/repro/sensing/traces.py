@@ -64,12 +64,27 @@ class PaymentRecord:
 
 @dataclass
 class DeviceTrace:
-    """Everything one user's device recorded over the observation window."""
+    """Everything one user's device recorded over the observation window.
+
+    The location samples may be a *window* of the device's stream: they
+    start at index ``window_start`` of it, and their first ``n_final``
+    entries are final — no later observation of the device changes them,
+    so the next window starts right after them.  The rest is provisional
+    and is sent again, possibly changed, in the next window.  The
+    defaults describe a full, wholly provisional trace.  Call and payment
+    records are always complete.
+    """
 
     user_id: str
     location_samples: list[LocationSample] = field(default_factory=list)
     call_records: list[CallRecord] = field(default_factory=list)
     payment_records: list[PaymentRecord] = field(default_factory=list)
+    window_start: int = 0
+    n_final: int = 0
+
+    def __post_init__(self) -> None:
+        if self.window_start < 0 or self.n_final < 0:
+            raise ValueError("window indices must be non-negative")
 
     def sort(self) -> None:
         """Time-order all streams in place."""

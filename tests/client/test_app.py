@@ -1,5 +1,7 @@
 """Tests for the RSP client app."""
 
+import dataclasses
+
 import pytest
 
 from repro.client.app import RSPClient, infer_home
@@ -8,7 +10,8 @@ from repro.privacy.anonymity import batching_network
 from repro.privacy.history_store import InteractionUpload
 from repro.privacy.tokens import TokenIssuer
 from repro.sensing.policy import duty_cycled_policy
-from repro.sensing.sensors import generate_trace
+from repro.sensing.resolution import EntityResolver
+from repro.sensing.sensors import generate_trace, trace_carries
 from repro.orchestration.pipeline import train_classifier
 from repro.util.clock import DAY
 from repro.world.behavior import BehaviorConfig, BehaviorSimulator
@@ -101,6 +104,33 @@ class TestObserveTrace:
             pending.record.entity_id for pending in suppressing._pending
         }
         assert target not in uploaded_entities
+
+
+    def test_trace_window_contract(self, setting):
+        """Windows must continue the folded samples; a full trace restarts."""
+        town, result, horizon, classifier = setting
+        user_id = active_user(result)
+        carry = trace_carries(result, [user_id])[user_id]
+        client = make_client(town, classifier, user_id)
+        resolver = EntityResolver(town.entities)
+
+        def window(at):
+            return generate_trace(user_id, town, result, at, seed=12, carry=carry)
+
+        client.observe_trace(window(horizon / 3), now=horizon / 3)
+        second = window(2 * horizon / 3)
+        assert second.window_start > 0
+        skipped = dataclasses.replace(second, window_start=second.window_start + 1)
+        with pytest.raises(ValueError, match="folded"):
+            client.observe_trace(skipped, now=2 * horizon / 3)
+
+        full = generate_trace(user_id, town, result, 2 * horizon / 3, seed=12)
+        assert client.observe_trace(full, now=2 * horizon / 3) == resolver.resolve(full)
+        # The full trace left the fold where the carry's windows continue.
+        third = window(horizon)
+        assert client.observe_trace(third, now=horizon) == resolver.resolve(
+            generate_trace(user_id, town, result, horizon, seed=12)
+        )
 
 
 class TestSync:

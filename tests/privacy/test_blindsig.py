@@ -71,6 +71,29 @@ class TestKeypair:
         with pytest.raises(ValueError):
             keypair.sign_raw(keypair.public.n)
 
+    def test_crt_form_matches_the_key(self, keypair):
+        p, q, n = keypair.p, keypair.q, keypair.public.n
+        assert p * q == n and p != q
+        assert keypair.dp == keypair.d % (p - 1)
+        assert keypair.dq == keypair.d % (q - 1)
+        assert (keypair.qinv * q) % p == 1
+
+    def test_crt_signing_equals_plain_exponentiation_at_edges(self, keypair):
+        p, q, n = keypair.p, keypair.q, keypair.public.n
+        edges = [0, 1, 2, n - 1, n - 2, p, q, 2 * p, 3 * q, (q - 1) * p, (p - 1) * q]
+        for value in edges:
+            assert keypair.sign_raw(value) == pow(value, keypair.d, n), value
+
+    @given(st.integers(min_value=0), st.integers(min_value=0, max_value=3))
+    @settings(max_examples=200, deadline=None)
+    def test_crt_signing_equals_plain_exponentiation(self, keypair, raw, factor):
+        # ``factor`` 1 and 2 steer the value onto multiples of p and q.
+        p, q, n = keypair.p, keypair.q, keypair.public.n
+        value = raw % n
+        if factor:
+            value = (value * (p, q, p * q)[factor - 1]) % n
+        assert keypair.sign_raw(value) == pow(value, keypair.d, n)
+
     def test_direct_signature_roundtrip(self, keypair):
         message = b"hello"
         h = keypair.public.hash_to_group(message)
