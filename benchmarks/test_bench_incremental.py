@@ -152,7 +152,7 @@ def test_bench_incremental_maintenance_speedup(benchmark):
             "n_base_histories": N_BASE_HISTORIES,
             "n_delta_histories": N_DELTA_HISTORIES,
             "records_per_history": RECORDS_PER_HISTORY,
-            "n_records": incremental.history_store.n_records,
+            "n_records": incremental.n_records,
             "n_entities": len(all_ids),
             "n_dirty_entities": len(delta_ids),
             "dirty_fraction": round(dirty_fraction, 4),

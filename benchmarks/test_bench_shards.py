@@ -147,7 +147,7 @@ def test_bench_sharded_maintenance_speedup(benchmark):
             "bench": "sharded-maintenance",
             "n_histories": N_HISTORIES,
             "records_per_history": RECORDS_PER_HISTORY,
-            "n_records": mono.history_store.n_records,
+            "n_records": mono.n_records,
             "n_shards": N_SHARDS,
             "workers": WORKERS,
             "baseline_s": round(mono_s, 4),

@@ -79,7 +79,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     print(f"ground-truth interactions: {len(result.events)}")
     print(f"explicit reviews:          {server.n_explicit_reviews}")
     print(f"inferred opinions:         {server.n_opinions}")
-    print(f"anonymous histories:       {server.history_store.n_histories}")
+    print(f"anonymous histories:       {server.n_histories}")
     print(f"opinion gain:              {outcome.coverage_gain():.1f}x")
     print(f"inference MAE:             {outcome.mean_absolute_error:.2f} stars")
     print(f"abstention rate:           {outcome.abstention_rate:.2f}")
@@ -226,7 +226,6 @@ def _cmd_epochs(args: argparse.Namespace) -> int:
         durable_dir=args.durable_dir,
         replicate=args.replicate,
         snapshot_every=args.snapshot_every,
-        ingest_batch=args.ingest_batch,
         queue_depth=args.queue_depth,
         reshard_schedule=reshard_schedule,
         autoscale=autoscale,
@@ -236,14 +235,8 @@ def _cmd_epochs(args: argparse.Namespace) -> int:
             f"epoch {epoch}: {op.describe()}" for epoch, op in outcome.reshard_ops
         )
         print(f"resharding: {applied}")
-    if args.ingest_batch or args.queue_depth is not None:
-        front = "batched" if args.ingest_batch else "per-record"
-        bound = (
-            f"bounded queue depth {args.queue_depth}"
-            if args.queue_depth is not None
-            else "unbounded intake"
-        )
-        print(f"ingest: {front} front end, {bound}")
+    if args.queue_depth is not None:
+        print(f"ingest: bounded queue depth {args.queue_depth}")
     if plan is not None:
         print(f"fault injection: {plan.describe()}")
     if args.durable_dir is not None:
@@ -456,28 +449,19 @@ def _cmd_recover(args: argparse.Namespace) -> int:
 
     from repro.durability.recovery import recover_server
     from repro.orchestration.pipeline import PipelineConfig
-    from repro.scale.server import ShardedRSPServer
     from repro.service.server import RSPServer
     from repro.util.clock import DAY
     from repro.world.population import TownConfig, build_town
 
     town = build_town(TownConfig(n_users=args.users), seed=args.seed)
     config = PipelineConfig(horizon_days=float(args.days), seed=args.seed)
-    if args.shards > 1:
-        server = ShardedRSPServer(
-            catalog=town.entities,
-            quota_per_day=config.quota_per_day,
-            key_seed=config.seed,
-            key_bits=config.key_bits,
-            n_shards=args.shards,
-        )
-    else:
-        server = RSPServer(
-            catalog=town.entities,
-            quota_per_day=config.quota_per_day,
-            key_seed=config.seed,
-            key_bits=config.key_bits,
-        )
+    server = RSPServer(
+        catalog=town.entities,
+        quota_per_day=config.quota_per_day,
+        key_seed=config.seed,
+        key_bits=config.key_bits,
+        n_shards=args.shards,
+    )
     # ``repro epochs --durable-dir D`` journals under D/primary (and a
     # promoted replica under D/promoted); accept either D or the lane
     # directory itself.
@@ -588,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
     epochs.add_argument("--fault-seed", type=int, default=0, help="fault-plan seed")
     epochs.add_argument(
         "--shards", type=int, default=1,
-        help="store partitions (1 = monolithic server; >1 = repro.scale)",
+        help="store partitions (default 1)",
     )
     epochs.add_argument(
         "--workers", type=int, default=0,
@@ -614,10 +598,6 @@ def build_parser() -> argparse.ArgumentParser:
     epochs.add_argument(
         "--replica-outage-epoch", type=int, default=None,
         help="epoch (1-based) during which log shipping is down",
-    )
-    epochs.add_argument(
-        "--ingest-batch", action="store_true",
-        help="route intake through the batched front end (repro.ingest)",
     )
     epochs.add_argument(
         "--queue-depth", type=int, default=None,
@@ -664,7 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
     telemetry.add_argument("--fault-seed", type=int, default=0, help="fault-plan seed")
     telemetry.add_argument(
         "--shards", type=int, default=1,
-        help="store partitions (1 = monolithic server; >1 = repro.scale)",
+        help="store partitions (default 1)",
     )
     telemetry.add_argument(
         "--workers", type=int, default=0,

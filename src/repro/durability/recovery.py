@@ -86,19 +86,11 @@ def _commit(server, mutation: dict) -> None:
     nonce_hex = mutation.get("nonce")
     if nonce_hex is not None:
         nonce = bytes.fromhex(nonce_hex)
-        if getattr(server, "shards", None) is None:
-            server._seen_nonces.add(nonce)
-        else:
-            server._nonce_buckets[server.router.shard_of_bytes(nonce)].add(nonce)
+        server._nonce_buckets[server.router.shard_of_bytes(nonce)].add(nonce)
     token_hex = mutation.get("token_id")
     if token_hex is not None:
         token_id = bytes.fromhex(token_hex)
-        if getattr(server, "shards", None) is None:
-            server._redeemer._spent.add(token_id)
-        else:
-            server._redeemer._spent[server.router.shard_of_bytes(token_id)].add(
-                token_id
-            )
+        server._redeemer._spent[server.router.shard_of_bytes(token_id)].add(token_id)
 
 
 def apply_mutation(server, mutation: dict) -> None:
@@ -114,7 +106,6 @@ def apply_mutation(server, mutation: dict) -> None:
     bookkeeping.
     """
     kind = mutation["kind"]
-    shards = getattr(server, "shards", None)
     if kind == "interaction":
         upload = InteractionUpload(
             history_id=mutation["history_id"],
@@ -124,23 +115,17 @@ def apply_mutation(server, mutation: dict) -> None:
             duration=mutation["duration"],
             travel_km=mutation["travel_km"],
         )
-        if shards is None:
-            stored = server.history_store.append(
-                upload, arrival_time=mutation["arrival_time"]
-            )
-        else:
-            shard = shards[server.router.shard_of(upload.history_id)]
-            stored = shard.store.append(upload, arrival_time=mutation["arrival_time"])
-            if stored:
-                shard.store_version += 1
-                shard.version += 1
-                shard.dirty_entities.add(upload.entity_id)
+        shard = server.shards[server.router.shard_of(upload.history_id)]
+        stored = shard.store.append(upload, arrival_time=mutation["arrival_time"])
         if not stored:
             raise RuntimeError(
                 f"WAL interaction seq={mutation['seq']} for history "
                 f"{upload.history_id!r} was rejected by the store on replay — "
                 "the journal and the stores have diverged"
             )
+        shard.store_version += 1
+        shard.version += 1
+        shard.dirty_entities.add(upload.entity_id)
         _commit(server, mutation)
     elif kind == "opinion":
         record = OpinionUpload(
@@ -149,16 +134,11 @@ def apply_mutation(server, mutation: dict) -> None:
             rating=mutation["rating"],
             seq=mutation["opinion_seq"],
         )
-        if shards is None:
-            slot = server._opinions
-        else:
-            shard = shards[server.router.shard_of(record.history_id)]
-            slot = shard.opinions
-        existing = slot.get(record.history_id)
+        shard = server.shards[server.router.shard_of(record.history_id)]
+        existing = shard.opinions.get(record.history_id)
         if existing is None or record.seq > existing.seq:
-            slot[record.history_id] = record
-            if shards is not None:
-                shard.version += 1
+            shard.opinions[record.history_id] = record
+            shard.version += 1
         else:
             server.opinions_stale += 1
         _commit(server, mutation)
@@ -171,11 +151,8 @@ def apply_mutation(server, mutation: dict) -> None:
             rating=mutation["rating"],
             time=mutation["time"],
         )
-        if shards is None:
-            server._reviews.setdefault(review.entity_id, []).append(review)
-        else:
-            shard = shards[server.router.shard_of(review.entity_id)]
-            shard.reviews.setdefault(review.entity_id, []).append(review)
+        shard = server.shards[server.router.shard_of(review.entity_id)]
+        shard.reviews.setdefault(review.entity_id, []).append(review)
     elif kind == "reshard":
         _apply_reshard(server, mutation)
     elif kind == "issue":
@@ -204,8 +181,6 @@ def _apply_reshard(server, mutation: dict) -> None:
     the log and the code disagree about the topology, which is never
     recoverable silently.
     """
-    if getattr(server, "shards", None) is None:
-        raise ValueError("reshard record replayed against a monolithic server")
     seq = mutation["seq"]
     if any(entry["seq"] == seq for entry in server.reshard_history):
         return
@@ -240,12 +215,8 @@ def finalize_recovery(server) -> None:
     """
     engine = server._engine
     engine._claims.clear()
-    shards = getattr(server, "shards", None)
-    opinion_maps = (
-        [server._opinions] if shards is None else [s.opinions for s in shards]
-    )
-    for opinions in opinion_maps:
-        for history_id, opinion in opinions.items():
+    for shard in server.shards:
+        for history_id, opinion in shard.opinions.items():
             engine._claims.setdefault(opinion.entity_id, set()).add(history_id)
     for entity_id in sorted(server.catalog):
         engine.mark_dirty(entity_id)
@@ -296,7 +267,7 @@ def recover_server(
     # A crash between the WAL append and the ledger rewrite leaves the
     # ledger behind the log; re-save so the next truncation cannot strand
     # a replayed-but-unledgered operation.
-    if getattr(server, "reshard_history", None):
+    if server.reshard_history:
         save_topology(directory, server.reshard_history)
     telemetry.inc("recovery.replayed", len(mutations))
     if torn:

@@ -131,16 +131,15 @@ class ReplicatedRSPServer:
         replica = self.replica
         finalize_recovery(replica)
         replica.attach_telemetry(self.telemetry)
-        shards = getattr(replica, "shards", None)
         journal = DurableJournal(
             self.durable_root / "promoted",
-            n_lanes=1 if shards is None else replica.router.n_shards,
-            lane_of=None if shards is None else replica.router.shard_of,
+            n_lanes=replica.router.n_shards,
+            lane_of=replica.router.shard_of,
             telemetry=self.telemetry,
             sync_policy=self.journal.sync_policy,
         )
         attach_journal(replica, journal)
-        if getattr(replica, "reshard_history", None):
+        if replica.reshard_history:
             # Shipped reshard records changed the replica's topology; the
             # promoted directory needs the ledger for its own recovery
             # (the baseline snapshot below is topology-independent, but a

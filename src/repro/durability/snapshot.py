@@ -4,10 +4,9 @@ A snapshot captures the *logical* repository — histories, opinion slots,
 explicit reviews, the dedup nonce table, the spent-token table, issuer
 quota windows, and the intake counters — as one JSON-compatible dict in
 canonical order (everything sorted by its key), independent of how the
-deployment partitions that state.  The same snapshot taken from a
-monolithic server and from any sharding of it is byte-identical, and the
-same snapshot restores into either deployment: :func:`restore_state`
-re-routes every piece through the target server's own router.
+deployment partitions that state.  The same content captured at any shard count is byte-identical, and a
+snapshot restores into any shard count: :func:`restore_state` re-routes
+every piece through the target server's own router.
 
 Atomicity protocol (the classic one):
 
@@ -42,9 +41,7 @@ from repro.privacy.history_store import (
 SNAPSHOT_FORMAT = "rsp-snapshot/1"
 _SNAPSHOT_RE = re.compile(r"^snapshot-(\d{12})\.json$")
 
-#: Intake counters that must survive a restart byte-for-byte.  Shared by
-#: both deployments; ``pool_fallbacks`` exists only on the sharded facade
-#: and is handled with ``getattr``/``hasattr`` guards.
+#: Intake counters that must survive a restart byte-for-byte.
 _COUNTERS = (
     "accepted_envelopes",
     "rejected_envelopes",
@@ -53,6 +50,7 @@ _COUNTERS = (
     "history_mismatches",
     "dropped_by_outage",
     "rejected_attestations",
+    "pool_fallbacks",
 )
 
 
@@ -121,67 +119,40 @@ def _decode_history(blob: dict) -> InteractionHistory:
     )
 
 
-def _stores_of(server):
-    """Normalize both deployments to iterables of their partitioned state.
-
-    Yields ``(history_stores, opinion_maps, review_maps, nonce_sets,
-    spent_sets)`` — one element per partition (one for the monolith).
-    """
-    shards = getattr(server, "shards", None)
-    if shards is None:
-        return (
-            [server.history_store],
-            [server._opinions],
-            [server._reviews],
-            [server._seen_nonces],
-            [server._redeemer._spent],
-        )
-    return (
-        [shard.store for shard in shards],
-        [shard.opinions for shard in shards],
-        [shard.reviews for shard in shards],
-        list(server._nonce_buckets),
-        list(server._redeemer._spent),
-    )
-
-
 def capture_state(server, wal_seq: int = 0) -> dict:
     """The server's logical state as one canonical JSON-compatible dict.
 
     Partition-independent: every collection is flattened across shards
-    and emitted in sorted key order, so a monolith and any sharding of
-    the same content produce identical bytes.  ``wal_seq`` records the
+    and emitted in sorted key order, so the same content produces
+    identical bytes at every shard count.  ``wal_seq`` records the
     last journaled mutation this snapshot covers; recovery replays only
     WAL records with a greater sequence number.
     """
-    stores, opinion_maps, review_maps, nonce_sets, spent_sets = _stores_of(server)
+    shards = server.shards
     histories = sorted(
-        (h for store in stores for h in store.all_histories()),
+        (h for shard in shards for h in shard.store.all_histories()),
         key=lambda h: h.history_id,
     )
     opinions = {
         history_id: [op.entity_id, op.rating, op.seq]
-        for opinions in opinion_maps
-        for history_id, op in opinions.items()
+        for shard in shards
+        for history_id, op in shard.opinions.items()
     }
     reviews: dict[str, list] = {}
-    for review_map in review_maps:
-        for entity_id, posted in review_map.items():
+    for shard in shards:
+        for entity_id, posted in shard.reviews.items():
             reviews[entity_id] = [
                 [review.user_id, review.rating, review.time] for review in posted
             ]
     issuer = server.issuer
     counters = {name: getattr(server, name) for name in _COUNTERS}
-    # Always present so monolith and sharded captures stay byte-identical;
-    # the monolith simply has no pool to fall back from.
-    counters["pool_fallbacks"] = getattr(server, "pool_fallbacks", 0)
     return {
         "wal_seq": wal_seq,
         "histories": [_encode_history(h) for h in histories],
         "opinions": {k: opinions[k] for k in sorted(opinions)},
         "reviews": {k: reviews[k] for k in sorted(reviews)},
-        "nonces": sorted(n.hex() for nonces in nonce_sets for n in nonces),
-        "spent_tokens": sorted(t.hex() for spent in spent_sets for t in spent),
+        "nonces": sorted(n.hex() for nonces in server._nonce_buckets for n in nonces),
+        "spent_tokens": sorted(t.hex() for spent in server._redeemer._spent for t in spent),
         "issuer": {
             "window_start": {k: issuer._window_start[k] for k in sorted(issuer._window_start)},
             "issued_today": {k: issuer._issued_today[k] for k in sorted(issuer._issued_today)},
@@ -197,7 +168,7 @@ def restore_state(server, state: dict) -> None:
     """Load a captured state into a freshly constructed server.
 
     Routing goes through the *target's* own router, so a snapshot taken
-    from a monolith restores into a 16-shard deployment (and vice versa)
+    at one shard restores into a 16-shard deployment (and vice versa)
     with every nonce, token, history, and opinion in the bucket its key
     routes to there.  The caller still owes a :func:`finalize_recovery`
     pass (see :mod:`repro.durability.recovery`) to rebuild the
@@ -205,47 +176,28 @@ def restore_state(server, state: dict) -> None:
     """
     from repro.service.server import ExplicitReview
 
-    shards = getattr(server, "shards", None)
+    route = server.router.shard_of
+    route_bytes = server.router.shard_of_bytes
     for blob in state["histories"]:
         history = _decode_history(blob)
-        if shards is None:
-            server.history_store.adopt(history)
-        else:
-            shards[server.router.shard_of(history.history_id)].store.adopt(history)
+        server.shards[route(history.history_id)].store.adopt(history)
     for history_id, (entity_id, rating, seq) in state["opinions"].items():
-        opinion = OpinionUpload(
+        server.shards[route(history_id)].opinions[history_id] = OpinionUpload(
             history_id=history_id, entity_id=entity_id, rating=rating, seq=seq
         )
-        if shards is None:
-            server._opinions[history_id] = opinion
-        else:
-            shards[server.router.shard_of(history_id)].opinions[history_id] = opinion
     for entity_id, posted in state["reviews"].items():
-        reviews = [
+        server.shards[route(entity_id)].reviews.setdefault(entity_id, []).extend(
             ExplicitReview(
                 user_id=user_id, entity_id=entity_id, rating=rating, time=time
             )
             for user_id, rating, time in posted
-        ]
-        if shards is None:
-            server._reviews.setdefault(entity_id, []).extend(reviews)
-        else:
-            shard = shards[server.router.shard_of(entity_id)]
-            shard.reviews.setdefault(entity_id, []).extend(reviews)
+        )
     for nonce_hex in state["nonces"]:
         nonce = bytes.fromhex(nonce_hex)
-        if shards is None:
-            server._seen_nonces.add(nonce)
-        else:
-            server._nonce_buckets[server.router.shard_of_bytes(nonce)].add(nonce)
+        server._nonce_buckets[route_bytes(nonce)].add(nonce)
     for token_hex in state["spent_tokens"]:
         token_id = bytes.fromhex(token_hex)
-        if shards is None:
-            server._redeemer._spent.add(token_id)
-        else:
-            server._redeemer._spent[server.router.shard_of_bytes(token_id)].add(
-                token_id
-            )
+        server._redeemer._spent[route_bytes(token_id)].add(token_id)
     issuer = server.issuer
     issuer._window_start.update(state["issuer"]["window_start"])
     issuer._issued_today.update(state["issuer"]["issued_today"])

@@ -1,46 +1,66 @@
-"""The batched intake front end: whole-batch decode, dedup, dispatch.
+"""The RSP's intake loop: classify, dedup, and file every envelope.
 
-:func:`ingest_all` is a drop-in replacement for
-:meth:`repro.service.server.RSPServer.receive_all` /
-:meth:`repro.scale.server.ShardedRSPServer.receive_batch` that processes
-the same deliveries **byte-identically** — same accept/reject/duplicate
-classification for every envelope, same store mutations in the same
-order, same WAL frames with the same global sequence numbers, same
-telemetry export — while amortizing everything per-record intake pays per
-envelope:
+This module holds the one implementation of intake classification.
+:meth:`repro.service.server.RSPServer.receive_all` and ``receive_batch``
+call :func:`ingest_all`; ``receive`` calls :func:`ingest_one`.  The
+server is duck-typed, so this module imports no server class.
 
-* attribute and method lookups are hoisted out of the loop (the columnar
-  idiom of :mod:`repro.scale.kernel`, applied to intake);
-* record-kind dispatch is memoized per concrete class instead of running
-  two ``isinstance`` checks per record;
-* telemetry is accumulated in plain locals and emitted once per batch —
+Classification, first match wins:
+
+1. **outage** — a down endpoint processes nothing, so neither the token
+   nor the nonce of a lost envelope is consumed and a retransmitted copy
+   can still land;
+2. **token** — the trust boundary comes before dedup: only token-valid
+   envelopes may *write* dedup state, so an unauthenticated sender can
+   never squat a nonce and suppress someone's legitimate record.  A token
+   failure on an already-accepted nonce counts as a suppressed duplicate
+   rather than a rejection: an identical network-replayed copy carries
+   its original's spent token;
+3. **nonce** — idempotent dedup of accepted envelopes;
+4. **record kind** — interaction and opinion uploads with a string
+   ``history_id``; anything else is ``malformed``;
+5. **unknown entity**;
+6. **store error** — the store cannot index the record;
+7. **history mismatch** — the identifier is bound to another entity: a
+   client bug or a corruption attempt, kept out of the generic bucket so
+   fraud-facing dashboards see it.
+
+Acceptance is transactional with store dispatch: the accept counter and
+the nonce table are touched only after the record is in its store, so a
+record that raises mid-dispatch neither inflates the counters nor burns
+its nonce — the sender may repair and retransmit under the same nonce.
+An opinion slot keeps the highest ``seq``; a re-upload that does not beat
+it is accepted as stale and skips the slot write.
+
+The loop is written for speed, since every deployment runs it:
+
+* a batch is routed once per envelope and grouped per shard, so each
+  shard's writes are contiguous and its tables are bound once per group.
+  Within a shard, delivery order is preserved; all state an envelope
+  touches is keyed by values the envelope carries, so regrouping across
+  shards changes no outcome.  At one shard the batch is the group and
+  nothing is routed;
+* attribute and method lookups are hoisted out of the loop, record-kind
+  dispatch is memoized per concrete class, and the history-store append
+  is inlined so the mismatch check and the write share one dict probe;
+* telemetry is accumulated in locals and emitted once per batch —
   counters and histogram state are commutative integer arithmetic
-  (:mod:`repro.telemetry.registry`), so batch-aggregated emission is
-  export-identical to per-record emission as long as the totals match,
-  and instruments are only touched when their total is non-zero (exactly
-  the instruments per-record intake would have created).
+  (:mod:`repro.telemetry.registry`), and an instrument is only touched
+  when its total is non-zero.
 
-The durability contract is untouched: accepted mutations are journaled
-through the server's installed ``journal`` *before* the acceptance commit
-(WAL-before-ack), in the same per-record order as the baseline path, and
-the batch boundary group-commits with ``sync_to_disk``.  Fault hooks are
-also honoured call-for-call — ``server_down`` has per-call side effects
-inside an outage window, so the batched path probes it once per delivery
-whenever a hook is installed.
-
-Server counters and batched telemetry are committed in a ``finally``
-block: a journal failure mid-batch must propagate (the process dies
-rather than acknowledge unlogged state), but everything processed before
-the failing record is already store-mutated exactly as the per-record
-path would have left it — the flush keeps the counters telling the same
-story.
+Durability: accepted mutations are journaled through the server's
+``journal`` *before* the acceptance commit (WAL-before-ack), and a batch
+group-commits with ``sync_to_disk``.  Fault hooks are probed once per
+delivery — ``server_down`` may have per-call side effects.  Counters and
+telemetry are committed in a ``finally`` block: a journal failure must
+propagate (the process dies rather than acknowledge unlogged state), and
+everything processed before the failing record stays counted.
 """
 
 from __future__ import annotations
 
 from repro.core.aggregation import OpinionUpload
 from repro.privacy.history_store import (
-    HistoryStore,
     InteractionHistory,
     InteractionUpload,
     StoredRecord,
@@ -54,224 +74,160 @@ from repro.telemetry.registry import DEPLOYMENT
 
 #: Record-kind memo shared across batches: concrete class -> "interaction",
 #: "opinion", or None (malformed).  Keyed on the class object, so
-#: subclasses resolve through one ``isinstance`` pass on first sighting —
-#: the same predicate order the per-record path applies to every envelope.
+#: subclasses resolve through one ``isinstance`` pass on first sighting.
 _KIND_MEMO: dict[type, str | None] = {}
-
-#: Distinguishes "class not yet memoized" from the memoized ``None``
-#: (malformed) entry in the hot loops' direct memo probes.
-_UNSEEN = object()
 
 
 def _kind_of(record) -> str | None:
     cls = record.__class__
-    try:
-        return _KIND_MEMO[cls]
-    except KeyError:
-        if isinstance(record, InteractionUpload):
-            kind = "interaction"
-        elif isinstance(record, OpinionUpload):
-            kind = "opinion"
-        else:
-            kind = None
-        _KIND_MEMO[cls] = kind
-        return kind
-
-
-class _BatchTally:
-    """Local accumulators for one batch, flushed once at the end."""
-
-    __slots__ = (
-        "accepted_interactions",
-        "accepted_opinions",
-        "duplicates",
-        "outage_dropped",
-        "stale",
-        "mismatches",
-        "rejected",
-        "lags",
-    )
-
-    def __init__(self) -> None:
-        self.accepted_interactions = 0
-        self.accepted_opinions = 0
-        self.duplicates = 0
-        self.outage_dropped = 0
-        self.stale = 0
-        self.mismatches = 0
-        self.rejected: dict[str, int] = {}
-        self.lags: list[float] = []
-
-    @property
-    def accepted(self) -> int:
-        return self.accepted_interactions + self.accepted_opinions
-
-    @property
-    def n_rejected(self) -> int:
-        return sum(self.rejected.values())
-
-    def flush(self, server, telemetry) -> None:
-        """Commit the tally to the server counters and the telemetry sink.
-
-        Emission is guarded per instrument: an instrument the per-record
-        path never touched must not appear in the export with a zero
-        value, or the batched export would stop being byte-identical.
-        """
-        server.accepted_envelopes += self.accepted
-        server.rejected_envelopes += self.n_rejected
-        server.duplicates_suppressed += self.duplicates
-        server.dropped_by_outage += self.outage_dropped
-        server.opinions_stale += self.stale
-        server.history_mismatches += self.mismatches
-        inc = telemetry.inc
-        if self.accepted_interactions:
-            inc("rsp.envelopes.accepted", self.accepted_interactions, record="interaction")
-        if self.accepted_opinions:
-            inc("rsp.envelopes.accepted", self.accepted_opinions, record="opinion")
-        for reason, count in self.rejected.items():
-            inc("rsp.envelopes.rejected", count, reason=reason)
-        if self.duplicates:
-            inc("rsp.envelopes.duplicate", self.duplicates)
-        if self.outage_dropped:
-            inc("rsp.envelopes.outage_dropped", self.outage_dropped)
-        if self.stale:
-            inc("rsp.opinions.stale", self.stale)
-        if self.lags:
-            telemetry.observe_many(
-                "rsp.ingest_lag", self.lags, buckets=INGEST_LAG_BUCKETS
-            )
-
-
-def _inline_tables(store: HistoryStore):
-    """The store's internal maps, when appends can be inlined.
-
-    The server-side intake configuration builds its :class:`HistoryStore`
-    with no redeemer (tokens are checked at the envelope layer) and no
-    per-history fold bound — in that configuration ``append`` reduces to
-    two dict operations and a record append, which the batch loop inlines
-    to fuse the ``bound_entity`` lookup with the write (one dict probe
-    per record instead of two, no call overhead).  Any other store
-    configuration returns ``None`` and takes the ``append`` method, so
-    semantics never fork.
-    """
-    if store._redeemer is None and store.max_records_per_history is None:
-        return store._histories, store._by_entity
-    return None
+    if isinstance(record, InteractionUpload):
+        kind = "interaction"
+    elif isinstance(record, OpinionUpload):
+        kind = "opinion"
+    else:
+        kind = None
+    _KIND_MEMO[cls] = kind
+    return kind
 
 
 def ingest_all(server, deliveries, now: float | None = None) -> int:
-    """Batched intake against either server deployment.
+    """Process a batch of deliveries; returns how many were accepted.
 
-    Dispatches on the duck-typed deployment shape (the sharded server
-    carries ``shards``), exactly like the drivers in
-    :mod:`repro.orchestration.epochs` do — this module imports neither
-    server class.  Returns the number of accepted envelopes, like
-    ``receive_all``.
+    ``now`` overrides the time the outage check sees: a catch-up batch
+    job processing a backlog held through an outage passes its own
+    (post-outage) processing time, because the endpoint being down when
+    an envelope *queued* must not drop it once it is processed later.
     """
-    if getattr(server, "shards", None) is not None:
-        return _ingest_sharded(server, deliveries, now)
-    return _ingest_monolith(server, deliveries, now)
-
-
-def _ingest_monolith(server, deliveries, now: float | None) -> int:
     telemetry = server.telemetry
     telemetry.observe(
         "rsp.intake.batch", len(deliveries), buckets=INTAKE_BATCH_BUCKETS
     )
+    groups = _group_by_shard(server.router, deliveries)
+    for shard_index, group in groups:
+        telemetry.observe(
+            "rsp.shard.batch",
+            len(group),
+            buckets=SHARD_BATCH_BUCKETS,
+            scope=DEPLOYMENT,
+            shard=shard_index,
+        )
+    accepted = _classify(server, groups, now)
+    if server.journal is not None:
+        # Group commit: each accepted envelope's WAL frame was already
+        # flushed before its ack; the batch boundary is where the journal
+        # fsyncs for power-loss durability.
+        server.journal.sync_to_disk()
+    return accepted
+
+
+def ingest_one(server, delivery, now: float | None = None) -> bool:
+    """Process one delivery, without batch telemetry or a group commit."""
+    return _classify(server, _group_by_shard(server.router, [delivery]), now) == 1
+
+
+def _group_by_shard(router, deliveries) -> list[tuple[int, list]]:
+    """``(shard, deliveries)`` pairs, delivery order kept within a shard.
+
+    A record without a string ``history_id`` cannot be routed; it waits in
+    shard 0's group and is classified malformed there.
+    """
+    if router.n_shards == 1:
+        return [(0, deliveries)] if deliveries else []
+    shard_of = router.shard_of
+    groups: list[list] = [[] for _ in range(router.n_shards)]
+    for delivery in deliveries:
+        key = getattr(delivery.payload.record, "history_id", None)
+        groups[shard_of(key) if isinstance(key, str) else 0].append(delivery)
+    return [(index, group) for index, group in enumerate(groups) if group]
+
+
+def _classify(server, groups, now: float | None) -> int:
+    """The intake loop over pre-routed groups; returns the accepted count."""
+    telemetry = server.telemetry
     hook = server.fault_hook
     journal = server.journal
     require_tokens = server.require_tokens
-    if (
-        hook is None
-        and journal is None
-        and not require_tokens
-        and _inline_tables(server.history_store) is not None
-    ):
-        # The common service configuration (no fault hook, envelope-layer
-        # tokens off, durability detached, inline-appendable store) takes
-        # a lean loop with the per-record no-op branches stripped.
-        return _ingest_monolith_lean(server, deliveries)
     redeem = server._redeemer.redeem
-    seen = server._seen_nonces
-    seen_add = seen.add
+    bucket_of = server.router.shard_of_bytes
+    nonce_buckets = server._nonce_buckets
     catalog = server.catalog
-    store = server.history_store
-    store_append = store.append
-    bound_entity = store.bound_entity
-    tables = _inline_tables(store)
-    histories_get = None if tables is None else tables[0].get
-    opinions = server._opinions
-    opinions_get = opinions.get
-    # ``mark_dirty`` is a single set-add (repro.service.incremental); the
-    # hot loop binds the add directly.
-    mark_dirty = server._engine._dirty.add
     note_opinion = server._engine.note_opinion
     kind_memo = _KIND_MEMO
     kind_of = _kind_of
     stored_record = StoredRecord
+    new_history = InteractionHistory
 
-    tally = _BatchTally()
-    rejected = tally.rejected
-    lag = tally.lags.append
-    # Hot counters live in locals; the ``finally`` below commits them to
-    # the tally (and the tally to the server) even when a journal failure
-    # aborts the loop mid-batch.
+    rejected: dict[str, int] = {}
+    lags: list[float] = []
+    lag = lags.append
+    # Hot counters live in locals; the ``finally`` below commits them even
+    # when a journal failure aborts the loop mid-batch.
     outage_dropped = duplicates = stale = mismatches = 0
     accepted_interactions = accepted_opinions = 0
     try:
-        for delivery in deliveries:
-            envelope = delivery.payload
-            arrival = delivery.arrival_time
-            if hook is not None and hook.server_down(
-                arrival if now is None else now
-            ):
-                outage_dropped += 1
-                continue
-            # try/except over getattr-with-default: attribute access is
-            # free when it hits (the wire Envelope always carries nonce),
-            # and the exception path only fires for foreign payloads.
-            try:
-                nonce = envelope.nonce
-            except AttributeError:
-                nonce = None
-            if require_tokens:
-                token = envelope.token
-                if token is None or not redeem(token):
-                    # Token failure on a seen nonce is a network-level
-                    # duplicate of the accepted copy, not a fraud bounce
-                    # (same nuance as RSPServer.receive).
-                    if nonce is not None and nonce in seen:
-                        duplicates += 1
-                    else:
-                        rejected["token"] = rejected.get("token", 0) + 1
+        for shard_index, group in groups:
+            shard = server.shards[shard_index]
+            histories = shard.store._histories
+            histories_get = histories.get
+            by_entity = shard.store._by_entity
+            opinions = shard.opinions
+            opinions_get = opinions.get
+            mark_dirty = shard.dirty_entities.add
+            for delivery in group:
+                envelope = delivery.payload
+                arrival = delivery.arrival_time
+                if hook is not None and hook.server_down(
+                    arrival if now is None else now
+                ):
+                    outage_dropped += 1
                     continue
-            if nonce is not None and nonce in seen:
-                duplicates += 1
-                continue
-            record = envelope.record
-            try:
-                kind = kind_memo[record.__class__]
-            except KeyError:
-                kind = kind_of(record)
-            try:
-                if kind == "interaction":
+                # try/except over getattr-with-default: attribute access is
+                # free when it hits (the wire Envelope always carries a
+                # nonce), and the exception path only fires for foreign
+                # payloads.
+                try:
+                    nonce = envelope.nonce
+                except AttributeError:
+                    nonce = None
+                nonce_bucket = (
+                    None if nonce is None else nonce_buckets[bucket_of(nonce)]
+                )
+                if require_tokens:
+                    token = envelope.token
+                    if token is None or not redeem(token):
+                        if nonce_bucket is not None and nonce in nonce_bucket:
+                            duplicates += 1
+                        else:
+                            rejected["token"] = rejected.get("token", 0) + 1
+                        continue
+                if nonce_bucket is not None and nonce in nonce_bucket:
+                    duplicates += 1
+                    continue
+                record = envelope.record
+                try:
+                    kind = kind_memo[record.__class__]
+                except KeyError:
+                    kind = kind_of(record)
+                if kind is None or not isinstance(record.history_id, str):
+                    rejected["malformed"] = rejected.get("malformed", 0) + 1
+                    continue
+                try:
                     if record.entity_id not in catalog:
                         rejected["unknown-entity"] = (
                             rejected.get("unknown-entity", 0) + 1
                         )
                         continue
-                    if histories_get is not None:
-                        # Fused probe: the mismatch check and the append
-                        # share one dict lookup (bound_entity + append
-                        # would probe the same map twice).
+                    if kind == "interaction":
+                        # The history-store append, inlined: the mismatch
+                        # check and the write share one dict probe.
                         history = histories_get(record.history_id)
                         if history is None:
-                            history = InteractionHistory(
+                            history = new_history(
                                 history_id=record.history_id,
                                 entity_id=record.entity_id,
                             )
-                            tables[0][record.history_id] = history
-                            tables[1].setdefault(record.entity_id, []).append(
+                            histories[record.history_id] = history
+                            by_entity.setdefault(record.entity_id, []).append(
                                 history
                             )
                         elif history.entity_id != record.entity_id:
@@ -281,373 +237,69 @@ def _ingest_monolith(server, deliveries, now: float | None) -> int:
                             )
                             continue
                         history.records.append(stored_record(record, arrival))
-                        stored = True
-                    else:
-                        bound = bound_entity(record.history_id)
-                        if bound is not None and bound != record.entity_id:
-                            mismatches += 1
-                            rejected["history-mismatch"] = (
-                                rejected.get("history-mismatch", 0) + 1
-                            )
-                            continue
-                        stored = store_append(record, arrival_time=arrival)
-                    if stored:
+                        shard.store_version += 1
+                        shard.version += 1
                         mark_dirty(record.entity_id)
-                elif kind == "opinion":
-                    if record.entity_id not in catalog:
-                        rejected["unknown-entity"] = (
-                            rejected.get("unknown-entity", 0) + 1
-                        )
-                        continue
-                    existing = opinions_get(record.history_id)
-                    if existing is None or record.seq > existing.seq:
-                        opinions[record.history_id] = record
-                        if histories_get is not None:
-                            owner_history = histories_get(record.history_id)
-                            owner = (
-                                None
-                                if owner_history is None
-                                else owner_history.entity_id
+                    else:
+                        existing = opinions_get(record.history_id)
+                        if existing is None or record.seq > existing.seq:
+                            opinions[record.history_id] = record
+                            shard.version += 1
+                            owner = histories_get(record.history_id)
+                            note_opinion(
+                                existing,
+                                record,
+                                owner=None if owner is None else owner.entity_id,
                             )
                         else:
-                            owner = bound_entity(record.history_id)
-                        note_opinion(existing, record, owner=owner)
-                    else:
-                        stale += 1
-                    stored = True
-                else:
-                    rejected["malformed"] = rejected.get("malformed", 0) + 1
+                            # A delayed/reordered re-upload older than (or
+                            # tying) the slot: drop the write, but accept
+                            # the envelope — the sender behaved correctly
+                            # and must not retransmit.
+                            stale += 1
+                except Exception:
+                    # Store dispatch blew up: nothing was written, so
+                    # nothing may be marked accepted.
+                    rejected["store-error"] = rejected.get("store-error", 0) + 1
                     continue
-            except Exception:
-                # Store dispatch blew up: nothing durably written, so
-                # nothing may be marked accepted (mirrors RSPServer).
-                rejected["store-error"] = rejected.get("store-error", 0) + 1
-                continue
-            if stored:
-                # WAL-before-ack, in per-record order — global WAL seq
-                # assignment must match the baseline path byte for byte.
+                # WAL-before-ack: the mutation is journaled (and flushed)
+                # before the accept counter and nonce burn commit, so a
+                # crash on either side of this line is recoverable — see
+                # docs/DURABILITY.md.
                 if journal is not None:
-                    token_id = (
-                        envelope.token.token_id
-                        if require_tokens and envelope.token is not None
-                        else None
-                    )
+                    token_id = token.token_id if require_tokens else None
                     if kind == "interaction":
                         journal.log_interaction(record, arrival, nonce, token_id)
                     else:
                         journal.log_opinion(record, nonce, token_id)
-                if nonce is not None:
-                    seen_add(nonce)
+                if nonce_bucket is not None:
+                    nonce_bucket.add(nonce)
                 if kind == "interaction":
                     accepted_interactions += 1
                     lag(arrival - record.event_time)
                 else:
                     accepted_opinions += 1
-            else:
-                rejected["unstored"] = rejected.get("unstored", 0) + 1
     finally:
-        tally.outage_dropped = outage_dropped
-        tally.duplicates = duplicates
-        tally.stale = stale
-        tally.mismatches = mismatches
-        tally.accepted_interactions = accepted_interactions
-        tally.accepted_opinions = accepted_opinions
-        tally.flush(server, telemetry)
-    if journal is not None:
-        # Group commit at the batch boundary (see RSPServer.receive_all).
-        journal.sync_to_disk()
-    return tally.accepted
-
-
-def _ingest_monolith_lean(server, deliveries) -> int:
-    """The full monolith loop minus the branches its caller proved dead.
-
-    Semantically identical to :func:`_ingest_monolith` when there is no
-    fault hook (so ``now`` is never consulted), no journal (nothing to
-    log or group-commit), tokens are off, and the store is
-    inline-appendable.  Every classification branch and counter is the
-    same; only the per-record probes of those four dead configurations
-    are gone.
-    """
-    telemetry = server.telemetry
-    seen = server._seen_nonces
-    seen_add = seen.add
-    catalog = server.catalog
-    store = server.history_store
-    tables = _inline_tables(store)
-    histories, by_entity = tables
-    histories_get = histories.get
-    opinions = server._opinions
-    opinions_get = opinions.get
-    mark_dirty = server._engine._dirty.add
-    note_opinion = server._engine.note_opinion
-    kind_memo = _KIND_MEMO
-    kind_of = _kind_of
-    stored_record = StoredRecord
-
-    tally = _BatchTally()
-    rejected = tally.rejected
-    lag = tally.lags.append
-    duplicates = stale = mismatches = 0
-    accepted_interactions = accepted_opinions = 0
-    try:
-        for delivery in deliveries:
-            envelope = delivery.payload
-            arrival = delivery.arrival_time
-            try:
-                nonce = envelope.nonce
-            except AttributeError:
-                nonce = None
-            if nonce is not None and nonce in seen:
-                duplicates += 1
-                continue
-            record = envelope.record
-            try:
-                kind = kind_memo[record.__class__]
-            except KeyError:
-                kind = kind_of(record)
-            try:
-                if kind == "interaction":
-                    if record.entity_id not in catalog:
-                        rejected["unknown-entity"] = (
-                            rejected.get("unknown-entity", 0) + 1
-                        )
-                        continue
-                    history = histories_get(record.history_id)
-                    if history is None:
-                        history = InteractionHistory(
-                            history_id=record.history_id,
-                            entity_id=record.entity_id,
-                        )
-                        histories[record.history_id] = history
-                        by_entity.setdefault(record.entity_id, []).append(
-                            history
-                        )
-                    elif history.entity_id != record.entity_id:
-                        mismatches += 1
-                        rejected["history-mismatch"] = (
-                            rejected.get("history-mismatch", 0) + 1
-                        )
-                        continue
-                    history.records.append(stored_record(record, arrival))
-                    mark_dirty(record.entity_id)
-                    if nonce is not None:
-                        seen_add(nonce)
-                    accepted_interactions += 1
-                    lag(arrival - record.event_time)
-                elif kind == "opinion":
-                    if record.entity_id not in catalog:
-                        rejected["unknown-entity"] = (
-                            rejected.get("unknown-entity", 0) + 1
-                        )
-                        continue
-                    existing = opinions_get(record.history_id)
-                    if existing is None or record.seq > existing.seq:
-                        opinions[record.history_id] = record
-                        owner_history = histories_get(record.history_id)
-                        note_opinion(
-                            existing,
-                            record,
-                            owner=(
-                                None
-                                if owner_history is None
-                                else owner_history.entity_id
-                            ),
-                        )
-                    else:
-                        stale += 1
-                    if nonce is not None:
-                        seen_add(nonce)
-                    accepted_opinions += 1
-                else:
-                    rejected["malformed"] = rejected.get("malformed", 0) + 1
-            except Exception:
-                rejected["store-error"] = rejected.get("store-error", 0) + 1
-    finally:
-        tally.duplicates = duplicates
-        tally.stale = stale
-        tally.mismatches = mismatches
-        tally.accepted_interactions = accepted_interactions
-        tally.accepted_opinions = accepted_opinions
-        tally.flush(server, telemetry)
-    return tally.accepted
-
-
-def _ingest_sharded(server, deliveries, now: float | None) -> int:
-    telemetry = server.telemetry
-    telemetry.observe(
-        "rsp.intake.batch", len(deliveries), buckets=INTAKE_BATCH_BUCKETS
-    )
-    router = server.router
-    shard_of = router.shard_of
-    shard_of_bytes = router.shard_of_bytes
-    shards = server.shards
-    nonce_buckets = server._nonce_buckets
-    hook = server.fault_hook
-    journal = server.journal
-    require_tokens = server.require_tokens
-    redeem = server._redeemer.redeem
-    catalog = server.catalog
-    note_opinion = server._engine.note_opinion
-    kind_of = _kind_of
-    inline = [_inline_tables(shard.store) for shard in shards]
-
-    # Route once per envelope and group per shard, mirroring
-    # receive_batch: within a shard, delivery order is preserved; a
-    # ``None`` route (no string history_id) sorts into shard 0 but leaves
-    # the store dispatch to re-derive — and fail — like the baseline.
-    groups: list[list] = [[] for _ in range(router.n_shards)]
-    for delivery in deliveries:
-        key = getattr(delivery.payload.record, "history_id", None)
-        route = shard_of(key) if isinstance(key, str) else None
-        groups[0 if route is None else route].append((delivery, route))
-
-    tally = _BatchTally()
-    rejected = tally.rejected
-    lag = tally.lags.append
-    try:
-        for shard_index, group in enumerate(groups):
-            if group:
-                telemetry.observe(
-                    "rsp.shard.batch",
-                    len(group),
-                    buckets=SHARD_BATCH_BUCKETS,
-                    scope=DEPLOYMENT,
-                    shard=shard_index,
-                )
-            for delivery, route in group:
-                envelope = delivery.payload
-                if hook is not None and hook.server_down(
-                    delivery.arrival_time if now is None else now
-                ):
-                    tally.outage_dropped += 1
-                    continue
-                nonce = getattr(envelope, "nonce", None)
-                nonce_bucket = (
-                    None if nonce is None else nonce_buckets[shard_of_bytes(nonce)]
-                )
-                if require_tokens:
-                    token = envelope.token
-                    if token is None or not redeem(token):
-                        if nonce_bucket is not None and nonce in nonce_bucket:
-                            tally.duplicates += 1
-                        else:
-                            rejected["token"] = rejected.get("token", 0) + 1
-                        continue
-                if nonce_bucket is not None and nonce in nonce_bucket:
-                    tally.duplicates += 1
-                    continue
-                record = envelope.record
-                kind = kind_of(record)
-                try:
-                    if kind == "interaction":
-                        if record.entity_id not in catalog:
-                            rejected["unknown-entity"] = (
-                                rejected.get("unknown-entity", 0) + 1
-                            )
-                            continue
-                        shard_index = (
-                            shard_of(record.history_id) if route is None else route
-                        )
-                        shard = shards[shard_index]
-                        tables = inline[shard_index]
-                        if tables is not None:
-                            history = tables[0].get(record.history_id)
-                            if history is None:
-                                history = InteractionHistory(
-                                    history_id=record.history_id,
-                                    entity_id=record.entity_id,
-                                )
-                                tables[0][record.history_id] = history
-                                tables[1].setdefault(record.entity_id, []).append(
-                                    history
-                                )
-                            elif history.entity_id != record.entity_id:
-                                tally.mismatches += 1
-                                rejected["history-mismatch"] = (
-                                    rejected.get("history-mismatch", 0) + 1
-                                )
-                                continue
-                            history.records.append(
-                                StoredRecord(
-                                    upload=record,
-                                    arrival_time=delivery.arrival_time,
-                                )
-                            )
-                            stored = True
-                        else:
-                            bound = shard.store.bound_entity(record.history_id)
-                            if bound is not None and bound != record.entity_id:
-                                tally.mismatches += 1
-                                rejected["history-mismatch"] = (
-                                    rejected.get("history-mismatch", 0) + 1
-                                )
-                                continue
-                            stored = shard.store.append(
-                                record, arrival_time=delivery.arrival_time
-                            )
-                        if stored:
-                            shard.store_version += 1
-                            shard.version += 1
-                            shard.dirty_entities.add(record.entity_id)
-                    elif kind == "opinion":
-                        if record.entity_id not in catalog:
-                            rejected["unknown-entity"] = (
-                                rejected.get("unknown-entity", 0) + 1
-                            )
-                            continue
-                        shard_index = (
-                            shard_of(record.history_id) if route is None else route
-                        )
-                        shard = shards[shard_index]
-                        existing = shard.opinions.get(record.history_id)
-                        if existing is None or record.seq > existing.seq:
-                            shard.opinions[record.history_id] = record
-                            shard.version += 1
-                            tables = inline[shard_index]
-                            if tables is not None:
-                                owner_history = tables[0].get(record.history_id)
-                                owner = (
-                                    None
-                                    if owner_history is None
-                                    else owner_history.entity_id
-                                )
-                            else:
-                                owner = shard.store.bound_entity(record.history_id)
-                            note_opinion(existing, record, owner=owner)
-                        else:
-                            tally.stale += 1
-                        stored = True
-                    else:
-                        rejected["malformed"] = rejected.get("malformed", 0) + 1
-                        continue
-                except Exception:
-                    rejected["store-error"] = rejected.get("store-error", 0) + 1
-                    continue
-                if stored:
-                    if journal is not None:
-                        token_id = (
-                            envelope.token.token_id
-                            if require_tokens and envelope.token is not None
-                            else None
-                        )
-                        if kind == "interaction":
-                            journal.log_interaction(
-                                record, delivery.arrival_time, nonce, token_id
-                            )
-                        else:
-                            journal.log_opinion(record, nonce, token_id)
-                    if nonce_bucket is not None:
-                        nonce_bucket.add(nonce)
-                    if kind == "interaction":
-                        tally.accepted_interactions += 1
-                        lag(delivery.arrival_time - record.event_time)
-                    else:
-                        tally.accepted_opinions += 1
-                else:
-                    rejected["unstored"] = rejected.get("unstored", 0) + 1
-    finally:
-        tally.flush(server, telemetry)
-    if journal is not None:
-        journal.sync_to_disk()
-    return tally.accepted
+        accepted = accepted_interactions + accepted_opinions
+        server.accepted_envelopes += accepted
+        server.rejected_envelopes += sum(rejected.values())
+        server.duplicates_suppressed += duplicates
+        server.dropped_by_outage += outage_dropped
+        server.opinions_stale += stale
+        server.history_mismatches += mismatches
+        inc = telemetry.inc
+        if accepted_interactions:
+            inc("rsp.envelopes.accepted", accepted_interactions, record="interaction")
+        if accepted_opinions:
+            inc("rsp.envelopes.accepted", accepted_opinions, record="opinion")
+        for reason, count in rejected.items():
+            inc("rsp.envelopes.rejected", count, reason=reason)
+        if duplicates:
+            inc("rsp.envelopes.duplicate", duplicates)
+        if outage_dropped:
+            inc("rsp.envelopes.outage_dropped", outage_dropped)
+        if stale:
+            inc("rsp.opinions.stale", stale)
+        if lags:
+            telemetry.observe_many("rsp.ingest_lag", lags, buckets=INGEST_LAG_BUCKETS)
+    return accepted

@@ -34,7 +34,6 @@ import numpy as np
 from repro.ingest.columnar import ingest_all
 from repro.ingest.loadgen import SyntheticTraffic, WorkloadConfig
 from repro.ingest.queue import BoundedIntakeQueue
-from repro.service.server import RSPServer
 from repro.telemetry import Telemetry
 
 
@@ -150,6 +149,9 @@ def run_soak(
     the config and the hook — byte-for-byte reproducible.  Only the
     throughput and latency figures depend on the host.
     """
+    # Imported here: the server imports this package's intake loop.
+    from repro.service.server import RSPServer
+
     telemetry = Telemetry() if telemetry is None else telemetry
     traffic = SyntheticTraffic(config.workload())
     server = RSPServer(traffic.catalog, require_tokens=False)

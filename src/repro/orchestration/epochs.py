@@ -24,13 +24,12 @@ from repro.core.classifier import OpinionClassifier
 from repro.durability.journal import DurableJournal, attach_journal
 from repro.durability.replication import ReplicatedRSPServer, ReplicationChannel
 from repro.faults import FaultInjector, FaultPlan
-from repro.ingest import BoundedIntakeQueue, ingest_all
+from repro.ingest import BoundedIntakeQueue
 from repro.privacy.anonymity import AnonymityNetwork, batching_network
 from repro.reshard import Autoscaler, AutoscalePolicy, ReshardOp, perform
 from repro.sensing.policy import duty_cycled_policy
 from repro.sensing.sensors import generate_trace, trace_carries
 from repro.orchestration.pipeline import PipelineConfig, train_classifier
-from repro.scale.server import ShardedRSPServer
 from repro.serve.loadgen import QueryWorkload, SyntheticQueries
 from repro.service.server import MaintenanceReport, RSPServer
 from repro.telemetry import Telemetry
@@ -72,10 +71,8 @@ class EpochReport:
 class EpochsOutcome:
     """The long-running deployment's final state and per-epoch history."""
 
-    #: The service endpoint: an :class:`RSPServer`, or a
-    #: :class:`~repro.scale.server.ShardedRSPServer` when the run was
-    #: sharded — both expose the same counters and query surface.
-    server: RSPServer | ShardedRSPServer
+    #: The service endpoint.
+    server: RSPServer
     clients: dict[str, RSPClient]
     reports: list[EpochReport] = field(default_factory=list)
     injector: FaultInjector | None = None
@@ -128,7 +125,6 @@ def run_epochs(
     durable_dir: str | Path | None = None,
     replicate: bool = False,
     snapshot_every: int = 1,
-    ingest_batch: bool = False,
     queue_depth: int | None = None,
     serve_queries: int = 0,
     reshard_schedule: dict[int, list[ReshardOp]] | None = None,
@@ -136,13 +132,11 @@ def run_epochs(
 ) -> EpochsOutcome:
     """Operate the service over ``n_epochs`` equal slices of the horizon.
 
-    ``n_shards``/``workers`` select the service deployment: the default
-    ``(1, 0)`` runs the monolithic :class:`RSPServer`; anything else runs
-    a :class:`~repro.scale.server.ShardedRSPServer` with that many store
-    partitions and maintenance worker processes.  The sharded deployment
-    is contractually bit-identical in every report this driver emits
-    (``tests/scale/test_differential.py``), so the flags are pure
-    performance knobs.  ``incremental`` likewise only moves work:
+    ``n_shards``/``workers`` size the :class:`RSPServer`: its store
+    partitions and maintenance worker processes.  Every report this
+    driver emits is contractually bit-identical for every shard and
+    worker count (``tests/scale/test_differential.py``), so the flags are
+    pure performance knobs.  ``incremental`` likewise only moves work:
     ``False`` forces every maintenance cycle to recompute from scratch,
     the baseline the default dirty-entity path must match byte for byte
     (``tests/scale/test_incremental.py``).
@@ -169,16 +163,12 @@ def run_epochs(
     ``n_shards``/``workers``, never change any report the driver emits
     (see docs/DURABILITY.md).
 
-    ``ingest_batch`` routes every intake through the batched front end
-    (:func:`repro.ingest.ingest_all`) instead of per-record
-    ``receive_all`` — contractually byte-identical in every report and
-    telemetry export (``tests/ingest/test_differential.py``), so it is a
-    pure performance knob like ``n_shards``.  ``queue_depth`` bounds
-    intake behind a :class:`~repro.ingest.BoundedIntakeQueue`: arrivals
-    beyond the bound are deterministically shed *before* journaling
-    (counted under ``rsp.ingest.shed``), so unlike every other knob it
-    *can* change reports under overload — it defaults off and exists for
-    the backpressure scenarios in docs/SCALING.md.
+    ``queue_depth`` bounds intake behind a
+    :class:`~repro.ingest.BoundedIntakeQueue`: arrivals beyond the bound
+    are deterministically shed *before* journaling (counted under
+    ``rsp.ingest.shed``), so unlike every other knob it *can* change
+    reports under overload — it defaults off and exists for the
+    backpressure scenarios in docs/SCALING.md.
 
     ``serve_queries`` drives that many Zipf-drawn read-path queries
     (:mod:`repro.serve.loadgen`) through ``server.serving`` after every
@@ -192,18 +182,12 @@ def run_epochs(
     start (build one with :func:`repro.reshard.parse_schedule`);
     ``autoscale`` installs a telemetry-driven
     :class:`~repro.reshard.autoscale.Autoscaler` evaluated after every
-    completed maintenance cycle.  Both require a sharded deployment, and
-    both are — like every other deployment knob — contractually invisible
-    in the reports, summaries, serve digest, and AGGREGATE telemetry
-    (``tests/reshard/test_differential.py``).
+    completed maintenance cycle.  Both are — like every other deployment
+    knob — contractually invisible in the reports, summaries, serve
+    digest, and AGGREGATE telemetry (``tests/reshard/test_differential.py``).
     """
     if n_epochs < 1:
         raise ValueError("need at least one epoch")
-    if (reshard_schedule or autoscale is not None) and n_shards == 1 and workers == 0:
-        raise ValueError(
-            "resharding requires the sharded deployment; pass n_shards > 1 "
-            "(or workers > 0)"
-        )
     if serve_queries < 0:
         raise ValueError("serve_queries must be >= 0")
     config = config or PipelineConfig()
@@ -225,26 +209,15 @@ def run_epochs(
 
     def intake(target, deliveries, when: float | None) -> None:
         # One seam for both intake sites: optional bounded-queue admission
-        # (shed-before-journal), then batched or per-record dispatch.  The
+        # (shed-before-journal), then the server's batch intake.  The
         # target is passed per call because failover rebinds ``server``.
         if intake_queue is not None:
             intake_queue.offer_all(deliveries)
             deliveries = intake_queue.drain()
-        if ingest_batch:
-            ingest_all(target, deliveries, now=when)
-        else:
-            target.receive_all(deliveries, now=when)
+        target.receive_all(deliveries, now=when)
 
-    def make_server() -> RSPServer | ShardedRSPServer:
-        if n_shards == 1 and workers == 0:
-            return RSPServer(
-                catalog=town.entities,
-                quota_per_day=config.quota_per_day,
-                key_seed=config.seed,
-                key_bits=config.key_bits,
-                incremental=incremental,
-            )
-        return ShardedRSPServer(
+    def make_server() -> RSPServer:
+        return RSPServer(
             catalog=town.entities,
             quota_per_day=config.quota_per_day,
             key_seed=config.seed,
@@ -254,7 +227,7 @@ def run_epochs(
             incremental=incremental,
         )
 
-    server: RSPServer | ShardedRSPServer = make_server()
+    server = make_server()
     network: AnonymityNetwork = batching_network(
         batch_interval=config.batch_interval, seed=config.seed
     )
@@ -279,11 +252,10 @@ def run_epochs(
     pair: ReplicatedRSPServer | None = None
     if durable_dir is not None:
         base = Path(durable_dir)
-        sharded = getattr(server, "shards", None) is not None
         journal = DurableJournal(
             base / "primary",
-            n_lanes=server.router.n_shards if sharded else 1,
-            lane_of=server.router.shard_of if sharded else None,
+            n_lanes=server.router.n_shards,
+            lane_of=server.router.shard_of,
             telemetry=telemetry,
         )
         attach_journal(server, journal)

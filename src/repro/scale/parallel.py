@@ -35,12 +35,12 @@ from repro.telemetry import DEPLOYMENT
 from repro.telemetry.catalog import POOL_CHUNK_BUCKETS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.scale.server import ShardedRSPServer
+    from repro.service.server import RSPServer
 
 #: The server whose maintenance cycle is currently executing.  Set by
 #: :class:`MaintenancePool` before any worker forks, read by the task
 #: functions in whichever process runs them.
-_ACTIVE: "ShardedRSPServer | None" = None
+_ACTIVE: "RSPServer | None" = None
 
 
 def _fork_available() -> bool:
@@ -50,7 +50,7 @@ def _fork_available() -> bool:
 class MaintenancePool:
     """Runs maintenance task batches serially or across forked workers."""
 
-    def __init__(self, server: "ShardedRSPServer", workers: int) -> None:
+    def __init__(self, server: "RSPServer", workers: int) -> None:
         self.server = server
         self.workers = workers
         self._executor: ProcessPoolExecutor | None = None

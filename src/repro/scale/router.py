@@ -174,6 +174,11 @@ class ShardRouter:
         self.n_shards = len(spec)
         self._starts = [start for start, _, _ in intervals]
         self._owners = [owner for _, _, owner in intervals]
+        if self.n_shards == 1 and type(self) is ShardRouter:
+            # One shard owns the whole key space.  Deciding that here, once
+            # per table, keeps every multi-shard route free of a per-call
+            # branch.
+            self.__class__ = _WholeSpaceRouter
 
     # ------------------------------------------------------------ routing
 
@@ -271,3 +276,18 @@ class ShardRouter:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ShardRouter(n_shards={self.n_shards}, spec={self._prefixes!r})"
+
+
+class _WholeSpaceRouter(ShardRouter):
+    """A one-shard table: every key routes to shard 0 without being read."""
+
+    __slots__ = ()
+
+    def shard_of(self, key: str) -> int:
+        return 0
+
+    def shard_of_bytes(self, key: bytes) -> int:
+        return 0
+
+    def shard_of_u64(self, key: int) -> int:
+        return 0

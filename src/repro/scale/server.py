@@ -1,837 +1,12 @@
-"""The sharded RSP service: N store partitions behind one intake facade.
+"""The RSP server under its scale-out name.
 
-:class:`ShardedRSPServer` exposes the same surface as the monolithic
-:class:`~repro.service.server.RSPServer` — intake, maintenance, search,
-counters, ``fault_hook`` — but keys every piece of durable state to one
-of N shards:
-
-* interaction histories and inferred opinions route by their unlinkable
-  ``hash(Ru, e)`` record identifier (so a record, its re-uploads, and its
-  opinion all live together);
-* explicit reviews and entity summaries route by entity identifier;
-* the seen-nonce and spent-token tables are partitioned by their own key
-  bytes, which keeps duplicate suppression and double-spend rejection
-  *globally* exact: identical nonces (or token ids) always meet in the
-  same bucket, whatever record they arrive with.
-
-Every behaviour here is contractually bit-identical to the monolithic
-server: same accepted/rejected/duplicate classification for every intake
-sequence, same maintenance reports, verdicts, and summaries for every
-shard and worker count.  ``tests/scale`` holds the proof obligations.
+:class:`ShardedRSPServer` is :class:`repro.service.server.RSPServer` —
+the same class object, not a subclass.  There is one server; it runs
+``n_shards`` store partitions (one by default) behind one intake loop.
 """
 
-from __future__ import annotations
+from repro.service.server import RSPServer
 
-from typing import TYPE_CHECKING
+ShardedRSPServer = RSPServer
 
-from repro.core.aggregation import EntityOpinionSummary, OpinionUpload
-from repro.core.discovery import DiscoveryService, Query, SearchResponse
-from repro.core.protocol import Envelope
-from repro.core.visualization import ComparativeVisualization, compare_entities
-from repro.fraud.attestation import AttestationQuote, AttestationVerifier
-from repro.fraud.detector import DetectorConfig
-from repro.fraud.profiles import profiles_from_pools
-from repro.privacy.anonymity import Delivery
-from repro.privacy.history_store import InteractionHistory, InteractionUpload
-from repro.privacy.tokens import TokenIssuer, UploadToken
-from repro.scale import parallel
-from repro.scale.kernel import GatherFrame, build_gather, kept_counts
-from repro.scale.merge import group_verdicts_by_entity, merge_pools
-from repro.scale.router import ShardRouter
-from repro.scale.shard import ShardState
-from repro.service.incremental import MaintenanceEngine
-from repro.service.server import (
-    ExplicitReview,
-    MaintenanceReport,
-    emit_maintenance_telemetry,
-)
-from repro.telemetry import DEPLOYMENT, NULL, Telemetry
-from repro.telemetry.catalog import (
-    INGEST_LAG_BUCKETS,
-    INTAKE_BATCH_BUCKETS,
-    SHARD_BATCH_BUCKETS,
-)
-from repro.world.entities import Entity
-
-if TYPE_CHECKING:
-    from repro.serve.engine import ServeQuery, ServeResponse
-    from repro.serve.facade import ServingLayer
-
-
-class ShardedTokenRedeemer:
-    """Double-spend protection with the spent set partitioned by token id.
-
-    Buckets are chosen by the token's own identifier bytes, so the two
-    copies of a replayed token always contend in the same bucket — the
-    partition is invisible to the double-spend semantics.
-    """
-
-    def __init__(self, public_key, router: ShardRouter) -> None:
-        self._public_key = public_key
-        self._router = router
-        self._spent: list[set[int]] = [set() for _ in range(router.n_shards)]
-
-    def redeem(self, token: UploadToken) -> bool:
-        bucket = self._spent[self._router.shard_of_bytes(token.token_id)]
-        if token.token_id in bucket:
-            return False
-        if not self._public_key.verify(token.token_id, token.signature):
-            return False
-        bucket.add(token.token_id)
-        return True
-
-    @property
-    def n_redeemed(self) -> int:
-        return sum(len(bucket) for bucket in self._spent)
-
-
-class ShardedStoreView:
-    """:class:`~repro.service.incremental.StoreView` over the shards.
-
-    Histories are concatenated in shard-index order — the engine sorts
-    every per-entity list by history id before judging or summarizing,
-    so the concatenation order is unobservable.
-    """
-
-    def __init__(self, server: "ShardedRSPServer") -> None:
-        self._server = server
-
-    def histories_for_entity(self, entity_id: str) -> list[InteractionHistory]:
-        histories: list[InteractionHistory] = []
-        for shard in self._server.shards:
-            histories.extend(shard.store.histories_for_entity(entity_id))
-        return histories
-
-    def opinion(self, history_id: str):
-        shard = self._server.shards[self._server.router.shard_of(history_id)]
-        return shard.opinions.get(history_id)
-
-    def has_opinion(self, history_id: str) -> bool:
-        return self.opinion(history_id) is not None
-
-    def explicit_ratings(self, entity_id: str) -> list[float]:
-        shard = self._server.shards[self._server.router.shard_of(entity_id)]
-        return [float(review.rating) for review in shard.reviews.get(entity_id, [])]
-
-    def review_entities(self) -> set[str]:
-        entities: set[str] = set()
-        for shard in self._server.shards:
-            entities.update(shard.reviews)
-        return entities
-
-    def entities_with_histories(self) -> set[str]:
-        entities: set[str] = set()
-        for shard in self._server.shards:
-            entities.update(shard.store.entity_ids())
-        return entities
-
-
-class ShardedRSPServer:
-    """The re-architected service, partitioned for horizontal scale."""
-
-    def __init__(
-        self,
-        catalog: list[Entity],
-        quota_per_day: int = 48,
-        key_seed: int = 0,
-        key_bits: int = 512,
-        require_tokens: bool = True,
-        detector_config: DetectorConfig | None = None,
-        attestation: AttestationVerifier | None = None,
-        n_shards: int = 8,
-        workers: int = 0,
-        incremental: bool = True,
-    ) -> None:
-        if not catalog:
-            raise ValueError("catalog must be non-empty")
-        if workers < 0:
-            raise ValueError("workers must be >= 0 (0 = serial)")
-        self.catalog = {entity.entity_id: entity for entity in catalog}
-        self.entity_kinds = {e.entity_id: e.kind.label for e in catalog}
-        self.issuer = TokenIssuer(
-            quota_per_day=quota_per_day, key_seed=key_seed, key_bits=key_bits
-        )
-        self.require_tokens = require_tokens
-        self.attestation = attestation
-        self.rejected_attestations = 0
-        self.router = ShardRouter(n_shards)
-        #: Worker processes for maintenance (0 = in-process serial).
-        self.workers = workers
-        #: Kept for resharding: split/merge derive new shard seeds from it.
-        self._key_seed = key_seed
-        #: Monotone count of applied reshard operations, and the ops
-        #: themselves — recovery replays these to rebuild the topology.
-        self.reshard_seq = 0
-        self.reshard_history: list[dict] = []
-        self.shards = [ShardState(index, key_seed) for index in range(n_shards)]
-        self._redeemer = ShardedTokenRedeemer(self.issuer.public_key, self.router)
-        self._nonce_buckets: list[set[bytes]] = [set() for _ in range(n_shards)]
-        self._discovery = DiscoveryService(catalog)
-        self._detector_config = detector_config
-        #: ``False`` forces full kernel recompute every cycle; ``True``
-        #: re-filters/re-summarizes only dirty entities serially when the
-        #: dirty set is small, falling back to the pooled kernel when
-        #: most of the deployment is dirty anyway (the hybrid keeps both
-        #: paths byte-identical — ``tests/scale/test_incremental.py``).
-        self.incremental = incremental
-        self._engine = MaintenanceEngine(
-            ShardedStoreView(self), self.entity_kinds, detector_config
-        )
-        # Aliases into the engine's caches (mutated in place only).
-        self._summaries: dict[str, EntityOpinionSummary] = self._engine.summaries
-        self._accepted_histories: dict[str, list[InteractionHistory]] = (
-            self._engine.accepted
-        )
-        self._gather: GatherFrame | None = None
-        self._gather_versions: tuple[int, ...] | None = None
-        self.rejected_envelopes = 0
-        self.duplicates_suppressed = 0
-        self.accepted_envelopes = 0
-        self.dropped_by_outage = 0
-        #: Stale opinion re-uploads dropped by ``seq`` ordering (mirrors
-        #: :class:`~repro.service.server.RSPServer`).
-        self.opinions_stale = 0
-        #: Interaction uploads whose identifier is bound to another
-        #: entity (split from generic ``unstored`` storage failures).
-        self.history_mismatches = 0
-        #: Times the worker pool died and maintenance re-ran serially.
-        self.pool_fallbacks = 0
-        #: Optional harness hook with ``server_down(now) -> bool``.
-        self.fault_hook = None
-        #: Optional durability hook (duck-typed like ``fault_hook``); the
-        #: driver installs a per-shard-lane
-        #: :class:`repro.durability.journal.DurableJournal` built with
-        #: ``lane_of=self.router.shard_of`` so each shard's mutations
-        #: land in their own WAL file.
-        self.journal = None
-        #: Aggregate metrics here are emitted with the *same* names and
-        #: values as the monolith's (integer arithmetic makes them
-        #: grouping-order independent); per-shard detail is emitted under
-        #: DEPLOYMENT scope and excluded from the invariant digest.
-        self.telemetry: Telemetry = NULL
-        #: Lazily constructed read path (see :attr:`serving`).
-        self._serving = None
-
-    def attach_telemetry(self, telemetry: Telemetry) -> None:
-        """Install a shared telemetry sink on the facade and its issuer."""
-        self.telemetry = telemetry
-        self.issuer.telemetry = telemetry
-
-    # --------------------------------------------------------------- serving
-
-    def attach_serving(self, **kwargs) -> "ServingLayer":
-        """Build the indexed serving layer (see :mod:`repro.serve`).
-
-        The layer duck-types the server, so this is the identical call
-        surface (and the identical behaviour, byte for byte) as
-        :meth:`repro.service.server.RSPServer.attach_serving`.
-        """
-        from repro.serve.facade import ServingLayer
-
-        self._serving = ServingLayer(self, **kwargs)
-        return self._serving
-
-    @property
-    def serving(self) -> "ServingLayer":
-        """The read path, constructed on first use (lazy for the same
-        telemetry-stability reason as the monolith's)."""
-        if self._serving is None:
-            self.attach_serving()
-        return self._serving
-
-    def query(self, query: "ServeQuery") -> "ServeResponse":
-        """Answer a read-path query through the cached serving layer."""
-        return self.serving.query(query)
-
-    # ------------------------------------------------------------- intake
-
-    def issue_tokens(
-        self,
-        # Issuance-side identity only; the blind signature unlinks the
-        # redeemed token from this device (Section 4.2).
-        device_id: str,  # repro: allow[priv-server-identity]
-        blinded_values: list[int],
-        now: float,
-        quote: AttestationQuote | None = None,
-    ) -> list[int]:
-        """Blind-sign upload tokens for an attested device.
-
-        Issuance is a single-endpoint concern (quota windows are per
-        device), so it is not sharded; only redemption state is.
-        """
-        if self.attestation is not None:
-            if quote is None or not self.attestation.verify(quote):
-                self.rejected_attestations += 1
-                raise PermissionError(
-                    f"device {device_id} failed attestation; no tokens issued"
-                )
-        return self.issuer.issue(device_id, blinded_values, now=now)
-
-    def post_review(
-        self,
-        # Explicit reviews are the attributed legacy path (Section 2
-        # baseline); they never mix with the anonymous hash(Ru, e) stores.
-        user_id: str,  # repro: allow[priv-server-identity]
-        entity_id: str,
-        rating: int,
-        time: float,
-    ) -> None:
-        """Accept an explicit, attributed review (the legacy path)."""
-        if entity_id not in self.catalog:
-            raise KeyError(f"unknown entity {entity_id!r}")
-        shard = self.shards[self.router.shard_of(entity_id)]
-        # Construct-then-journal mirrors the monolith: validation runs
-        # before the WAL sees the review, the WAL before the store does.
-        review = ExplicitReview(
-            user_id=user_id, entity_id=entity_id, rating=rating, time=time
-        )
-        if self.journal is not None:
-            self.journal.log_review(user_id, entity_id, rating, time)
-        shard.reviews.setdefault(entity_id, []).append(review)
-        shard.dirty_entities.add(entity_id)
-        self.telemetry.inc("rsp.reviews.posted")
-
-    def receive(self, delivery: Delivery[Envelope], now: float | None = None) -> bool:
-        """Process one anonymous envelope off the network.
-
-        Same check order, classification nuances, transactional accept
-        semantics, and ``now`` override as :meth:`RSPServer.receive` —
-        only the tables are partitioned.
-        """
-        return self._receive_one(delivery, now=now)
-
-    def receive_all(
-        self, deliveries: list[Delivery[Envelope]], now: float | None = None
-    ) -> int:
-        return self.receive_batch(deliveries, now=now)
-
-    def receive_batch(
-        self, deliveries: list[Delivery[Envelope]], now: float | None = None
-    ) -> int:
-        """Batched intake: route once per envelope, group per shard, process.
-
-        Grouping amortizes per-shard dispatch and keeps each shard's
-        writes contiguous.  Relative order *within* a shard follows the
-        delivery order, and all state an envelope touches (its history,
-        its opinion slot, its nonce bucket, its token bucket) is keyed by
-        values the envelope itself carries — so regrouping across shards
-        cannot change any accept/reject/duplicate outcome.
-
-        Each envelope's route is derived exactly once here and handed to
-        :meth:`_receive_one` as a hint (it used to be re-derived inside
-        the store dispatch, doubling the SHA-256 routing work per record).
-        A ``None`` route marks a record without a string ``history_id``:
-        it sorts into shard 0 like before, but the hint stays unset so the
-        store dispatch re-derives — and classifies — exactly as a direct
-        :meth:`receive` would.  When every envelope routes to the same
-        shard (the common case for a client's sync burst and for replayed
-        backlogs), the fast path skips the per-shard group allocation
-        entirely and walks the batch in place.
-        """
-        self.telemetry.observe(
-            "rsp.intake.batch", len(deliveries), buckets=INTAKE_BATCH_BUCKETS
-        )
-        shard_of = self.router.shard_of
-        routes: list[int | None] = []
-        single: int | None = None
-        mixed = False
-        for delivery in deliveries:
-            key = getattr(delivery.payload.record, "history_id", None)
-            route = shard_of(key) if isinstance(key, str) else None
-            routes.append(route)
-            group_index = 0 if route is None else route
-            if single is None:
-                single = group_index
-            elif group_index != single:
-                mixed = True
-        accepted = 0
-        if not mixed:
-            if deliveries:
-                self.telemetry.observe(
-                    "rsp.shard.batch",
-                    len(deliveries),
-                    buckets=SHARD_BATCH_BUCKETS,
-                    scope=DEPLOYMENT,
-                    shard=single,
-                )
-            for delivery, route in zip(deliveries, routes):
-                if self._receive_one(delivery, now=now, shard_hint=route):
-                    accepted += 1
-        else:
-            groups: list[list[tuple[Delivery[Envelope], int | None]]] = [
-                [] for _ in range(self.router.n_shards)
-            ]
-            for delivery, route in zip(deliveries, routes):
-                groups[0 if route is None else route].append((delivery, route))
-            for shard_index, group in enumerate(groups):
-                if group:
-                    self.telemetry.observe(
-                        "rsp.shard.batch",
-                        len(group),
-                        buckets=SHARD_BATCH_BUCKETS,
-                        scope=DEPLOYMENT,
-                        shard=shard_index,
-                    )
-                for delivery, route in group:
-                    if self._receive_one(delivery, now=now, shard_hint=route):
-                        accepted += 1
-        if self.journal is not None:
-            # Group commit across all lanes (see RSPServer.receive_all).
-            self.journal.sync_to_disk()
-        return accepted
-
-    def _receive_one(
-        self,
-        delivery: Delivery[Envelope],
-        now: float | None = None,
-        shard_hint: int | None = None,
-    ) -> bool:
-        envelope = delivery.payload
-        if self.fault_hook is not None and self.fault_hook.server_down(
-            delivery.arrival_time if now is None else now
-        ):
-            self.dropped_by_outage += 1
-            self.telemetry.inc("rsp.envelopes.outage_dropped")
-            return False
-        nonce = getattr(envelope, "nonce", None)
-        nonce_bucket = (
-            None
-            if nonce is None
-            else self._nonce_buckets[self.router.shard_of_bytes(nonce)]
-        )
-        if self.require_tokens:
-            if envelope.token is None or not self._redeemer.redeem(envelope.token):
-                if nonce_bucket is not None and nonce in nonce_bucket:
-                    self.duplicates_suppressed += 1
-                    self.telemetry.inc("rsp.envelopes.duplicate")
-                else:
-                    self.rejected_envelopes += 1
-                    self.telemetry.inc("rsp.envelopes.rejected", reason="token")
-                return False
-        if nonce_bucket is not None and nonce in nonce_bucket:
-            self.duplicates_suppressed += 1
-            self.telemetry.inc("rsp.envelopes.duplicate")
-            return False
-        token_id = (
-            envelope.token.token_id
-            if self.require_tokens and envelope.token is not None
-            else None
-        )
-        record = envelope.record
-        record_kind = None
-        try:
-            if isinstance(record, InteractionUpload):
-                if record.entity_id not in self.catalog:
-                    self.rejected_envelopes += 1
-                    self.telemetry.inc("rsp.envelopes.rejected", reason="unknown-entity")
-                    return False
-                shard = self.shards[
-                    self.router.shard_of(record.history_id)
-                    if shard_hint is None
-                    else shard_hint
-                ]
-                bound = shard.store.bound_entity(record.history_id)
-                if bound is not None and bound != record.entity_id:
-                    # Same split as the monolith: an identifier bound to
-                    # another entity is not a storage failure.
-                    self.history_mismatches += 1
-                    self.rejected_envelopes += 1
-                    self.telemetry.inc(
-                        "rsp.envelopes.rejected", reason="history-mismatch"
-                    )
-                    return False
-                stored = shard.store.append(
-                    record, arrival_time=delivery.arrival_time
-                )
-                if stored:
-                    shard.store_version += 1
-                    shard.version += 1
-                    shard.dirty_entities.add(record.entity_id)
-                record_kind = "interaction"
-            elif isinstance(record, OpinionUpload):
-                if record.entity_id not in self.catalog:
-                    self.rejected_envelopes += 1
-                    self.telemetry.inc("rsp.envelopes.rejected", reason="unknown-entity")
-                    return False
-                shard = self.shards[
-                    self.router.shard_of(record.history_id)
-                    if shard_hint is None
-                    else shard_hint
-                ]
-                existing = shard.opinions.get(record.history_id)
-                if existing is None or record.seq > existing.seq:
-                    shard.opinions[record.history_id] = record
-                    shard.version += 1
-                    self._engine.note_opinion(
-                        existing,
-                        record,
-                        owner=shard.store.bound_entity(record.history_id),
-                    )
-                else:
-                    # Stale re-upload (delayed/reordered): accept the
-                    # envelope, skip the slot write — mirrors RSPServer.
-                    self.opinions_stale += 1
-                    self.telemetry.inc("rsp.opinions.stale")
-                stored = True
-                record_kind = "opinion"
-            else:
-                self.rejected_envelopes += 1
-                self.telemetry.inc("rsp.envelopes.rejected", reason="malformed")
-                return False
-        except Exception:
-            # Transactional accept: nothing durably written, so neither
-            # the counter nor the nonce may burn (mirrors RSPServer).
-            self.rejected_envelopes += 1
-            self.telemetry.inc("rsp.envelopes.rejected", reason="store-error")
-            return False
-        if stored:
-            # WAL-before-ack, mirroring the monolith: journal (and flush)
-            # before the accept counter and the nonce burn commit.
-            if self.journal is not None:
-                if record_kind == "interaction":
-                    self.journal.log_interaction(
-                        record, delivery.arrival_time, nonce, token_id
-                    )
-                else:
-                    self.journal.log_opinion(record, nonce, token_id)
-            self.accepted_envelopes += 1
-            if nonce_bucket is not None:
-                nonce_bucket.add(nonce)
-            self.telemetry.inc("rsp.envelopes.accepted", record=record_kind)
-            if record_kind == "interaction":
-                self.telemetry.observe(
-                    "rsp.ingest_lag",
-                    delivery.arrival_time - record.event_time,
-                    buckets=INGEST_LAG_BUCKETS,
-                )
-        else:
-            self.rejected_envelopes += 1
-            self.telemetry.inc("rsp.envelopes.rejected", reason="unstored")
-        return stored
-
-    # -------------------------------------------------------- maintenance
-
-    def gather_frame(self) -> GatherFrame:
-        """The cross-shard summarization view, cached by store version."""
-        versions = tuple(shard.version for shard in self.shards)
-        if self._gather is None or self._gather_versions != versions:
-            frames = [shard.frame(self.entity_kinds) for shard in self.shards]
-            self._gather = build_gather(
-                frames,
-                [shard.opinions for shard in self.shards],
-                self.router.shard_of,
-                self.catalog,
-            )
-            self._gather_versions = versions
-        return self._gather
-
-    def run_maintenance(self, now: float | None = None) -> MaintenanceReport:
-        """Shard-parallel maintenance with a deterministic global merge.
-
-        The cycle plans with the shared incremental engine (per-shard
-        dirty sets drained in, pooled profiles passed in) and then picks
-        one of two byte-identical executions: when few entities are
-        tracked, the engine re-judges and re-summarizes just those
-        serially in the parent; when at least half the deployment is
-        tracked — or ``incremental=False`` — the pooled kernel recompute
-        is cheaper, fanned across the shards (serially when
-        ``workers == 0``): **A** pools per-kind feature values per shard
-        (cached by store version, merged in the parent so the caches
-        survive the fork); **B** judges every shard's histories against
-        the global profiles; **C** rebuilds entity summaries per entity
-        partition.  All merges are order-independent (sums, sorted
-        concatenations), so the report is bit-identical to the monolithic
-        cycle for any shard and worker count, in either mode.
-
-        Telemetry is recorded in the parent process only — increments in
-        forked pool workers would die with the worker, and parent-side
-        recording is also what keeps the aggregate export invariant
-        across worker counts.  ``now`` timestamps the cycle's spans.
-        """
-        report = MaintenanceReport(
-            n_histories=self.n_histories,
-            n_opinions_received=self.n_opinions,
-        )
-        shard_indices = range(self.router.n_shards)
-        # Drain the per-shard dirty sets into the engine (sorted — dirty
-        # sets iterate in hash order, and `repro lint` holds the line).
-        for shard in self.shards:
-            for entity_id in sorted(shard.dirty_entities):
-                self._engine.mark_dirty(entity_id)
-            shard.dirty_entities.clear()
-        # Warm the per-shard frames in the parent, *before* any pool
-        # forks: workers then inherit read-only columnar caches and never
-        # walk the store object graphs, which keeps fork-time
-        # copy-on-write from duplicating the stores.
-        for shard in self.shards:
-            shard.frame(self.entity_kinds)
-        # Phase A runs in the parent so the per-shard pool caches persist
-        # across cycles; a worker-side cache write would die with the fork.
-        profiles = profiles_from_pools(
-            merge_pools([shard.pools(self.entity_kinds) for shard in self.shards])
-        )
-        full = not self.incremental
-        plan = self._engine.plan(profiles=profiles, full=full)
-        # Hybrid execution: the serial engine wins while the tracked set
-        # is small; once half the deployment must recompute anyway, the
-        # pooled kernel is cheaper.  Both sides are byte-identical, so
-        # the threshold only moves work, never results.
-        use_kernel = full or 2 * len(plan.judge_tracked) >= max(1, plan.n_entities)
-        if use_kernel:
-            self.gather_frame()
-            with parallel.MaintenancePool(self, self.workers) as pool:
-                judgements = pool.map(
-                    parallel.judge_shard,
-                    [
-                        (index, plan.profiles, self._detector_config)
-                        for index in shard_indices
-                    ],
-                )
-                rejected = sorted(
-                    (
-                        verdict
-                        for result in judgements
-                        for verdict in result.verdicts
-                    ),
-                    key=lambda verdict: verdict.history_id,
-                )
-                rejected_ids = frozenset(verdict.history_id for verdict in rejected)
-                partitions = pool.map(
-                    parallel.summarize_partition,
-                    [(index, rejected_ids) for index in shard_indices],
-                )
-            accepted_histories: dict[str, list[InteractionHistory]] = {}
-            for shard in self.shards:
-                for history in shard.store.all_histories():
-                    if history.history_id in rejected_ids:
-                        continue
-                    accepted_histories.setdefault(history.entity_id, []).append(
-                        history
-                    )
-            for histories in accepted_histories.values():
-                histories.sort(key=lambda history: history.history_id)
-            stats = self._engine.adopt_full(
-                plan,
-                accepted_histories,
-                group_verdicts_by_entity(rejected),
-                kept_counts(self.gather_frame(), rejected_ids),
-                [summary for partition in partitions for summary in partition],
-            )
-        else:
-            stats = self._engine.execute(plan)
-        report.rejected = self._engine.rejected_verdicts()
-        report.n_rejected_histories = len(report.rejected)
-        report.n_opinions_kept = self._engine.n_opinions_kept
-        emit_maintenance_telemetry(
-            self.telemetry,
-            report,
-            stats,
-            now,
-            mode="incremental" if self.incremental else "full",
-        )
-        for shard in self.shards:
-            self.telemetry.set_gauge(
-                "rsp.shard.histories",
-                shard.store.n_histories,
-                scope=DEPLOYMENT,
-                shard=shard.index,
-            )
-        if now is not None:
-            for shard in self.shards:
-                self.telemetry.span(
-                    "shard.maintenance", now, now, scope=DEPLOYMENT, shard=shard.index
-                )
-        return report
-
-    # -------------------------------------------------------- resharding
-    #
-    # Live topology changes.  These two methods are pure state migration:
-    # no journaling, no telemetry — :func:`repro.reshard.ops.perform`
-    # wraps them with the WAL record (journal-before-migrate) and the
-    # ``rsp.reshard.*`` DEPLOYMENT metrics, and recovery calls them
-    # directly when replaying a reshard record.  Both run between intake
-    # batches (single-threaded deployment loop), so the router swap at
-    # the end is atomic as far as any caller can observe.
-
-    def split_shard(self, index: int) -> dict[str, int]:
-        """Split shard ``index``: extend its prefix, move only its keys.
-
-        The new shard takes the next free slot (``n_shards``) and adopts
-        exactly the state whose keys route to it under the post-split
-        table: whole histories (records and folded stats ride along),
-        opinion slots (their ``seq`` ordering moves with them), explicit
-        reviews, seen nonces, and spent tokens.  Dirty-entity marks move
-        with the state *only for entities already marked* — marking a
-        clean entity would change the incremental engine's tracked set
-        and break AGGREGATE-telemetry identity with a static deployment.
-        Returns per-kind moved counts.
-        """
-        router = self.router.split(index)
-        new_index = self.n_shards_live
-        source = self.shards[index]
-        dest = ShardState(new_index, self._key_seed)
-        moved_entities: set[str] = set()
-        moved = {"histories": 0, "opinions": 0, "reviews": 0, "nonces": 0, "tokens": 0}
-        for history in source.store.all_histories():
-            if router.shard_of(history.history_id) == new_index:
-                dest.store.adopt(source.store.release(history.history_id))
-                moved_entities.add(history.entity_id)
-                moved["histories"] += 1
-        for history_id in sorted(source.opinions):
-            if router.shard_of(history_id) == new_index:
-                dest.opinions[history_id] = source.opinions.pop(history_id)
-                moved["opinions"] += 1
-        for entity_id in sorted(source.reviews):
-            if router.shard_of(entity_id) == new_index:
-                dest.reviews[entity_id] = source.reviews.pop(entity_id)
-                moved_entities.add(entity_id)
-                moved["reviews"] += len(dest.reviews[entity_id])
-        dest.dirty_entities.update(
-            entity_id
-            for entity_id in moved_entities
-            if entity_id in source.dirty_entities
-        )
-        source_nonces = self._nonce_buckets[index]
-        moved_nonces = {
-            nonce
-            for nonce in source_nonces
-            if router.shard_of_bytes(nonce) == new_index
-        }
-        source_nonces -= moved_nonces
-        self._nonce_buckets.append(moved_nonces)
-        moved["nonces"] = len(moved_nonces)
-        source_tokens = self._redeemer._spent[index]
-        moved_tokens = {
-            token_id
-            for token_id in source_tokens
-            if router.shard_of_bytes(token_id) == new_index
-        }
-        source_tokens -= moved_tokens
-        self._redeemer._spent.append(moved_tokens)
-        moved["tokens"] = len(moved_tokens)
-        self.shards.append(dest)
-        self._finish_reshard(source, dest, router)
-        return moved
-
-    def merge_shards(self, a: int, b: int) -> dict[str, int]:
-        """Merge shard ``b`` into shard ``a``; shards above ``b`` renumber.
-
-        All of ``b``'s state lands on ``a`` through the commutative merge
-        algebra: routing keeps the key spaces disjoint, so histories
-        adopt into fresh slots, opinion slots and review lists transplant
-        whole (review order within an entity is preserved — ``b`` owned
-        the only list), nonce/token buckets union, and dirty marks union.
-        Returns per-kind moved counts.
-        """
-        router = self.router.merge(a, b)
-        source, dest = self.shards[b], self.shards[a]
-        moved = {
-            "histories": source.store.n_histories,
-            "opinions": len(source.opinions),
-            "reviews": sum(len(reviews) for reviews in source.reviews.values()),
-            "nonces": len(self._nonce_buckets[b]),
-            "tokens": len(self._redeemer._spent[b]),
-        }
-        for history in source.store.all_histories():
-            dest.store.adopt(history)
-        dest.opinions.update(source.opinions)
-        for entity_id in sorted(source.reviews):
-            dest.reviews.setdefault(entity_id, []).extend(source.reviews[entity_id])
-        dest.dirty_entities |= source.dirty_entities
-        self._nonce_buckets[a] |= self._nonce_buckets[b]
-        del self._nonce_buckets[b]
-        self._redeemer._spent[a] |= self._redeemer._spent[b]
-        del self._redeemer._spent[b]
-        del self.shards[b]
-        for shard in self.shards[b:]:
-            shard.renumber(shard.index - 1, self._key_seed)
-        self._finish_reshard(source, dest, router)
-        return moved
-
-    def _finish_reshard(
-        self, source: ShardState, dest: ShardState, router: ShardRouter
-    ) -> None:
-        """Swap the routing table in and invalidate every cached view."""
-        source.store_version += 1
-        source.version += 1
-        dest.store_version += 1
-        dest.version += 1
-        self.router = router
-        self._redeemer._router = router
-        self._gather = None
-        self._gather_versions = None
-        if self.journal is not None:
-            self.journal.remap_lanes(router.n_shards, router.shard_of)
-
-    @property
-    def n_shards_live(self) -> int:
-        """The current shard count (changes across split/merge)."""
-        return len(self.shards)
-
-    # -------------------------------------------------------------- query
-
-    def summary(self, entity_id: str) -> EntityOpinionSummary | None:
-        return self._summaries.get(entity_id)
-
-    def all_summaries(self) -> dict[str, EntityOpinionSummary]:
-        """Every entity summary from the latest maintenance cycle.
-
-        Canonical (entity-id) order, like the monolith's: the engine's
-        cache is insertion-ordered by recompute history — and after an
-        :meth:`~repro.service.incremental.MaintenanceEngine.adopt_full`
-        it reflects the kernel's partition order, which differs from the
-        monolith for the same content.  Sorting keeps the two facades'
-        read surfaces indistinguishable even to order-sensitive readers.
-        """
-        return {
-            entity_id: self._summaries[entity_id]
-            for entity_id in sorted(self._summaries)
-        }
-
-    def reviews_for(self, entity_id: str) -> list[ExplicitReview]:
-        shard = self.shards[self.router.shard_of(entity_id)]
-        return list(shard.reviews.get(entity_id, []))
-
-    def search(self, query: Query, compare_top: int = 3) -> SearchResponse:
-        """Answer a query with ranked results plus comparative visualizations
-        of the top candidates — same semantics as the monolithic server."""
-        response = self._discovery.search(query, self._summaries)
-        visualization: ComparativeVisualization | None = None
-        top = [r.entity.entity_id for r in response.results[:compare_top]]
-        if top:
-            visualization = compare_entities(
-                {
-                    entity_id: self._accepted_histories.get(entity_id, [])
-                    for entity_id in top
-                }
-            )
-        return SearchResponse(
-            query=response.query, results=response.results, visualization=visualization
-        )
-
-    # ----------------------------------------------------------- counters
-
-    @property
-    def n_records(self) -> int:
-        return sum(shard.store.n_records for shard in self.shards)
-
-    @property
-    def n_histories(self) -> int:
-        return sum(shard.store.n_histories for shard in self.shards)
-
-    @property
-    def n_opinions(self) -> int:
-        return sum(len(shard.opinions) for shard in self.shards)
-
-    @property
-    def n_explicit_reviews(self) -> int:
-        return sum(
-            len(reviews)
-            for shard in self.shards
-            for reviews in shard.reviews.values()
-        )
-
-    @property
-    def n_unique_nonces(self) -> int:
-        """Distinct envelope nonces accepted — duplicates never inflate this."""
-        return sum(len(bucket) for bucket in self._nonce_buckets)
+__all__ = ["ShardedRSPServer"]

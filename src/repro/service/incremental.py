@@ -7,7 +7,7 @@ makes it so.  That purity is what licenses incrementality: an entity
 whose inputs did not change since the last cycle would recompute the
 same accepted partition, the same verdicts, and the same summary, so the
 cycle may skip it and keep the cached values — *byte-identical* output,
-less work.  This module owns that bookkeeping for both deployments.
+less work.  This module owns that bookkeeping.
 
 The invalidation contract (see docs/SCALING.md "Incremental
 maintenance"):
@@ -37,11 +37,9 @@ Dirty sets are Python ``set``s and therefore iterate in hash order;
 every loop below goes through ``sorted()`` before touching float math,
 and the ``det-dirty-iteration`` lint rule holds the line.
 
-This module must not import from :mod:`repro.scale` —
-``repro.scale.server`` imports :mod:`repro.service.server`, which
-imports this module, so a scale import here would be a cycle.  The
-sharded facade instead passes its pooled profiles into :meth:`plan` and
-hands kernel results to :meth:`adopt_full`.
+The engine reads the stores only through a :class:`StoreView`.  The
+server passes its pooled profiles into :meth:`plan` and hands results of
+its columnar kernel (:mod:`repro.scale.kernel`) to :meth:`adopt_full`.
 """
 
 from __future__ import annotations
@@ -53,17 +51,12 @@ from typing import Protocol
 
 from repro.core.aggregation import EntityOpinionSummary, OpinionUpload, summarize_entity
 from repro.fraud.detector import DetectorConfig, FraudDetector, HistoryVerdict
-from repro.fraud.profiles import (
-    ProfilePools,
-    TypicalProfile,
-    collect_profile_pools,
-    profiles_from_pools,
-)
+from repro.fraud.profiles import TypicalProfile
 from repro.privacy.history_store import InteractionHistory
 
 
 class StoreView(Protocol):
-    """The deployment-agnostic read surface the engine computes from."""
+    """The read surface the engine computes from, across every shard."""
 
     def histories_for_entity(self, entity_id: str) -> list[InteractionHistory]: ...
 
@@ -73,36 +66,7 @@ class StoreView(Protocol):
 
     def explicit_ratings(self, entity_id: str) -> list[float]: ...
 
-    def review_entities(self) -> set[str]: ...
-
     def entities_with_histories(self) -> set[str]: ...
-
-
-class MonolithStoreView:
-    """:class:`StoreView` over the monolithic server's stores."""
-
-    def __init__(self, history_store, opinions: dict, reviews: dict) -> None:
-        self._store = history_store
-        self._opinions = opinions
-        self._reviews = reviews
-
-    def histories_for_entity(self, entity_id: str) -> list[InteractionHistory]:
-        return self._store.histories_for_entity(entity_id)
-
-    def opinion(self, history_id: str) -> OpinionUpload | None:
-        return self._opinions.get(history_id)
-
-    def has_opinion(self, history_id: str) -> bool:
-        return history_id in self._opinions
-
-    def explicit_ratings(self, entity_id: str) -> list[float]:
-        return [float(r.rating) for r in self._reviews.get(entity_id, [])]
-
-    def review_entities(self) -> set[str]:
-        return set(self._reviews)
-
-    def entities_with_histories(self) -> set[str]:
-        return set(self._store.entity_ids())
 
 
 def profile_digest(profile: TypicalProfile, config: DetectorConfig) -> str:
@@ -135,7 +99,7 @@ class CycleStats:
     All fields derive from *tracked* sets (what incrementality says must
     be recomputed), never from what a given mode actually executed, so
     the aggregate telemetry built from them is byte-identical between
-    incremental and full recompute, monolithic and sharded.
+    incremental and full recompute, at every shard count.
     """
 
     n_dirty: int = 0
@@ -178,11 +142,6 @@ class MaintenanceEngine:
         self.kept: dict[str, int] = {}
         self._accepted_ids: dict[str, frozenset[str]] = {}
         self._surviving: set[str] = set()
-        #: Per-entity feature-value fragments and the per-kind caches they
-        #: roll up into (monolith profile path only; the sharded facade
-        #: pools per shard and passes profiles into :meth:`plan`).
-        self._fragments: dict[str, ProfilePools] = {}
-        self._kind_profiles: dict[str, TypicalProfile | None] = {}
         self._profile_digests: dict[str, str] = {}
         #: Cycle listeners (the serving layer's cache-invalidation hook).
         self._listeners: list[Callable[[frozenset[str]], None]] = []
@@ -232,26 +191,15 @@ class MaintenanceEngine:
 
     # ----------------------------------------------------------- planning
 
-    def plan(
-        self,
-        profiles: dict[str, TypicalProfile] | None = None,
-        full: bool = False,
-    ) -> CyclePlan:
+    def plan(self, profiles: dict[str, TypicalProfile]) -> CyclePlan:
         """Drain the dirty set and decide what this cycle must recompute.
 
-        ``profiles`` lets the sharded facade supply its pooled (and
-        bitwise-equivalent) profiles; when ``None``, the monolith path
-        builds them from per-entity fragments, rebuilding only the kinds
-        that contain a dirty entity (``full`` bypasses the fragment cache
-        and recollects everything, the honest from-scratch baseline).
+        ``profiles`` are this cycle's fraud profiles, pooled by the server
+        across its shards.
         """
         dirty = set(self._dirty)
         self._dirty.clear()
-        for entity_id in sorted(dirty):
-            self._fragments.pop(entity_id, None)
         entities = self.view.entities_with_histories()
-        if profiles is None:
-            profiles = self._build_profiles(dirty, entities, full=full)
         digests = {
             kind: profile_digest(profile, self.config)
             for kind, profile in sorted(profiles.items())
@@ -278,70 +226,14 @@ class MaintenanceEngine:
             prev_summary_keys=set(self.summaries),
         )
 
-    def _build_profiles(
-        self, dirty: set[str], entities: set[str], full: bool
-    ) -> dict[str, TypicalProfile]:
-        """Per-kind profiles from cached per-entity feature fragments.
-
-        Exactness: a kind's pooled values change only when one of its
-        entities' histories changed, and every such entity is dirty — so
-        a kind with no dirty entity reuses its cached profile, and the
-        result is the same multiset of values :func:`build_profiles`
-        would pool (``np.percentile`` sorts, so collection order never
-        matters).
-        """
-        by_kind: dict[str, list[str]] = {}
-        for entity_id in sorted(entities):
-            kind = self.entity_kinds.get(entity_id)
-            if kind is not None:
-                by_kind.setdefault(kind, []).append(entity_id)
-        dirty_kinds = {
-            self.entity_kinds.get(entity_id) for entity_id in sorted(dirty)
-        }
-        for kind in sorted(by_kind):
-            if not full and kind in self._kind_profiles and kind not in dirty_kinds:
-                continue
-            pool = ProfilePools()
-            for entity_id in by_kind[kind]:
-                fragment = self._fragments.get(entity_id)
-                if fragment is None:
-                    fragment = collect_profile_pools(
-                        self.view.histories_for_entity(entity_id), self.entity_kinds
-                    )
-                    if not full:
-                        self._fragments[entity_id] = fragment
-                _extend_pool(pool, fragment, kind)
-            built = profiles_from_pools(pool)
-            self._kind_profiles[kind] = built.get(kind)
-        # Kinds that lost their last entity keep a stale cache entry only
-        # if they can never come back dirty; drop them for hygiene.
-        for kind in sorted(set(self._kind_profiles) - set(by_kind)):
-            del self._kind_profiles[kind]
-        return {
-            kind: profile
-            for kind, profile in sorted(self._kind_profiles.items())
-            if profile is not None
-        }
-
     # ---------------------------------------------------------- execution
 
-    def execute(self, plan: CyclePlan, full: bool = False) -> CycleStats:
-        """Re-judge and re-summarize; incremental sets or everything.
-
-        ``full`` widens the *executed* sets to every entity (the honest
-        recompute baseline) — the tracked accounting in the returned
-        :class:`CycleStats` is computed from the plan's sets either way,
-        and recomputing a clean entity lands on the identical values, so
-        the two modes cannot diverge.
-        """
+    def execute(self, plan: CyclePlan) -> CycleStats:
+        """Re-judge and re-summarize exactly the plan's tracked entities."""
         detector = FraudDetector(plan.profiles, self.entity_kinds, self.config)
-        if full:
-            judge_set = self.view.entities_with_histories()
-        else:
-            judge_set = plan.judge_tracked
         flipped_owners: set[str] = set()
         flipped_ids: set[str] = set()
-        for entity_id in sorted(judge_set):
+        for entity_id in sorted(plan.judge_tracked):
             histories = sorted(
                 self.view.histories_for_entity(entity_id),
                 key=lambda history: history.history_id,
@@ -371,16 +263,7 @@ class MaintenanceEngine:
             )
 
         summarize_tracked = plan.dirty | flipped_owners | self._claimed_by(flipped_ids)
-        if full:
-            summarize_set = (
-                set(self.accepted)
-                | self._claimed_surviving()
-                | self.view.review_entities()
-            )
-            self.summaries.clear()
-        else:
-            summarize_set = summarize_tracked
-        for entity_id in sorted(summarize_set):
+        for entity_id in sorted(summarize_tracked):
             self._resummarize(entity_id)
         self._notify(summarize_tracked)
         return self._stats(plan, summarize_tracked)
@@ -412,10 +295,6 @@ class MaintenanceEngine:
             if opinion is not None:
                 claimed.add(opinion.entity_id)
         return claimed
-
-    def _claimed_surviving(self) -> set[str]:
-        """Entities claimed by at least one surviving opinion slot."""
-        return self._claimed_by(self._surviving)
 
     def adopt_full(
         self,
@@ -489,18 +368,6 @@ class MaintenanceEngine:
     @property
     def n_opinions_kept(self) -> int:
         return sum(self.kept.values())
-
-
-def _extend_pool(pool: ProfilePools, fragment: ProfilePools, kind: str) -> None:
-    """Concatenate one entity's fragment into a kind pool (multiset union)."""
-    n = fragment.n_histories.get(kind)
-    if not n:
-        return
-    pool.n_histories[kind] = pool.n_histories.get(kind, 0) + n
-    for name in ("gaps", "durations", "counts"):
-        values = getattr(fragment, name).get(kind)
-        if values:
-            getattr(pool, name).setdefault(kind, []).extend(values)
 
 
 def _set_or_pop(mapping: dict, key: str, value) -> None:

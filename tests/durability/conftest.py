@@ -14,7 +14,6 @@ from repro.core.protocol import Envelope
 from repro.durability.snapshot import capture_state
 from repro.privacy.anonymity import Delivery
 from repro.privacy.history_store import InteractionUpload
-from repro.scale.server import ShardedRSPServer
 from repro.service.server import RSPServer
 from repro.world.population import TownConfig, build_town
 
@@ -27,10 +26,8 @@ def catalog():
 
 
 def make_server(catalog, n_shards=1):
-    """A token-free server (monolith or sharded) for direct intake."""
-    if n_shards == 1:
-        return RSPServer(catalog=catalog, require_tokens=False, key_bits=256)
-    return ShardedRSPServer(
+    """A token-free server for direct intake."""
+    return RSPServer(
         catalog=catalog, require_tokens=False, key_bits=256, n_shards=n_shards
     )
 

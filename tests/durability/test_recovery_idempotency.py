@@ -13,6 +13,7 @@ from repro.core.protocol import Envelope
 from repro.durability.journal import DurableJournal, attach_journal
 from repro.durability.recovery import recover_server
 from repro.privacy.anonymity import Delivery
+from repro.durability.snapshot import capture_state
 
 from tests.durability.conftest import (
     comparable_state,
@@ -68,8 +69,8 @@ def test_stale_opinion_seq_survives_recovery(catalog, tmp_path):
 
     recovered = make_server(catalog)
     recover_server(recovered, directory)
-    slot = recovered._opinions["hist-00001"]
-    assert (slot.seq, slot.rating) == (2, 5.0)
+    _, rating, seq = capture_state(recovered)["opinions"]["hist-00001"]
+    assert (seq, rating) == (2, 5.0)
 
     # A delayed older upload (fresh nonce, lower seq) arrives only now:
     # the restored slot seq must win, and the envelope still counts as
@@ -77,8 +78,8 @@ def test_stale_opinion_seq_survives_recovery(catalog, tmp_path):
     stale_before = recovered.opinions_stale
     accepted_before = recovered.accepted_envelopes
     recovered.receive_all([opinion_delivery(entity_id, 901, seq=1, rating=1.0)])
-    slot = recovered._opinions["hist-00001"]
-    assert (slot.seq, slot.rating) == (2, 5.0)
+    _, rating, seq = capture_state(recovered)["opinions"]["hist-00001"]
+    assert (seq, rating) == (2, 5.0)
     assert recovered.opinions_stale == stale_before + 1
     assert recovered.accepted_envelopes == accepted_before + 1
 

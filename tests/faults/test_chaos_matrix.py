@@ -153,7 +153,7 @@ class TestFaultMatrix:
         # With the issuer down for the whole run (beyond every backoff),
         # nothing is ever submitted — but nothing is dropped either: all
         # records stay queued on-device awaiting tokens.
-        assert outcome.server.history_store.n_records == 0
+        assert outcome.server.n_records == 0
         assert sum(c.stats.issuer_failures for c in outcome.clients.values()) > 0
         assert sum(c.n_pending for c in outcome.clients.values()) > 0
 
@@ -162,7 +162,7 @@ class TestFaultMatrix:
         outcome = run(world, plan)
         assert outcome.injector.crashes_triggered == MAX_USERS
         assert total(outcome, "crash_restores") == MAX_USERS
-        assert outcome.server.history_store.n_records > 0
+        assert outcome.server.n_records > 0
 
 
 class TestAcceptanceScenario:
@@ -185,13 +185,13 @@ class TestAcceptanceScenario:
         assert total(outcome, "retransmissions") > 0
         # No retransmitted copy ever lands twice:
         assert server.accepted_envelopes == server.n_unique_nonces
-        assert server.history_store.n_records > 0
+        assert server.n_records > 0
 
     def test_retransmission_strictly_improves_delivery(self, world):
         with_retry = run(world, self.PLAN, retransmit=self.POLICY)
         without = run(world, self.PLAN, retransmit=None)
-        records_with = with_retry.server.history_store.n_records
-        records_without = without.server.history_store.n_records
+        records_with = with_retry.server.n_records
+        records_without = without.server.n_records
         assert records_with > records_without
 
 
@@ -208,8 +208,8 @@ class TestDeterminismGuard:
         first = run(world, plan, retransmit=policy)
         second = run(world, plan, retransmit=policy)
         assert first.reports_digest() == second.reports_digest()
-        assert first.server.history_store.n_records == (
-            second.server.history_store.n_records
+        assert first.server.n_records == (
+            second.server.n_records
         )
 
     def test_different_plan_seed_diverges_under_partial_loss(self, world):

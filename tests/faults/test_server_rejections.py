@@ -152,7 +152,7 @@ class TestNonRejectionOutcomes:
         assert server.receive(delivery_of(record, token_a, nonce=b"n1"))
         assert not server.receive(delivery_of(record, token_b, nonce=b"n1"))
         assert counters(server) == (0, 1, 0, 1)
-        assert server.history_store.n_records == 1
+        assert server.n_records == 1
         assert server.n_unique_nonces == 1
 
     def test_outage_drop_is_not_a_rejection(self, server_and_town):

@@ -1,18 +1,19 @@
 """Batched intake vs per-record intake: the byte-identity obligation.
 
-The claim of :mod:`repro.ingest.columnar` is that ``ingest_all`` is a
-pure performance knob: for any delivery stream, against either server
-deployment, with or without fault chaos and durability, it produces
+:mod:`repro.ingest.columnar` is the server's one intake loop.  Whether
+envelopes arrive one at a time (``receive``) or in batches
+(``receive_all`` / ``ingest_all``), at one shard or many, with or without
+fault chaos and durability, intake produces
 
 * the same accept/reject/duplicate classification for every envelope,
 * the same epoch report digests, opinion summaries, and fraud verdicts,
-* the same telemetry export (the counter three-way consistency holds on
-  both paths because the *export* is equal, not just the totals),
+* the same aggregate telemetry (a batch adds only its batch-size
+  histogram),
 * the same WAL, byte for byte, under the same global sequence numbers.
 
-This suite is the proof.  The epoch-level matrix drives the full
-pipeline across shard/worker configurations, clean and under the chaos
-plan; the direct server-level tests pin each classification branch
+The epoch-level matrix drives the full pipeline across shard/worker
+configurations, clean and under the chaos plan, against the one-shard
+run; the direct server-level tests pin each classification branch
 (duplicate, stale seq, token bounce on a seen nonce, malformed and
 poisoned records) where the epoch pipeline would reach them only by
 luck.
@@ -29,7 +30,6 @@ from repro.orchestration.pipeline import PipelineConfig, train_classifier
 from repro.privacy.anonymity import Delivery
 from repro.privacy.tokens import TokenWallet
 from repro.privacy.uploads import RetransmitPolicy
-from repro.scale.server import ShardedRSPServer
 from repro.service.server import RSPServer
 from repro.telemetry import AGGREGATE, Telemetry
 from repro.util.clock import DAY, HOUR
@@ -84,7 +84,7 @@ def world():
     return town, result, classifier
 
 
-def run(world, ingest_batch, n_shards=1, workers=0, plan=None, retransmit=None):
+def run(world, n_shards=1, workers=0, plan=None, retransmit=None):
     town, result, classifier = world
     config = PipelineConfig(horizon_days=HORIZON_DAYS, seed=5, retransmit=retransmit)
     return run_epochs(
@@ -97,7 +97,6 @@ def run(world, ingest_batch, n_shards=1, workers=0, plan=None, retransmit=None):
         fault_plan=plan,
         n_shards=n_shards,
         workers=workers,
-        ingest_batch=ingest_batch,
     )
 
 
@@ -115,8 +114,8 @@ def assert_equivalent(baseline, candidate):
     assert candidate.server.all_summaries() == baseline.server.all_summaries()
     assert verdict_set(candidate) == verdict_set(baseline)
     # The AGGREGATE telemetry scope is deployment-invariant by contract
-    # (tests/telemetry/test_golden_snapshot.py), so the batched cell must
-    # reproduce the per-record monolith's export exactly.
+    # (tests/telemetry/test_golden_snapshot.py), so every cell must
+    # reproduce the one-shard export exactly.
     assert candidate.telemetry.digest(scope=AGGREGATE) == baseline.telemetry.digest(
         scope=AGGREGATE
     )
@@ -124,12 +123,12 @@ def assert_equivalent(baseline, candidate):
 
 @pytest.fixture(scope="module")
 def clean_baseline(world):
-    return run(world, ingest_batch=False)
+    return run(world)
 
 
 @pytest.fixture(scope="module")
 def chaos_baseline(world):
-    return run(world, ingest_batch=False, plan=CHAOS, retransmit=RETRY)
+    return run(world, plan=CHAOS, retransmit=RETRY)
 
 
 class TestCleanMatrix:
@@ -138,7 +137,7 @@ class TestCleanMatrix:
     def test_batched_intake_is_indistinguishable(
         self, world, clean_baseline, n_shards, workers
     ):
-        outcome = run(world, ingest_batch=True, n_shards=n_shards, workers=workers)
+        outcome = run(world, n_shards=n_shards, workers=workers)
         assert_equivalent(clean_baseline, outcome)
 
     def test_baseline_is_not_vacuous(self, clean_baseline):
@@ -153,7 +152,6 @@ class TestChaosMatrix:
     ):
         outcome = run(
             world,
-            ingest_batch=True,
             n_shards=n_shards,
             workers=workers,
             plan=CHAOS,
@@ -174,29 +172,43 @@ class TestChaosMatrix:
 
 
 def paired_servers(n_shards=0, require_tokens=False):
-    """Two identical servers (with real telemetry) plus twin traffic."""
+    """Two identical servers (with real telemetry) plus twin traffic.
+
+    ``n_shards=0`` builds the default one-shard server.
+    """
     t1, t2 = SyntheticTraffic(IMPURE), SyntheticTraffic(IMPURE)
     servers = []
     for catalog in (t1.catalog, t2.catalog):
         telemetry = Telemetry()
-        if n_shards:
-            server = ShardedRSPServer(
-                catalog, n_shards=n_shards, workers=0, require_tokens=require_tokens
-            )
-        else:
-            server = RSPServer(catalog, require_tokens=require_tokens)
+        server = RSPServer(
+            catalog, n_shards=n_shards or 1, workers=0, require_tokens=require_tokens
+        )
         server.attach_telemetry(telemetry)
         servers.append((server, telemetry))
     return servers[0], servers[1], t1, t2
+
+
+def receive_each(server, deliveries, now):
+    """Per-record intake: one ``receive`` call per delivery."""
+    return sum(server.receive(delivery, now=now) for delivery in deliveries)
+
+
+def aggregate_rows(telemetry):
+    """The AGGREGATE export minus the batch-size histogram only a batch
+    records."""
+    return [
+        row
+        for row in telemetry.export(scope=AGGREGATE)["metrics"]
+        if row["name"] != "rsp.intake.batch"
+    ]
 
 
 def assert_same_story(pair_a, pair_b):
     (server_a, tele_a), (server_b, tele_b) = pair_a, pair_b
     for attr in COUNTERS:
         assert getattr(server_a, attr) == getattr(server_b, attr), attr
-    # Full export, both scopes: per-record and batched intake are export-
-    # identical, not merely total-identical.
-    assert tele_a.metrics.export_json() == tele_b.metrics.export_json()
+    # Export-identical, not merely total-identical.
+    assert aggregate_rows(tele_a) == aggregate_rows(tele_b)
 
 
 @pytest.mark.parametrize("n_shards", [0, 4])
@@ -204,7 +216,7 @@ def test_impure_stream_parity(n_shards):
     pair_a, pair_b, t1, t2 = paired_servers(n_shards=n_shards)
     for tick in range(5):
         now = 100.0 * tick
-        pair_a[0].receive_all(t1.batch(400, now), now=now)
+        receive_each(pair_a[0], t1.batch(400, now), now=now)
         ingest_all(pair_b[0], t2.batch(400, now), now=now)
     assert_same_story(pair_a, pair_b)
     # The impurities actually exercised the interesting branches.
@@ -216,7 +228,7 @@ def test_impure_stream_parity(n_shards):
 @pytest.mark.parametrize("n_shards", [0, 4])
 def test_maintenance_after_batched_intake_matches(n_shards):
     pair_a, pair_b, t1, t2 = paired_servers(n_shards=n_shards)
-    pair_a[0].receive_all(t1.batch(1200, 100.0), now=100.0)
+    receive_each(pair_a[0], t1.batch(1200, 100.0), now=100.0)
     ingest_all(pair_b[0], t2.batch(1200, 100.0), now=100.0)
     report_a = pair_a[0].run_maintenance(now=200.0)
     report_b = pair_b[0].run_maintenance(now=200.0)
@@ -250,7 +262,7 @@ class TestTokenNuances:
     def deliver(self, server, telemetry, batched, deliveries):
         if batched:
             return ingest_all(server, deliveries, now=100.0)
-        return server.receive_all(deliveries, now=100.0)
+        return receive_each(server, deliveries, now=100.0)
 
     def test_spent_token_on_seen_nonce_is_a_duplicate(self):
         pair_a, pair_b, catalog = self.make_pair()
@@ -275,7 +287,7 @@ class TestTokenNuances:
         record = entity_record(catalog)
         envelope = Envelope(record=record, token=None, nonce=b"n-2" * 6)
         delivery = Delivery(payload=envelope, arrival_time=100.0, channel_tag="t")
-        pair_a[0].receive_all([delivery], now=100.0)
+        receive_each(pair_a[0], [delivery], now=100.0)
         ingest_all(pair_b[0], [delivery], now=100.0)
         for server, _ in (pair_a, pair_b):
             assert server.rejected_envelopes == 1
@@ -302,22 +314,19 @@ class TestPoisonedRecords:
             arrival_time=100.0,
             channel_tag="t",
         )
-        pair_a[0].receive_all([bad] + t1.batch(50, 100.0), now=100.0)
+        receive_each(pair_a[0], [bad] + t1.batch(50, 100.0), now=100.0)
         ingest_all(pair_b[0], [bad] + t2.batch(50, 100.0), now=100.0)
         assert pair_a[0].rejected_envelopes >= 1
         assert_same_story(pair_a, pair_b)
 
     def test_exploding_record_is_a_store_error_on_both_paths(self):
-        # Monolith-only: the sharded *baseline* groups by history_id before
-        # dispatch, so a record must at least route; an attribute that
-        # raises mid-dispatch is the monolith's store-error case.
         pair_a, pair_b, t1, t2 = paired_servers()
         poison = Delivery(
             payload=Envelope(record=_Exploding(), token=None, nonce=b"n-4" * 6),
             arrival_time=100.0,
             channel_tag="t",
         )
-        pair_a[0].receive_all([poison] + t1.batch(50, 100.0), now=100.0)
+        receive_each(pair_a[0], [poison] + t1.batch(50, 100.0), now=100.0)
         ingest_all(pair_b[0], [poison] + t2.batch(50, 100.0), now=100.0)
         assert pair_a[0].rejected_envelopes >= 1
         assert_same_story(pair_a, pair_b)
@@ -332,7 +341,7 @@ class TestNonceFreeEnvelopes:
             Delivery(payload=bare, arrival_time=100.0, channel_tag="t")
             for _ in range(3)
         ]
-        pair_a[0].receive_all(deliveries, now=100.0)
+        receive_each(pair_a[0], deliveries, now=100.0)
         ingest_all(pair_b[0], deliveries, now=100.0)
         for server, _ in (pair_a, pair_b):
             assert server.duplicates_suppressed == 0
@@ -345,24 +354,24 @@ class TestNonceFreeEnvelopes:
 
 @pytest.mark.parametrize("n_shards", [0, 4])
 def test_wal_bytes_identical(tmp_path, n_shards):
-    """Same deliveries, same WAL — to the byte, with the same global seqs."""
+    """Same deliveries, same WAL — to the byte, with the same global seqs.
+
+    Per-record intake takes the deliveries in the order a batch processes
+    them (grouped by shard, delivery order within a shard).
+    """
     roots = {}
     for label, batched in (("per-record", False), ("batched", True)):
         traffic = SyntheticTraffic(IMPURE)
         telemetry = Telemetry()
-        if n_shards:
-            server = ShardedRSPServer(
-                traffic.catalog, n_shards=n_shards, workers=0, require_tokens=False
-            )
-            journal = DurableJournal(
-                tmp_path / label / "primary",
-                n_lanes=n_shards,
-                lane_of=server.router.shard_of,
-                telemetry=telemetry,
-            )
-        else:
-            server = RSPServer(traffic.catalog, require_tokens=False)
-            journal = DurableJournal(tmp_path / label / "primary", telemetry=telemetry)
+        server = RSPServer(
+            traffic.catalog, n_shards=n_shards or 1, workers=0, require_tokens=False
+        )
+        journal = DurableJournal(
+            tmp_path / label / "primary",
+            n_lanes=server.router.n_shards,
+            lane_of=server.router.shard_of,
+            telemetry=telemetry,
+        )
         server.attach_telemetry(telemetry)
         attach_journal(server, journal)
         for tick in range(4):
@@ -371,7 +380,10 @@ def test_wal_bytes_identical(tmp_path, n_shards):
             if batched:
                 ingest_all(server, batch, now=now)
             else:
-                server.receive_all(batch, now=now)
+                for delivery in sorted(
+                    batch, key=lambda d: server.router.shard_of(d.payload.record.history_id)
+                ):
+                    server.receive(delivery, now=now)
         roots[label] = tmp_path / label / "primary"
     names_a = sorted(p.name for p in roots["per-record"].glob("wal-*"))
     names_b = sorted(p.name for p in roots["batched"].glob("wal-*"))

@@ -67,11 +67,11 @@ class TestLossyNetwork:
         finally:
             pipeline_module.batching_network = original
 
-        clean_records = clean.server.history_store.n_records
-        lossy_records = lossy.server.history_store.n_records
+        clean_records = clean.server.n_records
+        lossy_records = lossy.server.n_records
         assert 0.5 * clean_records < lossy_records < 0.9 * clean_records
         # State stays consistent: every stored record was token-checked.
-        stored = lossy.server.history_store.n_records + lossy.server.n_opinions
+        stored = lossy.server.n_records + lossy.server.n_opinions
         assert stored == lossy.server._redeemer.n_redeemed
         # And the service still aggregates and searches.
         lossy.server.run_maintenance()

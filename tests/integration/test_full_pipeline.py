@@ -13,6 +13,7 @@ from repro.orchestration.pipeline import PipelineConfig, run_full_pipeline, trai
 from repro.util.clock import DAY
 from repro.world.behavior import BehaviorConfig, BehaviorSimulator
 from repro.world.population import TownConfig, build_town
+from repro.durability.snapshot import capture_state
 
 
 @pytest.fixture(scope="module")
@@ -71,16 +72,16 @@ class TestPrivacyProperties:
         """No history identifier equals or embeds a user id."""
         town, _, out = outcome
         user_ids = {user.user_id for user in town.users}
-        for history in out.server.history_store.all_histories():
-            assert history.history_id not in user_ids
-            assert not any(uid in history.history_id for uid in user_ids)
+        for history in capture_state(out.server)["histories"]:
+            assert history["history_id"] not in user_ids
+            assert not any(uid in history["history_id"] for uid in user_ids)
 
     def test_every_stored_record_was_token_checked(self, outcome):
         _, _, out = outcome
         assert out.server.rejected_envelopes == 0  # all clients played by the rules
         # and the number of stored records is bounded by issued tokens:
         # each record spent exactly one token.
-        n_stored = out.server.history_store.n_records + out.server.n_opinions
+        n_stored = out.server.n_records + out.server.n_opinions
         assert n_stored == out.server._redeemer.n_redeemed
 
     def test_histories_per_user_entity_pair(self, outcome):
@@ -139,7 +140,7 @@ class TestCorrectionPropagation:
             e for e in client.transparency.audit() if e.effective_rating is not None
         )
         history_id = client.identity.history_id(entry.entity_id)
-        before = server._opinions[history_id].rating
+        _, before, _ = capture_state(server)["opinions"][history_id]
 
         corrected = 1.0 if before > 2.5 else 5.0
         client.transparency.correct(entry.entity_id, corrected)
@@ -150,7 +151,7 @@ class TestCorrectionPropagation:
         client.sync(network, server.issuer, now=200 * DAY)
         server.receive_all(network.deliveries_until(203 * DAY))
 
-        assert server._opinions[history_id].rating == corrected
+        assert capture_state(server)["opinions"][history_id][1] == corrected
         server.run_maintenance()
         summary = server.summary(entry.entity_id)
         assert summary is not None

@@ -30,7 +30,7 @@ def test_whole_tree_has_zero_violations():
 
 def test_every_waiver_is_a_known_audited_exception():
     """Suppressions are load-bearing documentation: each one must sit in a
-    sanctioned touchpoint — the server facades' identity edges (token
+    sanctioned touchpoint — the server's identity edges (token
     issuance and explicit-review posting), the journal's wall-clock
     snapshot timer, the soak harness's throughput/latency stopwatch, or
     the serving layer's query-latency stopwatch (all observability-only:
@@ -40,19 +40,18 @@ def test_every_waiver_is_a_known_audited_exception():
     by_file = {}
     for violation in result.suppressed:
         if violation.rule_id == "priv-server-identity":
-            assert violation.path.endswith(("service/server.py", "scale/server.py"))
+            assert violation.path.endswith("service/server.py")
         else:
             assert violation.rule_id == "det-wall-clock"
             assert violation.path.endswith(
                 ("durability/journal.py", "ingest/soak.py", "serve/facade.py")
             )
         by_file[violation.path] = by_file.get(violation.path, 0) + 1
-    # The monolith's three identity touchpoints, mirrored minus the
-    # redeemer internals by the sharded facade, the journal's two
+    # The server's three identity touchpoints, the journal's two
     # perf_counter reads around the snapshot write, the soak harness's
     # single stopwatch read, and the serving layer's two perf_counter
     # reads around a query.
-    assert sorted(by_file.values()) == [1, 2, 2, 2, 3]
+    assert sorted(by_file.values()) == [1, 2, 2, 3]
 
 
 def test_cli_exits_zero_on_the_tree(capsys):

@@ -81,8 +81,8 @@ class TestDeferredAccounting:
         faulted = run(world, plan)
         clean = run(world, FaultPlan(seed=11))
 
-        assert faulted.server.history_store.n_records == (
-            clean.server.history_store.n_records
+        assert faulted.server.n_records == (
+            clean.server.n_records
         )
         assert faulted.server.n_opinions == clean.server.n_opinions
         assert faulted.reports[-1].total_records == clean.reports[-1].total_records

@@ -12,6 +12,7 @@ from repro.orchestration.evaluation import (
 from repro.orchestration.pipeline import PipelineConfig, run_full_pipeline
 from repro.world.behavior import BehaviorConfig, BehaviorSimulator
 from repro.world.population import TownConfig, build_town
+from repro.durability.snapshot import capture_state
 
 
 @pytest.fixture(scope="module")
@@ -119,8 +120,8 @@ class TestEpochs:
         epochs = run_epochs(town, result, config, n_epochs=4)
         single = run_full_pipeline(town, result, config)
         assert (
-            epochs.server.history_store.n_records
-            == single.server.history_store.n_records
+            epochs.server.n_records
+            == single.server.n_records
         )
         assert epochs.server.n_opinions == single.server.n_opinions
 
@@ -129,7 +130,7 @@ class TestEpochs:
         duplicates."""
         town, result, config = epoch_world
         outcome = run_epochs(town, result, config, n_epochs=4)
-        assert outcome.server.n_opinions == len(outcome.server._opinions)
+        assert outcome.server.n_opinions == len(capture_state(outcome.server)["opinions"])
 
     def test_requires_positive_epochs(self, epoch_world):
         town, result, config = epoch_world

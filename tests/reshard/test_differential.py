@@ -128,9 +128,10 @@ class TestScheduledMatrix:
         assert "rsp.reshard.moved" in deployment
         assert "rsp.reshard" not in outcome.telemetry.export_json(scope=AGGREGATE)
 
-    def test_monolith_rejects_resharding(self, world):
-        with pytest.raises(ValueError, match="shard"):
-            run(world, n_shards=1, schedule=["1:split:0"])
+    def test_one_shard_deployment_reshards(self, world, clean_baseline):
+        outcome = run(world, n_shards=1, schedule=["1:split:0", "2:split:1"])
+        assert outcome.server.n_shards_live == 3
+        assert_equivalent(clean_baseline, outcome)
 
 
 class TestAutoscaledMatrix:

@@ -1,11 +1,10 @@
 """Batch routing regression: route once per envelope, never twice.
 
-``receive_batch`` used to derive each record's shard in the grouping pass
-and then re-derive it inside the store dispatch — two SHA-256 routes per
-envelope.  The fix threads the grouping-pass route into ``_receive_one``
-as a hint (and skips group allocation entirely for single-shard batches).
-These tests pin both the call count and, more importantly, that the fast
-path changes nothing observable: same stores, same counters, same
+Batch intake used to derive each record's shard in the grouping pass and
+then re-derive it inside the store dispatch — two SHA-256 routes per
+envelope.  The intake loop now takes each group's shard from the grouping
+pass.  These tests pin both the call count and, more importantly, that
+grouping changes nothing observable: same stores, same counters, same
 telemetry export as per-envelope ``receive``.
 """
 

@@ -2,8 +2,8 @@
 
 Every cell runs the full epochs pipeline — simulated town, on-device
 clients, mixnet, token issuance, maintenance — twice: once against the
-monolithic :class:`RSPServer` and once against a
-:class:`ShardedRSPServer` configuration, and asserts *exact* equality of
+default one-shard :class:`RSPServer` and once with more shards or
+maintenance workers, and asserts *exact* equality of
 
 * the per-epoch report digest (``EpochsOutcome.reports_digest()``),
 * every entity's opinion summary (all floats, bit for bit),
@@ -81,7 +81,7 @@ def assert_equivalent(baseline, candidate):
 
 @pytest.fixture(scope="module")
 def baselines(world):
-    """Monolithic reference runs, one per seed, shared across the matrix."""
+    """One-shard reference runs, one per seed, shared across the matrix."""
     return {seed: run(world, seed) for seed in (29, 31)}
 
 

@@ -358,8 +358,6 @@ class TestSeqOrdering:
         return mono if flavor == "mono" else sharded
 
     def slot(self, flavor, server, history_id):
-        if flavor == "mono":
-            return server._opinions[history_id]
         shard = server.shards[server.router.shard_of(history_id)]
         return shard.opinions[history_id]
 

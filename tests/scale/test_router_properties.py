@@ -185,3 +185,25 @@ class TestBalance:
         for key in random_byte_keys(2000, seed=13):
             counts[router.shard_of_bytes(key)] += 1
         assert all(125 <= c <= 375 for c in counts), counts
+
+
+class TestOneShard:
+    """A one-shard table routes every key to shard 0 without reading it,
+    and grows and shrinks like any other table."""
+
+    def test_every_key_routes_to_the_only_shard(self):
+        router = ShardRouter(1)
+        for key in random_hex_keys(50, seed=5) + random_string_keys(50, seed=6):
+            assert router.shard_of(key) == 0
+            assert router.shard_of_bytes(key.encode()) == 0
+        assert router.shard_of_u64(2**64 - 1) == 0
+
+    def test_split_then_merge_round_trips_through_one_shard(self):
+        one = ShardRouter(1)
+        two = one.split(0)
+        assert two == ShardRouter(2)
+        keys = random_hex_keys(200, seed=7)
+        assert {two.shard_of(key) for key in keys} == {0, 1}
+        merged = two.merge(0, 1)
+        assert merged == one and merged.spec() == one.spec()
+        assert {merged.shard_of(key) for key in keys} == {0}

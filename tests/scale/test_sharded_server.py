@@ -1,8 +1,8 @@
-"""Behavioural equivalence of :class:`ShardedRSPServer` with the monolith.
+"""Behavioural equivalence of the server at one shard and at many.
 
-These tests drive both servers through handcrafted intake sequences —
-duplicates, token replays, poisoned records, outages — and assert the
-sharded facade classifies *every* envelope identically and produces
+These tests drive a one-shard and an N-shard server through handcrafted
+intake sequences — duplicates, token replays, poisoned records, outages —
+and assert both classify *every* envelope identically and produce
 byte-identical maintenance output.  The statistical differential matrix
 lives in ``test_differential.py``; this module is the precise, per-nuance
 layer.
@@ -323,6 +323,15 @@ class TestPoolFallback:
         with parallel.MaintenancePool(sharded, 0) as pool:
             assert pool._executor is None
             assert pool.map(lambda x: x * 2, [(1,), (2,)]) == [2, 4]
+
+
+def test_scale_name_is_the_server_class(town):
+    """One server class: the scale-out name is the same class object."""
+    from repro import scale
+
+    assert ShardedRSPServer is RSPServer
+    assert scale.ShardedRSPServer is RSPServer
+    assert RSPServer(catalog=town.entities, key_bits=256).router.n_shards == 1
 
 
 def test_lint_guards_the_scale_package():

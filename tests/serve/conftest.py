@@ -11,7 +11,6 @@ import pytest
 from repro.core.protocol import Envelope
 from repro.ingest import SyntheticTraffic, WorkloadConfig
 from repro.privacy.anonymity import Delivery
-from repro.scale.server import ShardedRSPServer
 from repro.service.server import RSPServer
 from repro.telemetry import Telemetry
 
@@ -28,19 +27,16 @@ TRAFFIC = WorkloadConfig(
 
 
 def make_server(n_shards=0, catalog=None, incremental=True):
-    """A tokenless server with real telemetry attached (0 = monolith)."""
+    """A tokenless server with real telemetry attached (0 = one shard)."""
     if catalog is None:
         catalog = SyntheticTraffic(TRAFFIC).catalog
-    if n_shards:
-        server = ShardedRSPServer(
-            catalog,
-            n_shards=n_shards,
-            workers=0,
-            require_tokens=False,
-            incremental=incremental,
-        )
-    else:
-        server = RSPServer(catalog, require_tokens=False, incremental=incremental)
+    server = RSPServer(
+        catalog,
+        n_shards=n_shards or 1,
+        workers=0,
+        require_tokens=False,
+        incremental=incremental,
+    )
     server.attach_telemetry(Telemetry())
     return server
 

@@ -235,6 +235,37 @@ def interaction(history_id, entity_id, event_time):
     )
 
 
+def plumbers(n=2):
+    """Entities of another kind, far from every query below."""
+    return [
+        Entity(
+            entity_id=f"plumber-{index}",
+            kind=EntityKind.PLUMBER,
+            category="plumber",
+            location=Point(30.0 + index, 30.0),
+            quality=3.0,
+        )
+        for index in range(n)
+    ]
+
+
+def settle(server, entities):
+    """Give ``entities`` maintained histories before the test's own cycles.
+
+    A cycle that tracks at least half of the entities with histories runs
+    the pooled kernel, which judges without the engine's detector.  With
+    two settled entities of another kind, dirtying one restaurant stays on
+    the engine's serial path — the path the patched detector drives.
+    """
+    deliver_records(
+        server,
+        [interaction(f"h-{e.entity_id}", e.entity_id, 100.0) for e in entities],
+        now=200.0,
+        start_nonce=1000,
+    )
+    server.run_maintenance(now=300.0)
+
+
 def test_flipped_history_evicts_the_claimed_entitys_cached_results(
     monkeypatch,
 ):
@@ -262,7 +293,9 @@ def test_flipped_history_evicts_the_claimed_entitys_cached_results(
         location=Point(6.0, 2.0),
         quality=3.0,
     )
-    server = make_server(catalog=[owner, claimed])
+    fillers = plumbers()
+    server = make_server(catalog=[owner, claimed, *fillers])
+    settle(server, fillers)
     notified: list[frozenset] = []
     server._engine.subscribe(notified.append)
     deliver_records(
@@ -329,7 +362,9 @@ def test_same_owner_flip_changes_the_served_answer(monkeypatch):
         location=Point(2.0, 2.0),
         quality=3.0,
     )
-    server = make_server(catalog=[owner])
+    fillers = plumbers()
+    server = make_server(catalog=[owner, *fillers])
+    settle(server, fillers)
     deliver_records(
         server,
         [interaction("h-own", owner.entity_id, 1000.0 * i) for i in range(4)]

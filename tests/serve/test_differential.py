@@ -1,7 +1,7 @@
 """The read path's byte-identity obligation, across the deployment matrix.
 
 The claim of :mod:`repro.serve` is that every serving knob is invisible
-in the answers: monolith vs 1/4/8 shards, cold vs warm cache, before vs
+in the answers: 1/4/8 shards, cold vs warm cache, before vs
 after incremental maintenance, clean traffic vs chaos — the rendered
 responses are byte-identical, and the run-level ``serve_digest`` (plus
 the AGGREGATE telemetry export, which now carries the ``rsp.serve.*``
@@ -11,12 +11,12 @@ Two layers, mirroring ``tests/ingest/test_differential.py``:
 
 * the **epoch-level matrix** drives the full pipeline with
   ``serve_queries`` on, clean and under the chaos plan, across shard,
-  worker, incremental, and batching configurations, asserting equal
+  worker, and incremental configurations, asserting equal
   ``serve_digest`` and equal AGGREGATE telemetry;
 * the **direct server matrix** pins the cache-temperature axis the epoch
   driver can only reach implicitly: the same query list answered cold,
   warm (from cache), and after a maintenance cycle invalidated part of
-  the cache — always against the monolith's uncached recompute oracle.
+  the cache — always against the one-shard uncached recompute oracle.
 """
 
 import pytest
@@ -66,7 +66,6 @@ def run(
     n_shards=1,
     workers=0,
     incremental=True,
-    ingest_batch=False,
     plan=None,
     retransmit=None,
 ):
@@ -83,7 +82,6 @@ def run(
         n_shards=n_shards,
         workers=workers,
         incremental=incremental,
-        ingest_batch=ingest_batch,
         serve_queries=SERVE_QUERIES,
     )
 
@@ -123,11 +121,6 @@ class TestCleanMatrix:
         self, world, clean_baseline
     ):
         assert_equivalent(clean_baseline, run(world, incremental=False))
-
-    def test_batched_intake_serving_is_indistinguishable(
-        self, world, clean_baseline
-    ):
-        assert_equivalent(clean_baseline, run(world, ingest_batch=True))
 
     def test_baseline_is_not_vacuous(self, clean_baseline):
         assert clean_baseline.serve_digest is not None

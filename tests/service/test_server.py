@@ -10,6 +10,7 @@ from repro.privacy.history_store import InteractionUpload
 from repro.privacy.identifiers import DeviceIdentity
 from repro.privacy.tokens import TokenWallet, UploadToken
 from repro.service.server import RSPServer
+from repro.telemetry import Telemetry
 from repro.util.clock import DAY
 from repro.world.population import TownConfig, build_town
 
@@ -52,7 +53,7 @@ class TestIntake:
         entity_id = town.entities[0].entity_id
         [token] = token_for(server)
         assert server.receive(delivery_of(interaction_record(identity, entity_id), token))
-        assert server.history_store.n_records == 1
+        assert server.n_records == 1
 
     def test_missing_token_rejected(self, server_and_town):
         server, town = server_and_town
@@ -101,6 +102,36 @@ class TestIntake:
         identity = DeviceIdentity.create("u", seed=1)
         record = interaction_record(identity, town.entities[0].entity_id)
         assert server.receive(delivery_of(record, None))
+
+    @pytest.mark.parametrize("n_shards", [1, 4])
+    def test_non_string_history_id_is_malformed(self, n_shards):
+        """Regression: one shard used to store such a record while more
+        shards bounced it as a store error.  It is malformed at every shard
+        count, is never stored, and leaves its nonce unburned."""
+        town = build_town(TownConfig(n_users=3), seed=21)
+        server = RSPServer(catalog=town.entities, require_tokens=False, n_shards=n_shards)
+        telemetry = Telemetry()
+        server.attach_telemetry(telemetry)
+        entity_id = town.entities[0].entity_id
+        record = InteractionUpload(
+            history_id=12345,
+            entity_id=entity_id,
+            interaction_type="visit",
+            event_time=0.0,
+            duration=60.0,
+            travel_km=1.0,
+        )
+        opinion = OpinionUpload(history_id=12346, entity_id=entity_id, rating=4.0)
+        envelope = Envelope(record=record, token=None, nonce=b"n" * 16)
+        assert not server.receive(Delivery(envelope, arrival_time=1.0, channel_tag="c"))
+        batch = [Delivery(Envelope(opinion, None, b"m" * 16), 2.0, "c")]
+        assert server.receive_all(batch) == 0
+        assert server.rejected_envelopes == 2
+        assert telemetry.value("rsp.envelopes.rejected", reason="malformed") == 2
+        assert server.n_records == server.n_opinions == server.n_unique_nonces == 0
+        identity = DeviceIdentity.create("u", seed=1)
+        retry = Envelope(interaction_record(identity, entity_id), None, b"n" * 16)
+        assert server.receive(Delivery(retry, arrival_time=3.0, channel_tag="c"))
 
     def test_post_review_validates_entity(self, server_and_town):
         server, town = server_and_town
@@ -255,14 +286,14 @@ class TestTransactionalIntake:
         assert server.rejected_envelopes == 1
         assert server.accepted_envelopes == 0
         assert server.n_unique_nonces == 0
-        assert server.history_store.n_records == 0
+        assert server.n_records == 0
         # Retransmission of the repaired record, same nonce: accepted.
         retry = Envelope(record=good, token=None, nonce=b"keep-me")
         assert server.receive(
             Delivery(payload=retry, arrival_time=2.0, channel_tag="c")
         )
         assert server.accepted_envelopes == 1
-        assert server.history_store.n_records == 1
+        assert server.n_records == 1
 
     def test_poisoned_record_does_not_block_the_batch(self):
         town = build_town(TownConfig(n_users=3), seed=24)

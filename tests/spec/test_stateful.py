@@ -12,7 +12,8 @@ Operations:
   ``ingest_all``, mixing clean uploads with the impurities the model
   classifies: replayed envelopes and nonces, missing, forged and spent
   tokens, unknown entities, history mismatches, stale and tying opinion
-  ``seq``, malformed records, poisoned keys, and an outage window;
+  ``seq``, malformed records, non-string history ids, poisoned keys, and
+  an outage window;
 * ``maintenance`` — a cycle whose report and summaries must equal those
   of a fresh ``incremental=False`` server restored from ``capture_state``,
   followed by queries whose cached answers must equal ``query_uncached``;
@@ -46,7 +47,6 @@ from repro.privacy.anonymity import Delivery
 from repro.privacy.history_store import InteractionUpload
 from repro.privacy.tokens import TokenWallet, UploadToken
 from repro.reshard import ReshardOp, perform
-from repro.scale.server import ShardedRSPServer
 from repro.serve.loadgen import QueryWorkload, SyntheticQueries
 from repro.service.server import RSPServer
 from repro.telemetry import Telemetry
@@ -78,6 +78,7 @@ SHAPES = {
     "unknown-entity": 5,
     "mismatch": 6,
     "malformed": 4,
+    "int-history-id": 3,
     "poisoned": 5,
 }
 
@@ -126,8 +127,7 @@ def durable_state(server) -> dict:
 class Harness:
     """One server, its model, and the bookkeeping the operations share."""
 
-    def __init__(self, deployment: str, n_shards: int, require_tokens: bool, workdir: Path):
-        self.deployment = deployment
+    def __init__(self, n_shards: int, require_tokens: bool, workdir: Path):
         self.n_shards = n_shards
         self.require_tokens = require_tokens
         self.workdir = workdir
@@ -151,11 +151,10 @@ class Harness:
             self.server.post_review(f"reviewer-{index}", entity_id, 2 + index, 10.0 * index)
             self.model.post_review(f"reviewer-{index}", entity_id, 2 + index, 10.0 * index)
         self.server.fault_hook = Outage()
-        router = getattr(self.server, "router", None)
         self.journal = DurableJournal(
             workdir / "primary",
-            n_lanes=1 if router is None else router.n_shards,
-            lane_of=None if router is None else router.shard_of,
+            n_lanes=n_shards,
+            lane_of=self.server.router.shard_of,
         )
         attach_journal(self.server, self.journal)
         self.journal.take_snapshot(self.server)
@@ -172,17 +171,15 @@ class Harness:
         self.queries = SyntheticQueries(self.catalog, QueryWorkload(n_distinct=16, seed=3))
 
     def new_server(self, incremental: bool = True, n_shards: int | None = None):
-        kwargs = dict(
+        return RSPServer(
             catalog=self.catalog,
             quota_per_day=N_TOKENS,
             key_seed=KEY_SEED,
             key_bits=256,
             require_tokens=self.require_tokens,
+            n_shards=n_shards or self.n_shards,
             incremental=incremental,
         )
-        if self.deployment == "monolith":
-            return RSPServer(**kwargs)
-        return ShardedRSPServer(n_shards=n_shards or self.n_shards, **kwargs)
 
     # ------------------------------------------------------------ checking
 
@@ -258,12 +255,15 @@ class Harness:
         if shape == "mismatch" and self.model.histories:
             bound = sorted(self.model.histories)
             history_id = bound[int(rng.integers(len(bound)))]
+        elif shape == "int-history-id":
+            history_id = int(rng.integers(2**31))
         elif shape == "poisoned":
             history_id = PoisonedKey(history_id)
         if shape == "opinion" and self.seqs and rng.random() < 0.5:
             history_id = sorted(self.seqs)[int(rng.integers(len(self.seqs)))]
             entity_id = self.slot_entities[history_id]
-        if shape == "opinion" or (shape == "poisoned" and rng.random() < 0.5):
+        either_kind = shape in ("unknown-entity", "int-history-id", "poisoned")
+        if shape == "opinion" or (either_kind and rng.random() < 0.5):
             return self._opinion(rng, history_id, entity_id)
         return InteractionUpload(
             history_id=history_id,
@@ -276,10 +276,10 @@ class Harness:
 
     def _opinion(self, rng, history_id: str, entity_id: str) -> OpinionUpload:
         """A fresh, tying or stale ``seq`` for the history's slot."""
-        poisoned = isinstance(history_id, PoisonedKey)
-        current = 0 if poisoned else self.seqs.get(history_id, 0)
+        tracked = type(history_id) is str
+        current = self.seqs.get(history_id, 0) if tracked else 0
         seq = max(0, current + int(rng.choice([1, 1, 0, -1])))
-        if not poisoned:
+        if tracked:
             self.seqs[history_id] = max(current, seq)
             self.slot_entities[history_id] = entity_id
         return OpinionUpload(
@@ -333,8 +333,6 @@ class Harness:
     # ---------------------------------------------------------- resharding
 
     def reshard(self, rng) -> None:
-        if not hasattr(self.server, "split_shard"):
-            return
         n_shards = self.server.router.n_shards
         if n_shards > 1 and (n_shards >= 6 or rng.random() < 0.5):
             a, b = (int(index) for index in rng.choice(n_shards, size=2, replace=False))
@@ -343,11 +341,11 @@ class Harness:
             perform(self.server, ReshardOp.split(int(rng.integers(n_shards))))
 
 
-def run_sequence(ops, deployment, n_shards, require_tokens, root: Path) -> str | None:
+def run_sequence(ops, n_shards, require_tokens, root: Path) -> str | None:
     """Run one sequence; returns ``None`` or a description of the first divergence."""
     workdir = Path(tempfile.mkdtemp(dir=root))
     try:
-        harness = Harness(deployment, n_shards, require_tokens, workdir)
+        harness = Harness(n_shards, require_tokens, workdir)
         step, name = -1, "setup"
         try:
             harness.check()
@@ -376,22 +374,18 @@ def shrink(ops, fails) -> list:
     return ops
 
 
-@pytest.mark.parametrize(
-    "deployment,n_shards", [("monolith", 1), ("sharded", 1), ("sharded", 4)]
-)
+@pytest.mark.parametrize("n_shards", [1, 4])
 @pytest.mark.parametrize("seed,require_tokens", [(1, True), (2, True), (3, False)])
-def test_server_matches_model(tmp_path, deployment, n_shards, seed, require_tokens):
+def test_server_matches_model(tmp_path, n_shards, seed, require_tokens):
     ops = generate(seed)
-    failure = run_sequence(ops, deployment, n_shards, require_tokens, tmp_path)
+    failure = run_sequence(ops, n_shards, require_tokens, tmp_path)
     if failure is not None:
         minimal = shrink(
             ops,
-            lambda candidate: run_sequence(
-                candidate, deployment, n_shards, require_tokens, tmp_path
-            )
+            lambda candidate: run_sequence(candidate, n_shards, require_tokens, tmp_path)
             is not None,
         )
-        reason = run_sequence(minimal, deployment, n_shards, require_tokens, tmp_path)
+        reason = run_sequence(minimal, n_shards, require_tokens, tmp_path)
         pytest.fail(f"server diverged from the intake model\n{minimal}\n{reason}")
 
 

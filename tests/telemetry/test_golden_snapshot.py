@@ -4,8 +4,9 @@ The aggregate-scope export (``Telemetry.digest(scope=AGGREGATE)``) is the
 observability twin of the epoch-report pins in
 ``tests/scale/test_golden_digest.py``: a pure function of *what happened*
 in the deployment, contractually byte-identical for every shard and
-worker count.  The grid below is the ISSUE's acceptance matrix — shards
-{1, 4, 8} × workers {1, 4} — plus the monolith that sources the pin.
+worker count.  The grid below is the acceptance matrix — shards
+{1, 4, 8} × workers {1, 4} — plus the default deployment (one shard, no
+workers) that sources the pin.
 
 If a pin moves because of an *intentional* change to the metric catalog
 or instrumentation points, re-derive it with the helpers below and
@@ -45,7 +46,8 @@ CHAOS_PLAN = FaultPlan(
 )
 CHAOS_RETRY = RetransmitPolicy(max_attempts=2, min_interval=6 * HOUR)
 
-#: The acceptance grid: monolith plus every sharded/pooled combination.
+#: The acceptance grid: the default deployment plus every sharded/pooled
+#: combination.
 DEPLOYMENTS = [(1, 0), (1, 1), (1, 4), (4, 1), (4, 4), (8, 1), (8, 4)]
 
 
@@ -92,18 +94,25 @@ def test_chaos_telemetry_pins(world, n_shards, workers):
 
 def test_export_json_itself_is_byte_identical(world):
     """The pin covers the digest; this covers the literal export bytes."""
-    mono = telemetry_of(world, 1, 0).export_json(scope=AGGREGATE)
+    one = telemetry_of(world, 1, 0).export_json(scope=AGGREGATE)
     sharded = telemetry_of(world, 8, 4).export_json(scope=AGGREGATE)
-    assert mono == sharded
+    assert one == sharded
 
 
 def test_deployment_scope_is_allowed_to_differ(world):
-    """Per-shard metrics exist only in sharded runs — and only outside
-    the invariant (aggregate) scope."""
-    mono = telemetry_of(world, 1, 0)
-    sharded = telemetry_of(world, 4, 0)
-    mono_names = {row["name"] for row in mono.export()["metrics"]}
-    sharded_names = {row["name"] for row in sharded.export()["metrics"]}
-    assert "rsp.shard.batch" in sharded_names - mono_names
-    assert mono.digest() != sharded.digest()  # full export differs...
-    assert mono.digest(scope=AGGREGATE) == sharded.digest(scope=AGGREGATE)
+    """Per-shard metrics carry the shard count — and only outside the
+    invariant (aggregate) scope."""
+    one = telemetry_of(world, 1, 0)
+    four = telemetry_of(world, 4, 0)
+
+    def shards_seen(telemetry):
+        return {
+            row["labels"]["shard"]
+            for row in telemetry.export()["metrics"]
+            if row["name"] == "rsp.shard.batch"
+        }
+
+    assert shards_seen(one) == {"0"}
+    assert shards_seen(four) == {"0", "1", "2", "3"}
+    assert one.digest() != four.digest()  # full export differs...
+    assert one.digest(scope=AGGREGATE) == four.digest(scope=AGGREGATE)
