@@ -150,10 +150,14 @@ def _classify(server, groups, now: float | None) -> int:
     redeem = server._redeemer.redeem
     bucket_of = server.router.shard_of_bytes
     nonce_buckets = server._nonce_buckets
+    # At one shard every nonce meets in the one bucket: skip its route.
+    only_bucket = nonce_buckets[0] if len(nonce_buckets) == 1 else None
     catalog = server.catalog
     note_opinion = server._engine.note_opinion
     kind_memo = _KIND_MEMO
     kind_of = _kind_of
+    is_instance = isinstance
+    string = str
     stored_record = StoredRecord
     new_history = InteractionHistory
 
@@ -167,6 +171,11 @@ def _classify(server, groups, now: float | None) -> int:
     try:
         for shard_index, group in groups:
             shard = server.shards[shard_index]
+            # The versions only key the shard's caches, so one bump per
+            # group up front does: a bump with nothing stored costs a cache
+            # rebuild, never a wrong answer.
+            shard.store_version += 1
+            shard.version += 1
             histories = shard.store._histories
             histories_get = histories.get
             by_entity = shard.store._by_entity
@@ -189,9 +198,12 @@ def _classify(server, groups, now: float | None) -> int:
                     nonce = envelope.nonce
                 except AttributeError:
                     nonce = None
-                nonce_bucket = (
-                    None if nonce is None else nonce_buckets[bucket_of(nonce)]
-                )
+                if nonce is None:
+                    nonce_bucket = None
+                elif only_bucket is not None:
+                    nonce_bucket = only_bucket
+                else:
+                    nonce_bucket = nonce_buckets[bucket_of(nonce)]
                 if require_tokens:
                     token = envelope.token
                     if token is None or not redeem(token):
@@ -208,11 +220,12 @@ def _classify(server, groups, now: float | None) -> int:
                     kind = kind_memo[record.__class__]
                 except KeyError:
                     kind = kind_of(record)
-                if kind is None or not isinstance(record.history_id, str):
+                if kind is None or not is_instance(history_id := record.history_id, string):
                     rejected["malformed"] = rejected.get("malformed", 0) + 1
                     continue
                 try:
-                    if record.entity_id not in catalog:
+                    entity_id = record.entity_id
+                    if entity_id not in catalog:
                         rejected["unknown-entity"] = (
                             rejected.get("unknown-entity", 0) + 1
                         )
@@ -220,32 +233,28 @@ def _classify(server, groups, now: float | None) -> int:
                     if kind == "interaction":
                         # The history-store append, inlined: the mismatch
                         # check and the write share one dict probe.
-                        history = histories_get(record.history_id)
+                        history = histories_get(history_id)
                         if history is None:
-                            history = new_history(
-                                history_id=record.history_id,
-                                entity_id=record.entity_id,
-                            )
-                            histories[record.history_id] = history
-                            by_entity.setdefault(record.entity_id, []).append(
-                                history
-                            )
-                        elif history.entity_id != record.entity_id:
+                            history = new_history(history_id, entity_id)
+                            histories[history_id] = history
+                            bound = by_entity.get(entity_id)
+                            if bound is None:
+                                by_entity[entity_id] = [history]
+                            else:
+                                bound.append(history)
+                        elif history.entity_id != entity_id:
                             mismatches += 1
                             rejected["history-mismatch"] = (
                                 rejected.get("history-mismatch", 0) + 1
                             )
                             continue
                         history.records.append(stored_record(record, arrival))
-                        shard.store_version += 1
-                        shard.version += 1
-                        mark_dirty(record.entity_id)
+                        mark_dirty(entity_id)
                     else:
-                        existing = opinions_get(record.history_id)
+                        existing = opinions_get(history_id)
                         if existing is None or record.seq > existing.seq:
-                            opinions[record.history_id] = record
-                            shard.version += 1
-                            owner = histories_get(record.history_id)
+                            opinions[history_id] = record
+                            owner = histories_get(history_id)
                             note_opinion(
                                 existing,
                                 record,
