@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.aggregation import EntityOpinionSummary
 from repro.fraud.detector import DetectorConfig, HistoryVerdict
-from repro.fraud.profiles import ProfilePools, TypicalProfile
+from repro.fraud.profiles import TypicalProfile
 from repro.scale.kernel import judge_frame, summarize_partition_frame
 from repro.telemetry import DEPLOYMENT
 from repro.telemetry.catalog import POOL_CHUNK_BUCKETS
@@ -135,21 +135,9 @@ def _run_chunk(fn: Callable[..., Any], chunk: list[tuple]) -> list[Any]:
 # reads shard state from the registered server snapshot.
 
 
-def collect_shard_pools(shard_index: int) -> ProfilePools:
-    """Phase A: pool one shard's per-kind fraud-profile feature values.
-
-    The pools are cached on the shard by store version, so the facade
-    now runs this phase in the parent (where the cache persists across
-    cycles); the task function remains for serial callers and tests.
-    """
-    server = _ACTIVE
-    shard = server.shards[shard_index]
-    return shard.pools(server.entity_kinds)
-
-
 @dataclass
 class ShardJudgement:
-    """Phase-B result for one shard."""
+    """The judge phase's result for one shard."""
 
     verdicts: list[HistoryVerdict] = field(default_factory=list)
     n_kept_opinions: int = 0
@@ -160,7 +148,7 @@ def judge_shard(
     profiles: dict[str, TypicalProfile],
     config: DetectorConfig | None,
 ) -> ShardJudgement:
-    """Phase B: judge one shard's histories against the global profiles."""
+    """Judge phase: one shard's histories against the global profiles."""
     server = _ACTIVE
     shard = server.shards[shard_index]
     frame = shard.frame(server.entity_kinds)
@@ -182,7 +170,7 @@ def judge_shard(
 def summarize_partition(
     partition_index: int, rejected_ids: frozenset[str]
 ) -> list[EntityOpinionSummary]:
-    """Phase C: summarize the entities routed to one partition.
+    """Summarize phase: the entities routed to one partition.
 
     Histories and opinions are partitioned by *record* key, so one
     entity's surviving records are scattered across shards; the cached

@@ -19,9 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.aggregation import OpinionUpload
-from repro.fraud.profiles import ProfilePools
 from repro.privacy.history_store import HistoryStore
-from repro.scale.kernel import ShardFrame, build_frame, collect_pools
+from repro.scale.kernel import ShardFrame, build_frame
 from repro.util.rng import derive_seed, make_rng
 
 
@@ -41,16 +40,14 @@ class ShardState:
         #: Entities whose state on this shard changed since the last
         #: maintenance cycle; drained into the incremental engine.
         self.dirty_entities: set[str] = set()
-        #: Bumped on every accepted interaction record; keys the frame
-        #: and profile-pool caches (opinions don't affect either).
+        #: Bumped when interaction records arrive; keys the frame cache
+        #: (opinions don't affect it).
         self.store_version = 0
         #: Bumped on interactions *and* opinion-slot changes; keys the
         #: cross-shard gather cache, which folds opinions in.
         self.version = 0
         self._frame: ShardFrame | None = None
         self._frame_version = -1
-        self._pools: ProfilePools | None = None
-        self._pools_version = -1
 
     def rng(self, label: str) -> np.random.Generator:
         """This shard's independent random stream for ``label``."""
@@ -69,23 +66,11 @@ class ShardState:
     def frame(self, entity_kinds: dict[str, str]) -> ShardFrame:
         """The columnar view of this shard's histories, cached by version.
 
-        Maintenance phases A and B both need the frame; the cache makes
-        the second request free as long as no record arrived in between.
+        Judging and the cross-shard gather both need the frame; the cache
+        makes the second request free as long as no record arrived in
+        between.
         """
         if self._frame is None or self._frame_version != self.store_version:
             self._frame = build_frame(self.store.all_histories(), entity_kinds)
             self._frame_version = self.store_version
         return self._frame
-
-    def pools(self, entity_kinds: dict[str, str]) -> ProfilePools:
-        """This shard's per-kind profile pools, cached by store version.
-
-        Pools depend only on stored interactions, so a cycle that saw no
-        new records on this shard reuses the previous reduction — the
-        shard-level half of the incremental-maintenance contract (the
-        entity-level half lives in :mod:`repro.service.incremental`).
-        """
-        if self._pools is None or self._pools_version != self.store_version:
-            self._pools = collect_pools(self.frame(entity_kinds))
-            self._pools_version = self.store_version
-        return self._pools

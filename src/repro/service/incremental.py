@@ -37,9 +37,10 @@ Dirty sets are Python ``set``s and therefore iterate in hash order;
 every loop below goes through ``sorted()`` before touching float math,
 and the ``det-dirty-iteration`` lint rule holds the line.
 
-The engine reads the stores only through a :class:`StoreView`.  The
-server passes its pooled profiles into :meth:`plan` and hands results of
-its columnar kernel (:mod:`repro.scale.kernel`) to :meth:`adopt_full`.
+The engine reads the stores only through a :class:`StoreView`, builds
+the fraud profiles itself from cached per-entity fragments, and either
+re-judges the tracked entities (:meth:`execute`) or adopts a full
+recompute from the server's columnar kernel (:meth:`adopt_full`).
 """
 
 from __future__ import annotations
@@ -51,7 +52,12 @@ from typing import Protocol
 
 from repro.core.aggregation import EntityOpinionSummary, OpinionUpload, summarize_entity
 from repro.fraud.detector import DetectorConfig, FraudDetector, HistoryVerdict
-from repro.fraud.profiles import TypicalProfile
+from repro.fraud.profiles import (
+    ProfilePools,
+    TypicalProfile,
+    collect_profile_pools,
+    profiles_from_pools,
+)
 from repro.privacy.history_store import InteractionHistory
 
 
@@ -142,6 +148,10 @@ class MaintenanceEngine:
         self.kept: dict[str, int] = {}
         self._accepted_ids: dict[str, frozenset[str]] = {}
         self._surviving: set[str] = set()
+        #: Per-entity feature-value fragments and the per-kind profiles
+        #: they roll up into.
+        self._fragments: dict[str, ProfilePools] = {}
+        self._kind_profiles: dict[str, TypicalProfile | None] = {}
         self._profile_digests: dict[str, str] = {}
         #: Cycle listeners (the serving layer's cache-invalidation hook).
         self._listeners: list[Callable[[frozenset[str]], None]] = []
@@ -191,15 +201,20 @@ class MaintenanceEngine:
 
     # ----------------------------------------------------------- planning
 
-    def plan(self, profiles: dict[str, TypicalProfile]) -> CyclePlan:
+    def plan(self, full: bool = False) -> CyclePlan:
         """Drain the dirty set and decide what this cycle must recompute.
 
-        ``profiles`` are this cycle's fraud profiles, pooled by the server
-        across its shards.
+        The fraud profiles are rebuilt from per-entity fragments, only for
+        the kinds that contain a dirty entity; ``full`` bypasses the
+        fragment cache and recollects everything, the honest from-scratch
+        baseline.
         """
         dirty = set(self._dirty)
         self._dirty.clear()
+        for entity_id in sorted(dirty):
+            self._fragments.pop(entity_id, None)
         entities = self.view.entities_with_histories()
+        profiles = self._build_profiles(dirty, entities, full=full)
         digests = {
             kind: profile_digest(profile, self.config)
             for kind, profile in sorted(profiles.items())
@@ -225,6 +240,51 @@ class MaintenanceEngine:
             n_entities=len(entities),
             prev_summary_keys=set(self.summaries),
         )
+
+    def _build_profiles(
+        self, dirty: set[str], entities: set[str], full: bool
+    ) -> dict[str, TypicalProfile]:
+        """Per-kind profiles from cached per-entity feature fragments.
+
+        Exactness: a kind's pooled values change only when one of its
+        entities' histories changed, and every such entity is dirty — so
+        a kind with no dirty entity reuses its cached profile, and the
+        result is the same multiset of values :func:`build_profiles`
+        would pool (``np.percentile`` sorts, so collection order never
+        matters).
+        """
+        by_kind: dict[str, list[str]] = {}
+        for entity_id in sorted(entities):
+            kind = self.entity_kinds.get(entity_id)
+            if kind is not None:
+                by_kind.setdefault(kind, []).append(entity_id)
+        dirty_kinds = {
+            self.entity_kinds.get(entity_id) for entity_id in sorted(dirty)
+        }
+        for kind in sorted(by_kind):
+            if not full and kind in self._kind_profiles and kind not in dirty_kinds:
+                continue
+            pool = ProfilePools()
+            for entity_id in by_kind[kind]:
+                fragment = self._fragments.get(entity_id)
+                if fragment is None:
+                    fragment = collect_profile_pools(
+                        self.view.histories_for_entity(entity_id), self.entity_kinds
+                    )
+                    if not full:
+                        self._fragments[entity_id] = fragment
+                _extend_pool(pool, fragment, kind)
+            built = profiles_from_pools(pool)
+            self._kind_profiles[kind] = built.get(kind)
+        # Kinds that lost their last entity keep a stale cache entry only
+        # if they can never come back dirty; drop them for hygiene.
+        for kind in sorted(set(self._kind_profiles) - set(by_kind)):
+            del self._kind_profiles[kind]
+        return {
+            kind: profile
+            for kind, profile in sorted(self._kind_profiles.items())
+            if profile is not None
+        }
 
     # ---------------------------------------------------------- execution
 
@@ -368,6 +428,18 @@ class MaintenanceEngine:
     @property
     def n_opinions_kept(self) -> int:
         return sum(self.kept.values())
+
+
+def _extend_pool(pool: ProfilePools, fragment: ProfilePools, kind: str) -> None:
+    """Concatenate one entity's fragment into a kind pool (multiset union)."""
+    n = fragment.n_histories.get(kind)
+    if not n:
+        return
+    pool.n_histories[kind] = pool.n_histories.get(kind, 0) + n
+    for name in ("gaps", "durations", "counts"):
+        values = getattr(fragment, name).get(kind)
+        if values:
+            getattr(pool, name).setdefault(kind, []).extend(values)
 
 
 def _set_or_pop(mapping: dict, key: str, value) -> None:

@@ -39,14 +39,13 @@ from repro.core.protocol import Envelope
 from repro.core.visualization import ComparativeVisualization, compare_entities
 from repro.fraud.attestation import AttestationQuote, AttestationVerifier
 from repro.fraud.detector import DetectorConfig, HistoryVerdict
-from repro.fraud.profiles import profiles_from_pools
 from repro.ingest.columnar import ingest_all, ingest_one
 from repro.privacy.anonymity import Delivery
 from repro.privacy.history_store import InteractionHistory
 from repro.privacy.tokens import TokenIssuer, UploadToken
 from repro.scale import parallel
 from repro.scale.kernel import GatherFrame, build_gather, kept_counts
-from repro.scale.merge import group_verdicts_by_entity, merge_pools
+from repro.scale.merge import group_verdicts_by_entity
 from repro.scale.router import ShardRouter
 from repro.scale.shard import ShardState
 from repro.service.incremental import CycleStats, MaintenanceEngine
@@ -427,17 +426,16 @@ class RSPServer:
         docs/SCALING.md).
 
         The cycle plans with the incremental engine (per-shard dirty sets
-        drained in, pooled profiles passed in) and then picks one of two
-        byte-identical executions: when few entities are tracked, the
-        engine re-judges and re-summarizes just those serially in the
-        parent; when at least half the deployment is tracked — or
-        ``incremental=False`` — the pooled kernel recompute is cheaper,
-        fanned across the shards (serially when ``workers == 0``): **A**
-        pools per-kind feature values per shard (cached by store version,
-        merged in the parent so the caches survive the fork); **B** judges
-        every shard's histories against the global profiles; **C**
-        rebuilds entity summaries per entity partition.  All merges are
-        order-independent (sums, sorted concatenations).
+        drained in; fraud profiles rebuilt for the kinds with a dirty
+        entity) and then picks one of two byte-identical executions: when
+        few entities are tracked, the engine re-judges and re-summarizes
+        just those serially in the parent; when at least half the
+        deployment is tracked — or ``incremental=False`` — the columnar
+        kernel recompute is cheaper, fanned across the shards (serially
+        when ``workers == 0``): it judges every shard's histories
+        against the global profiles, then rebuilds entity summaries per
+        entity partition.  All merges are order-independent (sums, sorted
+        concatenations).
 
         Telemetry is recorded in the parent process only — increments in
         forked pool workers would die with the worker, and parent-side
@@ -455,25 +453,18 @@ class RSPServer:
             for entity_id in sorted(shard.dirty_entities):
                 self._engine.mark_dirty(entity_id)
             shard.dirty_entities.clear()
-        # Warm the per-shard frames in the parent, *before* any pool
-        # forks: workers then inherit read-only columnar caches and never
-        # walk the store object graphs, which keeps fork-time
-        # copy-on-write from duplicating the stores.
-        for shard in self.shards:
-            shard.frame(self.entity_kinds)
-        # Phase A runs in the parent so the per-shard pool caches persist
-        # across cycles; a worker-side cache write would die with the fork.
-        profiles = profiles_from_pools(
-            merge_pools([shard.pools(self.entity_kinds) for shard in self.shards])
-        )
         full = not self.incremental
-        plan = self._engine.plan(profiles)
+        plan = self._engine.plan(full=full)
         # Hybrid execution: the serial engine wins while the tracked set
         # is small; once half the deployment must recompute anyway, the
         # pooled kernel is cheaper.  Both sides are byte-identical, so
         # the threshold only moves work, never results.
         use_kernel = full or 2 * len(plan.judge_tracked) >= max(1, plan.n_entities)
         if use_kernel:
+            # Warm the per-shard frames in the parent, *before* any pool
+            # forks: workers then inherit read-only columnar caches and
+            # never walk the store object graphs, which keeps fork-time
+            # copy-on-write from duplicating the stores.
             self.gather_frame()
             with parallel.MaintenancePool(self, self.workers) as pool:
                 judgements = pool.map(
