@@ -5,7 +5,14 @@ module measures whether it *holds up*: a tick loop drives Zipf-shaped
 synthetic traffic (:mod:`repro.ingest.loadgen`) through the bounded
 queue (:mod:`repro.ingest.queue`) into a tokenless :class:`RSPServer`
 via :func:`repro.ingest.columnar.ingest_all`, and reports steady-state
-events/sec and p99 intake latency after a warmup window.
+events/sec and intake latency after a warmup window.
+
+Latency is split in two.  *Queue wait* runs from an envelope's offer to
+the start of the drain that takes it, minus the time the load generator
+spent building later ticks' traffic meanwhile — that time belongs to the
+harness, not to the queue.  *Service time* is one drain's ``ingest_all``
+call.  An envelope's latency is its queue wait plus its batch's service
+time.
 
 Simulated time advances ``tick_seconds`` per tick (arrival times, outage
 windows, ingest-lag telemetry all live on the simulated clock);
@@ -117,6 +124,11 @@ class SoakReport:
     #: 99th-percentile offer→ingested latency, wall-clock milliseconds,
     #: post-warmup ticks only (queue wait plus service time).
     p99_latency_ms: float
+    #: 99th-percentile queue wait per envelope, milliseconds, without
+    #: load-generation time.
+    p99_queue_wait_ms: float
+    #: 99th-percentile service time per drained batch, milliseconds.
+    p99_service_ms: float
     wall_seconds: float
 
     def as_dict(self) -> dict:
@@ -134,6 +146,8 @@ class SoakReport:
             "shed_engaged": self.shed_engaged,
             "steady_events_per_sec": round(self.steady_events_per_sec, 1),
             "p99_latency_ms": round(self.p99_latency_ms, 3),
+            "p99_queue_wait_ms": round(self.p99_queue_wait_ms, 3),
+            "p99_service_ms": round(self.p99_service_ms, 3),
             "wall_seconds": round(self.wall_seconds, 3),
         }
 
@@ -158,11 +172,15 @@ def run_soak(
     server.attach_telemetry(telemetry)
     queue = BoundedIntakeQueue(config.queue_depth, telemetry=telemetry)
 
-    #: Offer-time stamp per queued envelope, FIFO like the queue itself.
-    offer_stamps: deque[float] = deque()
+    #: Per queued envelope, FIFO like the queue itself: its offer stamp
+    #: and the load-generation seconds spent before it.
+    offer_stamps: deque[tuple[float, float]] = deque()
+    waits: list[float] = []
     latencies: list[float] = []
+    services: list[float] = []
     steady_events = 0
     steady_wall = 0.0
+    generating = 0.0
     offered = 0
     now = 0.0
 
@@ -175,22 +193,28 @@ def run_soak(
             ingest_all(server, batch, now=now)
         end = _stamp()
         for _ in batch:
-            queued_at = offer_stamps.popleft()
+            queued_at, generated_before = offer_stamps.popleft()
             if in_steady:
-                latencies.append(end - queued_at)
+                wait = start - queued_at - (generating - generated_before)
+                waits.append(wait)
+                latencies.append(wait + end - start)
         if in_steady:
             steady_events += len(batch)
             steady_wall += end - start
+            if batch:
+                services.append(end - start)
 
     wall_start = _stamp()
     for tick in range(config.ticks):
         now = tick * config.tick_seconds
         surge = 1.0 if fault_hook is None else fault_hook.surge_factor(now)
+        generation_start = _stamp()
         arrivals = traffic.batch(int(config.arrivals_per_tick * surge), now)
+        generating += _stamp() - generation_start
         offered += len(arrivals)
         queued_at = _stamp()
         admitted = queue.offer_all(arrivals)
-        offer_stamps.extend([queued_at] * admitted)
+        offer_stamps.extend([(queued_at, generating)] * admitted)
         pump(now, in_steady=tick >= config.warmup_ticks)
     # Drain the backlog so every admitted envelope is accounted for.
     while queue.depth:
@@ -198,7 +222,9 @@ def run_soak(
         pump(now, in_steady=True)
     wall_seconds = _stamp() - wall_start
 
-    p99 = float(np.percentile(latencies, 99)) if latencies else 0.0
+    def p99_ms(values: list[float]) -> float:
+        return 1000.0 * float(np.percentile(values, 99)) if values else 0.0
+
     return SoakReport(
         ticks=config.ticks,
         offered=offered,
@@ -212,6 +238,8 @@ def run_soak(
         max_queue_depth=queue.high_watermark,
         shed_engaged=queue.shed > 0,
         steady_events_per_sec=(steady_events / steady_wall) if steady_wall else 0.0,
-        p99_latency_ms=p99 * 1000.0,
+        p99_latency_ms=p99_ms(latencies),
+        p99_queue_wait_ms=p99_ms(waits),
+        p99_service_ms=p99_ms(services),
         wall_seconds=wall_seconds,
     )

@@ -152,9 +152,13 @@ class Histogram:
         the builtin ``round`` — so the batched intake path of
         :mod:`repro.ingest` produces the same export as per-record intake.
         """
-        column = np.asarray(values, dtype=np.float64)
-        if column.size == 0:
+        if len(values) < 16:
+            # Below a handful of values the per-value path is cheaper than
+            # the array conversion.
+            for value in values:
+                self.observe(value)
             return
+        column = np.asarray(values, dtype=np.float64)
         per_bucket = np.bincount(
             np.searchsorted(np.asarray(self.bounds), column, side="left"),
             minlength=len(self.bucket_counts),

@@ -48,6 +48,10 @@ class TestSteadyState:
         assert report.accepted > 0
         assert report.steady_events_per_sec > 0
         assert report.p99_latency_ms >= 0
+        # Latency splits into queue wait (load generation excluded) and
+        # per-batch service time.
+        assert report.p99_service_ms > 0
+        assert report.p99_queue_wait_ms >= 0
         # Under-provisioned drain never sheds in the clean scenario.
         assert not report.shed_engaged
 
