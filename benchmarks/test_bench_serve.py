@@ -21,6 +21,9 @@ Three parts:
 * **C. the uncached baseline** — the same query mix answered by fresh
   recompute, giving the speedup denominator.
 
+The two paths answer different numbers of queries (the uncached path a
+sample), so both are reported per query, in µs, beside the totals.
+
 Emits ``BENCH_9.json`` (consumed by ``make bench-serve`` and
 EXPERIMENTS.md).
 """
@@ -62,7 +65,7 @@ UNCACHED_SAMPLE = 400
 
 
 def build_server():
-    """A warmed tokenless monolith: traffic in, summaries computed."""
+    """A warmed tokenless one-shard server: traffic in, summaries computed."""
     traffic = SyntheticTraffic(TRAFFIC)
     server = RSPServer(traffic.catalog, require_tokens=False)
     server.attach_telemetry(Telemetry())
@@ -141,16 +144,19 @@ def test_bench_serve_read_path(benchmark):
     # --- Part C: the uncached recompute baseline.
     uncached_qps, uncached_s = uncached_baseline(server, traffic)
     speedup = cached_qps / uncached_qps
+    cached_us = 1e6 / cached_qps
+    uncached_us = 1e6 / uncached_qps
 
     emit(comparison_table(
         f"B9: read path, {ROUNDS * QUERIES_PER_ROUND} Zipf queries over "
         f"{QUERIES.n_distinct} distinct ({TRAFFIC.n_entities} entities, "
         f"{ROUNDS} churn rounds)",
-        ["configuration", "reads/sec", "relative"],
+        ["configuration", "reads/sec", "us/query", "relative"],
         [
-            ["uncached recompute", f"{uncached_qps:,.0f}", "1.00x"],
-            ["cached serving layer", f"{cached_qps:,.0f}", f"{speedup:.2f}x"],
-            ["cache hit rate", f"{hit_rate:.1%}",
+            ["uncached recompute", f"{uncached_qps:,.0f}", f"{uncached_us:.1f}", "1.00x"],
+            ["cached serving layer", f"{cached_qps:,.0f}", f"{cached_us:.1f}",
+             f"{speedup:.2f}x"],
+            ["cache hit rate", f"{hit_rate:.1%}", "",
              f"{stats.invalidations} invalidations, "
              f"max dirty {dirty_fraction:.1%}"],
         ],
@@ -165,8 +171,12 @@ def test_bench_serve_read_path(benchmark):
             "zipf_exponent": QUERIES.zipf_exponent,
             "read_qps_cached": round(cached_qps),
             "read_qps_uncached": round(uncached_qps),
+            "cached_queries": ROUNDS * QUERIES_PER_ROUND,
+            "uncached_queries": UNCACHED_SAMPLE,
             "cached_s": round(cached_s, 4),
             "uncached_s": round(uncached_s, 4),
+            "cached_us_per_query": round(cached_us, 2),
+            "uncached_us_per_query": round(uncached_us, 2),
             "speedup": round(speedup, 3),
             "min_speedup": MIN_SPEEDUP,
             "hit_rate": round(hit_rate, 4),

@@ -1,19 +1,25 @@
 """B4 — telemetry instrumentation overhead on the sharded hot path.
 
-The observability contract of PR 4: running the sharded maintenance
-cycle with a live ``Telemetry`` sink must cost less than 5% wall time
-versus the ``NULL`` no-op sink on the same intake — maintenance records
-parent-side only (cycle spans, per-shard gauges), so its cost is
-O(shards), not O(records).  Intake is measured and reported too, but
-not gated: it records two events per envelope (an accepted/rejected
-counter and an ingest-lag observation), an inherent ~1 µs/event cost
-that the report keeps honest rather than hides.  Each configuration
-runs several fresh interleaved rounds and is scored on its best round,
-so a single scheduler hiccup cannot fail the gate.  Emits
+Running the sharded maintenance cycle with a live ``Telemetry`` sink
+must cost less than 5% wall time versus the ``NULL`` no-op sink on the
+same intake — maintenance records parent-side only (cycle spans,
+per-shard gauges), so its cost is O(shards), not O(records).  Batched
+intake is gated too: it accumulates its counters in locals and records
+them once per batch, with the ingest-lag column folded in one call, so
+a live sink may cost at most :data:`MAX_INTAKE_OVERHEAD` times the no-op
+sink's intake time.  Over 10 alternating rounds on a shared 2-core
+x86-64 host the median ratio measured 1.01x, with single rounds spread
+from 0.8x to 1.2x; the ceiling sits above that spread.
+
+Each configuration runs several fresh interleaved rounds, each after a
+full garbage collection (so no round pays for the previous round's
+server).  Maintenance is scored on its best round and intake on its
+median round, so a single scheduler hiccup cannot fail a gate.  Emits
 ``BENCH_4.json`` with the measured numbers (consumed by
 ``make bench-telemetry`` and EXPERIMENTS.md).
 """
 
+import gc
 import hashlib
 import json
 import pathlib
@@ -37,8 +43,9 @@ from conftest import BENCH_SEED
 N_HISTORIES = 8_000
 RECORDS_PER_HISTORY = 10
 N_SHARDS = 8
-ROUNDS = 3
+ROUNDS = 5
 MAX_OVERHEAD = 1.05
+MAX_INTAKE_OVERHEAD = 1.15
 
 
 def build_workload(entities):
@@ -102,8 +109,9 @@ def run_cycle(town, deliveries, telemetry=None):
     )
     if telemetry is not None:
         server.attach_telemetry(telemetry)
+    gc.collect()
     start = time.perf_counter()
-    accepted = server.receive_batch(deliveries)
+    accepted = server.receive_all(deliveries)
     mid = time.perf_counter()
     report = server.run_maintenance()
     end = time.perf_counter()
@@ -116,18 +124,18 @@ def test_bench_telemetry_overhead(benchmark):
     town = build_town(TownConfig(n_users=10), seed=BENCH_SEED)
     deliveries = build_workload(town.entities)
 
-    # Interleave the two configurations so drift hits both equally.
+    # Interleave the two configurations, alternating which goes first,
+    # so drift and warm-up hit both equally.
     null_intake, null_maint, live_intake, live_maint = [], [], [], []
     sinks = []
-    for _ in range(ROUNDS):
-        intake_s, maint_s, _ = run_cycle(town, deliveries, telemetry=None)
-        null_intake.append(intake_s)
-        null_maint.append(maint_s)
-        sink = Telemetry()
-        intake_s, maint_s, _ = run_cycle(town, deliveries, telemetry=sink)
-        live_intake.append(intake_s)
-        live_maint.append(maint_s)
-        sinks.append(sink)
+    for round_index in range(ROUNDS):
+        for live in (False, True) if round_index % 2 == 0 else (True, False):
+            sink = Telemetry() if live else None
+            intake_s, maint_s, _ = run_cycle(town, deliveries, telemetry=sink)
+            (live_intake if live else null_intake).append(intake_s)
+            (live_maint if live else null_maint).append(maint_s)
+            if live:
+                sinks.append(sink)
 
     def instrumented_cycle():
         sink = Telemetry()
@@ -143,13 +151,13 @@ def test_bench_telemetry_overhead(benchmark):
         assert sink.metrics.total("rsp.maintenance.cycles") == 1
 
     maint_ratio = min(live_maint) / min(null_maint)
-    intake_ratio = min(live_intake) / min(null_intake)
-    per_event_us = (
-        1e6 * (min(live_intake) - min(null_intake)) / (2 * len(deliveries))
-    )
+    null_intake_s = float(np.median(null_intake))
+    live_intake_s = float(np.median(live_intake))
+    intake_ratio = live_intake_s / null_intake_s
+    per_event_us = 1e6 * (live_intake_s - null_intake_s) / len(deliveries)
     emit(comparison_table(
         f"B4: {N_HISTORIES} histories x {RECORDS_PER_HISTORY} records, "
-        f"{N_SHARDS} shards (best of {ROUNDS})",
+        f"{N_SHARDS} shards ({ROUNDS} rounds)",
         ["phase", "NULL sink", "live sink", "relative", "gate"],
         [
             [
@@ -160,11 +168,11 @@ def test_bench_telemetry_overhead(benchmark):
                 f"<= {MAX_OVERHEAD}x",
             ],
             [
-                "intake (2 events/envelope)",
-                f"{min(null_intake):.3f}s",
-                f"{min(live_intake):.3f}s",
+                "batched intake (median)",
+                f"{null_intake_s:.3f}s",
+                f"{live_intake_s:.3f}s",
                 f"{intake_ratio:.3f}x",
-                f"informational ({per_event_us:.2f} us/event)",
+                f"<= {MAX_INTAKE_OVERHEAD}x ({per_event_us:.3f} us/envelope)",
             ],
         ],
     ))
@@ -182,10 +190,11 @@ def test_bench_telemetry_overhead(benchmark):
             "maintenance_instrumented_s": round(min(live_maint), 4),
             "maintenance_overhead_ratio": round(maint_ratio, 4),
             "max_overhead_ratio": MAX_OVERHEAD,
-            "intake_null_s": round(min(null_intake), 4),
-            "intake_instrumented_s": round(min(live_intake), 4),
+            "intake_null_s": round(null_intake_s, 4),
+            "intake_instrumented_s": round(live_intake_s, 4),
             "intake_overhead_ratio": round(intake_ratio, 4),
-            "intake_us_per_event": round(per_event_us, 3),
+            "max_intake_overhead_ratio": MAX_INTAKE_OVERHEAD,
+            "intake_us_per_envelope": round(per_event_us, 3),
         },
         indent=2,
     ) + "\n")
@@ -193,4 +202,8 @@ def test_bench_telemetry_overhead(benchmark):
     assert maint_ratio <= MAX_OVERHEAD, (
         f"telemetry maintenance overhead {maint_ratio:.3f}x > allowed "
         f"{MAX_OVERHEAD}x ({min(null_maint):.3f}s vs {min(live_maint):.3f}s)"
+    )
+    assert intake_ratio <= MAX_INTAKE_OVERHEAD, (
+        f"telemetry intake overhead {intake_ratio:.3f}x > allowed "
+        f"{MAX_INTAKE_OVERHEAD}x ({null_intake_s:.3f}s vs {live_intake_s:.3f}s)"
     )
