@@ -26,8 +26,8 @@ chaos:
 	$(PYTHON) -m repro.lint src/repro --select faults-only-in-harness
 	$(PYTHON) -m pytest tests/faults -q
 
-# Scale suite: differential + property tests proving the sharded server
-# equivalent to the monolith, then the line-coverage floor on repro.scale.
+# Scale suite: differential + property tests proving the server identical
+# at every shard count, then the line-coverage floor on repro.scale.
 scale:
 	$(PYTHON) -m pytest tests/scale -q
 	$(PYTHON) scripts/coverage_gate.py --fail-under 85
@@ -49,11 +49,12 @@ bench-telemetry:
 	$(PYTHON) -m pytest benchmarks/test_bench_telemetry.py --benchmark-only -q -s
 
 # Incremental-maintenance suite: incremental vs full-recompute byte
-# identity across the deployment matrix, the dirty-iteration lint rule,
-# and the line-coverage floor on repro.service (dirty-tracking code).
+# identity across the deployment matrix, the server and intake-model
+# suites, the dirty-iteration lint rule, and the line-coverage floor on
+# repro.service (the server and its dirty-tracking engine).
 incremental:
 	$(PYTHON) -m repro.lint src/repro --select det-dirty-iteration
-	$(PYTHON) -m pytest tests/scale/test_incremental.py tests/service -q
+	$(PYTHON) -m pytest tests/scale/test_incremental.py tests/service tests/spec -q
 	$(PYTHON) scripts/coverage_gate.py --target service --fail-under 85
 
 # Dirty-delta maintenance benchmark; emits BENCH_5.json at the repo root.
@@ -88,16 +89,17 @@ durable:
 bench-durable:
 	$(PYTHON) -m pytest benchmarks/test_bench_durability.py --benchmark-only -q -s
 
-# Intake-path suite (the CI ingest job): batched-vs-per-record byte
-# identity across the deployment matrix, backpressure/shed invariants,
-# the load generator, the soak smoke (including an overload window), the
-# batch-routing regression, and the line-coverage floor on repro.ingest.
+# Intake-path suite (the CI ingest job): the intake reference model and
+# its stateful test, per-record vs batched intake on the one intake loop,
+# backpressure/shed invariants, the load generator, the soak smoke
+# (including an overload window), the batch-routing regression, and the
+# line-coverage floor on repro.ingest.
 ingest:
-	$(PYTHON) -m pytest tests/ingest tests/scale/test_batch_routing.py -q
+	$(PYTHON) -m pytest tests/spec tests/ingest tests/scale/test_batch_routing.py -q
 	$(PYTHON) scripts/coverage_gate.py --target ingest --fail-under 85
 
-# Batched-vs-per-record intake throughput + soak benchmark; emits
-# BENCH_8.json at the repo root.
+# Intake throughput (per-record vs batched, one intake loop) + soak
+# benchmark; emits BENCH_8.json at the repo root.
 bench-ingest:
 	$(PYTHON) -m pytest benchmarks/test_bench_ingest.py --benchmark-only -q -s
 

@@ -28,17 +28,27 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
-#: Gated packages: name -> (source tree, default pytest targets).
+#: Gated packages: name -> (source tree, default pytest targets).  The
+#: server class lives in ``repro.service`` and its intake loop in
+#: ``repro.ingest``; the suites that drive them follow the code.
 TARGETS = {
     "scale": (SRC / "repro" / "scale", ["tests/scale"]),
     "telemetry": (SRC / "repro" / "telemetry", ["tests/telemetry"]),
     "service": (
         SRC / "repro" / "service",
-        ["tests/service", "tests/scale/test_incremental.py"],
+        [
+            "tests/service",
+            "tests/spec",
+            "tests/scale/test_incremental.py",
+            "tests/scale/test_sharded_server.py",
+        ],
     ),
     "analysis": (SRC / "repro" / "analysis", ["tests/analysis"]),
     "durability": (SRC / "repro" / "durability", ["tests/durability"]),
-    "ingest": (SRC / "repro" / "ingest", ["tests/ingest"]),
+    "ingest": (
+        SRC / "repro" / "ingest",
+        ["tests/ingest", "tests/spec", "tests/scale/test_batch_routing.py"],
+    ),
     "serve": (SRC / "repro" / "serve", ["tests/serve"]),
     "reshard": (SRC / "repro" / "reshard", ["tests/reshard"]),
 }
