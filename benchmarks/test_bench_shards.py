@@ -7,11 +7,7 @@ columnar kernel, so partitioning must cost little: eight serial shards
 may take at most :data:`MAX_PARTITION_OVERHEAD` times one shard's cycle.
 The pooled cycle is reported, not gated — its gain depends on the
 host's cores (on a 2-core host it measured slower than serial, because
-forking costs more than four workers gain there).
-
-The gate used to be a 2x speedup over the separate monolithic server,
-whose per-entity cycle did not use the kernel.  That server is gone; the
-one-shard cycle it measured against is now the kernel's own.  Emits
+forking costs more than four workers gain there).  Emits
 ``BENCH_3.json`` (consumed by ``make bench-shards`` and EXPERIMENTS.md).
 """
 

@@ -141,7 +141,7 @@ def deflate_groups_arrays(
     """Count distinct ``(quantized time, rounded duration)`` signatures.
 
     This is the single definition of a group signature: every caller —
-    the monolithic server and the sharded maintenance path alike — must
+    the serial maintenance engine and the columnar kernel alike — must
     quantize through here, so re-partitioning the stores can never change
     which interactions collapse into one group (the merge-determinism
     contract of ``docs/SCALING.md``).

@@ -6,7 +6,7 @@ duck-typed ``journal`` attribute (the same pattern as ``fault_hook`` and
 imports this package).  It owns a directory of:
 
 * ``wal-<lane>-<startseq>.log`` — WAL segments, one active per lane.
-  The monolith uses a single lane; the sharded server passes
+  The server passes ``n_lanes=router.n_shards`` and
   ``lane_of=router.shard_of`` so each shard's mutations land in their
   own per-shard WAL file (parallel-friendly I/O), while the **global**
   sequence number stays totally ordered across lanes — replay merges

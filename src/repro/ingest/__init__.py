@@ -2,11 +2,9 @@
 
 Three pieces, composable but independent:
 
-* :mod:`repro.ingest.columnar` — :func:`ingest_all`, the batched
-  decode/validate/dedup/dispatch kernel.  Byte-identical to per-record
-  :meth:`RSPServer.receive_all` (reports, counters, telemetry exports,
-  WAL bytes) at a fraction of the per-envelope overhead; works against
-  both the monolith and the sharded deployment.
+* :mod:`repro.ingest.columnar` — :func:`ingest_all`, the server's one
+  intake loop: decode, validate, dedup and dispatch, batched.  Every
+  ``RSPServer.receive*`` method runs it, at every shard count.
 * :mod:`repro.ingest.queue` — :class:`BoundedIntakeQueue`, admission
   control with deterministic shed-before-journal load-shedding and
   ``rsp.ingest.*`` telemetry.
@@ -15,11 +13,11 @@ Three pieces, composable but independent:
   soak harness that measures steady-state events/sec and p99 intake
   latency over it.
 
-This is harness-facing front-end code: it sits *in front of* the service
-layer (it may import :mod:`repro.service` and :mod:`repro.scale`, never
-the other way around) and it never imports :mod:`repro.faults` — overload
-scenarios come in through the same duck-typed ``fault_hook`` seam the
-servers use.  See ``docs/SCALING.md`` (ingest path) and
+The intake loop imports no server code (the server is duck-typed), so
+:mod:`repro.service` can import it.  The rest is harness-facing
+front-end code that sits *in front of* the service layer, and nothing
+here imports :mod:`repro.faults` — overload scenarios come in through
+the same duck-typed ``fault_hook`` seam the server uses.  See ``docs/SCALING.md`` (ingest path) and
 ``docs/OBSERVABILITY.md`` (metric catalog).
 """
 

@@ -304,7 +304,7 @@ class ReadPathIterationRule(Rule):
     description = "read-path set iterated in hash order in service code"
     rationale = (
         "the serving layer renders ranked output byte-identically across "
-        "monolith and shards; store-view set accessors and candidate/posting "
+        "shard counts; store-view set accessors and candidate/posting "
         "collections iterate in hash order unless sorted, which would leak "
         "shard layout and insertion history into what users see"
     )

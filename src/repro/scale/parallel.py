@@ -177,7 +177,7 @@ def summarize_partition(
     :class:`~repro.scale.kernel.GatherFrame` (built in the parent before
     any worker forked) regroups them columnarly, and
     :func:`~repro.scale.kernel.summarize_partition_frame` replays the
-    monolithic per-entity loop in canonical order — same sorted inputs,
+    serial engine's per-entity loop in canonical order — same sorted inputs,
     same float reductions, bit-identical summaries.
     """
     server = _ACTIVE

@@ -2,7 +2,7 @@
 
 The paper's user-facing half (Section 5, Figure 3) is search: "best X
 near Y" over the entity summaries the maintenance cycle keeps fresh.
-The monolithic :meth:`~repro.service.server.RSPServer.search` answers
+Plain :meth:`~repro.service.server.RSPServer.search` answers
 that by linear-scanning the catalog per query; this package is the
 serving layer that makes reads cheap and keeps them cheap across
 maintenance cycles:
@@ -24,7 +24,7 @@ maintenance cycles:
 
 Everything on the read path inherits the repository's byte-identity
 contract: for the same intake and maintenance schedule, a query renders
-the identical bytes on the monolith and on any shard/worker count, cold
+the identical bytes on any shard/worker count, cold
 or warm, before and after incremental maintenance — ``tests/serve``
 holds the proof obligations, ``docs/SERVING.md`` the design.
 """

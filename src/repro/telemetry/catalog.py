@@ -1,8 +1,8 @@
 """Histogram bucket shapes shared by every instrumentation site.
 
-A histogram's buckets are fixed at first use, and the monolithic and
-sharded servers must declare *identical* shapes for the same metric name
-or their exports could never be byte-identical — so the shapes live
+A histogram's buckets are fixed at first use, and every instrumentation
+site must declare *identical* shapes for the same metric name or exports
+could never be byte-identical across shard counts — so the shapes live
 here, once.  The full metric catalog (names, kinds, labels, scopes) is
 documented in ``docs/OBSERVABILITY.md``.
 """

@@ -8,9 +8,9 @@ export is a pure function of *what happened*, never of interleaving:
    :data:`SUM_SCALE`).  Integer addition is associative and commutative,
    so folding per-shard registries in any order — or accumulating
    observations in any order — lands on the same bits.  Float
-   accumulation would not: the monolithic server ingests in delivery
-   order while the sharded server ingests grouped per shard, and a float
-   running sum distinguishes the two.
+   accumulation would not: one shard ingests in delivery order while
+   more shards ingest grouped per shard, and a float running sum
+   distinguishes the two.
 2. **Closed merge semantics.**  ``merge(a, b)`` is defined per
    instrument: counters add, histograms add bucket-wise (requiring equal
    bucket bounds), and gauges take the lexicographic max of their
