@@ -10,6 +10,9 @@ reductions.
 Equivalence with the scalar detector is a *bitwise* contract, argued
 operation by operation:
 
+* percentile pools are multisets; the kernel pools exactly the same
+  float values the scalar path pools, in a different order that
+  ``np.percentile`` (sort-based) cannot observe;
 * minima, maxima, comparisons, and integer counts are exact regardless
   of evaluation order;
 * medians are taken as ``(sorted[lo] + sorted[hi]) / 2.0`` on per-history
@@ -42,7 +45,7 @@ from repro.fraud.detector import (
     FraudFlag,
     HistoryVerdict,
 )
-from repro.fraud.profiles import TypicalProfile
+from repro.fraud.profiles import ProfilePools, TypicalProfile
 from repro.privacy.history_store import InteractionHistory
 from repro.util.clock import DAY
 
@@ -153,6 +156,35 @@ def build_frame(
         gaps=gaps,
         gap_offsets=gap_offsets,
     )
+
+
+def collect_pools(frame: ShardFrame, min_history_length: int = 2) -> ProfilePools:
+    """Pool per-kind feature values from a frame, vectorized.
+
+    Pools the exact same float values as
+    :func:`repro.fraud.profiles.collect_profile_pools` over the same
+    histories — only the collection order differs, which the sort-based
+    percentile reduction cannot observe.
+    """
+    pools = ProfilePools()
+    if frame.n_histories == 0:
+        return pools
+    counts_f = frame.n_interactions.astype(np.float64)
+    record_codes = np.repeat(frame.codes, frame.n_raw)
+    gap_counts = np.diff(frame.gap_offsets)
+    gap_codes = np.repeat(frame.codes, gap_counts)
+    gap_eligible = np.repeat(frame.n_interactions >= min_history_length, gap_counts)
+    for code, label in enumerate(frame.kind_labels):
+        history_mask = frame.codes == code
+        if not history_mask.any():
+            continue
+        pools.n_histories[label] = int(history_mask.sum())
+        pools.counts[label] = counts_f[history_mask]
+        pools.durations[label] = frame.durations_raw[record_codes == code]
+        kind_gaps = frame.gaps[(gap_codes == code) & gap_eligible]
+        if kind_gaps.size:
+            pools.gaps[label] = kind_gaps
+    return pools
 
 
 @dataclass

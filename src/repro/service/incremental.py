@@ -38,7 +38,9 @@ every loop below goes through ``sorted()`` before touching float math,
 and the ``det-dirty-iteration`` lint rule holds the line.
 
 The engine reads the stores only through a :class:`StoreView`, builds
-the fraud profiles itself from cached per-entity fragments, and either
+the fraud profiles itself from cached per-entity fragments (or takes the
+server's pooled profiles when the whole deployment recomputes), and
+either
 re-judges the tracked entities (:meth:`execute`) or adopts a full
 recompute from the server's columnar kernel (:meth:`adopt_full`).
 """
@@ -201,20 +203,36 @@ class MaintenanceEngine:
 
     # ----------------------------------------------------------- planning
 
-    def plan(self, full: bool = False) -> CyclePlan:
+    def plan(
+        self,
+        full: bool = False,
+        pooled: Callable[[], dict[str, TypicalProfile]] | None = None,
+    ) -> CyclePlan:
         """Drain the dirty set and decide what this cycle must recompute.
 
         The fraud profiles are rebuilt from per-entity fragments, only for
         the kinds that contain a dirty entity; ``full`` bypasses the
         fragment cache and recollects everything, the honest from-scratch
-        baseline.
+        baseline.  When at least half the entities are dirty (or
+        ``full``), the cycle will recompute everything anyway, and
+        ``pooled`` — the server's profiles pooled from its columnar
+        frames, bitwise-equal to the fragment path — is used instead.
         """
         dirty = set(self._dirty)
         self._dirty.clear()
         for entity_id in sorted(dirty):
             self._fragments.pop(entity_id, None)
         entities = self.view.entities_with_histories()
-        profiles = self._build_profiles(dirty, entities, full=full)
+        if pooled is not None and (
+            full or 2 * len(dirty & entities) >= max(1, len(entities))
+        ):
+            profiles = pooled()
+            self._kind_profiles = {
+                kind: profiles.get(kind)
+                for kind in sorted({self.entity_kinds.get(e) for e in entities} - {None})
+            }
+        else:
+            profiles = self._build_profiles(dirty, entities, full=full)
         digests = {
             kind: profile_digest(profile, self.config)
             for kind, profile in sorted(profiles.items())

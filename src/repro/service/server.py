@@ -39,13 +39,14 @@ from repro.core.protocol import Envelope
 from repro.core.visualization import ComparativeVisualization, compare_entities
 from repro.fraud.attestation import AttestationQuote, AttestationVerifier
 from repro.fraud.detector import DetectorConfig, HistoryVerdict
+from repro.fraud.profiles import profiles_from_pools
 from repro.ingest.columnar import ingest_all, ingest_one
 from repro.privacy.anonymity import Delivery
 from repro.privacy.history_store import InteractionHistory
 from repro.privacy.tokens import TokenIssuer, UploadToken
 from repro.scale import parallel
-from repro.scale.kernel import GatherFrame, build_gather, kept_counts
-from repro.scale.merge import group_verdicts_by_entity
+from repro.scale.kernel import GatherFrame, build_gather, collect_pools, kept_counts
+from repro.scale.merge import group_verdicts_by_entity, merge_pools
 from repro.scale.router import ShardRouter
 from repro.scale.shard import ShardState
 from repro.service.incremental import CycleStats, MaintenanceEngine
@@ -411,6 +412,14 @@ class RSPServer:
             self._gather_versions = versions
         return self._gather
 
+    def _pooled_profiles(self) -> dict:
+        """Fraud profiles pooled from every shard's columnar frame."""
+        return profiles_from_pools(
+            merge_pools(
+                [collect_pools(shard.frame(self.entity_kinds)) for shard in self.shards]
+            )
+        )
+
     def run_maintenance(self, now: float | None = None) -> MaintenanceReport:
         """Rebuild fraud profiles, filter histories, recompute summaries.
 
@@ -427,7 +436,9 @@ class RSPServer:
 
         The cycle plans with the incremental engine (per-shard dirty sets
         drained in; fraud profiles rebuilt for the kinds with a dirty
-        entity) and then picks one of two byte-identical executions: when
+        entity, or pooled from the shards' columnar frames when at least
+        half the deployment is dirty) and then picks one of two
+        byte-identical executions: when
         few entities are tracked, the engine re-judges and re-summarizes
         just those serially in the parent; when at least half the
         deployment is tracked — or ``incremental=False`` — the columnar
@@ -454,7 +465,7 @@ class RSPServer:
                 self._engine.mark_dirty(entity_id)
             shard.dirty_entities.clear()
         full = not self.incremental
-        plan = self._engine.plan(full=full)
+        plan = self._engine.plan(full=full, pooled=self._pooled_profiles)
         # Hybrid execution: the serial engine wins while the tracked set
         # is small; once half the deployment must recompute anyway, the
         # pooled kernel is cheaper.  Both sides are byte-identical, so
