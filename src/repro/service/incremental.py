@@ -40,8 +40,7 @@ and the ``det-dirty-iteration`` lint rule holds the line.
 The engine reads the stores only through a :class:`StoreView`, builds
 the fraud profiles itself from cached per-entity fragments (or takes the
 server's pooled profiles when the whole deployment recomputes), and
-either
-re-judges the tracked entities (:meth:`execute`) or adopts a full
+either re-judges the tracked entities (:meth:`execute`) or adopts a full
 recompute from the server's columnar kernel (:meth:`adopt_full`).
 """
 
