@@ -110,8 +110,8 @@ def test_bench_reshard_locality_and_throughput(benchmark):
 
     native = make_deployment(town.entities, N_SHARDS_FINAL)
     grown = make_deployment(town.entities, N_SHARDS)
-    assert native.receive_batch(deliveries) == len(deliveries)
-    assert grown.receive_batch(deliveries) == len(deliveries)
+    assert native.receive_all(deliveries) == len(deliveries)
+    assert grown.receive_all(deliveries) == len(deliveries)
     total_histories = grown.n_histories
 
     # Grow 4 → 8 by splitting each original shard once, in canonical

@@ -1,14 +1,11 @@
-"""B3 — maintenance at one shard, at eight shards, and pooled.
+"""B3 — maintenance at one shard and at eight shards.
 
-One full maintenance cycle on the same intake at one shard, at eight
-shards in-process, and at eight shards across a worker pool, with
-byte-identical reports and summaries.  Every configuration runs the same
-columnar kernel, so partitioning must cost little: eight serial shards
-may take at most :data:`MAX_PARTITION_OVERHEAD` times one shard's cycle.
-The pooled cycle is reported, not gated — its gain depends on the
-host's cores (on a 2-core host it measured slower than serial, because
-forking costs more than four workers gain there).  Emits
-``BENCH_3.json`` (consumed by ``make bench-shards`` and EXPERIMENTS.md).
+One full maintenance cycle on the same intake at one shard and at eight
+shards, with byte-identical reports and summaries.  Both configurations
+run the same columnar kernel in-process, so partitioning must cost
+little: eight shards may take at most :data:`MAX_PARTITION_OVERHEAD`
+times one shard's cycle.  Emits ``BENCH_3.json`` (consumed by
+``make bench-shards`` and EXPERIMENTS.md).
 """
 
 import hashlib
@@ -33,7 +30,6 @@ from conftest import BENCH_SEED
 N_HISTORIES = 24_000
 RECORDS_PER_HISTORY = 12
 N_SHARDS = 8
-WORKERS = 4
 MAX_PARTITION_OVERHEAD = 1.5
 
 
@@ -97,49 +93,32 @@ def test_bench_sharded_maintenance_speedup(benchmark):
         key_seed=BENCH_SEED,
         require_tokens=False,
         n_shards=N_SHARDS,
-        workers=WORKERS,
-    )
-    serial = RSPServer(
-        catalog=town.entities,
-        key_seed=BENCH_SEED,
-        require_tokens=False,
-        n_shards=N_SHARDS,
-        workers=0,
     )
     assert one.receive_all(deliveries) == len(deliveries)
-    assert sharded.receive_batch(deliveries) == len(deliveries)
-    assert serial.receive_batch(deliveries) == len(deliveries)
+    assert sharded.receive_all(deliveries) == len(deliveries)
 
     start = time.perf_counter()
     one_report = one.run_maintenance()
     one_s = time.perf_counter() - start
 
-    start = time.perf_counter()
-    serial_report = serial.run_maintenance()
-    serial_s = time.perf_counter() - start
-
-    def pooled_cycle():
+    def sharded_cycle():
         return sharded.run_maintenance()
 
     start = time.perf_counter()
-    sharded_report = benchmark.pedantic(pooled_cycle, rounds=1, iterations=1)
+    sharded_report = benchmark.pedantic(sharded_cycle, rounds=1, iterations=1)
     sharded_s = time.perf_counter() - start
 
     # Equivalence first: speed bought with drift is worthless.
     assert repr(sharded_report) == repr(one_report)
-    assert repr(serial_report) == repr(one_report)
     assert sharded.all_summaries() == one.all_summaries()
-    assert sharded.pool_fallbacks == 0
 
-    speedup = one_s / sharded_s
-    serial_speedup = one_s / serial_s
+    sharded_speedup = one_s / sharded_s
     emit(comparison_table(
         f"B3: maintenance cycle, {N_HISTORIES} histories x {RECORDS_PER_HISTORY} records",
         ["configuration", "maintenance wall time", "speedup"],
         [
             ["one shard", f"{one_s:.3f}s", "1.00x"],
-            [f"sharded x{N_SHARDS}, serial", f"{serial_s:.3f}s", f"{serial_speedup:.2f}x"],
-            [f"sharded x{N_SHARDS}, {WORKERS} workers", f"{sharded_s:.3f}s", f"{speedup:.2f}x"],
+            [f"sharded x{N_SHARDS}", f"{sharded_s:.3f}s", f"{sharded_speedup:.2f}x"],
         ],
     ))
 
@@ -151,19 +130,16 @@ def test_bench_sharded_maintenance_speedup(benchmark):
             "records_per_history": RECORDS_PER_HISTORY,
             "n_records": one.n_records,
             "n_shards": N_SHARDS,
-            "workers": WORKERS,
             "baseline_s": round(one_s, 4),
-            "serial_sharded_s": round(serial_s, 4),
-            "sharded_s": round(sharded_s, 4),
-            "serial_speedup": round(serial_speedup, 3),
-            "speedup": round(speedup, 3),
+            "serial_sharded_s": round(sharded_s, 4),
+            "serial_speedup": round(sharded_speedup, 3),
             "max_partition_overhead": MAX_PARTITION_OVERHEAD,
         },
         indent=2,
     ) + "\n")
 
-    assert serial_s <= MAX_PARTITION_OVERHEAD * one_s, (
-        f"{N_SHARDS} serial shards took {serial_s / one_s:.2f}x one shard's "
+    assert sharded_s <= MAX_PARTITION_OVERHEAD * one_s, (
+        f"{N_SHARDS} shards took {sharded_s / one_s:.2f}x one shard's "
         f"cycle > allowed {MAX_PARTITION_OVERHEAD}x "
-        f"({one_s:.3f}s vs {serial_s:.3f}s)"
+        f"({one_s:.3f}s vs {sharded_s:.3f}s)"
     )

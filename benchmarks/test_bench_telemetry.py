@@ -105,7 +105,6 @@ def run_cycle(town, deliveries, telemetry=None):
         key_seed=BENCH_SEED,
         require_tokens=False,
         n_shards=N_SHARDS,
-        workers=0,
     )
     if telemetry is not None:
         server.attach_telemetry(telemetry)

@@ -7,10 +7,6 @@ of executable lines reported by each compiled module's ``co_lines()``,
 the numerator is the set of lines actually hit while the selected test
 suite runs in-process.
 
-Lines that only execute inside forked pool workers are invisible to the
-parent's trace function, so the suite's serial paths (which execute the
-same kernel/merge code) are what earns the floor.
-
 Usage::
 
     PYTHONPATH=src python scripts/coverage_gate.py --fail-under 85

@@ -2,12 +2,10 @@
 
 Where :mod:`repro.lint` checks one file at a time, this package builds a
 project-wide symbol table and call graph, propagates taint and mutation
-summaries across call edges, and runs four interprocedural checkers:
+summaries across call edges, and runs three interprocedural checkers:
 
 * ``interproc-privacy-taint`` — identity values reaching a publishing
   position through any call chain;
-* ``pool-shared-mutation`` — worker-reachable code mutating parent-owned
-  module state;
 * ``merge-purity`` — side effects inside the commutative merge registry;
 * ``determinism-reachability`` — entropy/clock/unordered iteration
   reachable from digest and report entry points.
@@ -24,7 +22,6 @@ from repro.analysis.checkers import (
     Finding,
     InterprocPrivacyTaintChecker,
     MergePurityChecker,
-    PoolSharedMutationChecker,
     default_checkers,
 )
 from repro.analysis.config import AnalysisConfig
@@ -46,7 +43,6 @@ __all__ = [
     "MergePurityChecker",
     "ModuleFacts",
     "MutationSummaries",
-    "PoolSharedMutationChecker",
     "ProjectIndex",
     "ResolvedCall",
     "ReturnSummaries",

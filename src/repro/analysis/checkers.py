@@ -1,4 +1,4 @@
-"""The four whole-program checkers.
+"""The three whole-program checkers.
 
 ==============================  =================================================
 checker id                      what it proves the absence of
@@ -7,10 +7,6 @@ checker id                      what it proves the absence of
                                 (upload constructor, telemetry label,
                                 service-side log, export/digest payload)
                                 through *any* call chain
-``pool-shared-mutation``        functions reachable from a worker entry
-                                point mutating parent-owned module state
-                                (fork shares it copy-on-write; writes are
-                                silently lost or racy)
 ``merge-purity``                merge-registry functions mutating their
                                 inputs, writing module state, or reading
                                 mutable globals — each breaks commutative
@@ -161,50 +157,6 @@ class InterprocPrivacyTaintChecker(Checker):
 
         TaintPropagator(context.index, context.returns).run(on_hit)
         return list(findings.values())
-
-
-class PoolSharedMutationChecker(Checker):
-    """Worker-reachable code mutating state the parent process owns."""
-
-    checker_id = "pool-shared-mutation"
-    description = (
-        "functions reachable from a process-pool entry point must not "
-        "mutate parent-owned module globals (fork shares them COW; the "
-        "write is lost or racy)"
-    )
-
-    def run(self, context: CheckContext) -> list[Finding]:
-        index = context.index
-        entries = index.worker_entries()
-        if not entries:
-            return []
-        reached = index.reachable(entries)
-        findings: list[Finding] = []
-        for qualname, chain in sorted(reached.items()):
-            summary = context.mutations.summaries.get(qualname)
-            facts = index.functions.get(qualname)
-            if summary is None or facts is None:
-                continue
-            for dotted, (line, via) in sorted(summary.globals.items()):
-                witness = f" (through `{via}`)" if via in index.functions else ""
-                findings.append(
-                    Finding(
-                        checker_id=self.checker_id,
-                        path=facts.path,
-                        line=line,
-                        col=0,
-                        function=qualname,
-                        message=(
-                            f"`{qualname}` is reachable from worker entry "
-                            f"`{chain[0]}` and mutates parent-owned "
-                            f"`{dotted}`{witness}; worker chain: "
-                            f"{_chain_text(chain)}"
-                        ),
-                        chain=chain,
-                        detail=f"{dotted}:{via}",
-                    )
-                )
-        return findings
 
 
 class MergePurityChecker(Checker):
@@ -390,7 +342,6 @@ class DeterminismReachabilityChecker(Checker):
 def default_checkers() -> list[Checker]:
     return [
         InterprocPrivacyTaintChecker(),
-        PoolSharedMutationChecker(),
         MergePurityChecker(),
         DeterminismReachabilityChecker(),
     ]

@@ -133,7 +133,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         prog="repro.analysis",
         description=(
             "whole-program analyzer: call graph, interprocedural privacy "
-            "taint, pool-mutation/merge-purity/determinism checkers "
+            "taint, merge-purity and determinism checkers "
             "(docs/STATIC_ANALYSIS.md)"
         ),
     )

@@ -4,8 +4,8 @@
 (identity names, sanitizers, sink constructors, telemetry vocabulary are
 shared — the two analyzers must agree on what "identity-bearing" means)
 and adds the whole-program knobs: which packages form the project, which
-module holds the commutative merge registry, how worker entry points are
-discovered, and which call targets are nondeterministic.
+module holds the commutative merge registry, and which call targets are
+nondeterministic.
 """
 
 from __future__ import annotations
@@ -31,15 +31,6 @@ class AnalysisConfig:
     #: registry — everything here must be side-effect-free on its inputs
     #: and read no mutable module state (``merge-purity``).
     merge_modules: tuple[str, ...] = ("repro.scale.merge",)
-
-    #: Method names that submit a function to a process pool.  Any
-    #: function reference passed as the first argument of such a call
-    #: becomes a worker entry point for ``pool-shared-mutation``.
-    pool_submit_methods: frozenset[str] = frozenset({"map", "submit"})
-
-    #: Worker entry points named explicitly (dotted function qualnames),
-    #: in addition to the ones discovered from pool submissions.
-    extra_worker_entries: tuple[str, ...] = ()
 
     #: Method names that mutate their receiver in place.
     mutator_methods: frozenset[str] = frozenset(
@@ -138,8 +129,6 @@ class AnalysisConfig:
                 self.lint.service_packages,
                 self.project_packages,
                 self.merge_modules,
-                sorted(self.pool_submit_methods),
-                self.extra_worker_entries,
                 sorted(self.mutator_methods),
                 sorted(self.report_entry_names),
                 sorted(self.nondet_calls),

@@ -199,7 +199,7 @@ class ProjectIndex:
 
         Besides direct targets, a function *reference* passed to an
         unresolved or external callee yields an edge — the callee may
-        invoke it (``pool.map(worker, …)``, ``sorted(key=fn)``).
+        invoke it (``map(fn, …)``, ``sorted(key=fn)``).
         """
         cached = self._successors.get(qualname)
         if cached is not None:
@@ -229,7 +229,7 @@ class ProjectIndex:
     def func_targets(self, atoms: Iterable) -> Iterator[str]:
         """Project functions an atom set may refer to.  Besides ``func``
         atoms, a ``global`` atom naming a project function *is* a
-        function reference (``parallel.judge_shard`` read as a module
+        function reference (``helpers.rank`` read as a module
         attribute)."""
         for atom in atoms:
             if atom[0] == "func" and atom[1] in self.functions:
@@ -267,30 +267,3 @@ class ProjectIndex:
                 chains[target] = chains[current] + (target,)
                 queue.append(target)
         return chains
-
-    # ---------------------------------------------------- worker entries
-
-    def worker_entries(self) -> dict[str, tuple[str, ...]]:
-        """Functions submitted to a process pool, with witness chains.
-
-        A call site whose callee is a ``pool_submit_methods`` method and
-        whose arguments carry ``("func", q)`` atoms marks ``q`` as a
-        worker entry point; ``extra_worker_entries`` adds more."""
-        entries: dict[str, tuple[str, ...]] = {}
-        for qualname, facts in self.functions.items():
-            for site in facts.calls:
-                method = site.callee.get("method")
-                if site.callee["kind"] not in ("method", "self", "dotted"):
-                    continue
-                if site.callee["kind"] == "dotted":
-                    method = site.callee["target"].rsplit(".", 1)[-1]
-                if method not in self.config.pool_submit_methods:
-                    continue
-                for atoms in self._site_atom_sets(site):
-                    for target in self.func_targets(atoms):
-                        entries.setdefault(target, (qualname, target))
-        for extra in self.config.extra_worker_entries:
-            canonical = self.canonical(extra)
-            if canonical in self.functions:
-                entries.setdefault(canonical, (canonical,))
-        return entries

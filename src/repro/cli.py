@@ -222,7 +222,6 @@ def _cmd_epochs(args: argparse.Namespace) -> int:
         n_epochs=args.epochs,
         fault_plan=plan,
         n_shards=args.shards,
-        workers=args.workers,
         durable_dir=args.durable_dir,
         replicate=args.replicate,
         snapshot_every=args.snapshot_every,
@@ -242,11 +241,8 @@ def _cmd_epochs(args: argparse.Namespace) -> int:
     if args.durable_dir is not None:
         mode = "primary/replica" if args.replicate else "WAL + snapshots"
         print(f"durability: {mode} under {args.durable_dir}")
-    if args.shards > 1 or args.workers > 0:
-        print(
-            f"deployment: {args.shards} shards, "
-            f"{args.workers} maintenance workers (0 = serial)"
-        )
+    if args.shards > 1:
+        print(f"deployment: {args.shards} shards")
     print(f"{'epoch':>5} {'new records':>12} {'total':>7} "
           f"{'histories':>10} {'opinions':>9} {'rejected':>9} "
           f"{'dropped':>8} {'bounced':>8} {'dup-sup':>8} {'resent':>7}")
@@ -289,7 +285,6 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
         n_epochs=args.epochs,
         fault_plan=plan,
         n_shards=args.shards,
-        workers=args.workers,
     )
     telemetry = outcome.telemetry
     scope = AGGREGATE if args.aggregate_only else None
@@ -299,7 +294,7 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
     if plan is not None:
         print(f"fault injection: {plan.describe()}\n")
     print(
-        f"deployment: {args.shards} shard(s), {args.workers} worker(s) — "
+        f"deployment: {args.shards} shard(s) — "
         f"aggregate digest {telemetry.digest(scope=AGGREGATE)[:16]}…\n"
     )
     print(render_dashboard(telemetry, scope=scope))
@@ -575,10 +570,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="store partitions (default 1)",
     )
     epochs.add_argument(
-        "--workers", type=int, default=0,
-        help="maintenance worker processes (0 = serial in-process)",
-    )
-    epochs.add_argument(
         "--durable-dir", default=None,
         help="WAL + snapshot directory (enables durable journaling)",
     )
@@ -645,10 +636,6 @@ def build_parser() -> argparse.ArgumentParser:
     telemetry.add_argument(
         "--shards", type=int, default=1,
         help="store partitions (default 1)",
-    )
-    telemetry.add_argument(
-        "--workers", type=int, default=0,
-        help="maintenance worker processes (0 = serial in-process)",
     )
     telemetry.add_argument(
         "--json", action="store_true", help="print the canonical JSON export instead"

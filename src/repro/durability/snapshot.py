@@ -50,7 +50,6 @@ _COUNTERS = (
     "history_mismatches",
     "dropped_by_outage",
     "rejected_attestations",
-    "pool_fallbacks",
 )
 
 

@@ -1,8 +1,8 @@
 """The RSP's intake loop: classify, dedup, and file every envelope.
 
 This module holds the one implementation of intake classification.
-:meth:`repro.service.server.RSPServer.receive_all` and ``receive_batch``
-call :func:`ingest_all`; ``receive`` calls :func:`ingest_one`.  The
+:meth:`repro.service.server.RSPServer.receive_all` calls
+:func:`ingest_all`; ``receive`` calls :func:`ingest_one`.  The
 server is duck-typed, so this module imports no server class.
 
 Classification, first match wins:

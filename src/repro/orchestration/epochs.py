@@ -86,7 +86,7 @@ class EpochsOutcome:
     replication: ReplicatedRSPServer | None = None
     #: SHA-256 over every rendered serve-path response of the run, in
     #: query order (``None`` unless ``serve_queries > 0``).  Contractually
-    #: deployment-invariant: shards, workers, incremental mode, batching,
+    #: deployment-invariant: shards, incremental mode, batching,
     #: durability, and cache temperature never change it
     #: (``tests/serve/test_differential.py``).
     serve_digest: str | None = None
@@ -120,7 +120,6 @@ def run_epochs(
     max_users: int | None = None,
     fault_plan: FaultPlan | None = None,
     n_shards: int = 1,
-    workers: int = 0,
     incremental: bool = True,
     durable_dir: str | Path | None = None,
     replicate: bool = False,
@@ -132,11 +131,10 @@ def run_epochs(
 ) -> EpochsOutcome:
     """Operate the service over ``n_epochs`` equal slices of the horizon.
 
-    ``n_shards``/``workers`` size the :class:`RSPServer`: its store
-    partitions and maintenance worker processes.  Every report this
-    driver emits is contractually bit-identical for every shard and
-    worker count (``tests/scale/test_differential.py``), so the flags are
-    pure performance knobs.  ``incremental`` likewise only moves work:
+    ``n_shards`` sizes the :class:`RSPServer`'s store partitions.  Every
+    report this driver emits is contractually bit-identical for every
+    shard count (``tests/scale/test_differential.py``), so the flag is a
+    pure performance knob.  ``incremental`` likewise only moves work:
     ``False`` forces every maintenance cycle to recompute from scratch,
     the baseline the default dirty-entity path must match byte for byte
     (``tests/scale/test_incremental.py``).
@@ -160,7 +158,7 @@ def run_epochs(
     :class:`~repro.faults.plan.PrimaryCrash` in the fault plan then
     kills the primary (torn WAL tail and all) and promotes the replica
     at the next epoch start.  Both knobs default off and, like
-    ``n_shards``/``workers``, never change any report the driver emits
+    ``n_shards``, never change any report the driver emits
     (see docs/DURABILITY.md).
 
     ``queue_depth`` bounds intake behind a
@@ -201,8 +199,6 @@ def run_epochs(
 
     if n_shards < 1:
         raise ValueError("need at least one shard")
-    if workers < 0:
-        raise ValueError("workers must be >= 0 (0 = serial)")
 
     injector = FaultInjector(fault_plan) if fault_plan is not None else None
     autoscaler = Autoscaler(autoscale) if autoscale is not None else None
@@ -223,7 +219,6 @@ def run_epochs(
             key_seed=config.seed,
             key_bits=config.key_bits,
             n_shards=n_shards,
-            workers=workers,
             incremental=incremental,
         )
 

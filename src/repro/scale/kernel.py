@@ -366,9 +366,8 @@ def judge_frame(
 class GatherFrame:
     """All shards' frames concatenated, with entity/partition codes.
 
-    Built once per maintenance cycle (and cached by store version) in the
-    *parent* process, before any worker forks — so the summarization
-    phase reads nothing but these flat arrays.  Entity codes index into
+    Built once per maintenance cycle (and cached by store version), so
+    the summarization phase reads nothing but these flat arrays.  Entity codes index into
     ``entity_order`` (sorted entity ids), which makes ``sorted(codes)``
     identical to sorting by entity id.
     """

@@ -24,7 +24,7 @@ maintenance cycles:
 
 Everything on the read path inherits the repository's byte-identity
 contract: for the same intake and maintenance schedule, a query renders
-the identical bytes on any shard/worker count, cold
+the identical bytes on any shard count, cold
 or warm, before and after incremental maintenance — ``tests/serve``
 holds the proof obligations, ``docs/SERVING.md`` the design.
 """

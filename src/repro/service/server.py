@@ -24,7 +24,7 @@ keyed by one of its values:
   same bucket, whatever record they arrive with.
 
 Every report, summary, serve response and aggregate telemetry value is
-the same for every shard and worker count; ``tests/scale`` and
+the same for every shard count; ``tests/scale`` and
 ``tests/spec`` hold the proof obligations.
 """
 
@@ -44,8 +44,14 @@ from repro.ingest.columnar import ingest_all, ingest_one
 from repro.privacy.anonymity import Delivery
 from repro.privacy.history_store import InteractionHistory
 from repro.privacy.tokens import TokenIssuer, UploadToken
-from repro.scale import parallel
-from repro.scale.kernel import GatherFrame, build_gather, collect_pools, kept_counts
+from repro.scale.kernel import (
+    GatherFrame,
+    build_gather,
+    collect_pools,
+    judge_frame,
+    kept_counts,
+    summarize_partition_frame,
+)
 from repro.scale.merge import group_verdicts_by_entity, merge_pools
 from repro.scale.router import ShardRouter
 from repro.scale.shard import ShardState
@@ -97,7 +103,7 @@ def emit_maintenance_telemetry(
 
     Every aggregate value here derives from the report and the *tracked*
     cycle stats, which are identical across incremental and full modes
-    and across shard/worker counts — so the AGGREGATE export stays
+    and across shard counts — so the AGGREGATE export stays
     byte-identical whatever actually executed.  The mode-dependent span
     lives under DEPLOYMENT scope, outside the invariant digest.
     """
@@ -201,13 +207,10 @@ class RSPServer:
         detector_config: DetectorConfig | None = None,
         attestation: AttestationVerifier | None = None,
         n_shards: int = 1,
-        workers: int = 0,
         incremental: bool = True,
     ) -> None:
         if not catalog:
             raise ValueError("catalog must be non-empty")
-        if workers < 0:
-            raise ValueError("workers must be >= 0 (0 = serial)")
         self.catalog = {entity.entity_id: entity for entity in catalog}
         self.entity_kinds = {e.entity_id: e.kind.label for e in catalog}
         self.issuer = TokenIssuer(
@@ -217,8 +220,6 @@ class RSPServer:
         self.attestation = attestation
         self.rejected_attestations = 0
         self.router = ShardRouter(n_shards)
-        #: Worker processes for maintenance (0 = in-process serial).
-        self.workers = workers
         #: Kept for resharding: split/merge derive new shard seeds from it.
         self._key_seed = key_seed
         #: Monotone count of applied reshard operations, and the ops
@@ -237,9 +238,9 @@ class RSPServer:
         #: ``False`` forces full kernel recompute every cycle — the
         #: contractual baseline the incremental path must match byte for
         #: byte (``tests/scale/test_incremental.py``).  ``True``
-        #: re-filters/re-summarizes only dirty entities serially when the
-        #: dirty set is small, falling back to the pooled kernel when most
-        #: of the deployment is dirty anyway.
+        #: re-filters/re-summarizes only dirty entities when the dirty
+        #: set is small, falling back to the columnar kernel when most of
+        #: the deployment is dirty anyway.
         self.incremental = incremental
         self._engine = MaintenanceEngine(
             ShardedStoreView(self), self.entity_kinds, detector_config
@@ -266,8 +267,6 @@ class RSPServer:
         #: is bound to a different entity (client bug or corruption
         #: attempt; split from generic storage failures).
         self.history_mismatches = 0
-        #: Times the worker pool died and maintenance re-ran serially.
-        self.pool_fallbacks = 0
         #: Optional harness hook with ``server_down(now) -> bool``.
         self.fault_hook = None
         #: Optional durability hook (duck-typed like ``fault_hook``): a
@@ -390,12 +389,6 @@ class RSPServer:
         """Process a batch of envelopes; returns how many were accepted."""
         return ingest_all(self, deliveries, now=now)
 
-    def receive_batch(
-        self, deliveries: list[Delivery[Envelope]], now: float | None = None
-    ) -> int:
-        """Alias of :meth:`receive_all`."""
-        return ingest_all(self, deliveries, now=now)
-
     # -------------------------------------------------------- maintenance
 
     def gather_frame(self) -> GatherFrame:
@@ -440,24 +433,17 @@ class RSPServer:
         half the deployment is dirty) and then picks one of two
         byte-identical executions: when
         few entities are tracked, the engine re-judges and re-summarizes
-        just those serially in the parent; when at least half the
+        just those; when at least half the
         deployment is tracked — or ``incremental=False`` — the columnar
-        kernel recompute is cheaper, fanned across the shards (serially
-        when ``workers == 0``): it judges every shard's histories
-        against the global profiles, then rebuilds entity summaries per
-        entity partition.  All merges are order-independent (sums, sorted
-        concatenations).
-
-        Telemetry is recorded in the parent process only — increments in
-        forked pool workers would die with the worker, and parent-side
-        recording is also what keeps the aggregate export invariant
-        across worker counts.
+        kernel recompute is cheaper, run shard by shard: it judges every
+        shard's histories against the global profiles, then rebuilds
+        entity summaries per entity partition.  All merges are
+        order-independent (sums, sorted concatenations).
         """
         report = MaintenanceReport(
             n_histories=self.n_histories,
             n_opinions_received=self.n_opinions,
         )
-        shard_indices = range(self.router.n_shards)
         # Drain the per-shard dirty sets into the engine (sorted — dirty
         # sets iterate in hash order, and `repro lint` holds the line).
         for shard in self.shards:
@@ -468,36 +454,31 @@ class RSPServer:
         plan = self._engine.plan(full=full, pooled=self._pooled_profiles)
         # Hybrid execution: the serial engine wins while the tracked set
         # is small; once half the deployment must recompute anyway, the
-        # pooled kernel is cheaper.  Both sides are byte-identical, so
+        # columnar kernel is cheaper.  Both sides are byte-identical, so
         # the threshold only moves work, never results.
         use_kernel = full or 2 * len(plan.judge_tracked) >= max(1, plan.n_entities)
         if use_kernel:
-            # Warm the per-shard frames in the parent, *before* any pool
-            # forks: workers then inherit read-only columnar caches and
-            # never walk the store object graphs, which keeps fork-time
-            # copy-on-write from duplicating the stores.
-            self.gather_frame()
-            with parallel.MaintenancePool(self, self.workers) as pool:
-                judgements = pool.map(
-                    parallel.judge_shard,
-                    [
-                        (index, plan.profiles, self._detector_config)
-                        for index in shard_indices
-                    ],
+            rejected = sorted(
+                (
+                    verdict
+                    for shard in self.shards
+                    for verdict in judge_frame(
+                        shard.frame(self.entity_kinds),
+                        plan.profiles,
+                        self._detector_config,
+                    ).verdicts
+                ),
+                key=lambda verdict: verdict.history_id,
+            )
+            rejected_ids = frozenset(verdict.history_id for verdict in rejected)
+            gather = self.gather_frame()
+            summaries = [
+                summary
+                for index, shard in enumerate(self.shards)
+                for summary in summarize_partition_frame(
+                    gather, index, rejected_ids, shard.reviews
                 )
-                rejected = sorted(
-                    (
-                        verdict
-                        for result in judgements
-                        for verdict in result.verdicts
-                    ),
-                    key=lambda verdict: verdict.history_id,
-                )
-                rejected_ids = frozenset(verdict.history_id for verdict in rejected)
-                partitions = pool.map(
-                    parallel.summarize_partition,
-                    [(index, rejected_ids) for index in shard_indices],
-                )
+            ]
             accepted_histories: dict[str, list[InteractionHistory]] = {}
             for shard in self.shards:
                 for history in shard.store.all_histories():
@@ -512,8 +493,8 @@ class RSPServer:
                 plan,
                 accepted_histories,
                 group_verdicts_by_entity(rejected),
-                kept_counts(self.gather_frame(), rejected_ids),
-                [summary for partition in partitions for summary in partition],
+                kept_counts(gather, rejected_ids),
+                summaries,
             )
         else:
             stats = self._engine.execute(plan)

@@ -27,9 +27,6 @@ UPLOAD_DELAY_BUCKETS: tuple[float, ...] = (HOUR, 3 * HOUR, 6 * HOUR, 12 * HOUR, 
 #: ``rsp.shard.batch`` — per-shard group size within one intake batch.
 SHARD_BATCH_BUCKETS: tuple[float, ...] = (1, 2, 5, 10, 20, 50, 100)
 
-#: ``rsp.pool.chunk`` — task tuples per worker chunk in the pool.
-POOL_CHUNK_BUCKETS: tuple[float, ...] = (1, 2, 4, 8, 16)
-
 #: ``rsp.maintenance.dirty_set`` — entities re-judged per maintenance
 #: cycle (the tracked dirty set after profile-digest re-dirtying).
 DIRTY_SET_BUCKETS: tuple[float, ...] = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)

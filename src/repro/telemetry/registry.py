@@ -23,9 +23,9 @@ export is a pure function of *what happened*, never of interleaving:
    key, so the JSON rendering is byte-stable.
 
 Every metric name carries a :class:`Scope`: ``AGGREGATE`` metrics are
-deployment-invariant (identical for any shard/worker count — these are
+deployment-invariant (identical for any shard count — these are
 what the golden snapshot pins), while ``DEPLOYMENT`` metrics describe
-one concrete deployment (per-shard batch sizes, pool fallbacks) and are
+one concrete deployment (per-shard batch sizes, shard store sizes) and are
 excluded from the invariant digest.
 """
 
@@ -44,7 +44,7 @@ from repro.telemetry.labels import canonical_labels
 #: nearest integer is deterministic and order-independent per observation.
 SUM_SCALE = 1000
 
-#: Deployment-invariant: identical across shard/worker counts.
+#: Deployment-invariant: identical across shard counts.
 AGGREGATE = "aggregate"
 #: Describes one concrete deployment; excluded from the invariant digest.
 DEPLOYMENT = "deployment"

@@ -209,6 +209,9 @@ class TestImportCycles:
 
 
 class TestWorkerEntries:
+    """A function handed to an external callee (a pool's ``map``, a fold)
+    is an edge: the callee may invoke it."""
+
     def test_function_reference_through_module_attribute(self, tmp_path):
         index = build_index(
             tmp_path,
@@ -228,26 +231,8 @@ class TestWorkerEntries:
                     """,
             },
         )
-        entries = index.worker_entries()
-        assert "repro.par.work" in entries
-
-    def test_extra_worker_entries_config(self, tmp_path):
-        from dataclasses import replace
-
-        from repro.analysis import AnalysisConfig
-
-        config = replace(AnalysisConfig(), extra_worker_entries=("repro.solo.work",))
-        index = build_index(
-            tmp_path,
-            {
-                "repro/solo.py": """
-                    def work(item):
-                        return item
-                    """
-            },
-            config=config,
-        )
-        assert "repro.solo.work" in index.worker_entries()
+        assert "repro.par.work" in targets_of(index, "repro.par.run")
+        assert "repro.par.work" in targets_of(index, "repro.drv.drive")
 
     def test_callback_passed_to_external_call_is_an_edge(self, tmp_path):
         index = build_index(

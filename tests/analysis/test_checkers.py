@@ -39,23 +39,6 @@ class TestInterprocPrivacyTaint:
         assert result.ok, [f.message for f in result.findings]
 
 
-class TestPoolSharedMutation:
-    def test_worker_reaching_module_global_write_is_reported(self, analyze):
-        result = analyze("scale/bad_pool.py")
-        findings = [
-            finding
-            for finding in result.findings
-            if finding.checker_id == "pool-shared-mutation"
-        ]
-        assert findings
-        assert all("repro.scale.bad_pool._CACHE" in f.message for f in findings)
-        assert all(f.chain[0].endswith("work_one") for f in findings)
-        # Both the direct writer and the worker entry that reaches it are
-        # reported — the summary propagates up the call chain.
-        functions = {f.function.rsplit(".", 1)[-1] for f in findings}
-        assert functions == {"work_one", "_remember"}
-
-
 class TestMergePurity:
     def test_input_mutation_and_mutable_global_read_are_reported(self, analyze):
         result = analyze("scale/merge.py")

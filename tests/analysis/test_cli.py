@@ -46,7 +46,6 @@ class TestSelection:
         out = capsys.readouterr().out
         for checker_id in (
             "interproc-privacy-taint",
-            "pool-shared-mutation",
             "merge-purity",
             "determinism-reachability",
         ):

@@ -77,6 +77,18 @@ class TestPartitionIndependence:
         assert capture_state(target) == state
         assert comparable_state(target) == comparable_state(source)
 
+    def test_restore_skips_a_retired_counter(self, catalog):
+        """Snapshots written before the maintenance worker pool was removed
+        still carry its ``pool_fallbacks`` counter; they must load."""
+        current = capture_state(self.fed(catalog, 2))
+        assert "pool_fallbacks" not in current["counters"]
+        legacy = json.loads(json.dumps(current))
+        legacy["counters"]["pool_fallbacks"] = 0
+        target = make_server(catalog, 2)
+        restore_state(target, legacy)
+        assert not hasattr(target, "pool_fallbacks")
+        assert capture_state(target) == current
+
     def test_restore_refuses_a_used_store(self, catalog):
         source = self.fed(catalog, 1)
         target = self.fed(catalog, 1)

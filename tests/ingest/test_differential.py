@@ -3,50 +3,30 @@
 :mod:`repro.ingest.columnar` is the server's one intake loop.  Whether
 envelopes arrive one at a time (``receive``) or in batches
 (``receive_all`` / ``ingest_all``), at one shard or many, with or without
-fault chaos and durability, intake produces
+durability, intake produces
 
 * the same accept/reject/duplicate classification for every envelope,
-* the same epoch report digests, opinion summaries, and fraud verdicts,
+* the same opinion summaries and fraud verdicts after maintenance,
 * the same aggregate telemetry (a batch adds only its batch-size
   histogram),
 * the same WAL, byte for byte, under the same global sequence numbers.
 
-The epoch-level matrix drives the full pipeline across shard/worker
-configurations, clean and under the chaos plan, against the one-shard
-run; the direct server-level tests pin each classification branch
+These direct server-level tests pin each classification branch
 (duplicate, stale seq, token bounce on a seen nonce, malformed and
 poisoned records) where the epoch pipeline would reach them only by
-luck.
+luck.  The epoch-level deployment matrix lives in
+``tests/scale/test_differential.py``.
 """
 
 import pytest
 
 from repro.core.protocol import Envelope
 from repro.durability.journal import DurableJournal, attach_journal
-from repro.faults import DropFault, DuplicateFault, FaultPlan, Window
 from repro.ingest import SyntheticTraffic, WorkloadConfig, ingest_all
-from repro.orchestration.epochs import run_epochs
-from repro.orchestration.pipeline import PipelineConfig, train_classifier
 from repro.privacy.anonymity import Delivery
 from repro.privacy.tokens import TokenWallet
-from repro.privacy.uploads import RetransmitPolicy
 from repro.service.server import RSPServer
 from repro.telemetry import AGGREGATE, Telemetry
-from repro.util.clock import DAY, HOUR
-from repro.world.behavior import BehaviorConfig, BehaviorSimulator
-from repro.world.population import TownConfig, build_town
-
-HORIZON_DAYS = 28.0
-HORIZON = HORIZON_DAYS * DAY
-N_EPOCHS = 3
-MAX_USERS = 8
-
-CHAOS = FaultPlan(
-    seed=17,
-    drops=(DropFault(Window(0.0, HORIZON + 30 * DAY), 0.05),),
-    duplicates=(DuplicateFault(Window(0.0, HORIZON + 30 * DAY), 0.10),),
-)
-RETRY = RetransmitPolicy(max_attempts=2, min_interval=6 * HOUR)
 
 #: A workload whose impurities exercise every classification branch.
 IMPURE = WorkloadConfig(
@@ -71,103 +51,6 @@ COUNTERS = (
 )
 
 
-# ------------------------------------------------------- epoch-level matrix
-
-
-@pytest.fixture(scope="module")
-def world():
-    town = build_town(TownConfig(n_users=30), seed=29)
-    result = BehaviorSimulator(
-        town.users, town.entities, BehaviorConfig(duration_days=HORIZON_DAYS), seed=29
-    ).run()
-    classifier = train_classifier(town, result, HORIZON, seed=29)
-    return town, result, classifier
-
-
-def run(world, n_shards=1, workers=0, plan=None, retransmit=None):
-    town, result, classifier = world
-    config = PipelineConfig(horizon_days=HORIZON_DAYS, seed=5, retransmit=retransmit)
-    return run_epochs(
-        town,
-        result,
-        config,
-        n_epochs=N_EPOCHS,
-        classifier=classifier,
-        max_users=MAX_USERS,
-        fault_plan=plan,
-        n_shards=n_shards,
-        workers=workers,
-    )
-
-
-def verdict_set(outcome):
-    return {
-        (v.history_id, v.entity_id, v.flags)
-        for report in outcome.reports
-        if report.maintenance is not None
-        for v in report.maintenance.rejected
-    }
-
-
-def assert_equivalent(baseline, candidate):
-    assert candidate.reports_digest() == baseline.reports_digest()
-    assert candidate.server.all_summaries() == baseline.server.all_summaries()
-    assert verdict_set(candidate) == verdict_set(baseline)
-    # The AGGREGATE telemetry scope is deployment-invariant by contract
-    # (tests/telemetry/test_golden_snapshot.py), so every cell must
-    # reproduce the one-shard export exactly.
-    assert candidate.telemetry.digest(scope=AGGREGATE) == baseline.telemetry.digest(
-        scope=AGGREGATE
-    )
-
-
-@pytest.fixture(scope="module")
-def clean_baseline(world):
-    return run(world)
-
-
-@pytest.fixture(scope="module")
-def chaos_baseline(world):
-    return run(world, plan=CHAOS, retransmit=RETRY)
-
-
-class TestCleanMatrix:
-    @pytest.mark.parametrize("n_shards", [1, 4, 8])
-    @pytest.mark.parametrize("workers", [0, 1, 4])
-    def test_batched_intake_is_indistinguishable(
-        self, world, clean_baseline, n_shards, workers
-    ):
-        outcome = run(world, n_shards=n_shards, workers=workers)
-        assert_equivalent(clean_baseline, outcome)
-
-    def test_baseline_is_not_vacuous(self, clean_baseline):
-        assert clean_baseline.server.n_records > 0
-        assert clean_baseline.server.accepted_envelopes > 0
-
-
-class TestChaosMatrix:
-    @pytest.mark.parametrize("n_shards,workers", [(1, 0), (4, 1), (8, 4)])
-    def test_batched_chaos_is_indistinguishable(
-        self, world, chaos_baseline, n_shards, workers
-    ):
-        outcome = run(
-            world,
-            n_shards=n_shards,
-            workers=workers,
-            plan=CHAOS,
-            retransmit=RETRY,
-        )
-        assert_equivalent(chaos_baseline, outcome)
-        assert (
-            outcome.server.duplicates_suppressed
-            == chaos_baseline.server.duplicates_suppressed
-        )
-
-    def test_chaos_actually_bites(self, chaos_baseline):
-        assert chaos_baseline.injector.messages_dropped > 0
-        assert chaos_baseline.server.duplicates_suppressed > 0
-
-
 # --------------------------------------------------- direct server parity
 
 
@@ -181,7 +64,7 @@ def paired_servers(n_shards=0, require_tokens=False):
     for catalog in (t1.catalog, t2.catalog):
         telemetry = Telemetry()
         server = RSPServer(
-            catalog, n_shards=n_shards or 1, workers=0, require_tokens=require_tokens
+            catalog, n_shards=n_shards or 1, require_tokens=require_tokens
         )
         server.attach_telemetry(telemetry)
         servers.append((server, telemetry))
@@ -364,7 +247,7 @@ def test_wal_bytes_identical(tmp_path, n_shards):
         traffic = SyntheticTraffic(IMPURE)
         telemetry = Telemetry()
         server = RSPServer(
-            traffic.catalog, n_shards=n_shards or 1, workers=0, require_tokens=False
+            traffic.catalog, n_shards=n_shards or 1, require_tokens=False
         )
         journal = DurableJournal(
             tmp_path / label / "primary",

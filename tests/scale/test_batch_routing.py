@@ -52,7 +52,7 @@ class CountingRouter(ShardRouter):
 def make_server(n_shards=4):
     traffic = SyntheticTraffic(WORKLOAD)
     server = ShardedRSPServer(
-        traffic.catalog, n_shards=n_shards, workers=0, require_tokens=False
+        traffic.catalog, n_shards=n_shards, require_tokens=False
     )
     server.attach_telemetry(Telemetry())
     counting = CountingRouter(n_shards)
@@ -65,7 +65,7 @@ class TestRouteOnce:
         server, counting, traffic = make_server()
         batch = traffic.batch(300, now=100.0)
         counting.calls = 0
-        server.receive_batch(batch, now=100.0)
+        server.receive_all(batch, now=100.0)
         assert counting.calls == len(batch)
 
     def test_single_shard_batch_routes_once_per_delivery(self):
@@ -78,15 +78,15 @@ class TestRouteOnce:
         ]
         assert len(target) > 10
         counting.calls = 0
-        server.receive_batch(target, now=100.0)
+        server.receive_all(target, now=100.0)
         assert counting.calls == len(target)
 
     def test_duplicates_do_not_route_twice_either(self):
         server, counting, traffic = make_server()
         batch = traffic.batch(200, now=100.0)
-        server.receive_batch(batch, now=100.0)
+        server.receive_all(batch, now=100.0)
         counting.calls = 0
-        server.receive_batch(batch, now=200.0)  # all duplicates
+        server.receive_all(batch, now=200.0)  # all duplicates
         assert counting.calls == len(batch)
         assert server.duplicates_suppressed >= len(batch)
 
@@ -100,7 +100,7 @@ class TestFastPathEquivalence:
             now = 100.0 * tick
             batch_a = t1.batch(250, now)
             batch_b = t2.batch(250, now)
-            batched.receive_batch(batch_a, now=now)
+            batched.receive_all(batch_a, now=now)
             for delivery in batch_b:
                 loop.receive(delivery, now=now)
         for attr in COUNTERS:
@@ -124,7 +124,7 @@ class TestFastPathEquivalence:
             if counting.shard_of(d.payload.record.history_id) == 1
         ]
         assert [d.payload.nonce for d in same] == [d.payload.nonce for d in twin]
-        fast.receive_batch(same, now=100.0)  # homogeneous: fast path
+        fast.receive_all(same, now=100.0)  # homogeneous: fast path
         for delivery in twin:  # per-envelope reference
             grouped.receive(delivery, now=100.0)
         for attr in COUNTERS:
@@ -144,7 +144,7 @@ class TestFastPathEquivalence:
             channel_tag="t",
         )
         before = server.rejected_envelopes
-        server.receive_batch([weird] + traffic.batch(40, 100.0), now=100.0)
+        server.receive_all([weird] + traffic.batch(40, 100.0), now=100.0)
         assert server.rejected_envelopes > before
         export = server.telemetry.metrics.export_json()
         assert "malformed" in export

@@ -2,17 +2,18 @@
 
 Every cell runs the full epochs pipeline — simulated town, on-device
 clients, mixnet, token issuance, maintenance — twice: once against the
-default one-shard :class:`RSPServer` and once with more shards or
-maintenance workers, and asserts *exact* equality of
+default one-shard :class:`RSPServer` and once with more shards, and
+asserts *exact* equality of
 
 * the per-epoch report digest (``EpochsOutcome.reports_digest()``),
 * every entity's opinion summary (all floats, bit for bit),
-* the set of fraud verdicts (which histories were flagged, and why).
+* the set of fraud verdicts (which histories were flagged, and why),
+* the AGGREGATE telemetry digest.
 
 The chaos cells repeat the comparison under a fault plan with drops,
 duplicates and retransmission, where intake interleaving is at its
 nastiest.  This suite is the proof obligation of the scale package:
-sharding and the process pool are pure implementation detail.
+sharding is pure implementation detail.
 """
 
 import pytest
@@ -21,6 +22,7 @@ from repro.faults import DropFault, DuplicateFault, FaultPlan, Window
 from repro.orchestration.epochs import run_epochs
 from repro.orchestration.pipeline import PipelineConfig, train_classifier
 from repro.privacy.uploads import RetransmitPolicy
+from repro.telemetry import AGGREGATE
 from repro.util.clock import DAY, HOUR
 from repro.world.behavior import BehaviorConfig, BehaviorSimulator
 from repro.world.population import TownConfig, build_town
@@ -48,7 +50,7 @@ def world():
     return town, result, classifier
 
 
-def run(world, seed, n_shards=1, workers=0, plan=None, retransmit=None):
+def run(world, seed, n_shards=1, plan=None, retransmit=None):
     town, result, classifier = world
     config = PipelineConfig(horizon_days=HORIZON_DAYS, seed=seed, retransmit=retransmit)
     return run_epochs(
@@ -60,7 +62,6 @@ def run(world, seed, n_shards=1, workers=0, plan=None, retransmit=None):
         max_users=MAX_USERS,
         fault_plan=plan,
         n_shards=n_shards,
-        workers=workers,
     )
 
 
@@ -77,6 +78,12 @@ def assert_equivalent(baseline, candidate):
     assert candidate.reports_digest() == baseline.reports_digest()
     assert candidate.server.all_summaries() == baseline.server.all_summaries()
     assert verdict_set(candidate) == verdict_set(baseline)
+    # The AGGREGATE telemetry scope is deployment-invariant by contract
+    # (tests/telemetry/test_golden_snapshot.py), so every cell must
+    # reproduce the one-shard export exactly.
+    assert candidate.telemetry.digest(scope=AGGREGATE) == baseline.telemetry.digest(
+        scope=AGGREGATE
+    )
 
 
 @pytest.fixture(scope="module")
@@ -87,14 +94,10 @@ def baselines(world):
 
 class TestCleanMatrix:
     @pytest.mark.parametrize("seed", [29, 31])
-    @pytest.mark.parametrize("n_shards,workers", [(1, 0), (2, 0), (8, 0), (8, 2)])
-    def test_sharded_run_is_indistinguishable(
-        self, world, baselines, seed, n_shards, workers
-    ):
-        outcome = run(world, seed, n_shards=n_shards, workers=workers)
+    @pytest.mark.parametrize("n_shards", [1, 2, 8])
+    def test_sharded_run_is_indistinguishable(self, world, baselines, seed, n_shards):
+        outcome = run(world, seed, n_shards=n_shards)
         assert_equivalent(baselines[seed], outcome)
-        if workers:
-            assert outcome.server.pool_fallbacks == 0
 
     def test_sanity_different_seeds_differ(self, baselines):
         """Guards the matrix against vacuous equality (e.g. empty runs)."""
@@ -108,13 +111,9 @@ class TestChaosMatrix:
     def chaos_baseline(self, world):
         return run(world, 29, plan=CHAOS, retransmit=RETRY)
 
-    @pytest.mark.parametrize("n_shards,workers", [(2, 0), (8, 0), (8, 2)])
-    def test_chaos_run_is_indistinguishable(
-        self, world, chaos_baseline, n_shards, workers
-    ):
-        outcome = run(
-            world, 29, n_shards=n_shards, workers=workers, plan=CHAOS, retransmit=RETRY
-        )
+    @pytest.mark.parametrize("n_shards", [2, 8])
+    def test_chaos_run_is_indistinguishable(self, world, chaos_baseline, n_shards):
+        outcome = run(world, 29, n_shards=n_shards, plan=CHAOS, retransmit=RETRY)
         assert_equivalent(chaos_baseline, outcome)
         # Same fault stream, same suppression behaviour — per shard.
         assert (

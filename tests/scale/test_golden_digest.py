@@ -47,7 +47,7 @@ def world():
     return town, result, classifier
 
 
-def digest_of(world, n_shards, workers, plan=None, retransmit=None):
+def digest_of(world, n_shards, plan=None, retransmit=None):
     town, result, classifier = world
     config = PipelineConfig(horizon_days=HORIZON_DAYS, seed=29, retransmit=retransmit)
     outcome = run_epochs(
@@ -59,19 +59,18 @@ def digest_of(world, n_shards, workers, plan=None, retransmit=None):
         max_users=8,
         fault_plan=plan,
         n_shards=n_shards,
-        workers=workers,
     )
     return hashlib.sha256(outcome.reports_digest().encode()).hexdigest()
 
 
-@pytest.mark.parametrize("n_shards,workers", [(1, 0), (8, 0)])
-def test_clean_scenario_pins(world, n_shards, workers):
-    assert digest_of(world, n_shards, workers) == GOLDEN_CLEAN
+@pytest.mark.parametrize("n_shards", [1, 8])
+def test_clean_scenario_pins(world, n_shards):
+    assert digest_of(world, n_shards) == GOLDEN_CLEAN
 
 
-@pytest.mark.parametrize("n_shards,workers", [(1, 0), (8, 2)])
-def test_chaos_scenario_pins(world, n_shards, workers):
+@pytest.mark.parametrize("n_shards", [1, 8])
+def test_chaos_scenario_pins(world, n_shards):
     assert (
-        digest_of(world, n_shards, workers, plan=CHAOS_PLAN, retransmit=CHAOS_RETRY)
+        digest_of(world, n_shards, plan=CHAOS_PLAN, retransmit=CHAOS_RETRY)
         == GOLDEN_CHAOS
     )

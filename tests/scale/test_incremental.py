@@ -2,10 +2,10 @@
 
 The matrix half of this suite runs the full epochs pipeline with
 ``incremental=True`` against a from-scratch (``incremental=False``)
-monolithic baseline and asserts *exact* equality of the per-epoch report
+one-shard baseline and asserts *exact* equality of the per-epoch report
 digest, every entity summary, and the aggregate telemetry digest — for
-every deployment in the acceptance grid (shards {1, 4, 8} × workers
-{1, 4}, plus the monolith), clean and under chaos.  An explicit
+every deployment in the acceptance grid (shards {1, 4, 8}), clean and
+under chaos.  An explicit
 cache-hit guard keeps the equality from being vacuous: the incremental
 runs must actually skip work.
 
@@ -59,7 +59,7 @@ def world():
     return town, result, classifier
 
 
-def run(world, n_shards=1, workers=0, plan=None, retransmit=None, incremental=True):
+def run(world, n_shards=1, plan=None, retransmit=None, incremental=True):
     town, result, classifier = world
     config = PipelineConfig(horizon_days=HORIZON_DAYS, seed=29, retransmit=retransmit)
     return run_epochs(
@@ -71,7 +71,6 @@ def run(world, n_shards=1, workers=0, plan=None, retransmit=None, incremental=Tr
         max_users=MAX_USERS,
         fault_plan=plan,
         n_shards=n_shards,
-        workers=workers,
         incremental=incremental,
     )
 
@@ -84,25 +83,23 @@ def assert_equivalent(baseline, candidate):
     )
 
 
-#: The acceptance grid: monolith plus shards {1, 4, 8} × workers {1, 4}.
-DEPLOYMENTS = [(1, 0), (1, 1), (1, 4), (4, 1), (4, 4), (8, 1), (8, 4)]
+#: The acceptance grid: shards {1, 4, 8}.
+DEPLOYMENTS = [1, 4, 8]
 
 
 class TestCleanMatrix:
     @pytest.fixture(scope="class")
     def full_baseline(self, world):
-        """Monolithic from-scratch recompute: the contractual reference."""
+        """One-shard from-scratch recompute: the contractual reference."""
         return run(world, incremental=False)
 
-    @pytest.mark.parametrize("n_shards,workers", DEPLOYMENTS)
-    def test_incremental_matches_full_recompute(
-        self, world, full_baseline, n_shards, workers
-    ):
-        outcome = run(world, n_shards=n_shards, workers=workers, incremental=True)
+    @pytest.mark.parametrize("n_shards", DEPLOYMENTS)
+    def test_incremental_matches_full_recompute(self, world, full_baseline, n_shards):
+        outcome = run(world, n_shards=n_shards, incremental=True)
         assert_equivalent(full_baseline, outcome)
 
     def test_full_mode_is_also_deployment_invariant(self, world, full_baseline):
-        outcome = run(world, n_shards=4, workers=1, incremental=False)
+        outcome = run(world, n_shards=4, incremental=False)
         assert_equivalent(full_baseline, outcome)
 
     def test_incremental_runs_actually_skip_work(self, world):
@@ -120,14 +117,11 @@ class TestChaosMatrix:
     def chaos_full_baseline(self, world):
         return run(world, plan=CHAOS, retransmit=RETRY, incremental=False)
 
-    @pytest.mark.parametrize("n_shards,workers", [(1, 0), (4, 1), (8, 2)])
-    def test_chaos_incremental_matches_full(
-        self, world, chaos_full_baseline, n_shards, workers
-    ):
+    @pytest.mark.parametrize("n_shards", DEPLOYMENTS)
+    def test_chaos_incremental_matches_full(self, world, chaos_full_baseline, n_shards):
         outcome = run(
             world,
             n_shards=n_shards,
-            workers=workers,
             plan=CHAOS,
             retransmit=RETRY,
             incremental=True,

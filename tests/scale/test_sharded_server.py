@@ -16,7 +16,6 @@ from repro.privacy.anonymity import Delivery
 from repro.privacy.history_store import InteractionUpload
 from repro.privacy.identifiers import DeviceIdentity
 from repro.privacy.tokens import TokenWallet
-from repro.scale import parallel
 from repro.scale.server import ShardedRSPServer
 from repro.service.server import RSPServer
 from repro.world.population import TownConfig, build_town
@@ -27,14 +26,13 @@ def town():
     return build_town(TownConfig(n_users=5), seed=20)
 
 
-def make_pair(town, n_shards, workers=0, **kwargs):
+def make_pair(town, n_shards, **kwargs):
     mono = RSPServer(catalog=town.entities, key_seed=20, key_bits=256, **kwargs)
     sharded = ShardedRSPServer(
         catalog=town.entities,
         key_seed=20,
         key_bits=256,
         n_shards=n_shards,
-        workers=workers,
         **kwargs,
     )
     return mono, sharded
@@ -146,9 +144,9 @@ class TestIntakeEquivalence:
         assert intake_script(mono, town) == intake_script(sharded, town)
         assert counters(mono) == counters(sharded)
 
-    @pytest.mark.parametrize("n_shards,workers", [(1, 0), (2, 0), (8, 0), (8, 2)])
-    def test_maintenance_and_summaries_match(self, town, n_shards, workers):
-        mono, sharded = make_pair(town, n_shards, workers=workers)
+    @pytest.mark.parametrize("n_shards", [1, 2, 8])
+    def test_maintenance_and_summaries_match(self, town, n_shards):
+        mono, sharded = make_pair(town, n_shards)
         intake_script(mono, town)
         intake_script(sharded, town)
         assert repr(mono.run_maintenance()) == repr(sharded.run_maintenance())
@@ -160,7 +158,7 @@ class TestIntakeEquivalence:
             )
 
     def test_batch_and_single_intake_agree(self, town):
-        """``receive_batch`` regroups by shard; outcomes must not move."""
+        """``receive_all`` groups by shard; outcomes must not move."""
         one, batch = (
             ShardedRSPServer(
                 catalog=town.entities,
@@ -182,7 +180,7 @@ class TestIntakeEquivalence:
             delivery(interaction(identity, entities[0], t=3000.0), nonce=bytes([3]))
         )
         accepted_single = sum(1 for d in deliveries if one.receive(d))
-        accepted_batch = batch.receive_batch(deliveries)
+        accepted_batch = batch.receive_all(deliveries)
         assert accepted_single == accepted_batch
         assert counters(one) == counters(batch)
 
@@ -193,8 +191,8 @@ class TestIntakeEquivalence:
         identity = DeviceIdentity.create("u", seed=2)
         entity_id = town.entities[0].entity_id
         record = interaction(identity, entity_id)
-        assert server.receive_batch([delivery(record, nonce=b"same-nonce")]) == 1
-        assert server.receive_batch([delivery(record, nonce=b"same-nonce")]) == 0
+        assert server.receive_all([delivery(record, nonce=b"same-nonce")]) == 1
+        assert server.receive_all([delivery(record, nonce=b"same-nonce")]) == 0
         assert server.duplicates_suppressed == 1
         assert server.n_unique_nonces == 1
 
@@ -285,44 +283,6 @@ class TestFacadeParity:
             r.entity.entity_id for r in b.results
         ]
         assert repr(a.visualization) == repr(b.visualization)
-
-
-class TestPoolFallback:
-    def test_broken_pool_degrades_to_identical_serial_result(self, town):
-        mono, sharded = make_pair(town, 4, workers=2)
-        intake_script(mono, town)
-        intake_script(sharded, town)
-
-        class ExplodingExecutor:
-            def submit(self, fn, *args):
-                raise OSError("worker pipe torn down")
-
-            def shutdown(self, wait=True, cancel_futures=False):
-                pass
-
-        original_enter = parallel.MaintenancePool.__enter__
-
-        def sabotaged_enter(pool):
-            original_enter(pool)
-            if pool._executor is not None:
-                pool._executor.shutdown(wait=True, cancel_futures=True)
-            pool._executor = ExplodingExecutor()
-            return pool
-
-        parallel.MaintenancePool.__enter__ = sabotaged_enter
-        try:
-            report = sharded.run_maintenance()
-        finally:
-            parallel.MaintenancePool.__enter__ = original_enter
-        assert sharded.pool_fallbacks >= 1
-        assert repr(report) == repr(mono.run_maintenance())
-        assert sharded.all_summaries() == mono.all_summaries()
-
-    def test_zero_workers_never_forks(self, town):
-        _, sharded = make_pair(town, 2, workers=0)
-        with parallel.MaintenancePool(sharded, 0) as pool:
-            assert pool._executor is None
-            assert pool.map(lambda x: x * 2, [(1,), (2,)]) == [2, 4]
 
 
 def test_scale_name_is_the_server_class(town):

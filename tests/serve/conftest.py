@@ -33,7 +33,6 @@ def make_server(n_shards=0, catalog=None, incremental=True):
     server = RSPServer(
         catalog,
         n_shards=n_shards or 1,
-        workers=0,
         require_tokens=False,
         incremental=incremental,
     )

@@ -253,7 +253,7 @@ def settle(server, entities):
     """Give ``entities`` maintained histories before the test's own cycles.
 
     A cycle that tracks at least half of the entities with histories runs
-    the pooled kernel, which judges without the engine's detector.  With
+    the columnar kernel, which judges without the engine's detector.  With
     two settled entities of another kind, dirtying one restaurant stays on
     the engine's serial path — the path the patched detector drives.
     """

@@ -7,11 +7,11 @@ responses are byte-identical, and the run-level ``serve_digest`` (plus
 the AGGREGATE telemetry export, which now carries the ``rsp.serve.*``
 counters) is deployment-invariant.
 
-Two layers, mirroring ``tests/ingest/test_differential.py``:
+Two layers:
 
 * the **epoch-level matrix** drives the full pipeline with
-  ``serve_queries`` on, clean and under the chaos plan, across shard,
-  worker, and incremental configurations, asserting equal
+  ``serve_queries`` on, clean and under the chaos plan, across shard
+  and incremental configurations, asserting equal
   ``serve_digest`` and equal AGGREGATE telemetry;
 * the **direct server matrix** pins the cache-temperature axis the epoch
   driver can only reach implicitly: the same query list answered cold,
@@ -64,7 +64,6 @@ def world():
 def run(
     world,
     n_shards=1,
-    workers=0,
     incremental=True,
     plan=None,
     retransmit=None,
@@ -80,7 +79,6 @@ def run(
         max_users=MAX_USERS,
         fault_plan=plan,
         n_shards=n_shards,
-        workers=workers,
         incremental=incremental,
         serve_queries=SERVE_QUERIES,
     )
@@ -110,11 +108,11 @@ def chaos_baseline(world):
 
 
 class TestCleanMatrix:
-    @pytest.mark.parametrize("n_shards,workers", [(1, 1), (4, 0), (8, 0)])
+    @pytest.mark.parametrize("n_shards", [4, 8])
     def test_sharded_serving_is_indistinguishable(
-        self, world, clean_baseline, n_shards, workers
+        self, world, clean_baseline, n_shards
     ):
-        outcome = run(world, n_shards=n_shards, workers=workers)
+        outcome = run(world, n_shards=n_shards)
         assert_equivalent(clean_baseline, outcome)
 
     def test_full_recompute_serving_is_indistinguishable(
@@ -133,13 +131,11 @@ class TestCleanMatrix:
 
 
 class TestChaosMatrix:
-    @pytest.mark.parametrize("n_shards,workers", [(1, 1), (4, 0), (8, 4)])
+    @pytest.mark.parametrize("n_shards", [4, 8])
     def test_sharded_serving_under_chaos_is_indistinguishable(
-        self, world, chaos_baseline, n_shards, workers
+        self, world, chaos_baseline, n_shards
     ):
-        outcome = run(
-            world, n_shards=n_shards, workers=workers, plan=CHAOS, retransmit=RETRY
-        )
+        outcome = run(world, n_shards=n_shards, plan=CHAOS, retransmit=RETRY)
         assert_equivalent(chaos_baseline, outcome)
 
     def test_chaos_actually_bites_and_still_serves(
@@ -192,7 +188,7 @@ def test_cold_warm_and_post_maintenance_reads_match_the_oracle(
     t_ref, t_dut = SyntheticTraffic(config), SyntheticTraffic(config)
     reference = RSPServer(t_ref.catalog, require_tokens=False)
     dut = ShardedRSPServer(
-        t_dut.catalog, n_shards=n_shards, workers=0, require_tokens=False
+        t_dut.catalog, n_shards=n_shards, require_tokens=False
     )
     for server in (reference, dut):
         server.attach_telemetry(Telemetry())
@@ -242,7 +238,7 @@ def test_aggregate_serve_counters_match_across_deployments():
         traffic = SyntheticTraffic(WORKLOADS["chaos"])
         if n_shards:
             server = ShardedRSPServer(
-                traffic.catalog, n_shards=n_shards, workers=0, require_tokens=False
+                traffic.catalog, n_shards=n_shards, require_tokens=False
             )
         else:
             server = RSPServer(traffic.catalog, require_tokens=False)

@@ -54,10 +54,10 @@ def world():
     return town, result, classifier
 
 
-@pytest.fixture(scope="module", params=[(1, 0), (4, 0)], ids=["monolith", "sharded"])
+@pytest.fixture(scope="module", params=[1, 4], ids=["monolith", "sharded"])
 def outcome(request, world):
     town, result, classifier = world
-    n_shards, workers = request.param
+    n_shards = request.param
     config = PipelineConfig(horizon_days=HORIZON_DAYS, seed=29, retransmit=RETRY)
     return run_epochs(
         town,
@@ -68,7 +68,6 @@ def outcome(request, world):
         max_users=8,
         fault_plan=CHAOS_PLAN,
         n_shards=n_shards,
-        workers=workers,
     )
 
 

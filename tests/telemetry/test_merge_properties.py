@@ -135,7 +135,7 @@ class TestRegistryAndTimelineMerge:
     def test_registry_merge_creates_missing_instruments(self):
         a, b = MetricsRegistry(), MetricsRegistry()
         b.inc("rsp.envelopes.accepted", 3)
-        b.inc("rsp.pool.fallbacks", scope=DEPLOYMENT)
+        b.inc("rsp.reshard.splits", scope=DEPLOYMENT)
         a.merge_from(b)
         assert a.total("rsp.envelopes.accepted") == 3
         assert a.export_json() == b.export_json()

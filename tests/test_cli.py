@@ -90,7 +90,7 @@ class TestCommands:
         assert main(["analyze", "--list-checkers"]) == 0
         out = capsys.readouterr().out
         assert "interproc-privacy-taint" in out
-        assert "pool-shared-mutation" in out
+        assert "merge-purity" in out
 
     def test_analyze_clean_against_committed_baseline(self, capsys, monkeypatch):
         import pathlib
