@@ -9,7 +9,7 @@ check:
 	bash scripts/check.sh
 
 lint:
-	$(PYTHON) -m repro.lint src/repro
+	$(PYTHON) -m repro.analysis src/repro --baseline analysis_baseline.json
 
 ruff:
 	ruff check .
@@ -21,9 +21,9 @@ bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q
 
 # Fault-matrix suite: the upload pipeline under scripted drops, outages,
-# crashes, and skew (tests/faults), plus the containment lint rule.
+# crashes, and skew (tests/faults), plus the containment analyzer rule.
 chaos:
-	$(PYTHON) -m repro.lint src/repro --select faults-only-in-harness
+	$(PYTHON) -m repro.analysis src/repro --baseline analysis_baseline.json --select faults-only-in-harness
 	$(PYTHON) -m pytest tests/faults -q
 
 # Scale suite: differential + property tests proving the server identical
@@ -37,10 +37,10 @@ bench-shards:
 	$(PYTHON) -m pytest benchmarks/test_bench_shards.py --benchmark-only -q -s
 
 # Telemetry suite: merge-algebra properties, golden export pins, counter
-# consistency under chaos, the label-privacy lint rule, and the
+# consistency under chaos, the label-privacy analyzer rule, and the
 # line-coverage floor on repro.telemetry.
 telemetry:
-	$(PYTHON) -m repro.lint src/repro --select priv-telemetry-label
+	$(PYTHON) -m repro.analysis src/repro --baseline analysis_baseline.json --select priv-telemetry-label
 	$(PYTHON) -m pytest tests/telemetry -q
 	$(PYTHON) scripts/coverage_gate.py --target telemetry --fail-under 85
 
@@ -50,10 +50,10 @@ bench-telemetry:
 
 # Incremental-maintenance suite: incremental vs full-recompute byte
 # identity across the deployment matrix, the server and intake-model
-# suites, the dirty-iteration lint rule, and the line-coverage floor on
+# suites, the dirty-iteration analyzer rule, and the line-coverage floor on
 # repro.service (the server and its dirty-tracking engine).
 incremental:
-	$(PYTHON) -m repro.lint src/repro --select det-dirty-iteration
+	$(PYTHON) -m repro.analysis src/repro --baseline analysis_baseline.json --select det-dirty-iteration
 	$(PYTHON) -m pytest tests/scale/test_incremental.py tests/service tests/spec -q
 	$(PYTHON) scripts/coverage_gate.py --target service --fail-under 85
 
@@ -61,13 +61,13 @@ incremental:
 bench-incremental:
 	$(PYTHON) -m pytest benchmarks/test_bench_incremental.py --benchmark-only -q -s
 
-# Whole-program analysis suite: the analyzer over src/repro against the
-# committed findings baseline (stale or new findings fail), the
-# fixture-driven checker/call-graph/dataflow tests, and the line-coverage
-# floor on repro.analysis.
+# Static-analysis suite: the analyzer over src/repro against the
+# committed findings baseline (new findings, stale entries and dead
+# waivers fail), the fixture-driven rule/checker/call-graph/dataflow
+# tests, and the line-coverage floor on repro.analysis.
 analyze:
 	$(PYTHON) -m repro.analysis src/repro --baseline analysis_baseline.json
-	$(PYTHON) -m pytest tests/analysis -q
+	$(PYTHON) -m pytest tests/analysis tests/lint -q
 	$(PYTHON) scripts/coverage_gate.py --target analysis --fail-under 85
 
 # Cold vs warm analyzer benchmark; emits BENCH_6.json at the repo root.
@@ -77,10 +77,10 @@ bench-analyze:
 # Durability suite (the CI crash-matrix job): WAL format + torn-write
 # properties, the crash-at-every-frame-boundary differential, recovery
 # idempotency, replication/failover, the replica-outage chaos plans, the
-# fsync-before-ack lint rule, and the line-coverage floor on
+# fsync-before-ack analyzer rule, and the line-coverage floor on
 # repro.durability.
 durable:
-	$(PYTHON) -m repro.lint src/repro --select durability-fsync-before-ack
+	$(PYTHON) -m repro.analysis src/repro --baseline analysis_baseline.json --select durability-fsync-before-ack
 	$(PYTHON) -m pytest tests/durability tests/faults/test_replica_outages.py -q
 	$(PYTHON) scripts/coverage_gate.py --target durability --fail-under 85
 
@@ -105,10 +105,10 @@ bench-ingest:
 
 # Read-path suite (the CI serve job): index coverage-exactness, ranking
 # total-order/monotonicity pins, cache-coherence property schedules, the
-# serving differential matrix, the deterministic-read-path lint rule, and
+# serving differential matrix, the deterministic-read-path analyzer rule, and
 # the line-coverage floor on repro.serve.
 serve:
-	$(PYTHON) -m repro.lint src/repro --select det-read-path
+	$(PYTHON) -m repro.analysis src/repro --baseline analysis_baseline.json --select det-read-path
 	$(PYTHON) -m pytest tests/serve -q
 	$(PYTHON) scripts/coverage_gate.py --target serve --fail-under 85
 
@@ -120,10 +120,10 @@ bench-serve:
 # Resharding suite (the CI reshard job): routing-table property tests,
 # migration invariants, the any-schedule differential matrix, the
 # crash-at-every-migration-step recovery matrix, the router regression
-# pins, the dirty-iteration lint rule over repro.reshard, and the
+# pins, the dirty-iteration analyzer rule over repro.reshard, and the
 # line-coverage floor on repro.reshard.
 reshard:
-	$(PYTHON) -m repro.lint src/repro --select det-dirty-iteration
+	$(PYTHON) -m repro.analysis src/repro --baseline analysis_baseline.json --select det-dirty-iteration
 	$(PYTHON) -m pytest tests/reshard tests/scale/test_router_properties.py -q
 	$(PYTHON) scripts/coverage_gate.py --target reshard --fail-under 85
 

@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
-# Full verification gate: invariant lint -> generic lint -> tier-1 tests.
+# Full verification gate: invariant analyzer -> generic lint -> tier-1 tests.
 # CI and `make check` both run this; each stage fails the whole script.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "== repro lint (privacy / determinism / layering invariants) =="
-python -m repro.lint src/repro
+echo "== repro analyze (privacy / determinism / layering invariants) =="
+python -m repro.analysis src/repro --baseline analysis_baseline.json
 
 echo
 echo "== ruff check (generic hygiene) =="

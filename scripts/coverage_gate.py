@@ -39,7 +39,7 @@ TARGETS = {
             "tests/scale/test_sharded_server.py",
         ],
     ),
-    "analysis": (SRC / "repro" / "analysis", ["tests/analysis"]),
+    "analysis": (SRC / "repro" / "analysis", ["tests/analysis", "tests/lint"]),
     "durability": (SRC / "repro" / "durability", ["tests/durability"]),
     "ingest": (
         SRC / "repro" / "ingest",

@@ -9,7 +9,8 @@ function, salient detail), so moving code does not churn the baseline.
 Staleness is an error, not a shrug: a baseline entry whose fingerprint
 no longer matches any produced finding fails the run until the entry is
 deleted (``--update-baseline`` does it).  Dead waivers are how real debt
-hides.
+hides.  Under ``--select``/``--ignore`` only the entries of the selected
+ids are judged (or rewritten); the others are kept verbatim.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.analysis.checkers import Finding
+from repro.analysis.source import Finding
 
 BASELINE_VERSION = 1
 _TODO = "TODO: justify this waiver"
@@ -49,9 +50,10 @@ class Baseline:
         return cls(path=path, entries=entries)
 
     def split(
-        self, findings: list[Finding]
+        self, findings: list[Finding], selected: frozenset[str] | None = None
     ) -> tuple[list[Finding], list[Finding], list[dict]]:
-        """Partition into (new, baselined, stale baseline entries)."""
+        """Partition into (new, baselined, stale baseline entries), judging
+        staleness only for entries of a ``selected`` id (None: all)."""
         new: list[Finding] = []
         baselined: list[Finding] = []
         matched: set[str] = set()
@@ -62,35 +64,43 @@ class Baseline:
             else:
                 new.append(finding)
         stale = [
-            self.entries[fingerprint]
-            for fingerprint in sorted(self.entries)
+            entry
+            for fingerprint, entry in sorted(self.entries.items())
             if fingerprint not in matched
+            and (selected is None or entry.get("checker_id") in selected)
         ]
         return new, baselined, stale
 
-    def updated_with(self, findings: list[Finding]) -> dict:
-        """Document accepting exactly the given findings, keeping the
-        justification of every entry that survives."""
-        records = []
-        seen: set[str] = set()
-        for finding in sorted(
-            findings, key=lambda f: (f.path, f.function, f.checker_id, f.fingerprint)
-        ):
-            if finding.fingerprint in seen:
+    def updated_with(
+        self, findings: list[Finding], selected: frozenset[str] | None = None
+    ) -> dict:
+        """Document accepting exactly the given findings for the
+        ``selected`` ids (None: all), keeping the justification of every
+        entry that survives and every entry of an unselected id verbatim."""
+        records = {
+            fingerprint: entry
+            for fingerprint, entry in self.entries.items()
+            if selected is not None and entry.get("checker_id") not in selected
+        }
+        for finding in findings:
+            if finding.fingerprint in records:
                 continue
-            seen.add(finding.fingerprint)
             previous = self.entries.get(finding.fingerprint, {})
-            records.append(
-                {
-                    "fingerprint": finding.fingerprint,
-                    "checker_id": finding.checker_id,
-                    "path": finding.path,
-                    "function": finding.function,
-                    "message": finding.message,
-                    "justification": previous.get("justification", _TODO),
-                }
-            )
-        return {"version": BASELINE_VERSION, "findings": records}
+            records[finding.fingerprint] = {
+                "fingerprint": finding.fingerprint,
+                "checker_id": finding.checker_id,
+                "path": finding.path,
+                "function": finding.function,
+                "message": finding.message,
+                "justification": previous.get("justification", _TODO),
+            }
+        ordered = sorted(
+            records.values(),
+            key=lambda e: tuple(
+                e.get(k, "") for k in ("path", "function", "checker_id", "fingerprint")
+            ),
+        )
+        return {"version": BASELINE_VERSION, "findings": ordered}
 
     def write(self, document: dict) -> None:
         assert self.path is not None

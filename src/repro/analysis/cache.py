@@ -10,17 +10,19 @@ happened elsewhere in the tree.
 
 Cache layout (one JSON document)::
 
-    {"version": 1,
+    {"version": 2,
      "config": "<AnalysisConfig.fingerprint()>",
      "files": {"<path>": {"digest": "<sha256>", "facts": {...}}},
      "program": {"key": "<sha256 over every file digest>",
-                 "findings": [...], "suppressed": [...]}}
+                 "findings": [...], "suppressed": [...],
+                 "dead_waivers": [...]}}
 
 Two levels.  The ``files`` map reuses per-file facts as long as the
 file's bytes are unchanged — a warm run with *some* edits re-extracts
 only the edited files and re-runs the whole-program phases on the mixed
-facts.  The ``program`` entry short-circuits further: when *no* file
-changed, the checker output is a pure function of (config, file bytes),
+facts.  Per-file facts include every per-file rule's findings.  The
+``program`` entry short-circuits further: when *no* file changed, the
+output of every rule and checker is a pure function of (config, file bytes),
 so the previous findings are replayed without building the index or the
 summaries at all.  A version or config mismatch drops the whole cache; a
 stale per-file digest drops just that entry.  Corrupt cache files are
@@ -37,10 +39,9 @@ from pathlib import Path
 
 from repro.analysis.config import AnalysisConfig
 from repro.analysis.facts import ModuleFacts, extract
-from repro.lint.engine import Violation, parse_module
+from repro.analysis.source import Finding, parse_error, parse_module
 
-CACHE_VERSION = 1
-DEFAULT_CACHE_PATH = ".repro-analysis-cache.json"
+CACHE_VERSION = 2
 
 
 def file_digest(path: Path) -> str:
@@ -84,19 +85,13 @@ class FactLoader:
     def store_program(self, key: str, payload: dict) -> None:
         self._program = {"key": key, **payload}
 
-    def load(self, path: Path, digest: str | None = None) -> ModuleFacts | Violation:
+    def load(self, path: Path, digest: str | None = None) -> ModuleFacts | Finding:
         key = str(path)
         try:
             if digest is None:
                 digest = file_digest(path)
         except OSError as exc:
-            return Violation(
-                rule_id="parse-error",
-                path=key,
-                line=1,
-                col=0,
-                message=f"could not read file: {exc.__class__.__name__}: {exc}",
-            )
+            return parse_error(path, exc)
         cached = self._entries.get(key)
         if cached is not None and cached.get("digest") == digest:
             try:
@@ -107,7 +102,7 @@ class FactLoader:
                 self.hits += 1
                 return facts
         parsed = parse_module(path)
-        if isinstance(parsed, Violation):
+        if isinstance(parsed, Finding):
             self._entries.pop(key, None)
             return parsed
         facts = extract(parsed, self.config, digest)

@@ -17,64 +17,19 @@ checker id                      what it proves the absence of
 ==============================  =================================================
 
 Findings carry a witness call chain and a line-independent fingerprint
-(checker, file, function, salient detail — never the line number), which
-is what the baseline keys on: moving code around does not churn the
-baseline, changing behaviour does.
+(see :class:`~repro.analysis.source.Finding`).
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 from repro.analysis.config import AnalysisConfig
 from repro.analysis.dataflow import MutationSummaries, ReturnSummaries, TaintPropagator
 from repro.analysis.facts import FunctionFacts, SinkFact
 from repro.analysis.project import ProjectIndex
-
-
-@dataclass(frozen=True)
-class Finding:
-    checker_id: str
-    path: str
-    line: int
-    col: int
-    function: str  # qualname the finding is attributed to
-    message: str
-    chain: tuple[str, ...] = ()
-    #: short detail string the fingerprint is built from
-    detail: str = ""
-
-    @property
-    def fingerprint(self) -> str:
-        payload = "|".join([self.checker_id, self.path, self.function, self.detail])
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-
-    def to_dict(self) -> dict:
-        return {
-            "checker_id": self.checker_id,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "function": self.function,
-            "message": self.message,
-            "chain": list(self.chain),
-            "detail": self.detail,
-            "fingerprint": self.fingerprint,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "Finding":
-        return cls(
-            checker_id=raw["checker_id"],
-            path=raw["path"],
-            line=raw["line"],
-            col=raw["col"],
-            function=raw["function"],
-            message=raw["message"],
-            chain=tuple(raw.get("chain", ())),
-            detail=raw.get("detail", ""),
-        )
+from repro.analysis.rules import RULES, Rule
+from repro.analysis.source import Finding
 
 
 @dataclass
@@ -90,11 +45,7 @@ class CheckContext:
 class Checker:
     checker_id = ""
     description = ""
-
-    @property
-    def rule_id(self) -> str:
-        """Alias so the lint CLI's selection helper applies unchanged."""
-        return self.checker_id
+    rationale = ""
 
     def run(self, context: CheckContext) -> list[Finding]:  # pragma: no cover
         raise NotImplementedError
@@ -123,7 +74,7 @@ class InterprocPrivacyTaintChecker(Checker):
 
     def run(self, context: CheckContext) -> list[Finding]:
         findings: dict[tuple, Finding] = {}
-        service_packages = context.config.lint.service_packages
+        service_packages = context.config.service_packages
 
         def on_hit(
             facts: FunctionFacts,
@@ -345,3 +296,9 @@ def default_checkers() -> list[Checker]:
         MergePurityChecker(),
         DeterminismReachabilityChecker(),
     ]
+
+
+def all_checks() -> list[Rule | Checker]:
+    """Everything the analyzer reports under its own id: the per-file
+    rules, then the whole-program checkers."""
+    return [*RULES, *default_checkers()]

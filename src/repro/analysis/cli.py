@@ -1,7 +1,8 @@
 """Command-line front end: ``python -m repro.analysis`` and ``repro analyze``.
 
-Exit codes mirror ``repro.lint``: 0 = clean, 1 = findings (including
-stale baseline entries and unparseable files), 2 = usage errors.
+Exit codes: 0 = clean, 1 = findings (including stale baseline entries,
+dead inline waivers and unparseable files), 2 = usage errors
+(argparse's convention).
 """
 
 from __future__ import annotations
@@ -11,10 +12,9 @@ from collections.abc import Sequence
 from pathlib import Path
 
 from repro.analysis.baseline import Baseline
-from repro.analysis.checkers import default_checkers
+from repro.analysis.checkers import all_checks
 from repro.analysis.engine import WholeProgramAnalyzer
 from repro.analysis.reporters import render_json, render_sarif, render_text
-from repro.lint.cli import SelectionError, resolve_selection
 
 DEFAULT_PATHS = ("src/repro",)
 
@@ -36,22 +36,24 @@ def add_analyze_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--select",
         default=None,
-        help="comma-separated checker ids to run (default: all)",
+        help="comma-separated rule/checker ids to report (default: all)",
     )
     parser.add_argument(
         "--ignore",
         default=None,
-        help="comma-separated checker ids to skip",
+        help="comma-separated rule/checker ids to skip",
     )
     parser.add_argument(
         "--baseline",
         default=None,
-        help="baseline JSON of accepted findings (stale entries fail the run)",
+        help="baseline JSON of accepted findings (stale entries of a selected "
+        "id fail the run)",
     )
     parser.add_argument(
         "--update-baseline",
         action="store_true",
-        help="rewrite --baseline to accept exactly the current findings",
+        help="rewrite --baseline to accept exactly the current findings of "
+        "the selected ids (other entries are kept)",
     )
     parser.add_argument(
         "--cache",
@@ -72,14 +74,57 @@ def add_analyze_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--list-checkers",
         action="store_true",
-        help="print every checker id and what it proves, then exit",
+        help="print every rule/checker id and what it proves, then exit",
     )
+
+
+class SelectionError(ValueError):
+    """A ``--select``/``--ignore`` spelling that cannot mean anything."""
+
+
+def _csv(raw: str | None) -> set[str] | None:
+    if raw is None:
+        return None
+    return {part.strip() for part in raw.split(",") if part.strip()}
+
+
+def resolve_selection(select: str | None, ignore: str | None) -> frozenset[str] | None:
+    """The ids to report (None: all), from comma-separated id lists, loudly.
+
+    Raises :class:`SelectionError` for an unknown id (a typo would
+    otherwise select nothing and turn the CI gate vacuously green), for a
+    ``--select``/``--ignore`` value that parses to zero ids (e.g. ``""``
+    or ``" , "``), and for a combination that leaves nothing to report.
+    """
+    selected = _csv(select)
+    ignored = _csv(ignore)
+    known = [check.checker_id for check in all_checks()]
+    for flag, requested in (("--select", selected), ("--ignore", ignored)):
+        if requested is None:
+            continue
+        if not requested:
+            raise SelectionError(f"{flag} given but no rule ids parsed from it")
+        for rule_id in sorted(requested):
+            if rule_id not in known:
+                raise SelectionError(f"unknown rule id {rule_id!r} (see --list-checkers)")
+    if selected is None and ignored is None:
+        return None
+    remaining = frozenset(
+        rule_id
+        for rule_id in known
+        if (selected is None or rule_id in selected) and rule_id not in (ignored or ())
+    )
+    if not remaining:
+        raise SelectionError("selection leaves no rules to run")
+    return remaining
 
 
 def list_checkers_text() -> str:
     lines = []
-    for checker in default_checkers():
-        lines.append(f"{checker.checker_id}: {checker.description}")
+    for check in all_checks():
+        lines.append(f"{check.checker_id}: {check.description}")
+        if check.rationale:
+            lines.append(f"    why: {check.rationale}")
     return "\n".join(lines)
 
 
@@ -89,7 +134,7 @@ def run_analyze(args: argparse.Namespace) -> int:
         print(list_checkers_text())
         return 0
     try:
-        checkers = resolve_selection(default_checkers(), args.select, args.ignore)
+        selected = resolve_selection(args.select, args.ignore)
     except SelectionError as exc:
         print(f"error: {exc}")
         return 2
@@ -101,10 +146,10 @@ def run_analyze(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}")
         return 2
-    analyzer = WholeProgramAnalyzer(checkers=checkers, cache_path=args.cache)
+    analyzer = WholeProgramAnalyzer(select=selected, cache_path=args.cache)
     result = analyzer.run(args.paths, baseline=baseline)
     if args.update_baseline:
-        document = baseline.updated_with(result.findings + result.baselined)
+        document = baseline.updated_with(result.findings + result.baselined, selected)
         if baseline.path is None:
             baseline.path = Path(args.baseline)
         baseline.write(document)
@@ -132,9 +177,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.analysis",
         description=(
-            "whole-program analyzer: call graph, interprocedural privacy "
-            "taint, merge-purity and determinism checkers "
-            "(docs/STATIC_ANALYSIS.md)"
+            "static analyzer: per-file privacy, determinism, layering, fault "
+            "and durability rules plus whole-program taint, merge-purity and "
+            "determinism checkers (docs/STATIC_ANALYSIS.md)"
         ),
     )
     add_analyze_arguments(parser)

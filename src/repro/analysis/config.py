@@ -1,27 +1,112 @@
-"""Configuration for the whole-program analyzer.
+"""Configuration for the analyzer.
 
-:class:`AnalysisConfig` layers on :class:`repro.lint.engine.LintConfig`
-(identity names, sanitizers, sink constructors, telemetry vocabulary are
-shared — the two analyzers must agree on what "identity-bearing" means)
-and adds the whole-program knobs: which packages form the project, which
-module holds the commutative merge registry, and which call targets are
-nondeterministic.
+One :class:`AnalysisConfig` serves the per-file rules and the
+whole-program checkers, so both agree on what "identity-bearing",
+"service side" and "sanctioned entropy" mean.  The defaults encode this
+repository's invariants; tests override them to point the analyzer at
+fixture trees.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
-from repro.lint.engine import LintConfig
+from repro.analysis.source import in_package
 
 
 @dataclass(frozen=True)
 class AnalysisConfig:
-    """Knobs for the interprocedural checkers."""
+    """Knobs for the per-file rules and the interprocedural checkers."""
 
-    lint: LintConfig = field(default_factory=LintConfig)
+    # -- determinism: the only modules allowed to touch raw entropy/time.
+    rng_modules: frozenset[str] = frozenset({"repro.util.rng"})
+    clock_modules: frozenset[str] = frozenset({"repro.util.clock"})
 
+    # -- privacy taint: identifier spellings that carry a raw identity.
+    identity_names: frozenset[str] = frozenset(
+        {
+            "user_id",
+            "device_id",
+            "secret",
+            "user_secret",
+            "account_id",
+            "email",
+            "phone_number",
+            "true_owner",
+        }
+    )
+    #: Constructors of records that leave the device or get published.
+    sink_names: frozenset[str] = frozenset(
+        {"InteractionUpload", "OpinionUpload", "Envelope", "PublishedSummary"}
+    )
+    #: Calls whose *output* is unlinkable regardless of input — the
+    #: sanctioned ways an identity may reach a sink.
+    sanitizers: frozenset[str] = frozenset(
+        {"history_id", "record_id", "stable_digest", "stable_u64", "blind", "unblind"}
+    )
+    #: Package prefixes forming the server side of the architecture.
+    #: ``repro.scale`` is the sharded deployment of the same service,
+    #: ``repro.serve`` its read path, and ``repro.reshard`` its live
+    #: topology changes — all held to the same identity-handling and
+    #: ordering rules.
+    service_packages: tuple[str, ...] = (
+        "repro.service",
+        "repro.scale",
+        "repro.serve",
+        "repro.reshard",
+    )
+
+    # -- telemetry labels: where the label-privacy policy is enforced.
+    #: Attribute spellings that hold a telemetry sink (``self.telemetry``,
+    #: a bare ``telemetry`` local, or its ``metrics``/``spans`` facets).
+    telemetry_receivers: frozenset[str] = frozenset({"telemetry", "metrics", "spans"})
+    #: Recording methods whose keyword arguments are label positions.
+    telemetry_methods: frozenset[str] = frozenset(
+        {"inc", "observe", "set_gauge", "span", "record"}
+    )
+    #: Keyword parameters of those methods that carry measurement values,
+    #: not labels — exempt from the label taint check.
+    telemetry_value_params: frozenset[str] = frozenset(
+        {"n", "value", "buckets", "scope", "start", "end", "now"}
+    )
+
+    # -- layering: packages forming the device side of the architecture.
+    client_packages: tuple[str, ...] = ("repro.client", "repro.sensing")
+
+    # -- fault containment: chaos tooling and who may import it.
+    #: Packages that implement fault injection.
+    fault_packages: tuple[str, ...] = ("repro.faults",)
+    #: The experiment harness — the only code allowed to script faults.
+    fault_harness_packages: tuple[str, ...] = (
+        "repro.faults",
+        "repro.orchestration",
+        "repro.cli",
+    )
+    #: Root under which the containment rule applies (tests are outside).
+    fault_guarded_packages: tuple[str, ...] = ("repro",)
+
+    # -- durability: the WAL-before-ack commit protocol.
+    #: Journal methods that persist an accepted mutation.
+    wal_append_methods: frozenset[str] = frozenset(
+        {"log_interaction", "log_opinion", "log_review", "log_issue", "append_record"}
+    )
+    #: Attribute/name spellings that hold the journal in service code.
+    wal_receivers: frozenset[str] = frozenset({"journal", "wal", "_wal"})
+    #: Counter spellings whose bump acknowledges an envelope.
+    accept_commit_counters: frozenset[str] = frozenset({"accepted_envelopes"})
+    #: Dedup-set spellings whose ``.add`` burns a nonce (the other half of
+    #: the acceptance commit).
+    accept_commit_sets: frozenset[str] = frozenset({"_seen_nonces", "nonce_bucket"})
+    #: Helper methods that perform the acceptance commit wholesale.
+    accept_commit_calls: frozenset[str] = frozenset({"_mark_accepted"})
+    #: File-handle spellings inside the durability package whose ``write``
+    #: must be paired with a flush/fsync in the same function.
+    wal_file_receivers: frozenset[str] = frozenset({"_file", "_fh"})
+    #: The package implementing WAL/snapshot persistence.
+    durability_packages: tuple[str, ...] = ("repro.durability",)
+
+    # -- whole-program checkers.
     #: Dotted package roots considered *project* code.  Symbols outside
     #: these roots are external: their calls are resolved by name only
     #: and their returns are treated conservatively (taint in → taint out).
@@ -97,7 +182,7 @@ class AnalysisConfig:
     )
 
     #: Logging-style callables treated as privacy sinks inside the
-    #: service packages (``self.lint.service_packages``): ``print`` plus
+    #: service packages (``service_packages``): ``print`` plus
     #: the stdlib logger methods.
     log_methods: frozenset[str] = frozenset(
         {"print", "debug", "info", "warning", "error", "critical", "exception", "log"}
@@ -107,34 +192,19 @@ class AnalysisConfig:
     def allowed_nondet_modules(self) -> frozenset[str]:
         """Modules exempt from nondeterminism findings: the sanctioned
         entropy/time plumbing itself."""
-        return self.lint.rng_modules | self.lint.clock_modules
+        return self.rng_modules | self.clock_modules
 
     def in_project(self, dotted: str) -> bool:
-        return any(
-            dotted == root or dotted.startswith(root + ".")
-            for root in self.project_packages
-        )
+        return in_package(dotted, self.project_packages)
 
     def fingerprint(self) -> str:
-        """Digest of every knob — keys the fact cache, so a config change
-        invalidates cached per-file facts."""
+        """Digest of every field — keys the fact cache, so any config
+        change invalidates cached per-file facts.  Set-valued fields are
+        sorted: ``repr(frozenset)`` order varies with ``PYTHONHASHSEED``."""
         payload = repr(
-            (
-                sorted(self.lint.identity_names),
-                sorted(self.lint.sanitizers),
-                sorted(self.lint.sink_names),
-                sorted(self.lint.telemetry_receivers),
-                sorted(self.lint.telemetry_methods),
-                sorted(self.lint.telemetry_value_params),
-                self.lint.service_packages,
-                self.project_packages,
-                self.merge_modules,
-                sorted(self.mutator_methods),
-                sorted(self.report_entry_names),
-                sorted(self.nondet_calls),
-                self.nondet_prefixes,
-                sorted(self.export_sink_names),
-                sorted(self.log_methods),
-            )
+            [
+                sorted(value) if isinstance(value, frozenset) else value
+                for value in (getattr(self, f.name) for f in fields(self))
+            ]
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]

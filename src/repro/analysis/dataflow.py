@@ -21,7 +21,7 @@ External and unknown callees are conservative everywhere: taint in →
 taint out, and an unresolved call's return carries every argument atom.
 Sanitizer calls were already cut at extraction time (they produce no
 atoms), so blessing a value with ``stable_digest``/``blind`` stops
-propagation exactly like it does in the per-file lint rules.
+propagation exactly like it does in the per-file rules.
 """
 
 from __future__ import annotations

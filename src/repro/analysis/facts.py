@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from repro.analysis.config import AnalysisConfig
-from repro.lint.engine import ParsedModule
+from repro.analysis.rules import RULES, last_segment
+from repro.analysis.source import Finding, ParsedModule
 
 Atom = tuple
 AtomSet = frozenset
@@ -252,6 +253,8 @@ class ModuleFacts:
     imports: dict[str, str] = field(default_factory=dict)
     line_suppressions: dict[int, frozenset[str]] = field(default_factory=dict)
     file_suppressions: frozenset[str] = _EMPTY
+    #: every per-file rule's findings, unfiltered by selection or waivers
+    findings: list[Finding] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
@@ -264,6 +267,7 @@ class ModuleFacts:
             "imports": dict(sorted(self.imports.items())),
             "line_supp": {str(k): sorted(v) for k, v in self.line_suppressions.items()},
             "file_supp": sorted(self.file_suppressions),
+            "findings": [f.to_dict() for f in self.findings],
         }
 
     @classmethod
@@ -282,6 +286,7 @@ class ModuleFacts:
                 int(k): frozenset(v) for k, v in raw["line_supp"].items()
             },
             file_suppressions=frozenset(raw["file_supp"]),
+            findings=[Finding.from_dict(f) for f in raw["findings"]],
         )
 
     def suppressed(self, checker_id: str, line: int) -> bool:
@@ -317,14 +322,6 @@ def _walk_own(nodes: Iterable[ast.AST]) -> Iterator[ast.AST]:
             continue
         yield node
         stack.extend(ast.iter_child_nodes(node))
-
-
-def _last_segment(func: ast.expr) -> str | None:
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    if isinstance(func, ast.Name):
-        return func.id
-    return None
 
 
 class _Scope:
@@ -382,7 +379,7 @@ class Extractor:
     def run(self, digest: str) -> ModuleFacts:
         self.facts.digest = digest
         tree = self.parsed.tree
-        self._collect_imports(tree.body)
+        self._collect_imports(tree)
         self._collect_module_names(tree.body)
         self.facts.imports = dict(self.imports)
         # Module body is a pseudo-function: module-level calls, sinks, and
@@ -399,15 +396,15 @@ class Extractor:
         )
         self._mark_rebound_globals()
         del module_scope
+        self.facts.findings = [f for rule in RULES for f in rule.check(self)]
         return self.facts
 
     # ------------------------------------------------- module-level names
 
-    def _collect_imports(self, body: list[ast.stmt]) -> None:
-        """Alias → dotted target, including conditional/guarded imports."""
-        stack = list(body)
-        while stack:
-            stmt = stack.pop()
+    def _collect_imports(self, tree: ast.Module) -> None:
+        """Alias → dotted target for every import statement in the file,
+        including guarded and function-local ones."""
+        for stmt in ast.walk(tree):
             if isinstance(stmt, ast.Import):
                 for alias in stmt.names:
                     name = alias.asname or alias.name.split(".")[0]
@@ -420,22 +417,38 @@ class Extractor:
                         continue
                     name = alias.asname or alias.name
                     self.imports[name] = f"{base}.{alias.name}" if base else alias.name
-            elif isinstance(stmt, (ast.If, ast.Try)):
-                stack.extend(getattr(stmt, "body", []))
-                stack.extend(getattr(stmt, "orelse", []))
-                for handler in getattr(stmt, "handlers", []):
-                    stack.extend(handler.body)
-                stack.extend(getattr(stmt, "finalbody", []))
 
     def _resolve_from(self, stmt: ast.ImportFrom) -> str:
         if stmt.level == 0:
             return stmt.module or ""
-        # Relative import: strip `level` trailing segments off the package.
+        # Relative import: strip `level - 1` segments off the package
+        # containing this module (an ``__init__`` names its package).
         parts = self.module.split(".")
-        package = parts[: len(parts) - stmt.level]
+        if not self.parsed.path.endswith("__init__.py"):
+            parts = parts[:-1]
+        cut = len(parts) - (stmt.level - 1)
+        if cut < 0:
+            return ""
+        package = parts[:cut]
         if stmt.module:
             package = package + stmt.module.split(".")
         return ".".join(package)
+
+    def import_targets(self, stmt: ast.Import | ast.ImportFrom) -> list[str]:
+        """Absolute dotted targets named by one import statement, wherever
+        it sits.  ``from repro.service import server`` names both
+        ``repro.service`` and ``repro.service.server``."""
+        if isinstance(stmt, ast.Import):
+            return [alias.name for alias in stmt.names]
+        base = self._resolve_from(stmt)
+        if not base:
+            return []
+        return [base, *(f"{base}.{a.name}" for a in stmt.names if a.name != "*")]
+
+    def dotted(self, node: ast.expr) -> str | None:
+        """Dotted origin of an import-rooted name or attribute chain,
+        e.g. ``np.random.seed`` → ``numpy.random.seed``."""
+        return self._dotted(None, node)
 
     def _collect_module_names(self, body: list[ast.stmt]) -> None:
         for stmt in body:
@@ -475,7 +488,7 @@ class Extractor:
         if isinstance(value, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.SetComp, ast.DictComp)):
             return True
         if isinstance(value, ast.Call):
-            callee = _last_segment(value.func)
+            callee = last_segment(value.func)
             return callee not in {"frozenset", "tuple", "namedtuple", "TypeVar"}
         return False
 
@@ -758,7 +771,7 @@ class Extractor:
     def _is_set_valued(self, scope: _Scope, value: ast.expr) -> bool:
         if isinstance(value, (ast.Set, ast.SetComp)):
             return True
-        if isinstance(value, ast.Call) and _last_segment(value.func) == "set":
+        if isinstance(value, ast.Call) and last_segment(value.func) == "set":
             return True
         if isinstance(value, ast.Name) and value.id in scope.set_locals:
             return True
@@ -776,7 +789,7 @@ class Extractor:
             return self._name_atoms(scope, node, overlay)
         if isinstance(node, ast.Attribute):
             result: set[Atom] = set()
-            if node.attr in config.lint.identity_names:
+            if node.attr in config.identity_names:
                 result.add(("source", node.attr))
             dotted = self._dotted(scope, node)
             if dotted is not None:
@@ -786,8 +799,8 @@ class Extractor:
             result |= self._atoms(scope, node.value, overlay)
             return frozenset(result)
         if isinstance(node, ast.Call):
-            callee = _last_segment(node.func)
-            if callee in config.lint.sanitizers:
+            callee = last_segment(node.func)
+            if callee in config.sanitizers:
                 return _EMPTY
             site = scope.site_ids.get(id(node))
             if site is None:  # a call inside a nested scope's subtree
@@ -840,7 +853,7 @@ class Extractor:
         name = node.id
         config = self.config
         result: set[Atom] = set()
-        if name in config.lint.identity_names:
+        if name in config.identity_names:
             result.add(("source", name))
         if overlay and name in overlay:
             result |= overlay[name]
@@ -1037,7 +1050,7 @@ class Extractor:
             if isinstance(parent, (ast.SetComp, ast.DictComp)):
                 return True
             if isinstance(parent, ast.Call) and current in parent.args:
-                return _last_segment(parent.func) in self._ORDER_INSENSITIVE_CALLS
+                return last_segment(parent.func) in self._ORDER_INSENSITIVE_CALLS
             if isinstance(
                 parent, (ast.GeneratorExp, ast.ListComp, ast.comprehension)
             ):
@@ -1127,8 +1140,8 @@ class Extractor:
         self, scope: _Scope, facts: FunctionFacts, node: ast.Call, site: CallSite
     ) -> None:
         config = self.config
-        callee_name = _last_segment(node.func)
-        if callee_name in config.lint.sink_names:
+        callee_name = last_segment(node.func)
+        if callee_name in config.sink_names:
             for label, atoms in self._site_values(site):
                 if atoms:
                     facts.sinks.append(
@@ -1144,11 +1157,11 @@ class Extractor:
             return
         if (
             isinstance(node.func, ast.Attribute)
-            and node.func.attr in config.lint.telemetry_methods
-            and _last_segment(node.func.value) in config.lint.telemetry_receivers
+            and node.func.attr in config.telemetry_methods
+            and last_segment(node.func.value) in config.telemetry_receivers
         ):
             for label, atoms in site.kwargs.items():
-                if label in config.lint.telemetry_value_params or not atoms:
+                if label in config.telemetry_value_params or not atoms:
                     continue
                 facts.sinks.append(
                     SinkFact(

@@ -101,23 +101,6 @@ class ProjectIndex:
             dotted = module_facts.imports[name]
         return dotted
 
-    def suppressed(self, qualname_or_path: str, checker_id: str, line: int) -> bool:
-        facts = self.owner_module(qualname_or_path)
-        return facts is not None and facts.suppressed(checker_id, line)
-
-    def owner_module(self, qualname: str) -> ModuleFacts | None:
-        """The module whose file defines ``qualname``."""
-        function = self.functions.get(qualname)
-        if function is not None:
-            return self.modules.get(function.module)
-        parts = qualname.split(".")
-        while parts:
-            candidate = ".".join(parts)
-            if candidate in self.modules:
-                return self.modules[candidate]
-            parts.pop()
-        return None
-
     def mro_method(self, cls_qualname: str, method: str) -> str | None:
         """Resolve ``self.method()`` through the class, then its bases."""
         queue = deque([cls_qualname])

@@ -2,7 +2,7 @@
 
 The text form is for humans at a terminal; JSON is for scripts and the
 test-suite; SARIF is the interchange format code hosts ingest for
-annotation (one ``run``, one rule per checker, fingerprints under the
+annotation (one ``run``, one rule per rule/checker id, fingerprints under the
 ``reproAnalysis/v1`` key so re-uploads dedupe).
 """
 
@@ -10,18 +10,11 @@ from __future__ import annotations
 
 import json
 
-from repro.analysis.checkers import Finding, default_checkers
+from repro.analysis.checkers import all_checks
 from repro.analysis.engine import AnalysisResult
 
 SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA = "https://json.schemastore.org/sarif-2.1.0.json"
-
-
-def _finding_line(finding: Finding, tag: str = "") -> str:
-    return (
-        f"{finding.path}:{finding.line}:{finding.col}: "
-        f"{finding.checker_id} {finding.message}{tag}"
-    )
 
 
 def render_text(
@@ -30,10 +23,10 @@ def render_text(
     show_chains: bool = False,
 ) -> str:
     lines: list[str] = []
-    for violation in result.parse_errors:
-        lines.append(violation.render())
+    for error in result.parse_errors:
+        lines.append(error.render())
     for finding in result.findings:
-        lines.append(_finding_line(finding))
+        lines.append(finding.render())
         if show_chains and len(finding.chain) > 1:
             lines.append(f"    chain: {' -> '.join(finding.chain)}")
     for entry in result.stale_baseline:
@@ -42,11 +35,13 @@ def render_text(
             f"({entry.get('checker_id', '?')} in {entry.get('path', '?')}): "
             "finding no longer produced; remove it or run --update-baseline"
         )
+    for waiver in result.dead_waivers:
+        lines.append(f"stale inline waiver at {waiver.path}:{waiver.line}: {waiver.message}")
     if show_suppressed:
         for finding in result.suppressed:
-            lines.append(_finding_line(finding, tag=" (suppressed)"))
+            lines.append(finding.render(tag=" (suppressed)"))
         for finding in result.baselined:
-            lines.append(_finding_line(finding, tag=" (baselined)"))
+            lines.append(finding.render(tag=" (baselined)"))
     counts = (
         f"{result.n_files} file(s) analyzed, {result.n_cached} from cache; "
         f"{len(result.baselined)} baselined, {len(result.suppressed)} suppressed"
@@ -54,9 +49,8 @@ def render_text(
     if result.ok:
         lines.append(f"OK: {counts}")
     else:
-        problems = (
-            len(result.findings) + len(result.stale_baseline) + len(result.parse_errors)
-        )
+        problems = len(result.findings) + len(result.stale_baseline)
+        problems += len(result.dead_waivers) + len(result.parse_errors)
         lines.append(f"FAIL: {problems} problem(s); {counts}")
     return "\n".join(lines)
 
@@ -71,7 +65,8 @@ def render_json(result: AnalysisResult, show_suppressed: bool = False) -> str:
         "baselined_count": len(result.baselined),
         "suppressed_count": len(result.suppressed),
         "stale_baseline": list(result.stale_baseline),
-        "parse_errors": [violation.to_dict() for violation in result.parse_errors],
+        "dead_waivers": [f.to_dict() for f in result.dead_waivers],
+        "parse_errors": [f.to_dict() for f in result.parse_errors],
     }
     if show_suppressed:
         document["suppressed"] = [f.to_dict() for f in result.suppressed]
@@ -81,14 +76,11 @@ def render_json(result: AnalysisResult, show_suppressed: bool = False) -> str:
 
 def render_sarif(result: AnalysisResult) -> str:
     rules = [
-        {
-            "id": checker.checker_id,
-            "shortDescription": {"text": checker.description},
-        }
-        for checker in default_checkers()
+        {"id": check.checker_id, "shortDescription": {"text": check.description}}
+        for check in all_checks()
     ]
     results = []
-    for finding in result.findings:
+    for finding in result.findings + result.parse_errors:
         results.append(
             {
                 "ruleId": finding.checker_id,
@@ -106,22 +98,6 @@ def render_sarif(result: AnalysisResult) -> str:
                     }
                 ],
                 "fingerprints": {"reproAnalysis/v1": finding.fingerprint},
-            }
-        )
-    for violation in result.parse_errors:
-        results.append(
-            {
-                "ruleId": violation.rule_id,
-                "level": "error",
-                "message": {"text": violation.message},
-                "locations": [
-                    {
-                        "physicalLocation": {
-                            "artifactLocation": {"uri": violation.path},
-                            "region": {"startLine": violation.line, "startColumn": 1},
-                        }
-                    }
-                ],
             }
         )
     document = {

@@ -12,8 +12,8 @@ benchmarks exercise:
 * ``audit``    — de-anonymization attacks against naive vs hardened clients
 * ``redteam``  — the fraud attacker zoo vs the typical-user detector
 * ``recover``  — rebuild a crashed service from its durable WAL + snapshots
-* ``lint``     — the AST invariant analyzer (privacy, determinism, layering)
-* ``analyze``  — the whole-program analyzer (call graph, interprocedural taint)
+* ``analyze``  — the static analyzer (per-file invariant rules, call graph,
+  interprocedural taint)
 * ``telemetry`` — run the service and render its observability dashboard
 """
 
@@ -481,12 +481,6 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.lint.cli import run_lint
-
-    return run_lint(args)
-
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.analysis.cli import run_analyze
 
@@ -672,20 +666,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     recover.set_defaults(func=_cmd_recover)
 
-    from repro.lint.cli import add_lint_arguments
-
-    lint = sub.add_parser(
-        "lint", help="check privacy/determinism/layering invariants statically"
-    )
-    add_lint_arguments(lint)
-    lint.set_defaults(func=_cmd_lint)
-
     from repro.analysis.cli import add_analyze_arguments
 
     analyze = sub.add_parser(
         "analyze",
-        help="whole-program analysis: interprocedural taint, pool/merge/"
-        "determinism checkers",
+        help="static analysis: per-file privacy/determinism/layering/fault/"
+        "durability rules, interprocedural taint, merge and determinism checkers",
     )
     add_analyze_arguments(analyze)
     analyze.set_defaults(func=_cmd_analyze)

@@ -204,7 +204,7 @@ class DurableJournal:
                 # The WAL stores exactly what the attributed review store
                 # stores — this is the legacy path's own durable record,
                 # not a new identity flow.
-                "user_id": user_id,  # repro: allow[priv-server-identity]
+                "user_id": user_id,
                 "entity_id": entity_id,
                 "rating": rating,
                 "time": time,
@@ -220,7 +220,7 @@ class DurableJournal:
                 # Issuance is the attributed side by design (quotas are
                 # per device); the journal records what the issuer's own
                 # window table records, nothing more.
-                "device_id": device_id,  # repro: allow[priv-server-identity]
+                "device_id": device_id,
                 "count": count,
                 "now": now,
             },

@@ -12,7 +12,7 @@ Plans never act on their own.  The :class:`repro.faults.injector.FaultInjector`
 interprets a plan at the harness's hook points; production modules
 (:mod:`repro.privacy.anonymity`, :mod:`repro.privacy.tokens`,
 :mod:`repro.service.server`) only ever see an opaque ``fault_hook`` object
-and never import this package — ``repro lint`` enforces that with the
+and never import this package — ``repro analyze`` enforces that with the
 ``faults-only-in-harness`` rule.
 """
 

@@ -4,7 +4,7 @@ These modules stitch every layer of the reproduction together — they are
 the only code allowed to import both the client side (:mod:`repro.client`,
 :mod:`repro.sensing`) and the server side (:mod:`repro.service`).  The
 server itself never touches client internals and the client never reaches
-into the server; ``repro lint`` enforces that boundary (see
+into the server; ``repro analyze`` enforces that boundary (see
 ``docs/STATIC_ANALYSIS.md``).
 """
 

@@ -445,7 +445,7 @@ class RSPServer:
             n_opinions_received=self.n_opinions,
         )
         # Drain the per-shard dirty sets into the engine (sorted — dirty
-        # sets iterate in hash order, and `repro lint` holds the line).
+        # sets iterate in hash order, and `repro analyze` holds the line).
         for shard in self.shards:
             for entity_id in sorted(shard.dirty_entities):
                 self._engine.mark_dirty(entity_id)

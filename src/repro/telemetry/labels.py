@@ -3,7 +3,7 @@
 The paper's RSP can never log who did what — observability must be
 aggregate-only and unlinkable (Section 4.2, Section 5).  This module is
 the runtime half of that guarantee (the static half is the
-``priv-telemetry-label`` rule in :mod:`repro.lint.rules_privacy`): every
+``priv-telemetry-label`` rule in :mod:`repro.analysis.rules`): every
 label attached to a counter, gauge, histogram, or span passes through
 :func:`canonical_labels`, which rejects
 

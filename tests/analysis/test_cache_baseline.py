@@ -1,11 +1,14 @@
 """Incremental cache correctness and the baseline workflow."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
 
-from repro.analysis import AnalysisConfig, Baseline, WholeProgramAnalyzer
+from repro.analysis import AnalysisConfig, Baseline, WholeProgramAnalyzer, all_checks
 from repro.analysis.baseline import _TODO
 
 from tests.analysis.conftest import write_project
@@ -67,7 +70,8 @@ class TestIncrementalCache:
 
     def test_program_replay_preserves_suppressed_findings(self, tmp_path):
         suppressed = BROKEN.replace(
-            "time.time()", "time.time()  # repro: allow[determinism-reachability]"
+            "time.time()",
+            "time.time()  # repro: allow[determinism-reachability, det-wall-clock]",
         )
         root = write_project(tmp_path / "proj", {"repro/svc.py": suppressed})
         cache = tmp_path / "cache.json"
@@ -94,16 +98,59 @@ class TestIncrementalCache:
         assert warm.ok and len(warm.baselined) == len(cold.findings)
 
     def test_checker_selection_keys_the_program_cache(self, tmp_path):
-        from repro.analysis import WholeProgramAnalyzer, default_checkers
-
         root = write_project(tmp_path / "proj", {"repro/svc.py": BROKEN})
         cache = tmp_path / "cache.json"
         assert run(root, cache=cache).findings
-        subset = [
-            c for c in default_checkers() if c.checker_id != "determinism-reachability"
-        ]
-        filtered = WholeProgramAnalyzer(checkers=subset, cache_path=cache).run([root])
-        assert filtered.ok  # must not replay the full-checker findings
+        firing = {"determinism-reachability", "det-wall-clock"}
+        subset = {c.checker_id for c in all_checks()} - firing
+        filtered = WholeProgramAnalyzer(select=subset, cache_path=cache).run([root])
+        assert filtered.n_cached == filtered.n_files  # replayed, then filtered
+        assert filtered.ok  # must not report the unselected findings
+
+    def test_config_fingerprint_covers_every_field(self, tmp_path):
+        # `determinism-reachability` reads rng_modules, so a cache filled
+        # under the default config must not answer for a stricter one.
+        root = write_project(
+            tmp_path / "proj",
+            {
+                "repro/util/rng.py": """
+                    import numpy
+
+
+                    def make_rng(seed):
+                        return numpy.random.default_rng(seed)
+                    """,
+                "repro/svc.py": """
+                    from repro.util.rng import make_rng
+
+
+                    def digest(seed):
+                        return make_rng(seed)
+                    """,
+            },
+        )
+        strict = replace(AnalysisConfig(), rng_modules=frozenset())
+        select = {"determinism-reachability"}
+        cold = WholeProgramAnalyzer(config=strict, select=select).run([root])
+        assert len(cold.findings) == 1
+        cache = tmp_path / "cache.json"
+        assert run(root, cache=cache).ok  # the default config sanctions rng.py
+        warm = WholeProgramAnalyzer(config=strict, select=select, cache_path=cache).run([root])
+        assert [f.to_dict() for f in warm.findings] == [f.to_dict() for f in cold.findings]
+
+    def test_config_fingerprint_ignores_hash_seed(self):
+        script = "from repro.analysis import AnalysisConfig; print(AnalysisConfig().fingerprint())"
+        prints = {
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONHASHSEED": seed},
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            for seed in ("1", "2")
+        }
+        assert len(prints) == 1
 
     def test_corrupt_cache_is_treated_as_absent(self, tmp_path):
         root = write_project(tmp_path / "proj", {"repro/svc.py": BROKEN})

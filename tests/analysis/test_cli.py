@@ -2,6 +2,7 @@
 
 import json
 
+from repro.analysis import all_checks
 from repro.analysis.cli import main
 
 from tests.analysis.conftest import FIXTURE_ROOT
@@ -36,7 +37,9 @@ class TestExitCodes:
 
 class TestSelection:
     def test_ignoring_the_only_firing_checker_is_clean(self, capsys):
-        assert main([BAD, "--ignore", "determinism-reachability"]) == 0
+        # The whole-program checker and the per-file wall-clock rule both
+        # fire on the same `time.time()` read.
+        assert main([BAD, "--ignore", "determinism-reachability,det-wall-clock"]) == 0
 
     def test_selecting_a_non_firing_checker_is_clean(self, capsys):
         assert main([BAD, "--select", "merge-purity"]) == 0
@@ -44,12 +47,9 @@ class TestSelection:
     def test_list_checkers(self, capsys):
         assert main(["--list-checkers"]) == 0
         out = capsys.readouterr().out
-        for checker_id in (
-            "interproc-privacy-taint",
-            "merge-purity",
-            "determinism-reachability",
-        ):
-            assert checker_id in out
+        listed = [line.split(":")[0] for line in out.splitlines() if not line.startswith(" ")]
+        assert listed == [check.checker_id for check in all_checks()]
+        assert len(set(listed)) == 15  # 12 per-file rules + 3 whole-program checkers
 
 
 class TestFormats:
@@ -91,6 +91,19 @@ class TestBaselineWorkflow:
         # Against a different (clean) file every entry is stale: exit 1.
         assert main([GOOD, "--baseline", str(baseline)]) == 1
         assert "stale" in capsys.readouterr().out
+
+    def test_select_judges_only_the_selected_baseline_entries(self, tmp_path, capsys):
+        baseline = tmp_path / "baseline.json"
+        assert main([BAD, "--baseline", str(baseline), "--update-baseline"]) == 0
+        accepted = baseline.read_text()
+        assert "determinism-reachability" in accepted
+        capsys.readouterr()
+        # Entries of unselected ids are neither stale nor rewritten.
+        assert main([BAD, "--baseline", str(baseline), "--select", "merge-purity"]) == 0
+        assert "stale" not in capsys.readouterr().out
+        argv = [BAD, "--baseline", str(baseline), "--select", "merge-purity"]
+        assert main(argv + ["--update-baseline"]) == 0
+        assert baseline.read_text() == accepted
 
     def test_show_suppressed_lists_baselined(self, tmp_path, capsys):
         baseline = tmp_path / "baseline.json"

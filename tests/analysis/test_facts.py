@@ -4,7 +4,7 @@ import hashlib
 
 from repro.analysis import AnalysisConfig, extract
 from repro.analysis.facts import ModuleFacts
-from repro.lint.engine import Violation, parse_module
+from repro.analysis.source import Finding, parse_module
 
 from tests.analysis.conftest import build_index, write_project
 
@@ -14,7 +14,7 @@ def extract_one(tmp_path, source, name="repro/mod.py", config=None):
     root = write_project(tmp_path, {name: source})
     path = root / name
     parsed = parse_module(path)
-    assert not isinstance(parsed, Violation), parsed
+    assert not isinstance(parsed, Finding), parsed
     return extract(parsed, config, hashlib.sha256(path.read_bytes()).hexdigest())
 
 

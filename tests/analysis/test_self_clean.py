@@ -1,35 +1,25 @@
 """Dogfood: the analyzer over ``src/repro`` is clean against the
-committed baseline — the same invariant CI enforces via ``make analyze``."""
-
-import os
-from pathlib import Path
+committed baseline — the same invariant CI enforces via ``make check``
+and ``make analyze``.  One shared pass (the ``self_analysis`` fixture)
+serves every self-clean assertion."""
 
 import pytest
 
-from repro.analysis import Baseline, WholeProgramAnalyzer
+from repro.analysis import Baseline
 
-REPO_ROOT = Path(__file__).resolve().parents[2]
-BASELINE = REPO_ROOT / "analysis_baseline.json"
+from tests.conftest import BASELINE
 
 
 @pytest.fixture(scope="module")
-def self_result():
-    # Fingerprints embed repo-relative paths, so run from the repo root
-    # exactly as CI does.
-    previous = Path.cwd()
-    os.chdir(REPO_ROOT)
-    try:
-        yield WholeProgramAnalyzer().run(
-            ["src/repro"], baseline=Baseline.load(BASELINE)
-        )
-    finally:
-        os.chdir(previous)
+def self_result(self_analysis):
+    return self_analysis[0]
 
 
 def test_source_tree_is_clean_against_committed_baseline(self_result):
     assert not self_result.parse_errors, self_result.parse_errors
     assert not self_result.stale_baseline, self_result.stale_baseline
-    assert not self_result.findings, [f.message for f in self_result.findings]
+    assert not self_result.dead_waivers, [w.render() for w in self_result.dead_waivers]
+    assert not self_result.findings, [f.render() for f in self_result.findings]
 
 
 def test_baseline_entries_all_have_real_justifications(self_result):

@@ -1,15 +1,15 @@
-"""Engine mechanics: module naming, suppressions, file walking, parse errors."""
+"""Engine mechanics: module naming, waivers, file walking, parse errors."""
 
-
-from repro.lint import Analyzer, default_rules
-from repro.lint.engine import (
+from repro.analysis import WholeProgramAnalyzer
+from repro.analysis.cli import main
+from repro.analysis.source import (
     PARSE_ERROR_RULE_ID,
     collect_suppressions,
     iter_python_files,
     module_name_for,
 )
 
-from tests.lint.conftest import FIXTURE_ROOT
+from tests.lint.conftest import FIXTURE_ROOT, lint
 
 
 class TestModuleNames:
@@ -55,13 +55,12 @@ class TestSuppressionApplication:
     def test_inline_suppression_moves_violation_aside(self, lint_paths):
         result = lint_paths("world/suppressed_random.py")
         assert result.ok
-        assert {v.rule_id for v in result.suppressed} == {"det-random-module"}
-        assert all(v.suppressed for v in result.suppressed)
+        assert {f.checker_id for f in result.suppressed} == {"det-random-module"}
 
     def test_file_level_suppression_covers_every_line(self, lint_paths):
         result = lint_paths("service/suppressed_service.py")
         assert result.ok
-        suppressed_ids = {v.rule_id for v in result.suppressed}
+        suppressed_ids = {f.checker_id for f in result.suppressed}
         assert "layer-service-client" in suppressed_ids
         assert "priv-server-identity" in suppressed_ids
 
@@ -70,8 +69,23 @@ class TestSuppressionApplication:
         source = "import random  # repro: allow[det-wall-clock]\n"
         bad = tmp_path / "mod.py"
         bad.write_text(source)
-        result = Analyzer(default_rules()).run([bad])
-        assert [v.rule_id for v in result.violations] == ["det-random-module"]
+        result = lint([bad])
+        assert [f.checker_id for f in result.findings] == ["det-random-module"]
+
+    def test_waiver_that_suppresses_nothing_fails_the_run(self, tmp_path, capsys):
+        dead = tmp_path / "mod.py"
+        dead.write_text(
+            "x = 1  # repro: allow[det-wall-clock]\n"
+            "y = 2  # repro: allow[no-such-rule] — not a rule id: prose, not a waiver\n"
+        )
+        result = lint([dead])
+        assert not result.findings and not result.ok
+        [waiver] = result.dead_waivers
+        assert (waiver.checker_id, waiver.line) == ("det-wall-clock", 1)
+        # Judged only when its rule is selected, like a baseline entry.
+        assert WholeProgramAnalyzer(select={"det-random-module"}).run([dead]).ok
+        assert main([str(dead)]) == 1
+        assert "stale inline waiver" in capsys.readouterr().out
 
 
 class TestFileWalking:
@@ -95,11 +109,11 @@ class TestParseErrors:
     def test_unparseable_file_is_a_violation_not_a_crash(self, tmp_path):
         broken = tmp_path / "broken.py"
         broken.write_text("def f(:\n")
-        result = Analyzer(default_rules()).run([broken])
+        result = lint([broken])
         assert not result.ok
-        [violation] = result.violations
-        assert violation.rule_id == PARSE_ERROR_RULE_ID
-        assert str(broken) == violation.path
+        [error] = result.parse_errors
+        assert error.checker_id == PARSE_ERROR_RULE_ID
+        assert str(broken) == error.path
 
 
 class TestCleanFixtures:

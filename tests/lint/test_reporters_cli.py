@@ -1,14 +1,13 @@
-"""Reporters and both CLI entry points (`python -m repro.lint`, `repro lint`)."""
+"""Reporters and the CLI (`python -m repro.analysis`) on the per-file rules."""
 
 import json
 
 import pytest
 
-from repro.cli import main as repro_main
-from repro.lint import Analyzer, default_rules, render_json, render_text
-from repro.lint.cli import main as lint_main
+from repro.analysis import render_json, render_text
+from repro.analysis.cli import main
 
-from tests.lint.conftest import FIXTURE_ROOT
+from tests.lint.conftest import FIXTURE_ROOT, lint
 
 #: The acceptance trio: deliberately broken fixtures and the rule each must trip.
 BROKEN_FIXTURES = [
@@ -20,23 +19,19 @@ BROKEN_FIXTURES = [
 
 class TestTextReporter:
     def test_violation_lines_and_summary(self):
-        result = Analyzer(default_rules()).run([FIXTURE_ROOT / "world" / "bad_random.py"])
+        result = lint([FIXTURE_ROOT / "world" / "bad_random.py"])
         text = render_text(result)
         assert "bad_random.py:3:0: det-random-module" in text
-        assert "FAIL: 2 violation(s) in 1 file(s) checked" in text
+        assert "FAIL: 2 problem(s); 1 file(s) analyzed" in text
 
     def test_clean_run_reports_ok_and_suppressed_count(self):
-        result = Analyzer(default_rules()).run(
-            [FIXTURE_ROOT / "world" / "suppressed_random.py"]
-        )
+        result = lint([FIXTURE_ROOT / "world" / "suppressed_random.py"])
         text = render_text(result)
-        assert text.startswith("OK: checked 1 file(s), no violations")
-        assert "(2 suppressed)" in text
+        assert text.startswith("OK: 1 file(s) analyzed")
+        assert "2 suppressed" in text
 
     def test_show_suppressed_lists_waived_findings(self):
-        result = Analyzer(default_rules()).run(
-            [FIXTURE_ROOT / "world" / "suppressed_random.py"]
-        )
+        result = lint([FIXTURE_ROOT / "world" / "suppressed_random.py"])
         text = render_text(result, show_suppressed=True)
         assert "det-random-module" in text
         assert "(suppressed)" in text
@@ -44,31 +39,31 @@ class TestTextReporter:
 
 class TestJsonReporter:
     def test_document_shape(self):
-        result = Analyzer(default_rules()).run([FIXTURE_ROOT / "client"])
+        result = lint([FIXTURE_ROOT / "client"])
         document = json.loads(render_json(result))
         assert document["ok"] is False
-        assert document["files_checked"] == 9  # 8 modules + __init__
-        assert document["violation_count"] == len(document["violations"])
-        for violation in document["violations"]:
-            assert set(violation) == {
-                "rule_id",
+        assert document["files_analyzed"] == 9  # 8 modules + __init__
+        assert document["finding_count"] == len(document["findings"])
+        for finding in document["findings"]:
+            assert set(finding) == {
+                "checker_id",
                 "path",
                 "line",
                 "col",
+                "function",
                 "message",
-                "suppressed",
+                "chain",
+                "detail",
+                "fingerprint",
             }
-            assert violation["suppressed"] is False
 
     def test_suppressed_findings_are_reported_separately(self):
-        result = Analyzer(default_rules()).run(
-            [FIXTURE_ROOT / "service" / "suppressed_service.py"]
-        )
-        document = json.loads(render_json(result))
+        result = lint([FIXTURE_ROOT / "service" / "suppressed_service.py"])
+        document = json.loads(render_json(result, show_suppressed=True))
         assert document["ok"] is True
-        assert document["violation_count"] == 0
+        assert document["finding_count"] == 0
         assert document["suppressed_count"] >= 2
-        assert {v["rule_id"] for v in document["suppressed"]} == {
+        assert {f["checker_id"] for f in document["suppressed"]} == {
             "layer-service-client",
             "priv-server-identity",
         }
@@ -77,26 +72,26 @@ class TestJsonReporter:
 class TestBrokenFixturesBothFormats:
     @pytest.mark.parametrize("relpath,expected_rule", BROKEN_FIXTURES)
     def test_text_output_names_the_rule(self, capsys, relpath, expected_rule):
-        exit_code = lint_main([str(FIXTURE_ROOT / relpath)])
+        exit_code = main([str(FIXTURE_ROOT / relpath)])
         assert exit_code == 1
         out = capsys.readouterr().out
         assert expected_rule in out
 
     @pytest.mark.parametrize("relpath,expected_rule", BROKEN_FIXTURES)
     def test_json_output_names_the_rule(self, capsys, relpath, expected_rule):
-        exit_code = lint_main([str(FIXTURE_ROOT / relpath), "--format", "json"])
+        exit_code = main([str(FIXTURE_ROOT / relpath), "--format", "json"])
         assert exit_code == 1
         document = json.loads(capsys.readouterr().out)
-        assert expected_rule in {v["rule_id"] for v in document["violations"]}
+        assert expected_rule in {f["checker_id"] for f in document["findings"]}
 
 
 class TestCliBehaviour:
     def test_clean_paths_exit_zero(self, capsys):
-        assert lint_main([str(FIXTURE_ROOT / "world" / "good_rng.py")]) == 0
+        assert main([str(FIXTURE_ROOT / "world" / "good_rng.py")]) == 0
         assert "OK" in capsys.readouterr().out
 
     def test_select_limits_rules(self, capsys):
-        exit_code = lint_main(
+        exit_code = main(
             [str(FIXTURE_ROOT / "service" / "bad_service.py"), "--select", "priv-server-identity"]
         )
         assert exit_code == 1
@@ -105,7 +100,7 @@ class TestCliBehaviour:
         assert "layer-service-client" not in out
 
     def test_ignore_skips_rules(self, capsys):
-        exit_code = lint_main(
+        exit_code = main(
             [
                 str(FIXTURE_ROOT / "service" / "bad_service.py"),
                 "--ignore",
@@ -115,51 +110,21 @@ class TestCliBehaviour:
         assert exit_code == 0
         capsys.readouterr()
 
-    def test_unknown_rule_id_is_a_usage_error(self, capsys):
-        assert lint_main(["--select", "no-such-rule"]) == 2
-        assert "unknown rule id" in capsys.readouterr().out
-
-    def test_unknown_ignore_id_is_a_usage_error(self, capsys):
-        assert lint_main(["--ignore", "privtaint-sink"]) == 2
-        assert "unknown rule id" in capsys.readouterr().out
-
     def test_empty_selection_is_a_usage_error(self, capsys):
         # `--select ""` used to silently select *nothing* and exit green —
         # a vacuous pass for any gate built on `--select <rule>`.
-        assert lint_main(["--select", " , "]) == 2
+        assert main(["--select", " , "]) == 2
         assert "no rule ids parsed" in capsys.readouterr().out
 
     def test_select_ignore_cancelling_out_is_a_usage_error(self, capsys):
-        exit_code = lint_main(
-            ["--select", "priv-taint-sink", "--ignore", "priv-taint-sink"]
-        )
+        exit_code = main(["--select", "priv-taint-sink", "--ignore", "priv-taint-sink"])
         assert exit_code == 2
         assert "leaves no rules" in capsys.readouterr().out
 
-    def test_duplicate_findings_are_reported_once(self):
-        # Running the same rule twice must not double-report: the engine
-        # de-duplicates identical findings and sorts deterministically.
-        from repro.lint.rules_privacy import SinkTaintRule
-
-        result = Analyzer([SinkTaintRule(), SinkTaintRule()]).run(
-            [FIXTURE_ROOT / "client" / "bad_upload.py"]
-        )
-        assert len(result.violations) == 1
-
-    def test_list_rules_names_every_rule(self, capsys):
-        assert lint_main(["--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for rule in default_rules():
-            assert rule.rule_id in out
-
-
-class TestReproCliSubcommand:
-    def test_repro_lint_subcommand_runs_the_analyzer(self, capsys):
-        exit_code = repro_main(["lint", str(FIXTURE_ROOT / "world" / "bad_random.py")])
-        assert exit_code == 1
-        assert "det-random-module" in capsys.readouterr().out
-
-    def test_repro_lint_subcommand_clean_exit(self, capsys):
-        exit_code = repro_main(["lint", str(FIXTURE_ROOT / "client" / "good_upload.py")])
-        assert exit_code == 0
-        capsys.readouterr()
+    def test_duplicate_findings_are_reported_once(self, tmp_path):
+        # The inner and outer sink both reach the same `user_id` node with
+        # the same message; the engine reports each finding exactly once.
+        nested = tmp_path / "nested.py"
+        nested.write_text("Envelope(Envelope(user_id))\n")
+        result = lint([nested])
+        assert [f.checker_id for f in result.findings] == ["priv-taint-sink"]

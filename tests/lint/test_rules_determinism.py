@@ -1,9 +1,8 @@
 """Determinism rule family: one failing and one passing case per rule."""
 
-from repro.lint import Analyzer, default_rules
-from repro.lint.engine import LintConfig
+from repro.analysis import AnalysisConfig
 
-from tests.lint.conftest import rule_ids
+from tests.lint.conftest import lint, rule_ids
 
 
 class TestRandomModule:
@@ -11,7 +10,7 @@ class TestRandomModule:
         result = lint_paths("world/bad_random.py")
         ids = rule_ids(result)
         assert ids.count("det-random-module") == 2  # the import and the call
-        lines = sorted(v.line for v in result.violations)
+        lines = sorted(v.line for v in result.findings)
         assert lines == [3, 7]
 
     def test_allowed_module_is_exempt(self, fixture_root, tmp_path):
@@ -19,8 +18,8 @@ class TestRandomModule:
         source = (fixture_root / "world" / "bad_random.py").read_text()
         exempt = tmp_path / "rng.py"
         exempt.write_text(source)
-        config = LintConfig(rng_modules=frozenset({"rng"}))
-        result = Analyzer(default_rules(), config).run([exempt])
+        config = AnalysisConfig(rng_modules=frozenset({"rng"}))
+        result = lint([exempt], config)
         assert "det-random-module" not in rule_ids(result)
 
 
@@ -29,7 +28,7 @@ class TestWallClock:
         result = lint_paths("world/bad_wall_clock.py")
         ids = rule_ids(result)
         assert ids.count("det-wall-clock") == 2
-        messages = " ".join(v.message for v in result.violations)
+        messages = " ".join(v.message for v in result.findings)
         assert "time.time" in messages
         assert "datetime.datetime.now" in messages
 
@@ -37,8 +36,8 @@ class TestWallClock:
         source = (fixture_root / "world" / "bad_wall_clock.py").read_text()
         exempt = tmp_path / "clock.py"
         exempt.write_text(source)
-        config = LintConfig(clock_modules=frozenset({"clock"}))
-        result = Analyzer(default_rules(), config).run([exempt])
+        config = AnalysisConfig(clock_modules=frozenset({"clock"}))
+        result = lint([exempt], config)
         assert "det-wall-clock" not in rule_ids(result)
 
 
@@ -47,7 +46,7 @@ class TestNumpyRandom:
         result = lint_paths("world/bad_numpy.py")
         ids = rule_ids(result)
         assert ids.count("det-numpy-random") == 2
-        messages = " ".join(v.message for v in result.violations)
+        messages = " ".join(v.message for v in result.findings)
         assert "numpy.random.default_rng" in messages
         assert "numpy.random.rand" in messages
 
@@ -67,7 +66,7 @@ class TestDirtyIteration:
         result = lint_paths("service/bad_dirty_iteration.py")
         ids = rule_ids(result)
         assert ids.count("det-dirty-iteration") == 2
-        messages = " ".join(v.message for v in result.violations)
+        messages = " ".join(v.message for v in result.findings)
         assert "dirty_entities" in messages
         assert "sorted()" in messages
 
@@ -81,7 +80,7 @@ class TestDirtyIteration:
         source = (fixture_root / "service" / "bad_dirty_iteration.py").read_text()
         outside = tmp_path / "harness.py"
         outside.write_text(source)
-        result = Analyzer(default_rules()).run([outside])
+        result = lint([outside])
         assert "det-dirty-iteration" not in rule_ids(result)
 
 
@@ -92,7 +91,7 @@ class TestReadPath:
         # Two raw store-view accessor iterations plus one bare
         # candidate-collection comprehension.
         assert ids.count("det-read-path") == 3
-        messages = " ".join(v.message for v in result.violations)
+        messages = " ".join(v.message for v in result.findings)
         assert "entities_with_histories()" in messages
         assert "review_entities()" in messages
         assert "candidate_ids" in messages
@@ -107,7 +106,7 @@ class TestReadPath:
         source = (fixture_root / "serve" / "bad_read_path.py").read_text()
         outside = tmp_path / "helper.py"
         outside.write_text(source)
-        result = Analyzer(default_rules()).run([outside])
+        result = lint([outside])
         assert "det-read-path" not in rule_ids(result)
 
     def test_ordered_index_calls_are_exempt(self, lint_paths):

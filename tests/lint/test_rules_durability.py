@@ -1,17 +1,13 @@
 """Durability rule: WAL append before acceptance commit, writes flushed."""
 
-from repro.lint import Analyzer, default_rules
-from repro.lint.engine import LintConfig, parse_module
-from repro.lint.rules_durability import FsyncBeforeAckRule
-
-from tests.lint.conftest import rule_ids
+from tests.lint.conftest import file_findings, lint, rule_ids
 
 
 class TestWalBeforeAckOrdering:
     def test_commit_before_append_is_flagged(self, lint_paths):
         result = lint_paths("service/bad_wal_ack.py")
         assert rule_ids(result) == ["durability-fsync-before-ack"]
-        [violation] = result.violations
+        [violation] = result.findings
         assert "accepted_envelopes" in violation.message
         assert violation.line == 6
 
@@ -31,7 +27,7 @@ class TestWalBeforeAckOrdering:
             "        self._seen_nonces.add(nonce)\n"
             "        self.journal.log_opinion(record, nonce, None)\n"
         )
-        result = Analyzer(default_rules()).run([offender])
+        result = lint([offender])
         assert rule_ids(result) == ["durability-fsync-before-ack"]
 
     def test_mark_accepted_helper_counts_as_commit(self, tmp_path):
@@ -46,7 +42,7 @@ class TestWalBeforeAckOrdering:
             "        self._mark_accepted(nonce)\n"
             "        self.journal.log_interaction(record, 0.0, nonce, None)\n"
         )
-        result = Analyzer(default_rules()).run([offender])
+        result = lint([offender])
         assert rule_ids(result) == ["durability-fsync-before-ack"]
 
     def test_commit_without_any_append_is_clean(self, tmp_path):
@@ -63,7 +59,7 @@ class TestWalBeforeAckOrdering:
             "        self.accepted_envelopes += 1\n"
             "        self._seen_nonces.add(nonce)\n"
         )
-        result = Analyzer(default_rules()).run([helper])
+        result = lint([helper])
         assert result.ok
 
     def test_outside_service_packages_is_ignored(self, tmp_path):
@@ -78,20 +74,21 @@ class TestWalBeforeAckOrdering:
             "    server.accepted_envelopes += 1\n"
             "    server._seen_nonces.add(nonce)\n"
         )
-        result = Analyzer(default_rules()).run([replay])
+        result = lint([replay])
         assert result.ok
 
     def test_one_violation_per_function(self, lint_paths, fixture_root):
-        module = parse_module(fixture_root / "service" / "bad_wal_ack.py")
-        violations = list(FsyncBeforeAckRule().check(module, LintConfig()))
-        assert len(violations) == 1
+        findings = file_findings(
+            fixture_root / "service" / "bad_wal_ack.py", "durability-fsync-before-ack"
+        )
+        assert len(findings) == 1
 
 
 class TestUnflushedWrites:
     def test_unflushed_write_is_flagged(self, lint_paths):
         result = lint_paths("durability/bad_unflushed.py")
         assert rule_ids(result) == ["durability-fsync-before-ack"]
-        [violation] = result.violations
+        [violation] = result.findings
         assert "_file" in violation.message
 
     def test_flushed_write_is_clean(self, lint_paths):
@@ -108,7 +105,7 @@ class TestUnflushedWrites:
             "def dump(handle, text):\n"
             "    handle.write(text)\n"
         )
-        result = Analyzer(default_rules()).run([other])
+        result = lint([other])
         assert result.ok
 
     def test_suppression_comment_waives(self, tmp_path):
@@ -123,19 +120,22 @@ class TestUnflushedWrites:
             "        self._file.write(frame)  "
             "# repro: allow[durability-fsync-before-ack]\n"
         )
-        result = Analyzer(default_rules()).run([waived])
+        result = lint([waived])
         assert result.ok
-        assert [v.rule_id for v in result.sorted_suppressed()] == [
+        assert [v.checker_id for v in result.suppressed] == [
             "durability-fsync-before-ack"
         ]
 
 
 class TestSelfClean:
-    def test_production_intake_paths_are_clean(self):
-        from pathlib import Path
-
-        src = Path(__file__).resolve().parents[2] / "src" / "repro"
-        result = Analyzer([FsyncBeforeAckRule()]).run(
-            [src / "service", src / "scale", src / "durability"]
-        )
-        assert result.ok, "\n".join(v.render() for v in result.sorted_violations())
+    def test_production_intake_paths_are_clean(self, self_analysis):
+        result, _ = self_analysis
+        unwaived = [
+            f.render()
+            for f in result.findings + result.dead_waivers
+            if f.checker_id == "durability-fsync-before-ack"
+            and f.path.startswith(
+                ("src/repro/service/", "src/repro/scale/", "src/repro/durability/")
+            )
+        ]
+        assert not unwaived, "\n".join(unwaived)

@@ -1,19 +1,13 @@
 """Fault-containment rule: only the harness may import repro.faults."""
 
-import ast
-
-from repro.lint import Analyzer, default_rules
-from repro.lint.engine import LintConfig, parse_module
-from repro.lint.rules_faults import FaultsOnlyInHarnessRule
-
-from tests.lint.conftest import rule_ids
+from tests.lint.conftest import file_findings, lint, rule_ids
 
 
 class TestFaultsOnlyInHarness:
     def test_client_importing_faults_is_flagged(self, lint_paths):
         result = lint_paths("client/bad_faults.py")
         assert rule_ids(result) == ["faults-only-in-harness"]
-        [violation] = result.violations
+        [violation] = result.findings
         assert "repro.faults" in violation.message
         assert violation.line == 3
 
@@ -27,7 +21,7 @@ class TestFaultsOnlyInHarness:
         (pkg / "__init__.py").write_text("")
         cli = pkg / "cli.py"
         cli.write_text("from repro.faults import FaultPlan\n")
-        result = Analyzer(default_rules()).run([cli])
+        result = lint([cli])
         assert result.ok
 
     def test_service_importing_faults_is_flagged(self, tmp_path):
@@ -37,13 +31,13 @@ class TestFaultsOnlyInHarness:
         (pkg / "service" / "__init__.py").write_text("")
         offender = pkg / "service" / "server.py"
         offender.write_text("import repro.faults.injector\n")
-        result = Analyzer(default_rules()).run([offender])
+        result = lint([offender])
         assert rule_ids(result) == ["faults-only-in-harness"]
 
     def test_code_outside_guarded_root_is_ignored(self, tmp_path):
         loose = tmp_path / "scratch.py"
         loose.write_text("from repro.faults import FaultPlan\n")
-        result = Analyzer(default_rules()).run([loose])
+        result = lint([loose])
         assert result.ok
 
     def test_relative_import_of_faults_resolves(self, tmp_path):
@@ -55,7 +49,7 @@ class TestFaultsOnlyInHarness:
         (pkg / "privacy" / "__init__.py").write_text("")
         offender = pkg / "privacy" / "sneaky.py"
         offender.write_text("from ..faults import injector\n")
-        result = Analyzer(default_rules()).run([offender])
+        result = lint([offender])
         assert rule_ids(result) == ["faults-only-in-harness"]
 
     def test_suppression_comment_waives(self, tmp_path):
@@ -67,10 +61,10 @@ class TestFaultsOnlyInHarness:
         waived.write_text(
             "import repro.faults  # repro: allow[faults-only-in-harness]\n"
         )
-        result = Analyzer(default_rules()).run([waived])
+        result = lint([waived])
         assert result.ok
         assert rule_ids(result) == []
-        assert [v.rule_id for v in result.sorted_suppressed()] == [
+        assert [v.checker_id for v in result.suppressed] == [
             "faults-only-in-harness"
         ]
 
@@ -81,9 +75,4 @@ class TestFaultsOnlyInHarness:
         (pkg / "client" / "__init__.py").write_text("")
         offender = pkg / "client" / "greedy.py"
         offender.write_text("from repro.faults import FaultPlan, FaultInjector\n")
-        module = parse_module(offender)
-        assert not isinstance(module, ast.AST)
-        violations = list(
-            FaultsOnlyInHarnessRule().check(module, LintConfig())
-        )
-        assert len(violations) == 1
+        assert len(file_findings(offender, "faults-only-in-harness")) == 1

@@ -1,15 +1,13 @@
 """Layering rule family: the Figure 2 device/service boundary."""
 
-from repro.lint import Analyzer, default_rules
-
-from tests.lint.conftest import rule_ids
+from tests.lint.conftest import lint, rule_ids
 
 
 class TestClientImportsService:
     def test_client_importing_server_internals_is_flagged(self, lint_paths):
         result = lint_paths("client/bad_import.py")
         assert rule_ids(result) == ["layer-client-service"]
-        [violation] = result.violations
+        [violation] = result.findings
         assert "repro.service" in violation.message
         assert violation.line == 3
 
@@ -36,7 +34,7 @@ class TestServiceImportsClient:
         (pkg / "service" / "__init__.py").write_text("")
         offender = pkg / "service" / "sneaky.py"
         offender.write_text("from ..sensing import sensors\n")
-        result = Analyzer(default_rules()).run([offender])
+        result = lint([offender])
         assert rule_ids(result) == ["layer-service-client"]
 
 
@@ -52,5 +50,5 @@ class TestOrchestrationIsExempt:
             "from repro.sensing.sensors import generate_trace\n"
             "from repro.service.server import RSPServer\n"
         )
-        result = Analyzer(default_rules()).run([driver])
+        result = lint([driver])
         assert result.ok

@@ -7,7 +7,7 @@ class TestSinkTaint:
     def test_raw_identity_into_upload_payload_is_flagged(self, lint_paths):
         result = lint_paths("client/bad_upload.py")
         assert rule_ids(result) == ["priv-taint-sink"]
-        [violation] = result.violations
+        [violation] = result.findings
         assert "`user_id`" in violation.message
         assert "InteractionUpload" in violation.message
         assert violation.line == 8  # the history_id=user_id keyword
@@ -28,7 +28,7 @@ class TestSinkTaint:
         result = lint_paths("client/bad_upload_hidden.py")
         assert rule_ids(result) == ["priv-taint-sink"] * 7
         tainted = [
-            v.message.split("`")[1] for v in result.sorted_violations()
+            v.message.split("`")[1] for v in result.findings
         ]
         assert tainted == [
             "user_id",  # comprehension iterable
@@ -48,8 +48,8 @@ class TestServerIdentity:
         assert ids.count("priv-server-identity") == 2  # def param + class field
         messages = [
             v.message
-            for v in result.violations
-            if v.rule_id == "priv-server-identity"
+            for v in result.findings
+            if v.checker_id == "priv-server-identity"
         ]
         assert any("rebuild_profile" in m for m in messages)
         assert any("AccountRecord" in m for m in messages)
@@ -72,7 +72,7 @@ class TestTelemetryLabel:
         # One per leak site: a bare name on inc(), an attribute on
         # observe(), and an f-string-wrapped name on span().
         assert ids == ["priv-telemetry-label"] * 3
-        messages = [v.message for v in result.violations]
+        messages = [v.message for v in result.findings]
         assert any("`user_id`" in m and "`user`" in m for m in messages)
         assert any("`device_id`" in m and "`device`" in m for m in messages)
         assert any("`owner`" in m and "span" in m for m in messages)

@@ -297,6 +297,6 @@ def test_scale_name_is_the_server_class(town):
 def test_lint_guards_the_scale_package():
     """The sharded service is held to the same identity-handling rules as
     the monolithic one — the analyzer must treat it as server code."""
-    from repro.lint.engine import LintConfig
+    from repro.analysis import AnalysisConfig
 
-    assert "repro.scale" in LintConfig().service_packages
+    assert "repro.scale" in AnalysisConfig().service_packages
