@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: check lint ruff test bench chaos scale bench-shards telemetry bench-telemetry incremental bench-incremental analyze bench-analyze durable bench-durable ingest bench-ingest serve bench-serve reshard bench-reshard bench-e2e
+.PHONY: check lint ruff test bench chaos scale bench-shards telemetry bench-telemetry incremental bench-incremental analyze bench-analyze durable bench-durable ingest bench-ingest serve bench-serve reshard bench-reshard bench-e2e profile-epochs
 
 check:
 	bash scripts/check.sh
@@ -139,3 +139,9 @@ bench-reshard:
 bench-e2e:
 	$(PYTHON) -m bench run --smoke
 	$(PYTHON) -m pytest bench/tests -q
+
+# Unprofiled wall time and cProfile tables (cumulative and self time) of
+# one run_epochs deployment; pass sizes through PROFILE_ARGS, e.g.
+# `make profile-epochs PROFILE_ARGS="--epochs 16 --top 40"`.
+profile-epochs:
+	$(PYTHON) scripts/profile_epochs.py $(PROFILE_ARGS)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from repro.core.aggregation import OpinionUpload
 from repro.core.classifier import OpinionClassifier
-from repro.core.features import extract_all_features
+from repro.core.features import CatalogDirectory, extract_all_features
 from repro.core.personalization import PersonalizationWeights, PersonalizedResult, personalize
 from repro.client.snapshot import LocalSnapshot
 from repro.client.transparency import InferenceEntry, InferenceStatus, TransparencyLog
@@ -44,7 +44,7 @@ from repro.privacy.uploads import (
     hardened_config,
 )
 from repro.sensing.location import StayPoint, StayPointFold, extract_stay_points
-from repro.sensing.resolution import EntityResolver, ObservedInteraction
+from repro.sensing.resolution import ObservedInteraction
 from repro.sensing.traces import DeviceTrace
 from repro.core.protocol import AnonymousRecord, Envelope
 from repro.telemetry import NULL, Telemetry
@@ -121,12 +121,17 @@ class PendingRecord:
 
 
 class RSPClient:
-    """One user's installation of the RSP app."""
+    """One user's installation of the RSP app.
+
+    ``catalog`` is the public entity directory: a :class:`CatalogDirectory`
+    that a deployment builds once and shares with every client, or a list
+    of entities this client turns into its own.
+    """
 
     def __init__(
         self,
         device_id: str,
-        catalog: list[Entity],
+        catalog: CatalogDirectory | list[Entity],
         classifier: OpinionClassifier,
         seed: int = 0,
         upload_config: UploadConfig | None = None,
@@ -135,9 +140,10 @@ class RSPClient:
     ) -> None:
         self._seed = seed
         self.identity = DeviceIdentity.create(device_id, seed=seed)
-        self.catalog = {entity.entity_id: entity for entity in catalog}
+        self.directory = CatalogDirectory.of(catalog)
+        self.catalog = self.directory.entities
         self.classifier = classifier
-        self.resolver = EntityResolver(catalog)
+        self.resolver = self.directory.resolver
         self.scheduler = UploadScheduler(
             self.identity, upload_config or hardened_config(), seed=seed
         )
@@ -168,6 +174,10 @@ class RSPClient:
         self._inferred_home: Point | None = None
         #: Stay-point fold over the final location samples seen so far.
         self._fold = StayPointFold(self.resolver.config.stay_points)
+        #: Resolved entity calls of the call rows seen so far, and the
+        #: count of those rows.
+        self._calls: list[ObservedInteraction] = []
+        self._n_call_rows = 0
 
     def attach_telemetry(self, telemetry: Telemetry) -> None:
         """Share one deployment-wide sink with this client's components."""
@@ -185,15 +195,27 @@ class RSPClient:
     ) -> list[ObservedInteraction]:
         """Resolve a trace, update the snapshot, infer opinions.
 
-        ``trace`` is either a full trace (``window_start == 0``, which
-        starts the stay-point fold afresh) or a window continuing the
-        samples folded so far; any other window raises ``ValueError``.
-        ``emotion`` optionally supplies per-entity wearable valence means
-        (see :mod:`repro.sensing.wearables`).
+        ``trace`` is either a full trace or a window continuing what was
+        observed so far, for the location samples and the call log each:
+        ``window_start == 0`` starts the stay-point fold afresh and
+        ``call_start == 0`` the resolved calls; any other start must
+        continue the samples folded, or the call rows resolved, so far, and
+        raises ``ValueError`` otherwise.  ``emotion`` optionally supplies
+        per-entity wearable valence means (see
+        :mod:`repro.sensing.wearables`).
         """
+        if trace.call_start not in (0, self._n_call_rows):
+            raise ValueError(
+                f"call window starts at row {trace.call_start}, but "
+                f"{self._n_call_rows} rows are resolved"
+            )
         stream = self._fold_window(trace)
         stays = stream.stays()
-        interactions = self.resolver.resolve(trace, stays)
+        if trace.call_start == 0:
+            self._calls, self._n_call_rows = [], 0
+        self._calls += self.resolver.resolve_calls(trace.call_records)
+        self._n_call_rows += len(trace.call_records)
+        interactions = self.resolver.resolve(trace, stays, self._calls)
         self._interactions = interactions
         self.stats.interactions_observed = len(interactions)
         self.snapshot.add_all(interactions)
@@ -201,7 +223,7 @@ class RSPClient:
 
         home = infer_home(trace, stays, stream.first_point)
         self._inferred_home = home
-        features = extract_all_features(interactions, self.catalog, home, emotion=emotion)
+        features = extract_all_features(interactions, self.directory, home, emotion=emotion)
         for entity_id, feature_vector in features.items():
             opinion = self.classifier.predict(feature_vector)
             evidence = (
@@ -395,12 +417,13 @@ class RSPClient:
         tokens, in-flight blindings, mint counter), the scheduler and nonce
         RNG streams, the staged-work dedup sets, user transparency
         overrides, and the stats counters.  Deliberately *not* covered:
-        resolved interactions, the local snapshot, model inferences, and
-        the stay-point fold — those are rederived from the next
-        ``observe_trace``, and the staged sets guarantee rederivation never
-        re-uploads anything.  A restored client's fold is empty, so its
-        next trace must be a full one (``window_start == 0``): the stays
-        are rebuilt from the whole stream.
+        resolved interactions and calls, the local snapshot, model
+        inferences, and the stay-point fold — those are rederived from the
+        next ``observe_trace``, and the staged sets guarantee rederivation
+        never re-uploads anything.  A restored client's fold and calls are
+        empty, so its next trace must be a full one (``window_start == 0``
+        and ``call_start == 0``): the stays and calls are rebuilt from the
+        whole stream and log.
 
         The result is sealed through the same canonical serializer the
         server's snapshots use (:func:`repro.durability.seal`), so a
@@ -470,7 +493,7 @@ class RSPClient:
     def restore(
         cls,
         state: dict,
-        catalog: list[Entity],
+        catalog: CatalogDirectory | list[Entity],
         classifier: OpinionClassifier,
         upload_config: UploadConfig | None = None,
         snapshot_retention: float = 30 * DAY,

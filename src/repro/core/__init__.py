@@ -53,6 +53,8 @@ from repro.core.publication import (
 )
 from repro.core.protocol import AnonymousRecord, Envelope
 from repro.core.features import (
+    CatalogDirectory,
+    ChoiceSet,
     OpinionFeatures,
     extract_all_features,
     extract_features,
@@ -92,6 +94,8 @@ __all__ = [
     "personalize",
     "DistanceVisitsSeries",
     "EntityOpinionSummary",
+    "CatalogDirectory",
+    "ChoiceSet",
     "InferredOpinion",
     "NotFittedError",
     "OpinionClassifier",

@@ -21,6 +21,7 @@ from pathlib import Path
 
 from repro.client.app import RSPClient
 from repro.core.classifier import OpinionClassifier
+from repro.core.features import CatalogDirectory
 from repro.durability.journal import DurableJournal, attach_journal
 from repro.durability.replication import ReplicatedRSPServer, ReplicationChannel
 from repro.faults import FaultInjector, FaultPlan
@@ -270,10 +271,14 @@ def run_epochs(
         raise ValueError("replicate=True requires durable_dir")
 
     users = town.users if max_users is None else town.users[:max_users]
+    # One directory for the deployment: every install, restored ones too,
+    # resolves against the same phone map and index and shares the
+    # memoised choice sets.
+    directory = CatalogDirectory(town.entities)
     clients: dict[str, RSPClient] = {
         user.user_id: RSPClient(
             device_id=user.user_id,
-            catalog=town.entities,
+            catalog=directory,
             classifier=classifier,
             seed=config.seed * 100_003 + index,
             upload_config=config.upload,
@@ -355,7 +360,7 @@ def run_epochs(
                     crash_restores += 1
                     restored = RSPClient.restore(
                         checkpoints[user.user_id],
-                        catalog=town.entities,
+                        catalog=directory,
                         classifier=classifier,
                         upload_config=config.upload,
                         retransmit=config.retransmit,

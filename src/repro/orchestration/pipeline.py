@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.client.app import RSPClient
 from repro.core.classifier import ClassifierConfig, OpinionClassifier
-from repro.core.features import OpinionFeatures, extract_all_features
+from repro.core.features import CatalogDirectory, OpinionFeatures, extract_all_features
 from repro.client.app import infer_home
 from repro.privacy.anonymity import AnonymityNetwork, batching_network
 from repro.privacy.uploads import RetransmitPolicy, UploadConfig, hardened_config
@@ -119,19 +119,16 @@ def collect_training_data(
     rating; the features come from their consenting client).
     """
     policy = policy or duty_cycled_policy()
-    catalog = {entity.entity_id: entity for entity in town.entities}
+    directory = CatalogDirectory(town.entities)
     reviews_by_user: dict[str, list] = {}
     for review in result.reviews:
         reviews_by_user.setdefault(review.user_id, []).append(review)
 
     features: list[OpinionFeatures] = []
     ratings: list[float] = []
-    from repro.sensing.resolution import EntityResolver
-
-    resolver = EntityResolver(town.entities)
     for user_id, reviews in reviews_by_user.items():
         trace = generate_trace(user_id, town, result, horizon, policy, trace_config, seed)
-        interactions = resolver.resolve(trace)
+        interactions = directory.resolver.resolve(trace)
         if not interactions:
             continue
         home = infer_home(trace)
@@ -145,7 +142,7 @@ def collect_training_data(
             emotion = mean_valence_by_entity(
                 generate_emotion_trace(user_id, result, horizon, seed=seed)
             )
-        per_entity = extract_all_features(interactions, catalog, home, emotion=emotion)
+        per_entity = extract_all_features(interactions, directory, home, emotion=emotion)
         for review in reviews:
             feature_vector = per_entity.get(review.entity_id)
             if feature_vector is None:
@@ -227,12 +224,13 @@ def run_full_pipeline(
             server.post_review(review.user_id, review.entity_id, review.rating, review.time)
 
     users = town.users if max_users is None else town.users[:max_users]
+    directory = CatalogDirectory(town.entities)
     clients: dict[str, RSPClient] = {}
     history_owner: dict[str, str] = {}  # scoring only
     for index, user in enumerate(users):
         client = RSPClient(
             device_id=user.user_id,
-            catalog=town.entities,
+            catalog=directory,
             classifier=classifier,
             seed=config.seed * 100_003 + index,
             upload_config=config.upload,

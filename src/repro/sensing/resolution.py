@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import enum
 from collections import defaultdict
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.sensing.location import StayPoint, StayPointConfig, extract_stay_points
 from repro.sensing.spatial import GridIndex
-from repro.sensing.traces import DeviceTrace
+from repro.sensing.traces import CallRecord, DeviceTrace
 from repro.world.entities import Entity
 from repro.world.geography import Point
 
@@ -88,15 +89,37 @@ class EntityResolver:
         """Directory lookup of a call-log number; None for personal calls."""
         return self._by_phone.get(number)
 
+    def resolve_calls(self, records: Iterable[CallRecord]) -> list[ObservedInteraction]:
+        """The entity calls among call-log rows, in row order; personal
+        calls are dropped."""
+        calls: list[ObservedInteraction] = []
+        for call in records:
+            entity = self.resolve_phone(call.number)
+            if entity is None:
+                continue
+            calls.append(
+                ObservedInteraction(
+                    entity_id=entity.entity_id,
+                    interaction_type=InteractionType.CALL,
+                    time=call.time,
+                    duration=call.duration,
+                )
+            )
+        return calls
+
     def resolve(
-        self, trace: DeviceTrace, stays: list[StayPoint] | None = None
+        self,
+        trace: DeviceTrace,
+        stays: list[StayPoint] | None = None,
+        calls: list[ObservedInteraction] | None = None,
     ) -> list[ObservedInteraction]:
         """Turn one device trace into time-ordered observed interactions.
 
         ``stays`` are the stay points of the device's whole location
-        stream, for a caller that folds them itself (a window trace holds
-        only part of the stream); by default they are extracted from the
-        trace.
+        stream, and ``calls`` the resolved entity calls of its whole call
+        log (:meth:`resolve_calls`), for a caller that keeps them itself: a
+        window trace holds only part of the stream and of the log.  By
+        default both come from the trace.
         """
         interactions: list[ObservedInteraction] = []
         if stays is None:
@@ -121,19 +144,9 @@ class EntityResolver:
                 )
             )
 
-        for call in trace.call_records:
-            entity = self.resolve_phone(call.number)
-            if entity is None:
-                continue
-            interactions.append(
-                ObservedInteraction(
-                    entity_id=entity.entity_id,
-                    interaction_type=InteractionType.CALL,
-                    time=call.time,
-                    duration=call.duration,
-                )
-            )
-
+        if calls is None:
+            calls = self.resolve_calls(trace.call_records)
+        interactions += calls
         interactions.sort(key=lambda i: i.time)
         return interactions
 

@@ -9,8 +9,9 @@ these streams; nothing in them names an entity or an opinion.
 A long-running deployment observes the same device at growing horizons.
 :class:`TraceCarry` makes that cost proportional to what is new: passed to
 :func:`generate_trace`, it keeps the generator's place in the user's
-timeline, and the returned trace is a *window* that starts where the
-device's previously final location samples end (see
+timeline, and the returned trace is a *window*: its location samples
+start where the device's previously final samples end, and its call rows
+where the previous window's rows end (see
 :class:`~repro.sensing.traces.DeviceTrace`).
 """
 
@@ -137,6 +138,26 @@ def _time(item) -> float:
     return item.time
 
 
+def _start_time(event) -> float:
+    return event.start_time
+
+
+def _personal_calls(day: int, config: TraceConfig, rng: np.random.Generator) -> list[CallRecord]:
+    """One day's personal calls, time-ordered: numbers outside the entity
+    directory that resolution must learn to ignore."""
+    start = day * DAY
+    calls = [
+        CallRecord(
+            time=float(rng.uniform(start, start + DAY)),
+            number=f"+1-777-{int(rng.integers(0, 10**7)):07d}",
+            duration=float(rng.exponential(180.0)),
+        )
+        for _ in range(int(rng.poisson(config.personal_calls_per_day)))
+    ]
+    calls.sort(key=_time)
+    return calls
+
+
 class TraceCarry:
     """One device's place in its own timeline between trace windows.
 
@@ -145,19 +166,25 @@ class TraceCarry:
     again from arrival home.  Each stay gets fixes under the policy, and
     each gap between stays gets travel fixes.  The last stay, at the origin
     of the last visit, stays open until the horizon.  Later horizons only
-    append to this timeline, with two exceptions:
-
-    * the open stay is replaced when the next visit starts, unless the
-      next visit leaves from the same place (then it is a prefix of that
-      visit's origin stay);
-    * personal calls and payments are drawn after every location fix, and
-      the number and times of calls depend on the horizon.
+    append to this timeline, with one exception: the open stay is replaced
+    when the next visit starts, unless the next visit leaves from the same
+    place (then it is a prefix of that visit's origin stay).
 
     The carry therefore keeps the trace RNG past every *settled* draw
     (fixes no later horizon can change, including the settled prefix of a
     continuing open stay); each window draws the rest from there and then
     rewinds.  A settled fix is *final*, and leaves the carry for good,
     once no fix still to come can sort before it.
+
+    Calls and payments come from two further streams of their own, so no
+    window schedule moves a location fix or reorders their draws:
+
+    * personal calls are a per-day Poisson process, drawn a day at a time
+      as the horizon reaches the day; the carry buffers only the rest of
+      the current day, and each window hands out the call rows, entity
+      and personal, timed from the previous horizon up to its own;
+    * payments are drawn once per restaurant visit, as the visit is
+      consumed, and every window carries all of them.
 
     The carry holds ground truth (the user's visits and calls), so it
     never leaves :mod:`repro.sensing`; the client only sees the windows.
@@ -171,8 +198,8 @@ class TraceCarry:
     ) -> None:
         self.user_id = user_id
         #: The user's visits and entity calls, each stably time-ordered.
-        self.visits: list[VisitEvent] = sorted(visits, key=lambda v: v.start_time)
-        self.calls: list[CallEvent] = sorted(calls, key=lambda c: c.start_time)
+        self.visits: list[VisitEvent] = sorted(visits, key=_start_time)
+        self.calls: list[CallEvent] = sorted(calls, key=_start_time)
         self._params: tuple | None = None
         #: The trace RNG, past every settled draw between windows.
         self._rng: np.random.Generator | None = None
@@ -182,8 +209,19 @@ class TraceCarry:
         #: after them.
         self._n_visits = 0
         self._cursor = 0.0
-        #: (end time, merchant) of every consumed restaurant visit.
-        self._restaurants: list[tuple[float, str]] = []
+        #: The call-log and payment RNGs, and the payment of every
+        #: consumed restaurant visit that drew one.
+        self._call_rng: np.random.Generator | None = None
+        self._payment_rng: np.random.Generator | None = None
+        self._payments: list[PaymentRecord] = []
+        #: Entity calls handed out, the next day of personal calls to
+        #: draw, the drawn personal calls not handed out yet (all of the
+        #: day before it), and the count of call rows handed out (the next
+        #: window's ``call_start``).
+        self._n_calls = 0
+        self._call_day = 0
+        self._personal: list[CallRecord] = []
+        self._call_rows = 0
         #: The last stay drawn from; ``_open`` when it is the open stay,
         #: of which the first ``_drawn`` fixes are settled.
         self._current: _Stay | None = None
@@ -248,6 +286,8 @@ class TraceCarry:
         if self._rng is None:
             self._params = params
             self._rng = make_rng(seed, f"trace/{self.user_id}")
+            self._call_rng = make_rng(seed, f"trace-calls/{self.user_id}")
+            self._payment_rng = make_rng(seed, f"trace-payments/{self.user_id}")
         elif params != self._params:
             raise ValueError("a trace carry cannot change seed, policy or config")
         if horizon < self._horizon:
@@ -270,7 +310,15 @@ class TraceCarry:
             self._n_visits += 1
             self._cursor = visit.end_time + travel
             if entity.kind.label == "restaurant":
-                self._restaurants.append((visit.end_time, entity.entity_id))
+                rng = self._payment_rng
+                if rng.random() < config.payment_probability:
+                    self._payments.append(
+                        PaymentRecord(
+                            time=visit.end_time,
+                            merchant_name=entity.entity_id,
+                            amount=float(rng.uniform(8, 120)),
+                        )
+                    )
 
         # The open stay: anchored at the last visit's origin until the
         # horizon.  Its fixes settle up to where the next visit's origin
@@ -308,8 +356,8 @@ class TraceCarry:
         trace = DeviceTrace(user_id=self.user_id, window_start=self._emitted, n_final=n_final)
         self._emitted += n_final
 
-        # Everything below depends on the horizon: draw it, then rewind
-        # the RNG to its settled state.
+        # The open stay's fixes depend on the horizon: draw them, then
+        # rewind the RNG to its settled state.
         rng = self._rng
         settled = rng.bit_generator.state
         tail = list(self._pending)
@@ -328,44 +376,40 @@ class TraceCarry:
                         rng,
                     )
                 tail += _sample_stay(open_stay, policy, config, rng)
+        rng.bit_generator.state = settled
         tail.sort(key=_time)
         trace.location_samples = final + tail
 
-        calls = self.calls[: bisect_left(self.calls, horizon, key=lambda c: c.start_time)]
-        trace.call_records = [
+        trace.call_records = self._call_window(town, horizon, config)
+        trace.call_start = self._call_rows
+        self._call_rows += len(trace.call_records)
+        trace.payment_records = sorted(self._payments, key=_time)
+        return trace
+
+    def _call_window(self, town: Town, horizon: float, config: TraceConfig) -> list[CallRecord]:
+        """The call rows timed from the previous horizon up to ``horizon``."""
+        calls = self.calls
+        n_calls = bisect_left(calls, horizon, lo=self._n_calls, key=_start_time)
+        rows = [
             CallRecord(
                 time=call.start_time,
                 number=self._entity(town, call.entity_id).phone,
                 duration=call.duration,
             )
-            for call in calls
+            for call in calls[self._n_calls : n_calls]
         ]
-        # Personal calls: numbers outside the entity directory that
-        # resolution must learn to ignore.
-        n_personal = int(rng.poisson(config.personal_calls_per_day * horizon / DAY))
-        for _ in range(n_personal):
-            trace.call_records.append(
-                CallRecord(
-                    time=float(rng.uniform(0, horizon)),
-                    number=f"+1-777-{int(rng.integers(0, 10**7)):07d}",
-                    duration=float(rng.exponential(180.0)),
-                )
-            )
-
-        for end_time, merchant in self._restaurants:
-            if rng.random() < config.payment_probability:
-                trace.payment_records.append(
-                    PaymentRecord(
-                        time=end_time,
-                        merchant_name=merchant,
-                        amount=float(rng.uniform(8, 120)),
-                    )
-                )
-
-        rng.bit_generator.state = settled
-        trace.call_records.sort(key=_time)
-        trace.payment_records.sort(key=_time)
-        return trace
+        self._n_calls = n_calls
+        # Every buffered call precedes the next day, so a horizon past the
+        # day's start hands them all out before the day is drawn.
+        while self._call_day * DAY < horizon:
+            rows += self._personal
+            self._personal = _personal_calls(self._call_day, config, self._call_rng)
+            self._call_day += 1
+        n_due = bisect_left(self._personal, horizon, key=_time)
+        rows += self._personal[:n_due]
+        del self._personal[:n_due]
+        rows.sort(key=_time)
+        return rows
 
 
 def trace_carries(result: SimulationResult, user_ids: Iterable[str]) -> dict[str, TraceCarry]:
@@ -404,10 +448,12 @@ def generate_trace(
     :func:`trace_carries`), successive calls at non-decreasing horizons
     return windows: each trace's location samples start at index
     ``window_start`` of the device's stream, right after the previous
-    window's ``n_final`` leading final samples, and the call and payment
-    records are complete.  The carry supplies the ground truth, so
-    ``result`` is not read, and the seed, policy and config must stay the
-    same across its windows.  A carry's first window is a full trace.
+    window's ``n_final`` leading final samples; its call records start at
+    row ``call_start`` of the call log, right after the previous window's
+    rows, and hold the rows timed from the previous horizon on; its
+    payment records are complete.  The carry supplies the ground truth,
+    so ``result`` is not read, and the seed, policy and config must stay
+    the same across its windows.  A carry's first window is a full trace.
     """
     policy = policy or duty_cycled_policy()
     config = config or TraceConfig()

@@ -70,9 +70,16 @@ class DeviceTrace:
     start at index ``window_start`` of it, and their first ``n_final``
     entries are final — no later observation of the device changes them,
     so the next window starts right after them.  The rest is provisional
-    and is sent again, possibly changed, in the next window.  The
-    defaults describe a full, wholly provisional trace.  Call and payment
-    records are always complete.
+    and is sent again, possibly changed, in the next window.
+
+    The call records may be a window of the device's call log too: they
+    start at row ``call_start`` of it and are all final, because a call
+    before the horizon never changes.  A window holds the rows timed from
+    the previous window's horizon up to its own.
+
+    Payment records are complete: every payment of a visit that started
+    before the horizon.  The defaults describe a full trace, its samples
+    wholly provisional.
     """
 
     user_id: str
@@ -81,9 +88,10 @@ class DeviceTrace:
     payment_records: list[PaymentRecord] = field(default_factory=list)
     window_start: int = 0
     n_final: int = 0
+    call_start: int = 0
 
     def __post_init__(self) -> None:
-        if self.window_start < 0 or self.n_final < 0:
+        if self.window_start < 0 or self.n_final < 0 or self.call_start < 0:
             raise ValueError("window indices must be non-negative")
 
     def sort(self) -> None:

@@ -1,10 +1,13 @@
 """Windowed traces and the resumable stay-point fold.
 
 For every user and every horizon, a :class:`TraceCarry` window plus the
-client's fold must reproduce the full trace and its stays exactly.  The
-full trace itself is checked against :func:`reference_trace`, the
-whole-horizon generator written out plainly.
+client's fold and resolved calls must reproduce the full trace, its stays
+and its interactions exactly.  The full trace itself is checked against
+:func:`reference_trace`, the whole-horizon generator written out plainly.
 """
+
+import dataclasses
+import math
 
 import pytest
 
@@ -77,19 +80,30 @@ def reference_trace(user_id, town, result, horizon, policy, config, seed):
         for e in result.events
         if isinstance(e, CallEvent) and e.user_id == user_id and e.start_time < horizon
     ]
-    for _ in range(int(rng.poisson(config.personal_calls_per_day * horizon / DAY))):
-        calls.append(
-            CallRecord(
-                float(rng.uniform(0, horizon)),
-                f"+1-777-{int(rng.integers(0, 10**7)):07d}",
-                float(rng.exponential(180.0)),
+    # Personal calls: a Poisson number per day at uniform times in the day.
+    call_rng = make_rng(seed, f"trace-calls/{user_id}")
+    day = 0
+    while day * DAY < horizon:
+        for _ in range(int(call_rng.poisson(config.personal_calls_per_day))):
+            call = CallRecord(
+                float(call_rng.uniform(day * DAY, (day + 1) * DAY)),
+                f"+1-777-{int(call_rng.integers(0, 10**7)):07d}",
+                float(call_rng.exponential(180.0)),
             )
-        )
+            if call.time < horizon:
+                calls.append(call)
+        day += 1
+    # Payments: one draw per restaurant visit, then the amount if paid.
+    payment_rng = make_rng(seed, f"trace-payments/{user_id}")
     payments = []
     for visit in visits:
         entity = town.entity(visit.entity_id)
-        if entity.kind.label == "restaurant" and rng.random() < config.payment_probability:
-            payments.append(PaymentRecord(visit.end_time, entity.entity_id, float(rng.uniform(8, 120))))
+        if (
+            entity.kind.label == "restaurant"
+            and payment_rng.random() < config.payment_probability
+        ):
+            amount = float(payment_rng.uniform(8, 120))
+            payments.append(PaymentRecord(visit.end_time, entity.entity_id, amount))
     trace = DeviceTrace(user_id, samples, calls, payments)
     trace.sort()
     return trace
@@ -111,6 +125,7 @@ def replay(town, result, horizons, classifier, policy=None, seed=0, users=None):
     for user_id in users:
         client = RSPClient(user_id, town.entities, classifier)
         final: list = []
+        calls: list = []
         fold = StayPointFold()
         for horizon in horizons:
             window = generate_trace(
@@ -124,7 +139,9 @@ def replay(town, result, horizons, classifier, policy=None, seed=0, users=None):
 
             assert window.window_start == len(final)
             assert final + window.location_samples == full.location_samples
-            assert window.call_records == full.call_records
+            assert window.call_start == len(calls)
+            calls += window.call_records
+            assert calls == full.call_records
             assert window.payment_records == full.payment_records
             final += window.location_samples[: window.n_final]
 
@@ -142,12 +159,18 @@ def epoch_horizons(days, epochs):
     return [days * DAY * k / epochs for k in range(1, epochs + 1)]
 
 
+@pytest.fixture(scope="module")
+def world():
+    town = build_town(TownConfig(n_users=60), seed=11)
+    result = BehaviorSimulator(
+        town.users, town.entities, BehaviorConfig(duration_days=30), seed=11
+    ).run()
+    return town, result
+
+
 class TestSimulatedWorlds:
-    def test_every_user_every_epoch(self, classifier):
-        town = build_town(TownConfig(n_users=60), seed=11)
-        result = BehaviorSimulator(
-            town.users, town.entities, BehaviorConfig(duration_days=30), seed=11
-        ).run()
+    def test_every_user_every_epoch(self, world, classifier):
+        town, result = world
         replay(town, result, epoch_horizons(30, 8), classifier, seed=11)
 
     def test_travel_fixes_and_uneven_horizons(self, classifier):
@@ -300,3 +323,129 @@ class TestFold:
         fold.extend([LocationSample(10.0, Point(0, 0))])
         with pytest.raises(ValueError):
             fold.extend([LocationSample(5.0, Point(0, 0))])
+
+
+# ------------------------------------------------------------ call windows
+
+
+def client_for(town, classifier, user_id="u"):
+    return RSPClient(user_id, town.entities, classifier)
+
+
+class TestCallWindows:
+    def test_calls_survive_windows_without_final_samples(self, classifier):
+        """A device with no visits has no samples, so every window starts at
+        sample 0; its call log still continues across windows."""
+        town = hand_town()
+        events = [
+            CallEvent("u", "dentist", 5 * HOUR, 120.0),
+            CallEvent("u", "cafe", 20 * HOUR, 60.0),
+            CallEvent("u", "dentist", 40 * HOUR, 300.0),
+        ]
+        result = SimulationResult(events=events)
+        carry = trace_carries(result, ["u"])["u"]
+        client = client_for(town, classifier)
+        for horizon in (6 * HOUR, 10 * HOUR, 30 * HOUR, 50 * HOUR):
+            window = generate_trace("u", town, result, horizon, seed=1, carry=carry)
+            assert window.window_start == 0 and window.n_final == 0
+            observed = client.observe_trace(window, now=horizon)
+            assert [(i.entity_id, i.time) for i in observed] == [
+                (e.entity_id, e.start_time) for e in events if e.start_time < horizon
+            ]
+
+    @pytest.mark.parametrize("shift", [1, -1], ids=["skips", "repeats"])
+    def test_call_gap_raises_and_changes_nothing(self, shift, classifier):
+        town = hand_town()
+        result = SimulationResult(events=SCENARIOS["next visit from elsewhere"])
+        carry = trace_carries(result, ["u"])["u"]
+        client = client_for(town, classifier)
+        client.observe_trace(
+            generate_trace("u", town, result, 30 * HOUR, seed=1, carry=carry), now=30 * HOUR
+        )
+        second = generate_trace("u", town, result, 80 * HOUR, seed=1, carry=carry)
+        assert second.call_start > 0
+        bad = dataclasses.replace(second, call_start=second.call_start + shift)
+        with pytest.raises(ValueError, match="resolved"):
+            client.observe_trace(bad, now=80 * HOUR)
+        full = generate_trace("u", town, result, 80 * HOUR, seed=1)
+        assert client.observe_trace(second, now=80 * HOUR) == EntityResolver(
+            town.entities
+        ).resolve(full)
+
+    def test_restored_client_catches_up(self, world, classifier):
+        """A crash-restored client fed by a rewound carry reaches the same
+        interactions as a client that never crashed."""
+        town, result = world
+        horizons = epoch_horizons(30, 6)
+        users = [user.user_id for user in town.users[:12]]
+        steady = trace_carries(result, users)
+        crashing = trace_carries(result, users)
+        for user_id in users:
+            uninterrupted = client_for(town, classifier, user_id)
+            restored = client_for(town, classifier, user_id)
+            for index, horizon in enumerate(horizons):
+                if index == 3:
+                    restored = RSPClient.restore(
+                        restored.checkpoint(), town.entities, classifier
+                    )
+                    crashing[user_id] = crashing[user_id].rewound()
+                expected = uninterrupted.observe_trace(
+                    generate_trace(
+                        user_id, town, result, horizon, seed=11, carry=steady[user_id]
+                    ),
+                    now=horizon,
+                )
+                got = restored.observe_trace(
+                    generate_trace(
+                        user_id, town, result, horizon, seed=11, carry=crashing[user_id]
+                    ),
+                    now=horizon,
+                )
+                assert got == expected
+
+
+# ------------------------------------------------------------ sensor model
+
+
+class TestSensorModel:
+    def test_personal_calls_per_day(self):
+        """4000 device-days of a Poisson(3) process: the mean lies within
+        0.15 of the rate (the standard error is 0.027)."""
+        town, config = hand_town(), TraceConfig()
+        days = 40
+        total = 0
+        for device in range(100):
+            carry = TraceCarry(f"d{device}")
+            trace = carry.window(town, days * DAY, duty_cycled_policy(), config, seed=9)
+            total += len(trace.call_records)
+        assert total / (100 * days) == pytest.approx(config.personal_calls_per_day, abs=0.15)
+
+    def test_payment_fraction(self):
+        """2000 restaurant visits: the paid fraction lies within 0.04 of the
+        payment probability (the standard error is 0.009); the dentist
+        visits between them are never paid."""
+        town, config = hand_town(), TraceConfig()
+        paid = visits = 0
+        for device in range(40):
+            events = []
+            for day in range(50):
+                for venue, at in ((("cafe", "bistro")[day % 2], 12 * HOUR), ("dentist", 16 * HOUR)):
+                    events.append(VisitEvent(f"d{device}", venue, day * DAY + at, HOUR, HOME, 1.0))
+            carry = TraceCarry(f"d{device}", events)
+            trace = carry.window(town, 50 * DAY, duty_cycled_policy(), config, seed=9)
+            assert {p.merchant_name for p in trace.payment_records} <= {"cafe", "bistro"}
+            paid += len(trace.payment_records)
+            visits += 50
+        assert paid / visits == pytest.approx(config.payment_probability, abs=0.04)
+
+    def test_carry_buffers_at_most_one_day_of_calls(self, world):
+        """After every window, the only personal calls the carry holds are
+        those of the horizon's own day still to come."""
+        town, result = world
+        horizons = [0.0, 0.4 * DAY, DAY, DAY, 1.5 * DAY, 4 * DAY, 9.99 * DAY, 17.2 * DAY, 30 * DAY]
+        users = [user.user_id for user in town.users[:10]]
+        for user_id, carry in trace_carries(result, users).items():
+            for horizon in horizons:
+                generate_trace(user_id, town, result, horizon, seed=11, carry=carry)
+                day_end = math.ceil(horizon / DAY) * DAY
+                assert all(horizon <= call.time <= day_end for call in carry._personal)
