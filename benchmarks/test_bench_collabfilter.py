@@ -12,7 +12,7 @@ simulated world's explicit reviews and counts, per entity kind, how many
 from _harness import comparison_table, emit
 
 from repro.core.collabfilter import ItemBasedCF, cf_applicability
-from repro.core.discovery import DiscoveryService, Query
+from repro.serve.engine import ServeQuery
 from repro.world.entities import EntityKind, InteractionStyle
 
 
@@ -49,28 +49,26 @@ def test_bench_cf_vs_search(benchmark, simulated_world, pipeline_outcome):
         cf.fit()
         cf_report = cf_applicability(cf, needs, kind_of_category)
 
-        discovery = DiscoveryService(town.entities)
+        # ``rank`` returns every match, so "informed" never depends on
+        # where a response's ``limit`` would cut.
+        rank = out.server.serving.engine.rank
+        summaries = out.server.all_summaries()
         search_counts: dict[str, list[int]] = {}
         for user in town.users:
             for category in categories:
                 kind = kind_of_category[category]
                 servable, total = search_counts.setdefault(kind, [0, 0])
                 search_counts[kind][1] += 1
-                response = discovery.search(
-                    Query(category=category, near=user.home, radius_km=12.0),
-                    {
-                        entity_id: out.server.summary(entity_id)
-                        for entity_id in by_category[category]
-                        if out.server.summary(entity_id) is not None
-                    },
+                results = rank(
+                    ServeQuery(category=category, near=user.home, radius_km=12.0),
+                    summaries,
                 )
                 # "Informed" counts either opinions (explicit or
                 # inferred) or the aggregate-activity visualizations of
                 # Section 4.1 — the RSP's two outputs.
                 informed = any(
-                    r.summary is not None
-                    and (r.summary.total_opinions > 0 or r.summary.n_interacting_users > 0)
-                    for r in response.results
+                    r.summary.total_opinions > 0 or r.summary.n_interacting_users > 0
+                    for r in results
                 )
                 if informed:
                     search_counts[kind][0] += 1

@@ -31,7 +31,7 @@ def test_bench_sybil_rating_shift(benchmark, simulated_world, pipeline_outcome):
             break
     assert target is not None
 
-    honest_histories = server._accepted_histories.get(target, [])
+    honest_histories = server._engine.accepted.get(target, [])
     honest_opinions = [
         o for shard in server.shards for o in shard.opinions.values() if o.entity_id == target
     ]

@@ -3,16 +3,16 @@
 Runs the service the way it would actually operate — monthly client syncs
 over half a year — then shows the user-facing features of Section 5:
 the transparency log with a correction, and on-device personalized
-re-ranking of a server search.
+re-ranking of a server query.
 
     python examples/lifecycle.py
 """
 
 from __future__ import annotations
 
-from repro.core.discovery import Query
 from repro.orchestration.epochs import run_epochs
 from repro.orchestration.pipeline import PipelineConfig
+from repro.serve.engine import ServeQuery
 from repro.world.behavior import BehaviorConfig, BehaviorSimulator
 from repro.world.population import TownConfig, build_town
 
@@ -55,14 +55,16 @@ def main() -> None:
         print(f"  effective rating now: {client.transparency.entry(target).effective_rating}")
 
         entity = town.entity(target)
-        response = server.search(
-            Query(category=entity.category, near=entity.location, radius_km=12.0)
+        response = server.query(
+            ServeQuery(
+                category=entity.category, near=entity.location, radius_km=12.0, limit=5
+            )
         )
         print(f"\nServer ranking for {entity.category!r} near the corrected entity:")
-        print(response.render(limit=5))
+        print(response.render())
         print("\nSame results personalized on the user's device "
               "(their correction and travel tolerance applied):")
-        for rank, personalized in enumerate(client.personalize_response(response)[:5], start=1):
+        for rank, personalized in enumerate(client.personalize_response(response), start=1):
             print(f"{rank:2d}. {personalized.entity_id:24s} "
                   f"server score {personalized.base.score:.2f} "
                   f"{personalized.personal_adjustment:+.2f} personal")

@@ -10,8 +10,8 @@ query and prints what a user of the re-architected service would see.
 
 from __future__ import annotations
 
-from repro.core.discovery import Query
 from repro.orchestration.pipeline import PipelineConfig, run_full_pipeline
+from repro.serve.engine import ServeQuery
 from repro.world.behavior import BehaviorConfig, BehaviorSimulator
 from repro.world.population import TownConfig, build_town
 
@@ -40,14 +40,11 @@ def main() -> None:
     print(f"   opinion gain:       {outcome.coverage_gain():.1f}x")
     print(f"   inference MAE:      {outcome.mean_absolute_error:.2f} stars")
 
-    print("\n4. Searching for Thai food near the town center...")
+    print("\n4. Searching for Thai food near the town center "
+          "(ranked results, then Figure 3 panels for the top three)...")
     center = town.grid.zones[len(town.grid.zones) // 2].center
-    response = server.search(Query(category="thai", near=center, radius_km=10.0))
+    response = server.query(ServeQuery(category="thai", near=center, radius_km=10.0))
     print(response.render())
-
-    if response.visualization is not None:
-        print("\n5. Comparative visualizations for the top results:")
-        print(response.visualization.render())
 
 
 if __name__ == "__main__":

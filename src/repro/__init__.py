@@ -16,7 +16,7 @@ Subpackages
 ``repro.client``       the RSP smartphone app
 ``repro.privacy``      anonymous uploads, unlinkable history storage, blind tokens
 ``repro.fraud``        fake-activity detection and the attacker zoo
-``repro.core``         opinion inference, aggregation, visualizations, discovery
+``repro.core``         opinion inference, aggregation, visualizations
 ``repro.service``      the RSP server
 """
 

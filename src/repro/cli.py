@@ -5,8 +5,8 @@ benchmarks exercise:
 
 * ``measure``  — regenerate the Section 2 measurement study (Table 1, Figure 1)
 * ``pipeline`` — run the full Figure 2 architecture and report coverage/accuracy
-* ``search``   — run the pipeline, then answer one query like the RSP would
-* ``query``    — run the pipeline, then query the indexed serving layer (cached)
+* ``query``    — run the pipeline, then answer one query like the RSP would
+  (indexed, cached, with the Figure 3 panels of the top results)
 * ``epochs``   — operate the service over periodic client syncs
 * ``figure3``  — the three-dentist comparative-visualization scenario
 * ``audit``    — de-anonymization attacks against naive vs hardened clients
@@ -83,26 +83,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     print(f"opinion gain:              {outcome.coverage_gain():.1f}x")
     print(f"inference MAE:             {outcome.mean_absolute_error:.2f} stars")
     print(f"abstention rate:           {outcome.abstention_rate:.2f}")
-    return 0
-
-
-def _cmd_search(args: argparse.Namespace) -> int:
-    from repro.core.discovery import Query
-    from repro.world.geography import Point
-
-    town, _, outcome = _run_pipeline(args)
-    near = (
-        Point(args.x, args.y)
-        if args.x is not None and args.y is not None
-        else town.grid.zones[len(town.grid.zones) // 2].center
-    )
-    response = outcome.server.search(
-        Query(category=args.category, near=near, radius_km=args.radius)
-    )
-    print(response.render())
-    if args.visualize and response.visualization is not None:
-        print()
-        print(response.visualization.render())
     return 0
 
 
@@ -506,15 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
     pipeline = sub.add_parser("pipeline", help="run the full Figure 2 architecture")
     add_world_args(pipeline)
     pipeline.set_defaults(func=_cmd_pipeline)
-
-    search = sub.add_parser("search", help="run the pipeline, then answer one query")
-    add_world_args(search)
-    search.add_argument("--category", default="thai", help="category to search")
-    search.add_argument("--x", type=float, default=None, help="query x (km)")
-    search.add_argument("--y", type=float, default=None, help="query y (km)")
-    search.add_argument("--radius", type=float, default=10.0, help="radius (km)")
-    search.add_argument("--visualize", action="store_true", help="print Figure 3 panels")
-    search.set_defaults(func=_cmd_search)
 
     query = sub.add_parser(
         "query", help="run the pipeline, then query the indexed serving layer"

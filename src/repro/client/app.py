@@ -580,7 +580,8 @@ class RSPClient:
     def personalize_response(
         self, response, weights: PersonalizationWeights | None = None
     ) -> list[PersonalizedResult]:
-        """Re-rank a server search response against this user's own log.
+        """Re-rank a server query response (``RSPServer.query``) against
+        this user's own log.
 
         The Section 5 install incentive, computed entirely on the device:
         the user's inferred (or corrected) opinions and their inferred home

@@ -1,9 +1,10 @@
-"""The paper's primary contribution: implicit opinion inference and discovery.
+"""The paper's primary contribution: implicit opinion inference.
 
 Effort/exploration/choice-set features (Section 4.1), the
 effort-is-endorsement classifier with abstention, aggregate opinion
-summaries with group deflation, the Figure 3 comparative visualizations,
-and the search interface that surfaces all of it (Section 3.1).
+summaries with group deflation, and the Figure 3 comparative
+visualizations.  The search interface that surfaces all of it (Section
+3.1) is the serving layer, :mod:`repro.serve`.
 """
 
 from repro.core.aggregation import (
@@ -33,13 +34,6 @@ from repro.core.classifier import (
     OpinionClassifier,
     RepeatCountBaseline,
     synthetic_training_pairs,
-)
-from repro.core.discovery import (
-    DiscoveryService,
-    Query,
-    RankedResult,
-    SearchResponse,
-    opinion_score,
 )
 from repro.core.reminders import ReminderOutcome, ReminderPolicy, simulate_reminders
 from repro.core.publication import (
@@ -72,7 +66,6 @@ __all__ = [
     "RATING_EDGES",
     "ClassifierConfig",
     "ComparativeVisualization",
-    "DiscoveryService",
     "Envelope",
     "AnonymousRecord",
     "ApplicabilityReport",
@@ -101,10 +94,7 @@ __all__ = [
     "OpinionClassifier",
     "OpinionFeatures",
     "OpinionUpload",
-    "Query",
-    "RankedResult",
     "RepeatCountBaseline",
-    "SearchResponse",
     "VisitsHistogram",
     "compare_entities",
     "deflate_groups",
@@ -112,7 +102,6 @@ __all__ = [
     "distance_vs_visits",
     "extract_all_features",
     "extract_features",
-    "opinion_score",
     "rating_histogram",
     "summarize_entity",
     "synthetic_training_pairs",

@@ -18,11 +18,11 @@ from dataclasses import dataclass
 
 from typing import TYPE_CHECKING
 
-from repro.core.discovery import RankedResult, SearchResponse
 from repro.world.geography import Point
 
-if TYPE_CHECKING:  # avoid a core -> client import cycle at runtime
+if TYPE_CHECKING:  # avoid core -> client and core -> serve imports at runtime
     from repro.client.transparency import TransparencyLog
+    from repro.serve.engine import ServeResponse, ServeResult
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ class PersonalizationWeights:
 class PersonalizedResult:
     """A server result with its client-side adjustment broken out."""
 
-    base: RankedResult
+    base: "ServeResult"
     personal_adjustment: float
 
     @property
@@ -59,7 +59,7 @@ class PersonalizedResult:
 
 
 def personalize(
-    response: SearchResponse,
+    response: "ServeResponse",
     transparency: "TransparencyLog",
     home: Point,
     weights: PersonalizationWeights | None = None,

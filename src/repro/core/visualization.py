@@ -147,17 +147,35 @@ class ComparativeVisualization:
         return "\n\n".join(parts)
 
 
+#: Both Figure 3 panels of one entity: (a) visits per user, (b) distance vs visits.
+EntityPanels = tuple[VisitsHistogram, DistanceVisitsSeries]
+
+
+def entity_panels(
+    entity_id: str, histories: list[InteractionHistory]
+) -> EntityPanels:
+    """Both Figure 3 panels for one entity."""
+    return (
+        visits_per_user_histogram(entity_id, histories),
+        distance_vs_visits(entity_id, histories),
+    )
+
+
+def compare_panels(panels: dict[str, EntityPanels]) -> ComparativeVisualization:
+    """Lay per-entity panels side by side, in ``panels`` order."""
+    return ComparativeVisualization(
+        histograms={entity_id: pair[0] for entity_id, pair in panels.items()},
+        distance_series={entity_id: pair[1] for entity_id, pair in panels.items()},
+    )
+
+
 def compare_entities(
     histories_by_entity: dict[str, list[InteractionHistory]],
 ) -> ComparativeVisualization:
     """Build both Figure 3 panels for a set of competing entities."""
-    return ComparativeVisualization(
-        histograms={
-            entity_id: visits_per_user_histogram(entity_id, histories)
+    return compare_panels(
+        {
+            entity_id: entity_panels(entity_id, histories)
             for entity_id, histories in histories_by_entity.items()
-        },
-        distance_series={
-            entity_id: distance_vs_visits(entity_id, histories)
-            for entity_id, histories in histories_by_entity.items()
-        },
+        }
     )

@@ -1,11 +1,10 @@
 """``repro.serve`` — the read path: indexed discovery at high QPS.
 
 The paper's user-facing half (Section 5, Figure 3) is search: "best X
-near Y" over the entity summaries the maintenance cycle keeps fresh.
-Plain :meth:`~repro.service.server.RSPServer.search` answers
-that by linear-scanning the catalog per query; this package is the
-serving layer that makes reads cheap and keeps them cheap across
-maintenance cycles:
+near Y" over the entity summaries and Figure 3 panels the maintenance
+cycle publishes.  This package is the one read path
+(:meth:`~repro.service.server.RSPServer.query`); it makes reads cheap
+and keeps them cheap across maintenance cycles:
 
 * :class:`~repro.serve.index.SummaryIndex` — an inverted index over the
   catalog keyed by category x zone ("zipcode") x attribute, so a query
@@ -18,7 +17,8 @@ maintenance cycles:
   by per-entity summary versions and invalidated by the incremental
   engine's mode-invariant dirty sets
   (:meth:`repro.service.incremental.MaintenanceEngine.subscribe`), so a
-  warm read is a dict probe and can never be stale;
+  warm read is a dict probe and can never be stale — the panels are
+  published with the summaries, so one version covers both;
 * :class:`~repro.serve.facade.ServingLayer` — the one facade both
   deployments expose as ``server.serving`` / ``server.query(...)``.
 

@@ -3,10 +3,16 @@
 Every entity has a monotone *summary version*, starting at 0 and bumped
 each time the maintenance cycle reports the entity's summary may have
 changed (the mode-invariant ``summarize_tracked`` set — see
-``docs/SERVING.md`` for the coherence protocol).  A cached result stores
-the response together with a *fingerprint*: the ``(entity_id, version)``
-pairs of its dependency set, which is the query's full discrete-predicate
-candidate set (:meth:`repro.serve.index.SummaryIndex.candidate_ids`) —
+``docs/SERVING.md`` for the coherence protocol).  A response depends on
+nothing else: the Figure 3 panels are published by the same cycle, in
+the same per-entity step as the summary, so they are versioned with it —
+intake between cycles changes neither, and a warm read equals a fresh
+recompute at every instant, not only right after a cycle.
+
+A cached result stores the response together with a *fingerprint*: the
+``(entity_id, version)`` pairs of its dependency set, which is the
+query's full discrete-predicate candidate set
+(:meth:`repro.serve.index.SummaryIndex.candidate_ids`) —
 every entity whose summary could influence the response, including ones
 currently ranked out or unsummarized.
 
@@ -31,8 +37,8 @@ are O(1) and the first hit after each maintenance round amortises the
 scan.
 
 ``tests/serve/test_cache.py`` drives randomized intake + maintenance +
-query schedules and asserts a cached read never differs from a fresh
-recompute.
+query schedules, re-reading cached queries after intake, and asserts a
+cached read never differs from a fresh recompute.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """The serve-path query engine: ranked "best X near Y" with Fig-3 context.
 
 The engine is pure computation over inputs handed to it per call — the
-candidate index (static), the current summaries, and the accepted
-histories for the comparative panels.  It holds no mutable state, which
+candidate index (static), and the summaries and Figure 3 panels the last
+maintenance cycle published.  It holds no mutable state, which
 is what lets :class:`~repro.serve.facade.ServingLayer` interpose the
 summary-version cache: the same inputs always produce byte-identical
 rendered responses (``ServeResponse.render``), on any deployment shape.
@@ -13,8 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.aggregation import EntityOpinionSummary
-from repro.privacy.history_store import InteractionHistory
-from repro.core.visualization import ComparativeVisualization, compare_entities
+from repro.core.visualization import (
+    ComparativeVisualization,
+    EntityPanels,
+    compare_panels,
+    entity_panels,
+)
 from repro.serve.index import SummaryIndex
 from repro.serve.ranking import DEFAULT_RANKING, RankingConfig, rank_key, serve_score
 from repro.world.entities import Entity
@@ -152,15 +156,19 @@ class QueryEngine:
         self,
         query: ServeQuery,
         summaries: dict[str, EntityOpinionSummary],
-        histories: dict[str, list[InteractionHistory]],
+        panels: dict[str, EntityPanels],
     ) -> ServeResponse:
-        """Rank, cut to ``limit``, and attach Figure-3 panels for the top."""
+        """Rank, cut to ``limit``, and attach Figure-3 panels for the top
+        (an entity without published panels gets the empty-history ones)."""
         ranked = self.rank(query, summaries)
         visualization: ComparativeVisualization | None = None
         top = [r.entity.entity_id for r in ranked[: query.compare_top]]
         if top:
-            visualization = compare_entities(
-                {entity_id: histories.get(entity_id, []) for entity_id in top}
+            visualization = compare_panels(
+                {
+                    entity_id: panels.get(entity_id) or entity_panels(entity_id, [])
+                    for entity_id in top
+                }
             )
         return ServeResponse(
             query=query,

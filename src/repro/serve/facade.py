@@ -1,13 +1,13 @@
 """One serving facade at every shard count: ``server.serving``.
 
 :class:`ServingLayer` duck-types its
-:class:`~repro.service.server.RSPServer` through four attributes:
-``catalog``, ``_summaries``,
-``_accepted_histories``, and ``_engine`` (the
-:class:`~repro.service.incremental.MaintenanceEngine` whose dirty-set
-notifications drive cache invalidation).  ``telemetry`` is read off the
-server at call time, so attaching telemetry before or after the serving
-layer both work.
+:class:`~repro.service.server.RSPServer` through two attributes:
+``catalog`` and ``_engine`` (the
+:class:`~repro.service.incremental.MaintenanceEngine` whose published
+``summaries`` and ``panels`` every answer is computed from, and whose
+dirty-set notifications drive cache invalidation).  ``telemetry`` is
+read off the server at call time, so attaching telemetry before or
+after the serving layer both work.
 
 The layer is constructed lazily (``server.serving``): a deployment that
 never queries never subscribes, never touches the cache, and never emits
@@ -99,6 +99,5 @@ class ServingLayer:
         return self._compute(query)
 
     def _compute(self, query: ServeQuery) -> ServeResponse:
-        return self.engine.respond(
-            query, self._server._summaries, self._server._accepted_histories
-        )
+        published = self._server._engine
+        return self.engine.respond(query, published.summaries, published.panels)

@@ -4,8 +4,7 @@ A ranked result's score blends three signals from one
 :class:`~repro.core.aggregation.EntityOpinionSummary`:
 
 * **smoothed quality** — the Bayesian-smoothed combined mean of explicit
-  and inferred opinions (same prior discipline as
-  :func:`repro.core.discovery.opinion_score`): entities with little
+  and inferred opinions: entities with little
   evidence shrink toward the prior, so one 5-star review does not outrank
   forty 4.2-star inferences;
 * **evidence volume** — ``log1p(total opinions)``, a logarithmic bonus so

@@ -52,6 +52,7 @@ from dataclasses import dataclass, field
 from typing import Protocol
 
 from repro.core.aggregation import EntityOpinionSummary, OpinionUpload, summarize_entity
+from repro.core.visualization import EntityPanels, entity_panels
 from repro.fraud.detector import DetectorConfig, FraudDetector, HistoryVerdict
 from repro.fraud.profiles import (
     ProfilePools,
@@ -122,9 +123,15 @@ class MaintenanceEngine:
 
     The engine owns the authoritative post-filter state: the accepted
     history partitions, the suspicious verdicts, the surviving-history
-    set, per-owner kept-opinion counts, and the entity summaries.  The
-    servers alias ``accepted`` and ``summaries`` directly (search reads
-    them), so every update here mutates in place and never rebinds.
+    set, per-owner kept-opinion counts, the entity summaries, and the
+    entities' Figure 3 panels.  Summaries and panels are what a cycle
+    publishes: the serving layer reads only them, never the live
+    histories intake appends to between cycles.  Panels are recomputed
+    with summaries, for ``summarize_tracked``: an entity's accepted
+    histories change only through an append (which dirties it;
+    compaction happens on append) or a verdict flip.  The server aliases
+    ``summaries``, so every update here mutates in place and never
+    rebinds.
     """
 
     def __init__(
@@ -142,9 +149,12 @@ class MaintenanceEngine:
         #: (an opinion normally claims its owner entity, but the engine
         #: never assumes it).
         self._claims: dict[str, set[str]] = {}
-        #: Post-filter state, keyed by entity (aliased by the servers).
+        #: Post-filter state, keyed by entity.
         self.accepted: dict[str, list[InteractionHistory]] = {}
         self.summaries: dict[str, EntityOpinionSummary] = {}
+        #: entity_id -> Figure 3 panels of its accepted histories, as of
+        #: the cycle that last tracked it (absent = no accepted history).
+        self.panels: dict[str, EntityPanels] = {}
         self.verdicts: dict[str, list[HistoryVerdict]] = {}
         self.kept: dict[str, int] = {}
         self._accepted_ids: dict[str, frozenset[str]] = {}
@@ -346,7 +356,9 @@ class MaintenanceEngine:
         return self._stats(plan, summarize_tracked)
 
     def _resummarize(self, entity_id: str) -> None:
-        """Recompute one entity's summary from current parts; evict if bare."""
+        """Recompute one entity's summary and panels from current parts;
+        evict what is bare."""
+        self._repanel(entity_id)
         histories = self.accepted.get(entity_id, [])
         inferred = [
             self.view.opinion(history_id)
@@ -363,6 +375,14 @@ class MaintenanceEngine:
             )
         else:
             self.summaries.pop(entity_id, None)
+
+    def _repanel(self, entity_id: str) -> None:
+        """Recompute one entity's panels from its accepted histories."""
+        histories = self.accepted.get(entity_id)
+        if histories:
+            self.panels[entity_id] = entity_panels(entity_id, histories)
+        else:
+            self.panels.pop(entity_id, None)
 
     def _claimed_by(self, history_ids: set[str]) -> set[str]:
         """Entities whose summaries depend on these (flipped) histories."""
@@ -416,6 +436,8 @@ class MaintenanceEngine:
         self.kept.update(kept_by_entity)
         self.summaries.clear()
         self.summaries.update({summary.entity_id: summary for summary in summaries})
+        for entity_id in sorted(summarize_tracked):
+            self._repanel(entity_id)
         self._notify(summarize_tracked)
         return self._stats(plan, summarize_tracked)
 

@@ -2,9 +2,10 @@
 
 Holds the four stores (explicit reviews, anonymous interaction histories,
 anonymous inferred opinions, spent tokens), runs the maintenance cycle
-(fraud profiles → history filtering → opinion summaries), and answers
-search queries with explicit reviews, inferred summaries, and comparative
-visualizations side by side.
+(fraud profiles → history filtering → opinion summaries and Figure 3
+panels), and answers queries through the serving layer
+(:mod:`repro.serve`) with explicit reviews, inferred summaries, and
+comparative visualizations side by side.
 
 Token checking happens here, once per envelope, before dispatching the
 record to its store — forged, replayed, or missing tokens bounce the whole
@@ -34,9 +35,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.core.aggregation import EntityOpinionSummary
-from repro.core.discovery import DiscoveryService, Query, SearchResponse
 from repro.core.protocol import Envelope
-from repro.core.visualization import ComparativeVisualization, compare_entities
 from repro.fraud.attestation import AttestationQuote, AttestationVerifier
 from repro.fraud.detector import DetectorConfig, HistoryVerdict
 from repro.fraud.profiles import profiles_from_pools
@@ -233,7 +232,6 @@ class RSPServer:
         #: Keyed on the envelope's random nonce, never on a payload or
         #: identity digest (see docs/RELIABILITY.md for why).
         self._nonce_buckets: list[set[bytes]] = [set() for _ in range(n_shards)]
-        self._discovery = DiscoveryService(catalog)
         self._detector_config = detector_config
         #: ``False`` forces full kernel recompute every cycle — the
         #: contractual baseline the incremental path must match byte for
@@ -245,12 +243,9 @@ class RSPServer:
         self._engine = MaintenanceEngine(
             ShardedStoreView(self), self.entity_kinds, detector_config
         )
-        # Aliases into the engine's caches (mutated in place only), so
-        # search and summary always see the latest cycle.
+        # Alias into the engine's cache (mutated in place only), so
+        # summary reads always see the latest cycle.
         self._summaries: dict[str, EntityOpinionSummary] = self._engine.summaries
-        self._accepted_histories: dict[str, list[InteractionHistory]] = (
-            self._engine.accepted
-        )
         self._gather: GatherFrame | None = None
         self._gather_versions: tuple[int, ...] | None = None
         self.rejected_envelopes = 0
@@ -317,7 +312,9 @@ class RSPServer:
         return self._serving
 
     def query(self, query: "ServeQuery") -> "ServeResponse":
-        """Answer a read-path query through the cached serving layer."""
+        """Answer a query through the cached serving layer — the one read
+        path: ranked results plus the top entities' Figure 3 panels, as
+        the last maintenance cycle published them."""
         return self.serving.query(query)
 
     # ------------------------------------------------------------- intake
@@ -669,23 +666,6 @@ class RSPServer:
     def reviews_for(self, entity_id: str) -> list[ExplicitReview]:
         shard = self.shards[self.router.shard_of(entity_id)]
         return list(shard.reviews.get(entity_id, []))
-
-    def search(self, query: Query, compare_top: int = 3) -> SearchResponse:
-        """Answer a query with ranked results plus comparative visualizations
-        of the top candidates (Figure 3 as a product feature)."""
-        response = self._discovery.search(query, self._summaries)
-        visualization: ComparativeVisualization | None = None
-        top = [r.entity.entity_id for r in response.results[:compare_top]]
-        if top:
-            visualization = compare_entities(
-                {
-                    entity_id: self._accepted_histories.get(entity_id, [])
-                    for entity_id in top
-                }
-            )
-        return SearchResponse(
-            query=response.query, results=response.results, visualization=visualization
-        )
 
     # ----------------------------------------------------------- counters
 

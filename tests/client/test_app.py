@@ -179,8 +179,8 @@ class TestSync:
 
 class TestPersonalizedSearch:
     def test_personalize_reranks_with_own_opinions(self, setting):
-        from repro.core.discovery import Query
         from repro.orchestration.pipeline import PipelineConfig, run_full_pipeline
+        from repro.serve.engine import ServeQuery
 
         town, result, horizon, classifier = setting
         config = PipelineConfig(horizon_days=horizon / (24 * 3600.0), seed=12)
@@ -197,9 +197,10 @@ class TestPersonalizedSearch:
             import pytest
             pytest.skip("user formed no shareable opinions in this world")
         target_entity = town.entity(rated[0].entity_id)
-        response = outcome.server.search(
-            Query(category=target_entity.category,
-                  near=target_entity.location, radius_km=20.0)
+        response = outcome.server.query(
+            ServeQuery(category=target_entity.category,
+                       near=target_entity.location, radius_km=20.0,
+                       limit=len(town.entities))
         )
         ranked = client.personalize_response(response)
         assert len(ranked) == response.n_results
@@ -208,12 +209,12 @@ class TestPersonalizedSearch:
 
     def test_personalize_without_observation_uses_origin(self, setting):
         town, _, _, classifier = setting
-        from repro.core.discovery import Query
+        from repro.serve.engine import ServeQuery
+        from repro.service.server import RSPServer
 
         client = make_client(town, classifier, "fresh-device", seed=9)
-        from repro.core.discovery import DiscoveryService
-        response = DiscoveryService(town.entities).search(
-            Query(category="thai", near=town.grid.zones[0].center, radius_km=30.0), {}
+        response = RSPServer(town.entities, key_bits=256).query(
+            ServeQuery(category="thai", near=town.grid.zones[0].center, radius_km=30.0)
         )
         ranked = client.personalize_response(response)
         assert len(ranked) == response.n_results

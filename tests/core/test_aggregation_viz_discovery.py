@@ -1,4 +1,7 @@
-"""Tests for aggregation (group deflation), visualizations, and discovery."""
+"""Tests for aggregation (group deflation) and visualizations.
+
+The search interface is the serving layer; ``tests/serve`` covers it.
+"""
 
 import pytest
 
@@ -8,7 +11,6 @@ from repro.core.aggregation import (
     rating_histogram,
     summarize_entity,
 )
-from repro.core.discovery import DiscoveryService, Query, opinion_score
 from repro.core.visualization import (
     compare_entities,
     distance_vs_visits,
@@ -17,8 +19,6 @@ from repro.core.visualization import (
 from repro.privacy.history_store import HistoryStore, InteractionUpload
 from repro.privacy.identifiers import DeviceIdentity
 from repro.util.clock import DAY
-from repro.world.entities import Entity, EntityKind
-from repro.world.geography import Point
 
 
 def make_history_store(specs):
@@ -233,78 +233,3 @@ class TestVisualizations:
         )
         rendered = viz.render()
         assert "d1" in rendered and "d2" in rendered
-
-
-def catalog():
-    return [
-        Entity(
-            entity_id=f"thai-{i}", kind=EntityKind.RESTAURANT, category="thai",
-            location=Point(1.0 + i, 1.0), quality=3.0, price_level=2,
-        )
-        for i in range(5)
-    ] + [
-        Entity(
-            entity_id="sushi-0", kind=EntityKind.RESTAURANT, category="japanese",
-            location=Point(2.0, 2.0), quality=3.0, price_level=2,
-        )
-    ]
-
-
-class TestDiscovery:
-    def test_query_filters_category_and_radius(self):
-        service = DiscoveryService(catalog())
-        response = service.search(Query(category="thai", near=Point(1.0, 1.0), radius_km=2.0), {})
-        ids = [r.entity.entity_id for r in response.results]
-        assert "sushi-0" not in ids
-        assert all(eid.startswith("thai") for eid in ids)
-        assert len(ids) == 3  # thai-0..thai-2 within 2 km
-
-    def test_better_reviewed_entity_ranks_higher(self):
-        entities = catalog()
-        service = DiscoveryService(entities)
-
-        def summary(entity_id, mean, n):
-            from repro.core.aggregation import EntityOpinionSummary
-            return EntityOpinionSummary(
-                entity_id=entity_id, n_explicit_reviews=n, explicit_mean=mean,
-                explicit_histogram=[0] * 5, n_inferred_opinions=0, inferred_mean=None,
-                inferred_histogram=[0] * 5, n_interacting_users=n,
-                effective_interactions=float(n), raw_interactions=n,
-            )
-
-        summaries = {
-            "thai-0": summary("thai-0", 2.0, 30),
-            "thai-1": summary("thai-1", 4.8, 30),
-        }
-        response = service.search(Query(category="thai", near=Point(1.0, 1.0)), summaries)
-        assert response.results[0].entity.entity_id == "thai-1"
-
-    def test_evidence_volume_breaks_ties(self):
-        from repro.core.aggregation import EntityOpinionSummary
-
-        def summary(entity_id, n):
-            return EntityOpinionSummary(
-                entity_id=entity_id, n_explicit_reviews=n, explicit_mean=4.0,
-                explicit_histogram=[0] * 5, n_inferred_opinions=0, inferred_mean=None,
-                inferred_histogram=[0] * 5, n_interacting_users=n,
-                effective_interactions=float(n), raw_interactions=n,
-            )
-
-        assert opinion_score(summary("a", 50)) > opinion_score(summary("a", 2))
-
-    def test_unreviewed_entities_still_listed(self):
-        service = DiscoveryService(catalog())
-        response = service.search(Query(category="thai", near=Point(1.0, 1.0)), {})
-        assert response.n_results > 0
-        assert all(r.summary.total_opinions == 0 for r in response.results)
-
-    def test_render(self):
-        service = DiscoveryService(catalog())
-        response = service.search(Query(category="thai", near=Point(1.0, 1.0)), {})
-        assert "thai" in response.render()
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            DiscoveryService([])
-        with pytest.raises(ValueError):
-            Query(category="thai", near=Point(0, 0), radius_km=0)

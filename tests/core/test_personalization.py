@@ -5,8 +5,8 @@ import pytest
 from repro.client.transparency import TransparencyLog
 from repro.core.aggregation import EntityOpinionSummary
 from repro.core.classifier import InferredOpinion
-from repro.core.discovery import Query, RankedResult, SearchResponse
 from repro.core.personalization import PersonalizationWeights, personalize
+from repro.serve.engine import ServeQuery, ServeResponse, ServeResult
 from repro.world.entities import Entity, EntityKind
 from repro.world.geography import Point
 
@@ -29,12 +29,13 @@ def summary(entity_id):
 
 def response(entities, scores):
     results = tuple(
-        RankedResult(entity=e, distance_km=e.location.x, summary=summary(e.entity_id), score=s)
+        ServeResult(entity=e, distance_km=e.location.x, summary=summary(e.entity_id), score=s)
         for e, s in zip(entities, scores)
     )
-    return SearchResponse(
-        query=Query(category="thai", near=Point(0, 0), radius_km=50.0),
+    return ServeResponse(
+        query=ServeQuery(category="thai", near=Point(0, 0), radius_km=50.0),
         results=results,
+        n_matches=len(results),
         visualization=None,
     )
 

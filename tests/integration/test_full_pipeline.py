@@ -8,12 +8,12 @@ stack — not just in isolated modules.
 import numpy as np
 import pytest
 
-from repro.core.discovery import Query
 from repro.orchestration.pipeline import PipelineConfig, run_full_pipeline, train_classifier
 from repro.util.clock import DAY
 from repro.world.behavior import BehaviorConfig, BehaviorSimulator
 from repro.world.population import TownConfig, build_town
 from repro.durability.snapshot import capture_state
+from repro.serve.engine import ServeQuery
 
 
 @pytest.fixture(scope="module")
@@ -100,18 +100,20 @@ class TestSearchIntegration:
         town, _, out = outcome
         restaurants = [e for e in town.entities if e.kind.label == "restaurant"]
         center = town.grid.zones[len(town.grid.zones) // 2].center
-        response = out.server.search(
-            Query(category=restaurants[0].category, near=center, radius_km=15.0)
+        response = out.server.query(
+            ServeQuery(category=restaurants[0].category, near=center, radius_km=15.0)
         )
         assert response.n_results > 0
         assert any(r.summary.n_inferred_opinions > 0 for r in response.results)
 
     def test_search_renders(self, outcome):
         town, _, out = outcome
-        response = out.server.search(
-            Query(category="chinese", near=town.grid.zones[0].center, radius_km=20.0)
+        response = out.server.query(
+            ServeQuery(category="chinese", near=town.grid.zones[0].center, radius_km=20.0)
         )
-        assert "chinese" in response.render()
+        rendered = response.render()
+        assert "chinese" in rendered
+        assert "Visits per user" in rendered  # the Figure 3 panels ride along
 
 
 class TestTrainClassifierIntegration:

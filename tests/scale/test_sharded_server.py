@@ -267,23 +267,6 @@ class TestFacadeParity:
             )
         assert mono.dropped_by_outage == sharded.dropped_by_outage == 1
 
-    def test_search_matches_monolith(self, town):
-        from repro.core.discovery import Query
-
-        mono, sharded = make_pair(town, 8)
-        intake_script(mono, town)
-        intake_script(sharded, town)
-        mono.run_maintenance()
-        sharded.run_maintenance()
-        target = town.entities[0]
-        query = Query(category=target.category, near=target.location, radius_km=50.0)
-        a = mono.search(query)
-        b = sharded.search(query)
-        assert [r.entity.entity_id for r in a.results] == [
-            r.entity.entity_id for r in b.results
-        ]
-        assert repr(a.visualization) == repr(b.visualization)
-
 
 def test_scale_name_is_the_server_class(town):
     """One server class: the scale-out name is the same class object."""

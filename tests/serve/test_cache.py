@@ -7,7 +7,8 @@ Three layers of proof:
 * a hand-rolled property sweep (hypothesis is deliberately not a
   dependency): randomized intake + maintenance + query schedules, drawn
   from the ``repro.util.rng`` discipline, asserting that at *every* point
-  the cached ``query()`` render equals the ``query_uncached()`` oracle;
+  the cached ``query()`` render equals the ``query_uncached()`` oracle —
+  including queries cached before an intake batch and re-read after it;
 * the claimed-entity regression — a history flip must evict cached
   results for the entity its opinion slot *claims*, which need not be
   the entity that was dirty (the ``summarize_tracked`` cascade of
@@ -149,7 +150,9 @@ def test_cached_reads_match_fresh_recompute_under_any_schedule(
 ):
     """The property: for a random interleaving of intake batches,
     maintenance cycles, and queries, ``query()`` (cached) renders exactly
-    what ``query_uncached()`` (fresh recompute) renders, every time."""
+    what ``query_uncached()`` (fresh recompute) renders, every time —
+    also for every query already cached when an intake batch lands, which
+    is re-read right after it."""
     gen = make_rng(schedule_seed, "test/serve-schedule")
     traffic = SyntheticTraffic(TRAFFIC)
     server = make_server(n_shards=n_shards, catalog=traffic.catalog)
@@ -159,6 +162,16 @@ def test_cached_reads_match_fresh_recompute_under_any_schedule(
     )
     now = 100.0
     checked = 0
+    asked: list[ServeQuery] = []
+
+    def check(batch):
+        nonlocal checked
+        for query in batch:
+            cached = serving.query(query).render()
+            fresh = serving.query_uncached(query).render()
+            assert cached == fresh, query
+            checked += 1
+
     for _ in range(30):
         action = int(gen.integers(0, 3))
         if action == 0:
@@ -166,15 +179,14 @@ def test_cached_reads_match_fresh_recompute_under_any_schedule(
                 traffic.batch(int(gen.integers(20, 200)), now), now=now
             )
             now += 600.0
+            check(dict.fromkeys(asked))
         elif action == 1:
             server.run_maintenance(now=now)
             now += 60.0
         else:
-            for query in queries.batch(int(gen.integers(1, 6))):
-                cached = serving.query(query).render()
-                fresh = serving.query_uncached(query).render()
-                assert cached == fresh, query
-                checked += 1
+            batch = queries.batch(int(gen.integers(1, 6)))
+            check(batch)
+            asked.extend(batch)
     # The schedule actually exercised the interesting interleavings.
     assert checked > 10
     assert serving.stats.hits > 0
@@ -394,4 +406,51 @@ def test_same_owner_flip_changes_the_served_answer(monkeypatch):
     after = server.query(query)
     assert "5.0* x1 inferred" not in after.render()
     assert "no inferences" in after.render()
+    assert after.render() == server.serving.query_uncached(query).render()
+
+
+def test_a_flip_without_intake_republishes_the_owners_panels(monkeypatch):
+    """Panels are republished for every entity whose accepted histories
+    may change, not only the dirty ones: intake at another restaurant
+    moves the kind's profile, the owner is re-judged without intake of
+    its own, its only history flips, and the next read shows the owner's
+    panels without that history."""
+    monkeypatch.setattr(
+        "repro.service.incremental.FraudDetector", _FlippingDetector
+    )
+    _FlippingDetector.armed = set()
+    owner, other = (
+        Entity(
+            entity_id=f"thai-{name}",
+            kind=EntityKind.RESTAURANT,
+            category="thai",
+            location=location,
+            quality=3.0,
+        )
+        for name, location in (("owner", Point(2.0, 2.0)), ("other", Point(20.0, 20.0)))
+    )
+    # Four settled fillers keep both cycles on the engine's serial path.
+    fillers = plumbers(4)
+    server = make_server(catalog=[owner, other, *fillers])
+    settle(server, fillers)
+    deliver_records(
+        server,
+        [interaction("h-own", owner.entity_id, 1000.0 * i) for i in range(4)],
+        now=5000.0,
+    )
+    server.run_maintenance(now=6000.0)
+    query = ServeQuery(category="thai", near=owner.location, radius_km=1.0)
+    assert server.query(query).visualization.histograms[owner.entity_id].n_users == 1
+
+    deliver_records(
+        server,
+        [interaction("h-other", other.entity_id, 500.0 * i) for i in range(3)],
+        now=7000.0,
+        start_nonce=100,
+    )
+    _FlippingDetector.armed = {"h-own"}
+    server.run_maintenance(now=8000.0)
+    assert owner.entity_id not in server._engine.accepted  # the flip happened
+    after = server.query(query)
+    assert after.visualization.histograms[owner.entity_id].n_users == 0
     assert after.render() == server.serving.query_uncached(query).render()

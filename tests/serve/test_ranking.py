@@ -200,3 +200,51 @@ class TestEngineSanity:
         # thai-2 is the farthest yet ranks first on evidence.
         assert ranked[0].entity.entity_id == "thai-2"
         assert ranked[0].score > ranked[1].score
+
+
+class TestEngineResponses:
+    """What a response holds: every match in range and category, reviewed
+    or not, rendered with the query and the top entities' panels."""
+
+    def make_engine(self):
+        catalog = [
+            Entity(
+                entity_id=f"thai-{i}",
+                kind=EntityKind.RESTAURANT,
+                category="thai",
+                location=Point(1.0 + i, 1.0),
+                quality=3.0,
+            )
+            for i in range(5)
+        ] + [
+            Entity(
+                entity_id="sushi-0",
+                kind=EntityKind.RESTAURANT,
+                category="japanese",
+                location=Point(2.0, 2.0),
+                quality=3.0,
+            )
+        ]
+        return QueryEngine(SummaryIndex(catalog, grid=CityGrid()))
+
+    def test_query_filters_category_and_radius(self):
+        query = ServeQuery(category="thai", near=Point(1.0, 1.0), radius_km=2.0)
+        ids = [r.entity.entity_id for r in self.make_engine().rank(query, {})]
+        assert sorted(ids) == ["thai-0", "thai-1", "thai-2"]
+
+    def test_unreviewed_entities_still_listed(self):
+        query = ServeQuery(category="thai", near=Point(1.0, 1.0))
+        response = self.make_engine().respond(query, {}, {})
+        assert response.n_results == 5
+        assert all(r.summary.total_opinions == 0 for r in response.results)
+
+    def test_render_names_the_query_and_shows_the_panels(self):
+        query = ServeQuery(category="thai", near=Point(1.0, 1.0))
+        rendered = self.make_engine().respond(query, {}, {}).render()
+        assert "Best 'thai'" in rendered
+        assert "Visits per user — thai-0" in rendered
+
+    def test_nonpositive_radius_is_rejected(self):
+        for radius_km in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                ServeQuery(category="thai", near=Point(0.0, 0.0), radius_km=radius_km)

@@ -1,14 +1,14 @@
-"""Tests for the RSP server: intake, maintenance, search."""
+"""Tests for the RSP server: intake, maintenance, queries."""
 
 import pytest
 
 from repro.core.aggregation import OpinionUpload
-from repro.core.discovery import Query
 from repro.core.protocol import Envelope
 from repro.privacy.anonymity import Delivery
 from repro.privacy.history_store import InteractionUpload
 from repro.privacy.identifiers import DeviceIdentity
 from repro.privacy.tokens import TokenWallet, UploadToken
+from repro.serve.engine import ServeQuery
 from repro.service.server import RSPServer
 from repro.telemetry import Telemetry
 from repro.util.clock import DAY
@@ -180,8 +180,8 @@ class TestMaintenanceAndSearch:
         server, town = server_and_town
         target = self.fill(server, town)
         server.run_maintenance()
-        query = Query(category=target.category, near=target.location, radius_km=30.0)
-        response = server.search(query)
+        query = ServeQuery(category=target.category, near=target.location, radius_km=30.0)
+        response = server.query(query)
         assert response.n_results >= 1
         assert response.results[0].entity.entity_id == target.entity_id
         assert response.visualization is not None

@@ -15,8 +15,13 @@ Operations:
   ``seq``, malformed records, non-string history ids, poisoned keys, and
   an outage window;
 * ``maintenance`` — a cycle whose report and summaries must equal those
-  of a fresh ``incremental=False`` server restored from ``capture_state``,
-  followed by queries whose cached answers must equal ``query_uncached``;
+  of a fresh ``incremental=False`` server restored from ``capture_state``
+  (the *oracle*, kept until the next cycle), followed by a ``read``;
+* ``read`` — queries, whatever intake landed since the last cycle, whose
+  cached answers (Figure 3 panels included) must equal ``query_uncached``
+  on the server and on the oracle: an answer is a function of what the
+  last cycle published.  One pinpoint query per entity with accepted
+  histories reaches every published panel;
 * ``crash`` — cut a copy of the WAL at a random frame boundary, recover a
   fresh server from it, re-deliver everything since the last snapshot,
   and compare the durable state with the live server's;
@@ -47,6 +52,7 @@ from repro.privacy.anonymity import Delivery
 from repro.privacy.history_store import InteractionUpload
 from repro.privacy.tokens import TokenWallet, UploadToken
 from repro.reshard import ReshardOp, perform
+from repro.serve.engine import ServeQuery
 from repro.serve.loadgen import QueryWorkload, SyntheticQueries
 from repro.service.server import RSPServer
 from repro.telemetry import Telemetry
@@ -65,6 +71,9 @@ SEQUENCE_LENGTH = 24
 REASONS = ("token", "malformed", "unknown-entity", "store-error", "history-mismatch")
 
 OPERATIONS = {"intake": 10, "maintenance": 2, "crash": 2, "snapshot": 1, "reshard": 2}
+#: Chance of a ``read`` after each operation.  Reads come from their own
+#: stream, so the other operations of a sequence do not depend on them.
+READ_RATE = 0.25
 
 #: Envelope shapes an intake batch draws from, with their weights.
 SHAPES = {
@@ -105,7 +114,13 @@ def _draw(rng, weights: dict[str, int]) -> str:
 
 def generate(seed: int, length: int = SEQUENCE_LENGTH) -> list[tuple[str, int]]:
     rng = make_rng(seed, "spec/sequence")
-    return [(_draw(rng, OPERATIONS), int(rng.integers(2**31))) for _ in range(length)]
+    reads = make_rng(seed, "spec/reads")
+    ops = []
+    for _ in range(length):
+        ops.append((_draw(rng, OPERATIONS), int(rng.integers(2**31))))
+        if reads.random() < READ_RATE:
+            ops.append(("read", int(reads.integers(2**31))))
+    return ops
 
 
 def durable_state(server) -> dict:
@@ -169,6 +184,9 @@ class Harness:
         self.clock = 0.0
         self.crashes = 0
         self.queries = SyntheticQueries(self.catalog, QueryWorkload(n_distinct=16, seed=3))
+        #: What the last cycle published, recomputed from scratch; before
+        #: the first cycle nothing is published, as on an empty server.
+        self.oracle = self.new_server()
 
     def new_server(self, incremental: bool = True, n_shards: int | None = None):
         return RSPServer(
@@ -299,9 +317,19 @@ class Harness:
         finalize_recovery(oracle)
         assert repr(report) == repr(oracle.run_maintenance(now=now)), "maintenance report"
         assert self.server.all_summaries() == oracle.all_summaries(), "summaries"
-        for query in self.queries.batch(12):
+        self.oracle = oracle
+        self.read(rng)
+
+    def read(self, rng) -> None:
+        pinpoints = [
+            ServeQuery(category=entity.category, near=entity.location, radius_km=0.5)
+            for entity in self.catalog
+            if entity.entity_id in self.server._engine.accepted
+        ]
+        for query in self.queries.batch(12) + pinpoints:
             cached = self.server.query(query).render()
             assert cached == self.server.serving.query_uncached(query).render(), "query"
+            assert cached == self.oracle.serving.query_uncached(query).render(), "published"
 
     # ----------------------------------------------------------- durability
 

@@ -12,7 +12,7 @@ class TestParser:
 
     def test_all_commands_registered(self):
         parser = build_parser()
-        for command in ("measure", "pipeline", "search", "figure3", "audit", "redteam",
+        for command in ("measure", "pipeline", "query", "figure3", "audit", "redteam",
                         "epochs", "telemetry"):
             args = parser.parse_args(
                 [command] if command in ("measure", "figure3") else [command, "--users", "5"]
@@ -46,13 +46,14 @@ class TestCommands:
         assert "opinion gain" in out
         assert "inference MAE" in out
 
-    def test_search_small(self, capsys):
+    def test_query_small(self, capsys):
         assert main(
-            ["search", "--users", "25", "--days", "40", "--seed", "3",
+            ["query", "--users", "25", "--days", "40", "--seed", "3",
              "--category", "thai", "--radius", "20"]
         ) == 0
         out = capsys.readouterr().out
-        assert "Results for 'thai'" in out
+        assert "Best 'thai'" in out
+        assert "Visits per user" in out
 
     def test_audit_small(self, capsys):
         assert main(["audit", "--users", "15", "--days", "30", "--seed", "4"]) == 0
