@@ -26,8 +26,9 @@ chaos:
 	$(PYTHON) -m repro.analysis src/repro --baseline analysis_baseline.json --select faults-only-in-harness
 	$(PYTHON) -m pytest tests/faults -q
 
-# Scale suite: differential + property tests proving the server identical
-# at every shard count, then the line-coverage floor on repro.scale.
+# Scale suite: the golden grid and property tests proving the server
+# identical at every shard count, then the line-coverage floor on
+# repro.scale.
 scale:
 	$(PYTHON) -m pytest tests/scale -q
 	$(PYTHON) scripts/coverage_gate.py --fail-under 85
@@ -48,13 +49,15 @@ telemetry:
 bench-telemetry:
 	$(PYTHON) -m pytest benchmarks/test_bench_telemetry.py --benchmark-only -q -s
 
-# Incremental-maintenance suite: incremental vs full-recompute byte
-# identity across the deployment matrix, the server and intake-model
-# suites, the dirty-iteration analyzer rule, and the line-coverage floor on
-# repro.service (the server and its dirty-tracking engine).
+# Incremental-maintenance suite: the invalidation units
+# (tests/service/test_incremental.py) and the rest of tests/service, the
+# stateful intake-model suite whose from-scratch oracle checks both
+# maintenance paths, the dirty-iteration analyzer rule, and the
+# line-coverage floor on repro.service (the server and its dirty-tracking
+# engine).
 incremental:
 	$(PYTHON) -m repro.analysis src/repro --baseline analysis_baseline.json --select det-dirty-iteration
-	$(PYTHON) -m pytest tests/scale/test_incremental.py tests/service tests/spec -q
+	$(PYTHON) -m pytest tests/service tests/spec -q
 	$(PYTHON) scripts/coverage_gate.py --target service --fail-under 85
 
 # Dirty-delta maintenance benchmark; emits BENCH_5.json at the repo root.
@@ -118,10 +121,11 @@ bench-serve:
 	$(PYTHON) -m pytest benchmarks/test_bench_serve.py --benchmark-only -q -s
 
 # Resharding suite (the CI reshard job): routing-table property tests,
-# migration invariants, the any-schedule differential matrix, the
-# crash-at-every-migration-step recovery matrix, the router regression
-# pins, the dirty-iteration analyzer rule over repro.reshard, and the
-# line-coverage floor on repro.reshard.
+# migration invariants, the crash-at-every-migration-step recovery
+# matrix, the router regression pins, the dirty-iteration analyzer rule
+# over repro.reshard, and the line-coverage floor on repro.reshard.  The
+# scheduled and autoscaled epoch runs are cells of the golden grid in
+# tests/scale/test_golden_digest.py.
 reshard:
 	$(PYTHON) -m repro.analysis src/repro --baseline analysis_baseline.json --select det-dirty-iteration
 	$(PYTHON) -m pytest tests/reshard tests/scale/test_router_properties.py -q

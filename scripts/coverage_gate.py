@@ -35,7 +35,6 @@ TARGETS = {
         [
             "tests/service",
             "tests/spec",
-            "tests/scale/test_incremental.py",
             "tests/scale/test_sharded_server.py",
         ],
     ),

@@ -87,15 +87,15 @@ class EpochsOutcome:
     replication: ReplicatedRSPServer | None = None
     #: SHA-256 over every rendered serve-path response of the run, in
     #: query order (``None`` unless ``serve_queries > 0``).  Contractually
-    #: deployment-invariant: shards, incremental mode, batching,
-    #: durability, and cache temperature never change it
-    #: (``tests/serve/test_differential.py``).
+    #: deployment-invariant: shards, resharding, batching, durability,
+    #: and cache temperature never change it (the golden grid in
+    #: ``tests/scale/test_golden_digest.py``).
     serve_digest: str | None = None
     #: Every topology change the run applied, as ``(epoch, op)`` pairs —
     #: scheduled ops and autoscaler decisions alike.  Contractually
     #: *absent* from every digest above: resharding never changes reports,
     #: summaries, serve responses, or AGGREGATE telemetry
-    #: (``tests/reshard/test_differential.py``).
+    #: (``tests/scale/test_golden_digest.py``).
     reshard_ops: list = field(default_factory=list)
 
     @property
@@ -121,7 +121,6 @@ def run_epochs(
     max_users: int | None = None,
     fault_plan: FaultPlan | None = None,
     n_shards: int = 1,
-    incremental: bool = True,
     durable_dir: str | Path | None = None,
     replicate: bool = False,
     snapshot_every: int = 1,
@@ -134,11 +133,13 @@ def run_epochs(
 
     ``n_shards`` sizes the :class:`RSPServer`'s store partitions.  Every
     report this driver emits is contractually bit-identical for every
-    shard count (``tests/scale/test_differential.py``), so the flag is a
-    pure performance knob.  ``incremental`` likewise only moves work:
-    ``False`` forces every maintenance cycle to recompute from scratch,
-    the baseline the default dirty-entity path must match byte for byte
-    (``tests/scale/test_incremental.py``).
+    shard count (``tests/scale/test_golden_digest.py``), so the flag is a
+    pure performance knob.
+
+    Only the location channel feeds inference here: a ``config`` with
+    ``use_wearables`` raises :class:`ValueError`, and
+    :func:`~repro.orchestration.pipeline.run_full_pipeline` is the driver
+    that supports the affect channel.
 
     With a :class:`FaultPlan`, the run is executed under deterministic
     fault injection: the plan's seeded injector is installed as the
@@ -183,13 +184,18 @@ def run_epochs(
     :class:`~repro.reshard.autoscale.Autoscaler` evaluated after every
     completed maintenance cycle.  Both are — like every other deployment
     knob — contractually invisible in the reports, summaries, serve
-    digest, and AGGREGATE telemetry (``tests/reshard/test_differential.py``).
+    digest, and AGGREGATE telemetry (``tests/scale/test_golden_digest.py``).
     """
     if n_epochs < 1:
         raise ValueError("need at least one epoch")
     if serve_queries < 0:
         raise ValueError("serve_queries must be >= 0")
     config = config or PipelineConfig()
+    if config.use_wearables:
+        raise ValueError(
+            "run_epochs does not feed the wearable affect channel; "
+            "use run_full_pipeline for use_wearables=True"
+        )
     horizon = config.horizon_days * DAY
     epoch_length = horizon / n_epochs
 
@@ -220,7 +226,6 @@ def run_epochs(
             key_seed=config.seed,
             key_bits=config.key_bits,
             n_shards=n_shards,
-            incremental=incremental,
         )
 
     server = make_server()

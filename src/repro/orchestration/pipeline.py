@@ -226,7 +226,6 @@ def run_full_pipeline(
     users = town.users if max_users is None else town.users[:max_users]
     directory = CatalogDirectory(town.entities)
     clients: dict[str, RSPClient] = {}
-    history_owner: dict[str, str] = {}  # scoring only
     for index, user in enumerate(users):
         client = RSPClient(
             device_id=user.user_id,
@@ -252,8 +251,6 @@ def run_full_pipeline(
         client.observe_trace(trace, now=horizon, emotion=emotion)
         client.sync(network, server.issuer, now=horizon)
         clients[user.user_id] = client
-        for entity_id in client.transparency._entries:
-            history_owner[client.identity.history_id(entity_id)] = user.user_id
 
     server.receive_all(network.deliveries_until(horizon + 3 * DAY))
     server.run_maintenance()

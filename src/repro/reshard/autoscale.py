@@ -18,8 +18,8 @@ per epoch and lets the next cycle's fresh gauges drive the next step.
 
 Everything here is DEPLOYMENT-scoped observation plus deterministic
 arithmetic — an autoscaled run must stay byte-identical, in reports and
-AGGREGATE telemetry, to a static deployment
-(``tests/reshard/test_differential.py``).
+AGGREGATE telemetry, to a static deployment (the autoscaler cells of
+the golden grid in ``tests/scale/test_golden_digest.py``).
 """
 
 from __future__ import annotations

@@ -102,12 +102,12 @@ class CyclePlan:
 
 @dataclass
 class CycleStats:
-    """Tracked work accounting for one cycle — identical across modes.
+    """Tracked work accounting for one cycle — identical on both paths.
 
     All fields derive from *tracked* sets (what incrementality says must
-    be recomputed), never from what a given mode actually executed, so
-    the aggregate telemetry built from them is byte-identical between
-    incremental and full recompute, at every shard count.
+    be recomputed), never from which path actually executed, so the
+    aggregate telemetry built from them is byte-identical whether the
+    engine or the kernel ran, at every shard count.
     """
 
     n_dirty: int = 0
@@ -170,8 +170,8 @@ class MaintenanceEngine:
     def subscribe(self, listener: Callable[[frozenset[str]], None]) -> None:
         """Register a listener called after every cycle with the tracked
         summary-change set (``summarize_tracked`` — every entity whose
-        summary *could* have changed, identically in incremental, full,
-        and adopted-kernel modes).  This is the cache-coherence feed of
+        summary *could* have changed, identically whether the engine ran
+        or a kernel recompute was adopted).  This is the cache-coherence feed of
         :class:`repro.serve.cache.SummaryVersionCache`."""
         self._listeners.append(listener)
 
@@ -212,36 +212,28 @@ class MaintenanceEngine:
 
     # ----------------------------------------------------------- planning
 
-    def plan(
-        self,
-        full: bool = False,
-        pooled: Callable[[], dict[str, TypicalProfile]] | None = None,
-    ) -> CyclePlan:
+    def plan(self, pooled: Callable[[], dict[str, TypicalProfile]]) -> CyclePlan:
         """Drain the dirty set and decide what this cycle must recompute.
 
         The fraud profiles are rebuilt from per-entity fragments, only for
-        the kinds that contain a dirty entity; ``full`` bypasses the
-        fragment cache and recollects everything, the honest from-scratch
-        baseline.  When at least half the entities are dirty (or
-        ``full``), the cycle will recompute everything anyway, and
-        ``pooled`` — the server's profiles pooled from its columnar
-        frames, bitwise-equal to the fragment path — is used instead.
+        the kinds that contain a dirty entity.  When at least half the
+        entities are dirty, the cycle will recompute everything anyway, and
+        ``pooled`` — the server's profiles pooled from its columnar frames,
+        bitwise-equal to the fragment path — is used instead.
         """
         dirty = set(self._dirty)
         self._dirty.clear()
         for entity_id in sorted(dirty):
             self._fragments.pop(entity_id, None)
         entities = self.view.entities_with_histories()
-        if pooled is not None and (
-            full or 2 * len(dirty & entities) >= max(1, len(entities))
-        ):
+        if 2 * len(dirty & entities) >= max(1, len(entities)):
             profiles = pooled()
             self._kind_profiles = {
                 kind: profiles.get(kind)
                 for kind in sorted({self.entity_kinds.get(e) for e in entities} - {None})
             }
         else:
-            profiles = self._build_profiles(dirty, entities, full=full)
+            profiles = self._build_profiles(dirty, entities)
         digests = {
             kind: profile_digest(profile, self.config)
             for kind, profile in sorted(profiles.items())
@@ -269,7 +261,7 @@ class MaintenanceEngine:
         )
 
     def _build_profiles(
-        self, dirty: set[str], entities: set[str], full: bool
+        self, dirty: set[str], entities: set[str]
     ) -> dict[str, TypicalProfile]:
         """Per-kind profiles from cached per-entity feature fragments.
 
@@ -289,7 +281,7 @@ class MaintenanceEngine:
             self.entity_kinds.get(entity_id) for entity_id in sorted(dirty)
         }
         for kind in sorted(by_kind):
-            if not full and kind in self._kind_profiles and kind not in dirty_kinds:
+            if kind in self._kind_profiles and kind not in dirty_kinds:
                 continue
             pool = ProfilePools()
             for entity_id in by_kind[kind]:
@@ -298,8 +290,7 @@ class MaintenanceEngine:
                     fragment = collect_profile_pools(
                         self.view.histories_for_entity(entity_id), self.entity_kinds
                     )
-                    if not full:
-                        self._fragments[entity_id] = fragment
+                    self._fragments[entity_id] = fragment
                 _extend_pool(pool, fragment, kind)
             built = profiles_from_pools(pool)
             self._kind_profiles[kind] = built.get(kind)

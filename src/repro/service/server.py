@@ -101,10 +101,11 @@ def emit_maintenance_telemetry(
     """Record one maintenance cycle.
 
     Every aggregate value here derives from the report and the *tracked*
-    cycle stats, which are identical across incremental and full modes
-    and across shard counts — so the AGGREGATE export stays
-    byte-identical whatever actually executed.  The mode-dependent span
-    lives under DEPLOYMENT scope, outside the invariant digest.
+    cycle stats, which are identical on both execution paths and across
+    shard counts — so the AGGREGATE export stays byte-identical whatever
+    actually executed.  ``mode`` names the path that ran (``incremental``
+    for the per-entity engine, ``full`` for the kernel); that span lives
+    under DEPLOYMENT scope, outside the invariant digest.
     """
     telemetry.inc("rsp.maintenance.cycles")
     telemetry.set_gauge("rsp.maintenance.histories", report.n_histories)
@@ -206,7 +207,6 @@ class RSPServer:
         detector_config: DetectorConfig | None = None,
         attestation: AttestationVerifier | None = None,
         n_shards: int = 1,
-        incremental: bool = True,
     ) -> None:
         if not catalog:
             raise ValueError("catalog must be non-empty")
@@ -233,13 +233,6 @@ class RSPServer:
         #: identity digest (see docs/RELIABILITY.md for why).
         self._nonce_buckets: list[set[bytes]] = [set() for _ in range(n_shards)]
         self._detector_config = detector_config
-        #: ``False`` forces full kernel recompute every cycle — the
-        #: contractual baseline the incremental path must match byte for
-        #: byte (``tests/scale/test_incremental.py``).  ``True``
-        #: re-filters/re-summarizes only dirty entities when the dirty
-        #: set is small, falling back to the columnar kernel when most of
-        #: the deployment is dirty anyway.
-        self.incremental = incremental
         self._engine = MaintenanceEngine(
             ShardedStoreView(self), self.entity_kinds, detector_config
         )
@@ -428,13 +421,12 @@ class RSPServer:
         drained in; fraud profiles rebuilt for the kinds with a dirty
         entity, or pooled from the shards' columnar frames when at least
         half the deployment is dirty) and then picks one of two
-        byte-identical executions: when
+        byte-identical executions from the tracked fraction alone: when
         few entities are tracked, the engine re-judges and re-summarizes
-        just those; when at least half the
-        deployment is tracked — or ``incremental=False`` — the columnar
-        kernel recompute is cheaper, run shard by shard: it judges every
-        shard's histories against the global profiles, then rebuilds
-        entity summaries per entity partition.  All merges are
+        just those; when at least half the deployment is tracked, the
+        columnar kernel recompute is cheaper, run shard by shard: it
+        judges every shard's histories against the global profiles, then
+        rebuilds entity summaries per entity partition.  All merges are
         order-independent (sums, sorted concatenations).
         """
         report = MaintenanceReport(
@@ -447,13 +439,12 @@ class RSPServer:
             for entity_id in sorted(shard.dirty_entities):
                 self._engine.mark_dirty(entity_id)
             shard.dirty_entities.clear()
-        full = not self.incremental
-        plan = self._engine.plan(full=full, pooled=self._pooled_profiles)
+        plan = self._engine.plan(self._pooled_profiles)
         # Hybrid execution: the serial engine wins while the tracked set
         # is small; once half the deployment must recompute anyway, the
         # columnar kernel is cheaper.  Both sides are byte-identical, so
         # the threshold only moves work, never results.
-        use_kernel = full or 2 * len(plan.judge_tracked) >= max(1, plan.n_entities)
+        use_kernel = 2 * len(plan.judge_tracked) >= max(1, plan.n_entities)
         if use_kernel:
             rejected = sorted(
                 (
@@ -503,7 +494,7 @@ class RSPServer:
             report,
             stats,
             now,
-            mode="incremental" if self.incremental else "full",
+            mode="full" if use_kernel else "incremental",
         )
         for shard in self.shards:
             self.telemetry.set_gauge(

@@ -14,8 +14,8 @@ durability, intake produces
 These direct server-level tests pin each classification branch
 (duplicate, stale seq, token bounce on a seen nonce, malformed and
 poisoned records) where the epoch pipeline would reach them only by
-luck.  The epoch-level deployment matrix lives in
-``tests/scale/test_differential.py``.
+luck.  The epoch-level deployment pins live in the golden grid,
+``tests/scale/test_golden_digest.py``.
 """
 
 import pytest

@@ -161,3 +161,15 @@ class TestWearableOptIn:
         )
         assert wearable.inference_errors and plain.inference_errors
         assert wearable.mean_absolute_error < plain.mean_absolute_error
+
+    def test_epochs_refuse_the_affect_channel(self):
+        """run_epochs feeds only the location channel, so it refuses the
+        flag instead of silently ignoring it, and names the driver that
+        does support it."""
+        town = build_town(TownConfig(n_users=5), seed=19)
+        result = BehaviorSimulator(
+            town.users, town.entities, BehaviorConfig(duration_days=10), seed=19
+        ).run()
+        config = PipelineConfig(horizon_days=10.0, seed=19, use_wearables=True)
+        with pytest.raises(ValueError, match="run_full_pipeline"):
+            run_epochs(town, result, config, n_epochs=2)

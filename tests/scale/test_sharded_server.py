@@ -3,9 +3,9 @@
 These tests drive a one-shard and an N-shard server through handcrafted
 intake sequences — duplicates, token replays, poisoned records, outages —
 and assert both classify *every* envelope identically and produce
-byte-identical maintenance output.  The statistical differential matrix
-lives in ``test_differential.py``; this module is the precise, per-nuance
-layer.
+byte-identical maintenance output.  The epoch-level pins for every
+deployment shape live in ``test_golden_digest.py``; this module is the
+precise, per-nuance layer.
 """
 
 import pytest

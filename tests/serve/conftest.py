@@ -26,16 +26,11 @@ TRAFFIC = WorkloadConfig(
 )
 
 
-def make_server(n_shards=0, catalog=None, incremental=True):
+def make_server(n_shards=0, catalog=None):
     """A tokenless server with real telemetry attached (0 = one shard)."""
     if catalog is None:
         catalog = SyntheticTraffic(TRAFFIC).catalog
-    server = RSPServer(
-        catalog,
-        n_shards=n_shards or 1,
-        require_tokens=False,
-        incremental=incremental,
-    )
+    server = RSPServer(catalog, n_shards=n_shards or 1, require_tokens=False)
     server.attach_telemetry(Telemetry())
     return server
 

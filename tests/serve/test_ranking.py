@@ -1,6 +1,6 @@
 """Pins for the serve-path ranking spec (docs/SERVING.md).
 
-Three contracts, each load-bearing for the differential matrix:
+Three contracts, each load-bearing for byte-identical serving:
 
 * **totality** — the composite key ``(-score, distance, entity_id)`` is a
   strict total order, so any permutation of the candidates sorts to the

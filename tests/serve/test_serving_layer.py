@@ -1,7 +1,8 @@
 """The ``server.serving`` facade: laziness, telemetry, and read accessors.
 
 The facade's contracts beyond coherence (which ``test_cache.py`` and
-``test_differential.py`` own):
+``test_differential.py`` own, with the golden grid in
+``tests/scale/test_golden_digest.py``):
 
 * **laziness** — a run that never queries must never construct a serving
   layer, subscribe to maintenance, or emit an ``rsp.serve.*`` metric
@@ -11,8 +12,9 @@ The facade's contracts beyond coherence (which ``test_cache.py`` and
   DEPLOYMENT-scoped so it can never leak wall-clock noise into an
   invariant digest;
 * **canonical read accessors** — ``all_summaries`` returns entity-id
-  order on both deployments (the latent dict-insertion-order divergence
-  between incremental and adopted-kernel cycles).
+  order on both deployments, whichever maintenance path published last
+  (the latent dict-insertion-order divergence between engine and
+  adopted-kernel cycles).
 """
 
 import json
@@ -118,13 +120,17 @@ class TestServeTelemetry:
 
 class TestCanonicalReadAccessors:
     @pytest.mark.parametrize("n_shards", [0, 4])
-    @pytest.mark.parametrize("incremental", [True, False])
-    def test_all_summaries_is_entity_id_ordered(self, n_shards, incremental):
+    @pytest.mark.parametrize("delta", [True, False])
+    def test_all_summaries_is_entity_id_ordered(self, n_shards, delta):
+        """``delta`` ends the feed with a one-record cycle, which the
+        per-entity engine runs; otherwise a kernel cycle published last."""
         traffic = SyntheticTraffic(TRAFFIC)
-        server = feed(
-            make_server(n_shards, catalog=traffic.catalog, incremental=incremental),
-            traffic,
-        )
+        server = feed(make_server(n_shards, catalog=traffic.catalog), traffic)
+        if delta:
+            server.receive_all(traffic.batch(1, 2000.0), now=2000.0)
+            server.run_maintenance(now=2060.0)
+        span = server.telemetry.spans.spans("maintenance.incremental")[-1]
+        assert dict(span.labels)["mode"] == ("incremental" if delta else "full")
         keys = list(server.all_summaries())
         assert keys == sorted(keys) and keys
 

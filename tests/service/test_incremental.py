@@ -1,135 +1,31 @@
-"""Incremental maintenance: same digest, less work.
+"""Incremental maintenance: the invalidation contract, unit by unit.
 
-The matrix half of this suite runs the full epochs pipeline with
-``incremental=True`` against a from-scratch (``incremental=False``)
-one-shard baseline and asserts *exact* equality of the per-epoch report
-digest, every entity summary, and the aggregate telemetry digest — for
-every deployment in the acceptance grid (shards {1, 4, 8}), clean and
-under chaos.  An explicit
-cache-hit guard keeps the equality from being vacuous: the incremental
-runs must actually skip work.
-
-The unit half pins the invalidation contract of
+These tests pin the invalidation contract of
 :mod:`repro.service.incremental` directly: quiescent cycles track
 nothing, an entity whose last history is rejected loses its cached
 summary, a changed kind profile conservatively re-dirties the kind, a
-delayed (reordered) opinion re-upload never clobbers a newer one, and an
-interaction upload whose identifier is bound to another entity is
-rejected as ``history-mismatch`` — in both deployments.
+cross-entity opinion overwrite moves the claim exactly as a from-scratch
+server computes it, a delayed (reordered) opinion re-upload never
+clobbers a newer one, and an interaction upload whose identifier is
+bound to another entity is rejected as ``history-mismatch`` — at one
+shard and at four.  The ``maintenance.incremental{mode=}`` span names
+the path each cycle actually ran.
 """
 
 import pytest
 
 from repro.core.aggregation import OpinionUpload
 from repro.core.protocol import Envelope
-from repro.faults import DropFault, DuplicateFault, FaultPlan, Window
-from repro.orchestration.epochs import run_epochs
-from repro.orchestration.pipeline import PipelineConfig, train_classifier
+from repro.durability.recovery import finalize_recovery
+from repro.durability.snapshot import capture_state, restore_state
 from repro.privacy.anonymity import Delivery
 from repro.privacy.history_store import InteractionUpload
 from repro.privacy.identifiers import DeviceIdentity
-from repro.privacy.uploads import RetransmitPolicy
 from repro.scale.server import ShardedRSPServer
 from repro.service.server import RSPServer
-from repro.telemetry import AGGREGATE, Telemetry
+from repro.telemetry import DEPLOYMENT, Telemetry
 from repro.util.clock import DAY, HOUR
-from repro.world.behavior import BehaviorConfig, BehaviorSimulator
 from repro.world.population import TownConfig, build_town
-
-HORIZON_DAYS = 28.0
-HORIZON = HORIZON_DAYS * DAY
-N_EPOCHS = 3
-MAX_USERS = 8
-
-CHAOS = FaultPlan(
-    seed=17,
-    drops=(DropFault(Window(0.0, HORIZON + 30 * DAY), 0.05),),
-    duplicates=(DuplicateFault(Window(0.0, HORIZON + 30 * DAY), 0.10),),
-)
-RETRY = RetransmitPolicy(max_attempts=2, min_interval=6 * HOUR)
-
-
-@pytest.fixture(scope="module")
-def world():
-    town = build_town(TownConfig(n_users=30), seed=29)
-    result = BehaviorSimulator(
-        town.users, town.entities, BehaviorConfig(duration_days=HORIZON_DAYS), seed=29
-    ).run()
-    classifier = train_classifier(town, result, HORIZON, seed=29)
-    return town, result, classifier
-
-
-def run(world, n_shards=1, plan=None, retransmit=None, incremental=True):
-    town, result, classifier = world
-    config = PipelineConfig(horizon_days=HORIZON_DAYS, seed=29, retransmit=retransmit)
-    return run_epochs(
-        town,
-        result,
-        config,
-        n_epochs=N_EPOCHS,
-        classifier=classifier,
-        max_users=MAX_USERS,
-        fault_plan=plan,
-        n_shards=n_shards,
-        incremental=incremental,
-    )
-
-
-def assert_equivalent(baseline, candidate):
-    assert candidate.reports_digest() == baseline.reports_digest()
-    assert candidate.server.all_summaries() == baseline.server.all_summaries()
-    assert candidate.telemetry.digest(scope=AGGREGATE) == baseline.telemetry.digest(
-        scope=AGGREGATE
-    )
-
-
-#: The acceptance grid: shards {1, 4, 8}.
-DEPLOYMENTS = [1, 4, 8]
-
-
-class TestCleanMatrix:
-    @pytest.fixture(scope="class")
-    def full_baseline(self, world):
-        """One-shard from-scratch recompute: the contractual reference."""
-        return run(world, incremental=False)
-
-    @pytest.mark.parametrize("n_shards", DEPLOYMENTS)
-    def test_incremental_matches_full_recompute(self, world, full_baseline, n_shards):
-        outcome = run(world, n_shards=n_shards, incremental=True)
-        assert_equivalent(full_baseline, outcome)
-
-    def test_full_mode_is_also_deployment_invariant(self, world, full_baseline):
-        outcome = run(world, n_shards=4, incremental=False)
-        assert_equivalent(full_baseline, outcome)
-
-    def test_incremental_runs_actually_skip_work(self, world):
-        """Anti-vacuity: equality means nothing if nothing was cached."""
-        outcome = run(world, incremental=True)
-        hits = outcome.telemetry.total("rsp.maintenance.cache_hits")
-        skips = outcome.telemetry.total("rsp.maintenance.cache_skips")
-        assert hits > 0, "no entity was ever served from cache"
-        assert skips > 0, "no entity was ever recomputed"
-        assert outcome.server.n_histories > 0
-
-
-class TestChaosMatrix:
-    @pytest.fixture(scope="class")
-    def chaos_full_baseline(self, world):
-        return run(world, plan=CHAOS, retransmit=RETRY, incremental=False)
-
-    @pytest.mark.parametrize("n_shards", DEPLOYMENTS)
-    def test_chaos_incremental_matches_full(self, world, chaos_full_baseline, n_shards):
-        outcome = run(
-            world,
-            n_shards=n_shards,
-            plan=CHAOS,
-            retransmit=RETRY,
-            incremental=True,
-        )
-        assert_equivalent(chaos_full_baseline, outcome)
-
-
-# --------------------------------------------------------------- units
 
 
 def make_servers(seed=40, n_users=16):
@@ -158,6 +54,24 @@ def interaction(identity, entity_id, t, duration=1800.0):
         duration=duration,
         travel_km=2.0,
     )
+
+
+def from_scratch(town, server):
+    """A fresh server restored from ``server``'s stores, after its first
+    cycle: every entity dirty, so it recomputes everything with the
+    columnar kernel."""
+    fresh = RSPServer(catalog=town.entities, key_seed=40, require_tokens=False)
+    restore_state(fresh, capture_state(server))
+    finalize_recovery(fresh)
+    fresh.run_maintenance()
+    return fresh
+
+
+def executed_paths(telemetry):
+    return [
+        dict(span.labels)["mode"]
+        for span in telemetry.spans.spans("maintenance.incremental")
+    ]
 
 
 def entities_by_kind(town):
@@ -266,48 +180,59 @@ class TestInvalidationUnits:
         """A re-upload that re-targets another entity (the client's
         inference moved) must pull the inferred opinion out of the old
         entity's summary and into the new one's — in cache, exactly as a
-        full recompute would."""
+        from-scratch server computes it."""
         town, mono, sharded = make_servers()
         server = self.pick(flavor, mono, sharded)
-        full = RSPServer(
-            catalog=town.entities,
-            key_seed=40,
-            require_tokens=False,
-            incremental=False,
-        )
+        telemetry = Telemetry()
+        server.attach_telemetry(telemetry)
         entity_a = town.entities[0].entity_id
         entity_b = town.entities[1].entity_id
+        # Background histories elsewhere keep the re-target cycle's tracked
+        # set under half the deployment, so the engine runs it.
+        for index, entity in enumerate(town.entities[2:5]):
+            fill_honest(server, entity.entity_id, nonce_tag=bytes([index]))
         identity = DeviceIdentity.create("u", seed=1)
         history_id = identity.history_id(entity_a)
-        uploads = [
-            (interaction(identity, entity_a, t=0.0), b"i"),
-            (
-                OpinionUpload(
-                    history_id=history_id, entity_id=entity_a, rating=4.0, seq=0
-                ),
-                b"o0",
-            ),
-        ]
-        for record, nonce in uploads:
-            assert deliver(server, record, nonce=nonce)
-            assert deliver(full, record, nonce=nonce)
-        server.run_maintenance()
-        full.run_maintenance()
+        assert deliver(server, interaction(identity, entity_a, t=0.0), nonce=b"i")
+        opinion = OpinionUpload(
+            history_id=history_id, entity_id=entity_a, rating=4.0, seq=0
+        )
+        assert deliver(server, opinion, nonce=b"o0")
+        server.run_maintenance(now=1.0)
         assert server.summary(entity_a).n_inferred_opinions == 1
         retarget = OpinionUpload(
             history_id=history_id, entity_id=entity_b, rating=2.0, seq=1
         )
         assert deliver(server, retarget, nonce=b"o1")
-        assert deliver(full, retarget, nonce=b"o1")
-        server.run_maintenance()
-        full.run_maintenance()
+        server.run_maintenance(now=2.0)
+        assert executed_paths(telemetry) == ["full", "incremental"]
         assert server.summary(entity_a).n_inferred_opinions == 0
         # The claim moved: B now owns a summary row.  The opinion itself
         # is discounted (B has no history with that id — aggregation
         # drops depth-less inferred opinions), same as a full recompute.
         assert server.summary(entity_b) is not None
         assert server.summary(entity_b).n_inferred_opinions == 0
-        assert server.all_summaries() == full.all_summaries()
+        assert server.all_summaries() == from_scratch(town, server).all_summaries()
+
+    def test_span_names_the_executed_path(self, flavor):
+        """An all-dirty cycle runs the kernel (``full``); a cycle that
+        tracks one entity of four runs the engine (``incremental``).  The
+        span is DEPLOYMENT-scoped, outside the invariant digest."""
+        town, mono, sharded = make_servers()
+        server = self.pick(flavor, mono, sharded)
+        telemetry = Telemetry()
+        server.attach_telemetry(telemetry)
+        one_per_kind = [ids[0] for _, ids in sorted(entities_by_kind(town).items())]
+        for index, entity_id in enumerate(one_per_kind[:4]):
+            fill_honest(server, entity_id, nonce_tag=bytes([index]))
+        server.run_maintenance(now=1.0)
+        newcomer = DeviceIdentity.create("newcomer", seed=7)
+        record = interaction(newcomer, one_per_kind[0], t=3 * DAY)
+        assert deliver(server, record, nonce=b"n")
+        server.run_maintenance(now=2.0)
+        assert executed_paths(telemetry) == ["full", "incremental"]
+        spans = telemetry.spans.spans("maintenance.incremental")
+        assert {span.scope for span in spans} == {DEPLOYMENT}
 
     def test_history_mismatch_is_split_from_unstored(self, flavor):
         town, mono, sharded = make_servers()

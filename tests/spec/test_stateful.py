@@ -15,8 +15,14 @@ Operations:
   ``seq``, malformed records, non-string history ids, poisoned keys, and
   an outage window;
 * ``maintenance`` — a cycle whose report and summaries must equal those
-  of a fresh ``incremental=False`` server restored from ``capture_state``
-  (the *oracle*, kept until the next cycle), followed by a ``read``;
+  of a fresh server restored from ``capture_state`` (the *oracle*, kept
+  until the next cycle), followed by a ``read``.  The oracle's first
+  cycle is all-dirty, so it always runs the columnar kernel;
+* ``touch`` — a ``maintenance``, a few interactions at one entity, and
+  another ``maintenance``.  The second cycle tracks that entity and,
+  when the kind profile moved, its siblings — few enough that the
+  per-entity engine (``execute``) runs and is checked against the
+  oracle's kernel;
 * ``read`` — queries, whatever intake landed since the last cycle, whose
   cached answers (Figure 3 panels included) must equal ``query_uncached``
   on the server and on the oracle: an answer is a function of what the
@@ -29,7 +35,9 @@ Operations:
 * ``reshard`` — a live split or merge.
 
 After every operation the server's counters, per-reason rejections and
-``capture_state`` must equal the model's.
+``capture_state`` must equal the model's.  Every sequence must also run
+both maintenance paths on a non-empty tracked set, as the
+``maintenance.incremental{mode=}`` span reports them.
 """
 
 from __future__ import annotations
@@ -71,9 +79,11 @@ SEQUENCE_LENGTH = 24
 REASONS = ("token", "malformed", "unknown-entity", "store-error", "history-mismatch")
 
 OPERATIONS = {"intake": 10, "maintenance": 2, "crash": 2, "snapshot": 1, "reshard": 2}
-#: Chance of a ``read`` after each operation.  Reads come from their own
-#: stream, so the other operations of a sequence do not depend on them.
+#: Chance of a ``read`` and of a ``touch`` after each operation.  Each
+#: comes from its own stream, so the other operations of a sequence do
+#: not depend on them.
 READ_RATE = 0.25
+TOUCH_RATE = 0.2
 
 #: Envelope shapes an intake batch draws from, with their weights.
 SHAPES = {
@@ -115,11 +125,14 @@ def _draw(rng, weights: dict[str, int]) -> str:
 def generate(seed: int, length: int = SEQUENCE_LENGTH) -> list[tuple[str, int]]:
     rng = make_rng(seed, "spec/sequence")
     reads = make_rng(seed, "spec/reads")
+    touches = make_rng(seed, "spec/touches")
     ops = []
     for _ in range(length):
         ops.append((_draw(rng, OPERATIONS), int(rng.integers(2**31))))
         if reads.random() < READ_RATE:
             ops.append(("read", int(reads.integers(2**31))))
+        if touches.random() < TOUCH_RATE:
+            ops.append(("touch", int(touches.integers(2**31))))
     return ops
 
 
@@ -137,6 +150,13 @@ def durable_state(server) -> dict:
     for name in ("rejected_envelopes", "duplicates_suppressed", "history_mismatches"):
         state["counters"].pop(name)
     return state
+
+
+def executed_path(telemetry) -> str:
+    """The path the latest maintenance cycle ran: ``incremental`` for the
+    per-entity engine, ``full`` for the columnar kernel."""
+    span = telemetry.spans.spans("maintenance.incremental")[-1]
+    return dict(span.labels)["mode"]
 
 
 class Harness:
@@ -187,8 +207,11 @@ class Harness:
         #: What the last cycle published, recomputed from scratch; before
         #: the first cycle nothing is published, as on an empty server.
         self.oracle = self.new_server()
+        #: Maintenance paths (span ``mode``) that ran on a non-empty
+        #: tracked set.
+        self.paths: set[str] = set()
 
-    def new_server(self, incremental: bool = True, n_shards: int | None = None):
+    def new_server(self, n_shards: int | None = None):
         return RSPServer(
             catalog=self.catalog,
             quota_per_day=N_TOKENS,
@@ -196,7 +219,6 @@ class Harness:
             key_bits=256,
             require_tokens=self.require_tokens,
             n_shards=n_shards or self.n_shards,
-            incremental=incremental,
         )
 
     # ------------------------------------------------------------ checking
@@ -218,6 +240,9 @@ class Harness:
         batch = [self._delivery(rng, self.clock + index) for index in range(int(rng.integers(1, 40)))]
         now = None if rng.random() < 0.8 else self.clock + TICK / 2
         method = ("receive", "receive_all", "ingest_all")[int(rng.integers(3))]
+        self._deliver(batch, now, method)
+
+    def _deliver(self, batch: list[Delivery], now: float | None, method: str) -> None:
         if method == "receive":
             results = [self.server.receive(delivery, now=now) for delivery in batch]
         elif method == "receive_all":
@@ -311,14 +336,51 @@ class Harness:
 
     def maintenance(self, rng) -> None:
         now = self.clock + TICK / 3
+        tracked = self.telemetry.value("rsp.maintenance.cache_skips", phase="judge") or 0
         report = self.server.run_maintenance(now=now)
-        oracle = self.new_server(incremental=False, n_shards=int(rng.integers(1, 4)))
+        if self.telemetry.value("rsp.maintenance.cache_skips", phase="judge") > tracked:
+            self.paths.add(executed_path(self.telemetry))
+        oracle = self.new_server(n_shards=int(rng.integers(1, 4)))
         restore_state(oracle, capture_state(self.server))
         finalize_recovery(oracle)
+        oracle_telemetry = Telemetry()
+        oracle.attach_telemetry(oracle_telemetry)
         assert repr(report) == repr(oracle.run_maintenance(now=now)), "maintenance report"
         assert self.server.all_summaries() == oracle.all_summaries(), "summaries"
+        # Without histories nothing is tracked, and the engine runs an empty cycle.
+        if oracle.n_histories:
+            assert executed_path(oracle_telemetry) == "full", "the oracle ran the engine"
         self.oracle = oracle
         self.read(rng)
+
+    def touch(self, rng) -> None:
+        """Publish, add interactions at one entity, and publish again."""
+        self.maintenance(rng)
+        self.clock += TICK
+        while self.server.fault_hook.server_down(self.clock):
+            self.clock += TICK
+        entity_id = self.entity_ids[int(rng.integers(len(self.entity_ids)))]
+        user = int(rng.integers(N_USERS))
+        history_id = hashlib.sha256(f"user-{user}|{entity_id}".encode()).hexdigest()
+        batch = []
+        for index in range(int(rng.integers(1, 5))):
+            arrival = self.clock + index
+            record = InteractionUpload(
+                history_id=history_id,
+                entity_id=entity_id,
+                interaction_type="visit",
+                event_time=arrival - float(rng.integers(60, 30 * 86400)),
+                duration=float(rng.integers(60, 7200)),
+                travel_km=float(rng.integers(0, 40)) / 2,
+            )
+            envelope = Envelope(
+                record=record,
+                token=self.tokens.pop() if self.tokens else None,
+                nonce=bytes(rng.bytes(16)),
+            )
+            batch.append(Delivery(payload=envelope, arrival_time=arrival, channel_tag="spec"))
+        self._deliver(batch, None, "receive_all")
+        self.maintenance(rng)
 
     def read(self, rng) -> None:
         pinpoints = [
@@ -369,8 +431,12 @@ class Harness:
             perform(self.server, ReshardOp.split(int(rng.integers(n_shards))))
 
 
-def run_sequence(ops, n_shards, require_tokens, root: Path) -> str | None:
-    """Run one sequence; returns ``None`` or a description of the first divergence."""
+def run_sequence(ops, n_shards, require_tokens, root: Path, paths=None) -> str | None:
+    """Run one sequence; returns ``None`` or a description of the first divergence.
+
+    ``paths``, when given, collects the maintenance paths that ran on a
+    non-empty tracked set.
+    """
     workdir = Path(tempfile.mkdtemp(dir=root))
     try:
         harness = Harness(n_shards, require_tokens, workdir)
@@ -384,6 +450,8 @@ def run_sequence(ops, n_shards, require_tokens, root: Path) -> str | None:
             return f"step {step} ({name}): {error}"
         finally:
             harness.journal.close()
+            if paths is not None:
+                paths.update(harness.paths)
         return None
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
@@ -406,8 +474,11 @@ def shrink(ops, fails) -> list:
 @pytest.mark.parametrize("seed,require_tokens", [(1, True), (2, True), (3, False)])
 def test_server_matches_model(tmp_path, n_shards, seed, require_tokens):
     ops = generate(seed)
-    failure = run_sequence(ops, n_shards, require_tokens, tmp_path)
-    if failure is not None:
+    paths: set[str] = set()
+    failure = run_sequence(ops, n_shards, require_tokens, tmp_path, paths)
+    if failure is None:
+        assert paths == {"incremental", "full"}, f"only {paths} ran on a non-empty tracked set"
+    else:
         minimal = shrink(
             ops,
             lambda candidate: run_sequence(candidate, n_shards, require_tokens, tmp_path)
