@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: check lint ruff test bench chaos scale bench-shards telemetry bench-telemetry incremental bench-incremental analyze bench-analyze durable bench-durable ingest bench-ingest serve bench-serve reshard bench-reshard bench-e2e profile-epochs
+.PHONY: check lint ruff test bench chaos scale bench-shards telemetry bench-telemetry incremental bench-incremental analyze bench-analyze durable bench-durable ingest bench-ingest serve bench-serve reshard bench-reshard sensing bench-e2e profile-epochs
 
 check:
 	bash scripts/check.sh
@@ -136,6 +136,14 @@ reshard:
 # of the catalog; grown deployment within 10% of native throughput).
 bench-reshard:
 	$(PYTHON) -m pytest benchmarks/test_bench_reshard.py --benchmark-only -q -s
+
+# Sensing suite (the CI sensing job): the columnar trace windows against
+# the plain whole-horizon oracle, the one stay-point fold over columns
+# and sample objects, the column-level linearity of run_epochs sensing,
+# and the line-coverage floor on repro.sensing.
+sensing:
+	$(PYTHON) -m pytest tests/sensing tests/orchestration/test_linear_sensing.py -q
+	$(PYTHON) scripts/coverage_gate.py --target sensing --fail-under 95
 
 # End-to-end benchmark smoke (the CI bench-e2e job): every workload at
 # tiny size through `python -m bench run`, then the benchmark's own tests.

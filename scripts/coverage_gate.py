@@ -46,6 +46,10 @@ TARGETS = {
     ),
     "serve": (SRC / "repro" / "serve", ["tests/serve"]),
     "reshard": (SRC / "repro" / "reshard", ["tests/reshard"]),
+    "sensing": (
+        SRC / "repro" / "sensing",
+        ["tests/sensing", "tests/orchestration/test_linear_sensing.py"],
+    ),
 }
 
 

@@ -70,12 +70,12 @@ def infer_home(
     fix (a window trace starts mid-stream) passes them in.
     """
     if stays is None:
-        stays = extract_stay_points(trace.location_samples)
+        stays = extract_stay_points(trace.locations)
     if not stays:
         if first_point is not None:
             return first_point
-        if trace.location_samples:
-            return trace.location_samples[0].point
+        if len(trace.locations):
+            return trace.locations.point(0)
         return Point(0.0, 0.0)
     dwell: dict[tuple[int, int], tuple[float, Point]] = {}
     for stay in stays:
@@ -249,10 +249,10 @@ class RSPClient:
                 f"trace window starts at sample {trace.window_start}, but "
                 f"{self._fold.n_folded} samples are folded"
             )
-        samples = trace.location_samples
-        self._fold.extend(samples[: trace.n_final])
+        fixes = trace.locations
+        self._fold.extend(fixes[: trace.n_final])
         stream = self._fold.copy()
-        stream.extend(samples[trace.n_final :])
+        stream.extend(fixes[trace.n_final :])
         return stream
 
     def _fresh_nonce(self) -> bytes:

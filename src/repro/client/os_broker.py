@@ -27,13 +27,21 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any, Callable, Generic, TypeVar
 
-from repro.sensing.traces import CallRecord, DeviceTrace, LocationSample, PaymentRecord
+from repro.sensing.traces import (
+    CallRecord,
+    DeviceTrace,
+    LocationColumns,
+    LocationSample,
+    PaymentRecord,
+)
 
 T = TypeVar("T")
 R = TypeVar("R")
 
-#: Types that must never leave the device raw.
-_SENSITIVE_TYPES = (LocationSample, CallRecord, PaymentRecord, DeviceTrace)
+#: Types that must never leave the device raw.  A trace's location stream
+#: is :class:`LocationColumns`, which is not a dataclass, so the scan
+#: below would not look inside it: it must be named here.
+_SENSITIVE_TYPES = (LocationSample, LocationColumns, CallRecord, PaymentRecord, DeviceTrace)
 
 
 class EgressViolation(Exception):

@@ -297,10 +297,11 @@ def run_epochs(
     # only the samples that are new since the last one.
     carries = trace_carries(result, clients)
     # Durable state as of the last completed sync (install-time initially);
-    # a crash rolls the client back to exactly this.
-    checkpoints: dict[str, dict] = {
-        user_id: client.checkpoint() for user_id, client in clients.items()
-    }
+    # a crash rolls the client back to exactly this.  Only a fault plan
+    # crashes clients, so only then are checkpoints taken.
+    checkpoints: dict[str, dict] = {}
+    if injector is not None:
+        checkpoints = {user_id: client.checkpoint() for user_id, client in clients.items()}
 
     outcome = EpochsOutcome(
         server=server,
@@ -397,7 +398,8 @@ def run_epochs(
             )
             client.observe_trace(trace, now=local_now)
             client.sync(network, server.issuer, now=local_now)
-            checkpoints[user.user_id] = client.checkpoint()
+            if injector is not None:
+                checkpoints[user.user_id] = client.checkpoint()
 
         ingest_time = end_time + 2 * DAY
         server_deferred = injector is not None and injector.server_down_at(ingest_time)

@@ -40,6 +40,7 @@ from repro.sensing.traces import (
     CallDirection,
     CallRecord,
     DeviceTrace,
+    LocationColumns,
     LocationSample,
     PaymentRecord,
 )
@@ -56,6 +57,7 @@ __all__ = [
     "EntityResolver",
     "GridIndex",
     "InteractionType",
+    "LocationColumns",
     "LocationSample",
     "ObservedInteraction",
     "PaymentRecord",

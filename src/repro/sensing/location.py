@@ -15,7 +15,9 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from repro.sensing.traces import LocationSample
+import numpy as np
+
+from repro.sensing.traces import LocationColumns, LocationSample
 from repro.world.geography import Point
 
 
@@ -65,6 +67,11 @@ class StayPointFold:
     extending with ``a`` and then ``b`` equals extending with ``a + b``,
     and :meth:`copy` lets a caller fold a provisional tail without
     touching the fold it keeps.
+
+    The fold reads :class:`~repro.sensing.traces.LocationColumns` as
+    Python floats, in stream order, so its stays and first point carry
+    plain ``float`` values and its running centroid the same bits as a
+    fold over sample objects.
     """
 
     def __init__(self, config: StayPointConfig | None = None) -> None:
@@ -84,33 +91,33 @@ class StayPointFold:
         twin._closed = list(self._closed)
         return twin
 
-    def extend(self, samples: Iterable[LocationSample]) -> None:
-        """Fold time-ordered samples that continue the stream."""
+    def extend(self, fixes: LocationColumns) -> None:
+        """Fold time-ordered fixes that continue the stream; fixes out of
+        order raise ``ValueError`` and fold nothing."""
+        times = fixes.t
+        if len(times) and (
+            (self._n and times[0] < self._last) or np.any(times[1:] < times[:-1])
+        ):
+            raise ValueError("location samples must be time-ordered")
         radius = self.config.radius_km
+        hypot = math.hypot
         start, last, n, cx, cy = self._start, self._last, self._n, self._cx, self._cy
-        folded = 0
-        try:
-            for sample in samples:
-                point = sample.point
-                if n and sample.time < last:
-                    raise ValueError("location samples must be time-ordered")
-                if n and math.hypot(point.x - cx, point.y - cy) <= radius:
-                    n += 1
-                    cx += (point.x - cx) / n
-                    cy += (point.y - cy) / n
+        for t, x, y in zip(times.tolist(), fixes.x.tolist(), fixes.y.tolist()):
+            if n and hypot(x - cx, y - cy) <= radius:
+                n += 1
+                cx += (x - cx) / n
+                cy += (y - cy) / n
+            else:
+                if n:
+                    stay = self._as_stay(start, last, n, cx, cy)
+                    if stay is not None:
+                        self._closed.append(stay)
                 else:
-                    if n:
-                        stay = self._as_stay(start, last, n, cx, cy)
-                        if stay is not None:
-                            self._closed.append(stay)
-                    else:
-                        self.first_point = point
-                    start, n, cx, cy = sample.time, 1, point.x, point.y
-                last = sample.time
-                folded += 1
-        finally:
-            self._start, self._last, self._n, self._cx, self._cy = start, last, n, cx, cy
-            self.n_folded += folded
+                    self.first_point = Point(x, y)
+                start, n, cx, cy = t, 1, x, y
+            last = t
+        self._start, self._last, self._n, self._cx, self._cy = start, last, n, cx, cy
+        self.n_folded += len(times)
 
     def _as_stay(
         self, start: float, end: float, n: int, cx: float, cy: float
@@ -132,10 +139,13 @@ class StayPointFold:
 
 
 def extract_stay_points(
-    samples: list[LocationSample],
+    samples: LocationColumns | Iterable[LocationSample],
     config: StayPointConfig | None = None,
 ) -> list[StayPoint]:
-    """Extract stay points from a time-ordered location stream."""
+    """Extract stay points from a time-ordered location stream, given as
+    columns or as sample objects."""
+    if not isinstance(samples, LocationColumns):
+        samples = LocationColumns.of(samples)
     fold = StayPointFold(config)
     fold.extend(samples)
     return fold.stays()

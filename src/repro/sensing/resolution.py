@@ -123,7 +123,7 @@ class EntityResolver:
         """
         interactions: list[ObservedInteraction] = []
         if stays is None:
-            stays = extract_stay_points(trace.location_samples, self.config.stay_points)
+            stays = extract_stay_points(trace.locations, self.config.stay_points)
 
         for index, stay in enumerate(stays):
             if stay.duration >= self.config.anchor_dwell_threshold:

@@ -13,6 +13,10 @@ timeline, and the returned trace is a *window*: its location samples
 start where the device's previously final samples end, and its call rows
 where the previous window's rows end (see
 :class:`~repro.sensing.traces.DeviceTrace`).
+
+Location fixes stay columnar from the draw to the trace: each stay or
+travel segment yields a chunk of ``t``, ``x``, ``y`` float64 arrays, and a
+window's fixes are those chunks stably sorted and cut by time.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.sensing.policy import SensingPolicy, duty_cycled_policy
-from repro.sensing.traces import CallRecord, DeviceTrace, LocationSample, PaymentRecord
+from repro.sensing.traces import CallRecord, DeviceTrace, LocationColumns, PaymentRecord
 from repro.util.clock import DAY
 from repro.util.rng import make_rng
 from repro.world.behavior import SimulationResult
@@ -62,39 +66,55 @@ class _Stay:
     end: float
 
 
-def _stay_fix_times(stay: _Stay, policy: SensingPolicy, config: TraceConfig) -> list[float]:
-    """Fix times within ``stay``; a longer stay's list extends a shorter one's."""
-    times: list[float] = []
+def _stay_fix_times(stay: _Stay, policy: SensingPolicy, config: TraceConfig) -> np.ndarray:
+    """Fix times within ``stay``; a longer stay's times extend a shorter one's."""
     if policy.burst_offsets:
-        for offset in policy.burst_offsets:
-            t = stay.start + offset
-            if t < stay.end:
-                times.append(t)
+        burst = [stay.start + offset for offset in policy.burst_offsets]
         cursor = stay.start + policy.burst_offsets[-1] + policy.stationary_interval
     else:
+        burst = []
         cursor = stay.start + config.first_fix_delay
-    while cursor < stay.end:
-        times.append(cursor)
-        cursor += policy.stationary_interval
-    return times
+    # Keep-alive fixes from the cursor on, each one interval after the
+    # last: a running sum adds them one at a time, as a loop would.  It
+    # runs two steps past the stay's end, room for its rounding; the
+    # times are non-decreasing, so those before the end are a prefix.
+    interval = policy.stationary_interval
+    steps = np.full(max(int((stay.end - cursor) // interval) + 2, 1), interval)
+    steps[0] = cursor
+    times = np.concatenate((burst, np.add.accumulate(steps)))
+    return times[: np.searchsorted(times, stay.end)]
+
+
+#: A chunk of fixes: their ``t``, ``x`` and ``y`` columns.
+_Fixes = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+_NO_FIXES: _Fixes = (np.empty(0), np.empty(0), np.empty(0))
 
 
 def _noisy_fixes(
-    times: list[float],
-    xs: list[float],
-    ys: list[float],
+    times: np.ndarray | list[float],
+    xs: float | np.ndarray,
+    ys: float | np.ndarray,
     config: TraceConfig,
     rng: np.random.Generator,
-) -> list[LocationSample]:
-    """One fix per time, noised by one vector draw of x/y pairs."""
-    if not times:
-        return []
-    sd = config.gps_noise_km
-    noise = rng.normal(0, sd, size=2 * len(times)).tolist()
-    return [
-        LocationSample(time=t, point=Point(x + noise[2 * i], y + noise[2 * i + 1]), accuracy_km=sd)
-        for i, (t, x, y) in enumerate(zip(times, xs, ys))
-    ]
+) -> _Fixes:
+    """One fix per time, noised by one vector draw of x/y pairs (no draw
+    for no times)."""
+    if not len(times):
+        return _NO_FIXES
+    noise = rng.normal(0, config.gps_noise_km, size=2 * len(times))
+    return np.asarray(times, dtype=np.float64), xs + noise[0::2], ys + noise[1::2]
+
+
+def _time_ordered(chunks: list[_Fixes]) -> _Fixes:
+    """The chunks' fixes stably time-ordered, as ``list.sort`` orders
+    the concatenated chunks."""
+    if len(chunks) > 1:
+        t, x, y = (np.concatenate(column) for column in zip(*chunks))
+    else:
+        t, x, y = chunks[0] if chunks else _NO_FIXES
+    order = np.argsort(t, kind="stable")
+    return t[order], x[order], y[order]
 
 
 def _sample_stay(
@@ -103,11 +123,10 @@ def _sample_stay(
     config: TraceConfig,
     rng: np.random.Generator,
     skip: int = 0,
-) -> list[LocationSample]:
+) -> _Fixes:
     """The stay's fixes, leaving out the first ``skip`` (drawn earlier)."""
     times = _stay_fix_times(stay, policy, config)[skip:]
-    n = len(times)
-    return _noisy_fixes(times, [stay.location.x] * n, [stay.location.y] * n, config, rng)
+    return _noisy_fixes(times, stay.location.x, stay.location.y, config, rng)
 
 
 def _sample_travel(
@@ -118,9 +137,9 @@ def _sample_travel(
     policy: SensingPolicy,
     config: TraceConfig,
     rng: np.random.Generator,
-) -> list[LocationSample]:
+) -> _Fixes:
     if policy.moving_interval is None or end <= start:
-        return []
+        return _NO_FIXES
     times: list[float] = []
     xs: list[float] = []
     ys: list[float] = []
@@ -131,7 +150,7 @@ def _sample_travel(
         xs.append(origin.x + fraction * (destination.x - origin.x))
         ys.append(origin.y + fraction * (destination.y - origin.y))
         t += policy.moving_interval
-    return _noisy_fixes(times, xs, ys, config, rng)
+    return _noisy_fixes(times, np.array(xs), np.array(ys), config, rng)
 
 
 def _time(item) -> float:
@@ -227,9 +246,9 @@ class TraceCarry:
         self._current: _Stay | None = None
         self._open = False
         self._drawn = 0
-        #: Settled fixes that are not final yet, and the count of final
-        #: fixes handed out so far (the next window's start).
-        self._pending: list[LocationSample] = []
+        #: Settled fixes that are not final yet, as column chunks, and the
+        #: count of final fixes handed out so far (the next window's start).
+        self._pending: list[_Fixes] = []
         self._emitted = 0
 
     def rewound(self) -> "TraceCarry":
@@ -258,19 +277,21 @@ class TraceCarry:
         continues the open stay, whose travel and first fixes are drawn)."""
         if not self._open:
             if self._current is not None:
-                self._pending += _sample_travel(
-                    self._current.location,
-                    stay.location,
-                    self._current.end,
-                    stay.start,
-                    policy,
-                    config,
-                    self._rng,
+                self._pending.append(
+                    _sample_travel(
+                        self._current.location,
+                        stay.location,
+                        self._current.end,
+                        stay.start,
+                        policy,
+                        config,
+                        self._rng,
+                    )
                 )
             self._drawn = 0
         fixes = _sample_stay(stay, policy, config, self._rng, skip=self._drawn)
-        self._pending += fixes
-        self._drawn += len(fixes)
+        self._pending.append(fixes)
+        self._drawn += len(fixes[0])
         self._current, self._open = stay, still_open
 
     def window(
@@ -349,12 +370,10 @@ class TraceCarry:
             bound = self._cursor
         if self._n_visits < len(visits):
             bound = min(bound, visits[self._n_visits].start_time)
-        pending = self._pending
-        pending.sort(key=_time)
-        n_final = bisect_left(pending, bound, key=_time)
-        final, self._pending = pending[:n_final], pending[n_final:]
-        trace = DeviceTrace(user_id=self.user_id, window_start=self._emitted, n_final=n_final)
-        self._emitted += n_final
+        t, x, y = _time_ordered(self._pending)
+        n_final = int(np.searchsorted(t, bound, side="left"))
+        # Copies, so the carry does not keep the final fixes alive.
+        self._pending = [(t[n_final:].copy(), x[n_final:].copy(), y[n_final:].copy())]
 
         # The open stay's fixes depend on the horizon: draw them, then
         # rewind the RNG to its settled state.
@@ -363,27 +382,42 @@ class TraceCarry:
         tail = list(self._pending)
         if open_stay is not None:
             if self._open:
-                tail += _sample_stay(open_stay, policy, config, rng, skip=self._drawn)
+                tail.append(_sample_stay(open_stay, policy, config, rng, skip=self._drawn))
             else:
                 if self._current is not None:
-                    tail += _sample_travel(
-                        self._current.location,
-                        open_stay.location,
-                        self._current.end,
-                        open_stay.start,
-                        policy,
-                        config,
-                        rng,
+                    tail.append(
+                        _sample_travel(
+                            self._current.location,
+                            open_stay.location,
+                            self._current.end,
+                            open_stay.start,
+                            policy,
+                            config,
+                            rng,
+                        )
                     )
-                tail += _sample_stay(open_stay, policy, config, rng)
+                tail.append(_sample_stay(open_stay, policy, config, rng))
         rng.bit_generator.state = settled
-        tail.sort(key=_time)
-        trace.location_samples = final + tail
+        tail_t, tail_x, tail_y = _time_ordered(tail)
+        locations = LocationColumns(
+            np.concatenate((t[:n_final], tail_t)),
+            np.concatenate((x[:n_final], tail_x)),
+            np.concatenate((y[:n_final], tail_y)),
+            config.gps_noise_km,
+        )
 
-        trace.call_records = self._call_window(town, horizon, config)
-        trace.call_start = self._call_rows
-        self._call_rows += len(trace.call_records)
-        trace.payment_records = sorted(self._payments, key=_time)
+        call_records = self._call_window(town, horizon, config)
+        trace = DeviceTrace(
+            user_id=self.user_id,
+            locations=locations,
+            call_records=call_records,
+            payment_records=sorted(self._payments, key=_time),
+            window_start=self._emitted,
+            n_final=n_final,
+            call_start=self._call_rows,
+        )
+        self._emitted += n_final
+        self._call_rows += len(call_records)
         return trace
 
     def _call_window(self, town: Town, horizon: float, config: TraceConfig) -> list[CallRecord]:

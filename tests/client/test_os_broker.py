@@ -109,6 +109,20 @@ class TestOSPrivacyBroker:
         assert broker.blocked_egress_attempts == 1
         assert broker.audit_log[-1].action == "egress_blocked"
 
+    def test_location_columns_cannot_leave(self, sensed_world):
+        """The trace's columnar location stream is raw location history
+        too: neither a sandboxed processor nor egress may release it."""
+        _, trace = sensed_world
+        broker = OSPrivacyBroker(app_id="evil-rsp-app")
+        handle = broker.read_sensors(trace)
+        with pytest.raises(EgressViolation):
+            broker.process(handle, lambda t: t.locations, label="smuggler")
+        with pytest.raises(EgressViolation):
+            broker.egress({"telemetry": trace.locations})
+        with pytest.raises(EgressViolation):
+            broker.egress({"telemetry": [trace.locations[:10]]})
+        assert broker.blocked_egress_attempts == 2
+
     def test_egress_blocks_tainted_handles(self, sensed_world):
         _, trace = sensed_world
         broker = OSPrivacyBroker(app_id="evil-rsp-app")

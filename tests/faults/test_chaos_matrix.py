@@ -22,6 +22,7 @@ from repro.faults import (
     Window,
     lossy_plan,
 )
+from repro.client.app import RSPClient
 from repro.orchestration.epochs import run_epochs
 from repro.orchestration.pipeline import PipelineConfig, train_classifier
 from repro.privacy.uploads import RetransmitPolicy
@@ -163,6 +164,39 @@ class TestFaultMatrix:
         assert outcome.injector.crashes_triggered == MAX_USERS
         assert total(outcome, "crash_restores") == MAX_USERS
         assert outcome.server.n_records > 0
+
+
+class TestCheckpointCadence:
+    """Client checkpoints exist for crash–restore, so only a run under a
+    fault plan takes them: at install and after every sync."""
+
+    @staticmethod
+    def count_checkpoints(monkeypatch):
+        calls = []
+        checkpoint = RSPClient.checkpoint
+
+        def counting(self):
+            calls.append(self.identity.device_id)
+            return checkpoint(self)
+
+        monkeypatch.setattr(RSPClient, "checkpoint", counting)
+        return calls
+
+    def test_fault_free_run_takes_none(self, world, monkeypatch):
+        calls = self.count_checkpoints(monkeypatch)
+        outcome = run(world, None)
+        assert outcome.server.n_records > 0
+        assert calls == []
+
+    def test_fault_plan_run_takes_one_per_sync(self, world, monkeypatch):
+        calls = self.count_checkpoints(monkeypatch)
+        outcome = run(world, FaultPlan(seed=5, crashes=(ClientCrash(1.5 * EPOCH),)))
+        assert total(outcome, "crash_restores") == MAX_USERS
+        # One checkpoint per user at install, then one per user per epoch.
+        users = sorted(outcome.clients)
+        assert len(calls) == MAX_USERS * (1 + N_EPOCHS)
+        for start in range(0, len(calls), MAX_USERS):
+            assert sorted(calls[start : start + MAX_USERS]) == users
 
 
 class TestAcceptanceScenario:

@@ -10,14 +10,23 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.client.app import RSPClient, infer_home
 from repro.core.classifier import OpinionClassifier, synthetic_training_pairs
+from repro.sensing import sensors
 from repro.sensing.location import StayPointFold, extract_stay_points
 from repro.sensing.policy import SensingPolicy, continuous_policy, duty_cycled_policy
 from repro.sensing.resolution import EntityResolver
 from repro.sensing.sensors import TraceCarry, TraceConfig, generate_trace, trace_carries
-from repro.sensing.traces import CallRecord, DeviceTrace, LocationSample, PaymentRecord
+from repro.sensing.traces import (
+    CallRecord,
+    DeviceTrace,
+    LocationColumns,
+    LocationSample,
+    PaymentRecord,
+)
 from repro.util.clock import DAY, HOUR, MINUTE
 from repro.util.rng import make_rng
 from repro.world.behavior import BehaviorConfig, BehaviorSimulator, SimulationResult
@@ -145,9 +154,9 @@ def replay(town, result, horizons, classifier, policy=None, seed=0, users=None):
             assert window.payment_records == full.payment_records
             final += window.location_samples[: window.n_final]
 
-            fold.extend(window.location_samples[: window.n_final])
+            fold.extend(window.locations[: window.n_final])
             stream = fold.copy()
-            stream.extend(window.location_samples[window.n_final :])
+            stream.extend(window.locations[window.n_final :])
             stays = extract_stay_points(full.location_samples)
             assert stream.stays() == stays
 
@@ -307,22 +316,85 @@ class TestFold:
             where = Point(float(rng.integers(0, 3)), 0.0)
             samples.append(LocationSample(t, where.offset(float(rng.normal(0, 0.05)), 0.0)))
         whole = extract_stay_points(samples)
+        columns = LocationColumns.of(samples)
         for cut in (0, 1, 57, 200, 399, 400):
             fold = StayPointFold()
-            fold.extend(samples[:cut])
+            fold.extend(columns[:cut])
             peek = fold.copy()
-            peek.extend(samples[cut:])
+            peek.extend(columns[cut:])
             assert peek.stays() == whole
             assert fold.n_folded == cut
-            fold.extend(samples[cut:])
+            fold.extend(columns[cut:])
             assert fold.stays() == whole
             assert fold.first_point == samples[0].point
 
     def test_rejects_out_of_order_across_calls(self):
         fold = StayPointFold()
-        fold.extend([LocationSample(10.0, Point(0, 0))])
+        fold.extend(LocationColumns.of([LocationSample(10.0, Point(0, 0))]))
         with pytest.raises(ValueError):
-            fold.extend([LocationSample(5.0, Point(0, 0))])
+            fold.extend(LocationColumns.of([LocationSample(5.0, Point(0, 0))]))
+
+    def test_out_of_order_fixes_fold_nothing(self):
+        fold = StayPointFold()
+        fold.extend(LocationColumns([0.0, 700.0], [1.0, 1.0], [1.0, 1.0]))
+        before = (fold.n_folded, fold.stays(), fold.first_point)
+        with pytest.raises(ValueError):
+            fold.extend(LocationColumns([800.0, 900.0, 850.0], [1.0] * 3, [1.0] * 3))
+        assert (fold.n_folded, fold.stays(), fold.first_point) == before
+        fold.extend(LocationColumns([800.0], [1.0], [1.0]))
+        assert fold.n_folded == 3 and fold.stays()[0].n_samples == 3
+
+
+@given(
+    start=st.floats(min_value=0.0, max_value=1e8),
+    length=st.floats(min_value=0.0, max_value=4e6),
+    interval=st.floats(min_value=30.0, max_value=7200.0),
+    burst=st.lists(st.floats(min_value=0.0, max_value=3600.0), max_size=3).map(sorted),
+)
+@settings(max_examples=200, deadline=None)
+def test_fix_times_match_the_loop(start, length, interval, burst):
+    """The keep-alive times are a running sum; they must equal, bit for
+    bit, a loop that adds the interval one fix at a time."""
+    policy = SensingPolicy("p", tuple(burst), interval, None, True)
+    config = TraceConfig()
+    stay = sensors._Stay(Point(0.0, 0.0), start, start + length)
+    expected = [start + offset for offset in burst if start + offset < stay.end]
+    cursor = start + burst[-1] + interval if burst else start + config.first_fix_delay
+    while cursor < stay.end:
+        expected.append(cursor)
+        cursor += interval
+    assert sensors._stay_fix_times(stay, policy, config).tolist() == expected
+
+
+class TestExactFloats:
+    def test_stays_points_and_interactions_hold_python_floats(self, world, classifier):
+        """Columns are float64 arrays, but no ``np.float64`` may reach a
+        stay, a point or an interaction: it would change their ``repr``."""
+        town, result = world
+        users = [user.user_id for user in town.users[:10]]
+        carries = trace_carries(result, users)
+        checked = 0
+        for user_id in users:
+            client = RSPClient(user_id, town.entities, classifier)
+            for horizon in epoch_horizons(30, 4):
+                window = generate_trace(
+                    user_id, town, result, horizon, seed=11, carry=carries[user_id]
+                )
+                for interaction in client.observe_trace(window, now=horizon):
+                    values = (interaction.time, interaction.duration, interaction.travel_km)
+                    assert all(type(value) is float for value in values), interaction
+                    checked += 1
+                for stay in client._fold.stays():
+                    values = (stay.center.x, stay.center.y, stay.start, stay.end)
+                    assert all(type(value) is float for value in values), stay
+                first = client._fold.first_point
+                if first is not None:
+                    assert type(first.x) is float and type(first.y) is float
+                home = client._inferred_home
+                assert type(home.x) is float and type(home.y) is float
+                for sample in window.location_samples:
+                    assert type(sample.time) is float and type(sample.point.x) is float
+        assert checked > 0
 
 
 # ------------------------------------------------------------ call windows
