@@ -27,8 +27,8 @@ chaos:
 	$(PYTHON) -m pytest tests/faults -q
 
 # Scale suite: the golden grid and property tests proving the server
-# identical at every shard count, then the line-coverage floor on
-# repro.scale.
+# identical at every shard count, the kernel-versus-scalar-spec test
+# (test_kernel_spec.py), then the line-coverage floor on repro.scale.
 scale:
 	$(PYTHON) -m pytest tests/scale -q
 	$(PYTHON) scripts/coverage_gate.py --fail-under 85
@@ -51,8 +51,8 @@ bench-telemetry:
 
 # Incremental-maintenance suite: the invalidation units
 # (tests/service/test_incremental.py) and the rest of tests/service, the
-# stateful intake-model suite whose from-scratch oracle checks both
-# maintenance paths, the dirty-iteration analyzer rule, and the
+# stateful intake-model suite whose from-scratch oracle checks every
+# cycle that reuses cached verdicts, the dirty-iteration analyzer rule, and the
 # line-coverage floor on repro.service (the server and its dirty-tracking
 # engine).
 incremental:

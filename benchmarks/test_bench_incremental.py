@@ -5,8 +5,8 @@ touched only a small slice of the catalog must run at least 2x faster
 than a from-scratch recompute of the same store — while producing a
 byte-identical report and identical summaries.  The from-scratch side is
 a fresh server restored from the incremental server's ``capture_state``
-after the delta intake; its first cycle (every entity dirty, so the
-columnar kernel runs) is the one timed.  The delta is confined to two
+after the delta intake; its first cycle (every entity dirty, so every
+history is judged and every entity summarized) is the one timed.  The delta is confined to two
 small entity kinds (10 of 120 entities, 8.3%), so the profile-digest
 guard re-dirties only those kinds and the other 110 entities ride their
 caches.  Emits ``BENCH_5.json`` (consumed by ``make bench-incremental``
@@ -108,7 +108,7 @@ def test_bench_incremental_maintenance_speedup(benchmark):
         catalog=town.entities, key_seed=BENCH_SEED, require_tokens=False
     )
     assert incremental.receive_all(base) == len(base)
-    # Warm cycle: everything is intake-dirty, so the kernel does full work.
+    # Warm cycle: everything is intake-dirty, so the cycle does full work.
     incremental.run_maintenance()
 
     # The measured cycle: a delta confined to the two small kinds.

@@ -2,9 +2,9 @@
 
 One full maintenance cycle on the same intake at one shard and at eight
 shards, with byte-identical reports and summaries.  Both configurations
-run the same columnar kernel in-process, so partitioning must cost
-little: eight shards may take at most :data:`MAX_PARTITION_OVERHEAD`
-times one shard's cycle.  Emits ``BENCH_3.json`` (consumed by
+run the same maintenance cycle in-process, over one frame gathered from
+their shards, so partitioning must cost little: eight shards may take at
+most :data:`MAX_PARTITION_OVERHEAD` times one shard's cycle.  Emits ``BENCH_3.json`` (consumed by
 ``make bench-shards`` and EXPERIMENTS.md).
 """
 

@@ -141,8 +141,8 @@ def deflate_groups_arrays(
     """Count distinct ``(quantized time, rounded duration)`` signatures.
 
     This is the single definition of a group signature: every caller —
-    the serial maintenance engine and the columnar kernel alike — must
-    quantize through here, so re-partitioning the stores can never change
+    the scalar spec and the columnar kernel alike — must quantize
+    through here, so re-partitioning the stores can never change
     which interactions collapse into one group (the merge-determinism
     contract of ``docs/SCALING.md``).
     """
@@ -225,10 +225,10 @@ def summarize_entity_from_parts(
 
     This is the single definition of the summary math.
     :func:`summarize_entity` extracts the columns from history/opinion
-    objects; the sharded maintenance path
-    (:func:`repro.scale.kernel.summarize_partition_frame`) extracts the
-    identical columns from its cached frames — both funnel through here,
-    so the two deployments cannot drift apart.  ``kept`` must be the
+    objects; the maintenance cycle
+    (:func:`repro.scale.kernel.summarize_slice`) slices the identical
+    columns from its frame — both funnel through here, so the spec and
+    the kernel cannot drift apart.  ``kept`` must be the
     ``(rating, weight)`` pairs in canonical (history-id-sorted) order:
     the weight sum and ``np.average`` are order-dependent float
     reductions, and this ordering is the contract that makes them a pure

@@ -123,8 +123,6 @@ def apply_mutation(server, mutation: dict) -> None:
                 f"{upload.history_id!r} was rejected by the store on replay — "
                 "the journal and the stores have diverged"
             )
-        shard.store_version += 1
-        shard.version += 1
         shard.dirty_entities.add(upload.entity_id)
         _commit(server, mutation)
     elif kind == "opinion":
@@ -138,7 +136,6 @@ def apply_mutation(server, mutation: dict) -> None:
         existing = shard.opinions.get(record.history_id)
         if existing is None or record.seq > existing.seq:
             shard.opinions[record.history_id] = record
-            shard.version += 1
         else:
             server.opinions_stale += 1
         _commit(server, mutation)

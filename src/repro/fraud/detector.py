@@ -118,8 +118,10 @@ class FraudDetector:
         if gaps and (not positive_gaps or profile.gaps.below_floor(min_gap)):
             flags.append(FraudFlag.BURST)
 
+        # A history whose every record was folded away has no time span
+        # left; it spans at least a day, like any other.
         times = sorted(history.event_times())
-        span = max(times[-1] - times[0], DAY)
+        span = max(times[-1] - times[0], DAY) if times else DAY
         rate = history.n_interactions / span
         typical_rate_ceiling = profile.counts.p99 / max(profile.gaps.median, DAY)
         if rate > typical_rate_ceiling and history.n_interactions > profile.counts.median:

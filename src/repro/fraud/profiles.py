@@ -36,7 +36,7 @@ class FeatureBand:
 
     @classmethod
     def from_values(cls, values: Iterable[float]) -> "FeatureBand":
-        # Sharded maintenance hands over float64 arrays; reuse them rather
+        # Maintenance hands over float64 arrays; reuse them rather
         # than round-tripping through a 10^5-element Python list.  The
         # percentiles are identical either way (same multiset of floats).
         if isinstance(values, np.ndarray):
@@ -91,9 +91,9 @@ class ProfilePools:
     disjoint subsets of the store concatenate into the pools of the whole
     store, and every percentile taken from a pool depends only on the
     *multiset* of values (``np.percentile`` sorts its input), never on the
-    order they were collected in.  That pair of facts is what lets the
-    sharded maintenance path (:mod:`repro.scale`) profile each shard
-    independently and still land on bit-identical global profiles.
+    order they were collected in.  That pair of facts is what lets
+    maintenance cache one fragment per entity and roll a kind's
+    fragments up into bit-identical global profiles, at any shard count.
 
     Values may be held as Python lists or as NumPy float64 arrays; both
     feed :class:`FeatureBand.from_values` identically.
@@ -165,8 +165,8 @@ def build_profiles(
 
     ``entity_kinds`` maps entity_id -> kind label (public catalog data).
     Composed from :func:`collect_profile_pools` and
-    :func:`profiles_from_pools` so partitioned deployments can run the
-    collection phase per shard and the reduction once, globally.
+    :func:`profiles_from_pools` so maintenance can run the collection
+    phase per entity and the reduction once per kind.
     """
     pools = collect_profile_pools(
         store.all_histories(), entity_kinds, min_history_length

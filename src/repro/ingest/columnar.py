@@ -171,11 +171,6 @@ def _classify(server, groups, now: float | None) -> int:
     try:
         for shard_index, group in groups:
             shard = server.shards[shard_index]
-            # The versions only key the shard's caches, so one bump per
-            # group up front does: a bump with nothing stored costs a cache
-            # rebuild, never a wrong answer.
-            shard.store_version += 1
-            shard.version += 1
             histories = shard.store._histories
             histories_get = histories.get
             by_entity = shard.store._by_entity

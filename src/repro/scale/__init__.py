@@ -4,16 +4,17 @@ The paper's repository must absorb implicit opinions from *every* user of
 a service — orders of magnitude more input than today's explicit reviews
 (Section 2, Table 1) — so the RSP server shards its four stores across N
 partitions keyed by a prefix of the unlinkable ``hash(Ru, e)`` record
-identifier and runs the maintenance cycle (fraud profiling → history
-filtering → opinion summarization) shard by shard in one process.  This
-package holds the pieces: the router, the per-shard state, the columnar
-kernel and the merge algebra.
+identifier.  Its maintenance cycle (fraud profiling → history filtering
+→ opinion summarization) gathers the tracked entities' histories from
+every shard into one columnar frame.  This package holds the pieces: the
+router, the per-shard state, the columnar kernel and the merge algebra.
 
 The load-bearing promise is *equivalence*: for every input sequence the
 server accepts the same envelopes and its maintenance cycle produces
 bit-identical reports, verdicts, and entity summaries for every shard
-count.  ``tests/scale`` proves this differentially and property-wise;
-``docs/SCALING.md`` explains why it holds.
+count.  ``tests/scale`` proves this with a golden grid, a kernel-versus-
+scalar-spec test and merge properties; ``docs/SCALING.md`` explains why
+it holds.
 
 ``ShardedRSPServer`` is the server under its scale-out name.  It is
 resolved on first access because the server itself imports this package.

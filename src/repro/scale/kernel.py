@@ -1,14 +1,15 @@
 """Columnar maintenance kernel: bit-identical, vectorized fraud analysis.
 
-The scalar :class:`~repro.fraud.detector.FraudDetector` walks the
-store history-by-history, paying Python-level attribute access and many
-small NumPy calls per history.  This kernel lays a shard's histories out
-as a :class:`ShardFrame` — contiguous per-record arrays with per-history
-segment offsets — and computes the same features with segment-wise array
-reductions.
+The scalar :class:`~repro.fraud.detector.FraudDetector` walks histories
+one at a time, paying Python-level attribute access and many small NumPy
+calls per history.  This kernel lays the histories a maintenance cycle
+tracks out as a :class:`ShardFrame` — contiguous per-record arrays with
+per-history segment offsets — and computes the same verdicts, profile
+pools and summary columns with segment-wise array reductions.
 
-Equivalence with the scalar detector is a *bitwise* contract, argued
-operation by operation:
+Equivalence with the scalar spec (``FraudDetector.judge``,
+``collect_profile_pools``, ``summarize_entity``) is a *bitwise*
+contract, argued operation by operation:
 
 * percentile pools are multisets; the kernel pools exactly the same
   float values the scalar path pools, in a different order that
@@ -20,15 +21,18 @@ operation by operation:
 * the one mean/std in the detector (the REGULARITY coefficient of
   variation) is evaluated per candidate history on a contiguous slice in
   the same element order as the scalar path, so NumPy's pairwise
-  summation visits the same addition tree.
+  summation visits the same addition tree;
+* summary columns are the kept histories' records in history order,
+  handed to :func:`~repro.core.aggregation.summarize_entity_from_parts`,
+  the one place the summary math lives.
 
-``tests/scale`` enforces the contract differentially; docs/SCALING.md
-records it.
+``tests/scale/test_kernel_spec.py`` checks the contract against the
+scalar spec; docs/SCALING.md records it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,7 +56,7 @@ from repro.util.clock import DAY
 
 @dataclass
 class ShardFrame:
-    """One shard's histories in columnar form.
+    """A list of histories in columnar form.
 
     Record-level arrays are segmented per history via ``offsets`` (length
     ``n + 1``); gap-level arrays via ``gap_offsets``.  ``codes`` maps each
@@ -158,38 +162,81 @@ def build_frame(
     )
 
 
-def collect_pools(frame: ShardFrame, min_history_length: int = 2) -> ProfilePools:
-    """Pool per-kind feature values from a frame, vectorized.
+def slice_pools(
+    frame: ShardFrame, start: int, stop: int, min_history_length: int = 2
+) -> ProfilePools:
+    """Per-kind profile pools of histories ``start:stop``, from the columns.
 
-    Pools the exact same float values as
+    Equal, kind by kind and value by value, to
     :func:`repro.fraud.profiles.collect_profile_pools` over the same
-    histories — only the collection order differs, which the sort-based
-    percentile reduction cannot observe.
+    histories: record-order durations, per-history counts, and the
+    chronological gaps of histories long enough to contribute them.
     """
     pools = ProfilePools()
-    if frame.n_histories == 0:
-        return pools
-    counts_f = frame.n_interactions.astype(np.float64)
-    record_codes = np.repeat(frame.codes, frame.n_raw)
-    gap_counts = np.diff(frame.gap_offsets)
-    gap_codes = np.repeat(frame.codes, gap_counts)
-    gap_eligible = np.repeat(frame.n_interactions >= min_history_length, gap_counts)
-    for code, label in enumerate(frame.kind_labels):
-        history_mask = frame.codes == code
-        if not history_mask.any():
-            continue
-        pools.n_histories[label] = int(history_mask.sum())
-        pools.counts[label] = counts_f[history_mask]
-        pools.durations[label] = frame.durations_raw[record_codes == code]
-        kind_gaps = frame.gaps[(gap_codes == code) & gap_eligible]
-        if kind_gaps.size:
-            pools.gaps[label] = kind_gaps
+    codes = frame.codes[start:stop]
+    counts = frame.n_interactions[start:stop]
+    record_codes = np.repeat(codes, frame.n_raw[start:stop])
+    eligible = counts >= min_history_length
+    gap_codes = np.repeat(
+        np.where(eligible, codes, -1), np.diff(frame.gap_offsets[start : stop + 1])
+    )
+    durations = frame.durations_raw[frame.offsets[start] : frame.offsets[stop]]
+    gaps = frame.gaps[frame.gap_offsets[start] : frame.gap_offsets[stop]]
+    for code in sorted(set(codes.tolist()) - {-1}):
+        label = frame.kind_labels[code]
+        mask = codes == code
+        pools.n_histories[label] = int(mask.sum())
+        pools.counts[label] = counts[mask].astype(np.float64)
+        pools.durations[label] = durations[record_codes == code]
+        if (mask & eligible).any():
+            pools.gaps[label] = gaps[gap_codes == code]
     return pools
+
+
+def summarize_slice(
+    frame: ShardFrame,
+    entity_id: str,
+    start: int,
+    stop: int,
+    keep: np.ndarray,
+    opinions: Sequence[OpinionUpload | None],
+    explicit_ratings: list[float],
+) -> EntityOpinionSummary:
+    """``entity_id``'s summary from the kept histories among ``start:stop``.
+
+    ``keep`` is a frame-length mask of the histories that survived the
+    fraud filter; ``opinions`` holds each frame history's opinion slot
+    (``None`` when empty).  A kept history's opinion counts when it
+    claims ``entity_id``, weighted by the history's depth, in frame
+    (history-id) order — the same value as
+    :func:`repro.core.aggregation.summarize_entity` over the kept
+    histories and their opinions.
+    """
+    kept_mask = keep[start:stop]
+    kept_index = (start + np.flatnonzero(kept_mask)).tolist()
+    kept: list[tuple[float, float]] = []
+    for index in kept_index:
+        opinion = opinions[index]
+        if opinion is not None and opinion.entity_id == entity_id:
+            kept.append(
+                (opinion.rating, influence_weight(int(frame.n_interactions[index])))
+            )
+    records = slice(int(frame.offsets[start]), int(frame.offsets[stop]))
+    record_keep = np.repeat(kept_mask, frame.n_raw[start:stop])
+    return summarize_entity_from_parts(
+        entity_id=entity_id,
+        n_histories=len(kept_index),
+        raw_interactions=int(frame.n_raw[start:stop][kept_mask].sum()),
+        times=frame.times_raw[records][record_keep],
+        durations=frame.durations_raw[records][record_keep],
+        kept=kept,
+        explicit_ratings=explicit_ratings,
+    )
 
 
 @dataclass
 class FrameJudgement:
-    """Phase-B output for one shard: who is suspicious, and why."""
+    """The verdicts on one frame: who is suspicious, and why."""
 
     #: Per-history suspicion mask, frame order.
     suspicious: np.ndarray
@@ -202,7 +249,7 @@ def judge_frame(
     profiles: dict[str, TypicalProfile],
     config: DetectorConfig | None = None,
 ) -> FrameJudgement:
-    """Phase B: apply the fraud detector's exact flag logic columnarly."""
+    """Apply the fraud detector's exact flag logic columnarly."""
     config = config or DetectorConfig()
     n = frame.n_histories
     if n == 0:
@@ -360,208 +407,3 @@ def judge_frame(
 
     verdicts = [verdict_at[index] for index in sorted(verdict_at)]
     return FrameJudgement(suspicious=suspicious, verdicts=verdicts)
-
-
-@dataclass
-class GatherFrame:
-    """All shards' frames concatenated, with entity/partition codes.
-
-    Built once per maintenance cycle (and cached by store version), so
-    the summarization phase reads nothing but these flat arrays.  Entity codes index into
-    ``entity_order`` (sorted entity ids), which makes ``sorted(codes)``
-    identical to sorting by entity id.
-    """
-
-    entity_order: list[str]
-    entity_code: dict[str, int]
-    #: Partition (= ``router.shard_of(entity_id)``) per entity code.
-    entity_part: np.ndarray
-    hist_ids: list[str]
-    hist_entcode: np.ndarray
-    hist_part: np.ndarray
-    n_interactions: np.ndarray
-    n_raw: np.ndarray
-    #: Record-order event times / durations, all shards concatenated.
-    times: np.ndarray
-    durations: np.ndarray
-    rec_entcode: np.ndarray
-    rec_part: np.ndarray
-    #: Opinions whose history exists in the co-located store (the
-    #: existence check is shard-local because opinions share their
-    #: history's record key).
-    op_hist_ids: list[str]
-    op_entcode: np.ndarray
-    op_ratings: np.ndarray
-    op_part: np.ndarray
-
-
-def build_gather(
-    frames: list[ShardFrame],
-    opinions_by_shard: list[Mapping[str, OpinionUpload]],
-    shard_of: Callable[[str], int],
-    catalog_entity_ids: Iterable[str],
-) -> GatherFrame:
-    """Concatenate per-shard frames into one summarization-ready view."""
-    ids = set(catalog_entity_ids)
-    for frame in frames:
-        ids.update(frame.entity_ids)
-    for opinions in opinions_by_shard:
-        ids.update(opinion.entity_id for opinion in opinions.values())
-    entity_order = sorted(ids)
-    entity_code = {entity_id: code for code, entity_id in enumerate(entity_order)}
-    entity_part = np.fromiter(
-        (shard_of(entity_id) for entity_id in entity_order),
-        dtype=np.int64,
-        count=len(entity_order),
-    )
-
-    hist_ids = [hist_id for frame in frames for hist_id in frame.hist_ids]
-    hist_entcode = np.fromiter(
-        (entity_code[eid] for frame in frames for eid in frame.entity_ids),
-        dtype=np.int64,
-        count=len(hist_ids),
-    )
-    n_interactions = np.concatenate([frame.n_interactions for frame in frames])
-    n_raw = np.concatenate([frame.n_raw for frame in frames])
-    times = np.concatenate([frame.times_raw for frame in frames])
-    durations = np.concatenate([frame.durations_raw for frame in frames])
-    hist_part = entity_part[hist_entcode] if len(hist_ids) else np.zeros(0, np.int64)
-    rec_entcode = np.repeat(hist_entcode, n_raw)
-    rec_part = entity_part[rec_entcode] if rec_entcode.size else np.zeros(0, np.int64)
-
-    op_hist_ids: list[str] = []
-    op_entcodes: list[int] = []
-    op_ratings: list[float] = []
-    for frame, opinions in zip(frames, opinions_by_shard):
-        known = set(frame.hist_ids)
-        for hist_id, opinion in opinions.items():
-            if hist_id in known:
-                op_hist_ids.append(hist_id)
-                op_entcodes.append(entity_code[opinion.entity_id])
-                op_ratings.append(opinion.rating)
-    op_entcode = np.asarray(op_entcodes, dtype=np.int64)
-    op_part = entity_part[op_entcode] if op_entcode.size else np.zeros(0, np.int64)
-
-    return GatherFrame(
-        entity_order=entity_order,
-        entity_code=entity_code,
-        entity_part=entity_part,
-        hist_ids=hist_ids,
-        hist_entcode=hist_entcode,
-        hist_part=hist_part,
-        n_interactions=n_interactions,
-        n_raw=n_raw,
-        times=times,
-        durations=durations,
-        rec_entcode=rec_entcode,
-        rec_part=rec_part,
-        op_hist_ids=op_hist_ids,
-        op_entcode=op_entcode,
-        op_ratings=np.asarray(op_ratings, dtype=np.float64),
-        op_part=op_part,
-    )
-
-
-def summarize_partition_frame(
-    gather: GatherFrame,
-    partition: int,
-    rejected_ids: frozenset[str],
-    reviews: Mapping[str, list],
-) -> list[EntityOpinionSummary]:
-    """Phase C for one entity partition, from the gathered columns.
-
-    Bit-identical to the monolithic loop because every order-dependent
-    reduction sees its canonical order: entities are visited in sorted
-    order (entity codes sort like entity ids), each entity's kept
-    opinions are sorted by history id before the weight sum, and the
-    group-deflation signature count is multiset-invariant
-    (:func:`~repro.core.aggregation.deflate_groups_arrays` sorts), so the
-    shard-concatenated record order cannot leak through.
-    """
-    n_hist = len(gather.hist_ids)
-    if rejected_ids:
-        keep = np.fromiter(
-            (hist_id not in rejected_ids for hist_id in gather.hist_ids),
-            dtype=bool,
-            count=n_hist,
-        )
-    else:
-        keep = np.ones(n_hist, dtype=bool)
-    sel_hist = keep & (gather.hist_part == partition)
-    rec_keep = np.repeat(keep, gather.n_raw) & (gather.rec_part == partition)
-    times_sel = gather.times[rec_keep]
-    durations_sel = gather.durations[rec_keep]
-    rec_codes = gather.rec_entcode[rec_keep]
-
-    n_entities = len(gather.entity_order)
-    hist_counts = np.bincount(gather.hist_entcode[sel_hist], minlength=n_entities)
-    raw_counts = np.bincount(rec_codes, minlength=n_entities)
-
-    depth_by_entity: dict[int, dict[str, int]] = {}
-    for i in np.nonzero(sel_hist)[0]:
-        index = int(i)
-        depth_by_entity.setdefault(int(gather.hist_entcode[index]), {})[
-            gather.hist_ids[index]
-        ] = int(gather.n_interactions[index])
-
-    ops_by_entity: dict[int, list[tuple[str, float]]] = {}
-    for j in np.nonzero(gather.op_part == partition)[0]:
-        index = int(j)
-        hist_id = gather.op_hist_ids[index]
-        if hist_id in rejected_ids:
-            continue
-        ops_by_entity.setdefault(int(gather.op_entcode[index]), []).append(
-            (hist_id, float(gather.op_ratings[index]))
-        )
-
-    entity_codes = (
-        {int(code) for code in np.unique(gather.hist_entcode[sel_hist])}
-        | set(ops_by_entity)
-        | {gather.entity_code[entity_id] for entity_id in reviews}
-    )
-    summaries: list[EntityOpinionSummary] = []
-    for code in sorted(entity_codes):
-        entity_id = gather.entity_order[code]
-        mask = rec_codes == code
-        depths = depth_by_entity.get(code, {})
-        kept: list[tuple[float, float]] = []
-        for hist_id, rating in sorted(ops_by_entity.get(code, ())):
-            depth = depths.get(hist_id)
-            if depth is None:
-                continue
-            kept.append((rating, influence_weight(depth)))
-        summaries.append(
-            summarize_entity_from_parts(
-                entity_id=entity_id,
-                n_histories=int(hist_counts[code]),
-                raw_interactions=int(raw_counts[code]),
-                times=times_sel[mask],
-                durations=durations_sel[mask],
-                kept=kept,
-                explicit_ratings=[
-                    float(review.rating) for review in reviews.get(entity_id, [])
-                ],
-            )
-        )
-    return summaries
-
-def kept_counts(
-    gather: GatherFrame, rejected_ids: frozenset[str]
-) -> dict[str, int]:
-    """Surviving opinion slots per *owner* entity, from the gathered columns.
-
-    ``op_hist_ids`` only lists slots whose history is stored (the
-    existence check in :func:`build_gather`), so a slot survives iff its
-    history was not rejected; the owner is the entity the history is
-    bound to, read off ``hist_entcode``.  This refreshes the incremental
-    engine's per-owner kept cache after a kernel (full) cycle, so a later
-    incremental cycle flips from the right baseline.
-    """
-    owner_code = dict(zip(gather.hist_ids, gather.hist_entcode.tolist()))
-    counts: dict[str, int] = {}
-    for hist_id in gather.op_hist_ids:
-        if hist_id in rejected_ids:
-            continue
-        entity_id = gather.entity_order[owner_code[hist_id]]
-        counts[entity_id] = counts.get(entity_id, 0) + 1
-    return counts

@@ -105,17 +105,3 @@ def merge_pools(pools_list: Sequence[ProfilePools]) -> ProfilePools:
         for kind, arrays in per_kind.items():
             target[kind] = np.concatenate(arrays)
     return merged
-
-
-def group_verdicts_by_entity(verdicts: Sequence) -> dict[str, list]:
-    """Regroup globally sorted suspicious verdicts by their entity.
-
-    The input must already be in canonical (history-id) order — the
-    sharded cycle sorts its merged verdict list before reporting — so
-    each entity's group comes out history-id-sorted too, matching the
-    order the incremental engine's per-entity judge loop produces.
-    """
-    grouped: dict[str, list] = {}
-    for verdict in verdicts:
-        grouped.setdefault(verdict.entity_id, []).append(verdict)
-    return grouped

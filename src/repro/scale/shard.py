@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.core.aggregation import OpinionUpload
 from repro.privacy.history_store import HistoryStore
-from repro.scale.kernel import ShardFrame, build_frame
 from repro.util.rng import derive_seed, make_rng
 
 
@@ -40,14 +39,6 @@ class ShardState:
         #: Entities whose state on this shard changed since the last
         #: maintenance cycle; drained into the incremental engine.
         self.dirty_entities: set[str] = set()
-        #: Bumped when interaction records arrive; keys the frame cache
-        #: (opinions don't affect it).
-        self.store_version = 0
-        #: Bumped on interactions *and* opinion-slot changes; keys the
-        #: cross-shard gather cache, which folds opinions in.
-        self.version = 0
-        self._frame: ShardFrame | None = None
-        self._frame_version = -1
 
     def rng(self, label: str) -> np.random.Generator:
         """This shard's independent random stream for ``label``."""
@@ -58,19 +49,7 @@ class ShardState:
 
         Only the identity changes: the seed is re-derived for the new
         label (per-shard streams stay a pure function of the slot), and
-        the stores, caches and dirty set move untouched.
+        the stores and dirty set move untouched.
         """
         self.index = index
         self.seed = derive_seed(key_seed, f"scale/shard[{index}]")
-
-    def frame(self, entity_kinds: dict[str, str]) -> ShardFrame:
-        """The columnar view of this shard's histories, cached by version.
-
-        Judging and the cross-shard gather both need the frame; the cache
-        makes the second request free as long as no record arrived in
-        between.
-        """
-        if self._frame is None or self._frame_version != self.store_version:
-            self._frame = build_frame(self.store.all_histories(), entity_kinds)
-            self._frame_version = self.store_version
-        return self._frame

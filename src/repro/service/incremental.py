@@ -37,40 +37,46 @@ Dirty sets are Python ``set``s and therefore iterate in hash order;
 every loop below goes through ``sorted()`` before touching float math,
 and the ``det-dirty-iteration`` lint rule holds the line.
 
-The engine reads the stores only through a :class:`StoreView`, builds
-the fraud profiles itself from cached per-entity fragments (or takes the
-server's pooled profiles when the whole deployment recomputes), and
-either re-judges the tracked entities (:meth:`execute`) or adopts a full
-recompute from the server's columnar kernel (:meth:`adopt_full`).
+The engine reads the stores only through a :class:`StoreView`.  Each
+cycle lays the tracked entities' histories out as one columnar
+:class:`~repro.scale.kernel.ShardFrame` (entity order, then history-id
+order) and takes everything from slices of it: the per-entity profile
+fragments the fraud profiles roll up from, the verdicts
+(:func:`~repro.scale.kernel.judge_frame`), and the summary columns.  The
+same cycle runs at every dirty fraction and shard count.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol
 
-from repro.core.aggregation import EntityOpinionSummary, OpinionUpload, summarize_entity
+import numpy as np
+
+from repro.core.aggregation import EntityOpinionSummary, OpinionUpload
 from repro.core.visualization import EntityPanels, entity_panels
-from repro.fraud.detector import DetectorConfig, FraudDetector, HistoryVerdict
-from repro.fraud.profiles import (
-    ProfilePools,
-    TypicalProfile,
-    collect_profile_pools,
-    profiles_from_pools,
-)
+from repro.fraud.detector import DetectorConfig, HistoryVerdict
+from repro.fraud.profiles import ProfilePools, TypicalProfile, profiles_from_pools
 from repro.privacy.history_store import InteractionHistory
+from repro.scale.kernel import (
+    ShardFrame,
+    build_frame,
+    judge_frame,
+    slice_pools,
+    summarize_slice,
+)
+from repro.scale.merge import merge_pools
+
+#: One stored history and its opinion slot (``None`` when empty).
+Slot = tuple[InteractionHistory, OpinionUpload | None]
 
 
 class StoreView(Protocol):
     """The read surface the engine computes from, across every shard."""
 
-    def histories_for_entity(self, entity_id: str) -> list[InteractionHistory]: ...
-
-    def opinion(self, history_id: str) -> OpinionUpload | None: ...
-
-    def has_opinion(self, history_id: str) -> bool: ...
+    def history_slots(self, entity_id: str) -> list[Slot]: ...
 
     def explicit_ratings(self, entity_id: str) -> list[float]: ...
 
@@ -88,6 +94,21 @@ def profile_digest(profile: TypicalProfile, config: DetectorConfig) -> str:
 
 
 @dataclass
+class TrackedFrame:
+    """Some entities' histories as one frame, with their opinion slots.
+
+    Histories run in entity order, then history-id order; ``bounds``
+    maps each entity to its history range in the frame, and
+    ``opinions`` holds each history's slot, read on the history's own
+    shard.
+    """
+
+    frame: ShardFrame
+    opinions: list[OpinionUpload | None]
+    bounds: dict[str, tuple[int, int]]
+
+
+@dataclass
 class CyclePlan:
     """What one maintenance cycle must (at minimum) recompute."""
 
@@ -98,16 +119,17 @@ class CyclePlan:
     judge_tracked: set[str]
     n_entities: int
     prev_summary_keys: set[str]
+    #: The judge-tracked entities' histories.
+    tracked: TrackedFrame
 
 
 @dataclass
 class CycleStats:
-    """Tracked work accounting for one cycle — identical on both paths.
+    """Tracked work accounting for one cycle.
 
     All fields derive from *tracked* sets (what incrementality says must
-    be recomputed), never from which path actually executed, so the
-    aggregate telemetry built from them is byte-identical whether the
-    engine or the kernel ran, at every shard count.
+    be recomputed), so the aggregate telemetry built from them is
+    byte-identical at every shard count.
     """
 
     n_dirty: int = 0
@@ -170,9 +192,8 @@ class MaintenanceEngine:
     def subscribe(self, listener: Callable[[frozenset[str]], None]) -> None:
         """Register a listener called after every cycle with the tracked
         summary-change set (``summarize_tracked`` — every entity whose
-        summary *could* have changed, identically whether the engine ran
-        or a kernel recompute was adopted).  This is the cache-coherence feed of
-        :class:`repro.serve.cache.SummaryVersionCache`."""
+        summary *could* have changed).  This is the cache-coherence feed
+        of :class:`repro.serve.cache.SummaryVersionCache`."""
         self._listeners.append(listener)
 
     def _notify(self, summarize_tracked: set[str]) -> None:
@@ -212,28 +233,26 @@ class MaintenanceEngine:
 
     # ----------------------------------------------------------- planning
 
-    def plan(self, pooled: Callable[[], dict[str, TypicalProfile]]) -> CyclePlan:
+    def plan(self) -> CyclePlan:
         """Drain the dirty set and decide what this cycle must recompute.
 
-        The fraud profiles are rebuilt from per-entity fragments, only for
-        the kinds that contain a dirty entity.  When at least half the
-        entities are dirty, the cycle will recompute everything anyway, and
-        ``pooled`` — the server's profiles pooled from its columnar frames,
-        bitwise-equal to the fragment path — is used instead.
+        The entities without a profile fragment — every dirty entity, and
+        on a fresh engine every entity — are laid out as one frame, and
+        their fragments are sliced from it.  The fraud profiles are then
+        rebuilt from the fragments, only for the kinds that contain a
+        dirty entity.  That frame is reused for judging when it covers
+        exactly the judge-tracked entities (the usual all-dirty case).
         """
         dirty = set(self._dirty)
         self._dirty.clear()
         for entity_id in sorted(dirty):
             self._fragments.pop(entity_id, None)
         entities = self.view.entities_with_histories()
-        if 2 * len(dirty & entities) >= max(1, len(entities)):
-            profiles = pooled()
-            self._kind_profiles = {
-                kind: profiles.get(kind)
-                for kind in sorted({self.entity_kinds.get(e) for e in entities} - {None})
-            }
-        else:
-            profiles = self._build_profiles(dirty, entities)
+        slots: dict[str, list[Slot]] = {}
+        fresh = self._track(sorted(entities - self._fragments.keys()), slots)
+        for entity_id, (start, stop) in fresh.bounds.items():
+            self._fragments[entity_id] = slice_pools(fresh.frame, start, stop)
+        profiles = self._build_profiles(dirty, entities)
         digests = {
             kind: profile_digest(profile, self.config)
             for kind, profile in sorted(profiles.items())
@@ -250,6 +269,10 @@ class MaintenanceEngine:
             if self.entity_kinds.get(entity_id) in changed_kinds
         }
         judge_tracked = (dirty | redirtied) & entities
+        if fresh.bounds.keys() == judge_tracked:
+            tracked = fresh
+        else:
+            tracked = self._track(sorted(judge_tracked), slots)
         return CyclePlan(
             dirty=dirty,
             profiles=profiles,
@@ -258,6 +281,37 @@ class MaintenanceEngine:
             judge_tracked=judge_tracked,
             n_entities=len(entities),
             prev_summary_keys=set(self.summaries),
+            tracked=tracked,
+        )
+
+    def _track(
+        self, entity_ids: list[str], slots: dict[str, list[Slot]]
+    ) -> TrackedFrame:
+        """Lay ``entity_ids``' histories out as one frame.
+
+        ``entity_ids`` must be sorted.  ``slots`` memoizes each entity's
+        history-id-sorted slots across the frames of one cycle.
+        """
+        histories: list[InteractionHistory] = []
+        opinions: list[OpinionUpload | None] = []
+        bounds: dict[str, tuple[int, int]] = {}
+        for entity_id in entity_ids:
+            entity_slots = slots.get(entity_id)
+            if entity_slots is None:
+                entity_slots = sorted(
+                    self.view.history_slots(entity_id),
+                    key=lambda slot: slot[0].history_id,
+                )
+                slots[entity_id] = entity_slots
+            start = len(histories)
+            for history, opinion in entity_slots:
+                histories.append(history)
+                opinions.append(opinion)
+            bounds[entity_id] = (start, len(histories))
+        return TrackedFrame(
+            frame=build_frame(histories, self.entity_kinds),
+            opinions=opinions,
+            bounds=bounds,
         )
 
     def _build_profiles(
@@ -283,17 +337,8 @@ class MaintenanceEngine:
         for kind in sorted(by_kind):
             if kind in self._kind_profiles and kind not in dirty_kinds:
                 continue
-            pool = ProfilePools()
-            for entity_id in by_kind[kind]:
-                fragment = self._fragments.get(entity_id)
-                if fragment is None:
-                    fragment = collect_profile_pools(
-                        self.view.histories_for_entity(entity_id), self.entity_kinds
-                    )
-                    self._fragments[entity_id] = fragment
-                _extend_pool(pool, fragment, kind)
-            built = profiles_from_pools(pool)
-            self._kind_profiles[kind] = built.get(kind)
+            pool = merge_pools([self._fragments[entity_id] for entity_id in by_kind[kind]])
+            self._kind_profiles[kind] = profiles_from_pools(pool).get(kind)
         # Kinds that lost their last entity keep a stale cache entry only
         # if they can never come back dirty; drop them for hygiene.
         for kind in sorted(set(self._kind_profiles) - set(by_kind)):
@@ -308,61 +353,73 @@ class MaintenanceEngine:
 
     def execute(self, plan: CyclePlan) -> CycleStats:
         """Re-judge and re-summarize exactly the plan's tracked entities."""
-        detector = FraudDetector(plan.profiles, self.entity_kinds, self.config)
+        tracked = plan.tracked
+        judgement = judge_frame(tracked.frame, plan.profiles, self.config)
+        keep = ~judgement.suspicious
+        keep_list = keep.tolist()
+        verdict_at = dict(
+            zip(np.flatnonzero(judgement.suspicious).tolist(), judgement.verdicts)
+        )
+        histories = tracked.frame.histories
+        opinions = tracked.opinions
         flipped_owners: set[str] = set()
-        flipped_ids: set[str] = set()
-        for entity_id in sorted(plan.judge_tracked):
-            histories = sorted(
-                self.view.histories_for_entity(entity_id),
-                key=lambda history: history.history_id,
-            )
+        claimed: set[str] = set()
+        for entity_id, (start, stop) in tracked.bounds.items():
             new_accepted: list[InteractionHistory] = []
             new_verdicts: list[HistoryVerdict] = []
-            for history in histories:
-                verdict = detector.judge(history)
-                if verdict.suspicious:
-                    new_verdicts.append(verdict)
+            kept = 0
+            for index in range(start, stop):
+                if keep_list[index]:
+                    new_accepted.append(histories[index])
+                    kept += opinions[index] is not None
                 else:
-                    new_accepted.append(history)
+                    new_verdicts.append(verdict_at[index])
             new_ids = frozenset(history.history_id for history in new_accepted)
             old_ids = self._accepted_ids.get(entity_id, frozenset())
             if new_ids != old_ids:
+                # A flipped history invalidates the entity its slot claims.
                 flipped_owners.add(entity_id)
-                flipped_ids |= new_ids ^ old_ids
+                flipped = new_ids ^ old_ids
+                for index in range(start, stop):
+                    opinion = opinions[index]
+                    if opinion is not None and histories[index].history_id in flipped:
+                        claimed.add(opinion.entity_id)
             self._surviving.difference_update(old_ids)
             self._surviving.update(new_ids)
             _set_or_pop(self.accepted, entity_id, new_accepted)
             _set_or_pop(self._accepted_ids, entity_id, new_ids)
             _set_or_pop(self.verdicts, entity_id, new_verdicts)
-            _set_or_pop(
-                self.kept,
-                entity_id,
-                sum(1 for history_id in new_ids if self.view.has_opinion(history_id)),
-            )
+            _set_or_pop(self.kept, entity_id, kept)
 
-        summarize_tracked = plan.dirty | flipped_owners | self._claimed_by(flipped_ids)
+        summarize_tracked = plan.dirty | flipped_owners | claimed
+        # Entities summarized without being judged keep their accepted
+        # histories from an earlier cycle.
+        rest = self._track(sorted(summarize_tracked - tracked.bounds.keys()), {})
+        rest_keep = np.fromiter(
+            (history.history_id in self._surviving for history in rest.frame.histories),
+            dtype=bool,
+            count=rest.frame.n_histories,
+        )
         for entity_id in sorted(summarize_tracked):
-            self._resummarize(entity_id)
+            if entity_id in tracked.bounds:
+                self._resummarize(entity_id, tracked, keep)
+            else:
+                self._resummarize(entity_id, rest, rest_keep)
         self._notify(summarize_tracked)
         return self._stats(plan, summarize_tracked)
 
-    def _resummarize(self, entity_id: str) -> None:
-        """Recompute one entity's summary and panels from current parts;
-        evict what is bare."""
+    def _resummarize(
+        self, entity_id: str, source: TrackedFrame, keep: np.ndarray
+    ) -> None:
+        """Recompute one entity's summary and panels from its slice of
+        ``source``; evict what is bare."""
         self._repanel(entity_id)
-        histories = self.accepted.get(entity_id, [])
-        inferred = [
-            self.view.opinion(history_id)
-            for history_id in sorted(self._claims.get(entity_id, ()))
-            if history_id in self._surviving
-        ]
         explicit = self.view.explicit_ratings(entity_id)
-        if histories or inferred or explicit:
-            self.summaries[entity_id] = summarize_entity(
-                entity_id=entity_id,
-                histories=histories,
-                inferred=inferred,
-                explicit_ratings=explicit,
+        claimed = not self._surviving.isdisjoint(self._claims.get(entity_id, ()))
+        if entity_id in self.accepted or claimed or explicit:
+            start, stop = source.bounds[entity_id]
+            self.summaries[entity_id] = summarize_slice(
+                source.frame, entity_id, start, stop, keep, source.opinions, explicit
             )
         else:
             self.summaries.pop(entity_id, None)
@@ -374,63 +431,6 @@ class MaintenanceEngine:
             self.panels[entity_id] = entity_panels(entity_id, histories)
         else:
             self.panels.pop(entity_id, None)
-
-    def _claimed_by(self, history_ids: set[str]) -> set[str]:
-        """Entities whose summaries depend on these (flipped) histories."""
-        claimed: set[str] = set()
-        for history_id in sorted(history_ids):
-            opinion = self.view.opinion(history_id)
-            if opinion is not None:
-                claimed.add(opinion.entity_id)
-        return claimed
-
-    def adopt_full(
-        self,
-        plan: CyclePlan,
-        accepted_by_entity: dict[str, list[InteractionHistory]],
-        verdicts_by_entity: dict[str, list[HistoryVerdict]],
-        kept_by_entity: dict[str, int],
-        summaries: list[EntityOpinionSummary],
-    ) -> CycleStats:
-        """Adopt a full recompute produced elsewhere (the sharded kernel).
-
-        The flip/cascade accounting is still computed — against the
-        pre-adoption caches, over the plan's tracked judge set — so the
-        stats (and the telemetry built from them) are identical to what
-        the incremental path would have reported.
-        """
-        flipped_owners: set[str] = set()
-        flipped_ids: set[str] = set()
-        for entity_id in sorted(plan.judge_tracked):
-            new_ids = frozenset(
-                history.history_id
-                for history in accepted_by_entity.get(entity_id, [])
-            )
-            old_ids = self._accepted_ids.get(entity_id, frozenset())
-            if new_ids != old_ids:
-                flipped_owners.add(entity_id)
-                flipped_ids |= new_ids ^ old_ids
-        summarize_tracked = plan.dirty | flipped_owners | self._claimed_by(flipped_ids)
-
-        self.accepted.clear()
-        self.accepted.update(accepted_by_entity)
-        self._accepted_ids = {
-            entity_id: frozenset(history.history_id for history in histories)
-            for entity_id, histories in accepted_by_entity.items()
-        }
-        self._surviving = set()
-        for ids in self._accepted_ids.values():
-            self._surviving.update(ids)
-        self.verdicts.clear()
-        self.verdicts.update(verdicts_by_entity)
-        self.kept.clear()
-        self.kept.update(kept_by_entity)
-        self.summaries.clear()
-        self.summaries.update({summary.entity_id: summary for summary in summaries})
-        for entity_id in sorted(summarize_tracked):
-            self._repanel(entity_id)
-        self._notify(summarize_tracked)
-        return self._stats(plan, summarize_tracked)
 
     def _stats(self, plan: CyclePlan, summarize_tracked: set[str]) -> CycleStats:
         return CycleStats(
@@ -458,18 +458,6 @@ class MaintenanceEngine:
     @property
     def n_opinions_kept(self) -> int:
         return sum(self.kept.values())
-
-
-def _extend_pool(pool: ProfilePools, fragment: ProfilePools, kind: str) -> None:
-    """Concatenate one entity's fragment into a kind pool (multiset union)."""
-    n = fragment.n_histories.get(kind)
-    if not n:
-        return
-    pool.n_histories[kind] = pool.n_histories.get(kind, 0) + n
-    for name in ("gaps", "durations", "counts"):
-        values = getattr(fragment, name).get(kind)
-        if values:
-            getattr(pool, name).setdefault(kind, []).extend(values)
 
 
 def _set_or_pop(mapping: dict, key: str, value) -> None:

@@ -38,23 +38,12 @@ from repro.core.aggregation import EntityOpinionSummary
 from repro.core.protocol import Envelope
 from repro.fraud.attestation import AttestationQuote, AttestationVerifier
 from repro.fraud.detector import DetectorConfig, HistoryVerdict
-from repro.fraud.profiles import profiles_from_pools
 from repro.ingest.columnar import ingest_all, ingest_one
 from repro.privacy.anonymity import Delivery
-from repro.privacy.history_store import InteractionHistory
 from repro.privacy.tokens import TokenIssuer, UploadToken
-from repro.scale.kernel import (
-    GatherFrame,
-    build_gather,
-    collect_pools,
-    judge_frame,
-    kept_counts,
-    summarize_partition_frame,
-)
-from repro.scale.merge import group_verdicts_by_entity, merge_pools
 from repro.scale.router import ShardRouter
 from repro.scale.shard import ShardState
-from repro.service.incremental import CycleStats, MaintenanceEngine
+from repro.service.incremental import CycleStats, MaintenanceEngine, Slot
 from repro.telemetry import DEPLOYMENT, NULL, Telemetry
 from repro.telemetry.catalog import DIRTY_SET_BUCKETS
 from repro.world.entities import Entity
@@ -96,16 +85,12 @@ def emit_maintenance_telemetry(
     report: MaintenanceReport,
     stats: CycleStats,
     now: float | None,
-    mode: str,
 ) -> None:
     """Record one maintenance cycle.
 
     Every aggregate value here derives from the report and the *tracked*
-    cycle stats, which are identical on both execution paths and across
-    shard counts — so the AGGREGATE export stays byte-identical whatever
-    actually executed.  ``mode`` names the path that ran (``incremental``
-    for the per-entity engine, ``full`` for the kernel); that span lives
-    under DEPLOYMENT scope, outside the invariant digest.
+    cycle stats, which are identical across shard counts — so the
+    AGGREGATE export stays byte-identical at every shard count.
     """
     telemetry.inc("rsp.maintenance.cycles")
     telemetry.set_gauge("rsp.maintenance.histories", report.n_histories)
@@ -129,7 +114,6 @@ def emit_maintenance_telemetry(
     )
     if now is not None:
         telemetry.span("maintenance", now, now)
-        telemetry.span("maintenance.incremental", now, now, scope=DEPLOYMENT, mode=mode)
 
 
 class ShardedTokenRedeemer:
@@ -162,26 +146,26 @@ class ShardedTokenRedeemer:
 class ShardedStoreView:
     """:class:`~repro.service.incremental.StoreView` over the shards.
 
-    Histories are concatenated in shard-index order — the engine sorts
-    every per-entity list by history id before judging or summarizing,
-    so the concatenation order is unobservable.
+    Slots are concatenated in shard-index order — the engine sorts every
+    per-entity list by history id before judging or summarizing, so the
+    concatenation order is unobservable.
     """
 
     def __init__(self, server: "RSPServer") -> None:
         self._server = server
 
-    def histories_for_entity(self, entity_id: str) -> list[InteractionHistory]:
-        histories: list[InteractionHistory] = []
+    def history_slots(self, entity_id: str) -> list[Slot]:
+        """An entity's histories, each with its opinion slot.
+
+        A history and its opinion share the record key, so the slot is
+        read on the shard that holds the history.
+        """
+        slots: list[Slot] = []
         for shard in self._server.shards:
-            histories.extend(shard.store.histories_for_entity(entity_id))
-        return histories
-
-    def opinion(self, history_id: str):
-        shard = self._server.shards[self._server.router.shard_of(history_id)]
-        return shard.opinions.get(history_id)
-
-    def has_opinion(self, history_id: str) -> bool:
-        return self.opinion(history_id) is not None
+            opinions = shard.opinions
+            for history in shard.store.histories_for_entity(entity_id):
+                slots.append((history, opinions.get(history.history_id)))
+        return slots
 
     def explicit_ratings(self, entity_id: str) -> list[float]:
         shard = self._server.shards[self._server.router.shard_of(entity_id)]
@@ -232,15 +216,12 @@ class RSPServer:
         #: Keyed on the envelope's random nonce, never on a payload or
         #: identity digest (see docs/RELIABILITY.md for why).
         self._nonce_buckets: list[set[bytes]] = [set() for _ in range(n_shards)]
-        self._detector_config = detector_config
         self._engine = MaintenanceEngine(
             ShardedStoreView(self), self.entity_kinds, detector_config
         )
         # Alias into the engine's cache (mutated in place only), so
         # summary reads always see the latest cycle.
         self._summaries: dict[str, EntityOpinionSummary] = self._engine.summaries
-        self._gather: GatherFrame | None = None
-        self._gather_versions: tuple[int, ...] | None = None
         self.rejected_envelopes = 0
         self.duplicates_suppressed = 0
         self.accepted_envelopes = 0
@@ -381,28 +362,6 @@ class RSPServer:
 
     # -------------------------------------------------------- maintenance
 
-    def gather_frame(self) -> GatherFrame:
-        """The cross-shard summarization view, cached by store version."""
-        versions = tuple(shard.version for shard in self.shards)
-        if self._gather is None or self._gather_versions != versions:
-            frames = [shard.frame(self.entity_kinds) for shard in self.shards]
-            self._gather = build_gather(
-                frames,
-                [shard.opinions for shard in self.shards],
-                self.router.shard_of,
-                self.catalog,
-            )
-            self._gather_versions = versions
-        return self._gather
-
-    def _pooled_profiles(self) -> dict:
-        """Fraud profiles pooled from every shard's columnar frame."""
-        return profiles_from_pools(
-            merge_pools(
-                [collect_pools(shard.frame(self.entity_kinds)) for shard in self.shards]
-            )
-        )
-
     def run_maintenance(self, now: float | None = None) -> MaintenanceReport:
         """Rebuild fraud profiles, filter histories, recompute summaries.
 
@@ -417,17 +376,12 @@ class RSPServer:
         rather than arrival interleaving or partitioning (see
         docs/SCALING.md).
 
-        The cycle plans with the incremental engine (per-shard dirty sets
-        drained in; fraud profiles rebuilt for the kinds with a dirty
-        entity, or pooled from the shards' columnar frames when at least
-        half the deployment is dirty) and then picks one of two
-        byte-identical executions from the tracked fraction alone: when
-        few entities are tracked, the engine re-judges and re-summarizes
-        just those; when at least half the deployment is tracked, the
-        columnar kernel recompute is cheaper, run shard by shard: it
-        judges every shard's histories against the global profiles, then
-        rebuilds entity summaries per entity partition.  All merges are
-        order-independent (sums, sorted concatenations).
+        The incremental engine runs the cycle (per-shard dirty sets
+        drained in): it rebuilds the fraud profiles for the kinds with a
+        dirty entity, then judges and re-summarizes the tracked entities
+        from one columnar frame of their histories, gathered across the
+        shards.  The same cycle runs at every dirty fraction and shard
+        count.
         """
         report = MaintenanceReport(
             n_histories=self.n_histories,
@@ -439,63 +393,11 @@ class RSPServer:
             for entity_id in sorted(shard.dirty_entities):
                 self._engine.mark_dirty(entity_id)
             shard.dirty_entities.clear()
-        plan = self._engine.plan(self._pooled_profiles)
-        # Hybrid execution: the serial engine wins while the tracked set
-        # is small; once half the deployment must recompute anyway, the
-        # columnar kernel is cheaper.  Both sides are byte-identical, so
-        # the threshold only moves work, never results.
-        use_kernel = 2 * len(plan.judge_tracked) >= max(1, plan.n_entities)
-        if use_kernel:
-            rejected = sorted(
-                (
-                    verdict
-                    for shard in self.shards
-                    for verdict in judge_frame(
-                        shard.frame(self.entity_kinds),
-                        plan.profiles,
-                        self._detector_config,
-                    ).verdicts
-                ),
-                key=lambda verdict: verdict.history_id,
-            )
-            rejected_ids = frozenset(verdict.history_id for verdict in rejected)
-            gather = self.gather_frame()
-            summaries = [
-                summary
-                for index, shard in enumerate(self.shards)
-                for summary in summarize_partition_frame(
-                    gather, index, rejected_ids, shard.reviews
-                )
-            ]
-            accepted_histories: dict[str, list[InteractionHistory]] = {}
-            for shard in self.shards:
-                for history in shard.store.all_histories():
-                    if history.history_id in rejected_ids:
-                        continue
-                    accepted_histories.setdefault(history.entity_id, []).append(
-                        history
-                    )
-            for histories in accepted_histories.values():
-                histories.sort(key=lambda history: history.history_id)
-            stats = self._engine.adopt_full(
-                plan,
-                accepted_histories,
-                group_verdicts_by_entity(rejected),
-                kept_counts(gather, rejected_ids),
-                summaries,
-            )
-        else:
-            stats = self._engine.execute(plan)
+        stats = self._engine.execute(self._engine.plan())
         report.rejected = self._engine.rejected_verdicts()
         report.n_rejected_histories = len(report.rejected)
         report.n_opinions_kept = self._engine.n_opinions_kept
-        emit_maintenance_telemetry(
-            self.telemetry,
-            report,
-            stats,
-            now,
-            mode="full" if use_kernel else "incremental",
-        )
+        emit_maintenance_telemetry(self.telemetry, report, stats, now)
         for shard in self.shards:
             self.telemetry.set_gauge(
                 "rsp.shard.histories",
@@ -577,7 +479,7 @@ class RSPServer:
         self._redeemer._spent.append(moved_tokens)
         moved["tokens"] = len(moved_tokens)
         self.shards.append(dest)
-        self._finish_reshard(source, dest, router)
+        self._finish_reshard(router)
         return moved
 
     def merge_shards(self, a: int, b: int) -> dict[str, int]:
@@ -612,21 +514,13 @@ class RSPServer:
         del self.shards[b]
         for shard in self.shards[b:]:
             shard.renumber(shard.index - 1, self._key_seed)
-        self._finish_reshard(source, dest, router)
+        self._finish_reshard(router)
         return moved
 
-    def _finish_reshard(
-        self, source: ShardState, dest: ShardState, router: ShardRouter
-    ) -> None:
-        """Swap the routing table in and invalidate every cached view."""
-        source.store_version += 1
-        source.version += 1
-        dest.store_version += 1
-        dest.version += 1
+    def _finish_reshard(self, router: ShardRouter) -> None:
+        """Swap the routing table in."""
         self.router = router
         self._redeemer._router = router
-        self._gather = None
-        self._gather_versions = None
         if self.journal is not None:
             self.journal.remap_lanes(router.n_shards, router.shard_of)
 
@@ -644,10 +538,8 @@ class RSPServer:
         """Every entity summary from the latest maintenance cycle.
 
         Canonical (entity-id) order: the engine's cache is insertion-
-        ordered by recompute history — and after an
-        :meth:`~repro.service.incremental.MaintenanceEngine.adopt_full`
-        it reflects the kernel's partition order.  Sorting keeps every
-        reader order-independent.
+        ordered by recompute history.  Sorting keeps every reader
+        order-independent.
         """
         return {
             entity_id: self._summaries[entity_id]

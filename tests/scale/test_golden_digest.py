@@ -13,9 +13,10 @@ must hit the *same* pins, clean and under chaos:
 
 The cells are one and eight shards, a scripted split/merge schedule and
 the autoscaler, so shard count and live topology changes are pure
-implementation detail.  Maintenance picks the engine or the kernel from
-the tracked fraction alone; the engine path is checked against a
-from-scratch server by ``tests/spec/test_stateful.py``.
+implementation detail.  Maintenance has one path at every dirty
+fraction; its incremental cycles are checked against a from-scratch
+server by ``tests/spec/test_stateful.py``, and its columnar kernel
+against the scalar spec by ``tests/scale/test_kernel_spec.py``.
 
 If a pin moves because of an *intentional* semantic change, re-derive
 it with the helpers below and update every affected constant in one

@@ -15,12 +15,14 @@ Three layers of proof:
   :mod:`repro.service.incremental`).
 """
 
+import numpy as np
 import pytest
 
 from repro.core.aggregation import OpinionUpload
-from repro.fraud.detector import FraudDetector, FraudFlag, HistoryVerdict
+from repro.fraud.detector import FraudFlag, HistoryVerdict
 from repro.ingest import SyntheticTraffic
 from repro.privacy.history_store import InteractionUpload
+from repro.scale.kernel import FrameJudgement
 from repro.serve.cache import SummaryVersionCache
 from repro.serve.engine import ServeQuery
 from repro.serve.loadgen import QueryWorkload, SyntheticQueries
@@ -213,27 +215,32 @@ def test_warm_entries_survive_maintenance_that_changes_nothing_relevant():
 # ---------------------------------------------- claimed-entity regression
 
 
-class _FlippingDetector(FraudDetector):
-    """A detector with a controlled verdict: accept everything until a
-    history is *armed*, then reject exactly that one.  Driving the flip
-    through the detector keeps the whole cascade (judge → flip →
-    ``_claimed_by`` → notification) on the production path."""
+class _FlippingJudge:
+    """A judge with a controlled verdict: accept everything until a
+    history is *armed*, then reject exactly that one.  Patched in as the
+    engine's one judging seam (``judge_frame``), it drives the flip
+    through the whole cascade (judge → flip → claimed entity →
+    notification) on the production path."""
 
     armed: set[str] = set()
 
-    def judge(self, history):
-        flags = (
-            (FraudFlag.REGULARITY,)
-            if history.history_id in self.armed
-            else ()
+    @classmethod
+    def judge_frame(cls, frame, profiles, config=None):
+        suspicious = np.array(
+            [history_id in cls.armed for history_id in frame.hist_ids], dtype=bool
         )
-        return HistoryVerdict(
-            history_id=history.history_id,
-            entity_id=history.entity_id,
-            n_interactions=history.n_interactions,
-            flags=flags,
-            judged=True,
-        )
+        verdicts = [
+            HistoryVerdict(
+                history_id=history.history_id,
+                entity_id=history.entity_id,
+                n_interactions=history.n_interactions,
+                flags=(FraudFlag.REGULARITY,),
+                judged=True,
+            )
+            for history, flagged in zip(frame.histories, suspicious)
+            if flagged
+        ]
+        return FrameJudgement(suspicious=suspicious, verdicts=verdicts)
 
 
 def interaction(history_id, entity_id, event_time):
@@ -264,10 +271,8 @@ def plumbers(n=2):
 def settle(server, entities):
     """Give ``entities`` maintained histories before the test's own cycles.
 
-    A cycle that tracks at least half of the entities with histories runs
-    the columnar kernel, which judges without the engine's detector.  With
-    two settled entities of another kind, dirtying one restaurant stays on
-    the engine's serial path — the path the patched detector drives.
+    The settled entities are of another kind, so the test's later cycles
+    track only part of the deployment and reuse the rest from cache.
     """
     deliver_records(
         server,
@@ -288,9 +293,9 @@ def test_flipped_history_evicts_the_claimed_entitys_cached_results(
     the second cycle's intake (B's summary-key presence changes with the
     claim's survival, so a cached B result is no longer trustworthy)."""
     monkeypatch.setattr(
-        "repro.service.incremental.FraudDetector", _FlippingDetector
+        "repro.service.incremental.judge_frame", _FlippingJudge.judge_frame
     )
-    _FlippingDetector.armed = set()
+    _FlippingJudge.armed = set()
     owner = Entity(
         entity_id="thai-owner",
         kind=EntityKind.RESTAURANT,
@@ -340,7 +345,7 @@ def test_flipped_history_evicts_the_claimed_entitys_cached_results(
         now=7000.0,
         start_nonce=100,
     )
-    _FlippingDetector.armed = {"h-cross"}
+    _FlippingJudge.armed = {"h-cross"}
     version_before = server.serving.cache.version(claimed.entity_id)
     invalidations_before = server.serving.stats.invalidations
     server.run_maintenance(now=8000.0)
@@ -364,9 +369,9 @@ def test_same_owner_flip_changes_the_served_answer(monkeypatch):
     history's entity shows up in the render, and a flip removes it from
     the next (recomputed) cached read."""
     monkeypatch.setattr(
-        "repro.service.incremental.FraudDetector", _FlippingDetector
+        "repro.service.incremental.judge_frame", _FlippingJudge.judge_frame
     )
-    _FlippingDetector.armed = set()
+    _FlippingJudge.armed = set()
     owner = Entity(
         entity_id="thai-owner",
         kind=EntityKind.RESTAURANT,
@@ -401,7 +406,7 @@ def test_same_owner_flip_changes_the_served_answer(monkeypatch):
         now=7000.0,
         start_nonce=100,
     )
-    _FlippingDetector.armed = {"h-own"}
+    _FlippingJudge.armed = {"h-own"}
     server.run_maintenance(now=8000.0)
     after = server.query(query)
     assert "5.0* x1 inferred" not in after.render()
@@ -416,9 +421,9 @@ def test_a_flip_without_intake_republishes_the_owners_panels(monkeypatch):
     its own, its only history flips, and the next read shows the owner's
     panels without that history."""
     monkeypatch.setattr(
-        "repro.service.incremental.FraudDetector", _FlippingDetector
+        "repro.service.incremental.judge_frame", _FlippingJudge.judge_frame
     )
-    _FlippingDetector.armed = set()
+    _FlippingJudge.armed = set()
     owner, other = (
         Entity(
             entity_id=f"thai-{name}",
@@ -429,7 +434,7 @@ def test_a_flip_without_intake_republishes_the_owners_panels(monkeypatch):
         )
         for name, location in (("owner", Point(2.0, 2.0)), ("other", Point(20.0, 20.0)))
     )
-    # Four settled fillers keep both cycles on the engine's serial path.
+    # Four settled fillers stay cached through both cycles.
     fillers = plumbers(4)
     server = make_server(catalog=[owner, other, *fillers])
     settle(server, fillers)
@@ -448,7 +453,7 @@ def test_a_flip_without_intake_republishes_the_owners_panels(monkeypatch):
         now=7000.0,
         start_nonce=100,
     )
-    _FlippingDetector.armed = {"h-own"}
+    _FlippingJudge.armed = {"h-own"}
     server.run_maintenance(now=8000.0)
     assert owner.entity_id not in server._engine.accepted  # the flip happened
     after = server.query(query)

@@ -12,9 +12,9 @@ The facade's contracts beyond coherence (which ``test_cache.py`` and
   DEPLOYMENT-scoped so it can never leak wall-clock noise into an
   invariant digest;
 * **canonical read accessors** — ``all_summaries`` returns entity-id
-  order on both deployments, whichever maintenance path published last
-  (the latent dict-insertion-order divergence between engine and
-  adopted-kernel cycles).
+  order on both deployments, however many entities the last cycle
+  recomputed (the engine's cache is insertion-ordered by recompute
+  history).
 """
 
 import json
@@ -120,17 +120,16 @@ class TestServeTelemetry:
 
 class TestCanonicalReadAccessors:
     @pytest.mark.parametrize("n_shards", [0, 4])
-    @pytest.mark.parametrize("delta", [True, False])
+    @pytest.mark.parametrize("delta", [0, 1, 400])
     def test_all_summaries_is_entity_id_ordered(self, n_shards, delta):
-        """``delta`` ends the feed with a one-record cycle, which the
-        per-entity engine runs; otherwise a kernel cycle published last."""
+        """``delta`` records end the feed with one more cycle: none, one
+        that re-judges a single entity's kind, or a bulk one.  The order
+        holds whatever the last cycle recomputed."""
         traffic = SyntheticTraffic(TRAFFIC)
         server = feed(make_server(n_shards, catalog=traffic.catalog), traffic)
         if delta:
-            server.receive_all(traffic.batch(1, 2000.0), now=2000.0)
+            server.receive_all(traffic.batch(delta, 2000.0), now=2000.0)
             server.run_maintenance(now=2060.0)
-        span = server.telemetry.spans.spans("maintenance.incremental")[-1]
-        assert dict(span.labels)["mode"] == ("incremental" if delta else "full")
         keys = list(server.all_summaries())
         assert keys == sorted(keys) and keys
 

@@ -8,8 +8,7 @@ cross-entity opinion overwrite moves the claim exactly as a from-scratch
 server computes it, a delayed (reordered) opinion re-upload never
 clobbers a newer one, and an interaction upload whose identifier is
 bound to another entity is rejected as ``history-mismatch`` — at one
-shard and at four.  The ``maintenance.incremental{mode=}`` span names
-the path each cycle actually ran.
+shard and at four.
 """
 
 import pytest
@@ -23,7 +22,7 @@ from repro.privacy.history_store import InteractionUpload
 from repro.privacy.identifiers import DeviceIdentity
 from repro.scale.server import ShardedRSPServer
 from repro.service.server import RSPServer
-from repro.telemetry import DEPLOYMENT, Telemetry
+from repro.telemetry import Telemetry
 from repro.util.clock import DAY, HOUR
 from repro.world.population import TownConfig, build_town
 
@@ -58,20 +57,12 @@ def interaction(identity, entity_id, t, duration=1800.0):
 
 def from_scratch(town, server):
     """A fresh server restored from ``server``'s stores, after its first
-    cycle: every entity dirty, so it recomputes everything with the
-    columnar kernel."""
+    cycle: every entity dirty, so it recomputes everything."""
     fresh = RSPServer(catalog=town.entities, key_seed=40, require_tokens=False)
     restore_state(fresh, capture_state(server))
     finalize_recovery(fresh)
     fresh.run_maintenance()
     return fresh
-
-
-def executed_paths(telemetry):
-    return [
-        dict(span.labels)["mode"]
-        for span in telemetry.spans.spans("maintenance.incremental")
-    ]
 
 
 def entities_by_kind(town):
@@ -187,8 +178,8 @@ class TestInvalidationUnits:
         server.attach_telemetry(telemetry)
         entity_a = town.entities[0].entity_id
         entity_b = town.entities[1].entity_id
-        # Background histories elsewhere keep the re-target cycle's tracked
-        # set under half the deployment, so the engine runs it.
+        # Background histories elsewhere, so the re-target cycle tracks
+        # only part of the deployment.
         for index, entity in enumerate(town.entities[2:5]):
             fill_honest(server, entity.entity_id, nonce_tag=bytes([index]))
         identity = DeviceIdentity.create("u", seed=1)
@@ -205,7 +196,6 @@ class TestInvalidationUnits:
         )
         assert deliver(server, retarget, nonce=b"o1")
         server.run_maintenance(now=2.0)
-        assert executed_paths(telemetry) == ["full", "incremental"]
         assert server.summary(entity_a).n_inferred_opinions == 0
         # The claim moved: B now owns a summary row.  The opinion itself
         # is discounted (B has no history with that id — aggregation
@@ -213,26 +203,6 @@ class TestInvalidationUnits:
         assert server.summary(entity_b) is not None
         assert server.summary(entity_b).n_inferred_opinions == 0
         assert server.all_summaries() == from_scratch(town, server).all_summaries()
-
-    def test_span_names_the_executed_path(self, flavor):
-        """An all-dirty cycle runs the kernel (``full``); a cycle that
-        tracks one entity of four runs the engine (``incremental``).  The
-        span is DEPLOYMENT-scoped, outside the invariant digest."""
-        town, mono, sharded = make_servers()
-        server = self.pick(flavor, mono, sharded)
-        telemetry = Telemetry()
-        server.attach_telemetry(telemetry)
-        one_per_kind = [ids[0] for _, ids in sorted(entities_by_kind(town).items())]
-        for index, entity_id in enumerate(one_per_kind[:4]):
-            fill_honest(server, entity_id, nonce_tag=bytes([index]))
-        server.run_maintenance(now=1.0)
-        newcomer = DeviceIdentity.create("newcomer", seed=7)
-        record = interaction(newcomer, one_per_kind[0], t=3 * DAY)
-        assert deliver(server, record, nonce=b"n")
-        server.run_maintenance(now=2.0)
-        assert executed_paths(telemetry) == ["full", "incremental"]
-        spans = telemetry.spans.spans("maintenance.incremental")
-        assert {span.scope for span in spans} == {DEPLOYMENT}
 
     def test_history_mismatch_is_split_from_unstored(self, flavor):
         town, mono, sharded = make_servers()

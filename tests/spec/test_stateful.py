@@ -17,12 +17,12 @@ Operations:
 * ``maintenance`` — a cycle whose report and summaries must equal those
   of a fresh server restored from ``capture_state`` (the *oracle*, kept
   until the next cycle), followed by a ``read``.  The oracle's first
-  cycle is all-dirty, so it always runs the columnar kernel;
+  cycle is all-dirty, so it judges every entity from scratch;
 * ``touch`` — a ``maintenance``, a few interactions at one entity, and
   another ``maintenance``.  The second cycle tracks that entity and,
-  when the kind profile moved, its siblings — few enough that the
-  per-entity engine (``execute``) runs and is checked against the
-  oracle's kernel;
+  when the kind profile moved, its siblings, and reuses every other
+  entity's cached verdicts — checked against the oracle's from-scratch
+  cycle;
 * ``read`` — queries, whatever intake landed since the last cycle, whose
   cached answers (Figure 3 panels included) must equal ``query_uncached``
   on the server and on the oracle: an answer is a function of what the
@@ -36,8 +36,9 @@ Operations:
 
 After every operation the server's counters, per-reason rejections and
 ``capture_state`` must equal the model's.  Every sequence must also run
-both maintenance paths on a non-empty tracked set, as the
-``maintenance.incremental{mode=}`` span reports them.
+a live cycle that judges a non-empty tracked set and reuses the other
+entities' cached verdicts (``cached_entities`` > 0), while every oracle
+cycle judges every entity.
 """
 
 from __future__ import annotations
@@ -152,13 +153,6 @@ def durable_state(server) -> dict:
     return state
 
 
-def executed_path(telemetry) -> str:
-    """The path the latest maintenance cycle ran: ``incremental`` for the
-    per-entity engine, ``full`` for the columnar kernel."""
-    span = telemetry.spans.spans("maintenance.incremental")[-1]
-    return dict(span.labels)["mode"]
-
-
 class Harness:
     """One server, its model, and the bookkeeping the operations share."""
 
@@ -207,9 +201,9 @@ class Harness:
         #: What the last cycle published, recomputed from scratch; before
         #: the first cycle nothing is published, as on an empty server.
         self.oracle = self.new_server()
-        #: Maintenance paths (span ``mode``) that ran on a non-empty
-        #: tracked set.
-        self.paths: set[str] = set()
+        #: Whether some live cycle judged a non-empty tracked set and
+        #: reused the other entities' cached verdicts.
+        self.reused_verdicts = False
 
     def new_server(self, n_shards: int | None = None):
         return RSPServer(
@@ -336,10 +330,11 @@ class Harness:
 
     def maintenance(self, rng) -> None:
         now = self.clock + TICK / 3
-        tracked = self.telemetry.value("rsp.maintenance.cache_skips", phase="judge") or 0
+        judged = self.telemetry.value("rsp.maintenance.cache_skips", phase="judge") or 0
         report = self.server.run_maintenance(now=now)
-        if self.telemetry.value("rsp.maintenance.cache_skips", phase="judge") > tracked:
-            self.paths.add(executed_path(self.telemetry))
+        rejudged = self.telemetry.value("rsp.maintenance.cache_skips", phase="judge") > judged
+        if rejudged and self.telemetry.value("rsp.maintenance.cached_entities") > 0:
+            self.reused_verdicts = True
         oracle = self.new_server(n_shards=int(rng.integers(1, 4)))
         restore_state(oracle, capture_state(self.server))
         finalize_recovery(oracle)
@@ -347,9 +342,14 @@ class Harness:
         oracle.attach_telemetry(oracle_telemetry)
         assert repr(report) == repr(oracle.run_maintenance(now=now)), "maintenance report"
         assert self.server.all_summaries() == oracle.all_summaries(), "summaries"
-        # Without histories nothing is tracked, and the engine runs an empty cycle.
-        if oracle.n_histories:
-            assert executed_path(oracle_telemetry) == "full", "the oracle ran the engine"
+        judged = oracle_telemetry.value("rsp.maintenance.cache_skips", phase="judge") or 0
+        entities = {
+            history.entity_id
+            for shard in oracle.shards
+            for history in shard.store.all_histories()
+        }
+        assert oracle_telemetry.value("rsp.maintenance.cached_entities") == 0
+        assert judged == len(entities), "the oracle reused cached verdicts"
         self.oracle = oracle
         self.read(rng)
 
@@ -431,11 +431,11 @@ class Harness:
             perform(self.server, ReshardOp.split(int(rng.integers(n_shards))))
 
 
-def run_sequence(ops, n_shards, require_tokens, root: Path, paths=None) -> str | None:
+def run_sequence(ops, n_shards, require_tokens, root: Path, reuse=None) -> str | None:
     """Run one sequence; returns ``None`` or a description of the first divergence.
 
-    ``paths``, when given, collects the maintenance paths that ran on a
-    non-empty tracked set.
+    ``reuse``, when given, collects whether some live cycle reused cached
+    verdicts.
     """
     workdir = Path(tempfile.mkdtemp(dir=root))
     try:
@@ -450,8 +450,8 @@ def run_sequence(ops, n_shards, require_tokens, root: Path, paths=None) -> str |
             return f"step {step} ({name}): {error}"
         finally:
             harness.journal.close()
-            if paths is not None:
-                paths.update(harness.paths)
+            if reuse is not None:
+                reuse.append(harness.reused_verdicts)
         return None
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
@@ -474,10 +474,10 @@ def shrink(ops, fails) -> list:
 @pytest.mark.parametrize("seed,require_tokens", [(1, True), (2, True), (3, False)])
 def test_server_matches_model(tmp_path, n_shards, seed, require_tokens):
     ops = generate(seed)
-    paths: set[str] = set()
-    failure = run_sequence(ops, n_shards, require_tokens, tmp_path, paths)
+    reuse: list[bool] = []
+    failure = run_sequence(ops, n_shards, require_tokens, tmp_path, reuse)
     if failure is None:
-        assert paths == {"incremental", "full"}, f"only {paths} ran on a non-empty tracked set"
+        assert reuse == [True], "no live cycle reused cached verdicts"
     else:
         minimal = shrink(
             ops,
