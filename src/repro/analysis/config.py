@@ -61,9 +61,10 @@ class AnalysisConfig:
     #: Attribute spellings that hold a telemetry sink (``self.telemetry``,
     #: a bare ``telemetry`` local, or its ``metrics``/``spans`` facets).
     telemetry_receivers: frozenset[str] = frozenset({"telemetry", "metrics", "spans"})
-    #: Recording methods whose keyword arguments are label positions.
+    #: Recording and binding methods whose keyword arguments are label
+    #: positions (a bound instrument carries its labels from bind time).
     telemetry_methods: frozenset[str] = frozenset(
-        {"inc", "observe", "set_gauge", "span", "record"}
+        {"inc", "observe", "set_gauge", "span", "record", "counter", "histogram"}
     )
     #: Keyword parameters of those methods that carry measurement values,
     #: not labels — exempt from the label taint check.

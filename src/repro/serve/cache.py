@@ -36,6 +36,19 @@ scan, and a scan that passes re-stamps the entry, so steady-state hits
 are O(1) and the first hit after each maintenance round amortises the
 scan.
 
+The reverse map is kept per *dependency group*, not per entity.  Many
+queries share one dependency set — every query of one ``(category,
+attribute)`` pair has the same candidate set, whatever its location —
+so the cache interns each distinct set once, as a
+:class:`DependencyGroup` holding the keys of the live entries built on
+it.  The map then runs entity → interned groups → live keys: storing or
+dropping an entry is one set operation on its group, not one per
+dependency, and :meth:`invalidate` unions the key sets of the groups the
+changed entities belong to.  Groups live as long as the cache (until
+:meth:`clear`); their number is bounded by the distinct dependency sets
+callers pass, which for the serving layer is the static catalog's
+``(category, attribute)`` pairs.
+
 ``tests/serve/test_cache.py`` drives randomized intake + maintenance +
 query schedules, re-reading cached queries after intake, and asserts a
 cached read never differs from a fresh recompute.
@@ -46,9 +59,21 @@ from __future__ import annotations
 from collections import OrderedDict
 from collections.abc import Hashable, Iterable
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Any
 
 Fingerprint = tuple[tuple[str, int], ...]
+
+
+class DependencyGroup:
+    """One interned dependency set and the keys of the live entries on it."""
+
+    __slots__ = ("members", "keys")
+
+    def __init__(self, members: tuple[str, ...]) -> None:
+        #: The dependency ids, sorted and deduplicated.
+        self.members = members
+        self.keys: set[Hashable] = set()
 
 
 @dataclass
@@ -61,6 +86,8 @@ class CachedResult:
     #: Cache generation at store (or last revalidation) time; an entry
     #: stamped with the current generation skips the fingerprint scan.
     generation: int = 0
+    #: The interned dependency set whose key set holds this entry's key.
+    group: DependencyGroup | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -94,8 +121,10 @@ class SummaryVersionCache:
         self._versions: dict[str, int] = {}
         #: Insertion-ordered for FIFO capacity eviction.
         self._entries: OrderedDict[Hashable, CachedResult] = OrderedDict()
-        #: entity_id -> keys of entries depending on it.
-        self._dependents: dict[str, set[Hashable]] = {}
+        #: Dependency ids as passed (and as normalized) -> interned group.
+        self._groups: dict[tuple[str, ...], DependencyGroup] = {}
+        #: entity_id -> interned groups containing it.
+        self._dependents: dict[str, list[DependencyGroup]] = {}
         self.stats = CacheStats()
 
     def __len__(self) -> int:
@@ -112,9 +141,30 @@ class SummaryVersionCache:
         inflate the fingerprint and the revalidation scan for no
         coherence benefit.
         """
-        return tuple(
-            (eid, self.version(eid)) for eid in sorted(set(dependency_ids))
-        )
+        return self._stamp(tuple(sorted(set(dependency_ids))))
+
+    def _stamp(self, members: tuple[str, ...]) -> Fingerprint:
+        """:meth:`fingerprint` of ids already sorted and deduplicated."""
+        return tuple(zip(members, map(self._versions.get, members, repeat(0))))
+
+    def _intern(self, dependency_ids: Iterable[str]) -> DependencyGroup:
+        """The one group for this dependency set, interned on first sight.
+
+        Looked up by the ids as passed first, so a caller that hands over
+        the same sorted tuple every time (``SummaryIndex.candidate_ids``)
+        pays one dict probe and no normalization.
+        """
+        passed = tuple(dependency_ids)
+        group = self._groups.get(passed)
+        if group is None:
+            members = tuple(sorted(set(passed)))
+            group = self._groups.get(members)
+            if group is None:
+                group = self._groups[members] = DependencyGroup(members)
+                for eid in members:
+                    self._dependents.setdefault(eid, []).append(group)
+            self._groups[passed] = group
+        return group
 
     # ----------------------------------------------------------- lookups
 
@@ -143,34 +193,36 @@ class SummaryVersionCache:
         """Store ``response`` stamped with the dependencies' current versions."""
         if key in self._entries:
             self._drop(key)
+        group = self._intern(dependency_ids)
         entry = CachedResult(
             response=response,
-            fingerprint=self.fingerprint(dependency_ids),
+            fingerprint=self._stamp(group.members),
             generation=self._generation,
+            group=group,
         )
         while len(self._entries) >= self.max_entries:
             oldest = next(iter(self._entries))
             self._drop(oldest)
             self.stats.evictions += 1
         self._entries[key] = entry
-        for eid, _ in entry.fingerprint:
-            self._dependents.setdefault(eid, set()).add(key)
+        group.keys.add(key)
         return entry
 
     # ------------------------------------------------------ invalidation
 
     def invalidate(self, changed_ids: Iterable[str]) -> int:
         """Bump versions for ``changed_ids``; drop dependents.  Returns drops."""
-        doomed: set[Hashable] = set()
-        changed = sorted(set(changed_ids))
+        changed = set(changed_ids)
         if changed:
             self._generation += 1
+        versions = self._versions
+        groups: set[DependencyGroup] = set()
         for eid in changed:
-            self._versions[eid] = self._versions.get(eid, 0) + 1
-            doomed |= self._dependents.get(eid, set())
-        for key in list(doomed):
-            if key in self._entries:
-                self._drop(key)
+            versions[eid] = versions.get(eid, 0) + 1
+            groups.update(self._dependents.get(eid, ()))
+        doomed = set().union(*(group.keys for group in groups))
+        for key in doomed:
+            self._drop(key)
         self.stats.invalidations += len(doomed)
         return len(doomed)
 
@@ -183,15 +235,10 @@ class SummaryVersionCache:
         """
         self.stats.evictions += len(self._entries)
         self._entries.clear()
+        self._groups.clear()
         self._dependents.clear()
 
     def _drop(self, key: Hashable) -> None:
         entry = self._entries.pop(key, None)
-        if entry is None:
-            return
-        for eid, _ in entry.fingerprint:
-            dependents = self._dependents.get(eid)
-            if dependents is not None:
-                dependents.discard(key)
-                if not dependents:
-                    del self._dependents[eid]
+        if entry is not None:
+            entry.group.keys.discard(key)

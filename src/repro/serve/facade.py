@@ -7,7 +7,9 @@
 ``summaries`` and ``panels`` every answer is computed from, and whose
 dirty-set notifications drive cache invalidation).  ``telemetry`` is
 read off the server at call time, so attaching telemetry before or
-after the serving layer both work.
+after the serving layer both work: the five per-query instruments are
+bound once per sink (:class:`_ServeInstruments`) and rebound when the
+server's sink changes.
 
 The layer is constructed lazily (``server.serving``): a deployment that
 never queries never subscribes, never touches the cache, and never emits
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Iterable
+from functools import cached_property
 
 from repro.serve.cache import SummaryVersionCache
 from repro.serve.engine import QueryEngine, ServeQuery, ServeResponse
@@ -27,6 +30,40 @@ from repro.serve.ranking import DEFAULT_RANKING, RankingConfig
 from repro.telemetry.catalog import SERVE_LATENCY_BUCKETS, SERVE_RESULT_BUCKETS
 from repro.telemetry.registry import DEPLOYMENT
 from repro.world.geography import CityGrid
+
+
+class _ServeInstruments:
+    """One telemetry sink's per-query serve instruments.
+
+    Each is bound on first access — so the export never gains a row for
+    an instrument the run never used (a run that only misses declares no
+    ``cache_hits``) — and is a plain attribute read after that.
+    """
+
+    def __init__(self, telemetry) -> None:
+        self.telemetry = telemetry
+
+    @cached_property
+    def hits(self):
+        return self.telemetry.counter("rsp.serve.cache_hits")
+
+    @cached_property
+    def misses(self):
+        return self.telemetry.counter("rsp.serve.cache_misses")
+
+    @cached_property
+    def queries(self):
+        return self.telemetry.counter("rsp.serve.queries")
+
+    @cached_property
+    def results(self):
+        return self.telemetry.histogram("rsp.serve.results", buckets=SERVE_RESULT_BUCKETS)
+
+    @cached_property
+    def latency(self):
+        return self.telemetry.histogram(
+            "rsp.serve.latency", buckets=SERVE_LATENCY_BUCKETS, scope=DEPLOYMENT
+        )
 
 
 class ServingLayer:
@@ -43,6 +80,7 @@ class ServingLayer:
         self.index = SummaryIndex(list(server.catalog.values()), grid=grid)
         self.engine = QueryEngine(self.index, ranking)
         self.cache = SummaryVersionCache(max_entries=max_cache_entries)
+        self._instruments = _ServeInstruments(server.telemetry)
         server._engine.subscribe(self._on_summaries_changed)
 
     @property
@@ -64,11 +102,13 @@ class ServingLayer:
     def query(self, query: ServeQuery) -> ServeResponse:
         """Answer from cache when current, else compute and fill."""
         start = time.perf_counter()  # repro: allow[det-wall-clock]
-        telemetry = self.telemetry
+        instruments = self._instruments
+        if instruments.telemetry is not self._server.telemetry:
+            instruments = self._instruments = _ServeInstruments(self._server.telemetry)
         entry = self.cache.get(query)
         if entry is not None:
             response: ServeResponse = entry.response
-            telemetry.inc("rsp.serve.cache_hits")
+            instruments.hits.inc()
         else:
             response = self._compute(query)
             self.cache.put(
@@ -76,18 +116,11 @@ class ServingLayer:
                 response,
                 self.index.candidate_ids(query.category, query.attribute),
             )
-            telemetry.inc("rsp.serve.cache_misses")
-        telemetry.inc("rsp.serve.queries")
-        telemetry.observe(
-            "rsp.serve.results", response.n_matches, buckets=SERVE_RESULT_BUCKETS
-        )
+            instruments.misses.inc()
+        instruments.queries.inc()
+        instruments.results.observe(response.n_matches)
         elapsed = time.perf_counter() - start  # repro: allow[det-wall-clock]
-        telemetry.observe(
-            "rsp.serve.latency",
-            elapsed,
-            buckets=SERVE_LATENCY_BUCKETS,
-            scope=DEPLOYMENT,
-        )
+        instruments.latency.observe(elapsed)
         return response
 
     def query_uncached(self, query: ServeQuery) -> ServeResponse:

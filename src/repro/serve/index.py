@@ -61,6 +61,8 @@ class SummaryIndex:
         self._attribute_postings = {
             tag: frozenset(ids) for tag, ids in sorted(attribute_sets.items())
         }
+        #: (category, attribute) -> its dependency set, built on first use.
+        self._dependency_groups: dict[tuple[str, str | None], tuple[str, ...]] = {}
 
     @property
     def n_entities(self) -> int:
@@ -107,25 +109,32 @@ class SummaryIndex:
 
     # -------------------------------------------------------- candidates
 
-    def candidate_ids(self, category: str, attribute: str | None = None) -> list[str]:
+    def candidate_ids(self, category: str, attribute: str | None = None) -> tuple[str, ...]:
         """Every id matching the discrete predicates, in id order.
 
         This is the query's *dependency set* — the entities whose summary
         versions a cached result is keyed on.  It deliberately ignores
         the location predicate: the geometry never changes, so keying on
         the widest discrete match keeps the set independent of float
-        distance edge cases.
+        distance edge cases.  The catalog is static, so each
+        ``(category, attribute)`` pair's set is built once and the same
+        tuple is returned ever after — the cache interns its dependency
+        group by that tuple.
         """
-        ids = [
-            entity_id
-            for (posting_category, _), zone_ids in sorted(self._postings.items())
-            if posting_category == category
-            for entity_id in zone_ids
-        ]
-        if attribute is not None:
-            tagged = self.attribute_ids(attribute)
-            ids = [entity_id for entity_id in ids if entity_id in tagged]
-        return sorted(ids)
+        group = self._dependency_groups.get((category, attribute))
+        if group is None:
+            ids = [
+                entity_id
+                for (posting_category, _), zone_ids in sorted(self._postings.items())
+                if posting_category == category
+                for entity_id in zone_ids
+            ]
+            if attribute is not None:
+                tagged = self.attribute_ids(attribute)
+                ids = [entity_id for entity_id in ids if entity_id in tagged]
+            group = tuple(sorted(ids))
+            self._dependency_groups[(category, attribute)] = group
+        return group
 
     def candidates(
         self,

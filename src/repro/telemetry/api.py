@@ -23,7 +23,7 @@ import hashlib
 import json
 from collections.abc import Iterable
 
-from repro.telemetry.registry import AGGREGATE, MetricsRegistry
+from repro.telemetry.registry import AGGREGATE, Counter, Histogram, MetricsRegistry
 from repro.telemetry.spans import Span, SpanTimeline
 
 
@@ -81,6 +81,22 @@ class Telemetry:
     ) -> Span | None:
         return self.spans.record(name, start, end, scope=scope, **labels)
 
+    # -------------------------------------------------------------- binding
+
+    def counter(self, name: str, scope: str = AGGREGATE, **labels: object) -> Counter:
+        """A bound counter (see :meth:`MetricsRegistry.counter`)."""
+        return self.metrics.counter(name, scope=scope, **labels)
+
+    def histogram(
+        self,
+        name: str,
+        buckets: Iterable[float] | None = None,
+        scope: str = AGGREGATE,
+        **labels: object,
+    ) -> Histogram:
+        """A bound histogram (see :meth:`MetricsRegistry.histogram`)."""
+        return self.metrics.histogram(name, buckets=buckets, scope=scope, **labels)
+
     # -------------------------------------------------------------- reading
 
     def total(self, name: str) -> int:
@@ -121,6 +137,21 @@ class Telemetry:
     def digest(self, scope: str | None = None) -> str:
         """SHA-256 of the canonical compact export — the golden-pin value."""
         return hashlib.sha256(self.export_json(scope).encode()).hexdigest()
+
+
+class _NullInstrument:
+    """The one instrument :class:`NullTelemetry` binds: records nothing."""
+
+    __slots__ = ()
+
+    def inc(self, n: int = 1) -> None:
+        return None
+
+    def observe(self, value: float) -> None:
+        return None
+
+
+_NULL_INSTRUMENT = _NullInstrument()
 
 
 class NullTelemetry(Telemetry):
@@ -171,6 +202,20 @@ class NullTelemetry(Telemetry):
         **labels: object,
     ) -> Span | None:
         return None
+
+    def counter(
+        self, name: str, scope: str = AGGREGATE, **labels: object
+    ) -> _NullInstrument:
+        return _NULL_INSTRUMENT
+
+    def histogram(
+        self,
+        name: str,
+        buckets: Iterable[float] | None = None,
+        scope: str = AGGREGATE,
+        **labels: object,
+    ) -> _NullInstrument:
+        return _NULL_INSTRUMENT
 
     def merge_from(self, other: Telemetry) -> None:
         raise TypeError("NullTelemetry is a shared sink; it cannot accumulate state")

@@ -228,8 +228,7 @@ class MetricsRegistry:
         key = (name, "counter", scope, tuple(labels.items()))
         instrument = self._fast.get(key)
         if instrument is None:
-            instrument = self._instrument(name, "counter", scope, labels, None)
-            self._fast[key] = instrument
+            instrument = self._fast[key] = self.counter(name, scope, **labels)
         instrument.inc(n)
 
     def set_gauge(
@@ -256,9 +255,7 @@ class MetricsRegistry:
         )
         instrument = self._fast.get(key)
         if instrument is None:
-            bounds = tuple(float(b) for b in buckets) if buckets is not None else None
-            instrument = self._instrument(name, "histogram", scope, labels, bounds)
-            self._fast[key] = instrument
+            instrument = self._fast[key] = self.histogram(name, buckets, scope, **labels)
         instrument.observe(value)
 
     def observe_many(
@@ -289,10 +286,33 @@ class MetricsRegistry:
         )
         instrument = self._fast.get(key)
         if instrument is None:
-            bounds = tuple(float(b) for b in buckets) if buckets is not None else None
-            instrument = self._instrument(name, "histogram", scope, labels, bounds)
-            self._fast[key] = instrument
+            instrument = self._fast[key] = self.histogram(name, buckets, scope, **labels)
         instrument.observe_many(values)
+
+    # -------------------------------------------------------------- binding
+
+    def counter(self, name: str, scope: str = AGGREGATE, **labels: object) -> Counter:
+        """Declare (at first use) and return the counter ``name{labels}``.
+
+        A hot call site binds once and calls ``inc()`` on the result per
+        event, skipping the per-call key build of :meth:`inc`.  Declaring
+        is the same path as :meth:`inc`'s, so a kind or scope conflict
+        raises the same :class:`MetricError` — at bind time.
+        """
+        return self._instrument(name, "counter", scope, labels, None)
+
+    def histogram(
+        self,
+        name: str,
+        buckets: Iterable[float] | None = None,
+        scope: str = AGGREGATE,
+        **labels: object,
+    ) -> Histogram:
+        """Declare (at first use) and return the histogram ``name{labels}``;
+        the binding counterpart of :meth:`observe`, as :meth:`counter` is
+        of :meth:`inc`."""
+        bounds = tuple(float(b) for b in buckets) if buckets is not None else None
+        return self._instrument(name, "histogram", scope, labels, bounds)
 
     def _instrument(
         self,

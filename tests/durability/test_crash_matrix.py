@@ -1,6 +1,6 @@
 """The headline crash matrix: kill the RSP at every WAL frame boundary.
 
-For both deployments (monolith, 4-shard) and both channel modes (clean,
+For both deployments (``one_shard``, 4 shards) and both channel modes (clean,
 chaotic with re-deliveries), the workload runs reviews → batch 1 →
 maintenance → snapshot → batch 2, then the durable directory is cloned
 and the post-snapshot segment truncated at every frame boundary *and*
@@ -84,7 +84,7 @@ def crash_points(directory):
 
 
 @pytest.mark.parametrize("duplicate_every", [0, 7], ids=["clean", "chaos"])
-@pytest.mark.parametrize("n_shards", [1, 4], ids=["monolith", "sharded"])
+@pytest.mark.parametrize("n_shards", [1, 4], ids=["one_shard", "sharded"])
 def test_crash_at_every_frame_boundary_recovers_identically(
     catalog, tmp_path, n_shards, duplicate_every
 ):
@@ -116,7 +116,7 @@ def test_crash_at_every_frame_boundary_recovers_identically(
         )
 
 
-@pytest.mark.parametrize("n_shards", [1, 4], ids=["monolith", "sharded"])
+@pytest.mark.parametrize("n_shards", [1, 4], ids=["one_shard", "sharded"])
 def test_cold_replay_without_any_snapshot(catalog, tmp_path, n_shards):
     """A crash before the first snapshot recovers from the WAL alone."""
     directory = tmp_path / "durable"

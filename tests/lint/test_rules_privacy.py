@@ -77,6 +77,15 @@ class TestTelemetryLabel:
         assert any("`device_id`" in m and "`device`" in m for m in messages)
         assert any("`owner`" in m and "span" in m for m in messages)
 
+    def test_identity_bound_into_an_instrument_is_flagged(self, lint_paths):
+        # A bound counter/histogram fixes its labels at bind time, so the
+        # binding call is the label position.
+        result = lint_paths("serve/bad_bound_telemetry.py")
+        assert rule_ids(result) == ["priv-telemetry-label"] * 2
+        messages = [v.message for v in result.findings]
+        assert any("`user_id`" in m and "counter" in m for m in messages)
+        assert any("`device_id`" in m and "histogram" in m for m in messages)
+
     def test_coarse_labels_and_value_params_pass(self, lint_paths):
         result = lint_paths("client/good_telemetry.py")
         assert result.ok

@@ -142,6 +142,119 @@ class TestCacheUnit:
             SummaryVersionCache(max_entries=0)
 
 
+# ------------------------------------------------------ reference model
+
+
+class CacheModel:
+    """The cache's contract in plain Python, with no reverse map and no
+    generations: a FIFO of ``key -> (response, dependency set)``, the
+    per-entity versions, and an invalidation that scans every entry."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.entries = {}
+        self.versions = {}
+        self.hits = self.misses = self.invalidations = self.evictions = 0
+
+    def get(self, key):
+        if key not in self.entries:
+            self.misses += 1
+            return None
+        self.hits += 1
+        return self.entries[key]
+
+    def put(self, key, response, dependency_ids):
+        self.entries.pop(key, None)
+        while len(self.entries) >= self.capacity:
+            del self.entries[next(iter(self.entries))]
+            self.evictions += 1
+        self.entries[key] = (response, frozenset(dependency_ids))
+
+    def invalidate(self, changed_ids):
+        changed = set(changed_ids)
+        for eid in changed:
+            self.versions[eid] = self.versions.get(eid, 0) + 1
+        doomed = [key for key, (_, deps) in self.entries.items() if deps & changed]
+        for key in doomed:
+            del self.entries[key]
+        self.invalidations += len(doomed)
+        return len(doomed)
+
+    def clear(self):
+        self.evictions += len(self.entries)
+        self.entries.clear()
+
+
+ENTITIES = [f"e{index}" for index in range(10)]
+#: Overlapping dependency sets, so several keys share one set and every
+#: entity sits in more than one; the tuples are reused objects, as the
+#: index hands them out.
+SHARED_DEPENDENCIES = [
+    tuple(ENTITIES[:4]),
+    tuple(ENTITIES[2:7]),
+    tuple(ENTITIES[5:]),
+    ("e1", "e8"),
+    (),
+]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("capacity", range(1, 9))
+def test_cache_matches_the_reference_model(capacity, seed):
+    gen = make_rng(seed, f"test/serve-cache-model/{capacity}")
+    cache, model = SummaryVersionCache(max_entries=capacity), CacheModel(capacity)
+    keys = [f"q{index}" for index in range(12)]
+
+    def stats():
+        s = cache.stats
+        return (s.hits, s.misses, s.invalidations, s.evictions, len(cache))
+
+    for step in range(400):
+        roll = float(gen.random())
+        key = keys[int(gen.integers(0, len(keys)))]
+        if roll < 0.4:
+            if gen.random() < 0.6:
+                deps = SHARED_DEPENDENCIES[int(gen.integers(0, len(SHARED_DEPENDENCIES)))]
+            else:
+                # A fresh list, duplicates and all.
+                deps = [
+                    ENTITIES[int(i)]
+                    for i in gen.integers(0, len(ENTITIES), size=int(gen.integers(0, 6)))
+                ]
+            response = f"r{step}"
+            cache.put(key, response, deps)
+            model.put(key, response, deps)
+        elif roll < 0.75:
+            entry, expected = cache.get(key), model.get(key)
+            if expected is None:
+                assert entry is None, (step, key)
+            else:
+                response, deps = expected
+                assert entry is not None, (step, key)
+                assert entry.response == response
+                assert entry.fingerprint == tuple(
+                    (eid, model.versions.get(eid, 0)) for eid in sorted(deps)
+                )
+        elif roll < 0.97:
+            changed = [
+                ENTITIES[int(i)]
+                for i in gen.integers(0, len(ENTITIES), size=int(gen.integers(0, 4)))
+            ]
+            assert cache.invalidate(changed) == model.invalidate(changed), step
+        else:
+            cache.clear()
+            model.clear()
+        assert stats() == (
+            model.hits,
+            model.misses,
+            model.invalidations,
+            model.evictions,
+            len(model.entries),
+        ), step
+        for eid in ENTITIES:
+            assert cache.version(eid) == model.versions.get(eid, 0)
+
+
 # ------------------------------------------------- randomized schedules
 
 

@@ -154,7 +154,7 @@ class TestCandidateIds:
     def test_sorted_and_geometry_free(self):
         catalog = synthetic_catalog(40, seed=1)
         index = SummaryIndex(catalog)
-        ids = index.candidate_ids("thai")
+        ids = list(index.candidate_ids("thai"))
         assert ids == sorted(ids)
         assert ids == sorted(
             e.entity_id for e in catalog if e.category == "thai"
@@ -163,7 +163,7 @@ class TestCandidateIds:
     def test_attribute_filter_applies(self):
         catalog = synthetic_catalog(40, seed=1)
         index = SummaryIndex(catalog)
-        ids = index.candidate_ids("thai", price_tag(2))
+        ids = list(index.candidate_ids("thai", price_tag(2)))
         assert ids == sorted(
             e.entity_id
             for e in catalog

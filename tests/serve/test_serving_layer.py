@@ -25,7 +25,7 @@ from repro.ingest import SyntheticTraffic
 from repro.serve.engine import ServeQuery
 from repro.serve.facade import ServingLayer
 from repro.serve.loadgen import QueryWorkload, SyntheticQueries
-from repro.telemetry import AGGREGATE
+from repro.telemetry import AGGREGATE, NULL, Telemetry
 
 from tests.serve.conftest import TRAFFIC, feed, make_server
 
@@ -116,6 +116,52 @@ class TestServeTelemetry:
         # The result-size histogram *is* aggregate (deployment-invariant).
         assert metric_row(telemetry, "rsp.serve.results")["scope"] == "aggregate"
         assert '"rsp.serve.results"' in aggregate_export
+
+
+class TestBoundInstruments:
+    """The five per-query instruments are bound once per sink, each at
+    its first use."""
+
+    def ask(self, server, n=1):
+        queries = SyntheticQueries(
+            list(server.catalog.values()), QueryWorkload(n_distinct=16, seed=3)
+        )
+        for query in queries.batch(n):
+            server.query(query)
+
+    def test_a_one_query_run_declares_no_hit_row(self):
+        traffic = SyntheticTraffic(TRAFFIC)
+        server = feed(make_server(catalog=traffic.catalog), traffic)
+        self.ask(server)
+        assert serve_metric_names(server.telemetry) == [
+            "rsp.serve.cache_misses",
+            "rsp.serve.latency",
+            "rsp.serve.queries",
+            "rsp.serve.results",
+        ]
+
+    def test_a_fresh_sink_attached_mid_run_takes_every_later_query(self):
+        traffic = SyntheticTraffic(TRAFFIC)
+        server = feed(make_server(catalog=traffic.catalog), traffic)
+        first = server.telemetry
+        self.ask(server, n=10)
+        frozen = first.metrics.export_json()
+        second = Telemetry()
+        server.attach_telemetry(second)
+        self.ask(server, n=10)
+        assert first.metrics.export_json() == frozen
+        assert second.total("rsp.serve.queries") == 10
+        assert second.total("rsp.serve.cache_hits") == 10  # the same 10 again
+        assert second.value("rsp.serve.results")["count"] == 10
+        assert second.value("rsp.serve.latency")["count"] == 10
+
+    def test_null_telemetry_records_nothing(self):
+        traffic = SyntheticTraffic(TRAFFIC)
+        server = feed(make_server(catalog=traffic.catalog), traffic)
+        server.attach_telemetry(NULL)
+        self.ask(server, n=20)
+        assert server.serving.stats.lookups == 20
+        assert NULL.export() == {"metrics": [], "spans": []}
 
 
 class TestCanonicalReadAccessors:

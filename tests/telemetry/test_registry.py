@@ -110,6 +110,80 @@ class TestRegistry:
         with pytest.raises(MetricError, match="aggregate-scope"):
             registry.inc("rsp.envelopes.accepted", scope=DEPLOYMENT)
 
+    def test_bound_instruments_record_what_inc_and_observe_record(self):
+        bound, direct = MetricsRegistry(), MetricsRegistry()
+        counter = bound.counter("rsp.envelopes.rejected", reason="token")
+        histogram = bound.histogram("rsp.intake.batch", buckets=(1.0, 5.0))
+        for value in (0.5, 3.0, 9.0):
+            counter.inc()
+            histogram.observe(value)
+            direct.inc("rsp.envelopes.rejected", reason="token")
+            direct.observe("rsp.intake.batch", value, buckets=(1.0, 5.0))
+        assert bound.export_json() == direct.export_json()
+        # Binding again returns the same instrument.
+        assert bound.counter("rsp.envelopes.rejected", reason="token") is counter
+
+    def test_binding_declares_the_metric(self):
+        registry = MetricsRegistry()
+        registry.counter("rsp.serve.queries")
+        assert [row["name"] for row in registry.snapshot()] == ["rsp.serve.queries"]
+
+    @pytest.mark.parametrize(
+        "declare, conflict, match",
+        [
+            # kind: a counter bound as a histogram, and the reverse.
+            (
+                lambda r: r.inc("m"),
+                lambda r: r.histogram("m"),
+                "is a counter",
+            ),
+            (
+                lambda r: r.histogram("m"),
+                lambda r: r.counter("m"),
+                "is a histogram",
+            ),
+            # scope: bound and recorded under different scopes.
+            (
+                lambda r: r.counter("m"),
+                lambda r: r.inc("m", scope=DEPLOYMENT),
+                "aggregate-scope",
+            ),
+            (
+                lambda r: r.inc("m"),
+                lambda r: r.counter("m", scope=DEPLOYMENT),
+                "aggregate-scope",
+            ),
+            # buckets: fixed at first declaration, whichever path made it.
+            (
+                lambda r: r.observe("m", 1.0, buckets=(1.0, 2.0)),
+                lambda r: r.histogram("m", buckets=(1.0, 3.0)),
+                "fixed buckets",
+            ),
+            (
+                lambda r: r.histogram("m", buckets=(1.0, 2.0)),
+                lambda r: r.observe("m", 1.0, buckets=(1.0, 3.0)),
+                "fixed buckets",
+            ),
+        ],
+        ids=[
+            "inc-then-histogram",
+            "histogram-then-counter",
+            "counter-then-inc-scope",
+            "inc-then-counter-scope",
+            "observe-then-histogram-buckets",
+            "histogram-then-observe-buckets",
+        ],
+    )
+    def test_binding_raises_the_declaration_errors(self, declare, conflict, match):
+        registry = MetricsRegistry()
+        declare(registry)
+        with pytest.raises(MetricError, match=match):
+            conflict(registry)
+
+    def test_binding_validates_labels(self):
+        with pytest.raises(LabelPolicyError):
+            MetricsRegistry().counter("mix.submissions", user="u-1")
+
     def test_total_sums_across_label_sets(self):
         registry = MetricsRegistry()
         registry.inc("rsp.envelopes.rejected", reason="token")
@@ -164,6 +238,14 @@ class TestNullTelemetry:
         NULL.set_gauge("g", 2.0)
         assert NULL.span("s", 0.0, 1.0) is None
         assert not NULL.enabled
+        assert NULL.export() == {"metrics": [], "spans": []}
+
+    def test_null_binds_one_noop_instrument(self):
+        counter = NULL.counter("anything", user="8e602d290266cd065079349721b76145")
+        histogram = NULL.histogram("anything.else", buckets=(1.0,), scope=DEPLOYMENT)
+        assert counter is histogram
+        counter.inc()
+        histogram.observe(2.0)
         assert NULL.export() == {"metrics": [], "spans": []}
 
     def test_null_cannot_accumulate(self):
