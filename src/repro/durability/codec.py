@@ -1,11 +1,16 @@
 """Canonical byte-stable serialization shared by snapshots and checkpoints.
 
-Everything durable in this repository — server snapshots, WAL payloads,
-client checkpoints — serializes through one codec, so "the same logical
-state" always means "the same bytes" and a digest over those bytes is a
-meaningful integrity seal.  Canonical form is JSON with sorted keys,
-no whitespace, and ``allow_nan=False`` (a NaN would break canonicality:
-``nan != nan`` undermines any equality argument built on bytes).
+Sealed durable state — server snapshots and client checkpoints —
+serializes through one codec, so "the same logical state" always means
+"the same bytes" and a digest over those bytes is a meaningful
+integrity seal.  Canonical form is JSON with sorted keys, no whitespace,
+and ``allow_nan=False`` (a NaN would break canonicality: ``nan != nan``
+undermines any equality argument built on bytes).  WAL payloads use the
+same separators and NaN refusal but keep their field order (see
+:mod:`repro.durability.wal`); each frame carries its own checksum.
+
+:func:`seal_parts` is the snapshot writer's path: the canonical bytes of
+a sealed blob, built around a single encoding of the state.
 
 The module is dependency-free on purpose: the device-side client imports
 it for checkpoint sealing, and must not drag the service layer in
@@ -52,6 +57,23 @@ def seal(state: dict, kind: str) -> dict:
         "digest": digest_hex(canonical_json_bytes(state)),
         "state": state,
     }
+
+
+def seal_parts(state: dict, kind: str) -> tuple[bytes, bytes, bytes]:
+    """``canonical_json_bytes(seal(state, kind))``, encoding ``state`` once.
+
+    The sealed blob's canonical form is ``{"digest":…,"format":…,
+    "state":…}`` (keys sorted), so it is the state's canonical bytes —
+    the very bytes the digest covers — between a short head and tail.
+    Returned as ``(head, state_bytes, tail)`` so a writer can emit them
+    in turn without joining a second copy of a large state.
+    """
+    body = canonical_json_bytes(state)
+    head = b'{"digest":%s,"format":%s,"state":' % (
+        canonical_json_bytes(digest_hex(body)),
+        canonical_json_bytes(kind),
+    )
+    return head, body, b"}"
 
 
 def unseal(blob: dict, kind: str) -> dict:

@@ -10,14 +10,21 @@ imports this package).  It owns a directory of:
   ``lane_of=router.shard_of`` so each shard's mutations land in their
   own per-shard WAL file (parallel-friendly I/O), while the **global**
   sequence number stays totally ordered across lanes — replay merges
-  lanes by ``seq`` and reproduces exact intake order;
+  lanes by ``seq`` and reproduces exact intake order.  Intake has
+  already routed every upload to its shard, so it hands that shard to
+  :meth:`~DurableJournal.log_interaction`/:meth:`~DurableJournal.log_opinion`
+  as the lane instead of having the journal route the key again; only
+  reviews are routed here.  A journal without ``lane_of`` writes
+  everything to lane 0;
 * ``snapshot-<seq>.json`` — sealed snapshots (see
   :mod:`repro.durability.snapshot`).
 
 Commit protocol: the servers call ``log_*`` *after* the store mutation
 succeeded but *before* the acceptance commit (accept counter + nonce
 burn) — the ``durability-fsync-before-ack`` lint rule holds that line.
-Every append flushes to the OS before returning; ``fsync`` runs per
+Every append flushes to the OS before returning and bumps the
+``wal.appends``/``wal.bytes`` counters, bound at the first append (a
+journal that never appends declares neither); ``fsync`` runs per
 record under ``sync_policy="always"`` or at batch boundaries (the
 server's ``receive_all`` calls :meth:`sync_to_disk`) under the default
 ``"batch"`` group-commit policy.  A journal failure propagates out of
@@ -100,12 +107,20 @@ class DurableJournal:
         self.keep_outbox = False
         self.outbox: list[dict] = []
         self.closed = False
+        #: ``(wal.appends, wal.bytes)``, bound at the first append.
+        self._counters = None
         self._repair_torn_tails()
         self.next_seq = self._scan_next_seq()
+        self._open_lanes()
+
+    def _open_lanes(self) -> None:
+        """One fresh segment per lane, starting at the next sequence number."""
         self._lanes: list[WriteAheadLog] = [
             WriteAheadLog(self.directory / segment_name(lane, self.next_seq))
-            for lane in range(n_lanes)
+            for lane in range(self.n_lanes)
         ]
+        #: The lane written last — where :meth:`crash` tears a frame.
+        self._last_lane = 0
 
     def _repair_torn_tails(self) -> None:
         """Trim each lane's final segment to its valid prefix.
@@ -139,31 +154,41 @@ class DurableJournal:
 
     # ------------------------------------------------------------ appends
 
-    def _lane_for(self, key: str | None) -> int:
-        if key is None or self._lane_of is None:
-            return 0
-        return self._lane_of(key)
-
-    def _append(self, key: str | None, payload: dict) -> int:
+    def _append(self, lane: int, payload: dict) -> int:
         if self.closed:
             raise RuntimeError("journal is closed; refusing to log")
         payload["seq"] = self.next_seq
         self.next_seq += 1
-        lane = self._lane_for(key)
+        if self._lane_of is None:
+            lane = 0
         n_bytes = self._lanes[lane].append_record(
             payload, sync=self.sync_policy == "always"
         )
         self._last_lane = lane
         if self.keep_outbox:
             self.outbox.append(payload)
-        self.telemetry.inc("wal.appends")
-        self.telemetry.inc("wal.bytes", n_bytes)
+        counters = self._counters
+        if counters is None:
+            telemetry = self.telemetry
+            counters = self._counters = (
+                telemetry.counter("wal.appends"),
+                telemetry.counter("wal.bytes"),
+            )
+        counters[0].inc()
+        counters[1].inc(n_bytes)
         return payload["seq"]
 
-    def log_interaction(self, record, arrival_time: float, nonce, token_id) -> int:
-        """One accepted interaction upload, before its acceptance commits."""
+    def log_interaction(
+        self, record, arrival_time: float, nonce, token_id, lane: int
+    ) -> int:
+        """One accepted interaction upload, before its acceptance commits.
+
+        ``lane`` is the shard intake routed the record to — the lane
+        ``lane_of(record.history_id)`` would compute, handed over rather
+        than hashed again.
+        """
         return self._append(
-            record.history_id,
+            lane,
             {
                 "kind": "interaction",
                 "history_id": record.history_id,
@@ -178,12 +203,13 @@ class DurableJournal:
             },
         )
 
-    def log_opinion(self, record, nonce, token_id) -> int:
+    def log_opinion(self, record, nonce, token_id, lane: int) -> int:
         """One accepted opinion upload (stale re-uploads included: their
         envelope was accepted, so their nonce burn must be journaled even
-        though replay will skip the slot write by the same ``seq`` rule)."""
+        though replay will skip the slot write by the same ``seq`` rule).
+        ``lane`` is the record's shard, as for :meth:`log_interaction`."""
         return self._append(
-            record.history_id,
+            lane,
             {
                 "kind": "opinion",
                 "history_id": record.history_id,
@@ -198,7 +224,7 @@ class DurableJournal:
     def log_review(self, user_id: str, entity_id: str, rating: int, time: float) -> int:
         """One accepted explicit review, before it lands in the store."""
         return self._append(
-            entity_id,
+            0 if self._lane_of is None else self._lane_of(entity_id),
             {
                 "kind": "review",
                 # The WAL stores exactly what the attributed review store
@@ -214,7 +240,7 @@ class DurableJournal:
     def log_issue(self, device_id: str, count: int, now: float) -> int:
         """One successful token issuance (the quota-window tick)."""
         return self._append(
-            None,
+            0,
             {
                 "kind": "issue",
                 # Issuance is the attributed side by design (quotas are
@@ -238,7 +264,7 @@ class DurableJournal:
         concerns every lane, and lane assignment itself is about to
         change.
         """
-        return self._append(None, {"kind": "reshard", **op})
+        return self._append(0, {"kind": "reshard", **op})
 
     def remap_lanes(self, n_lanes: int, lane_of) -> None:
         """Re-partition WAL lanes after a reshard.
@@ -258,10 +284,7 @@ class DurableJournal:
             lane.close()
         self.n_lanes = n_lanes
         self._lane_of = lane_of
-        self._lanes = [
-            WriteAheadLog(self.directory / segment_name(lane, self.next_seq))
-            for lane in range(n_lanes)
-        ]
+        self._open_lanes()
 
     # ----------------------------------------------------- durability edges
 
@@ -282,10 +305,7 @@ class DurableJournal:
         path = write_snapshot(self.directory, covered, capture_state(server, covered))
         for lane in self._lanes:
             lane.close()
-        self._lanes = [
-            WriteAheadLog(self.directory / segment_name(lane, self.next_seq))
-            for lane in range(self.n_lanes)
-        ]
+        self._open_lanes()
         self._truncate(covered)
         self.telemetry.inc("snapshot.count")
         self.telemetry.set_gauge(
@@ -328,10 +348,9 @@ class DurableJournal:
         lane's segment, modelling a frame whose write the crash cut
         short.  Recovery must absorb exactly this shape of damage.
         """
-        last = getattr(self, "_last_lane", 0)
         self.close()
         if torn_bytes > 0:
-            with open(self._lanes[last].path, "ab") as handle:
+            with open(self._lanes[self._last_lane].path, "ab") as handle:
                 handle.write(b"\x7f" * torn_bytes)
 
 

@@ -10,7 +10,11 @@ every piece through the target server's own router.
 
 Atomicity protocol (the classic one):
 
-1. serialize the sealed state (digest-stamped via the canonical codec);
+1. serialize the sealed state (digest-stamped via the canonical codec):
+   the file is ``canonical_json_bytes(seal(state))`` — the compact
+   canonical encoding of the sealed blob — built around one encoding of
+   the state (:func:`~repro.durability.codec.seal_parts`), which is
+   also the encoding its digest covers;
 2. write it to ``<name>.tmp`` in the snapshot directory;
 3. flush + ``fsync`` the tmp file — bytes are on stable storage;
 4. ``os.rename`` onto the final name — atomic on POSIX, so readers see
@@ -19,7 +23,10 @@ Atomicity protocol (the classic one):
 
 Recovery trusts no snapshot it cannot verify: :func:`load_latest_snapshot`
 checks each candidate's seal digest and falls back to the next-older
-snapshot on any damage (which is why the journal retains two).
+snapshot on any damage (which is why the journal retains two).  It
+re-derives the digest from the parsed state, so the file's whitespace is
+not part of the contract: snapshots written in the older spaced layout
+(``json.dumps(seal(...), sort_keys=True)``) still load.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ import re
 from pathlib import Path
 
 from repro.core.aggregation import OpinionUpload
-from repro.durability.codec import CorruptStateError, seal, unseal
+from repro.durability.codec import CorruptStateError, seal_parts, unseal
 from repro.privacy.history_store import (
     FoldedStats,
     InteractionHistory,
@@ -218,9 +225,11 @@ def write_snapshot(directory: Path, seq: int, state: dict) -> Path:
     directory.mkdir(parents=True, exist_ok=True)
     final = directory / snapshot_name(seq)
     tmp = directory / (snapshot_name(seq) + ".tmp")
-    payload = json.dumps(seal(state, SNAPSHOT_FORMAT), sort_keys=True).encode()
     with open(tmp, "wb") as handle:
-        handle.write(payload)
+        # The parts in turn, not joined: a joined copy of a large state
+        # would double the write's peak memory for no gain.
+        for part in seal_parts(state, SNAPSHOT_FORMAT):
+            handle.write(part)
         handle.flush()
         os.fsync(handle.fileno())
     os.rename(tmp, final)

@@ -8,8 +8,11 @@ One WAL segment is::
     | frame | frame | ...  |   frame = [length u32 BE][crc32 u32 BE][payload]
     +----------------------+
 
-``payload`` is the canonical JSON of one mutation (see
-:mod:`repro.durability.journal` for the record kinds).  The CRC covers
+``payload`` is the compact JSON of one mutation (see
+:mod:`repro.durability.journal` for the record kinds), encoded by one
+module-level ``json.JSONEncoder`` bound once: its bytes are exactly
+``json.dumps(payload, separators=(",", ":"), allow_nan=False)``, and a
+NaN is refused before any frame is written.  The CRC covers
 the payload bytes only; the length prefix is implicitly validated by the
 CRC (a corrupted length either points past EOF — a torn tail — or
 misframes the payload, which then fails its checksum).
@@ -45,6 +48,9 @@ WAL_MAGIC = b"RSPWAL01"
 _HEADER = struct.Struct(">II")
 #: Sanity bound on one frame's payload; anything larger is corruption.
 MAX_PAYLOAD_BYTES = 1 << 28
+#: The payload encoder, built once: ``json.dumps`` with non-default
+#: arguments would construct a fresh encoder per record.
+_encode = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
 
 
 class WalCorruptionError(RuntimeError):
@@ -87,7 +93,7 @@ class WriteAheadLog:
         additionally ``fsync``s for power-loss durability (``False``
         defers that to the next :meth:`sync_to_disk` — group commit).
         """
-        data = json.dumps(payload, separators=(",", ":"), allow_nan=False).encode()
+        data = _encode(payload).encode()
         frame = _HEADER.pack(len(data), zlib.crc32(data)) + data
         self._file.write(frame)
         self._file.flush()

@@ -50,7 +50,9 @@ The loop is written for speed, since every deployment runs it:
 
 Durability: accepted mutations are journaled through the server's
 ``journal`` *before* the acceptance commit (WAL-before-ack), and a batch
-group-commits with ``sync_to_disk``.  Fault hooks are probed once per
+group-commits with ``sync_to_disk``.  Each record is journaled with the
+shard its group was routed to, which is its WAL lane — the journal
+never routes an upload a second time.  Fault hooks are probed once per
 delivery — ``server_down`` may have per-call side effects.  Counters and
 telemetry are committed in a ``finally`` block: a journal failure must
 propagate (the process dies rather than acknowledge unlogged state), and
@@ -273,9 +275,11 @@ def _classify(server, groups, now: float | None) -> int:
                 if journal is not None:
                     token_id = token.token_id if require_tokens else None
                     if kind == "interaction":
-                        journal.log_interaction(record, arrival, nonce, token_id)
+                        journal.log_interaction(
+                            record, arrival, nonce, token_id, shard_index
+                        )
                     else:
-                        journal.log_opinion(record, nonce, token_id)
+                        journal.log_opinion(record, nonce, token_id, shard_index)
                 if nonce_bucket is not None:
                     nonce_bucket.add(nonce)
                 if kind == "interaction":

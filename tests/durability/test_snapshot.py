@@ -3,15 +3,19 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.durability.codec import (
     CorruptStateError,
     canonical_json_bytes,
     digest_hex,
     seal,
+    seal_parts,
     unseal,
 )
 from repro.durability.snapshot import (
+    SNAPSHOT_FORMAT,
     capture_state,
     list_snapshots,
     load_latest_snapshot,
@@ -52,6 +56,27 @@ class TestCodec:
     def test_nan_refused(self):
         with pytest.raises(ValueError):
             canonical_json_bytes({"x": float("inf")})
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.dictionaries(
+            st.text(max_size=6),
+            st.recursive(
+                st.none()
+                | st.booleans()
+                | st.integers()
+                | st.floats(allow_nan=False, allow_infinity=False)
+                | st.text(),
+                lambda inner: st.lists(inner, max_size=3)
+                | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+                max_leaves=10,
+            ),
+            max_size=5,
+        ),
+        st.sampled_from(["rsp-snapshot/1", "kind \"quoted\" ü"]),
+    )
+    def test_seal_parts_are_the_canonical_sealed_blob(self, state, kind):
+        assert b"".join(seal_parts(state, kind)) == canonical_json_bytes(seal(state, kind))
 
 
 class TestPartitionIndependence:
@@ -104,6 +129,30 @@ class TestPersistence:
         assert (tmp_path / snapshot_name(17)).exists()
         seq, state = load_latest_snapshot(tmp_path)
         assert seq == 17 and state == self.STATE
+
+    def test_file_is_the_canonical_sealed_blob(self, catalog, tmp_path):
+        server = make_server(catalog, 2)
+        server.post_review("user-ü", sorted(server.catalog)[0], 4, 100.0)
+        server.receive_all(synth_deliveries(catalog, 0, 40, duplicate_every=9))
+        for seq, state in ((3, self.STATE), (40, capture_state(server, 40))):
+            path = write_snapshot(tmp_path, seq, state)
+            assert path.read_bytes() == canonical_json_bytes(seal(state, SNAPSHOT_FORMAT))
+            assert load_latest_snapshot(tmp_path) == (seq, state)
+
+    def test_spaced_layout_still_loads(self, tmp_path):
+        """Snapshots written before the compact encoding keep loading."""
+        state = {"v": "old ü", "n": [1, 2.5, None]}
+        path = tmp_path / snapshot_name(11)
+        path.write_bytes(json.dumps(seal(state, SNAPSHOT_FORMAT), sort_keys=True).encode())
+        assert load_latest_snapshot(tmp_path) == (11, state)
+
+    def test_tampered_compact_newest_falls_back_to_older(self, tmp_path):
+        write_snapshot(tmp_path, 5, {"v": "old"})
+        path = write_snapshot(tmp_path, 9, {"v": "new"})
+        data = path.read_bytes()
+        assert data.count(b'"new"') == 1
+        path.write_bytes(data.replace(b'"new"', b'"wen"'))
+        assert load_latest_snapshot(tmp_path) == (5, {"v": "old"})
 
     def test_no_tmp_files_survive(self, tmp_path):
         write_snapshot(tmp_path, 17, self.STATE)

@@ -1,9 +1,15 @@
 """WAL frame format: round trips, checksums, and the torn-tail policy."""
 
+import json
 import struct
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.durability.journal import DurableJournal, list_segments
 from repro.durability.wal import (
     MAX_PAYLOAD_BYTES,
     WAL_MAGIC,
@@ -11,6 +17,7 @@ from repro.durability.wal import (
     WriteAheadLog,
     read_wal,
 )
+from repro.telemetry import Telemetry
 
 PAYLOADS = [
     {"seq": 1, "kind": "interaction", "entity_id": "e-1", "duration": 300.5},
@@ -71,6 +78,86 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             wal.append_record({"seq": 1, "value": float("nan")})
         wal.close()
+
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**63), max_value=2**63)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text()
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def frame_payloads(path):
+    """The raw payload bytes of every frame in a segment."""
+    data = Path(path).read_bytes()
+    offset, payloads = len(WAL_MAGIC), []
+    while offset < len(data):
+        length, _crc = struct.unpack_from(">II", data, offset)
+        offset += 8
+        payloads.append(data[offset : offset + length])
+        offset += length
+    return payloads
+
+
+class TestPayloadEncoding:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.dictionaries(st.text(max_size=8), JSON_VALUES, max_size=6), max_size=4))
+    @example([{"int": 1, "float": 1.0, "none": None, "text": "café ☃ 𝄞 \u2028"}])
+    @example([{"seq": 2, "rating": 4.0, "duration": -0.0, "nonce": None}])
+    def test_frame_payload_is_compact_json(self, payloads):
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "wal.log"
+            build_wal(path, payloads)
+            assert frame_payloads(path) == [
+                json.dumps(payload, separators=(",", ":"), allow_nan=False).encode()
+                for payload in payloads
+            ]
+            assert read_wal(path).records == payloads
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_payload_writes_no_frame(self, tmp_path, bad):
+        wal = WriteAheadLog(tmp_path / "wal.log")
+        wal.append_record(PAYLOADS[0])
+        size = (tmp_path / "wal.log").stat().st_size
+        with pytest.raises(ValueError):
+            wal.append_record({"seq": 2, "nested": [1, {"value": bad}]})
+        wal.close()
+        assert (tmp_path / "wal.log").stat().st_size == size
+        assert wal.records_written == 1
+        assert read_wal(tmp_path / "wal.log").records == PAYLOADS[:1]
+
+
+class TestJournalCounters:
+    def wal_rows(self, telemetry):
+        return [
+            row for row in telemetry.export()["metrics"] if row["name"].startswith("wal.")
+        ]
+
+    def test_journal_that_never_appends_declares_no_wal_series(self, tmp_path):
+        telemetry = Telemetry()
+        journal = DurableJournal(tmp_path, n_lanes=2, telemetry=telemetry)
+        journal.sync_to_disk()
+        journal.close()
+        assert self.wal_rows(telemetry) == []
+
+    def test_counters_match_the_segments(self, tmp_path):
+        telemetry = Telemetry()
+        journal = DurableJournal(tmp_path, telemetry=telemetry)
+        for index in range(5):
+            journal.log_issue(f"device-{index}", 2, 60.0 * index)
+        journal.close()
+        segments = [path for lane in list_segments(tmp_path).values() for _s, path in lane]
+        frame_bytes = sum(path.stat().st_size - len(WAL_MAGIC) for path in segments)
+        assert telemetry.value("wal.appends") == 5
+        assert telemetry.value("wal.bytes") == frame_bytes
 
 
 class TestTornTailPolicy:

@@ -230,6 +230,36 @@ def test_corrupt_ledger_refuses_recovery(catalog, tmp_path):
         recover_server(make_server(catalog, N_SHARDS), directory)
 
 
+def test_torn_crash_after_lanes_shrink_recovers(catalog, tmp_path):
+    """A torn crash right after a merge shrank the lanes tears the new
+    layout, never a lane the merge dropped.
+
+    ``perform`` journals its record on lane 0 before remapping, so this
+    drives :meth:`DurableJournal.remap_lanes` directly: the last write is
+    on lane 3, then the lanes shrink to 2 before anything else appends.
+    """
+    directory = tmp_path / "durable"
+    server = make_server(catalog, 4)
+    journal = DurableJournal(directory, n_lanes=4, lane_of=server.router.shard_of)
+    attach_journal(server, journal)
+    server.receive_all(synth_deliveries(catalog, *BATCH_1))
+    last_seq = journal.next_seq - 1
+    assert any(
+        record["seq"] == last_seq
+        for _start, path in list_segments(directory)[3]
+        for record in read_wal(path).records
+    )
+    expected_state = comparable_state(server)
+    merged = server.router.merge(2, 3).merge(0, 1)
+    journal.remap_lanes(merged.n_shards, merged.shard_of)
+    journal.crash(torn_bytes=5)
+
+    recovered = make_server(catalog, 4)
+    report = recover_server(recovered, directory)
+    assert report.torn_tail
+    assert comparable_state(recovered) == expected_state
+
+
 class TestReplicatedResharding:
     def make_pair(self, catalog, root):
         primary = make_server(catalog, N_SHARDS)
