@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: check lint ruff test bench chaos scale bench-shards telemetry bench-telemetry incremental bench-incremental analyze bench-analyze durable bench-durable ingest bench-ingest serve bench-serve reshard bench-reshard sensing bench-e2e profile-epochs
+.PHONY: check lint ruff test bench chaos scale bench-shards telemetry bench-telemetry incremental bench-incremental analyze bench-analyze durable bench-durable ingest bench-ingest serve bench-serve reshard bench-reshard sensing bench-e2e profile-epochs profile-workload
 
 check:
 	bash scripts/check.sh
@@ -157,3 +157,10 @@ bench-e2e:
 # `make profile-epochs PROFILE_ARGS="--epochs 16 --top 40"`.
 profile-epochs:
 	$(PYTHON) scripts/profile_epochs.py $(PROFILE_ARGS)
+
+# Unprofiled run_s and cProfile tables (cumulative and self time) of one
+# untraced full-size pass of a benchmark workload, e.g.
+# `make profile-workload WORKLOAD=reads-cold PROFILE_ARGS="--top 40"`.
+WORKLOAD ?= reads-cold
+profile-workload:
+	$(PYTHON) scripts/profile_workload.py --workload $(WORKLOAD) $(PROFILE_ARGS)

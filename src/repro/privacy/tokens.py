@@ -155,7 +155,10 @@ class TokenWallet:
         """Create ``count`` fresh blinded token identifiers to send for signing."""
         if count < 1:
             raise ValueError("count must be >= 1")
-        rng = make_rng(self.seed, f"wallet/{self.device_id}")
+        # One stream per mint, keyed by the counter at its start: a stream
+        # keyed by the device alone would repeat the same random bytes and
+        # blinding seeds on every mint, linking the device's tokens.
+        rng = make_rng(self.seed, f"wallet/{self.device_id}/{self._minted}")
         blinded: list[int] = []
         for _ in range(count):
             token_id = bytes(rng.bytes(32)) + self._minted.to_bytes(8, "big")

@@ -2,14 +2,16 @@
 
 The engine is pure computation over inputs handed to it per call — the
 candidate index (static), and the summaries and Figure 3 panels the last
-maintenance cycle published.  It holds no mutable state, which
-is what lets :class:`~repro.serve.facade.ServingLayer` interpose the
+maintenance cycle published.  Its only state is a memo of
+empty-history panels, a function of the static entity id alone.  Being
+pure is what lets :class:`~repro.serve.facade.ServingLayer` interpose the
 summary-version cache: the same inputs always produce byte-identical
 rendered responses (``ServeResponse.render``), on any deployment shape.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from repro.core.aggregation import EntityOpinionSummary
@@ -120,37 +122,77 @@ def empty_summary(entity_id: str) -> EntityOpinionSummary:
 
 
 class QueryEngine:
-    """Ranks index candidates under the serve-path scoring spec."""
+    """Ranks index candidates under the serve-path scoring spec.
+
+    A response keeps at most ``max(limit, compare_top)`` results, so the
+    engine keys every match once and materializes only that prefix: the
+    ``ServeResult`` objects, the zero-evidence summaries of unsummarized
+    entities, and — built once per entity, the catalog being static —
+    the empty-history Figure-3 panels.
+    """
 
     def __init__(
         self, index: SummaryIndex, ranking: RankingConfig = DEFAULT_RANKING
     ) -> None:
         self.index = index
         self.ranking = ranking
+        #: The score of every unsummarized entity (it ignores the id).
+        self._empty_score = serve_score(empty_summary(""), ranking)
+        self._empty_panels: dict[str, EntityPanels] = {}
 
-    def rank(
-        self, query: ServeQuery, summaries: dict[str, EntityOpinionSummary]
-    ) -> list[ServeResult]:
-        """Every match, best first (total order — see ``repro.serve.ranking``)."""
-        results: list[ServeResult] = []
+    def _select(
+        self,
+        query: ServeQuery,
+        summaries: dict[str, EntityOpinionSummary],
+        top: int | None,
+    ) -> tuple[int, list[ServeResult]]:
+        """``(n_matches, best top results)``; ``top=None`` keeps them all."""
+        keyed = []
         for entity, distance in self.index.candidates(
             query.category, query.near, query.radius_km, query.attribute
         ):
-            summary = summaries.get(entity.entity_id)
-            if summary is None:
-                summary = empty_summary(entity.entity_id)
-            results.append(
-                ServeResult(
-                    entity=entity,
-                    distance_km=distance,
-                    summary=summary,
-                    score=serve_score(summary, self.ranking),
-                )
+            entity_id = entity.entity_id
+            summary = summaries.get(entity_id)
+            score = (
+                self._empty_score
+                if summary is None
+                else serve_score(summary, self.ranking)
             )
-        results.sort(
-            key=lambda r: rank_key(r.score, r.distance_km, r.entity.entity_id)
-        )
-        return results
+            # Keys are unique (entity ids are), so no comparison ever
+            # reaches the entity or the summary.
+            keyed.append((rank_key(score, distance, entity_id), score, entity, summary))
+        chosen = sorted(keyed) if top is None else heapq.nsmallest(top, keyed)
+        return len(keyed), [
+            ServeResult(
+                entity=entity,
+                distance_km=key[1],
+                summary=empty_summary(key[2]) if summary is None else summary,
+                score=score,
+            )
+            for key, score, entity, summary in chosen
+        ]
+
+    def rank(
+        self,
+        query: ServeQuery,
+        summaries: dict[str, EntityOpinionSummary],
+        top: int | None = None,
+    ) -> list[ServeResult]:
+        """The best ``top`` matches (every match when None), best first
+        (total order — see ``repro.serve.ranking``)."""
+        return self._select(query, summaries, top)[1]
+
+    def _panels(
+        self, entity_id: str, panels: dict[str, EntityPanels]
+    ) -> EntityPanels:
+        """Published panels, else the entity's empty-history ones."""
+        published = panels.get(entity_id)
+        if published is not None:
+            return published
+        empty = self._empty_panels.get(entity_id)
+        if empty is None:
+            empty = self._empty_panels[entity_id] = entity_panels(entity_id, [])
+        return empty
 
     def respond(
         self,
@@ -160,19 +202,18 @@ class QueryEngine:
     ) -> ServeResponse:
         """Rank, cut to ``limit``, and attach Figure-3 panels for the top
         (an entity without published panels gets the empty-history ones)."""
-        ranked = self.rank(query, summaries)
+        n_matches, ranked = self._select(
+            query, summaries, max(query.limit, query.compare_top)
+        )
         visualization: ComparativeVisualization | None = None
         top = [r.entity.entity_id for r in ranked[: query.compare_top]]
         if top:
             visualization = compare_panels(
-                {
-                    entity_id: panels.get(entity_id) or entity_panels(entity_id, [])
-                    for entity_id in top
-                }
+                {entity_id: self._panels(entity_id, panels) for entity_id in top}
             )
         return ServeResponse(
             query=query,
             results=tuple(ranked[: query.limit]),
-            n_matches=len(ranked),
+            n_matches=n_matches,
             visualization=visualization,
         )

@@ -4,18 +4,20 @@ The catalog is the RSP's static dimension — entities appear at deploy
 time, not per request — so the index is built once per serving layer and
 answers every query from postings:
 
-* ``(category, zone_id)`` postings hold the entity ids of that category
-  inside that zone (the city-grid zone plays the paper's zipcode);
+* per-category zone cells hold ``(entity_id, entity, x, y)`` for that
+  category's entities inside each zone, in id order (the city-grid zone
+  plays the paper's zipcode);
 * attribute postings hold the ids carrying a tag, including a synthetic
   ``price:N`` tag per price level so every entity is attribute-queryable.
 
-Candidate generation sweeps only the zones whose area intersects the
-query circle, concatenates their category postings, applies the optional
-attribute filter, and finishes with the exact distance test.  Zone
-assignment clamps into the grid (``CityGrid.zone_containing``), so the
-sweep widens edge zones to cover everything outside the city bounds —
-an entity clamped inward from outside the grid is still found by any
-circle that reaches its true location.
+Candidate generation is one arithmetic sweep: the query circle's
+bounding box, widened by one zone on each side and clamped to the grid,
+gives a window of zone rows and columns; only zones in that window get
+the exact reach test, and only their entities the exact distance test.
+Zone assignment clamps into the grid (``CityGrid.zone_containing``), so
+the reach test widens edge zones to cover everything outside the city
+bounds — an entity clamped inward from outside the grid is still found
+by any circle that reaches its true location.
 
 The index is *coverage-exact*: for every query, the candidate set equals
 what a full catalog scan with the same predicates would produce
@@ -27,13 +29,32 @@ line).
 
 from __future__ import annotations
 
+import math
+from operator import itemgetter
+
 from repro.world.entities import Entity
-from repro.world.geography import CityGrid, Point, Zone
+from repro.world.geography import CityGrid, Point
+
+#: One entity in a zone cell: ``(entity_id, entity, x, y)``.
+CellEntry = tuple[str, Entity, float, float]
 
 
 def price_tag(price_level: int) -> str:
     """The synthetic attribute tag carried by every entity."""
     return f"price:{price_level}"
+
+
+def _window(center_km: float, radius_km: float, cell_km: float, n: int) -> range:
+    """Bands (rows or columns) that may meet ``center_km ± radius_km``.
+
+    The bands containing the two ends, widened by one on each side (a
+    band whose edge the interval only touches, and float rounding) and
+    clamped to ``0..n-1``.  Each end is pinned to ``[-1, n]`` bands
+    before flooring, so an infinite radius floors cleanly.
+    """
+    low = max(-1.0, min(float(n), (center_km - radius_km) / cell_km))
+    high = max(-1.0, min(float(n), (center_km + radius_km) / cell_km))
+    return range(max(0, math.floor(low) - 1), min(n - 1, math.floor(high) + 1) + 1)
 
 
 class SummaryIndex:
@@ -43,22 +64,51 @@ class SummaryIndex:
         if not catalog:
             raise ValueError("catalog must be non-empty")
         self.grid = grid or CityGrid()
+        zones = self.grid.zones
+        self._cell_w = self.grid.size_km / self.grid.cols
+        self._cell_h = self.grid.size_km / self.grid.rows
+        # Each column's (row's) assignment band: the zone edges, widened
+        # to infinity where they border the outside of the grid, matching
+        # the clamping of ``CityGrid.zone_containing`` — so a point is in
+        # exactly one assignment region, the region of its zone.
+        last_col, last_row = self.grid.cols - 1, self.grid.rows - 1
+        self._x_bands = tuple(
+            (
+                -math.inf if zone.col == 0 else zone.x_min,
+                math.inf if zone.col == last_col else zone.x_max,
+            )
+            for zone in zones[: self.grid.cols]
+        )
+        self._y_bands = tuple(
+            (
+                -math.inf if zone.row == 0 else zone.y_min,
+                math.inf if zone.row == last_row else zone.y_max,
+            )
+            for zone in zones[:: self.grid.cols]
+        )
         self._entities: dict[str, Entity] = {}
-        #: (category, zone_id) -> entity ids, in id order.
-        self._postings: dict[tuple[str, str], list[str]] = {}
-        #: attribute tag -> entity ids carrying it (membership-only).
-        self._attribute_postings: dict[str, frozenset[str]] = {}
+        cells: dict[str, list[list[CellEntry]]] = {}
         attribute_sets: dict[str, set[str]] = {}
         for entity in sorted(catalog, key=lambda e: e.entity_id):
             if entity.entity_id in self._entities:
                 raise ValueError(f"duplicate entity id {entity.entity_id!r}")
             self._entities[entity.entity_id] = entity
             zone = self.grid.zone_containing(entity.location)
-            key = (entity.category, zone.zone_id)
-            self._postings.setdefault(key, []).append(entity.entity_id)
+            grid_cells = cells.get(entity.category)
+            if grid_cells is None:
+                grid_cells = cells[entity.category] = [[] for _ in zones]
+            grid_cells[zone.row * self.grid.cols + zone.col].append(
+                (entity.entity_id, entity, entity.location.x, entity.location.y)
+            )
             for tag in (*entity.attributes, price_tag(entity.price_level)):
                 attribute_sets.setdefault(tag, set()).add(entity.entity_id)
-        self._attribute_postings = {
+        #: category -> one tuple per zone (row-major), entries in id order.
+        self._cells: dict[str, tuple[tuple[CellEntry, ...], ...]] = {
+            category: tuple(tuple(cell) for cell in grid_cells)
+            for category, grid_cells in sorted(cells.items())
+        }
+        #: attribute tag -> entity ids carrying it (membership-only).
+        self._attribute_postings: dict[str, frozenset[str]] = {
             tag: frozenset(ids) for tag, ids in sorted(attribute_sets.items())
         }
         #: (category, attribute) -> its dependency set, built on first use.
@@ -70,8 +120,10 @@ class SummaryIndex:
 
     @property
     def n_postings(self) -> int:
-        """Number of (category, zone) posting lists."""
-        return len(self._postings)
+        """Number of non-empty (category, zone) cells."""
+        return sum(
+            1 for grid_cells in self._cells.values() for cell in grid_cells if cell
+        )
 
     def entity(self, entity_id: str) -> Entity:
         return self._entities[entity_id]
@@ -82,30 +134,27 @@ class SummaryIndex:
 
     # -------------------------------------------------------- zone sweep
 
-    def _zone_reach(self, zone: Zone, near: Point) -> float:
-        """Distance from ``near`` to the zone's *assignment region*.
-
-        The assignment region is the zone rectangle widened to infinity
-        on every edge that borders the outside of the grid, matching the
-        clamping of :meth:`CityGrid.zone_containing` — so a point is in
-        exactly one assignment region, the region of the zone it is
-        assigned to.
-        """
-        x_min = float("-inf") if zone.col == 0 else zone.x_min
-        x_max = float("inf") if zone.col == self.grid.cols - 1 else zone.x_max
-        y_min = float("-inf") if zone.row == 0 else zone.y_min
-        y_max = float("inf") if zone.row == self.grid.rows - 1 else zone.y_max
-        dx = max(x_min - near.x, 0.0, near.x - x_max)
-        dy = max(y_min - near.y, 0.0, near.y - y_max)
-        return (dx * dx + dy * dy) ** 0.5
-
-    def zones_in_reach(self, near: Point, radius_km: float) -> list[Zone]:
-        """Zones whose assignment region intersects the query circle."""
-        return [
-            zone
-            for zone in self.grid.zones
-            if self._zone_reach(zone, near) <= radius_km
-        ]
+    def _zone_indices(self, near: Point, radius_km: float) -> list[int]:
+        """Row-major indices of the zones whose assignment region meets
+        the query circle — the exact reach test, run only inside the
+        bounding-box window."""
+        cols = self.grid.cols
+        x, y = near.x, near.y
+        squared_gaps = []
+        for col in _window(x, radius_km, self._cell_w, cols):
+            x_min, x_max = self._x_bands[col]
+            dx = max(x_min - x, 0.0, x - x_max)
+            squared_gaps.append((col, dx * dx))
+        found = []
+        for row in _window(y, radius_km, self._cell_h, self.grid.rows):
+            y_min, y_max = self._y_bands[row]
+            dy = max(y_min - y, 0.0, y - y_max)
+            dy2 = dy * dy
+            base = row * cols
+            for col, dx2 in squared_gaps:
+                if (dx2 + dy2) ** 0.5 <= radius_km:
+                    found.append(base + col)
+        return found
 
     # -------------------------------------------------------- candidates
 
@@ -124,10 +173,9 @@ class SummaryIndex:
         group = self._dependency_groups.get((category, attribute))
         if group is None:
             ids = [
-                entity_id
-                for (posting_category, _), zone_ids in sorted(self._postings.items())
-                if posting_category == category
-                for entity_id in zone_ids
+                entry[0]
+                for cell in self._cells.get(category, ())
+                for entry in cell
             ]
             if attribute is not None:
                 tagged = self.attribute_ids(attribute)
@@ -147,17 +195,22 @@ class SummaryIndex:
 
         Equivalent to the full-scan predicate ``category == c and
         (attribute in tags) and distance <= r`` — the zone sweep only
-        prunes, never filters.
+        prunes, never filters.  The distance is ``Point.distance_to``'s
+        own ``math.hypot`` call.
         """
+        grid_cells = self._cells.get(category)
+        if grid_cells is None:
+            return []
         tagged = None if attribute is None else self.attribute_ids(attribute)
-        matches: list[tuple[Entity, float]] = []
-        for zone in self.zones_in_reach(near, radius_km):
-            for entity_id in self._postings.get((category, zone.zone_id), ()):
+        x, y = near.x, near.y
+        hypot = math.hypot
+        matches: list[tuple[str, Entity, float]] = []
+        for index in self._zone_indices(near, radius_km):
+            for entity_id, entity, entity_x, entity_y in grid_cells[index]:
                 if tagged is not None and entity_id not in tagged:
                     continue
-                entity = self._entities[entity_id]
-                distance = near.distance_to(entity.location)
+                distance = hypot(x - entity_x, y - entity_y)
                 if distance <= radius_km:
-                    matches.append((entity, distance))
-        matches.sort(key=lambda pair: pair[0].entity_id)
-        return matches
+                    matches.append((entity_id, entity, distance))
+        matches.sort(key=itemgetter(0))
+        return [(entity, distance) for _, entity, distance in matches]

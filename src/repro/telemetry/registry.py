@@ -140,8 +140,14 @@ class Histogram:
         self.bucket_counts[bisect_left(self.bounds, value)] += 1
         self.count += 1
         self.sum_scaled += round(value * SUM_SCALE)
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
+        # Plain comparisons keep what ``min``/``max`` would (the first of
+        # equals) without two builtin calls on every read.
+        low = self.min
+        if low is None or value < low:
+            self.min = value
+        high = self.max
+        if high is None or value > high:
+            self.max = value
 
     def observe_many(self, values) -> None:
         """Fold a whole column of observations in one call.

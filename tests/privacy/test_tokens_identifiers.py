@@ -102,6 +102,24 @@ class TestBlindnessAtIssuance:
         token_hash = issuer.public_key.hash_to_group(token.token_id)
         assert token_hash not in blinded
 
+    def test_mints_share_no_random_part_or_blinding_factor(self):
+        """Each mint draws fresh randomness: a token id's random part or a
+        blinding factor repeated across mints would let the redeemer group
+        one device's uploads and the issuer match an issuance to its
+        redemptions."""
+        issuer = TokenIssuer(quota_per_day=10, key_seed=6, key_bits=256)
+        wallet = TokenWallet(device_id="dev-m", seed=7)
+        unblinders = []
+        for _ in range(3):
+            blinded = wallet.mint(issuer.public_key, 2)
+            unblinders += [pending.unblinder for pending in wallet._pending]
+            wallet.accept_signatures(
+                issuer.public_key, issuer.issue("dev-m", blinded, now=0.0)
+            )
+        random_parts = [wallet.spend().token_id[:32] for _ in range(6)]
+        assert len(set(random_parts)) == 6
+        assert len(set(unblinders)) == 6
+
     def test_wallet_rejects_bad_issuer_signature(self, issuer):
         wallet = TokenWallet(device_id="dev-v", seed=11)
         wallet.mint(issuer.public_key, 1)

@@ -5,8 +5,12 @@ a brute-force full scan of the catalog under the same predicates, for
 *any* catalog and query — including entities placed outside the city
 bounds, which ``zone_containing`` clamps into edge zones and the sweep
 must still find (the assignment-region widening).  Randomized catalogs
-and query points drive the equivalence; the deterministic cases pin the
-construction-time contracts (id order, duplicate rejection, postings).
+and query points drive the equivalence, and boundary queries aim at the
+edges of the sweep's bounding-box window: circles tangent to zone
+lines, centres outside the grid, radii past the whole city and entities
+on zone lines.  The window itself is checked against the reach test run
+over every zone.  The deterministic cases pin the construction-time
+contracts (id order, duplicate rejection, postings).
 """
 
 import pytest
@@ -59,6 +63,87 @@ def random_catalog(gen, n_entities, grid):
     return entities
 
 
+def zone_reach(grid, zone, near):
+    """Distance from ``near`` to the zone's assignment region (the zone
+    widened to infinity on every edge bordering the outside of the grid)."""
+    x_min = float("-inf") if zone.col == 0 else zone.x_min
+    x_max = float("inf") if zone.col == grid.cols - 1 else zone.x_max
+    y_min = float("-inf") if zone.row == 0 else zone.y_min
+    y_max = float("inf") if zone.row == grid.rows - 1 else zone.y_max
+    dx = max(x_min - near.x, 0.0, near.x - x_max)
+    dy = max(y_min - near.y, 0.0, near.y - y_max)
+    return (dx * dx + dy * dy) ** 0.5
+
+
+def line_entities(gen, grid):
+    """Entities exactly on zone lines: one per vertical and horizontal line
+    at a random offset along it, and one on every line crossing."""
+    cell_w, cell_h = grid.size_km / grid.cols, grid.size_km / grid.rows
+    points = [
+        Point(c * cell_w, float(gen.uniform(0.0, grid.size_km)))
+        for c in range(grid.cols + 1)
+    ]
+    points += [
+        Point(float(gen.uniform(0.0, grid.size_km)), r * cell_h)
+        for r in range(grid.rows + 1)
+    ]
+    points += [
+        Point(c * cell_w, r * cell_h)
+        for c in range(grid.cols + 1)
+        for r in range(grid.rows + 1)
+    ]
+    return [
+        Entity(
+            entity_id=f"line-{index:03d}",
+            kind=EntityKind.RESTAURANT,
+            category="thai",
+            location=location,
+            quality=3.0,
+            price_level=1 + index % 4,
+        )
+        for index, location in enumerate(points)
+    ]
+
+
+def boundary_queries(grid, lines):
+    """``(near, radius)`` pairs on the sweep window's edges: circles
+    tangent to every zone line from both sides (touching the line's
+    entity), centres outside the grid, and radii past the whole city."""
+    cell_w, cell_h = grid.size_km / grid.cols, grid.size_km / grid.rows
+    vertical = lines[: grid.cols + 1]
+    horizontal = lines[grid.cols + 1 : grid.cols + grid.rows + 2]
+    queries = []
+    for radius in (0.5, cell_w / 2, cell_w, 2.5 * cell_w):
+        for c, entity in enumerate(vertical):
+            y = entity.location.y
+            queries += [
+                (Point(c * cell_w + radius, y), radius),
+                (Point(c * cell_w - radius, y), radius),
+            ]
+        for r, entity in enumerate(horizontal):
+            x = entity.location.x
+            queries += [
+                (Point(x, r * cell_h + radius), radius),
+                (Point(x, r * cell_h - radius), radius),
+            ]
+    outside = [
+        Point(-5.0, 10.0),
+        Point(25.0, 10.0),
+        Point(10.0, -5.0),
+        Point(10.0, 25.0),
+        Point(-40.0, -40.0),
+        Point(60.0, 60.0),
+    ]
+    queries += [(near, radius) for near in outside for radius in (3.0, 12.0, 40.0)]
+    span = grid.size_km
+    queries += [
+        (Point(span / 2, span / 2), 1.5 * span),
+        (Point(-30.0, 50.0), 10.0 * span),
+        (Point(0.0, 0.0), 1e6),
+    ]
+    return queries
+
+
 class TestCoverageExactness:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_candidates_equal_full_scan_on_random_catalogs(self, seed):
@@ -88,6 +173,48 @@ class TestCoverageExactness:
             ]
             want = brute_force(catalog, category, near, radius, attribute)
             assert got == want, (category, near, radius, attribute)
+
+    @pytest.mark.parametrize("rows, cols", [(5, 5), (4, 6), (1, 3), (7, 1)])
+    def test_boundary_circles_equal_full_scan(self, rows, cols):
+        grid = CityGrid(size_km=20.0, rows=rows, cols=cols)
+        gen = make_rng(rows * 10 + cols, "test/serve-index-boundary")
+        lines = line_entities(gen, grid)
+        catalog = random_catalog(gen, 60, grid) + lines
+        index = SummaryIndex(catalog, grid=grid)
+        for near, radius in boundary_queries(grid, lines):
+            for attribute in (None, price_tag(2)):
+                got = [
+                    (entity.entity_id, distance)
+                    for entity, distance in index.candidates(
+                        "thai", near, radius, attribute
+                    )
+                ]
+                want = brute_force(catalog, "thai", near, radius, attribute)
+                assert got == want, (near, radius, attribute)
+
+    @pytest.mark.parametrize("rows, cols", [(5, 5), (4, 6), (1, 3)])
+    def test_window_keeps_every_zone_in_reach(self, rows, cols):
+        """The bounding-box window drops no zone the reach test keeps:
+        the sweep equals that test run over every zone of the grid."""
+        grid = CityGrid(size_km=20.0, rows=rows, cols=cols)
+        gen = make_rng(rows * 10 + cols, "test/serve-index-window")
+        lines = line_entities(gen, grid)
+        index = SummaryIndex(lines, grid=grid)
+        span = grid.size_km
+        queries = boundary_queries(grid, lines) + [
+            (
+                Point(float(gen.uniform(-span, 2 * span)), float(gen.uniform(-span, 2 * span))),
+                float(gen.uniform(0.1, span)),
+            )
+            for _ in range(200)
+        ]
+        for near, radius in queries:
+            want = [
+                zone.row * cols + zone.col
+                for zone in grid.zones
+                if zone_reach(grid, zone, near) <= radius
+            ]
+            assert index._zone_indices(near, radius) == want, (near, radius)
 
     def test_out_of_grid_entity_is_found_through_the_widened_edge_zone(self):
         grid = CityGrid(size_km=20.0, rows=5, cols=5)

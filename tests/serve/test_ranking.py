@@ -1,6 +1,6 @@
 """Pins for the serve-path ranking spec (docs/SERVING.md).
 
-Three contracts, each load-bearing for byte-identical serving:
+Four contracts, each load-bearing for byte-identical serving:
 
 * **totality** — the composite key ``(-score, distance, entity_id)`` is a
   strict total order, so any permutation of the candidates sorts to the
@@ -10,16 +10,28 @@ Three contracts, each load-bearing for byte-identical serving:
   in its weight), so maturing histories can only help an entity;
 * **golden values** — the documented defaults produce exactly the pinned
   scores for the canonical evidence shapes (empty, one review, a
-  well-covered entity), so a silent spec change fails loudly.
+  well-covered entity), so a silent spec change fails loudly;
+* **top-k selection** — ``respond`` builds only the results it keeps,
+  and they equal the full build-and-sort reference cut to ``limit``,
+  ``n_matches`` and rendered bytes included.
 """
 
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.aggregation import EntityOpinionSummary
-from repro.serve.engine import QueryEngine, ServeQuery, empty_summary
-from repro.serve.index import SummaryIndex
+from repro.core.visualization import compare_panels, entity_panels
+from repro.serve.engine import (
+    QueryEngine,
+    ServeQuery,
+    ServeResponse,
+    ServeResult,
+    empty_summary,
+)
+from repro.serve.index import SummaryIndex, price_tag
 from repro.serve.ranking import (
     DEFAULT_RANKING,
     RankingConfig,
@@ -248,3 +260,109 @@ class TestEngineResponses:
         for radius_km in (0.0, -1.0):
             with pytest.raises(ValueError):
                 ServeQuery(category="thai", near=Point(0.0, 0.0), radius_km=radius_km)
+
+
+#: Evidence shapes a drawn entity may carry; ``None`` leaves it
+#: unsummarized, and the zero-evidence shape ties it on score.
+EVIDENCE = (
+    None,
+    dict(),
+    dict(n_explicit=1, explicit_mean=5.0),
+    dict(n_explicit=2, explicit_mean=3.0),
+    dict(n_inferred=10, inferred_mean=4.0, inferred_weight=5.0),
+)
+
+
+@st.composite
+def scenes(draw):
+    """A small catalog on a lattice (so distances tie), summaries drawn
+    from a few shapes (so scores tie), some published panels, and a
+    query with any ``limit``/``compare_top`` and attribute filter."""
+    n = draw(st.integers(min_value=1, max_value=16))
+    catalog, summaries, panels = [], {}, {}
+    for i in range(n):
+        entity_id = f"e{i:02d}"
+        catalog.append(
+            Entity(
+                entity_id=entity_id,
+                kind=EntityKind.RESTAURANT,
+                category=draw(st.sampled_from(["thai", "thai", "sushi"])),
+                location=Point(
+                    float(draw(st.integers(-1, 7))), float(draw(st.integers(-1, 7)))
+                ),
+                quality=3.0,
+                price_level=draw(st.integers(1, 3)),
+            )
+        )
+        evidence = draw(st.sampled_from(EVIDENCE))
+        if evidence is not None:
+            summaries[entity_id] = summary(entity_id, **evidence)
+        if draw(st.booleans()):
+            panels[entity_id] = entity_panels(f"{entity_id}-published", [])
+    query = ServeQuery(
+        category="thai",
+        near=Point(float(draw(st.integers(0, 6))), float(draw(st.integers(0, 6)))),
+        radius_km=draw(st.sampled_from([1.0, 2.0, 2.5, 4.0, 30.0])),
+        attribute=draw(st.sampled_from([None, price_tag(1), price_tag(2)])),
+        limit=draw(st.integers(1, 6)),
+        compare_top=draw(st.integers(0, 8)),
+    )
+    return catalog, summaries, panels, query
+
+
+def reference_response(catalog, query, summaries, panels):
+    """The spec: build every result, sort by ``rank_key``, cut."""
+    results = []
+    for entity in catalog:
+        tags = {*entity.attributes, price_tag(entity.price_level)}
+        distance = query.near.distance_to(entity.location)
+        if (
+            entity.category != query.category
+            or (query.attribute is not None and query.attribute not in tags)
+            or distance > query.radius_km
+        ):
+            continue
+        evidence = summaries.get(entity.entity_id)
+        if evidence is None:
+            evidence = empty_summary(entity.entity_id)
+        results.append(ServeResult(entity, distance, evidence, serve_score(evidence)))
+    results.sort(key=lambda r: rank_key(r.score, r.distance_km, r.entity.entity_id))
+    top = [r.entity.entity_id for r in results[: query.compare_top]]
+    visualization = (
+        compare_panels(
+            {
+                entity_id: panels.get(entity_id) or entity_panels(entity_id, [])
+                for entity_id in top
+            }
+        )
+        if top
+        else None
+    )
+    return results, ServeResponse(
+        query=query,
+        results=tuple(results[: query.limit]),
+        n_matches=len(results),
+        visualization=visualization,
+    )
+
+
+class TestTopKSelection:
+    """``respond`` keeps only the prefix it returns, and that prefix is
+    the full sort's, bytes and all."""
+
+    @given(scenes())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_respond_equals_the_full_sort_cut_to_limit(self, scene):
+        catalog, summaries, panels, query = scene
+        engine = QueryEngine(SummaryIndex(catalog, grid=CityGrid(6.0, 3, 3)))
+        ranked, want = reference_response(catalog, query, summaries, panels)
+        # Twice: the second answer reuses the empty-history panels.
+        for _ in range(2):
+            got = engine.respond(query, summaries, panels)
+            assert got.results == want.results
+            assert got.n_matches == want.n_matches
+            assert got.visualization == want.visualization
+            assert got.render() == want.render()
+        assert engine.rank(query, summaries) == ranked
+        for top in (1, query.limit, len(ranked) + 1):
+            assert engine.rank(query, summaries, top=top) == ranked[:top]

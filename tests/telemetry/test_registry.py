@@ -1,5 +1,7 @@
 """Unit tests for the telemetry core: labels, instruments, facade, dashboard."""
 
+import math
+
 import pytest
 
 from repro.telemetry import (
@@ -90,6 +92,33 @@ class TestHistogram:
         assert h.count == 4
         assert h.sum_scaled == round(107.5 * SUM_SCALE)
         assert h.min == 0.5 and h.max == 99.0
+
+    def test_first_observation_sets_min_and_max(self):
+        h = Histogram(bounds=(1.0,))
+        assert h.min is None and h.max is None
+        h.observe(3)
+        assert h.min == h.max == 3.0
+        assert type(h.min) is float and type(h.max) is float
+
+    def test_negative_values_track_min_and_max(self):
+        h = Histogram(bounds=(0.0,))
+        for value in (-2.5, -7.0, -0.5, -7.0, -1.0):
+            h.observe(value)
+        assert (h.min, h.max) == (-7.0, -0.5)
+
+    def test_ties_keep_the_first_of_equals(self):
+        # The export spells 0.0 and -0.0 differently, so a tie must keep
+        # the value already held, as min()/max() would.
+        h = Histogram(bounds=(1.0,))
+        h.observe(0.0)
+        h.observe(-0.0)
+        assert math.copysign(1.0, h.min) == 1.0
+        assert math.copysign(1.0, h.max) == 1.0
+        h = Histogram(bounds=(1.0,))
+        h.observe(-0.0)
+        h.observe(0.0)
+        assert math.copysign(1.0, h.min) == -1.0
+        assert math.copysign(1.0, h.max) == -1.0
 
     def test_bounds_must_increase(self):
         with pytest.raises(MetricError):
