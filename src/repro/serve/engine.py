@@ -160,27 +160,25 @@ class QueryEngine:
             )
             # Keys are unique (entity ids are), so no comparison ever
             # reaches the entity or the summary.
-            keyed.append((rank_key(score, distance, entity_id), score, entity, summary))
+            keyed.append(
+                (rank_key(score, distance, entity_id), distance, score, entity, summary)
+            )
         chosen = sorted(keyed) if top is None else heapq.nsmallest(top, keyed)
         return len(keyed), [
             ServeResult(
                 entity=entity,
-                distance_km=key[1],
-                summary=empty_summary(key[2]) if summary is None else summary,
+                distance_km=distance,
+                summary=empty_summary(entity.entity_id) if summary is None else summary,
                 score=score,
             )
-            for key, score, entity, summary in chosen
+            for _, distance, score, entity, summary in chosen
         ]
 
     def rank(
-        self,
-        query: ServeQuery,
-        summaries: dict[str, EntityOpinionSummary],
-        top: int | None = None,
+        self, query: ServeQuery, summaries: dict[str, EntityOpinionSummary]
     ) -> list[ServeResult]:
-        """The best ``top`` matches (every match when None), best first
-        (total order — see ``repro.serve.ranking``)."""
-        return self._select(query, summaries, top)[1]
+        """Every match, best first (total order — see ``repro.serve.ranking``)."""
+        return self._select(query, summaries, None)[1]
 
     def _panels(
         self, entity_id: str, panels: dict[str, EntityPanels]

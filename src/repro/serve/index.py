@@ -10,10 +10,9 @@ answers every query from postings:
 * attribute postings hold the ids carrying a tag, including a synthetic
   ``price:N`` tag per price level so every entity is attribute-queryable.
 
-Candidate generation is one arithmetic sweep: the query circle's
-bounding box, widened by one zone on each side and clamped to the grid,
-gives a window of zone rows and columns; only zones in that window get
-the exact reach test, and only their entities the exact distance test.
+Candidate generation is one arithmetic sweep: every zone gets the exact
+reach test from precomputed row and column bands, and only the zones in
+reach have their entities put to the exact distance test.
 Zone assignment clamps into the grid (``CityGrid.zone_containing``), so
 the reach test widens edge zones to cover everything outside the city
 bounds — an entity clamped inward from outside the grid is still found
@@ -44,19 +43,6 @@ def price_tag(price_level: int) -> str:
     return f"price:{price_level}"
 
 
-def _window(center_km: float, radius_km: float, cell_km: float, n: int) -> range:
-    """Bands (rows or columns) that may meet ``center_km ± radius_km``.
-
-    The bands containing the two ends, widened by one on each side (a
-    band whose edge the interval only touches, and float rounding) and
-    clamped to ``0..n-1``.  Each end is pinned to ``[-1, n]`` bands
-    before flooring, so an infinite radius floors cleanly.
-    """
-    low = max(-1.0, min(float(n), (center_km - radius_km) / cell_km))
-    high = max(-1.0, min(float(n), (center_km + radius_km) / cell_km))
-    return range(max(0, math.floor(low) - 1), min(n - 1, math.floor(high) + 1) + 1)
-
-
 class SummaryIndex:
     """Inverted index over the catalog: category x zone x attribute."""
 
@@ -65,8 +51,6 @@ class SummaryIndex:
             raise ValueError("catalog must be non-empty")
         self.grid = grid or CityGrid()
         zones = self.grid.zones
-        self._cell_w = self.grid.size_km / self.grid.cols
-        self._cell_h = self.grid.size_km / self.grid.rows
         # Each column's (row's) assignment band: the zone edges, widened
         # to infinity where they border the outside of the grid, matching
         # the clamping of ``CityGrid.zone_containing`` — so a point is in
@@ -136,22 +120,19 @@ class SummaryIndex:
 
     def _zone_indices(self, near: Point, radius_km: float) -> list[int]:
         """Row-major indices of the zones whose assignment region meets
-        the query circle — the exact reach test, run only inside the
-        bounding-box window."""
+        the query circle — the exact reach test, run on every zone."""
         cols = self.grid.cols
         x, y = near.x, near.y
         squared_gaps = []
-        for col in _window(x, radius_km, self._cell_w, cols):
-            x_min, x_max = self._x_bands[col]
+        for x_min, x_max in self._x_bands:
             dx = max(x_min - x, 0.0, x - x_max)
-            squared_gaps.append((col, dx * dx))
+            squared_gaps.append(dx * dx)
         found = []
-        for row in _window(y, radius_km, self._cell_h, self.grid.rows):
-            y_min, y_max = self._y_bands[row]
+        for row, (y_min, y_max) in enumerate(self._y_bands):
             dy = max(y_min - y, 0.0, y - y_max)
             dy2 = dy * dy
             base = row * cols
-            for col, dx2 in squared_gaps:
+            for col, dx2 in enumerate(squared_gaps):
                 if (dx2 + dy2) ** 0.5 <= radius_km:
                     found.append(base + col)
         return found

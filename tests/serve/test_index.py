@@ -6,11 +6,10 @@ a brute-force full scan of the catalog under the same predicates, for
 bounds, which ``zone_containing`` clamps into edge zones and the sweep
 must still find (the assignment-region widening).  Randomized catalogs
 and query points drive the equivalence, and boundary queries aim at the
-edges of the sweep's bounding-box window: circles tangent to zone
-lines, centres outside the grid, radii past the whole city and entities
-on zone lines.  The window itself is checked against the reach test run
-over every zone.  The deterministic cases pin the construction-time
-contracts (id order, duplicate rejection, postings).
+edges of the zone reach test: circles tangent to zone lines, centres
+outside the grid, radii past the whole city and entities on zone lines.
+The deterministic cases pin the construction-time contracts (id order,
+duplicate rejection, postings).
 """
 
 import pytest
@@ -63,18 +62,6 @@ def random_catalog(gen, n_entities, grid):
     return entities
 
 
-def zone_reach(grid, zone, near):
-    """Distance from ``near`` to the zone's assignment region (the zone
-    widened to infinity on every edge bordering the outside of the grid)."""
-    x_min = float("-inf") if zone.col == 0 else zone.x_min
-    x_max = float("inf") if zone.col == grid.cols - 1 else zone.x_max
-    y_min = float("-inf") if zone.row == 0 else zone.y_min
-    y_max = float("inf") if zone.row == grid.rows - 1 else zone.y_max
-    dx = max(x_min - near.x, 0.0, near.x - x_max)
-    dy = max(y_min - near.y, 0.0, near.y - y_max)
-    return (dx * dx + dy * dy) ** 0.5
-
-
 def line_entities(gen, grid):
     """Entities exactly on zone lines: one per vertical and horizontal line
     at a random offset along it, and one on every line crossing."""
@@ -106,7 +93,7 @@ def line_entities(gen, grid):
 
 
 def boundary_queries(grid, lines):
-    """``(near, radius)`` pairs on the sweep window's edges: circles
+    """``(near, radius)`` pairs on the zone reach test's edges: circles
     tangent to every zone line from both sides (touching the line's
     entity), centres outside the grid, and radii past the whole city."""
     cell_w, cell_h = grid.size_km / grid.cols, grid.size_km / grid.rows
@@ -191,30 +178,6 @@ class TestCoverageExactness:
                 ]
                 want = brute_force(catalog, "thai", near, radius, attribute)
                 assert got == want, (near, radius, attribute)
-
-    @pytest.mark.parametrize("rows, cols", [(5, 5), (4, 6), (1, 3)])
-    def test_window_keeps_every_zone_in_reach(self, rows, cols):
-        """The bounding-box window drops no zone the reach test keeps:
-        the sweep equals that test run over every zone of the grid."""
-        grid = CityGrid(size_km=20.0, rows=rows, cols=cols)
-        gen = make_rng(rows * 10 + cols, "test/serve-index-window")
-        lines = line_entities(gen, grid)
-        index = SummaryIndex(lines, grid=grid)
-        span = grid.size_km
-        queries = boundary_queries(grid, lines) + [
-            (
-                Point(float(gen.uniform(-span, 2 * span)), float(gen.uniform(-span, 2 * span))),
-                float(gen.uniform(0.1, span)),
-            )
-            for _ in range(200)
-        ]
-        for near, radius in queries:
-            want = [
-                zone.row * cols + zone.col
-                for zone in grid.zones
-                if zone_reach(grid, zone, near) <= radius
-            ]
-            assert index._zone_indices(near, radius) == want, (near, radius)
 
     def test_out_of_grid_entity_is_found_through_the_widened_edge_zone(self):
         grid = CityGrid(size_km=20.0, rows=5, cols=5)
