@@ -47,14 +47,16 @@ class AnalysisConfig:
     )
     #: Package prefixes forming the server side of the architecture.
     #: ``repro.scale`` is the sharded deployment of the same service,
-    #: ``repro.serve`` its read path, and ``repro.reshard`` its live
-    #: topology changes — all held to the same identity-handling and
-    #: ordering rules.
+    #: ``repro.serve`` its read path, ``repro.reshard`` its live
+    #: topology changes, and ``repro.ingest`` its intake loop (where every
+    #: envelope is acknowledged) — all held to the same identity-handling,
+    #: ordering and WAL-before-ack rules.
     service_packages: tuple[str, ...] = (
         "repro.service",
         "repro.scale",
         "repro.serve",
         "repro.reshard",
+        "repro.ingest",
     )
 
     # -- telemetry labels: where the label-privacy policy is enforced.
@@ -97,8 +99,9 @@ class AnalysisConfig:
     #: Counter spellings whose bump acknowledges an envelope.
     accept_commit_counters: frozenset[str] = frozenset({"accepted_envelopes"})
     #: Dedup-set spellings whose ``.add`` burns a nonce (the other half of
-    #: the acceptance commit).
-    accept_commit_sets: frozenset[str] = frozenset({"_seen_nonces", "nonce_bucket"})
+    #: the acceptance commit): the server's table and the intake loop's
+    #: local binding of it.
+    accept_commit_sets: frozenset[str] = frozenset({"_seen_nonces", "seen_nonces"})
     #: Helper methods that perform the acceptance commit wholesale.
     accept_commit_calls: frozenset[str] = frozenset({"_mark_accepted"})
     #: File-handle spellings inside the durability package whose ``write``

@@ -402,11 +402,6 @@ class RSPClient:
         """Records never yet sent (awaiting their first submission)."""
         return sum(1 for p in self._pending if p.attempts == 0)
 
-    @property
-    def n_awaiting_retransmit(self) -> int:
-        """Sent records still queued for possible re-sending."""
-        return sum(1 for p in self._pending if p.attempts > 0)
-
     # ----------------------------------------------------------- durability
 
     def checkpoint(self) -> dict:

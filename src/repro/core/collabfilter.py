@@ -66,10 +66,6 @@ class ItemBasedCF:
         self._items.add(entity_id)
         self._fitted = False
 
-    @property
-    def n_ratings(self) -> int:
-        return sum(len(items) for items in self._ratings.values())
-
     def fit(self) -> "ItemBasedCF":
         """Compute adjusted-cosine item-item similarities."""
         by_item: dict[str, dict[str, float]] = defaultdict(dict)

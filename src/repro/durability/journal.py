@@ -55,6 +55,10 @@ from repro.telemetry import NULL, Telemetry
 
 _SEGMENT_RE = re.compile(r"^wal-(\d{2})-(\d{12})\.log$")
 
+#: Snapshots retained by truncation: the newest, plus one fallback for
+#: when the newest fails its seal.
+KEEP_SNAPSHOTS = 2
+
 
 def segment_name(lane: int, start_seq: int) -> str:
     return f"wal-{lane:02d}-{start_seq:012d}.log"
@@ -87,7 +91,6 @@ class DurableJournal:
         lane_of=None,
         telemetry: Telemetry = NULL,
         sync_policy: str = "batch",
-        keep_snapshots: int = 2,
     ) -> None:
         if n_lanes < 1:
             raise ValueError("need at least one WAL lane")
@@ -101,7 +104,6 @@ class DurableJournal:
         self._lane_of = lane_of
         self.telemetry = telemetry
         self.sync_policy = sync_policy
-        self.keep_snapshots = keep_snapshots
         #: Mutations since the last :meth:`~ReplicatedRSPServer.ship`,
         #: retained only when a replication pair sets this True.
         self.keep_outbox = False
@@ -317,15 +319,15 @@ class DurableJournal:
     def _truncate(self, newest_seq: int) -> None:
         """Drop artifacts no retained snapshot needs for replay.
 
-        Retention: the ``keep_snapshots`` newest snapshots, plus every
+        Retention: the ``KEEP_SNAPSHOTS`` newest snapshots, plus every
         segment with records *after* the oldest retained snapshot (the
         fallback replay source if newer snapshots turn out corrupt).
         Segments rotate exactly at snapshot points, so a segment starting
         at or before the oldest retained seq holds only covered records.
         """
         snapshots = list_snapshots(self.directory)
-        retained = snapshots[-self.keep_snapshots :]
-        for _seq, path in snapshots[: -self.keep_snapshots]:
+        retained = snapshots[-KEEP_SNAPSHOTS:]
+        for _seq, path in snapshots[:-KEEP_SNAPSHOTS]:
             path.unlink()
         if not retained:
             return

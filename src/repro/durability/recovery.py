@@ -85,12 +85,10 @@ def _commit(server, mutation: dict) -> None:
     server.accepted_envelopes += 1
     nonce_hex = mutation.get("nonce")
     if nonce_hex is not None:
-        nonce = bytes.fromhex(nonce_hex)
-        server._nonce_buckets[server.router.shard_of_bytes(nonce)].add(nonce)
+        server._seen_nonces.add(bytes.fromhex(nonce_hex))
     token_hex = mutation.get("token_id")
     if token_hex is not None:
-        token_id = bytes.fromhex(token_hex)
-        server._redeemer._spent[server.router.shard_of_bytes(token_id)].add(token_id)
+        server._redeemer._spent.add(bytes.fromhex(token_hex))
 
 
 def apply_mutation(server, mutation: dict) -> None:
@@ -123,7 +121,6 @@ def apply_mutation(server, mutation: dict) -> None:
                 f"{upload.history_id!r} was rejected by the store on replay — "
                 "the journal and the stores have diverged"
             )
-        shard.dirty_entities.add(upload.entity_id)
         _commit(server, mutation)
     elif kind == "opinion":
         record = OpinionUpload(

@@ -4,9 +4,10 @@ A snapshot captures the *logical* repository — histories, opinion slots,
 explicit reviews, the dedup nonce table, the spent-token table, issuer
 quota windows, and the intake counters — as one JSON-compatible dict in
 canonical order (everything sorted by its key), independent of how the
-deployment partitions that state.  The same content captured at any shard count is byte-identical, and a
-snapshot restores into any shard count: :func:`restore_state` re-routes
-every piece through the target server's own router.
+deployment partitions that state.  The same content captured at any
+shard count is byte-identical, and a snapshot restores into any shard
+count: :func:`restore_state` routes every history, opinion slot and
+review through the target server's own router.
 
 Atomicity protocol (the classic one):
 
@@ -157,8 +158,8 @@ def capture_state(server, wal_seq: int = 0) -> dict:
         "histories": [_encode_history(h) for h in histories],
         "opinions": {k: opinions[k] for k in sorted(opinions)},
         "reviews": {k: reviews[k] for k in sorted(reviews)},
-        "nonces": sorted(n.hex() for nonces in server._nonce_buckets for n in nonces),
-        "spent_tokens": sorted(t.hex() for spent in server._redeemer._spent for t in spent),
+        "nonces": sorted(nonce.hex() for nonce in server._seen_nonces),
+        "spent_tokens": sorted(token_id.hex() for token_id in server._redeemer._spent),
         "issuer": {
             "window_start": {k: issuer._window_start[k] for k in sorted(issuer._window_start)},
             "issued_today": {k: issuer._issued_today[k] for k in sorted(issuer._issued_today)},
@@ -175,15 +176,15 @@ def restore_state(server, state: dict) -> None:
 
     Routing goes through the *target's* own router, so a snapshot taken
     at one shard restores into a 16-shard deployment (and vice versa)
-    with every nonce, token, history, and opinion in the bucket its key
-    routes to there.  The caller still owes a :func:`finalize_recovery`
+    with every history, opinion slot and review on the shard its key
+    routes to there; nonces and spent tokens load into the server-wide
+    sets.  The caller still owes a :func:`finalize_recovery`
     pass (see :mod:`repro.durability.recovery`) to rebuild the
     maintenance engine's derived dirty/claim state.
     """
     from repro.service.server import ExplicitReview
 
     route = server.router.shard_of
-    route_bytes = server.router.shard_of_bytes
     for blob in state["histories"]:
         history = _decode_history(blob)
         server.shards[route(history.history_id)].store.adopt(history)
@@ -198,12 +199,8 @@ def restore_state(server, state: dict) -> None:
             )
             for user_id, rating, time in posted
         )
-    for nonce_hex in state["nonces"]:
-        nonce = bytes.fromhex(nonce_hex)
-        server._nonce_buckets[route_bytes(nonce)].add(nonce)
-    for token_hex in state["spent_tokens"]:
-        token_id = bytes.fromhex(token_hex)
-        server._redeemer._spent[route_bytes(token_id)].add(token_id)
+    server._seen_nonces.update(map(bytes.fromhex, state["nonces"]))
+    server._redeemer._spent.update(map(bytes.fromhex, state["spent_tokens"]))
     issuer = server.issuer
     issuer._window_start.update(state["issuer"]["window_start"])
     issuer._issued_today.update(state["issuer"]["issued_today"])

@@ -150,11 +150,9 @@ def _classify(server, groups, now: float | None) -> int:
     journal = server.journal
     require_tokens = server.require_tokens
     redeem = server._redeemer.redeem
-    bucket_of = server.router.shard_of_bytes
-    nonce_buckets = server._nonce_buckets
-    # At one shard every nonce meets in the one bucket: skip its route.
-    only_bucket = nonce_buckets[0] if len(nonce_buckets) == 1 else None
+    seen_nonces = server._seen_nonces
     catalog = server.catalog
+    mark_dirty = server._engine.mark_dirty
     note_opinion = server._engine.note_opinion
     kind_memo = _KIND_MEMO
     kind_of = _kind_of
@@ -178,7 +176,6 @@ def _classify(server, groups, now: float | None) -> int:
             by_entity = shard.store._by_entity
             opinions = shard.opinions
             opinions_get = opinions.get
-            mark_dirty = shard.dirty_entities.add
             for delivery in group:
                 envelope = delivery.payload
                 arrival = delivery.arrival_time
@@ -195,21 +192,15 @@ def _classify(server, groups, now: float | None) -> int:
                     nonce = envelope.nonce
                 except AttributeError:
                     nonce = None
-                if nonce is None:
-                    nonce_bucket = None
-                elif only_bucket is not None:
-                    nonce_bucket = only_bucket
-                else:
-                    nonce_bucket = nonce_buckets[bucket_of(nonce)]
                 if require_tokens:
                     token = envelope.token
                     if token is None or not redeem(token):
-                        if nonce_bucket is not None and nonce in nonce_bucket:
+                        if nonce is not None and nonce in seen_nonces:
                             duplicates += 1
                         else:
                             rejected["token"] = rejected.get("token", 0) + 1
                         continue
-                if nonce_bucket is not None and nonce in nonce_bucket:
+                if nonce is not None and nonce in seen_nonces:
                     duplicates += 1
                     continue
                 record = envelope.record
@@ -280,8 +271,8 @@ def _classify(server, groups, now: float | None) -> int:
                         )
                     else:
                         journal.log_opinion(record, nonce, token_id, shard_index)
-                if nonce_bucket is not None:
-                    nonce_bucket.add(nonce)
+                if nonce is not None:
+                    seen_nonces.add(nonce)
                 if kind == "interaction":
                     accepted_interactions += 1
                     lag(arrival - record.event_time)

@@ -204,7 +204,7 @@ class SyntheticTraffic:
                     travel_km=float(travels[i]),
                 )
             # Unique per record; the multiplicative mix spreads the
-            # leading bytes (which shard nonce buckets key on) without
+            # leading bytes like a device's random nonce, without
             # spending any randomness.
             counter = self._nonce_counter
             self._nonce_counter += 1

@@ -39,9 +39,6 @@ class EngagementSpec:
     feedback_alpha: float
     feedback_beta: float
 
-    def mean_feedback_rate(self) -> float:
-        return self.feedback_alpha / (self.feedback_alpha + self.feedback_beta)
-
 
 def google_play_spec() -> EngagementSpec:
     """1000 Google Play apps: installs vs reviews/ratings/+1s."""

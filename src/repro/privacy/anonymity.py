@@ -91,7 +91,6 @@ class AnonymityNetwork(Generic[P]):
         self.telemetry: Telemetry = NULL
         self._rng = make_rng(seed, "anonymity-network")
         self._pending: list[_Pending[P]] = []
-        self._delivered: list[Delivery[P]] = []
         self._last_flush = 0.0
 
     @property
@@ -163,17 +162,12 @@ class AnonymityNetwork(Generic[P]):
                         )
                 self._last_flush = boundary
                 boundary += self.batch_interval
-        self._delivered.extend(out)
         self.telemetry.set_gauge("mix.queue_depth", len(self._pending))
         return out
 
     @property
     def n_pending(self) -> int:
         return len(self._pending)
-
-    @property
-    def n_delivered(self) -> int:
-        return len(self._delivered)
 
 
 def immediate_network(seed: int = 0) -> AnonymityNetwork:

@@ -236,19 +236,6 @@ class HistoryStore:
         """All anonymous histories attached to one entity."""
         return list(self._by_entity.get(entity_id, []))
 
-    def bound_entity(self, history_id: str) -> str | None:
-        """The entity a history identifier is bound to, or ``None``.
-
-        This exposes only the binding metadata (which entity a slot
-        belongs to) — never the records — so it does not weaken the
-        no-``get(history_id)`` stance above: a leaked Ru still cannot
-        read anyone's past through it.  The server uses it to classify
-        cross-entity mismatches at intake and to find the owner entity
-        of an opinion slot for dirty tracking.
-        """
-        history = self._histories.get(history_id)
-        return None if history is None else history.entity_id
-
     def all_histories(self) -> list[InteractionHistory]:
         """Every history — used by fraud profiling, which merges across
         entities of the same kind without ever naming users."""

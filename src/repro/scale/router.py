@@ -8,10 +8,11 @@ itself unlinkable (docs/SCALING.md walks through why this cannot weaken
 unlinkability).
 
 Routing must be *stable*: the same key maps to the same shard in every
-process, on every run, forever — a record and all of its retransmissions
-land together, so per-shard nonce dedup remains globally correct.  That
-is why the route goes through :func:`repro.util.hashing.stable_u64`
-(process-salt-free SHA-256) and never through builtin ``hash``.
+process, on every run, forever — a record, its retransmissions and its
+opinion land together, and a restarted server agrees with the one it
+replaced on every placement.  That is why the route goes through
+:func:`repro.util.hashing.stable_u64` (process-salt-free SHA-256) and
+never through builtin ``hash``.
 
 Routing must also be *elastic*: the shard count changes while the
 deployment is live.  Modulo routing (``u64 % n_shards``) remaps nearly
@@ -120,7 +121,7 @@ def _coalesce(prefixes: list[Prefix]) -> tuple[Prefix, ...]:
 
 
 class ShardRouter:
-    """Maps keys (record ids, entity ids, nonces, token ids) to shards.
+    """Maps string keys (record ids, entity ids) to shards.
 
     ``ShardRouter(n)`` builds the canonical table for ``n`` shards;
     :meth:`from_spec` rebuilds an arbitrary (validated) table, which is
@@ -194,17 +195,6 @@ class ShardRouter:
         """
         if len(key) == 64 and _RECORD_ID.match(key) is not None:
             return self.shard_of_u64(int(key[:16], 16))
-        return self.shard_of_u64(stable_u64(_ROUTE_LABEL, key))
-
-    def shard_of_bytes(self, key: bytes) -> int:
-        """Shard index for a bytes key (envelope nonce or token id).
-
-        Nonces and token ids are uniformly random byte strings, so their
-        leading 8 bytes route directly; short keys fall back to the
-        stable hash.
-        """
-        if len(key) >= 8:
-            return self.shard_of_u64(int.from_bytes(key[:8], "big"))
         return self.shard_of_u64(stable_u64(_ROUTE_LABEL, key))
 
     def shard_of_u64(self, key: int) -> int:
@@ -284,9 +274,6 @@ class _WholeSpaceRouter(ShardRouter):
     __slots__ = ()
 
     def shard_of(self, key: str) -> int:
-        return 0
-
-    def shard_of_bytes(self, key: bytes) -> int:
         return 0
 
     def shard_of_u64(self, key: int) -> int:

@@ -12,17 +12,18 @@ record to its store — forged, replayed, or missing tokens bounce the whole
 envelope.  Every intake entry point runs the one classification loop in
 :mod:`repro.ingest.columnar`.
 
-The stores are split across ``n_shards`` partitions (one by default), each
-keyed by one of its values:
+The record-keyed stores are split across ``n_shards`` partitions (one
+by default), each keyed by one of its values:
 
 * interaction histories and inferred opinions route by their unlinkable
   ``hash(Ru, e)`` record identifier (so a record, its re-uploads, and its
   opinion all live together);
-* explicit reviews and entity summaries route by entity identifier;
-* the seen-nonce and spent-token tables are partitioned by their own key
-  bytes, which keeps duplicate suppression and double-spend rejection
-  *globally* exact: identical nonces (or token ids) always meet in the
-  same bucket, whatever record they arrive with.
+* explicit reviews route by entity identifier.
+
+The seen-nonce set, the spent-token set and the maintenance engine's
+dirty set are not keyed by a record or entity id, so there is one of
+each, server-wide: duplicate suppression and double-spend rejection are
+exact by construction, whatever the shard count.
 
 Every report, summary, serve response and aggregate telemetry value is
 the same for every shard count; ``tests/scale`` and
@@ -40,7 +41,7 @@ from repro.fraud.attestation import AttestationQuote, AttestationVerifier
 from repro.fraud.detector import DetectorConfig, HistoryVerdict
 from repro.ingest.columnar import ingest_all, ingest_one
 from repro.privacy.anonymity import Delivery
-from repro.privacy.tokens import TokenIssuer, UploadToken
+from repro.privacy.tokens import TokenIssuer, TokenRedeemer
 from repro.scale.router import ShardRouter
 from repro.scale.shard import ShardState
 from repro.service.incremental import CycleStats, MaintenanceEngine, Slot
@@ -116,33 +117,6 @@ def emit_maintenance_telemetry(
         telemetry.span("maintenance", now, now)
 
 
-class ShardedTokenRedeemer:
-    """Double-spend protection with the spent set partitioned by token id.
-
-    Buckets are chosen by the token's own identifier bytes, so the two
-    copies of a replayed token always contend in the same bucket — the
-    partition is invisible to the double-spend semantics.
-    """
-
-    def __init__(self, public_key, router: ShardRouter) -> None:
-        self._public_key = public_key
-        self._router = router
-        self._spent: list[set[int]] = [set() for _ in range(router.n_shards)]
-
-    def redeem(self, token: UploadToken) -> bool:
-        bucket = self._spent[self._router.shard_of_bytes(token.token_id)]
-        if token.token_id in bucket:
-            return False
-        if not self._public_key.verify(token.token_id, token.signature):
-            return False
-        bucket.add(token.token_id)
-        return True
-
-    @property
-    def n_redeemed(self) -> int:
-        return sum(len(bucket) for bucket in self._spent)
-
-
 class ShardedStoreView:
     """:class:`~repro.service.incremental.StoreView` over the shards.
 
@@ -203,19 +177,17 @@ class RSPServer:
         self.attestation = attestation
         self.rejected_attestations = 0
         self.router = ShardRouter(n_shards)
-        #: Kept for resharding: split/merge derive new shard seeds from it.
-        self._key_seed = key_seed
         #: Monotone count of applied reshard operations, and the ops
         #: themselves — recovery replays these to rebuild the topology.
         self.reshard_seq = 0
         self.reshard_history: list[dict] = []
-        self.shards = [ShardState(index, key_seed) for index in range(n_shards)]
-        self._redeemer = ShardedTokenRedeemer(self.issuer.public_key, self.router)
+        self.shards = [ShardState(index) for index in range(n_shards)]
+        self._redeemer = TokenRedeemer(self.issuer.public_key)
         #: Nonces of accepted envelopes — the idempotent-dedup table that
         #: makes client retransmission over the ack-free channel safe.
         #: Keyed on the envelope's random nonce, never on a payload or
         #: identity digest (see docs/RELIABILITY.md for why).
-        self._nonce_buckets: list[set[bytes]] = [set() for _ in range(n_shards)]
+        self._seen_nonces: set[bytes] = set()
         self._engine = MaintenanceEngine(
             ShardedStoreView(self), self.entity_kinds, detector_config
         )
@@ -309,7 +281,7 @@ class RSPServer:
         genuine client build is required — modified clients are cut off
         from uploading *anything* because they can never obtain tokens.
         Issuance is a single-endpoint concern (quota windows are per
-        device), so it is not sharded; only redemption state is.
+        device), so it is not sharded.
         """
         if self.attestation is not None:
             if quote is None or not self.attestation.verify(quote):
@@ -340,7 +312,7 @@ class RSPServer:
         if self.journal is not None:
             self.journal.log_review(user_id, entity_id, rating, time)
         shard.reviews.setdefault(entity_id, []).append(review)
-        shard.dirty_entities.add(entity_id)
+        self._engine.mark_dirty(entity_id)
         self.telemetry.inc("rsp.reviews.posted")
 
     def receive(self, delivery: Delivery[Envelope], now: float | None = None) -> bool:
@@ -376,23 +348,17 @@ class RSPServer:
         rather than arrival interleaving or partitioning (see
         docs/SCALING.md).
 
-        The incremental engine runs the cycle (per-shard dirty sets
-        drained in): it rebuilds the fraud profiles for the kinds with a
-        dirty entity, then judges and re-summarizes the tracked entities
-        from one columnar frame of their histories, gathered across the
-        shards.  The same cycle runs at every dirty fraction and shard
-        count.
+        The incremental engine runs the cycle over the entities intake
+        marked dirty since the last one: it rebuilds the fraud profiles
+        for the kinds with a dirty entity, then judges and re-summarizes
+        the tracked entities from one columnar frame of their histories,
+        gathered across the shards.  The same cycle runs at every dirty
+        fraction and shard count.
         """
         report = MaintenanceReport(
             n_histories=self.n_histories,
             n_opinions_received=self.n_opinions,
         )
-        # Drain the per-shard dirty sets into the engine (sorted — dirty
-        # sets iterate in hash order, and `repro analyze` holds the line).
-        for shard in self.shards:
-            for entity_id in sorted(shard.dirty_entities):
-                self._engine.mark_dirty(entity_id)
-            shard.dirty_entities.clear()
         stats = self._engine.execute(self._engine.plan())
         report.rejected = self._engine.rejected_verdicts()
         report.n_rejected_histories = len(report.rejected)
@@ -428,23 +394,18 @@ class RSPServer:
         The new shard takes the next free slot (``n_shards``) and adopts
         exactly the state whose keys route to it under the post-split
         table: whole histories (records and folded stats ride along),
-        opinion slots (their ``seq`` ordering moves with them), explicit
-        reviews, seen nonces, and spent tokens.  Dirty-entity marks move
-        with the state *only for entities already marked* — marking a
-        clean entity would change the incremental engine's tracked set
-        and break AGGREGATE-telemetry identity with a static deployment.
-        Returns per-kind moved counts.
+        opinion slots (their ``seq`` ordering moves with them), and
+        explicit reviews.  The server-wide nonce, token and dirty sets do
+        not move.  Returns per-kind moved counts.
         """
         router = self.router.split(index)
         new_index = self.n_shards_live
         source = self.shards[index]
-        dest = ShardState(new_index, self._key_seed)
-        moved_entities: set[str] = set()
-        moved = {"histories": 0, "opinions": 0, "reviews": 0, "nonces": 0, "tokens": 0}
+        dest = ShardState(new_index)
+        moved = {"histories": 0, "opinions": 0, "reviews": 0}
         for history in source.store.all_histories():
             if router.shard_of(history.history_id) == new_index:
                 dest.store.adopt(source.store.release(history.history_id))
-                moved_entities.add(history.entity_id)
                 moved["histories"] += 1
         for history_id in sorted(source.opinions):
             if router.shard_of(history_id) == new_index:
@@ -453,31 +414,7 @@ class RSPServer:
         for entity_id in sorted(source.reviews):
             if router.shard_of(entity_id) == new_index:
                 dest.reviews[entity_id] = source.reviews.pop(entity_id)
-                moved_entities.add(entity_id)
                 moved["reviews"] += len(dest.reviews[entity_id])
-        dest.dirty_entities.update(
-            entity_id
-            for entity_id in moved_entities
-            if entity_id in source.dirty_entities
-        )
-        source_nonces = self._nonce_buckets[index]
-        moved_nonces = {
-            nonce
-            for nonce in source_nonces
-            if router.shard_of_bytes(nonce) == new_index
-        }
-        source_nonces -= moved_nonces
-        self._nonce_buckets.append(moved_nonces)
-        moved["nonces"] = len(moved_nonces)
-        source_tokens = self._redeemer._spent[index]
-        moved_tokens = {
-            token_id
-            for token_id in source_tokens
-            if router.shard_of_bytes(token_id) == new_index
-        }
-        source_tokens -= moved_tokens
-        self._redeemer._spent.append(moved_tokens)
-        moved["tokens"] = len(moved_tokens)
         self.shards.append(dest)
         self._finish_reshard(router)
         return moved
@@ -487,10 +424,9 @@ class RSPServer:
 
         All of ``b``'s state lands on ``a`` through the commutative merge
         algebra: routing keeps the key spaces disjoint, so histories
-        adopt into fresh slots, opinion slots and review lists transplant
-        whole (review order within an entity is preserved — ``b`` owned
-        the only list), nonce/token buckets union, and dirty marks union.
-        Returns per-kind moved counts.
+        adopt into fresh slots, and opinion slots and review lists
+        transplant whole (review order within an entity is preserved —
+        ``b`` owned the only list).  Returns per-kind moved counts.
         """
         router = self.router.merge(a, b)
         source, dest = self.shards[b], self.shards[a]
@@ -498,29 +434,21 @@ class RSPServer:
             "histories": source.store.n_histories,
             "opinions": len(source.opinions),
             "reviews": sum(len(reviews) for reviews in source.reviews.values()),
-            "nonces": len(self._nonce_buckets[b]),
-            "tokens": len(self._redeemer._spent[b]),
         }
         for history in source.store.all_histories():
             dest.store.adopt(history)
         dest.opinions.update(source.opinions)
         for entity_id in sorted(source.reviews):
             dest.reviews.setdefault(entity_id, []).extend(source.reviews[entity_id])
-        dest.dirty_entities |= source.dirty_entities
-        self._nonce_buckets[a] |= self._nonce_buckets[b]
-        del self._nonce_buckets[b]
-        self._redeemer._spent[a] |= self._redeemer._spent[b]
-        del self._redeemer._spent[b]
         del self.shards[b]
         for shard in self.shards[b:]:
-            shard.renumber(shard.index - 1, self._key_seed)
+            shard.index -= 1
         self._finish_reshard(router)
         return moved
 
     def _finish_reshard(self, router: ShardRouter) -> None:
         """Swap the routing table in."""
         self.router = router
-        self._redeemer._router = router
         if self.journal is not None:
             self.journal.remap_lanes(router.n_shards, router.shard_of)
 
@@ -576,4 +504,4 @@ class RSPServer:
     @property
     def n_unique_nonces(self) -> int:
         """Distinct envelope nonces accepted — duplicates never inflate this."""
-        return sum(len(bucket) for bucket in self._nonce_buckets)
+        return len(self._seen_nonces)

@@ -149,12 +149,6 @@ class SimulationResult:
     reviews: list[PostedReview] = field(default_factory=list)
     opinions: dict[tuple[str, str], GroundTruthOpinion] = field(default_factory=dict)
 
-    def events_for_user(self, user_id: str) -> list[Event]:
-        return [event for event in self.events if event.user_id == user_id]
-
-    def events_for_entity(self, entity_id: str) -> list[Event]:
-        return [event for event in self.events if event.entity_id == entity_id]
-
 
 class BehaviorSimulator:
     """Simulates the activity of a population against a set of entities."""

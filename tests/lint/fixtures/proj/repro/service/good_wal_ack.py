@@ -8,8 +8,8 @@ class Server:
         self.accepted_envelopes += 1
         self._seen_nonces.add(nonce)
 
-    def rebind_bucket(self, nonce_bucket):
+    def copy_nonces(self, seen_nonces):
         # A plain assignment that *mentions* a commit spelling is not a
-        # commit — the rule must not flag shard-bucket routing.
-        nonce_bucket = list(nonce_bucket)
-        return nonce_bucket
+        # commit — the rule must not flag it.
+        seen_nonces = set(seen_nonces)
+        return seen_nonces

@@ -15,6 +15,19 @@ class TestWalBeforeAckOrdering:
         result = lint_paths("service/good_wal_ack.py")
         assert result.ok
 
+    def test_intake_loop_nonce_burn_before_append_is_flagged(self, lint_paths):
+        # Intake (repro.ingest) is where every envelope is acknowledged,
+        # through a local binding of the server's nonce table.
+        result = lint_paths("ingest/bad_wal_ack.py")
+        assert rule_ids(result) == ["durability-fsync-before-ack"]
+        [violation] = result.findings
+        assert "seen_nonces.add" in violation.message
+        assert violation.line == 12
+
+    def test_intake_loop_append_before_nonce_burn_is_clean(self, lint_paths):
+        result = lint_paths("ingest/good_wal_ack.py")
+        assert result.ok
+
     def test_nonce_set_add_counts_as_commit(self, tmp_path):
         pkg = tmp_path / "repro"
         (pkg / "service").mkdir(parents=True)
@@ -135,7 +148,12 @@ class TestSelfClean:
             for f in result.findings + result.dead_waivers
             if f.checker_id == "durability-fsync-before-ack"
             and f.path.startswith(
-                ("src/repro/service/", "src/repro/scale/", "src/repro/durability/")
+                (
+                    "src/repro/service/",
+                    "src/repro/scale/",
+                    "src/repro/durability/",
+                    "src/repro/ingest/",
+                )
             )
         ]
         assert not unwaived, "\n".join(unwaived)

@@ -1,14 +1,17 @@
-"""Shard state migration: split/merge hand off every kind of state.
+"""Shard state migration: split/merge hand off every record-keyed store.
 
 Each test loads a sharded server through the direct-intake harness,
 reshards it, and checks the migration invariants: totals are conserved,
-placement matches the post-reshard routing table for *every* kind of
-state, only the resharded shards' keys move, and a maintenance cycle on
-the migrated deployment produces the same summaries as a static one.
+placement matches the post-reshard routing table for every record- and
+entity-keyed store, the server-wide nonce, token and dirty sets are left
+as they were, only the resharded shards' keys move, and a maintenance
+cycle on the migrated deployment produces the same summaries as a
+static one.
 """
 
 import pytest
 
+from repro.privacy.tokens import TokenWallet
 from repro.reshard import ReshardOp, perform
 from repro.telemetry import AGGREGATE, DEPLOYMENT, Telemetry
 
@@ -37,29 +40,26 @@ def totals(server):
             for shard in server.shards
             for reviews in shard.reviews.values()
         ),
-        "nonces": sum(len(bucket) for bucket in server._nonce_buckets),
-        "tokens": sum(len(bucket) for bucket in server._redeemer._spent),
-        "dirty": set().union(*(shard.dirty_entities for shard in server.shards)),
+        "nonces": len(server._seen_nonces),
+        "tokens": server._redeemer.n_redeemed,
+        "dirty": set(server._engine._dirty),
         "accepted": server.accepted_envelopes,
     }
 
 
 def assert_placement(server):
-    """Every piece of state lives on the shard the router names."""
+    """Every record- and entity-keyed piece of state lives on the shard
+    the router names."""
     router = server.router
     assert len(server.shards) == router.n_shards
-    assert len(server._nonce_buckets) == router.n_shards
-    assert len(server._redeemer._spent) == router.n_shards
     for position, shard in enumerate(server.shards):
         assert shard.index == position
         for history in shard.store.all_histories():
             assert router.shard_of(history.history_id) == position
         for history_id in shard.opinions:
             assert router.shard_of(history_id) == position
-        for nonce in server._nonce_buckets[position]:
-            assert router.shard_of_bytes(nonce) == position
-        for token_id in server._redeemer._spent[position]:
-            assert router.shard_of_bytes(token_id) == position
+        for entity_id in shard.reviews:
+            assert router.shard_of(entity_id) == position
 
 
 @pytest.mark.parametrize("target", [0, 1, 3])
@@ -77,14 +77,28 @@ def test_split_conserves_totals_and_places_every_key(catalog, target):
     assert moved["histories"] == server.shards[4].store.n_histories
 
 
-def test_split_moves_only_already_dirty_marks(catalog):
+def test_reshard_leaves_server_wide_sets_equal(catalog):
     server = loaded_server(catalog, n_shards=2)
-    dirty_before = set().union(*(s.dirty_entities for s in server.shards))
-    server.split_shard(0)
-    dirty_after = set().union(*(s.dirty_entities for s in server.shards))
-    # The union is preserved exactly: migration neither loses a pending
-    # mark nor invents one (which would change the engine's tracked set).
-    assert dirty_after == dirty_before
+    # The direct-intake harness runs token-free; spend a few tokens so
+    # the spent set is not trivially empty.
+    wallet = TokenWallet(device_id="dev", seed=3)
+    issuer = server.issuer
+    blinded = wallet.mint(issuer.public_key, 4)
+    wallet.accept_signatures(issuer.public_key, issuer.issue("dev", blinded, now=0.0))
+    for _ in range(4):
+        assert server._redeemer.redeem(wallet.spend())
+    nonces = set(server._seen_nonces)
+    spent = set(server._redeemer._spent)
+    dirty = set(server._engine._dirty)
+    assert nonces and spent and dirty
+    for reshard in (lambda: server.split_shard(0), lambda: server.merge_shards(0, 2)):
+        reshard()
+        # Migration neither loses nor invents a nonce, a spent token or
+        # a pending dirty mark (an invented mark would change the
+        # engine's tracked set).
+        assert server._seen_nonces == nonces
+        assert server._redeemer._spent == spent
+        assert server._engine._dirty == dirty
 
 
 @pytest.mark.parametrize("a,b", [(0, 1), (0, 3), (2, 1)])
@@ -127,7 +141,7 @@ def test_post_split_intake_routes_and_dedupes(catalog):
     server = loaded_server(catalog, n_shards=2)
     server.split_shard(0)
     # Re-deliver the same batch: every envelope is a duplicate and the
-    # migrated nonce buckets must suppress all of them.
+    # server-wide nonce table must suppress all of them.
     accepted_before = server.accepted_envelopes
     server.receive_all(synth_deliveries(catalog, 0, N_DELIVERIES))
     assert server.accepted_envelopes == accepted_before

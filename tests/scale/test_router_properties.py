@@ -11,8 +11,7 @@ correctness argument leans on:
   (because the route never touches builtin ``hash`` or process state)
   in every process;
 * **co-location** — a record, its retransmissions, and its opinion all
-  carry the same key, hence land on the same shard; identical nonces
-  meet in the same nonce bucket;
+  carry the same key, hence land on the same shard;
 * **rough balance** — uniformly random keys spread across shards.
 """
 
@@ -39,11 +38,6 @@ def random_string_keys(n, seed):
     return [f"e{int(rng.integers(0, 10**9)):09d}" for _ in range(n)]
 
 
-def random_byte_keys(n, seed, length=16):
-    rng = make_rng(seed, "scale/test/byte-keys")
-    return [bytes(rng.bytes(length)) for _ in range(n)]
-
-
 class TestTotalityAndStability:
     def test_every_string_key_routes_in_range(self):
         keys = random_hex_keys(200, seed=1) + random_string_keys(200, seed=2)
@@ -51,17 +45,6 @@ class TestTotalityAndStability:
             router = ShardRouter(n_shards)
             for key in keys:
                 assert 0 <= router.shard_of(key) < n_shards
-
-    def test_every_bytes_key_routes_in_range(self):
-        keys = (
-            random_byte_keys(200, seed=3)
-            + random_byte_keys(50, seed=4, length=4)  # short: stable_u64 path
-            + [b""]
-        )
-        for n_shards in SHARD_COUNTS:
-            router = ShardRouter(n_shards)
-            for key in keys:
-                assert 0 <= router.shard_of_bytes(key) < n_shards
 
     def test_routing_is_stable_across_instances_and_calls(self):
         keys = random_hex_keys(100, seed=5) + random_string_keys(100, seed=6)
@@ -76,8 +59,6 @@ class TestTotalityAndStability:
         router = ShardRouter(1)
         for key in random_hex_keys(50, seed=7):
             assert router.shard_of(key) == 0
-        for key in random_byte_keys(50, seed=8):
-            assert router.shard_of_bytes(key) == 0
 
     def test_pinned_routes(self):
         """Golden pins: the routing function must never drift silently.
@@ -96,12 +77,6 @@ class TestTotalityAndStability:
         ]
         assert router.shard_of("entity-42") == owner_by_top3[
             stable_u64("scale/shard-route", "entity-42") >> 61
-        ]
-        assert router.shard_of_bytes(b"\x01" * 16) == owner_by_top3[
-            int.from_bytes(b"\x01" * 8, "big") >> 61
-        ]
-        assert router.shard_of_bytes(b"ab") == owner_by_top3[
-            stable_u64("scale/shard-route", b"ab") >> 61
         ]
 
     def test_hexlike_but_invalid_key_falls_back(self):
@@ -145,14 +120,6 @@ class TestTotalityAndStability:
 
 
 class TestCoLocation:
-    def test_retransmitted_nonce_meets_its_original(self):
-        """A duplicate delivery carries the same nonce bytes, so both
-        copies must probe the same nonce bucket."""
-        router = ShardRouter(8)
-        for nonce in random_byte_keys(200, seed=9):
-            duplicate = bytes(nonce)  # fresh object, equal bytes
-            assert router.shard_of_bytes(nonce) == router.shard_of_bytes(duplicate)
-
     def test_record_and_opinion_share_a_shard(self):
         """Interaction records and the inferred opinion for the same
         history carry the same ``hash(Ru, e)`` key."""
@@ -179,13 +146,6 @@ class TestBalance:
         # Expected 250 per shard; binomial std ~15, so [125, 375] is ~8 sigma.
         assert all(125 <= c <= 375 for c in counts), counts
 
-    def test_nonce_keys_spread(self):
-        router = ShardRouter(8)
-        counts = [0] * 8
-        for key in random_byte_keys(2000, seed=13):
-            counts[router.shard_of_bytes(key)] += 1
-        assert all(125 <= c <= 375 for c in counts), counts
-
 
 class TestOneShard:
     """A one-shard table routes every key to shard 0 without reading it,
@@ -195,7 +155,6 @@ class TestOneShard:
         router = ShardRouter(1)
         for key in random_hex_keys(50, seed=5) + random_string_keys(50, seed=6):
             assert router.shard_of(key) == 0
-            assert router.shard_of_bytes(key.encode()) == 0
         assert router.shard_of_u64(2**64 - 1) == 0
 
     def test_split_then_merge_round_trips_through_one_shard(self):
