@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: check lint ruff test bench chaos scale bench-shards telemetry bench-telemetry incremental bench-incremental analyze bench-analyze durable bench-durable ingest bench-ingest serve bench-serve reshard bench-reshard sensing bench-e2e profile-epochs profile-workload
+.PHONY: check lint ruff test bench paper chaos scale bench-shards telemetry bench-telemetry incremental bench-incremental analyze bench-analyze durable bench-durable ingest bench-ingest serve bench-serve reshard bench-reshard sensing bench-e2e profile-epochs profile-workload
 
 check:
 	bash scripts/check.sh
@@ -19,6 +19,16 @@ test:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q
+
+# Paper-claim suite (the CI paper job): every benchmarks/test_bench_*.py
+# that writes no BENCH_N.json — the figures, Table 1 and ablations
+# A1-A16 that docs/PAPER_MAP.md cites — at BENCH_SEED
+# (benchmarks/conftest.py).  The systems benches that do write
+# BENCH_N.json have their own bench-* targets.
+PAPER_BENCHES = $(shell grep -L 'BENCH_[0-9]*\.json' benchmarks/test_bench_*.py)
+
+paper:
+	$(PYTHON) -m pytest $(PAPER_BENCHES) -q
 
 # Fault-matrix suite: the upload pipeline under scripted drops, outages,
 # crashes, and skew (tests/faults), plus the containment analyzer rule.

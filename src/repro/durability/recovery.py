@@ -233,11 +233,7 @@ def recover_server(
     """
     directory = Path(directory)
     topology = load_topology(directory)
-    loaded = load_latest_snapshot(directory)
-    snapshot_seq = 0
-    state = None
-    if loaded is not None:
-        snapshot_seq, state = loaded
+    snapshot_seq, state = load_latest_snapshot(directory) or (0, None)
     # Rebuild the topology the snapshot was taken under *before* loading
     # it: restore routes every key through the server's own router, and
     # the operations covered by the snapshot may live in WAL segments
@@ -248,6 +244,9 @@ def recover_server(
             _apply_reshard(server, entry)
     if state is not None:
         restore_state(server, state)
+    # The parsed snapshot is dead once restored; release it before the
+    # replay rather than holding it through the whole WAL.
+    del state
     mutations, torn = read_mutations(directory, after_seq=snapshot_seq)
     for mutation in mutations:
         apply_mutation(server, mutation)

@@ -26,15 +26,14 @@ Coherence is belt and braces:
   dependent entry (an incomplete reverse map) degrades to a cache miss,
   never to a stale read.
 
-The fingerprint scan is O(dependency set), which would dominate the hit
+The fingerprint check is O(dependency set), which would dominate the hit
 path on dense categories, so :meth:`get` takes a *generation* fast path:
 every :meth:`invalidate` that bumps versions advances a cache-wide
 generation counter, and an entry stamped with the current generation is
 provably current — no version can have moved since it was stored (or
-last revalidated).  Only entries from an older generation pay the full
-scan, and a scan that passes re-stamps the entry, so steady-state hits
-are O(1) and the first hit after each maintenance round amortises the
-scan.
+last revalidated).  Only entries from an older generation are compared
+against current versions, and a comparison that passes re-stamps the
+entry, so steady-state hits are O(1).
 
 The reverse map is kept per *dependency group*, not per entity.  Many
 queries share one dependency set — every query of one ``(category,
@@ -48,6 +47,16 @@ changed entities belong to.  Groups live as long as the cache (until
 :meth:`clear`); their number is bounded by the distinct dependency sets
 callers pass, which for the serving layer is the static catalog's
 ``(category, attribute)`` pairs.
+
+Versions move only when the generation does, so a group's fingerprint
+is one value per generation.  Each group caches it, built from the
+per-entity versions with the generation it was built at
+(:meth:`SummaryVersionCache._current`): every :meth:`put` on the group
+within a generation shares that one tuple, and the revalidation in
+:meth:`get` builds it at most once per group per generation, however
+many of the group's entries are re-read.  The guard still reads the
+per-entity versions, never the reverse map, so a lost reverse-map entry
+still degrades to a miss.
 
 ``tests/serve/test_cache.py`` drives randomized intake + maintenance +
 query schedules, re-reading cached queries after intake, and asserts a
@@ -66,14 +75,20 @@ Fingerprint = tuple[tuple[str, int], ...]
 
 
 class DependencyGroup:
-    """One interned dependency set and the keys of the live entries on it."""
+    """One interned dependency set, the keys of the live entries on it,
+    and its fingerprint as of one cache generation."""
 
-    __slots__ = ("members", "keys")
+    __slots__ = ("members", "keys", "fingerprint", "generation")
 
     def __init__(self, members: tuple[str, ...]) -> None:
         #: The dependency ids, sorted and deduplicated.
         self.members = members
         self.keys: set[Hashable] = set()
+        #: The members' ``(entity_id, version)`` pairs at ``generation``;
+        #: ``generation`` starts below every cache generation, so the
+        #: first use builds it.
+        self.fingerprint: Fingerprint = ()
+        self.generation = -1
 
 
 @dataclass
@@ -84,7 +99,7 @@ class CachedResult:
     #: ``(entity_id, version)`` for every dependency, in id order.
     fingerprint: Fingerprint
     #: Cache generation at store (or last revalidation) time; an entry
-    #: stamped with the current generation skips the fingerprint scan.
+    #: stamped with the current generation skips the fingerprint check.
     generation: int = 0
     #: The interned dependency set whose key set holds this entry's key.
     group: DependencyGroup | None = field(default=None, repr=False, compare=False)
@@ -138,7 +153,7 @@ class SummaryVersionCache:
 
         Deduplicated: callers may pass an id twice (e.g. a candidate list
         built from overlapping predicates), and a repeated pair would
-        inflate the fingerprint and the revalidation scan for no
+        inflate the fingerprint and the revalidation check for no
         coherence benefit.
         """
         return self._stamp(tuple(sorted(set(dependency_ids))))
@@ -146,6 +161,17 @@ class SummaryVersionCache:
     def _stamp(self, members: tuple[str, ...]) -> Fingerprint:
         """:meth:`fingerprint` of ids already sorted and deduplicated."""
         return tuple(zip(members, map(self._versions.get, members, repeat(0))))
+
+    def _current(self, group: DependencyGroup) -> Fingerprint:
+        """``group``'s fingerprint now, built at most once per generation.
+
+        No version moves without the generation advancing, so a
+        fingerprint built in this generation is still exact.
+        """
+        if group.generation != self._generation:
+            group.fingerprint = self._stamp(group.members)
+            group.generation = self._generation
+        return group.fingerprint
 
     def _intern(self, dependency_ids: Iterable[str]) -> DependencyGroup:
         """The one group for this dependency set, interned on first sight.
@@ -175,16 +201,14 @@ class SummaryVersionCache:
             self.stats.misses += 1
             return None
         if entry.generation != self._generation:
-            versions = self._versions
-            if any(
-                versions.get(eid, 0) != version
-                for eid, version in entry.fingerprint
-            ):
+            current = self._current(entry.group)
+            if entry.fingerprint != current:
                 # The invalidation that bumped these versions failed to
                 # drop this entry; degrade to a miss, never a stale read.
                 self._drop(key)
                 self.stats.misses += 1
                 return None
+            entry.fingerprint = current
             entry.generation = self._generation
         self.stats.hits += 1
         return entry
@@ -196,7 +220,7 @@ class SummaryVersionCache:
         group = self._intern(dependency_ids)
         entry = CachedResult(
             response=response,
-            fingerprint=self._stamp(group.members),
+            fingerprint=self._current(group),
             generation=self._generation,
             group=group,
         )

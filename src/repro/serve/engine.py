@@ -2,11 +2,14 @@
 
 The engine is pure computation over inputs handed to it per call — the
 candidate index (static), and the summaries and Figure 3 panels the last
-maintenance cycle published.  Its only state is a memo of
-empty-history panels, a function of the static entity id alone.  Being
-pure is what lets :class:`~repro.serve.facade.ServingLayer` interpose the
-summary-version cache: the same inputs always produce byte-identical
-rendered responses (``ServeResponse.render``), on any deployment shape.
+maintenance cycle published.  Its only state is memos of pure functions:
+each entity's zero-evidence summary and empty-history panels (functions
+of the static entity id alone), and each entity's score together with
+the summary object it was computed from, reused only while the published
+summary is that same object.  Being pure is what lets
+:class:`~repro.serve.facade.ServingLayer` interpose the summary-version
+cache: the same inputs always produce byte-identical rendered responses
+(``ServeResponse.render``), on any deployment shape.
 """
 
 from __future__ import annotations
@@ -48,6 +51,23 @@ class ServeQuery:
             raise ValueError("limit must be positive")
         if self.compare_top < 0:
             raise ValueError("compare_top must be non-negative")
+
+    def __hash__(self) -> int:
+        # Every cache probe hashes the query: one flat tuple, without the
+        # generated hash's nested call into ``Point.__hash__``.  Equal
+        # queries have equal fields, so they still hash equal.
+        near = self.near
+        return hash(
+            (
+                self.category,
+                near.x,
+                near.y,
+                self.radius_km,
+                self.attribute,
+                self.limit,
+                self.compare_top,
+            )
+        )
 
 
 @dataclass(frozen=True)
@@ -126,9 +146,14 @@ class QueryEngine:
 
     A response keeps at most ``max(limit, compare_top)`` results, so the
     engine keys every match once and materializes only that prefix: the
-    ``ServeResult`` objects, the zero-evidence summaries of unsummarized
-    entities, and — built once per entity, the catalog being static —
-    the empty-history Figure-3 panels.
+    ``ServeResult`` objects, and — built once per entity, the catalog
+    being static — the zero-evidence summaries of unsummarized entities
+    and their empty-history Figure-3 panels.
+
+    A published summary changes only by being replaced, once per
+    maintenance cycle, so each entity's score is memoized next to the
+    summary it was computed from and recomputed only when the published
+    summary is a different object.
     """
 
     def __init__(
@@ -138,7 +163,10 @@ class QueryEngine:
         self.ranking = ranking
         #: The score of every unsummarized entity (it ignores the id).
         self._empty_score = serve_score(empty_summary(""), ranking)
+        self._empty_summaries: dict[str, EntityOpinionSummary] = {}
         self._empty_panels: dict[str, EntityPanels] = {}
+        #: entity_id -> (the summary last scored, its score).
+        self._scores: dict[str, tuple[EntityOpinionSummary, float]] = {}
 
     def _select(
         self,
@@ -148,16 +176,21 @@ class QueryEngine:
     ) -> tuple[int, list[ServeResult]]:
         """``(n_matches, best top results)``; ``top=None`` keeps them all."""
         keyed = []
+        scores = self._scores
         for entity, distance in self.index.candidates(
             query.category, query.near, query.radius_km, query.attribute
         ):
             entity_id = entity.entity_id
             summary = summaries.get(entity_id)
-            score = (
-                self._empty_score
-                if summary is None
-                else serve_score(summary, self.ranking)
-            )
+            if summary is None:
+                score = self._empty_score
+            else:
+                memo = scores.get(entity_id)
+                if memo is not None and memo[0] is summary:
+                    score = memo[1]
+                else:
+                    score = serve_score(summary, self.ranking)
+                    scores[entity_id] = (summary, score)
             # Keys are unique (entity ids are), so no comparison ever
             # reaches the entity or the summary.
             keyed.append(
@@ -168,7 +201,7 @@ class QueryEngine:
             ServeResult(
                 entity=entity,
                 distance_km=distance,
-                summary=empty_summary(entity.entity_id) if summary is None else summary,
+                summary=self._empty_summary(entity.entity_id) if summary is None else summary,
                 score=score,
             )
             for _, distance, score, entity, summary in chosen
@@ -179,6 +212,13 @@ class QueryEngine:
     ) -> list[ServeResult]:
         """Every match, best first (total order — see ``repro.serve.ranking``)."""
         return self._select(query, summaries, None)[1]
+
+    def _empty_summary(self, entity_id: str) -> EntityOpinionSummary:
+        """The entity's zero-evidence summary, built once."""
+        empty = self._empty_summaries.get(entity_id)
+        if empty is None:
+            empty = self._empty_summaries[entity_id] = empty_summary(entity_id)
+        return empty
 
     def _panels(
         self, entity_id: str, panels: dict[str, EntityPanels]

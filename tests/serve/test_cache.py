@@ -24,7 +24,7 @@ from repro.ingest import SyntheticTraffic
 from repro.privacy.history_store import InteractionUpload
 from repro.scale.kernel import FrameJudgement
 from repro.serve.cache import SummaryVersionCache
-from repro.serve.engine import ServeQuery
+from repro.serve.engine import QueryEngine, ServeQuery
 from repro.serve.loadgen import QueryWorkload, SyntheticQueries
 from repro.util.rng import make_rng
 from repro.world.entities import Entity, EntityKind
@@ -82,6 +82,39 @@ class TestCacheUnit:
         assert cache._entries["q"].generation == cache._generation
         assert cache.get("q") is not None
         assert cache.stats.hits == 2
+
+    def test_one_fingerprint_per_group_and_generation(self, monkeypatch):
+        # Fills on one group within a generation share one fingerprint,
+        # and the first reads after an invalidation rebuild it once per
+        # group, not once per entry.
+        cache = SummaryVersionCache()
+        built = []
+        stamp = cache._stamp
+        monkeypatch.setattr(
+            cache, "_stamp", lambda members: built.append(members) or stamp(members)
+        )
+        shared, other = ("a", "b", "c"), ("d",)
+        for index in range(5):
+            cache.put(f"q{index}", f"r{index}", shared)
+        cache.put("lone", "r", other)
+        assert built == [shared, other]
+        assert cache._entries["q0"].fingerprint is cache._entries["q4"].fingerprint
+
+        built.clear()
+        cache.invalidate(["unrelated"])
+        for key in [*(f"q{index}" for index in range(5)), "lone"]:
+            assert cache.get(key) is not None
+        cache.put("q5", "r5", shared)
+        assert built == [shared, other]
+
+        # An invalidation that reaches the group drops its entries; the
+        # next fills rebuild its fingerprint once, with the new version.
+        built.clear()
+        assert cache.invalidate(["b"]) == 6
+        for index in range(3):
+            entry = cache.put(f"q{index}", f"r{index}", shared)
+        assert built == [shared]
+        assert entry.fingerprint == (("a", 0), ("b", 1), ("c", 0))
 
     def test_fifo_eviction_at_capacity(self):
         cache = SummaryVersionCache(max_entries=2)
@@ -281,10 +314,18 @@ def test_cached_reads_match_fresh_recompute_under_any_schedule(
 
     def check(batch):
         nonlocal checked
+        published = server._engine
         for query in batch:
             cached = serving.query(query).render()
             fresh = serving.query_uncached(query).render()
-            assert cached == fresh, query
+            # ``query_uncached`` shares the serving engine's memos; a new
+            # engine starts with none, so it also catches a stale memo.
+            unmemoized = (
+                QueryEngine(serving.index, serving.engine.ranking)
+                .respond(query, published.summaries, published.panels)
+                .render()
+            )
+            assert cached == fresh == unmemoized, query
             checked += 1
 
     for _ in range(30):

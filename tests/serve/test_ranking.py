@@ -213,6 +213,30 @@ class TestEngineSanity:
         assert ranked[0].entity.entity_id == "thai-2"
         assert ranked[0].score > ranked[1].score
 
+    def test_a_replaced_summary_is_rescored_never_served_from_the_memo(
+        self, monkeypatch
+    ):
+        engine = self.make_engine()
+        scored = []
+
+        def counting_score(summary, config):
+            scored.append(summary)
+            return serve_score(summary, config)
+
+        monkeypatch.setattr("repro.serve.engine.serve_score", counting_score)
+        query = ServeQuery(category="thai", near=Point(0.0, 1.0), radius_km=10.0)
+        good = summary("thai-2", n_explicit=1, explicit_mean=5.0)
+        assert engine.rank(query, {"thai-2": good})[0].score == serve_score(good)
+        assert engine.rank(query, {"thai-2": good})[0].score == serve_score(good)
+        assert scored == [good]  # the second read reused the memo
+        # The next cycle publishes a new object for the same entity id.
+        bad = summary("thai-2", n_explicit=1, explicit_mean=1.0)
+        [result] = [
+            r for r in engine.rank(query, {"thai-2": bad}) if r.summary is bad
+        ]
+        assert result.score == serve_score(bad) < serve_score(good)
+        assert scored == [good, bad]
+
 
 class TestEngineResponses:
     """What a response holds: every match in range and category, reviewed
@@ -260,6 +284,14 @@ class TestEngineResponses:
         for radius_km in (0.0, -1.0):
             with pytest.raises(ValueError):
                 ServeQuery(category="thai", near=Point(0.0, 0.0), radius_km=radius_km)
+
+    def test_equal_queries_hash_equal(self):
+        # The query is the cache key: equal fields, separately built,
+        # must land on one entry.
+        query = ServeQuery(category="thai", near=Point(1.5, 2.0), attribute="price:2")
+        again = ServeQuery(category="thai", near=Point(1.5, 2.0), attribute="price:2")
+        assert query == again and hash(query) == hash(again)
+        assert len({query, again, ServeQuery(category="thai", near=Point(2.0, 1.5))}) == 2
 
 
 #: Evidence shapes a drawn entity may carry; ``None`` leaves it
