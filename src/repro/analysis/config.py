@@ -98,12 +98,12 @@ class AnalysisConfig:
     wal_receivers: frozenset[str] = frozenset({"journal", "wal", "_wal"})
     #: Counter spellings whose bump acknowledges an envelope.
     accept_commit_counters: frozenset[str] = frozenset({"accepted_envelopes"})
-    #: Dedup-set spellings whose ``.add`` burns a nonce (the other half of
-    #: the acceptance commit): the server's table and the intake loop's
-    #: local binding of it.
-    accept_commit_sets: frozenset[str] = frozenset({"_seen_nonces", "seen_nonces"})
-    #: Helper methods that perform the acceptance commit wholesale.
-    accept_commit_calls: frozenset[str] = frozenset({"_mark_accepted"})
+    #: Set spellings whose ``.add`` burns a nonce or spends a token (the
+    #: rest of the acceptance commit): the server's nonce table, the intake
+    #: loop's local binding of it, and the redeemer's spent-token set.
+    accept_commit_sets: frozenset[str] = frozenset({"_seen_nonces", "seen_nonces", "_spent"})
+    #: The server method that performs the acceptance commit wholesale.
+    accept_commit_calls: frozenset[str] = frozenset({"commit_acceptance"})
     #: File-handle spellings inside the durability package whose ``write``
     #: must be paired with a flush/fsync in the same function.
     wal_file_receivers: frozenset[str] = frozenset({"_file", "_fh"})

@@ -20,8 +20,9 @@ imports this package).  It owns a directory of:
   :mod:`repro.durability.snapshot`).
 
 Commit protocol: the servers call ``log_*`` *after* the store mutation
-succeeded but *before* the acceptance commit (accept counter + nonce
-burn) — the ``durability-fsync-before-ack`` lint rule holds that line.
+succeeded but *before* the acceptance commit (accept counter, nonce burn
+and token spend) — the ``durability-fsync-before-ack`` lint rule holds
+that line.
 Every append flushes to the OS before returning and bumps the
 ``wal.appends``/``wal.bytes`` counters, bound at the first append (a
 journal that never appends declares neither); ``fsync`` runs per

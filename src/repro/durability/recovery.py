@@ -17,12 +17,12 @@ that never crashed.  The two halves of that equation:
   acknowledged (the WAL is written *before* the acceptance commit), so
   the existing client retransmission machinery re-sends it.
 
-Replay applies mutations directly to the stores — not through
-``receive()`` — because a WAL record *is* an acceptance decision already
-made; re-running validation would need the original envelope (token
-signature and all), which the log deliberately does not retain.
-:func:`apply_mutation` is shared with log shipping: a replica applying a
-shipped batch is replaying the primary's WAL.
+Replay skips ``receive()``'s validation — a WAL record *is* an
+acceptance decision already made, and the log does not retain the
+envelope — but not its state transition: :func:`apply_mutation` calls
+the store write, acceptance commit and quota charge live intake calls.
+It is shared with log shipping: a replica applying a shipped batch is
+replaying the primary's WAL.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from repro.durability.snapshot import load_latest_snapshot, restore_state
 from repro.durability.wal import read_wal
 from repro.privacy.history_store import InteractionUpload
 from repro.reshard.topology import load_topology, save_topology, spec_from_json
+from repro.scale.shard import MISMATCH, STALE
 from repro.telemetry import NULL, Telemetry
-from repro.util.clock import DAY
 
 
 @dataclass(frozen=True)
@@ -57,17 +57,20 @@ class RecoveryReport:
 def read_mutations(directory: Path, after_seq: int) -> tuple[list[dict], bool]:
     """All replayable mutations with ``seq > after_seq``, in seq order.
 
-    Non-final segments of a lane must read clean — a later segment only
-    exists because rotation closed them, so a torn tail there is real
-    corruption and raises.  Only each lane's *last* segment may be torn.
-    Lanes are merged by the global sequence number, which restores the
-    exact total intake order across per-shard WAL files.
+    A segment whose lane successor starts at or before ``after_seq + 1``
+    holds only covered records (segments open at the next seq) and is not
+    read.  Other non-final segments must read clean — rotation closed
+    them, so a torn tail there is real corruption and raises.  Lanes are
+    merged by the global sequence number, which restores the exact total
+    intake order across per-shard WAL files.
     """
     mutations: list[dict] = []
     torn = False
     for _lane, segments in sorted(list_segments(directory).items()):
         for index, (_start, path) in enumerate(segments):
             final = index == len(segments) - 1
+            if not final and segments[index + 1][0] <= after_seq + 1:
+                continue
             result = read_wal(path, tolerate_torn_tail=final)
             torn = torn or result.torn
             mutations.extend(
@@ -80,32 +83,10 @@ def read_mutations(directory: Path, after_seq: int) -> tuple[list[dict], bool]:
 # ----------------------------------------------------------------- apply
 
 
-def _commit(server, mutation: dict) -> None:
-    """The acceptance commit replay: counter, nonce burn, token spend."""
-    server.accepted_envelopes += 1
-    nonce_hex = mutation.get("nonce")
-    if nonce_hex is not None:
-        server._seen_nonces.add(bytes.fromhex(nonce_hex))
-    token_hex = mutation.get("token_id")
-    if token_hex is not None:
-        server._redeemer._spent.add(bytes.fromhex(token_hex))
-
-
-def apply_mutation(server, mutation: dict) -> None:
-    """Apply one WAL record to a server's stores.
-
-    Mirrors the accepted branch of ``receive()`` / ``post_review()`` /
-    ``issue()`` without re-validating: the record's presence in the WAL
-    *is* the acceptance decision.  The opinion branch re-runs the ``seq``
-    rule so a logged stale re-upload (accepted envelope, skipped slot
-    write) lands in the same end state — and bumps the same counter.
-    Callers owe a :func:`finalize_recovery` before the next maintenance
-    cycle; this function deliberately skips the engine's incremental
-    bookkeeping.
-    """
-    kind = mutation["kind"]
+def _decode(kind: str, mutation: dict):
+    """The record a WAL mutation of ``kind`` carries."""
     if kind == "interaction":
-        upload = InteractionUpload(
+        return InteractionUpload(
             history_id=mutation["history_id"],
             entity_id=mutation["entity_id"],
             interaction_type=mutation["interaction_type"],
@@ -113,54 +94,58 @@ def apply_mutation(server, mutation: dict) -> None:
             duration=mutation["duration"],
             travel_km=mutation["travel_km"],
         )
-        shard = server.shards[server.router.shard_of(upload.history_id)]
-        stored = shard.store.append(upload, arrival_time=mutation["arrival_time"])
-        if not stored:
-            raise RuntimeError(
-                f"WAL interaction seq={mutation['seq']} for history "
-                f"{upload.history_id!r} was rejected by the store on replay — "
-                "the journal and the stores have diverged"
-            )
-        _commit(server, mutation)
-    elif kind == "opinion":
-        record = OpinionUpload(
+    if kind == "opinion":
+        return OpinionUpload(
             history_id=mutation["history_id"],
             entity_id=mutation["entity_id"],
             rating=mutation["rating"],
             seq=mutation["opinion_seq"],
         )
-        shard = server.shards[server.router.shard_of(record.history_id)]
-        existing = shard.opinions.get(record.history_id)
-        if existing is None or record.seq > existing.seq:
-            shard.opinions[record.history_id] = record
-        else:
-            server.opinions_stale += 1
-        _commit(server, mutation)
-    elif kind == "review":
+    if kind == "review":
         from repro.service.server import ExplicitReview
 
-        review = ExplicitReview(
+        return ExplicitReview(
             user_id=mutation["user_id"],
             entity_id=mutation["entity_id"],
             rating=mutation["rating"],
             time=mutation["time"],
         )
-        shard = server.shards[server.router.shard_of(review.entity_id)]
-        shard.reviews.setdefault(review.entity_id, []).append(review)
-    elif kind == "reshard":
+    raise ValueError(f"unknown WAL mutation kind {kind!r}")
+
+
+def _bytes(hex_text: str | None) -> bytes | None:
+    return None if hex_text is None else bytes.fromhex(hex_text)
+
+
+def apply_mutation(server, mutation: dict) -> None:
+    """Apply one WAL record through live intake's store write and commit.
+
+    Nothing is re-validated; the store write re-runs the opinion ``seq``
+    rule, so a logged stale re-upload lands in the same state and counter.
+    Callers owe a :func:`finalize_recovery` before the next maintenance
+    cycle: the engine's incremental bookkeeping is skipped.
+    """
+    kind = mutation["kind"]
+    if kind == "reshard":
         _apply_reshard(server, mutation)
-    elif kind == "issue":
-        issuer = server.issuer
-        device_id, now = mutation["device_id"], mutation["now"]
-        window = issuer._window_start.get(device_id)
-        if window is None or now - window >= DAY:
-            issuer._window_start[device_id] = now
-            issuer._issued_today[device_id] = 0
-        issuer._issued_today[device_id] = (
-            issuer._issued_today[device_id] + mutation["count"]
+        return
+    if kind == "issue":
+        server.issuer.charge(mutation["device_id"], mutation["count"], mutation["now"])
+        return
+    record = _decode(kind, mutation)
+    key = record.entity_id if kind == "review" else record.history_id
+    shard = server.shards[server.router.shard_of(key)]
+    outcome = shard.write(kind, record, mutation.get("arrival_time", 0.0))
+    if outcome == MISMATCH:
+        raise RuntimeError(
+            f"WAL interaction seq={mutation['seq']} for history {record.history_id!r} "
+            "was rejected by the store on replay — the journal and the stores have diverged"
         )
-    else:
-        raise ValueError(f"unknown WAL mutation kind {kind!r}")
+    if kind == "review":
+        return
+    if outcome == STALE:
+        server.opinions_stale += 1
+    server.commit_acceptance(_bytes(mutation["nonce"]), _bytes(mutation["token_id"]))
 
 
 def _apply_reshard(server, mutation: dict) -> None:

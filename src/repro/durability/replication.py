@@ -3,8 +3,9 @@
 The replication unit is the primary's WAL: :class:`ReplicatedRSPServer`
 ships batches of journaled mutations over a fault-injectable channel,
 and the replica applies them with the *same* function crash recovery
-uses (:func:`repro.durability.recovery.apply_mutation`) — a replica is,
-by construction, a continuously recovering copy of the primary.  The
+uses (:func:`repro.durability.recovery.apply_mutation`: the primary's own
+store write, acceptance commit and quota charge) — a replica is, by
+construction, a continuously recovering copy of the primary.  The
 replica acknowledges by sequence offset; ``lag`` (mutations journaled
 but not yet acked) is the bounded staleness counter the chaos tests
 watch grow through a replica outage and drain after it.

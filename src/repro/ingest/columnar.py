@@ -12,10 +12,10 @@ Classification, first match wins:
    can still land;
 2. **token** — the trust boundary comes before dedup: only token-valid
    envelopes may *write* dedup state, so an unauthenticated sender can
-   never squat a nonce and suppress someone's legitimate record.  A token
-   failure on an already-accepted nonce counts as a suppressed duplicate
-   rather than a rejection: an identical network-replayed copy carries
-   its original's spent token;
+   never squat a nonce and suppress someone's legitimate record (it is
+   spent only on acceptance).  A token failure on an accepted nonce is a
+   suppressed duplicate rather than a rejection: an identical
+   network-replayed copy carries its original's spent token;
 3. **nonce** — idempotent dedup of accepted envelopes;
 4. **record kind** — interaction and opinion uploads with a string
    ``history_id``; anything else is ``malformed``;
@@ -25,12 +25,13 @@ Classification, first match wins:
    client bug or a corruption attempt, kept out of the generic bucket so
    fraud-facing dashboards see it.
 
-Acceptance is transactional with store dispatch: the accept counter and
-the nonce table are touched only after the record is in its store, so a
-record that raises mid-dispatch neither inflates the counters nor burns
-its nonce — the sender may repair and retransmit under the same nonce.
-An opinion slot keeps the highest ``seq``; a re-upload that does not beat
-it is accepted as stale and skips the slot write.
+Acceptance is the transition WAL replay and the replica share
+(:mod:`repro.durability.recovery`): ``ShardState.write`` files the record
+(an opinion that does not beat its slot's ``seq`` is accepted as stale),
+then ``RSPServer.commit_acceptance`` counts it, burns its nonce and
+spends its token — so a record that raises mid-dispatch commits nothing
+and may be repaired and retransmitted under the same nonce.  Only intake
+feeds the engine's dirty marks and opinion claims; recovery rebuilds them.
 
 The loop is written for speed, since every deployment runs it:
 
@@ -40,9 +41,8 @@ The loop is written for speed, since every deployment runs it:
   touches is keyed by values the envelope carries, so regrouping across
   shards changes no outcome.  At one shard the batch is the group and
   nothing is routed;
-* attribute and method lookups are hoisted out of the loop, record-kind
-  dispatch is memoized per concrete class, and the history-store append
-  is inlined so the mismatch check and the write share one dict probe;
+* attribute and method lookups are hoisted out of the loop, and
+  record-kind dispatch is memoized per concrete class;
 * telemetry is accumulated in locals and emitted once per batch —
   counters and histogram state are commutative integer arithmetic
   (:mod:`repro.telemetry.registry`), and an instrument is only touched
@@ -62,11 +62,8 @@ everything processed before the failing record stays counted.
 from __future__ import annotations
 
 from repro.core.aggregation import OpinionUpload
-from repro.privacy.history_store import (
-    InteractionHistory,
-    InteractionUpload,
-    StoredRecord,
-)
+from repro.privacy.history_store import InteractionUpload
+from repro.scale.shard import MISMATCH, STALE
 from repro.telemetry.catalog import (
     INGEST_LAG_BUCKETS,
     INTAKE_BATCH_BUCKETS,
@@ -149,7 +146,8 @@ def _classify(server, groups, now: float | None) -> int:
     hook = server.fault_hook
     journal = server.journal
     require_tokens = server.require_tokens
-    redeem = server._redeemer.redeem
+    verify = server._redeemer.verify
+    commit_acceptance = server.commit_acceptance
     seen_nonces = server._seen_nonces
     catalog = server.catalog
     mark_dirty = server._engine.mark_dirty
@@ -158,8 +156,6 @@ def _classify(server, groups, now: float | None) -> int:
     kind_of = _kind_of
     is_instance = isinstance
     string = str
-    stored_record = StoredRecord
-    new_history = InteractionHistory
 
     rejected: dict[str, int] = {}
     lags: list[float] = []
@@ -168,14 +164,13 @@ def _classify(server, groups, now: float | None) -> int:
     # when a journal failure aborts the loop mid-batch.
     outage_dropped = duplicates = stale = mismatches = 0
     accepted_interactions = accepted_opinions = 0
+    token_id = None
     try:
         for shard_index, group in groups:
             shard = server.shards[shard_index]
-            histories = shard.store._histories
-            histories_get = histories.get
-            by_entity = shard.store._by_entity
-            opinions = shard.opinions
-            opinions_get = opinions.get
+            write = shard.write
+            histories_get = shard.store._histories.get
+            opinions_get = shard.opinions.get
             for delivery in group:
                 envelope = delivery.payload
                 arrival = delivery.arrival_time
@@ -194,12 +189,13 @@ def _classify(server, groups, now: float | None) -> int:
                     nonce = None
                 if require_tokens:
                     token = envelope.token
-                    if token is None or not redeem(token):
+                    if token is None or not verify(token):
                         if nonce is not None and nonce in seen_nonces:
                             duplicates += 1
                         else:
                             rejected["token"] = rejected.get("token", 0) + 1
                         continue
+                    token_id = token.token_id
                 if nonce is not None and nonce in seen_nonces:
                     duplicates += 1
                     continue
@@ -219,60 +215,34 @@ def _classify(server, groups, now: float | None) -> int:
                         )
                         continue
                     if kind == "interaction":
-                        # The history-store append, inlined: the mismatch
-                        # check and the write share one dict probe.
-                        history = histories_get(history_id)
-                        if history is None:
-                            history = new_history(history_id, entity_id)
-                            histories[history_id] = history
-                            bound = by_entity.get(entity_id)
-                            if bound is None:
-                                by_entity[entity_id] = [history]
-                            else:
-                                bound.append(history)
-                        elif history.entity_id != entity_id:
+                        if write(kind, record, arrival) == MISMATCH:
                             mismatches += 1
-                            rejected["history-mismatch"] = (
-                                rejected.get("history-mismatch", 0) + 1
-                            )
+                            rejected[MISMATCH] = rejected.get(MISMATCH, 0) + 1
                             continue
-                        history.records.append(stored_record(record, arrival))
                         mark_dirty(entity_id)
                     else:
                         existing = opinions_get(history_id)
-                        if existing is None or record.seq > existing.seq:
-                            opinions[history_id] = record
-                            owner = histories_get(history_id)
-                            note_opinion(
-                                existing,
-                                record,
-                                owner=None if owner is None else owner.entity_id,
-                            )
-                        else:
-                            # A delayed/reordered re-upload older than (or
-                            # tying) the slot: drop the write, but accept
-                            # the envelope — the sender behaved correctly
-                            # and must not retransmit.
+                        if write(kind, record) == STALE:
                             stale += 1
+                        else:
+                            owner = histories_get(history_id)
+                            note_opinion(existing, record, owner and owner.entity_id)
                 except Exception:
                     # Store dispatch blew up: nothing was written, so
                     # nothing may be marked accepted.
                     rejected["store-error"] = rejected.get("store-error", 0) + 1
                     continue
                 # WAL-before-ack: the mutation is journaled (and flushed)
-                # before the accept counter and nonce burn commit, so a
-                # crash on either side of this line is recoverable — see
-                # docs/DURABILITY.md.
+                # before the acceptance commits, so a crash on either side
+                # of this line is recoverable — see docs/DURABILITY.md.
                 if journal is not None:
-                    token_id = token.token_id if require_tokens else None
                     if kind == "interaction":
                         journal.log_interaction(
                             record, arrival, nonce, token_id, shard_index
                         )
                     else:
                         journal.log_opinion(record, nonce, token_id, shard_index)
-                if nonce is not None:
-                    seen_nonces.add(nonce)
+                commit_acceptance(nonce, token_id)
                 if kind == "interaction":
                     accepted_interactions += 1
                     lag(arrival - record.event_time)
@@ -280,7 +250,6 @@ def _classify(server, groups, now: float | None) -> int:
                     accepted_opinions += 1
     finally:
         accepted = accepted_interactions + accepted_opinions
-        server.accepted_envelopes += accepted
         server.rejected_envelopes += sum(rejected.values())
         server.duplicates_suppressed += duplicates
         server.dropped_by_outage += outage_dropped

@@ -94,28 +94,36 @@ class TokenIssuer:
             self.refused_while_down += 1
             self.telemetry.inc("issuer.refusals", reason="outage")
             raise IssuerUnavailable(f"token issuer down at t={now:.0f}")
-        window = self._window_start.get(device_id)
-        if window is None or now - window >= DAY:
-            self._window_start[device_id] = now
-            self._issued_today[device_id] = 0
-        used = self._issued_today[device_id]
-        if used + len(blinded_values) > self.quota_per_day:
-            self.telemetry.inc("issuer.refusals", reason="quota")
-            raise QuotaExceeded(
-                f"device {device_id} requested {len(blinded_values)} tokens "
-                f"with {self.quota_per_day - used} remaining today"
-            )
-        self._issued_today[device_id] = used + len(blinded_values)
+        self.charge(device_id, len(blinded_values), now)
         if self.journal is not None:
             self.journal.log_issue(device_id, len(blinded_values), now)
         self.telemetry.inc("issuer.tokens.issued", len(blinded_values))
         return [self._keypair.sign_raw(value) for value in blinded_values]
 
-    def remaining_quota(self, device_id: str, now: float) -> int:
+    def charge(self, device_id: str, count: int, now: float) -> int:
+        """Charge ``count`` tokens to a device's daily window; returns the rest.
+
+        The window rolls over a day after it opened.  A refused charge (it
+        raises :class:`QuotaExceeded`; refusals are never journaled) and a
+        zero charge write nothing, not even a rolled window.
+        """
         window = self._window_start.get(device_id)
-        if window is None or now - window >= DAY:
-            return self.quota_per_day
-        return self.quota_per_day - self._issued_today.get(device_id, 0)
+        rolled = window is None or now - window >= DAY
+        used = 0 if rolled else self._issued_today[device_id]
+        if used + count > self.quota_per_day:
+            self.telemetry.inc("issuer.refusals", reason="quota")
+            raise QuotaExceeded(
+                f"device {device_id} requested {count} tokens "
+                f"with {self.quota_per_day - used} remaining today"
+            )
+        if count:
+            if rolled:
+                self._window_start[device_id] = now
+            self._issued_today[device_id] = used + count
+        return self.quota_per_day - used - count
+
+    def remaining_quota(self, device_id: str, now: float) -> int:
+        return self.charge(device_id, 0, now)
 
 
 class TokenRedeemer:
@@ -125,11 +133,14 @@ class TokenRedeemer:
         self._public = public_key
         self._spent: set[bytes] = set()
 
+    def verify(self, token: UploadToken) -> bool:
+        """Whether ``token`` is unspent and validly signed; spends nothing."""
+        token_id = token.token_id
+        return token_id not in self._spent and self._public.verify(token_id, token.signature)
+
     def redeem(self, token: UploadToken) -> bool:
         """Accept a token exactly once; forged and replayed tokens fail."""
-        if token.token_id in self._spent:
-            return False
-        if not self._public.verify(token.token_id, token.signature):
+        if not self.verify(token):
             return False
         self._spent.add(token.token_id)
         return True

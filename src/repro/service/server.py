@@ -311,9 +311,17 @@ class RSPServer:
         )
         if self.journal is not None:
             self.journal.log_review(user_id, entity_id, rating, time)
-        shard.reviews.setdefault(entity_id, []).append(review)
+        shard.write("review", review)
         self._engine.mark_dirty(entity_id)
         self.telemetry.inc("rsp.reviews.posted")
+
+    def commit_acceptance(self, nonce: bytes | None, token_id: bytes | None) -> None:
+        """Count an accepted envelope, burn its nonce, spend its token."""
+        self.accepted_envelopes += 1
+        if nonce is not None:
+            self._seen_nonces.add(nonce)
+        if token_id is not None:
+            self._redeemer._spent.add(token_id)
 
     def receive(self, delivery: Delivery[Envelope], now: float | None = None) -> bool:
         """Process one anonymous envelope off the network.

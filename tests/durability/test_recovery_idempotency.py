@@ -3,17 +3,22 @@
 The at-least-once channel makes every delivery a potential re-delivery;
 the acceptance rules that suppress them (nonce table, per-slot opinion
 ``seq``, issuer quota windows) are exactly the state a restart must not
-lose.  Each test crashes between the first delivery and its duplicate.
+lose.  Each test crashes between the first delivery and its duplicate,
+or checks what recovery reads to rebuild that state.
 """
 
 import pytest
 
 from repro.core.aggregation import OpinionUpload
 from repro.core.protocol import Envelope
-from repro.durability.journal import DurableJournal, attach_journal
+from repro.durability import recovery
+from repro.durability.journal import DurableJournal, attach_journal, list_segments
 from repro.durability.recovery import recover_server
-from repro.privacy.anonymity import Delivery
 from repro.durability.snapshot import capture_state
+from repro.durability.wal import read_wal
+from repro.privacy.anonymity import Delivery
+from repro.privacy.tokens import QuotaExceeded
+from repro.util.clock import DAY
 
 from tests.durability.conftest import (
     comparable_state,
@@ -124,6 +129,72 @@ def test_issuer_quota_window_survives_recovery(catalog, tmp_path):
         recovered.issuer.remaining_quota("device-7", now=100.0 + 86400.0)
         == recovered.issuer.quota_per_day
     )
+
+
+def test_a_refused_issuance_does_not_roll_the_quota_window(catalog, tmp_path):
+    # Only successful issuances are journaled, so a refusal must leave the
+    # window exactly as it found it — or replay lands on another window.
+    directory = tmp_path / "durable"
+    server = durable_server(catalog, directory)
+    issuer = server.issuer
+    issuer.issue("device-7", [3], now=0.0)
+    with pytest.raises(QuotaExceeded):
+        issuer.issue("device-7", list(range(2, issuer.quota_per_day + 3)), now=DAY + 1.0)
+    issuer.issue("device-7", [5], now=2 * DAY)
+    server.journal.crash()
+
+    recovered = make_server(catalog)
+    recover_server(recovered, directory)
+    for restarted in (server, recovered):
+        assert (
+            restarted.issuer.remaining_quota("device-7", now=2 * DAY + 10.0)
+            == issuer.quota_per_day - 1
+        )
+
+
+def test_recovery_never_opens_a_segment_the_snapshot_covers(
+    catalog, tmp_path, monkeypatch
+):
+    directory = tmp_path / "durable"
+    server = make_server(catalog, n_shards=2)
+    attach_journal(
+        server, DurableJournal(directory, n_lanes=2, lane_of=server.router.shard_of)
+    )
+    server.receive_all(synth_deliveries(catalog, 0, 12))
+    server.journal.take_snapshot(server)
+    server.receive_all(synth_deliveries(catalog, 12, 20))
+    server.journal.take_snapshot(server)
+    server.receive_all(synth_deliveries(catalog, 20, 26))
+    server.journal.crash()
+    # Truncation keeps the older snapshot's replay source: the segments
+    # opened at seq 13, which the newest snapshot (seq 20) covers.
+    segments = [path for lane in list_segments(directory).values() for _, path in lane]
+    covered = {path for path in segments if path.name.endswith("000000000013.log")}
+    assert len(covered) == 2
+
+    everything = sorted(
+        (record for path in segments for record in read_wal(path).records),
+        key=lambda record: record["seq"],
+    )
+    opened = []
+
+    def spy(path, **kwargs):
+        opened.append(path)
+        return read_wal(path, **kwargs)
+
+    monkeypatch.setattr(recovery, "read_wal", spy)
+    mutations, _ = recovery.read_mutations(directory, after_seq=20)
+    assert mutations == [record for record in everything if record["seq"] > 20]
+    assert set(opened) == set(segments) - covered
+    # Falling back to the older snapshot still reads every segment.
+    opened.clear()
+    mutations, _ = recovery.read_mutations(directory, after_seq=12)
+    assert mutations == [record for record in everything if record["seq"] > 12]
+    assert set(opened) == set(segments)
+
+    recovered = make_server(catalog, n_shards=2)
+    assert recover_server(recovered, directory).n_replayed == 6
+    assert comparable_state(recovered) == comparable_state(server)
 
 
 def test_new_journal_resumes_sequence_monotonically(catalog, tmp_path):

@@ -43,20 +43,18 @@ class TestWalBeforeAckOrdering:
         result = lint([offender])
         assert rule_ids(result) == ["durability-fsync-before-ack"]
 
-    def test_mark_accepted_helper_counts_as_commit(self, tmp_path):
-        pkg = tmp_path / "repro"
-        (pkg / "scale").mkdir(parents=True)
-        (pkg / "__init__.py").write_text("")
-        (pkg / "scale" / "__init__.py").write_text("")
-        offender = pkg / "scale" / "intake.py"
-        offender.write_text(
-            "class S:\n"
-            "    def take(self, record, nonce):\n"
-            "        self._mark_accepted(nonce)\n"
-            "        self.journal.log_interaction(record, 0.0, nonce, None)\n"
-        )
-        result = lint([offender])
+    def test_commit_call_before_append_is_flagged(self, lint_paths):
+        # The server's ``commit_acceptance`` is the whole acceptance commit;
+        # the intake loop calls it through a local binding.
+        result = lint_paths("ingest/bad_commit_call.py")
         assert rule_ids(result) == ["durability-fsync-before-ack"]
+        [violation] = result.findings
+        assert "commit_acceptance" in violation.message
+        assert violation.line == 9
+
+    def test_commit_call_after_append_is_clean(self, lint_paths):
+        result = lint_paths("ingest/good_commit_call.py")
+        assert result.ok
 
     def test_commit_without_any_append_is_clean(self, tmp_path):
         # The helper that *performs* the commit contains no journal call;
@@ -68,9 +66,10 @@ class TestWalBeforeAckOrdering:
         helper = pkg / "service" / "helper.py"
         helper.write_text(
             "class S:\n"
-            "    def _mark_accepted(self, nonce):\n"
+            "    def commit_acceptance(self, nonce, token_id):\n"
             "        self.accepted_envelopes += 1\n"
             "        self._seen_nonces.add(nonce)\n"
+            "        self._redeemer._spent.add(token_id)\n"
         )
         result = lint([helper])
         assert result.ok

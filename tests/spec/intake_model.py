@@ -24,8 +24,8 @@ Classification, first match wins:
    different entity.
 
 Everything else is accepted, and only accepted envelopes burn their
-nonce.  A valid token is spent as soon as it redeems, whatever happens to
-the record afterwards.  An opinion slot keeps the highest ``seq``; an
+nonce and spend their token: the token step only verifies it, so a
+rejected or duplicate envelope leaves its token spendable.  An opinion slot keeps the highest ``seq``; an
 opinion that does not beat the slot (a tie included) is still accepted,
 counted as stale, and leaves the slot as it was.
 
@@ -88,7 +88,7 @@ class IntakeModel:
             return "outage"
         nonce = getattr(envelope, "nonce", None)
         seen = nonce is not None and nonce in self.nonces
-        if self.require_tokens and not self._redeem(envelope.token):
+        if self.require_tokens and not self._verify(envelope.token):
             return self._duplicate() if seen else self._reject("token")
         if seen:
             return self._duplicate()
@@ -131,19 +131,18 @@ class IntakeModel:
                 fate = "stale"
         if nonce is not None:
             self.nonces.add(nonce)
+        if self.require_tokens:
+            self.spent.add(envelope.token.token_id)
         self.counters["accepted_envelopes"] += 1
         return fate
 
     def post_review(self, user_id: str, entity_id: str, rating: int, time: float) -> None:
         self.reviews.setdefault(entity_id, []).append([user_id, rating, time])
 
-    def _redeem(self, token) -> bool:
+    def _verify(self, token) -> bool:
         if token is None or token.token_id in self.spent:
             return False
-        if self.minted.get(token.token_id) != token.signature:
-            return False
-        self.spent.add(token.token_id)
-        return True
+        return self.minted.get(token.token_id) == token.signature
 
     def _duplicate(self) -> str:
         self.counters["duplicates_suppressed"] += 1

@@ -53,14 +53,15 @@ def test_nonce_is_checked_after_the_token():
     m = model()
     assert m.deliver(Envelope(visit(), GOOD, b"n"), 1.0) == "accepted"
     assert m.deliver(Envelope(visit(), OTHER, b"n"), 2.0) == "duplicate"
-    assert OTHER.token_id in m.spent
+    assert OTHER.token_id not in m.spent
 
 
-def test_only_accepted_envelopes_burn_nonces_but_tokens_always_spend():
+def test_only_accepted_envelopes_burn_nonces_and_spend_tokens():
     m = model()
     assert m.deliver(Envelope(visit(entity_id="ghost"), GOOD, b"n"), 1.0) == "unknown-entity"
-    assert GOOD.token_id in m.spent and not m.nonces
-    assert m.deliver(Envelope(visit(), OTHER, b"n"), 2.0) == "accepted"
+    assert not m.spent and not m.nonces
+    assert m.deliver(Envelope(visit(), GOOD, b"n"), 2.0) == "accepted"
+    assert m.spent == {GOOD.token_id}
 
 
 def test_record_kind_precedes_entity_and_key_checks():
