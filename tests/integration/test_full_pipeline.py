@@ -5,6 +5,8 @@ simulation and assert the paper's qualitative claims hold through the whole
 stack — not just in isolated modules.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,28 @@ from repro.orchestration.pipeline import PipelineConfig, run_full_pipeline, trai
 from repro.util.clock import DAY
 from repro.world.behavior import BehaviorConfig, BehaviorSimulator
 from repro.world.population import TownConfig, build_town
+from repro.durability.codec import canonical_json_bytes
 from repro.durability.snapshot import capture_state
 from repro.serve.engine import ServeQuery
+
+#: sha256 of :func:`pipeline_digest` for the module ``outcome`` below.
+GOLDEN_PIPELINE = "7cc10758032f8307a685f236a1e2c615fc7faa4be779c6205bf4ace2d6ca88a4"
+
+
+def pipeline_digest(out) -> str:
+    """One sha256 over everything a pipeline run leaves behind: the
+    server's canonical state and every scored field of the outcome."""
+    scored = {
+        "explicit_per_entity": out.explicit_per_entity,
+        "total_per_entity": out.total_per_entity,
+        "inference_errors": out.inference_errors,
+        "review_errors": out.review_errors,
+        "n_inferences": out.n_inferences,
+        "n_abstentions": out.n_abstentions,
+    }
+    digest = hashlib.sha256(canonical_json_bytes(capture_state(out.server)))
+    digest.update(canonical_json_bytes(scored))
+    return digest.hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -24,6 +46,14 @@ def outcome():
     ).run()
     config = PipelineConfig(horizon_days=150.0, seed=31)
     return town, result, run_full_pipeline(town, result, config)
+
+
+def test_pipeline_outcome_is_pinned(outcome):
+    """The stored state and every scored field match the golden digest.
+    Runs first in the module: TestCorrectionPropagation mutates the
+    shared outcome."""
+    _, _, out = outcome
+    assert pipeline_digest(out) == GOLDEN_PIPELINE
 
 
 class TestCoverage:

@@ -13,6 +13,12 @@ from repro.orchestration.pipeline import PipelineConfig, run_full_pipeline
 from repro.world.behavior import BehaviorConfig, BehaviorSimulator
 from repro.world.population import TownConfig, build_town
 from repro.durability.snapshot import capture_state
+from tests.integration.test_full_pipeline import pipeline_digest
+
+#: :func:`pipeline_digest` of the two runs in
+#: ``TestWearableOptIn.test_wearables_improve_pipeline_accuracy``.
+GOLDEN_PLAIN = "5f95b513a70dc936dcc595b9baf611ed4ebaf509305fe0038582a0124106972c"
+GOLDEN_WEARABLE = "dd6b380e40d21e1ad4ad8f35358fbc6234a6af2cca93f46bdce407e2bcbe832e"
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +167,8 @@ class TestWearableOptIn:
         )
         assert wearable.inference_errors and plain.inference_errors
         assert wearable.mean_absolute_error < plain.mean_absolute_error
+        assert pipeline_digest(plain) == GOLDEN_PLAIN
+        assert pipeline_digest(wearable) == GOLDEN_WEARABLE
 
     def test_epochs_refuse_the_affect_channel(self):
         """run_epochs feeds only the location channel, so it refuses the
