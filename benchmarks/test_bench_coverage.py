@@ -9,6 +9,7 @@ fraction of users running the RSP's app.
 """
 
 from _harness import comparison_table, emit
+from conftest import BENCH_SEED
 
 
 from repro.orchestration.pipeline import PipelineConfig, run_full_pipeline
@@ -21,7 +22,7 @@ def test_bench_coverage_vs_adoption(benchmark, simulated_world):
     def sweep():
         rows = []
         for adoption in adoption_levels:
-            config = PipelineConfig(horizon_days=horizon_days, seed=2016)
+            config = PipelineConfig(horizon_days=horizon_days, seed=BENCH_SEED)
             outcome = run_full_pipeline(
                 town, result, config, max_users=int(len(town.users) * adoption)
             )

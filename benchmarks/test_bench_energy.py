@@ -7,6 +7,7 @@ energy against visit recall.
 """
 
 from _harness import comparison_table, emit
+from conftest import BENCH_SEED
 
 from repro.sensing.energy import evaluate_policy
 from repro.sensing.policy import continuous_policy, duty_cycled_policy
@@ -26,7 +27,7 @@ def test_bench_energy_vs_recall(benchmark, simulated_world):
 
     def sweep():
         return [
-            evaluate_policy(town, result, horizon, policy, seed=2016, max_users=25)
+            evaluate_policy(town, result, horizon, policy, seed=BENCH_SEED, max_users=25)
             for policy in policies
         ]
 

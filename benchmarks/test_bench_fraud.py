@@ -7,6 +7,7 @@ realistic behaviour; honest users are rarely flagged.
 """
 
 from _harness import comparison_table, emit
+from conftest import BENCH_SEED
 
 from repro.fraud.attackers import (
     CallSpamAttacker,
@@ -44,7 +45,7 @@ def profiled(town, profiles, first):
     return kind, town.entities_of_kind(kind)[0].entity_id
 
 
-def build_honest_store(town, result, horizon, seed=2016):
+def build_honest_store(town, result, horizon, seed=BENCH_SEED):
     resolver = EntityResolver(town.entities)
     network = batching_network(seed=seed)
     store = HistoryStore()

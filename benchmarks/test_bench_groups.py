@@ -8,6 +8,7 @@ of physical outings.
 """
 
 from _harness import comparison_table, emit
+from conftest import BENCH_SEED
 
 import numpy as np
 
@@ -43,11 +44,11 @@ def test_bench_group_deflation(benchmark, simulated_world):
 
     # The RSP's view: anonymous histories.
     resolver = EntityResolver(town.entities)
-    network = batching_network(seed=2016)
+    network = batching_network(seed=BENCH_SEED)
     store = HistoryStore()
     for index, user in enumerate(town.users):
         trace = generate_trace(
-            user.user_id, town, result, horizon, duty_cycled_policy(), seed=2016
+            user.user_id, town, result, horizon, duty_cycled_policy(), seed=BENCH_SEED
         )
         UploadScheduler(
             DeviceIdentity.create(user.user_id, seed=index), hardened_config(), seed=index

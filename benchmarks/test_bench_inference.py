@@ -9,6 +9,7 @@ accurately gauge the user's opinion" rather than guess.
 """
 
 from _harness import comparison_table, emit
+from conftest import BENCH_SEED
 
 import numpy as np
 
@@ -43,8 +44,8 @@ def build_eval_set(town, result, horizon, seed, max_users=60):
 def test_bench_inference_vs_baseline(benchmark, simulated_world):
     town, result, horizon_days = simulated_world
     horizon = horizon_days * DAY
-    train_features, train_ratings = collect_training_data(town, result, horizon, seed=2016)
-    eval_rows = build_eval_set(town, result, horizon, seed=2016)
+    train_features, train_ratings = collect_training_data(town, result, horizon, seed=BENCH_SEED)
+    eval_rows = build_eval_set(town, result, horizon, seed=BENCH_SEED)
 
     def train_and_score():
         model = OpinionClassifier().fit(train_features, train_ratings)
@@ -98,8 +99,8 @@ def test_bench_inference_vs_baseline(benchmark, simulated_world):
 def test_bench_abstention_tradeoff(benchmark, simulated_world):
     town, result, horizon_days = simulated_world
     horizon = horizon_days * DAY
-    train_features, train_ratings = collect_training_data(town, result, horizon, seed=2016)
-    eval_rows = build_eval_set(town, result, horizon, seed=2016)
+    train_features, train_ratings = collect_training_data(town, result, horizon, seed=BENCH_SEED)
+    eval_rows = build_eval_set(town, result, horizon, seed=BENCH_SEED)
 
     # Sweep both abstention gates from strict to none: the evidence gate
     # (minimum interactions) and the calibrated-confidence gate.

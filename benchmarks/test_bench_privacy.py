@@ -7,6 +7,7 @@ chance; the naive design should fall to both.
 """
 
 from _harness import comparison_table, emit
+from conftest import BENCH_SEED
 
 from repro.privacy.anonymity import batching_network, immediate_network
 from repro.privacy.attacks import linkage_attack, timing_attack
@@ -18,7 +19,7 @@ from repro.sensing.sensors import generate_trace
 from repro.util.clock import DAY, HOUR
 
 
-def run_attacks(town, result, horizon, upload_config, batching, seed=2016, max_users=50):
+def run_attacks(town, result, horizon, upload_config, batching, seed=BENCH_SEED, max_users=50):
     resolver = EntityResolver(town.entities)
     network = batching_network(6 * HOUR, seed=seed) if batching else immediate_network(seed=seed)
     true_owner = {}

@@ -9,6 +9,7 @@ gained (and users annoyed into leaving) against implicit inference.
 """
 
 from _harness import comparison_table, emit
+from conftest import BENCH_SEED
 
 from repro.core.reminders import ReminderPolicy, simulate_reminders
 from repro.sensing.resolution import InteractionType
@@ -41,7 +42,7 @@ def test_bench_reminders_vs_inference(benchmark, simulated_world, pipeline_outco
 
     def sweep():
         return [
-            (name, simulate_reminders(visit_times, propensity, horizon, policy, seed=2016))
+            (name, simulate_reminders(visit_times, propensity, horizon, policy, seed=BENCH_SEED))
             for name, policy in policies
         ]
 

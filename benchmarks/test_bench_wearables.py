@@ -9,6 +9,7 @@ what the extra (and far more invasive) channel actually buys.
 """
 
 from _harness import comparison_table, emit
+from conftest import BENCH_SEED
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from repro.core.features import OpinionFeatures, extract_all_features
 from repro.sensing.policy import duty_cycled_policy
 from repro.sensing.resolution import EntityResolver
 from repro.sensing.sensors import generate_trace
-from repro.sensing.wearables import generate_emotion_trace, mean_valence_by_entity
+from repro.sensing.wearables import valence_feature
 from repro.util.clock import DAY
 
 
@@ -41,9 +42,7 @@ def build_rows(town, result, horizon, seed):
         interactions = resolver.resolve(trace)
         if not interactions:
             continue
-        emotion = mean_valence_by_entity(
-            generate_emotion_trace(user.user_id, result, horizon, seed=seed)
-        )
+        emotion = valence_feature(user.user_id, result, horizon, seed)
         home = infer_home(trace)
         for entity_id, features in extract_all_features(
             interactions, catalog, home, emotion=emotion
@@ -57,7 +56,7 @@ def build_rows(town, result, horizon, seed):
 def test_bench_wearable_ablation(benchmark, simulated_world):
     town, result, horizon_days = simulated_world
     horizon = horizon_days * DAY
-    rows = build_rows(town, result, horizon, seed=2016)
+    rows = build_rows(town, result, horizon, seed=BENCH_SEED)
     train = [(f, o) for f, o, is_reviewer in rows if is_reviewer]
     evaluate = [(f, o) for f, o, _ in rows]
 

@@ -112,8 +112,7 @@ class DurableJournal:
         self.closed = False
         #: ``(wal.appends, wal.bytes)``, bound at the first append.
         self._counters = None
-        self._repair_torn_tails()
-        self.next_seq = self._scan_next_seq()
+        self.next_seq = self._reopen()
         self._open_lanes()
 
     def _open_lanes(self) -> None:
@@ -125,34 +124,31 @@ class DurableJournal:
         #: The lane written last — where :meth:`crash` tears a frame.
         self._last_lane = 0
 
-    def _repair_torn_tails(self) -> None:
-        """Trim each lane's final segment to its valid prefix.
+    def _reopen(self) -> int:
+        """Trim each lane's final segment to its valid prefix; return 1 +
+        the highest sequence number any durable artifact records.
 
         A torn tail is legal only while the segment is physically last in
         its lane — and this journal is about to open a *new* segment after
         it, after which recovery reads old segments strictly.  Trimming on
         reopen seals the old segment: the discarded bytes were, by the
         commit protocol, never acknowledged.
+
+        Only final segments are read.  Segments open at the next sequence
+        number and only open segments are appended to, so nothing older in
+        a lane holds a higher seq than its final segment: that segment's
+        last valid record, or its start − 1 when it holds none.
         """
+        high = max((seq for seq, _path in list_snapshots(self.directory)), default=0)
         for segments in list_segments(self.directory).values():
-            _start, path = segments[-1]
+            start, path = segments[-1]
             result = read_wal(path, tolerate_torn_tail=True)
             if result.torn:
                 with open(path, "r+b") as handle:
                     handle.truncate(result.valid_bytes)
                     handle.flush()
                     os.fsync(handle.fileno())
-
-    def _scan_next_seq(self) -> int:
-        """1 + the highest sequence number any durable artifact records."""
-        high = 0
-        for seq, _path in list_snapshots(self.directory):
-            high = max(high, seq)
-        for segments in list_segments(self.directory).values():
-            for _start, path in segments:
-                result = read_wal(path, tolerate_torn_tail=True)
-                for record in result.records:
-                    high = max(high, record["seq"])
+            high = max(high, result.records[-1]["seq"] if result.records else start - 1)
         return high + 1
 
     # ------------------------------------------------------------ appends

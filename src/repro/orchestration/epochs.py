@@ -1,13 +1,14 @@
-"""Multi-epoch operation: the RSP as a long-running service.
+"""The Figure 2 driver: the RSP as a long-running service.
 
-The single-shot pipeline of :mod:`repro.orchestration.pipeline` processes one
-observation window; a deployed RSP runs forever — clients sync
-periodically, token quotas renew daily, inferences firm up as histories
-lengthen, and the server re-runs maintenance on a schedule.  This driver
-simulates that: the horizon is split into epochs, and in each epoch every
-client observes its trace so far, stages only the *new* interactions
-(repeated observation never double-uploads), syncs under quota, and the
-server ingests whatever the anonymity network has released.
+A deployed RSP runs forever — clients sync periodically, token quotas
+renew daily, inferences firm up as histories lengthen, and the server
+re-runs maintenance on a schedule.  This driver simulates that: the
+horizon is split into epochs, and in each epoch every client observes its
+trace so far, stages only the *new* interactions (repeated observation
+never double-uploads), syncs under quota, and the server ingests whatever
+the anonymity network has released.  It is the one implementation of the
+architecture loop: the single-shot pipeline of
+:mod:`repro.orchestration.pipeline` is one epoch of it, scored.
 
 The epoch reports expose the quantities a service team would watch on a
 dashboard: record growth, opinion churn, fraud rejections, coverage.
@@ -30,6 +31,7 @@ from repro.privacy.anonymity import AnonymityNetwork, batching_network
 from repro.reshard import Autoscaler, AutoscalePolicy, ReshardOp, perform
 from repro.sensing.policy import duty_cycled_policy
 from repro.sensing.sensors import generate_trace, trace_carries
+from repro.sensing.wearables import valence_feature
 from repro.orchestration.pipeline import PipelineConfig, train_classifier
 from repro.serve.loadgen import QueryWorkload, SyntheticQueries
 from repro.service.server import MaintenanceReport, RSPServer
@@ -136,10 +138,9 @@ def run_epochs(
     shard count (``tests/scale/test_golden_digest.py``), so the flag is a
     pure performance knob.
 
-    Only the location channel feeds inference here: a ``config`` with
-    ``use_wearables`` raises :class:`ValueError`, and
-    :func:`~repro.orchestration.pipeline.run_full_pipeline` is the driver
-    that supports the affect channel.
+    A ``config`` with ``use_wearables`` feeds the wearable affect channel
+    into inference: the classifier trains on it, and every client observes
+    its per-entity valence so far at each epoch end.
 
     With a :class:`FaultPlan`, the run is executed under deterministic
     fault injection: the plan's seeded injector is installed as the
@@ -191,17 +192,17 @@ def run_epochs(
     if serve_queries < 0:
         raise ValueError("serve_queries must be >= 0")
     config = config or PipelineConfig()
-    if config.use_wearables:
-        raise ValueError(
-            "run_epochs does not feed the wearable affect channel; "
-            "use run_full_pipeline for use_wearables=True"
-        )
     horizon = config.horizon_days * DAY
     epoch_length = horizon / n_epochs
 
     if classifier is None:
         classifier = train_classifier(
-            town, result, horizon, config.classifier, seed=config.seed
+            town,
+            result,
+            horizon,
+            config.classifier,
+            seed=config.seed,
+            use_wearables=config.use_wearables,
         )
 
     if n_shards < 1:
@@ -396,7 +397,12 @@ def run_epochs(
                 seed=config.seed,
                 carry=carries[user.user_id],
             )
-            client.observe_trace(trace, now=local_now)
+            emotion = (
+                valence_feature(user.user_id, result, end_time, config.seed)
+                if config.use_wearables
+                else None
+            )
+            client.observe_trace(trace, now=local_now, emotion=emotion)
             client.sync(network, server.issuer, now=local_now)
             if injector is not None:
                 checkpoints[user.user_id] = client.checkpoint()

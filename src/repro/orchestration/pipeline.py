@@ -1,15 +1,17 @@
 """The end-to-end Figure 2 pipeline: world → sensing → client → server.
 
-This is the integration driver behind the F2 benchmark and the A2
-coverage claim.  It stitches every layer together exactly as the paper's
-architecture diagram draws it:
+This is the scoring driver behind the F2 benchmark and the A2 coverage
+claim.  The architecture itself runs in
+:func:`~repro.orchestration.epochs.run_epochs` — the one driver of the
+paper's architecture diagram — and this module scores one epoch of it
+spanning the whole observation window:
 
 1. simulate the physical world (ground-truth opinions stay inside the
    simulator);
 2. train the opinion classifier on the posting minority — correlating
    their observed interactions with the ratings they chose to post;
 3. run every user's client: sense, resolve, infer, and upload through the
-   anonymity network with tokens;
+   anonymity network with tokens (one epoch of :func:`run_epochs`);
 4. run the server: token checking, fraud filtering, aggregation;
 5. score the outcome against ground truth: opinion coverage before/after,
    inference accuracy, abstention behaviour.
@@ -21,14 +23,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.client.app import RSPClient
+from repro.client.app import RSPClient, infer_home
 from repro.core.classifier import ClassifierConfig, OpinionClassifier
 from repro.core.features import CatalogDirectory, OpinionFeatures, extract_all_features
-from repro.client.app import infer_home
-from repro.privacy.anonymity import AnonymityNetwork, batching_network
 from repro.privacy.uploads import RetransmitPolicy, UploadConfig, hardened_config
 from repro.sensing.policy import SensingPolicy, duty_cycled_policy
 from repro.sensing.sensors import TraceConfig, generate_trace
+from repro.sensing.wearables import valence_feature
 from repro.service.server import RSPServer
 from repro.util.clock import DAY
 from repro.world.behavior import SimulationResult
@@ -132,16 +133,7 @@ def collect_training_data(
         if not interactions:
             continue
         home = infer_home(trace)
-        emotion = None
-        if use_wearables:
-            from repro.sensing.wearables import (
-                generate_emotion_trace,
-                mean_valence_by_entity,
-            )
-
-            emotion = mean_valence_by_entity(
-                generate_emotion_trace(user_id, result, horizon, seed=seed)
-            )
+        emotion = valence_feature(user_id, result, horizon, seed) if use_wearables else None
         per_entity = extract_all_features(interactions, directory, home, emotion=emotion)
         for review in reviews:
             feature_vector = per_entity.get(review.entity_id)
@@ -195,65 +187,24 @@ def run_full_pipeline(
     classifier: OpinionClassifier | None = None,
     max_users: int | None = None,
 ) -> PipelineOutcome:
-    """Run the complete Figure 2 architecture and score it."""
+    """Run the complete Figure 2 architecture once and score it.
+
+    The run is one epoch of :func:`~repro.orchestration.epochs.run_epochs`
+    spanning the horizon, so it shares every line of the deployment loop
+    the golden grid and the chaos matrix guard.  That epoch ingests what
+    the mix released by ``horizon + 2·DAY``: every upload config the
+    repository builds delays a record by at most 24 h, plus one mix batch
+    (6 h by default), so nothing is still in flight by then.
+    """
+    # epochs.py imports this module, so the driver is imported on use.
+    from repro.orchestration.epochs import run_epochs
+
     config = config or PipelineConfig()
     horizon = config.horizon_days * DAY
-    if classifier is None:
-        classifier = train_classifier(
-            town,
-            result,
-            horizon,
-            config.classifier,
-            seed=config.seed,
-            use_wearables=config.use_wearables,
-        )
-
-    server = RSPServer(
-        catalog=town.entities,
-        quota_per_day=config.quota_per_day,
-        key_seed=config.seed,
-        key_bits=config.key_bits,
+    deployment = run_epochs(
+        town, result, config, n_epochs=1, classifier=classifier, max_users=max_users
     )
-    network: AnonymityNetwork = batching_network(
-        batch_interval=config.batch_interval, seed=config.seed
-    )
-
-    # The legacy path: posting users file explicit reviews as before.
-    for review in result.reviews:
-        if review.time < horizon:
-            server.post_review(review.user_id, review.entity_id, review.rating, review.time)
-
-    users = town.users if max_users is None else town.users[:max_users]
-    directory = CatalogDirectory(town.entities)
-    clients: dict[str, RSPClient] = {}
-    for index, user in enumerate(users):
-        client = RSPClient(
-            device_id=user.user_id,
-            catalog=directory,
-            classifier=classifier,
-            seed=config.seed * 100_003 + index,
-            upload_config=config.upload,
-            retransmit=config.retransmit,
-        )
-        trace = generate_trace(
-            user.user_id, town, result, horizon, duty_cycled_policy(), seed=config.seed
-        )
-        emotion = None
-        if config.use_wearables:
-            from repro.sensing.wearables import (
-                generate_emotion_trace,
-                mean_valence_by_entity,
-            )
-
-            emotion = mean_valence_by_entity(
-                generate_emotion_trace(user.user_id, result, horizon, seed=config.seed)
-            )
-        client.observe_trace(trace, now=horizon, emotion=emotion)
-        client.sync(network, server.issuer, now=horizon)
-        clients[user.user_id] = client
-
-    server.receive_all(network.deliveries_until(horizon + 3 * DAY))
-    server.run_maintenance()
+    server, clients = deployment.server, deployment.clients
 
     # ---------------------------------------------------------- scoring
     explicit_per_entity: dict[str, int] = {}

@@ -20,7 +20,7 @@ it holds.
 resolved on first access because the server itself imports this package.
 """
 
-from repro.scale.merge import merge_counts, merge_folded, merge_histories, merge_pools
+from repro.scale.merge import merge_counts, merge_pools
 from repro.scale.router import ShardRouter
 from repro.scale.shard import ShardState
 
@@ -29,8 +29,6 @@ __all__ = [
     "ShardState",
     "ShardedRSPServer",
     "merge_counts",
-    "merge_folded",
-    "merge_histories",
     "merge_pools",
 ]
 

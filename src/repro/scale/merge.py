@@ -6,8 +6,10 @@ are integer sums (associative, commutative, exact), pool merges are
 multiset unions consumed only by sort-based reductions (percentiles),
 and anything order-sensitive downstream (float means over opinion lists)
 is re-canonicalized by sorting on ``history_id`` before the arithmetic
-runs.  ``tests/scale/test_merge_properties.py`` checks associativity and
-commutativity with hand-rolled generators.
+runs.  ``tests/scale/test_merge_properties.py`` checks associativity,
+commutativity and permutation invariance with hand-rolled generators.
+Resharding needs no merge: a history lives whole on its key's shard and
+moves whole (``HistoryStore.adopt``/``release``).
 """
 
 from __future__ import annotations
@@ -17,53 +19,6 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.fraud.profiles import ProfilePools
-from repro.privacy.history_store import FoldedStats, InteractionHistory
-
-
-def merge_folded(a: FoldedStats | None, b: FoldedStats | None) -> FoldedStats | None:
-    """Merge two folded-tail summaries (min/max/sum semantics).
-
-    Sums of non-negative floats are associative only up to rounding, but
-    the folds a shard ever merges were accumulated record-by-record in
-    arrival order on a single shard — cross-shard merges never split one
-    history's fold, because a history lives entirely on its key's shard.
-    This helper exists for re-sharding migrations (and the property
-    suite, which exercises it with exactly-representable values).
-    """
-    if a is None or a.n == 0:
-        return b
-    if b is None or b.n == 0:
-        return a
-    return FoldedStats(
-        n=a.n + b.n,
-        earliest_event_time=min(a.earliest_event_time, b.earliest_event_time),
-        latest_event_time=max(a.latest_event_time, b.latest_event_time),
-        duration_sum=a.duration_sum + b.duration_sum,
-        travel_sum=a.travel_sum + b.travel_sum,
-    )
-
-
-def merge_histories(a: InteractionHistory, b: InteractionHistory) -> InteractionHistory:
-    """Merge two partial views of the *same* history into one.
-
-    Records are re-ordered canonically (event time, then duration, then
-    arrival time) so the merge is commutative: ``merge(a, b)`` equals
-    ``merge(b, a)`` as a dataclass value.
-    """
-    if a.history_id != b.history_id:
-        raise ValueError("cannot merge histories with different identifiers")
-    if a.entity_id != b.entity_id:
-        raise ValueError("one history identifier is bound to one entity")
-    records = sorted(
-        list(a.records) + list(b.records),
-        key=lambda r: (r.upload.event_time, r.upload.duration, r.arrival_time),
-    )
-    return InteractionHistory(
-        history_id=a.history_id,
-        entity_id=a.entity_id,
-        records=records,
-        folded=merge_folded(a.folded, b.folded),
-    )
 
 
 def merge_counts(a: dict[str, int], b: dict[str, int]) -> dict[str, int]:

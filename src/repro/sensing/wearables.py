@@ -109,3 +109,12 @@ def mean_valence_by_entity(
         for entity_id, entity_samples in samples.items()
         if entity_samples
     }
+
+
+def valence_feature(
+    user_id: str, result: SimulationResult, horizon: float, seed: int
+) -> dict[str, float]:
+    """One user's per-entity affect feature over ``[0, horizon)``: the mean
+    valence of what their wearable recorded, as training and deployment
+    both feed it to feature extraction."""
+    return mean_valence_by_entity(generate_emotion_trace(user_id, result, horizon, seed=seed))

@@ -430,11 +430,11 @@ class RSPServer:
     def merge_shards(self, a: int, b: int) -> dict[str, int]:
         """Merge shard ``b`` into shard ``a``; shards above ``b`` renumber.
 
-        All of ``b``'s state lands on ``a`` through the commutative merge
-        algebra: routing keeps the key spaces disjoint, so histories
-        adopt into fresh slots, and opinion slots and review lists
-        transplant whole (review order within an entity is preserved —
-        ``b`` owned the only list).  Returns per-kind moved counts.
+        Routing keeps the two key spaces disjoint, so no record needs
+        merging: ``b``'s histories adopt into fresh slots on ``a``, and its
+        opinion slots and review lists transplant whole (review order
+        within an entity is preserved — ``b`` owned the only list).
+        Returns per-kind moved counts.
         """
         router = self.router.merge(a, b)
         source, dest = self.shards[b], self.shards[a]

@@ -11,8 +11,14 @@ import pytest
 
 from repro.core.aggregation import OpinionUpload
 from repro.core.protocol import Envelope
+from repro.durability import journal as journal_module
 from repro.durability import recovery
-from repro.durability.journal import DurableJournal, attach_journal, list_segments
+from repro.durability.journal import (
+    DurableJournal,
+    attach_journal,
+    list_segments,
+    segment_name,
+)
 from repro.durability.recovery import recover_server
 from repro.durability.snapshot import capture_state
 from repro.durability.wal import read_wal
@@ -195,6 +201,48 @@ def test_recovery_never_opens_a_segment_the_snapshot_covers(
     recovered = make_server(catalog, n_shards=2)
     assert recover_server(recovered, directory).n_replayed == 6
     assert comparable_state(recovered) == comparable_state(server)
+
+
+def test_reopening_a_journal_decodes_only_final_segments(
+    catalog, tmp_path, monkeypatch
+):
+    directory = tmp_path / "durable"
+    server = make_server(catalog, n_shards=2)
+    attach_journal(
+        server, DurableJournal(directory, n_lanes=2, lane_of=server.router.shard_of)
+    )
+    server.receive_all(synth_deliveries(catalog, 0, 12))
+    server.journal.take_snapshot(server)
+    server.receive_all(synth_deliveries(catalog, 12, 20))
+    server.journal.take_snapshot(server)
+    server.receive_all(synth_deliveries(catalog, 20, 26))
+    server.journal.crash(torn_bytes=7)
+    lanes = list_segments(directory).values()
+    full_scan = 1 + max(
+        record["seq"] for lane in lanes for _, path in lane for record in read_wal(path).records
+    )
+    opened = []
+
+    def spy(path, **kwargs):
+        opened.append(path)
+        return read_wal(path, **kwargs)
+
+    monkeypatch.setattr(journal_module, "read_wal", spy)
+    reopened = DurableJournal(directory, n_lanes=2)
+    assert reopened.next_seq == full_scan == 27
+    assert sorted(opened) == sorted(lane[-1][1] for lane in lanes)
+    assert not any(read_wal(path).torn for path in opened)
+    reopened.close()
+
+    # Reopened again, every final segment is the empty one just opened:
+    # its start - 1 still carries the sequence forward.
+    opened.clear()
+    again = DurableJournal(directory, n_lanes=2)
+    assert again.next_seq == full_scan
+    assert sorted(path.name for path in opened) == [
+        segment_name(lane, full_scan) for lane in (0, 1)
+    ]
+    again.close()
 
 
 def test_new_journal_resumes_sequence_monotonically(catalog, tmp_path):

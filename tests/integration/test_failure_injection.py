@@ -55,17 +55,18 @@ class TestLossyNetwork:
 
         clean = run_full_pipeline(town, result, config)
 
-        import repro.orchestration.pipeline as pipeline_module
-        original = pipeline_module.batching_network
+        # run_full_pipeline runs one epoch of run_epochs, which builds the mix.
+        import repro.orchestration.epochs as epochs_module
+        original = epochs_module.batching_network
         try:
-            pipeline_module.batching_network = (
+            epochs_module.batching_network = (
                 lambda batch_interval, seed: AnonymityNetwork(
                     batch_interval=batch_interval, seed=seed, drop_rate=0.3
                 )
             )
             lossy = run_full_pipeline(town, result, config)
         finally:
-            pipeline_module.batching_network = original
+            epochs_module.batching_network = original
 
         clean_records = clean.server.n_records
         lossy_records = lossy.server.n_records

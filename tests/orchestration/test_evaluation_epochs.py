@@ -9,7 +9,8 @@ from repro.orchestration.evaluation import (
     accuracy_by_kind,
     coverage_diagnostics,
 )
-from repro.orchestration.pipeline import PipelineConfig, run_full_pipeline
+from repro.orchestration.pipeline import PipelineConfig, run_full_pipeline, train_classifier
+from repro.util.clock import DAY
 from repro.world.behavior import BehaviorConfig, BehaviorSimulator
 from repro.world.population import TownConfig, build_town
 from repro.durability.snapshot import capture_state
@@ -151,14 +152,20 @@ class TestEpochs:
         assert outcome.n_epochs == 4
 
 
+@pytest.fixture(scope="module")
+def wearable_world():
+    town = build_town(TownConfig(n_users=45), seed=19)
+    result = BehaviorSimulator(
+        town.users, town.entities, BehaviorConfig(duration_days=120), seed=19
+    ).run()
+    return town, result
+
+
 class TestWearableOptIn:
-    def test_wearables_improve_pipeline_accuracy(self):
+    def test_wearables_improve_pipeline_accuracy(self, wearable_world):
         """PipelineConfig(use_wearables=True) threads the affect channel
         through deployment and lowers inference error."""
-        town = build_town(TownConfig(n_users=45), seed=19)
-        result = BehaviorSimulator(
-            town.users, town.entities, BehaviorConfig(duration_days=120), seed=19
-        ).run()
+        town, result = wearable_world
         plain = run_full_pipeline(
             town, result, PipelineConfig(horizon_days=120.0, seed=19)
         )
@@ -170,14 +177,28 @@ class TestWearableOptIn:
         assert pipeline_digest(plain) == GOLDEN_PLAIN
         assert pipeline_digest(wearable) == GOLDEN_WEARABLE
 
-    def test_epochs_refuse_the_affect_channel(self):
-        """run_epochs feeds only the location channel, so it refuses the
-        flag instead of silently ignoring it, and names the driver that
-        does support it."""
-        town = build_town(TownConfig(n_users=5), seed=19)
-        result = BehaviorSimulator(
-            town.users, town.entities, BehaviorConfig(duration_days=10), seed=19
-        ).run()
-        config = PipelineConfig(horizon_days=10.0, seed=19, use_wearables=True)
-        with pytest.raises(ValueError, match="run_full_pipeline"):
-            run_epochs(town, result, config, n_epochs=2)
+    def test_epochs_feed_the_affect_channel(self, wearable_world):
+        """run_epochs feeds use_wearables to training and to every epoch's
+        observation: five deployed clients infer differently from a plain
+        run's, and from a plain run under the affect-trained classifier."""
+        town, result = wearable_world
+        plain_config = PipelineConfig(horizon_days=120.0, seed=19)
+        wearable_config = PipelineConfig(horizon_days=120.0, seed=19, use_wearables=True)
+
+        def audits(config, classifier=None):
+            outcome = run_epochs(
+                town, result, config, n_epochs=2, classifier=classifier, max_users=5
+            )
+            return {
+                user_id: client.transparency.audit()
+                for user_id, client in outcome.clients.items()
+            }
+
+        wearable = audits(wearable_config)
+        assert any(wearable.values())
+        assert wearable != audits(plain_config)
+        affect_trained = train_classifier(
+            town, result, 120 * DAY, seed=19, use_wearables=True
+        )
+        assert wearable == audits(wearable_config, affect_trained)
+        assert wearable != audits(plain_config, affect_trained)

@@ -1,140 +1,18 @@
 """Property tests for the order-independent merges of ``repro.scale.merge``.
 
-Hand-rolled generators over ``repro.util.rng``.  Float-summing merges are
-exercised with dyadic rationals (multiples of 1/16 well inside the
-53-bit mantissa), for which IEEE-754 addition is exact — so associativity
-and commutativity can be asserted as *equality*, not approximation.
-Percentile-consuming merges (:func:`merge_pools`) are exercised with
-arbitrary floats, because their contract is permutation-invariance of the
-downstream *profiles*, which only needs the multiset to survive.
+Hand-rolled generators over ``repro.util.rng``.  Counter merges are
+exact integer sums, so associativity and commutativity are asserted as
+*equality*.  Percentile-consuming merges (:func:`merge_pools`) are
+exercised with arbitrary floats, because their contract is
+permutation-invariance of the downstream *profiles*, which only needs
+the multiset to survive.
 """
 
 import numpy as np
 
 from repro.fraud.profiles import ProfilePools, profiles_from_pools
-from repro.privacy.history_store import (
-    FoldedStats,
-    InteractionHistory,
-    InteractionUpload,
-    StoredRecord,
-)
-from repro.scale.merge import merge_counts, merge_folded, merge_histories, merge_pools
+from repro.scale.merge import merge_counts, merge_pools
 from repro.util.rng import make_rng
-
-
-def dyadic(rng, low=0, high=16 * 4096):
-    """A float that IEEE-754 addition treats exactly: k/16."""
-    return float(int(rng.integers(low, high))) / 16.0
-
-
-def random_folded(rng):
-    n = int(rng.integers(1, 50))
-    return FoldedStats(
-        n=n,
-        earliest_event_time=dyadic(rng),
-        latest_event_time=dyadic(rng),
-        duration_sum=dyadic(rng),
-        travel_sum=dyadic(rng),
-    )
-
-
-class TestMergeFolded:
-    def test_commutative(self):
-        rng = make_rng(1, "scale/test/folded-comm")
-        for _ in range(100):
-            a, b = random_folded(rng), random_folded(rng)
-            assert merge_folded(a, b) == merge_folded(b, a)
-
-    def test_associative(self):
-        rng = make_rng(2, "scale/test/folded-assoc")
-        for _ in range(100):
-            a, b, c = (random_folded(rng) for _ in range(3))
-            assert merge_folded(merge_folded(a, b), c) == merge_folded(
-                a, merge_folded(b, c)
-            )
-
-    def test_none_and_empty_are_identities(self):
-        rng = make_rng(3, "scale/test/folded-identity")
-        a = random_folded(rng)
-        empty = FoldedStats()
-        assert merge_folded(a, None) is a
-        assert merge_folded(None, a) is a
-        assert merge_folded(a, empty) is a
-        assert merge_folded(empty, a) is a
-        assert merge_folded(None, None) is None
-
-
-def record(rng, hid, eid):
-    t = dyadic(rng)
-    return StoredRecord(
-        upload=InteractionUpload(
-            history_id=hid,
-            entity_id=eid,
-            interaction_type="visit",
-            event_time=t,
-            duration=dyadic(rng),
-            travel_km=dyadic(rng),
-        ),
-        arrival_time=t + 1.0,
-    )
-
-
-def partial_history(rng, hid="h", eid="e", n_max=6, with_folded=False):
-    records = [record(rng, hid, eid) for _ in range(int(rng.integers(0, n_max)))]
-    folded = random_folded(rng) if with_folded and rng.integers(0, 2) else None
-    return InteractionHistory(
-        history_id=hid, entity_id=eid, records=records, folded=folded
-    )
-
-
-class TestMergeHistories:
-    def test_commutative(self):
-        rng = make_rng(4, "scale/test/hist-comm")
-        for _ in range(50):
-            a = partial_history(rng, with_folded=True)
-            b = partial_history(rng, with_folded=True)
-            assert merge_histories(a, b) == merge_histories(b, a)
-
-    def test_associative(self):
-        rng = make_rng(5, "scale/test/hist-assoc")
-        for _ in range(50):
-            a, b, c = (partial_history(rng, with_folded=True) for _ in range(3))
-            assert merge_histories(merge_histories(a, b), c) == merge_histories(
-                a, merge_histories(b, c)
-            )
-
-    def test_record_multiset_preserved(self):
-        rng = make_rng(6, "scale/test/hist-multiset")
-        a, b = partial_history(rng), partial_history(rng)
-        merged = merge_histories(a, b)
-        assert sorted(
-            (r.upload.event_time, r.upload.duration) for r in merged.records
-        ) == sorted(
-            (r.upload.event_time, r.upload.duration)
-            for r in list(a.records) + list(b.records)
-        )
-
-    def test_mismatched_identifier_rejected(self):
-        rng = make_rng(7, "scale/test/hist-mismatch")
-        a = partial_history(rng, hid="h1")
-        b = partial_history(rng, hid="h2")
-        try:
-            merge_histories(a, b)
-        except ValueError:
-            pass
-        else:  # pragma: no cover - defends the assertion
-            raise AssertionError("merging different histories must fail")
-
-    def test_mismatched_entity_binding_rejected(self):
-        rng = make_rng(8, "scale/test/hist-entity")
-        a = partial_history(rng, hid="h1", eid="e1")
-        b = partial_history(rng, hid="h1", eid="e2")
-        try:
-            merge_histories(a, b)
-        except ValueError:
-            pass
-        else:  # pragma: no cover
-            raise AssertionError("one identifier is bound to one entity")
 
 
 def random_counts(rng, kinds=("restaurant", "dentist", "gym")):
