@@ -104,15 +104,14 @@ bench-durable:
 
 # Intake-path suite (the CI ingest job): the intake reference model and
 # its stateful test, per-record vs batched intake on the one intake loop,
-# backpressure/shed invariants, the load generator, the soak smoke
-# (including an overload window), the batch-routing regression, and the
-# line-coverage floor on repro.ingest.
+# backpressure/shed invariants, the load generator, the batch-routing
+# regression, and the line-coverage floor on repro.ingest.
 ingest:
 	$(PYTHON) -m pytest tests/spec tests/ingest tests/scale/test_batch_routing.py -q
 	$(PYTHON) scripts/coverage_gate.py --target ingest --fail-under 85
 
-# Intake throughput (per-record vs batched, one intake loop) + soak
-# benchmark; emits BENCH_8.json at the repo root.
+# Intake throughput (per-record vs batched, one intake loop) and the
+# overload shedding check; emits BENCH_8.json at the repo root.
 bench-ingest:
 	$(PYTHON) -m pytest benchmarks/test_bench_ingest.py --benchmark-only -q -s
 

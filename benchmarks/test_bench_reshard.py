@@ -28,7 +28,7 @@ from repro.core.aggregation import OpinionUpload
 from repro.core.protocol import Envelope
 from repro.privacy.anonymity import Delivery
 from repro.privacy.history_store import InteractionUpload
-from repro.scale.server import ShardedRSPServer
+from repro.service.server import RSPServer
 from repro.util.clock import DAY
 from repro.util.rng import make_rng
 from repro.world.population import TownConfig, build_town
@@ -96,7 +96,7 @@ def build_workload(entities):
 
 
 def make_deployment(entities, n_shards):
-    return ShardedRSPServer(
+    return RSPServer(
         catalog=entities,
         key_seed=BENCH_SEED,
         require_tokens=False,
@@ -122,7 +122,7 @@ def test_bench_reshard_locality_and_throughput(benchmark):
     split_wall = 0.0
     for _ in range(N_SHARDS_FINAL - N_SHARDS):
         target = min(
-            range(grown.n_shards_live),
+            range(grown.router.n_shards),
             key=lambda i: min(
                 (depth, value) for value, depth in grown.router.prefixes_of(i)
             ),
@@ -139,7 +139,7 @@ def test_bench_reshard_locality_and_throughput(benchmark):
             f"(> {MAX_MOVED_FRACTION:.0%})"
         )
     assert grown.router == native.router
-    assert grown.n_shards_live == N_SHARDS_FINAL
+    assert grown.router.n_shards == N_SHARDS_FINAL
 
     start = time.perf_counter()
     native_report = native.run_maintenance()

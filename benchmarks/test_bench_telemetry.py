@@ -32,7 +32,7 @@ from repro.core.aggregation import OpinionUpload
 from repro.core.protocol import Envelope
 from repro.privacy.anonymity import Delivery
 from repro.privacy.history_store import InteractionUpload
-from repro.scale.server import ShardedRSPServer
+from repro.service.server import RSPServer
 from repro.telemetry import Telemetry
 from repro.util.clock import DAY
 from repro.util.rng import make_rng
@@ -100,7 +100,7 @@ def build_workload(entities):
 
 def run_cycle(town, deliveries, telemetry=None):
     """One fresh cycle; returns (intake seconds, maintenance seconds, server)."""
-    server = ShardedRSPServer(
+    server = RSPServer(
         catalog=town.entities,
         key_seed=BENCH_SEED,
         require_tokens=False,

@@ -175,7 +175,6 @@ def _apply_reshard(server, mutation: dict) -> None:
             f"replayed reshard seq={seq} diverged from the logged topology — "
             "the journal and the router have diverged"
         )
-    server.reshard_seq += 1
     server.reshard_history.append(
         {key: value for key, value in mutation.items() if key != "kind"}
     )

@@ -25,16 +25,13 @@ from repro.faults.plan import (
     DuplicateFault,
     FaultPlan,
     FaultReport,
-    IngestSurge,
     IssuerOutage,
     PrimaryCrash,
     ReplicaOutage,
     ServerOutage,
-    WalCrash,
     Window,
     lossy_plan,
     outage_plan,
-    overload_plan,
 )
 
 __all__ = [
@@ -46,14 +43,11 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "FaultReport",
-    "IngestSurge",
     "IssuerOutage",
     "PrimaryCrash",
     "ReplicaOutage",
     "ServerOutage",
-    "WalCrash",
     "Window",
     "lossy_plan",
     "outage_plan",
-    "overload_plan",
 ]

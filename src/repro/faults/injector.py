@@ -25,7 +25,12 @@ from repro.util.rng import make_rng
 
 
 class FaultInjector:
-    """Interprets one :class:`FaultPlan`; keeps counters of what it did."""
+    """Interprets one :class:`FaultPlan`; keeps counters of what it did.
+
+    The plain-int event counters duplicate the ``faults.injected{kind=}``
+    telemetry on purpose: ``tests/telemetry/test_counter_consistency.py``
+    uses them as the independent oracle the telemetry is checked against.
+    """
 
     def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
@@ -38,7 +43,6 @@ class FaultInjector:
         self.crashes_triggered = 0
         self.shipments_deferred = 0
         self.primary_crashes_triggered = 0
-        self.surges_applied = 0
         #: Aggregate-only sink; counts injected events by kind.
         self.telemetry: Telemetry = NULL
 
@@ -101,21 +105,6 @@ class FaultInjector:
                 return True
         return False
 
-    def surge_factor(self, now: float) -> float:
-        """Offered-load multiplier at ``now`` (1.0 outside any surge).
-
-        Overlapping surges compound multiplicatively.  Counts each tick a
-        surge actually scaled.
-        """
-        factor = 1.0
-        for surge in self.plan.surges:
-            if surge.window.contains(now):
-                factor *= surge.multiplier
-        if factor != 1.0:
-            self.surges_applied += 1
-            self.telemetry.inc("faults.injected", kind="surge")
-        return factor
-
     def replica_down(self, now: float) -> bool:
         """Is the log-shipping channel down at ``now``?  Counts deferrals."""
         for outage in self.plan.replica_outages:
@@ -159,5 +148,4 @@ class FaultInjector:
             crashes_triggered=self.crashes_triggered,
             shipments_deferred=self.shipments_deferred,
             primary_crashes_triggered=self.primary_crashes_triggered,
-            surges_applied=self.surges_applied,
         )

@@ -18,7 +18,7 @@ and never import this package — ``repro analyze`` enforces that with the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -156,42 +156,6 @@ class PrimaryCrash:
 
 
 @dataclass(frozen=True)
-class WalCrash:
-    """A crash after exactly ``at_offset`` bytes of WAL were persisted.
-
-    Interpreted by the crash-matrix harness (``tests/durability``): the
-    durable directory is truncated to this byte offset and recovery must
-    reproduce the uninterrupted run.  Not scheduled by the epoch driver —
-    the driver's crash kind is :class:`PrimaryCrash`.
-    """
-
-    at_offset: int
-
-    def __post_init__(self) -> None:
-        if self.at_offset < 0:
-            raise ValueError("at_offset must be non-negative")
-
-
-@dataclass(frozen=True)
-class IngestSurge:
-    """Offered load multiplies by ``multiplier`` during ``window``.
-
-    Models a flash crowd / retry storm hitting the intake front end: the
-    load generator asks the injector for :meth:`~repro.faults.injector.FaultInjector.surge_factor`
-    each tick and scales its arrivals.  Overlapping surges compound.
-    The bounded intake queue (:mod:`repro.ingest.queue`) is what turns a
-    surge into deterministic load-shedding instead of unbounded memory.
-    """
-
-    window: Window
-    multiplier: float
-
-    def __post_init__(self) -> None:
-        if self.multiplier < 1.0:
-            raise ValueError("surge multiplier must be >= 1")
-
-
-@dataclass(frozen=True)
 class ClockSkew:
     """A device's local clock runs ``offset`` seconds from true time.
 
@@ -220,8 +184,6 @@ class FaultPlan:
     skews: tuple[ClockSkew, ...] = ()
     replica_outages: tuple[ReplicaOutage, ...] = ()
     primary_crashes: tuple[PrimaryCrash, ...] = ()
-    wal_crashes: tuple[WalCrash, ...] = ()
-    surges: tuple[IngestSurge, ...] = ()
 
     @property
     def is_empty(self) -> bool:
@@ -235,8 +197,6 @@ class FaultPlan:
             or self.skews
             or self.replica_outages
             or self.primary_crashes
-            or self.wal_crashes
-            or self.surges
         )
 
     def describe(self) -> str:
@@ -260,10 +220,6 @@ class FaultPlan:
             parts.append(f"{len(self.replica_outages)} replica outage(s)")
         if self.primary_crashes:
             parts.append(f"{len(self.primary_crashes)} primary crash(es)")
-        if self.wal_crashes:
-            parts.append(f"{len(self.wal_crashes)} WAL crash offset(s)")
-        if self.surges:
-            parts.append(f"{len(self.surges)} ingest surge(s)")
         return "FaultPlan(" + ", ".join(parts) + ")"
 
 
@@ -288,11 +244,6 @@ def outage_plan(
     )
 
 
-def overload_plan(window: Window, multiplier: float = 4.0, seed: int = 0) -> FaultPlan:
-    """A flash crowd: offered load times ``multiplier`` inside ``window``."""
-    return FaultPlan(seed=seed, surges=(IngestSurge(window, multiplier),))
-
-
 @dataclass(frozen=True)
 class FaultReport:
     """What an injector actually did — surfaced in epoch reports and tests."""
@@ -305,5 +256,3 @@ class FaultReport:
     crashes_triggered: int = 0
     shipments_deferred: int = 0
     primary_crashes_triggered: int = 0
-    surges_applied: int = 0
-    details: tuple[str, ...] = field(default=())

@@ -7,18 +7,16 @@ Three pieces, composable but independent:
   ``RSPServer.receive*`` method runs it, at every shard count.
 * :mod:`repro.ingest.queue` — :class:`BoundedIntakeQueue`, admission
   control with deterministic shed-before-journal load-shedding and
-  ``rsp.ingest.*`` telemetry.
-* :mod:`repro.ingest.loadgen` / :mod:`repro.ingest.soak` — Zipf-shaped
-  synthetic wire traffic at million-user scale and the sustained-traffic
-  soak harness that measures steady-state events/sec and p99 intake
-  latency over it.
+  ``rsp.ingest.*`` telemetry.  ``run_epochs(queue_depth=)`` puts it in
+  front of the server.
+* :mod:`repro.ingest.loadgen` — Zipf-shaped synthetic wire traffic at
+  million-user scale; the ``ingest`` benchmark workload replays it.
 
 The intake loop imports no server code (the server is duck-typed), so
 :mod:`repro.service` can import it.  The rest is harness-facing
 front-end code that sits *in front of* the service layer, and nothing
-here imports :mod:`repro.faults` — overload scenarios come in through
-the same duck-typed ``fault_hook`` seam the server uses.  See ``docs/SCALING.md`` (ingest path) and
-``docs/OBSERVABILITY.md`` (metric catalog).
+here imports :mod:`repro.faults`.  See ``docs/SCALING.md`` (ingest
+path) and ``docs/OBSERVABILITY.md`` (metric catalog).
 """
 
 from __future__ import annotations
@@ -26,15 +24,11 @@ from __future__ import annotations
 from repro.ingest.columnar import ingest_all
 from repro.ingest.loadgen import SyntheticTraffic, WorkloadConfig, synthetic_catalog
 from repro.ingest.queue import BoundedIntakeQueue
-from repro.ingest.soak import SoakConfig, SoakReport, run_soak
 
 __all__ = [
     "BoundedIntakeQueue",
-    "SoakConfig",
-    "SoakReport",
     "SyntheticTraffic",
     "WorkloadConfig",
     "ingest_all",
-    "run_soak",
     "synthetic_catalog",
 ]

@@ -14,8 +14,9 @@ identifiers.
 
 Everything is generated from one labelled seeded stream
 (:func:`repro.util.rng.make_rng`), so a workload is exactly reproducible:
-the soak harness (:mod:`repro.ingest.soak`), the differential tests, and
-the benchmark all replay identical traffic for identical configs.
+the ``ingest`` benchmark workload (:class:`SyntheticTraffic` in
+``bench/workloads.py``), B8, and the differential tests all replay
+identical traffic for identical configs.
 
 Synthetic senders are plain integer indices — no identity-bearing names
 exist here, and the history identifiers they map to are opaque formatted

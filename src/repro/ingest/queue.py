@@ -45,7 +45,11 @@ from repro.telemetry.registry import DEPLOYMENT
 
 
 class BoundedIntakeQueue:
-    """FIFO intake buffer with capacity-triggered deterministic shedding."""
+    """FIFO intake buffer with capacity-triggered deterministic shedding.
+
+    ``run_epochs(queue_depth=)`` (and ``repro epochs --queue-depth``)
+    puts one in front of the server; that is its deployment caller.
+    """
 
     def __init__(self, capacity: int, telemetry: Telemetry = NULL) -> None:
         if capacity < 1:
@@ -110,7 +114,7 @@ class BoundedIntakeQueue:
             )
             # An empty drain leaves the depth exactly where the last write
             # put it; re-setting the gauge would only churn DEPLOYMENT
-            # gauge versions in idle soak loops.
+            # gauge versions in idle drain loops.
             telemetry.set_gauge(
                 "rsp.ingest.queue_depth", len(entries), scope=DEPLOYMENT
             )

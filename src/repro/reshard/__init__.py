@@ -5,8 +5,8 @@ already owns:
 
 * :mod:`repro.reshard.ops` — :class:`ReshardOp` and :func:`perform`,
   the journal-before-migrate wrapper around
-  :meth:`~repro.scale.server.ShardedRSPServer.split_shard` /
-  :meth:`~repro.scale.server.ShardedRSPServer.merge_shards`;
+  :meth:`~repro.service.server.RSPServer.split_shard` /
+  :meth:`~repro.service.server.RSPServer.merge_shards`;
 * :mod:`repro.reshard.topology` — the durable operation history
   (``topology.json``) that outlives WAL truncation;
 * :mod:`repro.reshard.autoscale` — the telemetry-driven policy that

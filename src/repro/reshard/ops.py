@@ -7,8 +7,8 @@ The order of its steps is the crash-safety argument:
    prefix table) and fsync — once this record is durable, recovery will
    deterministically re-run the migration, so a crash at *any* later
    point lands in the post-reshard topology with every key exactly once;
-2. **migrate** via :meth:`~repro.scale.server.ShardedRSPServer.split_shard`
-   / :meth:`~repro.scale.server.ShardedRSPServer.merge_shards` (which
+2. **migrate** via :meth:`~repro.service.server.RSPServer.split_shard`
+   / :meth:`~repro.service.server.RSPServer.merge_shards` (which
    also remaps the journal's WAL lanes to the new routing);
 3. **ledger**: append the entry to ``server.reshard_history`` and rewrite
    ``topology.json`` (:mod:`repro.reshard.topology`) so the operation
@@ -86,7 +86,6 @@ def perform(server, op: ReshardOp) -> dict[str, int]:
         moved = server.split_shard(op.shard)
     else:
         moved = server.merge_shards(op.a, op.b)
-    server.reshard_seq += 1
     server.reshard_history.append(entry)
     if server.journal is not None:
         save_topology(server.journal.directory, server.reshard_history)

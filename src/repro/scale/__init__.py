@@ -14,10 +14,7 @@ server accepts the same envelopes and its maintenance cycle produces
 bit-identical reports, verdicts, and entity summaries for every shard
 count.  ``tests/scale`` proves this with a golden grid, a kernel-versus-
 scalar-spec test and merge properties; ``docs/SCALING.md`` explains why
-it holds.
-
-``ShardedRSPServer`` is the server under its scale-out name.  It is
-resolved on first access because the server itself imports this package.
+it holds.  The server itself is :class:`repro.service.server.RSPServer`.
 """
 
 from repro.scale.merge import merge_counts, merge_pools
@@ -27,15 +24,6 @@ from repro.scale.shard import ShardState
 __all__ = [
     "ShardRouter",
     "ShardState",
-    "ShardedRSPServer",
     "merge_counts",
     "merge_pools",
 ]
-
-
-def __getattr__(name: str):
-    if name == "ShardedRSPServer":
-        from repro.service.server import RSPServer
-
-        return RSPServer
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

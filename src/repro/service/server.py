@@ -177,9 +177,8 @@ class RSPServer:
         self.attestation = attestation
         self.rejected_attestations = 0
         self.router = ShardRouter(n_shards)
-        #: Monotone count of applied reshard operations, and the ops
-        #: themselves — recovery replays these to rebuild the topology.
-        self.reshard_seq = 0
+        #: The applied reshard operations, in order — recovery replays
+        #: these to rebuild the topology.
         self.reshard_history: list[dict] = []
         self.shards = [ShardState(index) for index in range(n_shards)]
         self._redeemer = TokenRedeemer(self.issuer.public_key)
@@ -406,8 +405,8 @@ class RSPServer:
         explicit reviews.  The server-wide nonce, token and dirty sets do
         not move.  Returns per-kind moved counts.
         """
+        new_index = self.router.n_shards
         router = self.router.split(index)
-        new_index = self.n_shards_live
         source = self.shards[index]
         dest = ShardState(new_index)
         moved = {"histories": 0, "opinions": 0, "reviews": 0}
@@ -459,11 +458,6 @@ class RSPServer:
         self.router = router
         if self.journal is not None:
             self.journal.remap_lanes(router.n_shards, router.shard_of)
-
-    @property
-    def n_shards_live(self) -> int:
-        """The current shard count (changes across split/merge)."""
-        return len(self.shards)
 
     # -------------------------------------------------------------- query
 

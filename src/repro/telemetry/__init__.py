@@ -5,8 +5,8 @@ observability has to be aggregate-only and unlinkable (Sections 4–5).
 This package provides the substrate:
 
 * :mod:`repro.telemetry.registry` — counters, gauges, and fixed-bucket
-  histograms with commutative/associative merge semantics and integer
-  arithmetic, so exports are byte-identical across shard counts;
+  histograms with integer arithmetic and canonical export order, so
+  exports are byte-identical across shard counts;
 * :mod:`repro.telemetry.spans` — trace spans on the *simulated* clock;
 * :mod:`repro.telemetry.labels` — the closed aggregate-label vocabulary
   (entity categories, shard ids, epoch numbers — never identities);

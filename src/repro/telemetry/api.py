@@ -9,12 +9,9 @@ cost of intake recording).  The experiment harness
 (:mod:`repro.orchestration.epochs`)
 creates one real :class:`Telemetry` and installs it on the network, the
 server, the issuer, the injector, and every client, so one export
-describes the whole deployment.
-
-The facade is a mergeable value: ``merged()``/``merge_from()`` fold
-registries and timelines with the commutative/associative semantics of
-:mod:`repro.telemetry.registry`, mirroring how :mod:`repro.scale.merge`
-folds shard results.
+describes the whole deployment.  Exports follow the rules of
+:mod:`repro.telemetry.registry`: integer-only arithmetic and canonical
+order.
 """
 
 from __future__ import annotations
@@ -104,18 +101,6 @@ class Telemetry:
 
     def value(self, name: str, **labels: object) -> object:
         return self.metrics.value(name, **labels)
-
-    # -------------------------------------------------------------- merging
-
-    def merge_from(self, other: "Telemetry") -> None:
-        self.metrics.merge_from(other.metrics)
-        self.spans.merge_from(other.spans)
-
-    def merged(self, *others: "Telemetry") -> "Telemetry":
-        result = Telemetry()
-        for telemetry in (self, *others):
-            result.merge_from(telemetry)
-        return result
 
     # ------------------------------------------------------------- exports
 
@@ -216,9 +201,6 @@ class NullTelemetry(Telemetry):
         **labels: object,
     ) -> _NullInstrument:
         return _NULL_INSTRUMENT
-
-    def merge_from(self, other: Telemetry) -> None:
-        raise TypeError("NullTelemetry is a shared sink; it cannot accumulate state")
 
 
 #: The shared no-op sink every component points at until a harness

@@ -1,24 +1,16 @@
 """Deterministic metrics: counters, gauges, fixed-bucket histograms.
 
-Three design rules make the registry a mergeable CRDT-like value whose
-export is a pure function of *what happened*, never of interleaving:
+Two design rules make the registry's export a pure function of *what
+happened*, never of interleaving:
 
 1. **Integer arithmetic only.**  Counters and histogram bucket counts are
    plain ints; histogram sums are fixed-point integers (milli-units, see
    :data:`SUM_SCALE`).  Integer addition is associative and commutative,
-   so folding per-shard registries in any order — or accumulating
-   observations in any order — lands on the same bits.  Float
-   accumulation would not: one shard ingests in delivery order while
-   more shards ingest grouped per shard, and a float running sum
+   so accumulating observations in any order lands on the same bits.
+   Float accumulation would not: one shard ingests in delivery order
+   while more shards ingest grouped per shard, and a float running sum
    distinguishes the two.
-2. **Closed merge semantics.**  ``merge(a, b)`` is defined per
-   instrument: counters add, histograms add bucket-wise (requiring equal
-   bucket bounds), and gauges take the lexicographic max of their
-   ``(version, value)`` pair — last-writer-wins with a deterministic
-   tiebreak, matching how :mod:`repro.scale.merge` folds shard results.
-   ``merge(a, identity) == a`` and the operation is commutative and
-   associative (``tests/telemetry/test_merge_properties.py``).
-3. **Canonical order everywhere.**  Metric keys are
+2. **Canonical order everywhere.**  Metric keys are
    ``(name, sorted-label-tuple)``; snapshots and exports sort by that
    key, so the JSON rendering is byte-stable.
 
@@ -77,19 +69,16 @@ class Counter:
             raise MetricError("counters are monotone; cannot add a negative amount")
         self.value += n
 
-    def merge_from(self, other: "Counter") -> None:
-        self.value += other.value
-
     def snapshot(self) -> dict:
         return {"value": self.value}
 
 
 class Gauge:
-    """A last-writer-wins value with a deterministic merge.
+    """A last-writer-wins value that counts its writes.
 
-    Each ``set`` bumps the version; merging two gauges keeps the
-    lexicographically larger ``(version, value)`` pair, so folding any
-    permutation of registries yields the same winner.
+    Each ``set`` bumps ``version``.  Nothing reads the version back, but
+    it is part of every gauge row of the AGGREGATE export, so the golden
+    telemetry digests pin it: dropping it would move every pin.
     """
 
     kind = "gauge"
@@ -103,11 +92,6 @@ class Gauge:
         self.version += 1
         self.value = float(value)
 
-    def merge_from(self, other: "Gauge") -> None:
-        if (other.version, other.value) > (self.version, self.value):
-            self.version = other.version
-            self.value = other.value
-
     def snapshot(self) -> dict:
         return {"version": self.version, "value": self.value}
 
@@ -117,9 +101,8 @@ class Histogram:
 
     ``bounds`` are inclusive upper edges; one overflow bucket catches
     everything above the last bound.  The sum is kept in milli-units
-    (``SUM_SCALE``) so it is an integer — order-independent under both
-    observation and merge.  Min/max use float comparison, which is also
-    order-independent.
+    (``SUM_SCALE``) so it is an integer — independent of observation
+    order.  Min/max use float comparison, which is also order-independent.
     """
 
     kind = "histogram"
@@ -188,19 +171,6 @@ class Histogram:
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
 
-    def merge_from(self, other: "Histogram") -> None:
-        if self.bounds != other.bounds:
-            raise MetricError("cannot merge histograms with different bucket bounds")
-        for index, count in enumerate(other.bucket_counts):
-            self.bucket_counts[index] += count
-        self.count += other.count
-        self.sum_scaled += other.sum_scaled
-        for value in (other.min, other.max):
-            if value is None:
-                continue
-            self.min = value if self.min is None else min(self.min, value)
-            self.max = value if self.max is None else max(self.max, value)
-
     def snapshot(self) -> dict:
         return {
             "bounds": list(self.bounds),
@@ -224,8 +194,8 @@ class MetricsRegistry:
         #: repeats (same name/kind/scope/label kwargs/buckets) skips the
         #: declaration checks and label canonicalization — both ran, and
         #: passed, the first time the exact shape was seen.  Values alias
-        #: entries of ``_instruments``, which merge_from mutates in place,
-        #: so the cache never goes stale.
+        #: entries of ``_instruments``, which are only ever mutated in
+        #: place, so the cache never goes stale.
         self._fast: dict[tuple, Counter | Gauge | Histogram] = {}
 
     # ------------------------------------------------------------ recording
@@ -400,37 +370,6 @@ class MetricsRegistry:
                 }
             )
         return rows
-
-    # -------------------------------------------------------------- merging
-
-    def merge_from(self, other: "MetricsRegistry") -> None:
-        """Fold ``other`` into this registry (commutative, associative)."""
-        for name, (kind, scope, bounds) in other._meta.items():
-            meta = self._meta.get(name)
-            if meta is None:
-                self._meta[name] = (kind, scope, bounds)
-            elif meta != (kind, scope, bounds):
-                raise MetricError(f"conflicting declarations for metric {name!r}")
-        for key, instrument in other._instruments.items():
-            mine = self._instruments.get(key)
-            if mine is None:
-                name = key[0]
-                kind, _, bounds = self._meta[name]
-                if kind == "counter":
-                    mine = Counter()
-                elif kind == "gauge":
-                    mine = Gauge()
-                else:
-                    mine = Histogram(bounds or DEFAULT_BUCKETS)
-                self._instruments[key] = mine
-            mine.merge_from(instrument)
-
-    def merged(self, *others: "MetricsRegistry") -> "MetricsRegistry":
-        """A fresh registry equal to folding self and ``others`` together."""
-        result = MetricsRegistry()
-        for registry in (self, *others):
-            result.merge_from(registry)
-        return result
 
     # ------------------------------------------------------------- exports
 

@@ -2,10 +2,9 @@
 
 A span is a named interval of *simulated* time (:mod:`repro.util.clock`
 seconds) with aggregate-only labels — never wall-clock, so two runs of
-the same seed produce byte-identical timelines.  The timeline is a
-mergeable value like the metrics registry: merging concatenates, and the
-snapshot re-sorts into canonical ``(start, end, name, labels)`` order,
-so per-shard timelines fold commutatively and associatively.
+the same seed produce byte-identical timelines.  The snapshot sorts into
+canonical ``(start, end, name, labels)`` order, so the export does not
+depend on the order spans were recorded in.
 """
 
 from __future__ import annotations
@@ -86,15 +85,6 @@ class SpanTimeline:
             for span in sorted(self._spans)
             if scope is None or span.scope == scope
         ]
-
-    def merge_from(self, other: "SpanTimeline") -> None:
-        self._spans.extend(other._spans)
-
-    def merged(self, *others: "SpanTimeline") -> "SpanTimeline":
-        result = SpanTimeline()
-        for timeline in (self, *others):
-            result.merge_from(timeline)
-        return result
 
     def export_json(self, scope: str | None = None, indent: int | None = None) -> str:
         return json.dumps(

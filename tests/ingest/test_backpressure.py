@@ -97,7 +97,7 @@ class TestQueueUnit:
         # An idle deployment drains its (empty) queue every tick; those
         # ticks must not touch the queue_depth gauge (its write version
         # is part of the export, so idle churn would make two otherwise
-        # identical soak runs export different telemetry).
+        # identical runs export different telemetry).
         telemetry = Telemetry()
         queue = BoundedIntakeQueue(4, telemetry=telemetry)
         queue.offer_all(["a", "b"])

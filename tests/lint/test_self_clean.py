@@ -40,25 +40,21 @@ def test_every_waiver_is_a_known_audited_exception(self_result):
     """Suppressions are load-bearing documentation: each one must sit in a
     sanctioned touchpoint — the server's identity edges (token
     issuance and explicit-review posting), the journal's wall-clock
-    snapshot timer, the soak harness's throughput/latency stopwatch, or
-    the serving layer's query-latency stopwatch (all observability-only:
-    the readings land in DEPLOYMENT scope, never in a report or an
-    invariant digest)."""
+    snapshot timer, or the serving layer's query-latency stopwatch (all
+    observability-only: the readings land in DEPLOYMENT scope, never in a
+    report or an invariant digest)."""
     by_file = {}
     for finding in self_result.suppressed:
         if finding.checker_id == "priv-server-identity":
             assert finding.path.endswith("service/server.py")
         else:
             assert finding.checker_id == "det-wall-clock"
-            assert finding.path.endswith(
-                ("durability/journal.py", "ingest/soak.py", "serve/facade.py")
-            )
+            assert finding.path.endswith(("durability/journal.py", "serve/facade.py"))
         by_file[finding.path] = by_file.get(finding.path, 0) + 1
     # The server's three identity touchpoints, the journal's two
-    # perf_counter reads around the snapshot write, the soak harness's
-    # single stopwatch read, and the serving layer's two perf_counter
-    # reads around a query.
-    assert sorted(by_file.values()) == [1, 2, 2, 3]
+    # perf_counter reads around the snapshot write, and the serving
+    # layer's two perf_counter reads around a query.
+    assert sorted(by_file.values()) == [2, 2, 3]
 
 
 def test_cli_exits_zero_on_the_tree(self_analysis, capsys, monkeypatch):

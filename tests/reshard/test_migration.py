@@ -68,7 +68,7 @@ def test_split_conserves_totals_and_places_every_key(catalog, target):
     before = totals(server)
     source_size = server.shards[target].store.n_histories
     moved = server.split_shard(target)
-    assert server.n_shards_live == 5
+    assert server.router.n_shards == 5
     assert totals(server) == before
     assert_placement(server)
     # Locality: the split moved state out of the split shard only, and
@@ -107,7 +107,7 @@ def test_merge_conserves_totals_and_renumbers(catalog, a, b):
     before = totals(server)
     source_size = server.shards[b].store.n_histories
     moved = server.merge_shards(a, b)
-    assert server.n_shards_live == 3
+    assert server.router.n_shards == 3
     assert totals(server) == before
     assert_placement(server)
     assert moved["histories"] == source_size
@@ -159,7 +159,7 @@ def test_perform_records_history_and_deployment_telemetry(catalog):
     moved = perform(server, ReshardOp.split(0))
     assert server.reshard_history[-1]["op"] == "split"
     assert server.reshard_history[-1]["seq"] == 0  # no journal attached
-    assert server.reshard_seq == 1
+    assert len(server.reshard_history) == 1
     assert moved["histories"] > 0
     assert telemetry.value("rsp.reshard.shards") == 3
     assert telemetry.total("rsp.reshard.splits") == 1

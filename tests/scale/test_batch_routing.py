@@ -12,7 +12,7 @@ import pytest
 
 from repro.ingest import SyntheticTraffic, WorkloadConfig
 from repro.scale.router import ShardRouter
-from repro.scale.server import ShardedRSPServer
+from repro.service.server import RSPServer
 from repro.telemetry import Telemetry
 
 WORKLOAD = WorkloadConfig(
@@ -51,7 +51,7 @@ class CountingRouter(ShardRouter):
 
 def make_server(n_shards=4):
     traffic = SyntheticTraffic(WORKLOAD)
-    server = ShardedRSPServer(
+    server = RSPServer(
         traffic.catalog, n_shards=n_shards, require_tokens=False
     )
     server.attach_telemetry(Telemetry())

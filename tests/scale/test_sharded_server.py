@@ -16,7 +16,6 @@ from repro.privacy.anonymity import Delivery
 from repro.privacy.history_store import InteractionUpload
 from repro.privacy.identifiers import DeviceIdentity
 from repro.privacy.tokens import TokenWallet
-from repro.scale.server import ShardedRSPServer
 from repro.service.server import RSPServer
 from repro.world.population import TownConfig, build_town
 
@@ -28,7 +27,7 @@ def town():
 
 def make_pair(town, n_shards, **kwargs):
     mono = RSPServer(catalog=town.entities, key_seed=20, key_bits=256, **kwargs)
-    sharded = ShardedRSPServer(
+    sharded = RSPServer(
         catalog=town.entities,
         key_seed=20,
         key_bits=256,
@@ -160,7 +159,7 @@ class TestIntakeEquivalence:
     def test_batch_and_single_intake_agree(self, town):
         """``receive_all`` groups by shard; outcomes must not move."""
         one, batch = (
-            ShardedRSPServer(
+            RSPServer(
                 catalog=town.entities,
                 key_seed=20,
                 key_bits=256,
@@ -185,7 +184,7 @@ class TestIntakeEquivalence:
         assert counters(one) == counters(batch)
 
     def test_dedup_spans_batches(self, town):
-        server = ShardedRSPServer(
+        server = RSPServer(
             catalog=town.entities, require_tokens=False, n_shards=4
         )
         identity = DeviceIdentity.create("u", seed=2)
@@ -207,7 +206,7 @@ class PoisonedKey(str):
 
 class TestTransactionalAccept:
     def test_poisoned_record_neither_counts_nor_burns_nonce(self, town):
-        server = ShardedRSPServer(
+        server = RSPServer(
             catalog=town.entities, require_tokens=False, n_shards=4
         )
         identity = DeviceIdentity.create("u", seed=3)
@@ -269,11 +268,10 @@ class TestFacadeParity:
 
 
 def test_scale_name_is_the_server_class(town):
-    """One server class: the scale-out name is the same class object."""
-    from repro import scale
+    """One server class: the name ``bench/`` imports is the same class object."""
+    from repro.scale.server import ShardedRSPServer
 
     assert ShardedRSPServer is RSPServer
-    assert scale.ShardedRSPServer is RSPServer
     assert RSPServer(catalog=town.entities, key_bits=256).router.n_shards == 1
 
 

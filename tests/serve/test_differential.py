@@ -15,7 +15,6 @@ at every deployment shape) live in the golden grid,
 import pytest
 
 from repro.ingest import SyntheticTraffic, WorkloadConfig
-from repro.scale.server import ShardedRSPServer
 from repro.serve.loadgen import QueryWorkload, SyntheticQueries
 from repro.service.server import RSPServer
 from repro.telemetry import AGGREGATE, Telemetry
@@ -55,7 +54,7 @@ def test_cold_warm_and_post_maintenance_reads_match_the_oracle(
     config = WORKLOADS[impurity]
     t_ref, t_dut = SyntheticTraffic(config), SyntheticTraffic(config)
     reference = RSPServer(t_ref.catalog, require_tokens=False)
-    dut = ShardedRSPServer(
+    dut = RSPServer(
         t_dut.catalog, n_shards=n_shards, require_tokens=False
     )
     for server in (reference, dut):
@@ -105,7 +104,7 @@ def test_aggregate_serve_counters_match_across_deployments():
     for n_shards in (0, 4):
         traffic = SyntheticTraffic(WORKLOADS["chaos"])
         if n_shards:
-            server = ShardedRSPServer(
+            server = RSPServer(
                 traffic.catalog, n_shards=n_shards, require_tokens=False
             )
         else:

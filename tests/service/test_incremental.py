@@ -20,7 +20,6 @@ from repro.durability.snapshot import capture_state, restore_state
 from repro.privacy.anonymity import Delivery
 from repro.privacy.history_store import InteractionUpload
 from repro.privacy.identifiers import DeviceIdentity
-from repro.scale.server import ShardedRSPServer
 from repro.service.server import RSPServer
 from repro.telemetry import Telemetry
 from repro.util.clock import DAY, HOUR
@@ -31,7 +30,7 @@ def make_servers(seed=40, n_users=16):
     """One monolithic and one sharded server over the same small town."""
     town = build_town(TownConfig(n_users=n_users), seed=seed)
     mono = RSPServer(catalog=town.entities, key_seed=seed, require_tokens=False)
-    sharded = ShardedRSPServer(
+    sharded = RSPServer(
         catalog=town.entities, key_seed=seed, require_tokens=False, n_shards=4
     )
     return town, mono, sharded
