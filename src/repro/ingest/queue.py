@@ -18,8 +18,10 @@ the moment it fills.  :class:`BoundedIntakeQueue` is that buffer:
   exactly-one-of {acked-and-journaled, shed-with-counter} invariant holds
   by construction (``tests/ingest/test_backpressure.py`` proves it end to
   end).  The fire-and-forget anonymous channel means the sender learns
-  nothing either way; bounded client retransmission is what recovers shed
-  records, exactly as it recovers outage losses.
+  nothing either way, and a shed record is lost: ``run_epochs`` offers
+  each epoch's release as one burst and drains it at once, so a
+  retransmitted copy lands in the same burst as its original and is shed
+  with it (``tests/orchestration/test_queue_depth.py`` pins this).
 
 Counters (``rsp.ingest.*``, all label values inside the closed vocabulary
 of :mod:`repro.telemetry.labels`):

@@ -162,6 +162,57 @@ def build_frame(
     )
 
 
+def concat_frames(frames: Sequence[ShardFrame]) -> ShardFrame:
+    """Stack ``frames`` end to end.
+
+    Equal, column by column, to :func:`build_frame` over the frames'
+    histories in the same order (and the same ``entity_kinds``): every
+    column is per-history segmented, so segments concatenate unchanged;
+    kind codes are remapped to the sorted union of the frames'
+    ``kind_labels``, and offsets are rebuilt from the record counts.
+    Every column is a fresh array, so the result pins no input buffer.
+    """
+    kind_labels = sorted({label for frame in frames for label in frame.kind_labels})
+    label_code = {label: code for code, label in enumerate(kind_labels)}
+    histories: list[InteractionHistory] = []
+    hist_ids: list[str] = []
+    entity_ids: list[str] = []
+    codes: list[np.ndarray] = []
+    for frame in frames:
+        histories.extend(frame.histories)
+        hist_ids.extend(frame.hist_ids)
+        entity_ids.extend(frame.entity_ids)
+        # The trailing -1 is what an unknown kind's code (-1) indexes.
+        remap = [label_code[label] for label in frame.kind_labels]
+        codes.append(np.array([*remap, -1], dtype=np.int64)[frame.codes])
+
+    def stacked(column: str, dtype) -> np.ndarray:
+        parts = [getattr(frame, column) for frame in frames]
+        return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
+
+    n_raw = stacked("n_raw", np.int64)
+    offsets = np.zeros(len(histories) + 1, dtype=np.int64)
+    np.cumsum(n_raw, out=offsets[1:])
+    gap_offsets = np.zeros(len(histories) + 1, dtype=np.int64)
+    np.cumsum(np.maximum(n_raw - 1, 0), out=gap_offsets[1:])
+    return ShardFrame(
+        histories=histories,
+        hist_ids=hist_ids,
+        entity_ids=entity_ids,
+        kind_labels=kind_labels,
+        codes=np.concatenate(codes) if codes else np.empty(0, dtype=np.int64),
+        n_interactions=stacked("n_interactions", np.int64),
+        n_raw=n_raw,
+        offsets=offsets,
+        times_raw=stacked("times_raw", np.float64),
+        times_sorted=stacked("times_sorted", np.float64),
+        durations_raw=stacked("durations_raw", np.float64),
+        durations_sorted=stacked("durations_sorted", np.float64),
+        gaps=stacked("gaps", np.float64),
+        gap_offsets=gap_offsets,
+    )
+
+
 def slice_pools(
     frame: ShardFrame, start: int, stop: int, min_history_length: int = 2
 ) -> ProfilePools:

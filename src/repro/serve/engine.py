@@ -51,11 +51,14 @@ class ServeQuery:
             raise ValueError("limit must be positive")
         if self.compare_top < 0:
             raise ValueError("compare_top must be non-negative")
+        # Every cache probe hashes the query, so the hash is computed once
+        # here: one flat tuple, without the generated hash's nested call
+        # into ``Point.__hash__``.  Equal queries have equal fields, so
+        # they still hash equal.  ``_hash`` is not a field, so it stays
+        # out of ``==`` and ``repr``.
+        object.__setattr__(self, "_hash", self._flat_hash())
 
-    def __hash__(self) -> int:
-        # Every cache probe hashes the query: one flat tuple, without the
-        # generated hash's nested call into ``Point.__hash__``.  Equal
-        # queries have equal fields, so they still hash equal.
+    def _flat_hash(self) -> int:
         near = self.near
         return hash(
             (
@@ -68,6 +71,20 @@ class ServeQuery:
                 self.compare_top,
             )
         )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        # ``str`` hashes are salted per process, so the stored hash never
+        # travels; unpickling computes it afresh.
+        state = self.__dict__.copy()
+        del state["_hash"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        object.__setattr__(self, "_hash", self._flat_hash())
 
 
 @dataclass(frozen=True)

@@ -32,18 +32,24 @@ maintenance"):
   every part is empty (e.g. its last history was rejected) the cached
   summary is deleted, exactly matching the key set a full recompute
   would produce.
+* **Frame blocks** — each entity's histories and opinion slots are laid
+  out once, as a single-entity frame block, and kept across cycles.  A
+  block is dropped when its entity is dirtied and when an opinion slot
+  of one of its histories is written (the slot's *owner*, which such a
+  write leaves clean), so a kept block always equals a fresh layout.
 
 Dirty sets are Python ``set``s and therefore iterate in hash order;
 every loop below goes through ``sorted()`` before touching float math,
 and the ``det-dirty-iteration`` lint rule holds the line.
 
-The engine reads the stores only through a :class:`StoreView`.  Each
-cycle lays the tracked entities' histories out as one columnar
+The engine reads the stores only through a :class:`StoreView`.  The
+per-entity profile fragments the fraud profiles roll up from are sliced
+from the entities' frame blocks; each cycle then stacks the tracked
+entities' blocks into one columnar
 :class:`~repro.scale.kernel.ShardFrame` (entity order, then history-id
-order) and takes everything from slices of it: the per-entity profile
-fragments the fraud profiles roll up from, the verdicts
-(:func:`~repro.scale.kernel.judge_frame`), and the summary columns.  The
-same cycle runs at every dirty fraction and shard count.
+order) and takes the verdicts (:func:`~repro.scale.kernel.judge_frame`)
+and the summary columns from it.  The same cycle runs at every dirty
+fraction and shard count.
 """
 
 from __future__ import annotations
@@ -63,6 +69,7 @@ from repro.privacy.history_store import InteractionHistory
 from repro.scale.kernel import (
     ShardFrame,
     build_frame,
+    concat_frames,
     judge_frame,
     slice_pools,
     summarize_slice,
@@ -184,6 +191,10 @@ class MaintenanceEngine:
         #: Per-entity feature-value fragments and the per-kind profiles
         #: they roll up into.
         self._fragments: dict[str, ProfilePools] = {}
+        #: entity_id -> frame block: the entity's slots in history-id
+        #: order, laid out as a single-entity frame.  Kept across cycles
+        #: until the entity is dirtied or one of its slots is written.
+        self._blocks: dict[str, TrackedFrame] = {}
         self._kind_profiles: dict[str, TypicalProfile | None] = {}
         self._profile_digests: dict[str, str] = {}
         #: Cycle listeners (the serving layer's cache-invalidation hook).
@@ -217,9 +228,14 @@ class MaintenanceEngine:
         ``owner`` is the entity the history is bound to (``None`` if the
         history is not stored yet).  A brand-new slot changes the owner's
         kept-opinion count, so the owner is dirtied too; a cross-entity
-        overwrite moves the claim and dirties the abandoned entity.
+        overwrite moves the claim and dirties the abandoned entity.  Any
+        write drops the owner's frame block, which holds the old slot;
+        an overwrite leaves the owner clean, because its histories, and
+        so its verdicts and kept-opinion count, did not change.
         """
         self._dirty.add(record.entity_id)
+        if owner is not None:
+            self._blocks.pop(owner, None)
         if existing is None:
             self._claims.setdefault(record.entity_id, set()).add(record.history_id)
             if owner is not None:
@@ -236,22 +252,22 @@ class MaintenanceEngine:
     def plan(self) -> CyclePlan:
         """Drain the dirty set and decide what this cycle must recompute.
 
-        The entities without a profile fragment — every dirty entity, and
-        on a fresh engine every entity — are laid out as one frame, and
-        their fragments are sliced from it.  The fraud profiles are then
-        rebuilt from the fragments, only for the kinds that contain a
-        dirty entity.  That frame is reused for judging when it covers
-        exactly the judge-tracked entities (the usual all-dirty case).
+        Every dirty entity loses its profile fragment and its frame
+        block.  The entities without a fragment — every dirty entity, and
+        on a fresh engine every entity — have it sliced from their
+        block.  The fraud profiles are then rebuilt from the fragments,
+        only for the kinds that contain a dirty entity, and the
+        judge-tracked entities' blocks are stacked into one frame.
         """
         dirty = set(self._dirty)
         self._dirty.clear()
         for entity_id in sorted(dirty):
             self._fragments.pop(entity_id, None)
+            self._blocks.pop(entity_id, None)
         entities = self.view.entities_with_histories()
-        slots: dict[str, list[Slot]] = {}
-        fresh = self._track(sorted(entities - self._fragments.keys()), slots)
-        for entity_id, (start, stop) in fresh.bounds.items():
-            self._fragments[entity_id] = slice_pools(fresh.frame, start, stop)
+        for entity_id in sorted(entities - self._fragments.keys()):
+            frame = self._block(entity_id).frame
+            self._fragments[entity_id] = slice_pools(frame, 0, frame.n_histories)
         profiles = self._build_profiles(dirty, entities)
         digests = {
             kind: profile_digest(profile, self.config)
@@ -269,10 +285,6 @@ class MaintenanceEngine:
             if self.entity_kinds.get(entity_id) in changed_kinds
         }
         judge_tracked = (dirty | redirtied) & entities
-        if fresh.bounds.keys() == judge_tracked:
-            tracked = fresh
-        else:
-            tracked = self._track(sorted(judge_tracked), slots)
         return CyclePlan(
             dirty=dirty,
             profiles=profiles,
@@ -281,38 +293,39 @@ class MaintenanceEngine:
             judge_tracked=judge_tracked,
             n_entities=len(entities),
             prev_summary_keys=set(self.summaries),
-            tracked=tracked,
+            tracked=self._track(sorted(judge_tracked)),
         )
 
-    def _track(
-        self, entity_ids: list[str], slots: dict[str, list[Slot]]
-    ) -> TrackedFrame:
-        """Lay ``entity_ids``' histories out as one frame.
-
-        ``entity_ids`` must be sorted.  ``slots`` memoizes each entity's
-        history-id-sorted slots across the frames of one cycle.
-        """
-        histories: list[InteractionHistory] = []
+    def _track(self, entity_ids: list[str]) -> TrackedFrame:
+        """``entity_ids``' blocks stacked into one frame (ids sorted)."""
+        blocks = [self._block(entity_id) for entity_id in entity_ids]
         opinions: list[OpinionUpload | None] = []
         bounds: dict[str, tuple[int, int]] = {}
-        for entity_id in entity_ids:
-            entity_slots = slots.get(entity_id)
-            if entity_slots is None:
-                entity_slots = sorted(
-                    self.view.history_slots(entity_id),
-                    key=lambda slot: slot[0].history_id,
-                )
-                slots[entity_id] = entity_slots
-            start = len(histories)
-            for history, opinion in entity_slots:
-                histories.append(history)
-                opinions.append(opinion)
-            bounds[entity_id] = (start, len(histories))
+        for entity_id, block in zip(entity_ids, blocks):
+            start = len(opinions)
+            opinions.extend(block.opinions)
+            bounds[entity_id] = (start, len(opinions))
         return TrackedFrame(
-            frame=build_frame(histories, self.entity_kinds),
+            frame=concat_frames([block.frame for block in blocks]),
             opinions=opinions,
             bounds=bounds,
         )
+
+    def _block(self, entity_id: str) -> TrackedFrame:
+        """``entity_id``'s frame block, laid out from the stores if missing."""
+        block = self._blocks.get(entity_id)
+        if block is None:
+            slots = sorted(
+                self.view.history_slots(entity_id),
+                key=lambda slot: slot[0].history_id,
+            )
+            histories = [history for history, _opinion in slots]
+            block = self._blocks[entity_id] = TrackedFrame(
+                frame=build_frame(histories, self.entity_kinds),
+                opinions=[opinion for _history, opinion in slots],
+                bounds={entity_id: (0, len(slots))},
+            )
+        return block
 
     def _build_profiles(
         self, dirty: set[str], entities: set[str]
@@ -394,9 +407,9 @@ class MaintenanceEngine:
         summarize_tracked = plan.dirty | flipped_owners | claimed
         # Entities summarized without being judged keep their accepted
         # histories from an earlier cycle.
-        rest = self._track(sorted(summarize_tracked - tracked.bounds.keys()), {})
+        rest = self._track(sorted(summarize_tracked - tracked.bounds.keys()))
         rest_keep = np.fromiter(
-            (history.history_id in self._surviving for history in rest.frame.histories),
+            (history_id in self._surviving for history_id in rest.frame.hist_ids),
             dtype=bool,
             count=rest.frame.n_histories,
         )

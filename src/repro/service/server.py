@@ -260,7 +260,10 @@ class RSPServer:
         """Answer a query through the cached serving layer — the one read
         path: ranked results plus the top entities' Figure 3 panels, as
         the last maintenance cycle published them."""
-        return self.serving.query(query)
+        serving = self._serving
+        if serving is None:
+            serving = self.attach_serving()
+        return serving.query(query)
 
     # ------------------------------------------------------------- intake
 

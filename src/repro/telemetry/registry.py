@@ -63,10 +63,12 @@ class Counter:
         self.value = 0
 
     def inc(self, n: int = 1) -> None:
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise MetricError("counters are integer-only; observe() floats instead")
-        if n < 0:
-            raise MetricError("counters are monotone; cannot add a negative amount")
+        # An exact non-negative int (every hot call site) skips the checks.
+        if n.__class__ is not int or n < 0:
+            if not isinstance(n, int) or isinstance(n, bool):
+                raise MetricError("counters are integer-only; observe() floats instead")
+            if n < 0:
+                raise MetricError("counters are monotone; cannot add a negative amount")
         self.value += n
 
     def snapshot(self) -> dict:
@@ -119,7 +121,8 @@ class Histogram:
         self.max: float | None = None
 
     def observe(self, value: float) -> None:
-        value = float(value)
+        if value.__class__ is not float:
+            value = float(value)
         self.bucket_counts[bisect_left(self.bounds, value)] += 1
         self.count += 1
         self.sum_scaled += round(value * SUM_SCALE)

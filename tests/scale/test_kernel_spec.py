@@ -14,10 +14,14 @@ could disagree — the kernel must reproduce the spec exactly:
 * ``slice_pools`` over a frame slice pools the values
   ``collect_profile_pools`` pools over the same histories;
 * ``summarize_slice`` over an entity's slice equals ``summarize_entity``
-  over its kept histories.
+  over its kept histories;
+* ``concat_frames`` over per-entity frame blocks equals ``build_frame``
+  over the same histories, column by column.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 from hypothesis import given, settings
@@ -32,7 +36,14 @@ from repro.privacy.history_store import (
     InteractionUpload,
     StoredRecord,
 )
-from repro.scale.kernel import build_frame, judge_frame, slice_pools, summarize_slice
+from repro.scale.kernel import (
+    ShardFrame,
+    build_frame,
+    concat_frames,
+    judge_frame,
+    slice_pools,
+    summarize_slice,
+)
 from repro.util.clock import DAY, HOUR
 from repro.util.rng import make_rng
 
@@ -247,3 +258,67 @@ def test_cv_threshold_sweep():
     detector = FraudDetector(profiles, KINDS)
     assert any(detector.judge(history).suspicious for history in hs)
     assert_judged_like_the_detector(hs, profiles, DetectorConfig())
+
+
+def assert_same_frame(actual: ShardFrame, expected: ShardFrame) -> None:
+    """Column by column: equal lists, and arrays of one dtype and bytes."""
+    for column in dataclasses.fields(ShardFrame):
+        ours, theirs = getattr(actual, column.name), getattr(expected, column.name)
+        if isinstance(theirs, np.ndarray):
+            assert ours.dtype == theirs.dtype, column.name
+            assert ours.shape == theirs.shape, column.name
+            assert ours.tobytes() == theirs.tobytes(), column.name
+        else:
+            assert ours == theirs, column.name
+    assert all(a is b for a, b in zip(actual.histories, expected.histories))
+
+
+@settings(max_examples=80, deadline=None)
+@given(hs=histories(), cuts=st.lists(st.integers(0, 12), max_size=4))
+def test_frame_blocks_concatenate_to_the_whole_frame(hs, cuts):
+    """Per-entity blocks (each with its own, differing ``kind_labels``;
+    unknown kinds code -1), and blocks cut at arbitrary points, some of
+    them empty, stack to the frame built over all their histories."""
+    hs = canonical(hs)
+    expected = build_frame(hs, KINDS)
+    per_entity = [build_frame(hs[start:stop], KINDS) for _eid, start, stop in entity_slices(hs)]
+    actual = concat_frames(per_entity)
+    assert_same_frame(actual, expected)
+    bounds = [0, *sorted(min(cut, len(hs)) for cut in cuts), len(hs)]
+    pieces = [build_frame(hs[start:stop], KINDS) for start, stop in zip(bounds, bounds[1:])]
+    assert_same_frame(concat_frames(pieces), expected)
+    # The stacked frame owns its columns: a kept block pins none of them.
+    for block in per_entity:
+        for column in ("codes", "n_raw", "times_raw", "times_sorted", "durations_raw", "gaps"):
+            assert not np.shares_memory(getattr(actual, column), getattr(block, column))
+
+
+def test_blocks_of_every_shape_concatenate():
+    """Mixed kinds, an unknown kind (code -1), and single-record and
+    record-less (fully folded) histories, one block per entity."""
+    shapes = {
+        "e0": [[DAY, 3 * DAY], []],
+        "e2": [[HOUR] * 5],
+        "e4": [[2 * DAY], []],
+    }
+    hs = []
+    for entity_id, gap_lists in shapes.items():
+        for index, gaps in enumerate(gap_lists):
+            order = list(range(len(gaps) + 1))
+            hs.append(
+                make_history(f"{entity_id}-h{index}", entity_id, gaps, 0.0, order,
+                             [1800.0] * len(order), 0)
+            )
+    hs.append(make_history("e4-h9", "e4", [], 0.0, [], [], 3))
+    hs = canonical(hs)
+    blocks = [build_frame(hs[start:stop], KINDS) for _eid, start, stop in entity_slices(hs)]
+    assert len({tuple(block.kind_labels) for block in blocks}) == 3
+    expected = build_frame(hs, KINDS)
+    assert -1 in expected.codes.tolist() and 0 in expected.n_raw.tolist()
+    assert_same_frame(concat_frames(blocks), expected)
+
+
+def test_no_blocks_stack_to_the_empty_frame():
+    empty = build_frame([], KINDS)
+    assert_same_frame(concat_frames([]), empty)
+    assert_same_frame(concat_frames([empty, empty]), empty)

@@ -16,7 +16,10 @@ Four contracts, each load-bearing for byte-identical serving:
   ``n_matches`` and rendered bytes included.
 """
 
+import copy
+import dataclasses
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -292,6 +295,31 @@ class TestEngineResponses:
         again = ServeQuery(category="thai", near=Point(1.5, 2.0), attribute="price:2")
         assert query == again and hash(query) == hash(again)
         assert len({query, again, ServeQuery(category="thai", near=Point(2.0, 1.5))}) == 2
+
+    def test_replace_recomputes_the_stored_hash(self):
+        query = ServeQuery(category="thai", near=Point(1.5, 2.0))
+        moved = dataclasses.replace(query, near=Point(2.0, 1.5), limit=3)
+        assert hash(moved) == hash(ServeQuery(category="thai", near=Point(2.0, 1.5), limit=3))
+        assert dataclasses.replace(moved, near=Point(1.5, 2.0), limit=10) == query
+        assert hash(dataclasses.replace(moved, near=Point(1.5, 2.0), limit=10)) == hash(query)
+
+    def test_stored_hash_stays_out_of_repr_eq_and_pickle(self):
+        # ``str`` hashes are salted per process: a pickled hash would be
+        # wrong in the process that loads it.
+        query = ServeQuery(category="thai", near=Point(1.5, 2.0), attribute="price:2")
+        assert "hash" not in repr(query)
+        assert repr(query) == repr(
+            ServeQuery(category="thai", near=Point(1.5, 2.0), attribute="price:2")
+        )
+        assert "_hash" not in [field.name for field in dataclasses.fields(query)]
+        other_hash = copy.copy(query)
+        object.__setattr__(other_hash, "_hash", hash(query) + 1)
+        assert other_hash == query
+        assert "_hash" not in query.__getstate__()
+        assert b"_hash" not in pickle.dumps(query)
+        loaded = pickle.loads(pickle.dumps(query))
+        assert loaded == query and hash(loaded) == hash(query)
+        assert copy.deepcopy(query) == query and hash(copy.deepcopy(query)) == hash(query)
 
 
 #: Evidence shapes a drawn entity may carry; ``None`` leaves it

@@ -84,6 +84,15 @@ def fill_honest(server, entity_id, n_users=12, nonce_tag=b"h"):
             )
 
 
+def visit_every(server, identity, entity_id, gaps_days, nonce_tag, t0=40 * DAY):
+    """Visits ``gaps_days`` apart, starting at ``t0``."""
+    t = t0
+    for visit, gap in enumerate([0, *gaps_days]):
+        t += gap * DAY
+        record = interaction(identity, entity_id, t=t)
+        assert deliver(server, record, nonce=nonce_tag + bytes([visit]))
+
+
 @pytest.mark.parametrize("flavor", ["mono", "sharded"])
 class TestInvalidationUnits:
     def pick(self, flavor, mono, sharded):
@@ -201,6 +210,54 @@ class TestInvalidationUnits:
         # drops depth-less inferred opinions), same as a full recompute.
         assert server.summary(entity_b) is not None
         assert server.summary(entity_b).n_inferred_opinions == 0
+        assert server.all_summaries() == from_scratch(town, server).all_summaries()
+
+    def test_slot_overwrite_drops_the_clean_owners_frame_block(self, flavor):
+        """A history bound to E has its slot re-targeted from F to G while
+        E stays clean; a later profile move flips the history's verdict.
+        The flip must invalidate the entity the slot claims *now* (G),
+        so E's kept frame block must not still hold the old slot."""
+        town, mono, sharded = make_servers()
+        server = self.pick(flavor, mono, sharded)
+        telemetry = Telemetry()
+        server.attach_telemetry(telemetry)
+        members = next(
+            ids for _kind, ids in sorted(entities_by_kind(town).items()) if len(ids) >= 2
+        )
+        owner, sibling = members[0], members[1]
+        entity_f, entity_g = [
+            entity.entity_id
+            for entity in town.entities
+            if entity.entity_id not in (owner, sibling)
+        ][:2]
+        fill_honest(server, owner)
+        # Seven irregular visits: above the kind's count ceiling, so the
+        # history is rejected (VOLUME) until heavier histories join the kind.
+        user = DeviceIdentity.create("u", seed=1)
+        visit_every(server, user, owner, [7, 14, 8, 20, 10, 16], b"u")
+        history_id = user.history_id(owner)
+        opinion = OpinionUpload(history_id=history_id, entity_id=entity_f, rating=4.0, seq=0)
+        assert deliver(server, opinion, nonce=b"o0")
+        server.run_maintenance()
+        retarget = OpinionUpload(history_id=history_id, entity_id=entity_g, rating=2.0, seq=1)
+        assert deliver(server, retarget, nonce=b"o1")
+        report = server.run_maintenance()
+        # Only F and G were dirtied: the owner stayed clean.
+        assert telemetry.value("rsp.maintenance.dirty_entities") == 2
+        assert any(verdict.history_id == history_id for verdict in report.rejected)
+        assert server.summary(entity_g) is None
+        # Heavy histories at the sibling raise the kind's count ceiling:
+        # the owner is re-dirtied (never dirtied) and the history flips.
+        for index in range(4):
+            heavy = DeviceIdentity.create(f"heavy-{index}", seed=50 + index)
+            visit_every(
+                server, heavy, sibling, [7, 15, 9, 21, 11, 17, 8, 13, 19, 10, 12],
+                b"s" + bytes([index]),
+            )
+        report = server.run_maintenance()
+        assert not any(verdict.history_id == history_id for verdict in report.rejected)
+        assert server.summary(entity_f) is None
+        assert server.summary(entity_g) is not None
         assert server.all_summaries() == from_scratch(town, server).all_summaries()
 
     def test_history_mismatch_is_split_from_unstored(self, flavor):

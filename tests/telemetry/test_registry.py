@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.telemetry import (
@@ -63,6 +64,19 @@ class TestCounter:
         with pytest.raises(MetricError):
             counter.inc(True)
 
+    def test_exact_int_fast_path_keeps_every_other_check(self):
+        class Count(int):
+            pass
+
+        counter = Counter()
+        for bad in (True, -1, 1.0, Count(-2), "1"):
+            with pytest.raises(MetricError):
+                counter.inc(bad)
+        assert counter.value == 0
+        counter.inc(Count(2))
+        counter.inc(0)
+        assert counter.value == 2 and type(counter.value) is int
+
 
 class TestGauge:
     def test_each_set_bumps_the_exported_version(self):
@@ -115,6 +129,25 @@ class TestHistogram:
     def test_bounds_must_increase(self):
         with pytest.raises(MetricError):
             Histogram(bounds=(1.0, 1.0))
+
+    def test_non_float_values_export_as_their_float(self):
+        """Only an exact float skips the ``float()`` conversion; ints,
+        NumPy scalars and float subclasses export what their ``float``
+        value exports."""
+
+        class Seconds(float):
+            pass
+
+        values = (3, np.float64(2.5), Seconds(0.0625), np.int64(7), -1, 0.5)
+        raw, converted = MetricsRegistry(), MetricsRegistry()
+        for value in values:
+            raw.observe("rsp.intake.batch", value, buckets=(1.0, 5.0))
+            converted.observe("rsp.intake.batch", float(value), buckets=(1.0, 5.0))
+        assert raw.export_json() == converted.export_json()
+        h = Histogram(bounds=(1.0,))
+        h.observe(Seconds(4.0))
+        h.observe(np.float64(-1.0))
+        assert type(h.min) is float and type(h.max) is float
 
 
 class TestRegistry:
