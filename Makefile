@@ -47,8 +47,8 @@ scale:
 bench-shards:
 	$(PYTHON) -m pytest benchmarks/test_bench_shards.py --benchmark-only -q -s
 
-# Telemetry suite: merge-algebra properties, golden export pins, counter
-# consistency under chaos, the label-privacy analyzer rule, and the
+# Telemetry suite: the label-privacy analyzer rule, the registry tests,
+# golden export pins, counter consistency under chaos, and the
 # line-coverage floor on repro.telemetry.
 telemetry:
 	$(PYTHON) -m repro.analysis src/repro --baseline analysis_baseline.json --select priv-telemetry-label

@@ -9,8 +9,16 @@ undermines any equality argument built on bytes).  WAL payloads use the
 same separators and NaN refusal but keep their field order (see
 :mod:`repro.durability.wal`); each frame carries its own checksum.
 
+:func:`json_scalar` is the one scalar encoder behind the per-kind
+templates that render hot WAL payloads and snapshot histories straight
+to text: an exact ``str``, ``float``, ``int`` or ``None`` goes through
+the C-level encoder the generic ``json`` encoder would use for it, and
+anything else (``bool``, ``numpy.float64``, any subclass) through the
+generic encoder itself, so a template's text is exactly what
+``json.dumps`` would have produced for the same value.
+
 :func:`seal_parts` is the snapshot writer's path: the canonical bytes of
-a sealed blob, built around a single encoding of the state.
+a sealed blob, built around the state's canonical bytes.
 
 The module is dependency-free on purpose: the device-side client imports
 it for checkpoint sealing, and must not drag the service layer in
@@ -22,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 
@@ -34,15 +43,42 @@ class CorruptStateError(ValueError):
     """
 
 
+#: The canonical encoder, built once: ``json.dumps`` with non-default
+#: arguments would construct a fresh encoder per call.
+_canonical = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), ensure_ascii=True, allow_nan=False
+).encode
+
+
 def canonical_json_bytes(obj: Any) -> bytes:
     """The unique canonical encoding of a JSON-compatible object."""
-    return json.dumps(
-        obj,
-        sort_keys=True,
-        separators=(",", ":"),
-        ensure_ascii=True,
-        allow_nan=False,
-    ).encode("utf-8")
+    return _canonical(obj).encode()
+
+
+def json_scalar(value: Any) -> str:
+    """``value``'s compact JSON text, as the canonical encoder writes it.
+
+    A NaN or infinity raises ``ValueError`` like ``allow_nan=False``
+    does, so a template that fails here has produced no output yet.
+    Anything but an exact ``str``/``float``/``int``/``None`` takes the
+    generic encoder, which renders ``bool`` and numeric subclasses as
+    ``json.dumps`` does and refuses what it cannot encode.
+    """
+    cls = value.__class__
+    if cls is str:
+        return encode_basestring_ascii(value)
+    # For an exact float or int, ``repr`` is ``float.__repr__`` or
+    # ``int.__repr__``, which is what the generic encoder writes.
+    if cls is float:
+        # ``inf - inf`` and ``nan - nan`` are NaN, which equals nothing.
+        if value - value == 0.0:
+            return repr(value)
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    if cls is int:
+        return repr(value)
+    if value is None:
+        return "null"
+    return _canonical(value)
 
 
 def digest_hex(data: bytes) -> str:
@@ -59,16 +95,16 @@ def seal(state: dict, kind: str) -> dict:
     }
 
 
-def seal_parts(state: dict, kind: str) -> tuple[bytes, bytes, bytes]:
-    """``canonical_json_bytes(seal(state, kind))``, encoding ``state`` once.
+def seal_parts(body: bytes, kind: str) -> tuple[bytes, bytes, bytes]:
+    """``canonical_json_bytes(seal(state, kind))`` around ``body``, the
+    state's canonical bytes.
 
     The sealed blob's canonical form is ``{"digest":…,"format":…,
     "state":…}`` (keys sorted), so it is the state's canonical bytes —
     the very bytes the digest covers — between a short head and tail.
-    Returned as ``(head, state_bytes, tail)`` so a writer can emit them
-    in turn without joining a second copy of a large state.
+    Returned as ``(head, body, tail)`` so a writer can emit them in turn
+    without joining a second copy of a large state.
     """
-    body = canonical_json_bytes(state)
     head = b'{"digest":%s,"format":%s,"state":' % (
         canonical_json_bytes(digest_hex(body)),
         canonical_json_bytes(kind),

@@ -41,24 +41,74 @@ is deleted.
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import time
 from pathlib import Path
 
-from repro.durability.snapshot import (
-    capture_state,
-    list_snapshots,
-    write_snapshot,
-)
-from repro.durability.wal import WriteAheadLog, read_wal
-from repro.telemetry import NULL, Telemetry
+from repro.durability.codec import json_scalar
+from repro.durability.snapshot import list_snapshots, render_state, write_snapshot
+from repro.durability.wal import WriteAheadLog, encode_payload, read_wal
+from repro.telemetry import DEPLOYMENT, NULL, Telemetry
 
 _SEGMENT_RE = re.compile(r"^wal-(\d{2})-(\d{12})\.log$")
 
 #: Snapshots retained by truncation: the newest, plus one fallback for
 #: when the newest fails its seal.
 KEEP_SNAPSHOTS = 2
+
+
+#: The two hot payload kinds, one template each.  Keys and their order
+#: are the payload's as ``json.dumps`` would write the dict; every value
+#: is filled in by ``json_scalar``, so the text is byte for byte the
+#: generic encoder's.
+_INTERACTION = (
+    '{"kind":"interaction","history_id":%s,"entity_id":%s,"interaction_type":%s,'
+    '"event_time":%s,"duration":%s,"travel_km":%s,"arrival_time":%s,'
+    '"nonce":%s,"token_id":%s,"seq":%s}'
+)
+_OPINION = (
+    '{"kind":"opinion","history_id":%s,"entity_id":%s,"rating":%s,"opinion_seq":%s,'
+    '"nonce":%s,"token_id":%s,"seq":%s}'
+)
+
+
+def render_interaction(record, arrival_time: float, nonce, token_id, seq: int) -> bytes:
+    """The ``interaction`` payload of ``record`` as frame bytes."""
+    scalar = json_scalar
+    return (
+        _INTERACTION
+        % (
+            scalar(record.history_id),
+            scalar(record.entity_id),
+            scalar(record.interaction_type),
+            scalar(record.event_time),
+            scalar(record.duration),
+            scalar(record.travel_km),
+            scalar(arrival_time),
+            "null" if nonce is None else scalar(nonce.hex()),
+            "null" if token_id is None else scalar(token_id.hex()),
+            scalar(seq),
+        )
+    ).encode()
+
+
+def render_opinion(record, nonce, token_id, seq: int) -> bytes:
+    """The ``opinion`` payload of ``record`` as frame bytes."""
+    scalar = json_scalar
+    return (
+        _OPINION
+        % (
+            scalar(record.history_id),
+            scalar(record.entity_id),
+            scalar(record.rating),
+            scalar(record.seq),
+            "null" if nonce is None else scalar(nonce.hex()),
+            "null" if token_id is None else scalar(token_id.hex()),
+            scalar(seq),
+        )
+    ).encode()
 
 
 def segment_name(lane: int, start_seq: int) -> str:
@@ -105,8 +155,9 @@ class DurableJournal:
         self._lane_of = lane_of
         self.telemetry = telemetry
         self.sync_policy = sync_policy
-        #: Mutations since the last :meth:`~ReplicatedRSPServer.ship`,
-        #: retained only when a replication pair sets this True.
+        #: Mutations since the last :meth:`~ReplicatedRSPServer.ship`, as
+        #: the decoded frames recovery would replay; retained only when a
+        #: replication pair sets this True.
         self.keep_outbox = False
         self.outbox: list[dict] = []
         self.closed = False
@@ -153,19 +204,25 @@ class DurableJournal:
 
     # ------------------------------------------------------------ appends
 
-    def _append(self, lane: int, payload: dict) -> int:
+    def _append(self, lane: int, data: bytes) -> int:
+        """Write ``data``, a payload rendered with ``seq = next_seq``.
+
+        Callers render before calling, so a payload that cannot be
+        encoded (a NaN, say) raises before any byte is written or any
+        sequence number is spent.
+        """
         if self.closed:
             raise RuntimeError("journal is closed; refusing to log")
-        payload["seq"] = self.next_seq
-        self.next_seq += 1
+        seq = self.next_seq
+        self.next_seq = seq + 1
         if self._lane_of is None:
             lane = 0
         n_bytes = self._lanes[lane].append_record(
-            payload, sync=self.sync_policy == "always"
+            data, sync=self.sync_policy == "always"
         )
         self._last_lane = lane
         if self.keep_outbox:
-            self.outbox.append(payload)
+            self.outbox.append(json.loads(data))
         counters = self._counters
         if counters is None:
             telemetry = self.telemetry
@@ -175,7 +232,7 @@ class DurableJournal:
             )
         counters[0].inc()
         counters[1].inc(n_bytes)
-        return payload["seq"]
+        return seq
 
     def log_interaction(
         self, record, arrival_time: float, nonce, token_id, lane: int
@@ -187,19 +244,7 @@ class DurableJournal:
         than hashed again.
         """
         return self._append(
-            lane,
-            {
-                "kind": "interaction",
-                "history_id": record.history_id,
-                "entity_id": record.entity_id,
-                "interaction_type": record.interaction_type,
-                "event_time": record.event_time,
-                "duration": record.duration,
-                "travel_km": record.travel_km,
-                "arrival_time": arrival_time,
-                "nonce": None if nonce is None else nonce.hex(),
-                "token_id": None if token_id is None else token_id.hex(),
-            },
+            lane, render_interaction(record, arrival_time, nonce, token_id, self.next_seq)
         )
 
     def log_opinion(self, record, nonce, token_id, lane: int) -> int:
@@ -207,49 +252,39 @@ class DurableJournal:
         envelope was accepted, so their nonce burn must be journaled even
         though replay will skip the slot write by the same ``seq`` rule).
         ``lane`` is the record's shard, as for :meth:`log_interaction`."""
-        return self._append(
-            lane,
-            {
-                "kind": "opinion",
-                "history_id": record.history_id,
-                "entity_id": record.entity_id,
-                "rating": record.rating,
-                "opinion_seq": record.seq,
-                "nonce": None if nonce is None else nonce.hex(),
-                "token_id": None if token_id is None else token_id.hex(),
-            },
-        )
+        return self._append(lane, render_opinion(record, nonce, token_id, self.next_seq))
 
     def log_review(self, user_id: str, entity_id: str, rating: int, time: float) -> int:
         """One accepted explicit review, before it lands in the store."""
+        payload = {
+            "kind": "review",
+            # The WAL stores exactly what the attributed review store
+            # stores — this is the legacy path's own durable record,
+            # not a new identity flow.
+            "user_id": user_id,
+            "entity_id": entity_id,
+            "rating": rating,
+            "time": time,
+            "seq": self.next_seq,
+        }
         return self._append(
             0 if self._lane_of is None else self._lane_of(entity_id),
-            {
-                "kind": "review",
-                # The WAL stores exactly what the attributed review store
-                # stores — this is the legacy path's own durable record,
-                # not a new identity flow.
-                "user_id": user_id,
-                "entity_id": entity_id,
-                "rating": rating,
-                "time": time,
-            },
+            encode_payload(payload),
         )
 
     def log_issue(self, device_id: str, count: int, now: float) -> int:
         """One successful token issuance (the quota-window tick)."""
-        return self._append(
-            0,
-            {
-                "kind": "issue",
-                # Issuance is the attributed side by design (quotas are
-                # per device); the journal records what the issuer's own
-                # window table records, nothing more.
-                "device_id": device_id,
-                "count": count,
-                "now": now,
-            },
-        )
+        payload = {
+            "kind": "issue",
+            # Issuance is the attributed side by design (quotas are
+            # per device); the journal records what the issuer's own
+            # window table records, nothing more.
+            "device_id": device_id,
+            "count": count,
+            "now": now,
+            "seq": self.next_seq,
+        }
+        return self._append(0, encode_payload(payload))
 
     def log_reshard(self, op: dict) -> int:
         """One topology change (split/merge), *before* any state moves.
@@ -263,7 +298,8 @@ class DurableJournal:
         concerns every lane, and lane assignment itself is about to
         change.
         """
-        return self._append(0, {"kind": "reshard", **op})
+        payload = {"kind": "reshard", **op, "seq": self.next_seq}
+        return self._append(0, encode_payload(payload))
 
     def remap_lanes(self, n_lanes: int, lane_of) -> None:
         """Re-partition WAL lanes after a reshard.
@@ -301,7 +337,7 @@ class DurableJournal:
         started = time.perf_counter()  # repro: allow[det-wall-clock]
         self.sync_to_disk()
         covered = self.next_seq - 1
-        path = write_snapshot(self.directory, covered, capture_state(server, covered))
+        path = write_snapshot(self.directory, covered, render_state(server, covered))
         for lane in self._lanes:
             lane.close()
         self._open_lanes()
@@ -310,6 +346,7 @@ class DurableJournal:
         self.telemetry.set_gauge(
             "snapshot.duration",
             time.perf_counter() - started,  # repro: allow[det-wall-clock]
+            scope=DEPLOYMENT,
         )
         return path
 

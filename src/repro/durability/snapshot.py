@@ -2,9 +2,13 @@
 
 A snapshot captures the *logical* repository — histories, opinion slots,
 explicit reviews, the dedup nonce table, the spent-token table, issuer
-quota windows, and the intake counters — as one JSON-compatible dict in
-canonical order (everything sorted by its key), independent of how the
-deployment partitions that state.  The same content captured at any
+quota windows, and the intake counters — as the canonical JSON bytes of
+one state object (everything sorted by its key), independent of how the
+deployment partitions that state.  :func:`render_state` writes those
+bytes directly: each history, the bulk of a snapshot, through one
+template filled in by :func:`~repro.durability.codec.json_scalar`, the
+rest through the canonical encoder.  :func:`capture_state` is the parse
+of the same bytes.  The same content captured at any
 shard count is byte-identical, and a snapshot restores into any shard
 count: :func:`restore_state` routes every history, opinion slot and
 review through the target server's own router.
@@ -13,9 +17,9 @@ Atomicity protocol (the classic one):
 
 1. serialize the sealed state (digest-stamped via the canonical codec):
    the file is ``canonical_json_bytes(seal(state))`` — the compact
-   canonical encoding of the sealed blob — built around one encoding of
-   the state (:func:`~repro.durability.codec.seal_parts`), which is
-   also the encoding its digest covers;
+   canonical encoding of the sealed blob — built around the rendered
+   state bytes (:func:`~repro.durability.codec.seal_parts`), which are
+   also the bytes its digest covers;
 2. write it to ``<name>.tmp`` in the snapshot directory;
 3. flush + ``fsync`` the tmp file — bytes are on stable storage;
 4. ``os.rename`` onto the final name — atomic on POSIX, so readers see
@@ -35,10 +39,17 @@ from __future__ import annotations
 import json
 import os
 import re
+from operator import attrgetter
 from pathlib import Path
 
 from repro.core.aggregation import OpinionUpload
-from repro.durability.codec import CorruptStateError, seal_parts, unseal
+from repro.durability.codec import (
+    CorruptStateError,
+    canonical_json_bytes,
+    json_scalar,
+    seal_parts,
+    unseal,
+)
 from repro.privacy.history_store import (
     FoldedStats,
     InteractionHistory,
@@ -68,31 +79,49 @@ def snapshot_name(seq: int) -> str:
 # --------------------------------------------------------------- capture
 
 
-def _encode_history(history: InteractionHistory) -> dict:
+#: One stored history, keys in canonical (sorted) order; each record and
+#: the folded stats are a five-value row.
+_HISTORY = '{"entity_id":%s,"folded":%s,"history_id":%s,"records":[%s]}'
+_ROW = "[%s,%s,%s,%s,%s]"
+#: The whole state, keys in canonical order; only ``histories`` is
+#: rendered here, every other value by the canonical encoder.
+_STATE = (
+    b'{"counters":%s,"histories":[%s],"issuer":%s,"nonces":%s,"opinions":%s,'
+    b'"reviews":%s,"spent_tokens":%s,"wal_seq":%s}'
+)
+
+
+def render_history(history: InteractionHistory) -> str:
+    """One history's canonical JSON text, as :func:`_decode_history` reads it."""
+    scalar = json_scalar
     folded = history.folded
-    return {
-        "history_id": history.history_id,
-        "entity_id": history.entity_id,
-        "records": [
-            [
-                r.upload.interaction_type,
-                r.upload.event_time,
-                r.upload.duration,
-                r.upload.travel_km,
-                r.arrival_time,
-            ]
-            for r in history.records
-        ],
-        "folded": None
+    return _HISTORY % (
+        scalar(history.entity_id),
+        "null"
         if folded is None
-        else [
-            folded.n,
-            folded.earliest_event_time,
-            folded.latest_event_time,
-            folded.duration_sum,
-            folded.travel_sum,
-        ],
-    }
+        else _ROW
+        % (
+            scalar(folded.n),
+            scalar(folded.earliest_event_time),
+            scalar(folded.latest_event_time),
+            scalar(folded.duration_sum),
+            scalar(folded.travel_sum),
+        ),
+        scalar(history.history_id),
+        ",".join(
+            [
+                _ROW
+                % (
+                    scalar((upload := stored.upload).interaction_type),
+                    scalar(upload.event_time),
+                    scalar(upload.duration),
+                    scalar(upload.travel_km),
+                    scalar(stored.arrival_time),
+                )
+                for stored in history.records
+            ]
+        ),
+    )
 
 
 def _decode_history(blob: dict) -> InteractionHistory:
@@ -126,8 +155,8 @@ def _decode_history(blob: dict) -> InteractionHistory:
     )
 
 
-def capture_state(server, wal_seq: int = 0) -> dict:
-    """The server's logical state as one canonical JSON-compatible dict.
+def render_state(server, wal_seq: int = 0) -> bytes:
+    """The server's logical state as its canonical JSON bytes.
 
     Partition-independent: every collection is flattened across shards
     and emitted in sorted key order, so the same content produces
@@ -138,7 +167,7 @@ def capture_state(server, wal_seq: int = 0) -> dict:
     shards = server.shards
     histories = sorted(
         (h for shard in shards for h in shard.store.all_histories()),
-        key=lambda h: h.history_id,
+        key=attrgetter("history_id"),
     )
     opinions = {
         history_id: [op.entity_id, op.rating, op.seq]
@@ -152,20 +181,28 @@ def capture_state(server, wal_seq: int = 0) -> dict:
                 [review.user_id, review.rating, review.time] for review in posted
             ]
     issuer = server.issuer
-    counters = {name: getattr(server, name) for name in _COUNTERS}
-    return {
-        "wal_seq": wal_seq,
-        "histories": [_encode_history(h) for h in histories],
-        "opinions": {k: opinions[k] for k in sorted(opinions)},
-        "reviews": {k: reviews[k] for k in sorted(reviews)},
-        "nonces": sorted(nonce.hex() for nonce in server._seen_nonces),
-        "spent_tokens": sorted(token_id.hex() for token_id in server._redeemer._spent),
-        "issuer": {
-            "window_start": {k: issuer._window_start[k] for k in sorted(issuer._window_start)},
-            "issued_today": {k: issuer._issued_today[k] for k in sorted(issuer._issued_today)},
-        },
-        "counters": counters,
-    }
+    encode = canonical_json_bytes
+    return _STATE % (
+        encode({name: getattr(server, name) for name in _COUNTERS}),
+        ",".join(map(render_history, histories)).encode(),
+        encode(
+            {
+                "window_start": issuer._window_start,
+                "issued_today": issuer._issued_today,
+            }
+        ),
+        encode(sorted(nonce.hex() for nonce in server._seen_nonces)),
+        encode(opinions),
+        encode(reviews),
+        encode(sorted(token_id.hex() for token_id in server._redeemer._spent)),
+        encode(wal_seq),
+    )
+
+
+def capture_state(server, wal_seq: int = 0) -> dict:
+    """The parse of :func:`render_state`: the state as a JSON-compatible
+    dict, every mapping in sorted key order."""
+    return json.loads(render_state(server, wal_seq))
 
 
 # --------------------------------------------------------------- restore
@@ -212,8 +249,9 @@ def restore_state(server, state: dict) -> None:
 # ----------------------------------------------------------------- files
 
 
-def write_snapshot(directory: Path, seq: int, state: dict) -> Path:
-    """Durably persist ``state`` as the snapshot covering WAL seq ``seq``.
+def write_snapshot(directory: Path, seq: int, state: bytes) -> Path:
+    """Durably persist ``state``, canonical state bytes such as
+    :func:`render_state` returns, as the snapshot covering WAL seq ``seq``.
 
     Follows the fsync-then-rename protocol from the module docstring; the
     returned path exists and is durable (or an exception was raised).

@@ -9,10 +9,15 @@ One WAL segment is::
     +----------------------+
 
 ``payload`` is the compact JSON of one mutation (see
-:mod:`repro.durability.journal` for the record kinds), encoded by one
-module-level ``json.JSONEncoder`` bound once: its bytes are exactly
-``json.dumps(payload, separators=(",", ":"), allow_nan=False)``, and a
-NaN is refused before any frame is written.  The CRC covers
+:mod:`repro.durability.journal` for the record kinds): exactly
+``json.dumps(payload, separators=(",", ":"), allow_nan=False)``, with the
+payload's keys in the order the journal builds them.  The writer takes
+the payload already encoded.  The two hot kinds, ``interaction`` and
+``opinion``, are rendered by one template each in the journal, filled
+in by :func:`~repro.durability.codec.json_scalar`; every other kind goes
+through :func:`encode_payload`, one module-level ``json.JSONEncoder``
+bound once.  Both refuse a NaN or infinity with ``ValueError`` before
+any frame byte is written.  The CRC covers
 the payload bytes only; the length prefix is implicitly validated by the
 CRC (a corrupted length either points past EOF — a torn tail — or
 misframes the payload, which then fails its checksum).
@@ -48,9 +53,14 @@ WAL_MAGIC = b"RSPWAL01"
 _HEADER = struct.Struct(">II")
 #: Sanity bound on one frame's payload; anything larger is corruption.
 MAX_PAYLOAD_BYTES = 1 << 28
-#: The payload encoder, built once: ``json.dumps`` with non-default
-#: arguments would construct a fresh encoder per record.
+#: The generic payload encoder, built once: ``json.dumps`` with
+#: non-default arguments would construct a fresh encoder per record.
 _encode = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
+
+
+def encode_payload(payload: dict) -> bytes:
+    """A payload's frame bytes, keys in insertion order; NaN refused."""
+    return _encode(payload).encode()
 
 
 class WalCorruptionError(RuntimeError):
@@ -85,15 +95,14 @@ class WriteAheadLog:
         self.bytes_written = 0
         self.records_written = 0
 
-    def append_record(self, payload: dict, sync: bool = True) -> int:
-        """Frame, checksum, and write one record; returns frame bytes.
+    def append_record(self, data: bytes, sync: bool = True) -> int:
+        """Frame, checksum, and write one encoded payload; returns frame bytes.
 
         The buffered write is flushed to the OS before returning, so a
         *process* crash never loses an appended record; ``sync=True``
         additionally ``fsync``s for power-loss durability (``False``
         defers that to the next :meth:`sync_to_disk` — group commit).
         """
-        data = _encode(payload).encode()
         frame = _HEADER.pack(len(data), zlib.crc32(data)) + data
         self._file.write(frame)
         self._file.flush()

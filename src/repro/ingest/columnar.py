@@ -18,7 +18,11 @@ Classification, first match wins:
    network-replayed copy carries its original's spent token;
 3. **nonce** — idempotent dedup of accepted envelopes;
 4. **record kind** — interaction and opinion uploads with a string
-   ``history_id``; anything else is ``malformed``;
+   ``history_id`` and finite numbers (``event_time``, ``duration`` and
+   ``travel_km``, or ``rating``); anything else is ``malformed``.  A NaN
+   or infinity could be filed but never journaled, since the WAL refuses
+   it, so it must not get past this step (a field that is no number at
+   all is a store error);
 5. **unknown entity**;
 6. **store error** — the store cannot index the record;
 7. **history mismatch** — the identifier is bound to another entity: a
@@ -60,6 +64,8 @@ everything processed before the failing record stays counted.
 """
 
 from __future__ import annotations
+
+from math import isfinite
 
 from repro.core.aggregation import OpinionUpload
 from repro.privacy.history_store import InteractionUpload
@@ -156,6 +162,7 @@ def _classify(server, groups, now: float | None) -> int:
     kind_of = _kind_of
     is_instance = isinstance
     string = str
+    finite = isfinite
 
     rejected: dict[str, int] = {}
     lags: list[float] = []
@@ -208,6 +215,17 @@ def _classify(server, groups, now: float | None) -> int:
                     rejected["malformed"] = rejected.get("malformed", 0) + 1
                     continue
                 try:
+                    # A field that is no number at all raises here and
+                    # lands in the store-error bucket below.
+                    if not (
+                        finite(record.event_time)
+                        and finite(record.duration)
+                        and finite(record.travel_km)
+                        if kind == "interaction"
+                        else finite(record.rating)
+                    ):
+                        rejected["malformed"] = rejected.get("malformed", 0) + 1
+                        continue
                     entity_id = record.entity_id
                     if entity_id not in catalog:
                         rejected["unknown-entity"] = (

@@ -19,10 +19,13 @@ from repro.durability.snapshot import (
     capture_state,
     list_snapshots,
     load_latest_snapshot,
+    render_state,
     restore_state,
     snapshot_name,
     write_snapshot,
 )
+
+from repro.telemetry import AGGREGATE, DEPLOYMENT
 
 from tests.durability.conftest import comparable_state, make_server, synth_deliveries
 
@@ -76,7 +79,8 @@ class TestCodec:
         st.sampled_from(["rsp-snapshot/1", "kind \"quoted\" ü"]),
     )
     def test_seal_parts_are_the_canonical_sealed_blob(self, state, kind):
-        assert b"".join(seal_parts(state, kind)) == canonical_json_bytes(seal(state, kind))
+        body = canonical_json_bytes(state)
+        assert b"".join(seal_parts(body, kind)) == canonical_json_bytes(seal(state, kind))
 
 
 class TestPartitionIndependence:
@@ -125,7 +129,7 @@ class TestPersistence:
     STATE = {"histories": [], "counters": {"accepted_envelopes": 3}}
 
     def test_write_then_load_latest(self, tmp_path):
-        write_snapshot(tmp_path, 17, self.STATE)
+        write_snapshot(tmp_path, 17, canonical_json_bytes(self.STATE))
         assert (tmp_path / snapshot_name(17)).exists()
         seq, state = load_latest_snapshot(tmp_path)
         assert seq == 17 and state == self.STATE
@@ -134,8 +138,9 @@ class TestPersistence:
         server = make_server(catalog, 2)
         server.post_review("user-ü", sorted(server.catalog)[0], 4, 100.0)
         server.receive_all(synth_deliveries(catalog, 0, 40, duplicate_every=9))
+        assert render_state(server, 40) == canonical_json_bytes(capture_state(server, 40))
         for seq, state in ((3, self.STATE), (40, capture_state(server, 40))):
-            path = write_snapshot(tmp_path, seq, state)
+            path = write_snapshot(tmp_path, seq, canonical_json_bytes(state))
             assert path.read_bytes() == canonical_json_bytes(seal(state, SNAPSHOT_FORMAT))
             assert load_latest_snapshot(tmp_path) == (seq, state)
 
@@ -147,41 +152,81 @@ class TestPersistence:
         assert load_latest_snapshot(tmp_path) == (11, state)
 
     def test_tampered_compact_newest_falls_back_to_older(self, tmp_path):
-        write_snapshot(tmp_path, 5, {"v": "old"})
-        path = write_snapshot(tmp_path, 9, {"v": "new"})
+        write_snapshot(tmp_path, 5, canonical_json_bytes({"v": "old"}))
+        path = write_snapshot(tmp_path, 9, canonical_json_bytes({"v": "new"}))
         data = path.read_bytes()
         assert data.count(b'"new"') == 1
         path.write_bytes(data.replace(b'"new"', b'"wen"'))
         assert load_latest_snapshot(tmp_path) == (5, {"v": "old"})
 
     def test_no_tmp_files_survive(self, tmp_path):
-        write_snapshot(tmp_path, 17, self.STATE)
+        write_snapshot(tmp_path, 17, canonical_json_bytes(self.STATE))
         assert not list(tmp_path.glob("*.tmp"))
 
     def test_newest_valid_snapshot_wins(self, tmp_path):
-        write_snapshot(tmp_path, 5, {"v": "old"})
-        write_snapshot(tmp_path, 9, {"v": "new"})
+        write_snapshot(tmp_path, 5, canonical_json_bytes({"v": "old"}))
+        write_snapshot(tmp_path, 9, canonical_json_bytes({"v": "new"}))
         assert load_latest_snapshot(tmp_path) == (9, {"v": "new"})
         assert [seq for seq, _ in list_snapshots(tmp_path)] == [5, 9]
 
     def test_corrupt_newest_falls_back_to_older(self, tmp_path):
-        write_snapshot(tmp_path, 5, {"v": "old"})
-        path = write_snapshot(tmp_path, 9, {"v": "new"})
+        write_snapshot(tmp_path, 5, canonical_json_bytes({"v": "old"}))
+        path = write_snapshot(tmp_path, 9, canonical_json_bytes({"v": "new"}))
         blob = json.loads(path.read_text())
         blob["state"]["v"] = "mangled"
         path.write_text(json.dumps(blob))
         assert load_latest_snapshot(tmp_path) == (5, {"v": "old"})
 
     def test_undecodable_newest_falls_back_to_older(self, tmp_path):
-        write_snapshot(tmp_path, 5, {"v": "old"})
-        path = write_snapshot(tmp_path, 9, {"v": "new"})
+        write_snapshot(tmp_path, 5, canonical_json_bytes({"v": "old"}))
+        path = write_snapshot(tmp_path, 9, canonical_json_bytes({"v": "new"}))
         path.write_bytes(b"\x00garbage")
         assert load_latest_snapshot(tmp_path) == (5, {"v": "old"})
 
     def test_all_corrupt_means_cold_replay(self, tmp_path):
-        path = write_snapshot(tmp_path, 5, {"v": "only"})
+        path = write_snapshot(tmp_path, 5, canonical_json_bytes({"v": "only"}))
         path.write_bytes(b"{}")
         assert load_latest_snapshot(tmp_path) is None
 
     def test_empty_directory_means_cold_replay(self, tmp_path):
         assert load_latest_snapshot(tmp_path) is None
+
+
+class TestSnapshotTelemetry:
+    """The snapshot's wall-clock duration stays out of the invariant digest."""
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        from repro.orchestration.pipeline import train_classifier
+        from repro.world.behavior import BehaviorConfig, BehaviorSimulator
+        from repro.world.population import TownConfig, build_town
+
+        town = build_town(TownConfig(n_users=30), seed=29)
+        result = BehaviorSimulator(
+            town.users, town.entities, BehaviorConfig(duration_days=28.0), seed=29
+        ).run()
+        return town, result, train_classifier(town, result, 28.0 * 86400.0, seed=29)
+
+    def run(self, world, durable_dir):
+        from repro.orchestration.epochs import run_epochs
+        from repro.orchestration.pipeline import PipelineConfig
+
+        town, result, classifier = world
+        return run_epochs(
+            town,
+            result,
+            PipelineConfig(horizon_days=28.0, seed=29),
+            n_epochs=2,
+            classifier=classifier,
+            max_users=4,
+            durable_dir=durable_dir,
+        ).telemetry
+
+    def test_identical_journaled_runs_have_equal_aggregate_digests(self, world, tmp_path):
+        first = self.run(world, tmp_path / "first")
+        second = self.run(world, tmp_path / "second")
+        assert first.total("snapshot.count") == second.total("snapshot.count") == 2
+        assert first.digest(AGGREGATE) == second.digest(AGGREGATE)
+        for telemetry in (first, second):
+            names = {row["name"] for row in telemetry.export(scope=DEPLOYMENT)["metrics"]}
+            assert "snapshot.duration" in names

@@ -12,7 +12,7 @@ import pytest
 
 from repro.durability.journal import DurableJournal, attach_journal, list_segments
 from repro.durability.recovery import recover_server
-from repro.durability.wal import WalCorruptionError, WriteAheadLog, read_wal
+from repro.durability.wal import WalCorruptionError, WriteAheadLog, encode_payload, read_wal
 
 from tests.durability.conftest import (
     comparable_state,
@@ -32,7 +32,7 @@ def segment(tmp_path_factory):
     path = tmp_path_factory.mktemp("torn") / "wal.log"
     wal = WriteAheadLog(path)
     for record in RECORDS:
-        wal.append_record(record)
+        wal.append_record(encode_payload(record))
     wal.close()
     clean = read_wal(path)
     assert not clean.torn

@@ -15,6 +15,7 @@ from repro.durability.wal import (
     WAL_MAGIC,
     WalCorruptionError,
     WriteAheadLog,
+    encode_payload,
     read_wal,
 )
 from repro.telemetry import Telemetry
@@ -29,7 +30,7 @@ PAYLOADS = [
 def build_wal(path, payloads=PAYLOADS):
     wal = WriteAheadLog(path)
     for payload in payloads:
-        wal.append_record(payload)
+        wal.append_record(encode_payload(payload))
     wal.close()
     return path
 
@@ -61,13 +62,13 @@ class TestRoundTrip:
     def test_reopen_appends_without_rewriting_magic(self, tmp_path):
         path = build_wal(tmp_path / "wal.log", PAYLOADS[:1])
         wal = WriteAheadLog(path)
-        wal.append_record(PAYLOADS[1])
+        wal.append_record(encode_payload(PAYLOADS[1]))
         wal.close()
         assert read_wal(path).records == PAYLOADS[:2]
 
     def test_append_counts_bytes_and_records(self, tmp_path):
         wal = WriteAheadLog(tmp_path / "wal.log")
-        n = wal.append_record(PAYLOADS[0])
+        n = wal.append_record(encode_payload(PAYLOADS[0]))
         wal.close()
         assert wal.records_written == 1
         assert wal.bytes_written == n
@@ -76,7 +77,7 @@ class TestRoundTrip:
     def test_nan_payload_refused(self, tmp_path):
         wal = WriteAheadLog(tmp_path / "wal.log")
         with pytest.raises(ValueError):
-            wal.append_record({"seq": 1, "value": float("nan")})
+            wal.append_record(encode_payload({"seq": 1, "value": float("nan")}))
         wal.close()
 
 
@@ -125,10 +126,10 @@ class TestPayloadEncoding:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_payload_writes_no_frame(self, tmp_path, bad):
         wal = WriteAheadLog(tmp_path / "wal.log")
-        wal.append_record(PAYLOADS[0])
+        wal.append_record(encode_payload(PAYLOADS[0]))
         size = (tmp_path / "wal.log").stat().st_size
         with pytest.raises(ValueError):
-            wal.append_record({"seq": 2, "nested": [1, {"value": bad}]})
+            wal.append_record(encode_payload({"seq": 2, "nested": [1, {"value": bad}]}))
         wal.close()
         assert (tmp_path / "wal.log").stat().st_size == size
         assert wal.records_written == 1
