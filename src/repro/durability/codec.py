@@ -61,8 +61,9 @@ def json_scalar(value: Any) -> str:
     A NaN or infinity raises ``ValueError`` like ``allow_nan=False``
     does, so a template that fails here has produced no output yet.
     Anything but an exact ``str``/``float``/``int``/``None`` takes the
-    generic encoder, which renders ``bool`` and numeric subclasses as
-    ``json.dumps`` does and refuses what it cannot encode.
+    canonical encoder, which renders ``bool`` and numeric subclasses as
+    ``json.dumps`` does and refuses what it cannot encode (a container,
+    which no template field holds, would come out with sorted keys).
     """
     cls = value.__class__
     if cls is str:
