@@ -25,6 +25,7 @@ into the per-entity summaries the search interface shows:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -63,9 +64,20 @@ RATING_EDGES = (0.0, 1.0, 2.0, 3.0, 4.0, 5.0001)
 
 
 def rating_histogram(ratings: list[float]) -> list[int]:
-    """Count ratings into the five star buckets."""
-    counts, _ = np.histogram(np.asarray(ratings, dtype=np.float64), bins=RATING_EDGES)
-    return [int(c) for c in counts]
+    """Count ratings into the five star buckets.
+
+    The same counts as ``np.histogram(ratings, bins=RATING_EDGES)``:
+    each bucket is half-open except the last, which holds its right
+    edge, and values outside ``[0, 5.0001]`` (NaN included) count
+    nowhere.  Counted in Python, because summaries hold a handful of
+    ratings and ``np.histogram`` costs microseconds per call.
+    """
+    counts = [0] * (len(RATING_EDGES) - 1)
+    low, high, last = RATING_EDGES[0], RATING_EDGES[-1], len(counts) - 1
+    for rating in ratings:
+        if low <= rating <= high:
+            counts[min(bisect_right(RATING_EDGES, rating) - 1, last)] += 1
+    return counts
 
 
 @dataclass(frozen=True)
@@ -148,10 +160,17 @@ def deflate_groups_arrays(
     """
     if times.size == 0:
         return 0.0
-    signatures = np.column_stack(
-        (np.round(times / time_quantum), np.round(durations, 3))
-    )
+    signatures = np.column_stack(group_signatures(times, durations, time_quantum))
     return float(np.unique(signatures, axis=0).shape[0])
+
+
+def group_signatures(
+    times: "np.ndarray", durations: "np.ndarray", time_quantum: float = 1.0
+) -> tuple["np.ndarray", "np.ndarray"]:
+    """Each interaction's group signature: ``(quantized time, rounded
+    duration)``, element by element, so any subset of records quantizes
+    to the same values it does inside the whole."""
+    return np.round(times / time_quantum), np.round(durations, 3)
 
 
 def influence_weight(n_interactions: int, maturity_interactions: int = 3) -> float:
@@ -203,11 +222,11 @@ def summarize_entity(
         entity_id=entity_id,
         n_histories=len(histories),
         raw_interactions=raw,
-        times=times,
-        durations=durations,
+        effective_interactions=(
+            deflate_groups_arrays(times, durations, group_time_quantum) if raw else 0.0
+        ),
         kept=kept,
         explicit_ratings=explicit_ratings,
-        group_time_quantum=group_time_quantum,
     )
 
 
@@ -215,20 +234,21 @@ def summarize_entity_from_parts(
     entity_id: str,
     n_histories: int,
     raw_interactions: int,
-    times: "np.ndarray",
-    durations: "np.ndarray",
+    effective_interactions: float,
     kept: list[tuple[float, float]],
     explicit_ratings: list[float],
-    group_time_quantum: float = 1.0,
 ) -> EntityOpinionSummary:
-    """Assemble a summary from pre-extracted columns.
+    """Assemble a summary from pre-extracted parts.
 
     This is the single definition of the summary math.
-    :func:`summarize_entity` extracts the columns from history/opinion
+    :func:`summarize_entity` extracts the parts from history/opinion
     objects; the maintenance cycle
-    (:func:`repro.scale.kernel.summarize_slice`) slices the identical
-    columns from its frame — both funnel through here, so the spec and
-    the kernel cannot drift apart.  ``kept`` must be the
+    (:func:`repro.scale.kernel.summarize_block`) takes them from an
+    entity's frame block and its folded group signatures — both funnel
+    through here, so the spec and the kernel cannot drift apart.
+    ``effective_interactions`` is the number of distinct group
+    signatures among the kept histories' raw records
+    (:func:`deflate_groups_arrays`).  ``kept`` must be the
     ``(rating, weight)`` pairs in canonical (history-id-sorted) order:
     the weight sum and ``np.average`` are order-dependent float
     reductions, and this ordering is the contract that makes them a pure
@@ -241,11 +261,6 @@ def summarize_entity_from_parts(
         if kept and weight_sum > 0
         else (float(np.mean(kept_ratings)) if kept_ratings else None)
     )
-    effective = (
-        deflate_groups_arrays(times, durations, group_time_quantum)
-        if raw_interactions
-        else 0.0
-    )
     return EntityOpinionSummary(
         entity_id=entity_id,
         n_explicit_reviews=len(explicit_ratings),
@@ -255,7 +270,7 @@ def summarize_entity_from_parts(
         inferred_mean=inferred_mean,
         inferred_histogram=rating_histogram(kept_ratings),
         n_interacting_users=n_histories,
-        effective_interactions=effective,
+        effective_interactions=effective_interactions,
         raw_interactions=raw_interactions,
         inferred_weight=weight_sum,
     )

@@ -70,17 +70,27 @@ def visits_per_user_histogram(
     entity_id: str, histories: list[InteractionHistory]
 ) -> VisitsHistogram:
     """Histogram of per-anonymous-user visit counts (Figure 3(a))."""
-    counts = [history.n_interactions for history in histories]
-    bucketed = []
-    labels = []
-    for lo, hi in VISIT_BUCKETS:
-        labels.append(_bucket_label(lo, hi))
-        bucketed.append(sum(1 for c in counts if lo <= c <= hi))
+    return visits_histogram_from_counts(
+        entity_id, [history.n_interactions for history in histories]
+    )
+
+
+def visits_histogram_from_counts(
+    entity_id: str, counts: "list[int] | np.ndarray"
+) -> VisitsHistogram:
+    """Figure 3(a) from each anonymous user's visit count."""
+    # The buckets tile 1..inf and only the last is open, so every count
+    # at or past its lower edge lands there; a count of 0 lands nowhere.
+    top = VISIT_BUCKETS[-1][0]
+    capped = np.minimum(np.asarray(counts, dtype=np.int64), top)
+    per_count = np.bincount(capped, minlength=top + 1).tolist()
     return VisitsHistogram(
         entity_id=entity_id,
-        labels=tuple(labels),
-        counts=tuple(bucketed),
-        n_users=len(counts),
+        labels=tuple(_bucket_label(lo, hi) for lo, hi in VISIT_BUCKETS),
+        counts=tuple(
+            sum(per_count[lo : int(min(hi, top)) + 1]) for lo, hi in VISIT_BUCKETS
+        ),
+        n_users=int(capped.size),
     )
 
 
@@ -105,6 +115,14 @@ class DistanceVisitsSeries:
         return "\n".join(lines)
 
 
+def mean_positive_travel(travels: "list[float] | np.ndarray") -> float:
+    """Average distance travelled to the entity, over the records that
+    moved at all; 0.0 when none did."""
+    travels = np.asarray(travels, dtype=np.float64)
+    positive = travels[travels > 0]
+    return float(np.mean(positive)) if positive.size else 0.0
+
+
 def distance_vs_visits(
     entity_id: str,
     histories: list[InteractionHistory],
@@ -116,21 +134,34 @@ def distance_vs_visits(
     from *repeated* interaction (Section 3.1), and one-time visitors carry
     no repeat signal.
     """
-    counts: list[int] = []
-    distances: list[float] = []
-    for history in histories:
-        if history.n_interactions < min_visits:
-            continue
-        travels = [t for t in history.travel_kms() if t > 0]
-        counts.append(history.n_interactions)
-        distances.append(float(np.mean(travels)) if travels else 0.0)
-    correlation = pearson(counts, distances) if len(counts) >= 2 else 0.0
+    repeat = [history for history in histories if history.n_interactions >= min_visits]
+    return distance_series_from_columns(
+        entity_id,
+        [history.n_interactions for history in repeat],
+        [mean_positive_travel(history.travel_kms()) for history in repeat],
+        min_visits,
+    )
+
+
+def distance_series_from_columns(
+    entity_id: str,
+    counts: "list[int] | np.ndarray",
+    travel_means: "list[float] | np.ndarray",
+    min_visits: int = 2,
+) -> DistanceVisitsSeries:
+    """Figure 3(b) from each anonymous user's visit count and
+    :func:`mean_positive_travel`, in history order."""
+    counts = np.asarray(counts, dtype=np.int64)
+    repeat = counts >= min_visits
+    visits = counts[repeat].tolist()
+    distances = np.asarray(travel_means, dtype=np.float64)[repeat].tolist()
+    correlation = pearson(visits, distances) if len(visits) >= 2 else 0.0
     return DistanceVisitsSeries(
         entity_id=entity_id,
-        visit_counts=tuple(counts),
+        visit_counts=tuple(visits),
         avg_distances_km=tuple(distances),
         correlation=correlation,
-        n_users=len(counts),
+        n_users=len(visits),
     )
 
 
@@ -158,6 +189,19 @@ def entity_panels(
     return (
         visits_per_user_histogram(entity_id, histories),
         distance_vs_visits(entity_id, histories),
+    )
+
+
+def panels_from_columns(
+    entity_id: str,
+    counts: "list[int] | np.ndarray",
+    travel_means: "list[float] | np.ndarray",
+) -> EntityPanels:
+    """Both Figure 3 panels from per-history columns, in history order:
+    each history's interaction count and :func:`mean_positive_travel`."""
+    return (
+        visits_histogram_from_counts(entity_id, counts),
+        distance_series_from_columns(entity_id, counts, travel_means),
     )
 
 

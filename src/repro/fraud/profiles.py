@@ -45,12 +45,15 @@ class FeatureBand:
             array = np.asarray(list(values), dtype=np.float64)
         if array.size == 0:
             raise ValueError("cannot build a band from no samples")
+        # One call, one partition: each percentile is the same order
+        # statistics and the same interpolation as a call of its own.
+        p01, p05, median, p95, p99 = np.percentile(array, (1, 5, 50, 95, 99)).tolist()
         return cls(
-            p01=float(np.percentile(array, 1)),
-            p05=float(np.percentile(array, 5)),
-            median=float(np.percentile(array, 50)),
-            p95=float(np.percentile(array, 95)),
-            p99=float(np.percentile(array, 99)),
+            p01=p01,
+            p05=p05,
+            median=median,
+            p95=p95,
+            p99=p99,
             n_samples=int(array.size),
         )
 

@@ -16,6 +16,7 @@ Section 4.2's storage design, implemented:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite
 
 from repro.privacy.tokens import TokenRedeemer, UploadToken
 
@@ -38,6 +39,11 @@ class InteractionUpload:
     travel_km: float
 
     def __post_init__(self) -> None:
+        # NaN fails every comparison, so the sign check alone would let it
+        # through; no NaN or infinity may reach a store, a WAL frame or a
+        # group signature.
+        if not all(map(isfinite, (self.event_time, self.duration, self.travel_km))):
+            raise ValueError("event time, duration and travel must be finite")
         if self.duration < 0 or self.travel_km < 0:
             raise ValueError("duration and travel must be non-negative")
 

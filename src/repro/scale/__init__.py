@@ -7,23 +7,20 @@ partitions keyed by a prefix of the unlinkable ``hash(Ru, e)`` record
 identifier.  Its maintenance cycle (fraud profiling → history filtering
 → opinion summarization) gathers the tracked entities' histories from
 every shard into one columnar frame.  This package holds the pieces: the
-router, the per-shard state, the columnar kernel and the merge algebra.
+router, the per-shard state and the columnar kernel.
 
 The load-bearing promise is *equivalence*: for every input sequence the
 server accepts the same envelopes and its maintenance cycle produces
 bit-identical reports, verdicts, and entity summaries for every shard
-count.  ``tests/scale`` proves this with a golden grid, a kernel-versus-
-scalar-spec test and merge properties; ``docs/SCALING.md`` explains why
-it holds.  The server itself is :class:`repro.service.server.RSPServer`.
+count.  ``tests/scale`` proves this with a golden grid and a
+kernel-versus-scalar-spec test; ``docs/SCALING.md`` explains why it
+holds.  The server itself is :class:`repro.service.server.RSPServer`.
 """
 
-from repro.scale.merge import merge_counts, merge_pools
 from repro.scale.router import ShardRouter
 from repro.scale.shard import ShardState
 
 __all__ = [
     "ShardRouter",
     "ShardState",
-    "merge_counts",
-    "merge_pools",
 ]

@@ -22,27 +22,45 @@ contract, argued operation by operation:
   variation) is evaluated per candidate history on a contiguous slice in
   the same element order as the scalar path, so NumPy's pairwise
   summation visits the same addition tree;
-* summary columns are the kept histories' records in history order,
-  handed to :func:`~repro.core.aggregation.summarize_entity_from_parts`,
-  the one place the summary math lives.
+* summaries and panels come from an entity's frame block
+  (:func:`summarize_block`, :func:`block_panels`) and go through
+  :func:`~repro.core.aggregation.summarize_entity_from_parts` and
+  :func:`~repro.core.visualization.panels_from_columns`, the one place
+  each piece of math lives.  The order-dependent float reductions there
+  (the weighted mean of kept opinions, the weight sum, ``pearson``) run
+  over the full kept lists in history order.  Only two parts are folded
+  across cycles: the group-deflated interaction count, which is the
+  size of a :class:`SignatureFold` (a multiset of
+  :func:`~repro.core.aggregation.group_signatures`, exact under any
+  order of adds and drops), and each history's mean positive travel
+  (``travel_means``), a per-history column that a block keeps with the
+  history's segment;
+* a block is re-laid per history (:func:`splice_frame`): a history
+  changes only by an append, which raises its ``n_interactions`` by
+  one, so a segment whose recorded count equals the live one is current
+  and is copied, and only the other histories are laid out again.
 
 ``tests/scale/test_kernel_spec.py`` checks the contract against the
-scalar spec; docs/SCALING.md records it.
+scalar spec, spliced blocks and folds included; docs/SCALING.md records
+it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import chain, repeat
+from operator import attrgetter
 
 import numpy as np
 
 from repro.core.aggregation import (
     EntityOpinionSummary,
-    OpinionUpload,
+    group_signatures,
     influence_weight,
     summarize_entity_from_parts,
 )
+from repro.core.visualization import EntityPanels, panels_from_columns
 from repro.fraud.detector import (
     DetectorConfig,
     FraudDetector,
@@ -85,6 +103,9 @@ class ShardFrame:
     #: Consecutive-time gaps, compacted across histories.
     gaps: np.ndarray
     gap_offsets: np.ndarray
+    #: Per history: :func:`~repro.core.visualization.mean_positive_travel`
+    #: of its raw records (Figure 3(b)'s distance).
+    travel_means: np.ndarray
 
     @property
     def n_histories(self) -> int:
@@ -96,39 +117,27 @@ def build_frame(
 ) -> ShardFrame:
     """Lay ``histories`` out as contiguous feature arrays."""
     n = len(histories)
-    hist_ids = [h.history_id for h in histories]
-    entity_ids = [h.entity_id for h in histories]
-    kind_labels = sorted(
-        {
-            kind
-            for kind in (entity_kinds.get(eid) for eid in set(entity_ids))
-            if kind is not None
-        }
-    )
+    hist_ids = list(map(attrgetter("history_id"), histories))
+    entity_ids = list(map(attrgetter("entity_id"), histories))
+    kind_labels = _kind_labels(entity_ids, entity_kinds)
     label_code = {label: code for code, label in enumerate(kind_labels)}
-    codes = np.fromiter(
-        (label_code.get(entity_kinds.get(eid), -1) for eid in entity_ids),
-        dtype=np.int64,
-        count=n,
-    )
+    code_of = {eid: label_code.get(entity_kinds.get(eid), -1) for eid in set(entity_ids)}
+    codes = np.fromiter(map(code_of.__getitem__, entity_ids), dtype=np.int64, count=n)
     n_interactions = np.fromiter(
-        (h.n_interactions for h in histories), dtype=np.int64, count=n
+        map(attrgetter("n_interactions"), histories), dtype=np.int64, count=n
     )
-    n_raw = np.fromiter((len(h.records) for h in histories), dtype=np.int64, count=n)
+    records = list(map(attrgetter("records"), histories))
+    n_raw = np.fromiter(map(len, records), dtype=np.int64, count=n)
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(n_raw, out=offsets[1:])
     total = int(offsets[-1])
+    uploads = list(map(attrgetter("upload"), chain.from_iterable(records)))
 
-    times = np.fromiter(
-        (r.upload.event_time for h in histories for r in h.records),
-        dtype=np.float64,
-        count=total,
-    )
-    durations_raw = np.fromiter(
-        (r.upload.duration for h in histories for r in h.records),
-        dtype=np.float64,
-        count=total,
-    )
+    def column(name: str) -> np.ndarray:
+        return np.fromiter(map(attrgetter(name), uploads), dtype=np.float64, count=total)
+
+    times = column("event_time")
+    durations_raw = column("duration")
     segment = np.repeat(np.arange(n, dtype=np.int64), n_raw)
     # Primary key: segment (already grouped); secondary: the value. This
     # sorts each history's records without disturbing segment boundaries.
@@ -159,7 +168,47 @@ def build_frame(
         durations_sorted=durations_sorted,
         gaps=gaps,
         gap_offsets=gap_offsets,
+        travel_means=_travel_means(column("travel_km"), segment, n),
     )
+
+
+def _travel_means(travels: np.ndarray, segment: np.ndarray, n: int) -> np.ndarray:
+    """:func:`~repro.core.visualization.mean_positive_travel` of each of
+    the ``n`` histories' segments of ``travels``.
+
+    The histories with the same number of positive travels have them
+    laid out as the rows of one matrix, and ``np.mean`` along its rows
+    reduces each row as it reduces the row on its own
+    (``tests/scale/test_kernel_spec.py`` holds it to the function).
+    """
+    means = np.zeros(n, dtype=np.float64)
+    positive = travels > 0
+    n_positive = np.bincount(segment[positive], minlength=n)
+    starts = np.cumsum(n_positive) - n_positive
+    values = travels[positive]
+    for count in np.unique(n_positive[n_positive > 0]).tolist():
+        rows = np.flatnonzero(n_positive == count)
+        means[rows] = np.mean(values[starts[rows, None] + np.arange(count)], axis=1)
+    return means
+
+
+def _kind_labels(entity_ids: list[str], entity_kinds: dict[str, str]) -> list[str]:
+    """The sorted kinds of ``entity_ids`` (unknown kinds have none)."""
+    return sorted(
+        {
+            kind
+            for kind in (entity_kinds.get(eid) for eid in set(entity_ids))
+            if kind is not None
+        }
+    )
+
+
+def _code_table(frame: ShardFrame, label_code: dict[str, int]) -> np.ndarray:
+    """Indexed by ``frame``'s kind codes, the codes of ``label_code``; a
+    kind missing from it codes -1, like an unknown kind."""
+    # The trailing -1 is what an unknown kind's code (-1) indexes.
+    remap = [label_code.get(label, -1) for label in frame.kind_labels]
+    return np.array([*remap, -1], dtype=np.int64)
 
 
 def concat_frames(frames: Sequence[ShardFrame]) -> ShardFrame:
@@ -182,9 +231,7 @@ def concat_frames(frames: Sequence[ShardFrame]) -> ShardFrame:
         histories.extend(frame.histories)
         hist_ids.extend(frame.hist_ids)
         entity_ids.extend(frame.entity_ids)
-        # The trailing -1 is what an unknown kind's code (-1) indexes.
-        remap = [label_code[label] for label in frame.kind_labels]
-        codes.append(np.array([*remap, -1], dtype=np.int64)[frame.codes])
+        codes.append(_code_table(frame, label_code)[frame.codes])
 
     def stacked(column: str, dtype) -> np.ndarray:
         parts = [getattr(frame, column) for frame in frames]
@@ -210,7 +257,127 @@ def concat_frames(frames: Sequence[ShardFrame]) -> ShardFrame:
         durations_sorted=stacked("durations_sorted", np.float64),
         gaps=stacked("gaps", np.float64),
         gap_offsets=gap_offsets,
+        travel_means=stacked("travel_means", np.float64),
     )
+
+
+def splice_frames(
+    olds: Sequence[ShardFrame],
+    histories: Sequence[list[InteractionHistory]],
+    entity_kinds: dict[str, str],
+) -> list[tuple[ShardFrame, np.ndarray]]:
+    """:func:`build_frame` over each list of ``histories``, reusing the
+    current segments of the matching frame in ``olds``.
+
+    A history changes only by :meth:`HistoryStore.append
+    <repro.privacy.history_store.HistoryStore.append>`, and every append
+    raises its ``n_interactions`` by exactly one, compaction included.
+    So the segment an old frame holds for a history id is current if and
+    only if its recorded ``n_interactions`` equals the live one.  The
+    changed and new histories of every list are laid out together, by
+    one :func:`build_frame`; every segment, reused or fresh, then moves
+    to its place in one vectorised gather, and each list's frame is cut
+    from the result as fresh arrays.  Each result equals ``build_frame``
+    over its list, column by column, whatever its old frame held.
+
+    Returns, per list, the frame and, per history, the index in the old
+    frame of the segment it reused (-1 when it was laid out afresh).
+    """
+    old = concat_frames(olds)
+    listed = list(chain.from_iterable(histories))
+    n = len(listed)
+    lengths = np.fromiter(map(len, histories), dtype=np.int64, count=len(histories))
+    old_lengths = np.array([frame.n_histories for frame in olds], dtype=np.int64)
+    old_starts = np.cumsum(old_lengths) - old_lengths
+    list_of = np.repeat(np.arange(lengths.size), lengths)
+    old_list_of = np.repeat(np.arange(lengths.size), old_lengths)
+    hist_ids = list(map(attrgetter("history_id"), listed))
+    live = np.fromiter(map(attrgetter("n_interactions"), listed), dtype=np.int64, count=n)
+    position = dict(zip(old.hist_ids, range(old.n_histories)))
+    at = np.array(list(map(position.get, hist_ids, repeat(-1, n))), dtype=np.int64)
+    reused = at >= 0
+    # Only a current segment of the history's own list's old frame counts.
+    reused[reused] = (old.n_interactions[at[reused]] == live[reused]) & (
+        old_list_of[at[reused]] == list_of[reused]
+    )
+    source = np.where(reused, at - old_starts[list_of], -1)
+    fresh_at = np.flatnonzero(~reused)
+    fresh = build_frame([listed[i] for i in fresh_at.tolist()], entity_kinds)
+    # Each history's place in (old histories, fresh histories) end to end.
+    at[fresh_at] = old.n_histories + np.arange(fresh_at.size)
+
+    def per_history(column: str) -> np.ndarray:
+        return np.concatenate((getattr(old, column), getattr(fresh, column)))[at]
+
+    union_labels = sorted({*old.kind_labels, *fresh.kind_labels})
+    label_code = {label: code for code, label in enumerate(union_labels)}
+    codes = np.concatenate(
+        (
+            _code_table(old, label_code)[old.codes],
+            _code_table(fresh, label_code)[fresh.codes],
+        )
+    )[at]
+    n_raw = per_history("n_raw")
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(n_raw, out=offsets[1:])
+    gap_lengths = np.maximum(n_raw - 1, 0)
+    gap_offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(gap_lengths, out=gap_offsets[1:])
+
+    def gather(columns: tuple[str, ...], bounds: str, lengths, out_bounds) -> list:
+        # Segments live in (old column, fresh column) laid end to end;
+        # one index array moves every segment to its place.
+        old_bounds, fresh_bounds = getattr(old, bounds), getattr(fresh, bounds)
+        begin = np.concatenate(
+            (old_bounds[:-1], fresh_bounds[:-1] + old_bounds[-1])
+        )[at]
+        index = np.repeat(begin - out_bounds[:-1], lengths)
+        index += np.arange(index.size, dtype=np.int64)
+        return [
+            np.concatenate((getattr(old, column), getattr(fresh, column)))[index]
+            for column in columns
+        ]
+
+    records = gather(
+        ("times_raw", "times_sorted", "durations_raw", "durations_sorted"),
+        "offsets",
+        n_raw,
+        offsets,
+    )
+    (gaps,) = gather(("gaps",), "gap_offsets", gap_lengths, gap_offsets)
+    travel_means = per_history("travel_means")
+
+    # Cut each list's frame out, as arrays of its own.
+    ends = np.cumsum(lengths).tolist()
+    result = []
+    for (first, last), entity_histories in zip(zip([0, *ends], ends), histories):
+        r0, r1 = int(offsets[first]), int(offsets[last])
+        g0, g1 = int(gap_offsets[first]), int(gap_offsets[last])
+        entity_ids = [history.entity_id for history in entity_histories]
+        labels = _kind_labels(entity_ids, entity_kinds)
+        local = {label: code for code, label in enumerate(labels)}
+        table = np.array(
+            [*(local.get(label, -1) for label in union_labels), -1], dtype=np.int64
+        )
+        frame = ShardFrame(
+            histories=list(entity_histories),
+            hist_ids=hist_ids[first:last],
+            entity_ids=entity_ids,
+            kind_labels=labels,
+            codes=table[codes[first:last]],
+            n_interactions=live[first:last].copy(),
+            n_raw=n_raw[first:last].copy(),
+            offsets=offsets[first : last + 1] - r0,
+            times_raw=records[0][r0:r1].copy(),
+            times_sorted=records[1][r0:r1].copy(),
+            durations_raw=records[2][r0:r1].copy(),
+            durations_sorted=records[3][r0:r1].copy(),
+            gaps=gaps[g0:g1].copy(),
+            gap_offsets=gap_offsets[first : last + 1] - g0,
+            travel_means=travel_means[first:last].copy(),
+        )
+        result.append((frame, source[first:last].copy()))
+    return result
 
 
 def slice_pools(
@@ -244,44 +411,236 @@ def slice_pools(
     return pools
 
 
-def summarize_slice(
+#: The pooled columns of a :class:`~repro.fraud.profiles.ProfilePools`.
+POOL_FIELDS = ("gaps", "durations", "counts")
+
+
+@dataclass
+class KindPool:
+    """One kind's profile pool, kept across cycles as per-entity fragments.
+
+    Each entity's fragment (:func:`slice_pools` of its block) has a slot;
+    every pooled column is the slots' values laid end to end, with each
+    slot's length alongside.  A cycle swaps in only its dirty entities'
+    fragments, with one concatenation per column.  Percentiles read the
+    *multiset* of values (``np.percentile`` sorts), so slot order is
+    unobservable: the profile equals the one built from all fragments
+    at once.
+    """
+
+    kind: str
+    entities: list[str] = field(default_factory=list)
+    slot_of: dict[str, int] = field(default_factory=dict)
+    values: dict[str, np.ndarray] = field(
+        default_factory=lambda: {name: np.empty(0) for name in POOL_FIELDS}
+    )
+    lengths: dict[str, np.ndarray] = field(
+        default_factory=lambda: {
+            name: np.empty(0, dtype=np.int64) for name in POOL_FIELDS
+        }
+    )
+
+    @property
+    def n_histories(self) -> int:
+        """One count per history: the pooled count column's size."""
+        return int(self.values["counts"].size)
+
+    def replace(self, fragments: dict[str, ProfilePools]) -> None:
+        """Swap in these entities' fragments; new entities get new slots.
+        An empty :class:`ProfilePools` empties an entity's slot."""
+        for entity_id in sorted(fragments.keys() - self.slot_of.keys()):
+            self.slot_of[entity_id] = len(self.entities)
+            self.entities.append(entity_id)
+        swapped = sorted((self.slot_of[entity_id], entity_id) for entity_id in fragments)
+        for name in POOL_FIELDS:
+            lengths = np.zeros(len(self.entities), dtype=np.int64)
+            lengths[: self.lengths[name].size] = self.lengths[name]
+            ends = np.cumsum(lengths)
+            values = self.values[name]
+            pieces: list[np.ndarray] = []
+            cursor = 0
+            for slot, entity_id in swapped:
+                pieces.append(values[cursor : ends[slot] - lengths[slot]])
+                fragment = getattr(fragments[entity_id], name).get(self.kind)
+                fresh = np.asarray(
+                    fragment if fragment is not None else (), dtype=np.float64
+                )
+                pieces.append(fresh)
+                cursor = ends[slot]
+                lengths[slot] = fresh.size
+            pieces.append(values[cursor:])
+            self.values[name] = np.concatenate(pieces)
+            self.lengths[name] = lengths
+
+    def pools(self) -> ProfilePools:
+        """The pooled values as a one-kind :class:`ProfilePools`."""
+        pools = ProfilePools(n_histories={self.kind: self.n_histories})
+        for name in POOL_FIELDS:
+            if self.values[name].size:
+                getattr(pools, name)[self.kind] = self.values[name]
+        return pools
+
+
+@dataclass
+class SignatureFold:
+    """A multiset of group signatures, kept across cycles.
+
+    Each signature (:func:`~repro.core.aggregation.group_signatures`) is
+    one complex number: the quantized time is the real part and the
+    rounded duration the imaginary part.  Complex order is lexicographic
+    and complex equality is exact per part, as the row comparison of
+    :func:`~repro.core.aggregation.deflate_groups_arrays` is, so the
+    multiset is one sorted array of distinct keys with their
+    multiplicities, and its size is that function's count over the same
+    records.
+    """
+
+    keys: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.complex128))
+    counts: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int32))
+
+    @property
+    def n_distinct(self) -> int:
+        return int(self.keys.size)
+
+
+NO_SIGNATURES = np.empty(0, dtype=np.complex128)
+
+
+def signature_keys(frame: ShardFrame, mask: np.ndarray) -> np.ndarray:
+    """The signatures of the raw records of the histories in ``mask``."""
+    if not mask.any():
+        return NO_SIGNATURES
+    records = np.repeat(mask, frame.n_raw)
+    times, durations = group_signatures(
+        frame.times_raw[records], frame.durations_raw[records]
+    )
+    keys = np.empty(times.size, dtype=np.complex128)
+    keys.real = times
+    keys.imag = durations
+    return keys
+
+
+def fold_signatures(
+    fold: SignatureFold, added: np.ndarray, dropped: np.ndarray
+) -> SignatureFold:
+    """``fold`` plus the signatures ``added``, minus those ``dropped``.
+
+    The result must hold no key a negative number of times: a drop the
+    fold cannot match means a history left the fold other than the way
+    it entered, which this refuses rather than mis-count.
+    """
+    if not added.size and not dropped.size:
+        return fold
+    delta = np.concatenate((added, dropped))
+    order = np.argsort(delta)
+    delta = delta[order]
+    starts = np.flatnonzero(np.concatenate(([True], delta[1:] != delta[:-1])))
+    values = delta[starts]
+    net = np.add.reduceat(np.where(order < added.size, 1, -1), starts)
+    keys, counts = fold.keys, fold.counts.copy()
+    at = np.searchsorted(keys, values)
+    held = at < keys.size
+    held[held] = keys[at[held]] == values[held]
+    counts[at[held]] += net[held]
+    new = np.flatnonzero(~held & (net != 0))
+    if new.size:
+        # Merge the new keys in: each lands after the old keys below it
+        # and the new keys before it.
+        slots = at[new] + np.arange(new.size)
+        old_slots = np.ones(keys.size + new.size, dtype=bool)
+        old_slots[slots] = False
+        merged_keys = np.empty(old_slots.size, dtype=keys.dtype)
+        merged_keys[old_slots] = keys
+        merged_keys[slots] = values[new]
+        merged_counts = np.empty(old_slots.size, dtype=counts.dtype)
+        merged_counts[old_slots] = counts
+        merged_counts[slots] = net[new]
+        keys, counts = merged_keys, merged_counts
+    if (counts < 0).any():
+        raise ValueError("dropped a group signature the fold does not hold")
+    live = counts > 0
+    if not live.all():
+        keys, counts = keys[live], counts[live]
+    return SignatureFold(keys=keys, counts=counts)
+
+
+def carry_fold(
+    old: ShardFrame, folded: np.ndarray, source: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Carry a fold's membership across :func:`splice_frames`.
+
+    ``folded`` marks the histories of ``old`` whose records the fold
+    holds, and ``source`` is what :func:`splice_frames` returned for the
+    new frame.  A reused history keeps its mark; a history whose segment
+    was not reused (it changed, or is gone) leaves with its old records.
+    Returns the new frame's marks and the signatures still to drop.
+    """
+    reused = source >= 0
+    carried = np.zeros(source.size, dtype=bool)
+    carried[reused] = folded[source[reused]]
+    leaving = folded.copy()
+    leaving[source[reused]] = False
+    return carried, signature_keys(old, leaving)
+
+
+def refold(
+    fold: SignatureFold,
+    frame: ShardFrame,
+    folded: np.ndarray,
+    keep: np.ndarray,
+    unfolded: np.ndarray,
+) -> SignatureFold:
+    """The fold of the records of the histories ``keep`` marks.
+
+    ``fold`` holds the records of the histories ``folded`` marks, plus
+    the signatures ``unfolded`` (old segments :func:`carry_fold` let go).
+    A verdict flip moves a whole history in or out; only the histories
+    whose mark changed, and ``unfolded``, are touched.
+    """
+    return fold_signatures(
+        fold,
+        signature_keys(frame, keep & ~folded),
+        np.concatenate((unfolded, signature_keys(frame, folded & ~keep))),
+    )
+
+
+def summarize_block(
     frame: ShardFrame,
     entity_id: str,
-    start: int,
-    stop: int,
     keep: np.ndarray,
-    opinions: Sequence[OpinionUpload | None],
+    claims: np.ndarray,
+    ratings: np.ndarray,
+    fold: SignatureFold,
     explicit_ratings: list[float],
 ) -> EntityOpinionSummary:
-    """``entity_id``'s summary from the kept histories among ``start:stop``.
+    """``entity_id``'s summary from its frame block.
 
-    ``keep`` is a frame-length mask of the histories that survived the
-    fraud filter; ``opinions`` holds each frame history's opinion slot
-    (``None`` when empty).  A kept history's opinion counts when it
-    claims ``entity_id``, weighted by the history's depth, in frame
+    ``keep`` marks the histories that survived the fraud filter and
+    ``fold`` must hold exactly their records' signatures.  ``claims``
+    marks the histories whose opinion slot claims ``entity_id`` and
+    ``ratings`` holds those slots' ratings.  A kept, claiming history's
+    opinion counts, weighted by the history's depth, in block
     (history-id) order — the same value as
     :func:`repro.core.aggregation.summarize_entity` over the kept
     histories and their opinions.
     """
-    kept_mask = keep[start:stop]
-    kept_index = (start + np.flatnonzero(kept_mask)).tolist()
-    kept: list[tuple[float, float]] = []
-    for index in kept_index:
-        opinion = opinions[index]
-        if opinion is not None and opinion.entity_id == entity_id:
-            kept.append(
-                (opinion.rating, influence_weight(int(frame.n_interactions[index])))
-            )
-    records = slice(int(frame.offsets[start]), int(frame.offsets[stop]))
-    record_keep = np.repeat(kept_mask, frame.n_raw[start:stop])
+    counted = keep & claims
+    weights = [influence_weight(n) for n in frame.n_interactions[counted].tolist()]
     return summarize_entity_from_parts(
         entity_id=entity_id,
-        n_histories=len(kept_index),
-        raw_interactions=int(frame.n_raw[start:stop][kept_mask].sum()),
-        times=frame.times_raw[records][record_keep],
-        durations=frame.durations_raw[records][record_keep],
-        kept=kept,
+        n_histories=int(np.count_nonzero(keep)),
+        raw_interactions=int(frame.n_raw[keep].sum()),
+        effective_interactions=float(fold.n_distinct),
+        kept=list(zip(ratings[counted].tolist(), weights)),
         explicit_ratings=explicit_ratings,
+    )
+
+
+def block_panels(frame: ShardFrame, entity_id: str, keep: np.ndarray) -> EntityPanels:
+    """Both Figure 3 panels of the kept histories of an entity's frame
+    block — :func:`~repro.core.visualization.entity_panels` over them."""
+    return panels_from_columns(
+        entity_id, frame.n_interactions[keep], frame.travel_means[keep]
     )
 
 

@@ -34,9 +34,19 @@ maintenance"):
   would produce.
 * **Frame blocks** — each entity's histories and opinion slots are laid
   out once, as a single-entity frame block, and kept across cycles.  A
-  block is dropped when its entity is dirtied and when an opinion slot
-  of one of its histories is written (the slot's *owner*, which such a
-  write leaves clean), so a kept block always equals a fresh layout.
+  block is *replaced* when its entity is dirtied and when an opinion
+  slot of one of its histories is written (the slot's *owner*, which
+  such a write leaves clean): the slots are re-read and the block is
+  spliced per history (:func:`~repro.scale.kernel.splice_frames`), so
+  only the histories that gained a record are laid out again, and a
+  kept block always equals a fresh layout.
+* **Folds** — a block carries its entity's summary fold: the multiset
+  of group signatures of the records of the histories that survived the
+  filter when the entity was last summarized
+  (:class:`~repro.scale.kernel.SignatureFold`).  A changed history
+  leaves the fold with its old segment when the block is spliced and
+  enters with its new one at the next summary; a verdict flip moves a
+  whole history in or out.
 
 Dirty sets are Python ``set``s and therefore iterate in hash order;
 every loop below goes through ``sorted()`` before touching float math,
@@ -44,37 +54,48 @@ and the ``det-dirty-iteration`` lint rule holds the line.
 
 The engine reads the stores only through a :class:`StoreView`.  The
 per-entity profile fragments the fraud profiles roll up from are sliced
-from the entities' frame blocks; each cycle then stacks the tracked
-entities' blocks into one columnar
+from the entities' frame blocks and swapped into per-kind pools
+(:class:`~repro.scale.kernel.KindPool`); each cycle then stacks the
+judged entities' blocks into one columnar
 :class:`~repro.scale.kernel.ShardFrame` (entity order, then history-id
 order) and takes the verdicts (:func:`~repro.scale.kernel.judge_frame`)
-and the summary columns from it.  The same cycle runs at every dirty
-fraction and shard count.
+from it, and each re-summarized entity's summary and panels from its
+block.  A fresh engine runs the same code from no blocks, no pools and
+empty folds.  The same cycle runs at every dirty fraction and shard
+count.
 """
 
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import compress
 from typing import Protocol
 
 import numpy as np
 
 from repro.core.aggregation import EntityOpinionSummary, OpinionUpload
-from repro.core.visualization import EntityPanels, entity_panels
+from repro.core.visualization import EntityPanels
 from repro.fraud.detector import DetectorConfig, HistoryVerdict
 from repro.fraud.profiles import ProfilePools, TypicalProfile, profiles_from_pools
 from repro.privacy.history_store import InteractionHistory
 from repro.scale.kernel import (
+    NO_SIGNATURES,
+    KindPool,
     ShardFrame,
+    SignatureFold,
+    block_panels,
     build_frame,
+    carry_fold,
     concat_frames,
     judge_frame,
+    refold,
     slice_pools,
-    summarize_slice,
+    splice_frames,
+    summarize_block,
 )
-from repro.scale.merge import merge_pools
 
 #: One stored history and its opinion slot (``None`` when empty).
 Slot = tuple[InteractionHistory, OpinionUpload | None]
@@ -113,6 +134,36 @@ class TrackedFrame:
     frame: ShardFrame
     opinions: list[OpinionUpload | None]
     bounds: dict[str, tuple[int, int]]
+
+
+@dataclass
+class EntityBlock:
+    """One entity's histories in history-id order, as a frame, with
+    their opinion slots and the entity's summary fold."""
+
+    frame: ShardFrame
+    opinions: list[OpinionUpload | None]
+    #: Per history: its slot claims this entity ...
+    claims: np.ndarray
+    #: ... with this rating (0.0 where it does not).
+    ratings: np.ndarray
+    #: Per history: its records are in ``signatures``.
+    folded: np.ndarray
+    signatures: SignatureFold
+    #: Signatures of records that left with a changed history's old
+    #: segment, still to be dropped from ``signatures``.
+    unfolded: np.ndarray
+
+
+EMPTY_BLOCK = EntityBlock(
+    frame=build_frame([], {}),
+    opinions=[],
+    claims=np.zeros(0, dtype=bool),
+    ratings=np.zeros(0),
+    folded=np.zeros(0, dtype=bool),
+    signatures=SignatureFold(),
+    unfolded=NO_SIGNATURES,
+)
 
 
 @dataclass
@@ -188,13 +239,15 @@ class MaintenanceEngine:
         self.kept: dict[str, int] = {}
         self._accepted_ids: dict[str, frozenset[str]] = {}
         self._surviving: set[str] = set()
-        #: Per-entity feature-value fragments and the per-kind profiles
-        #: they roll up into.
-        self._fragments: dict[str, ProfilePools] = {}
-        #: entity_id -> frame block: the entity's slots in history-id
-        #: order, laid out as a single-entity frame.  Kept across cycles
-        #: until the entity is dirtied or one of its slots is written.
-        self._blocks: dict[str, TrackedFrame] = {}
+        #: Per-kind pools of the entities' feature-value fragments, the
+        #: entities whose fragment is pooled, and the per-kind profiles.
+        self._kind_pools: dict[str, KindPool] = {}
+        self._pooled: set[str] = set()
+        #: entity_id -> frame block.  Kept across cycles; replaced by a
+        #: splice at the next cycle after the entity was dirtied or one of
+        #: its slots was written (``_stale``).
+        self._blocks: dict[str, EntityBlock] = {}
+        self._stale: set[str] = set()
         self._kind_profiles: dict[str, TypicalProfile | None] = {}
         self._profile_digests: dict[str, str] = {}
         #: Cycle listeners (the serving layer's cache-invalidation hook).
@@ -229,13 +282,14 @@ class MaintenanceEngine:
         history is not stored yet).  A brand-new slot changes the owner's
         kept-opinion count, so the owner is dirtied too; a cross-entity
         overwrite moves the claim and dirties the abandoned entity.  Any
-        write drops the owner's frame block, which holds the old slot;
-        an overwrite leaves the owner clean, because its histories, and
-        so its verdicts and kept-opinion count, did not change.
+        write marks the owner's frame block, which holds the old slot, for
+        replacement; an overwrite leaves the owner clean, because its
+        histories, and so its verdicts and kept-opinion count, did not
+        change.
         """
         self._dirty.add(record.entity_id)
         if owner is not None:
-            self._blocks.pop(owner, None)
+            self._stale.add(owner)
         if existing is None:
             self._claims.setdefault(record.entity_id, set()).add(record.history_id)
             if owner is not None:
@@ -252,22 +306,19 @@ class MaintenanceEngine:
     def plan(self) -> CyclePlan:
         """Drain the dirty set and decide what this cycle must recompute.
 
-        Every dirty entity loses its profile fragment and its frame
-        block.  The entities without a fragment — every dirty entity, and
-        on a fresh engine every entity — have it sliced from their
-        block.  The fraud profiles are then rebuilt from the fragments,
-        only for the kinds that contain a dirty entity, and the
-        judge-tracked entities' blocks are stacked into one frame.
+        Every stale block — its entity dirtied or one of its slots
+        written — is replaced first, all in one splice.  The entities
+        whose pooled profile fragment may have moved — the dirty ones,
+        and on a fresh engine every entity — have it sliced from their
+        block and swapped into their kind's pool; the fraud profiles are
+        rebuilt only for those kinds, and the judge-tracked entities'
+        blocks are stacked into one frame.
         """
         dirty = set(self._dirty)
         self._dirty.clear()
-        for entity_id in sorted(dirty):
-            self._fragments.pop(entity_id, None)
-            self._blocks.pop(entity_id, None)
+        self._splice(sorted(self._stale | dirty))
+        self._stale.clear()
         entities = self.view.entities_with_histories()
-        for entity_id in sorted(entities - self._fragments.keys()):
-            frame = self._block(entity_id).frame
-            self._fragments[entity_id] = slice_pools(frame, 0, frame.n_histories)
         profiles = self._build_profiles(dirty, entities)
         digests = {
             kind: profile_digest(profile, self.config)
@@ -279,11 +330,10 @@ class MaintenanceEngine:
             if digests.get(kind) != self._profile_digests.get(kind)
         }
         self._profile_digests = digests
-        redirtied = {
-            entity_id
-            for entity_id in sorted(entities - dirty)
-            if self.entity_kinds.get(entity_id) in changed_kinds
-        }
+        redirtied: set[str] = set()
+        for kind in sorted(changed_kinds & self._kind_pools.keys()):
+            redirtied.update(self._kind_pools[kind].entities)
+        redirtied = (redirtied & entities) - dirty
         judge_tracked = (dirty | redirtied) & entities
         return CyclePlan(
             dirty=dirty,
@@ -311,51 +361,92 @@ class MaintenanceEngine:
             bounds=bounds,
         )
 
-    def _block(self, entity_id: str) -> TrackedFrame:
-        """``entity_id``'s frame block, laid out from the stores if missing."""
+    def _block(self, entity_id: str) -> EntityBlock:
+        """``entity_id``'s frame block, laid out first if it has none."""
         block = self._blocks.get(entity_id)
         if block is None:
-            slots = sorted(
-                self.view.history_slots(entity_id),
-                key=lambda slot: slot[0].history_id,
-            )
-            histories = [history for history, _opinion in slots]
-            block = self._blocks[entity_id] = TrackedFrame(
-                frame=build_frame(histories, self.entity_kinds),
-                opinions=[opinion for _history, opinion in slots],
-                bounds={entity_id: (0, len(slots))},
-            )
+            self._splice([entity_id])
+            block = self._blocks[entity_id]
         return block
+
+    def _splice(self, entity_ids: list[str]) -> None:
+        """Replace these entities' blocks from their re-read slots.
+
+        Each old block is spliced per history: current segments are
+        copied, and the other histories of every entity are laid out by
+        one :func:`~repro.scale.kernel.build_frame`.  The fold keeps the
+        reused histories; a history whose segment was not reused leaves
+        it with its old records at the entity's next summary.
+        """
+        olds = [self._blocks.get(entity_id, EMPTY_BLOCK) for entity_id in entity_ids]
+        slots = [self.view.history_slots(entity_id) for entity_id in entity_ids]
+        for entity_slots in slots:
+            entity_slots.sort(key=_by_history_id)
+        spliced = splice_frames(
+            [old.frame for old in olds],
+            [[history for history, _opinion in entity_slots] for entity_slots in slots],
+            self.entity_kinds,
+        )
+        for entity_id, old, entity_slots, (frame, source) in zip(
+            entity_ids, olds, slots, spliced
+        ):
+            folded, leaving = carry_fold(old.frame, old.folded, source)
+            opinions = [opinion for _history, opinion in entity_slots]
+            claims = [
+                opinion is not None and opinion.entity_id == entity_id
+                for opinion in opinions
+            ]
+            self._blocks[entity_id] = EntityBlock(
+                frame=frame,
+                opinions=opinions,
+                claims=np.array(claims, dtype=bool),
+                ratings=np.array(
+                    [
+                        opinion.rating if claim else 0.0
+                        for opinion, claim in zip(opinions, claims)
+                    ],
+                    dtype=np.float64,
+                ),
+                folded=folded,
+                signatures=old.signatures,
+                unfolded=np.concatenate((old.unfolded, leaving)),
+            )
 
     def _build_profiles(
         self, dirty: set[str], entities: set[str]
     ) -> dict[str, TypicalProfile]:
-        """Per-kind profiles from cached per-entity feature fragments.
+        """Per-kind profiles from per-kind pools of per-entity fragments.
 
         Exactness: a kind's pooled values change only when one of its
-        entities' histories changed, and every such entity is dirty — so
-        a kind with no dirty entity reuses its cached profile, and the
-        result is the same multiset of values :func:`build_profiles`
-        would pool (``np.percentile`` sorts, so collection order never
+        entities' histories changed, and every such entity is dirty.  So
+        only the dirty entities' fragments are sliced and swapped into
+        their kinds' pools (with the entities that gained or lost their
+        histories), only those kinds' profiles are rebuilt, and each pool
+        holds the same multiset of values :func:`build_profiles` would
+        pool (``np.percentile`` sorts, so collection order never
         matters).
         """
-        by_kind: dict[str, list[str]] = {}
-        for entity_id in sorted(entities):
+        refresh = (dirty & (entities | self._pooled)) | (entities ^ self._pooled)
+        fragments: dict[str, dict[str, ProfilePools]] = {}
+        for entity_id in sorted(refresh):
             kind = self.entity_kinds.get(entity_id)
-            if kind is not None:
-                by_kind.setdefault(kind, []).append(entity_id)
-        dirty_kinds = {
-            self.entity_kinds.get(entity_id) for entity_id in sorted(dirty)
-        }
-        for kind in sorted(by_kind):
-            if kind in self._kind_profiles and kind not in dirty_kinds:
+            if kind is None:
                 continue
-            pool = merge_pools([self._fragments[entity_id] for entity_id in by_kind[kind]])
-            self._kind_profiles[kind] = profiles_from_pools(pool).get(kind)
-        # Kinds that lost their last entity keep a stale cache entry only
-        # if they can never come back dirty; drop them for hygiene.
-        for kind in sorted(set(self._kind_profiles) - set(by_kind)):
-            del self._kind_profiles[kind]
+            fragment = ProfilePools()
+            if entity_id in entities:
+                frame = self._block(entity_id).frame
+                fragment = slice_pools(frame, 0, frame.n_histories)
+            fragments.setdefault(kind, {})[entity_id] = fragment
+        self._pooled = entities
+        for kind, kind_fragments in sorted(fragments.items()):
+            pool = self._kind_pools.setdefault(kind, KindPool(kind))
+            pool.replace(kind_fragments)
+            if pool.n_histories:
+                self._kind_profiles[kind] = profiles_from_pools(pool.pools()).get(kind)
+            else:
+                # The kind lost its last history.
+                del self._kind_pools[kind]
+                self._kind_profiles.pop(kind, None)
         return {
             kind: profile
             for kind, profile in sorted(self._kind_profiles.items())
@@ -370,24 +461,22 @@ class MaintenanceEngine:
         judgement = judge_frame(tracked.frame, plan.profiles, self.config)
         keep = ~judgement.suspicious
         keep_list = keep.tolist()
-        verdict_at = dict(
-            zip(np.flatnonzero(judgement.suspicious).tolist(), judgement.verdicts)
-        )
+        suspicious_at = np.flatnonzero(judgement.suspicious).tolist()
         histories = tracked.frame.histories
+        hist_ids = tracked.frame.hist_ids
         opinions = tracked.opinions
         flipped_owners: set[str] = set()
         claimed: set[str] = set()
         for entity_id, (start, stop) in tracked.bounds.items():
-            new_accepted: list[InteractionHistory] = []
-            new_verdicts: list[HistoryVerdict] = []
-            kept = 0
-            for index in range(start, stop):
-                if keep_list[index]:
-                    new_accepted.append(histories[index])
-                    kept += opinions[index] is not None
-                else:
-                    new_verdicts.append(verdict_at[index])
-            new_ids = frozenset(history.history_id for history in new_accepted)
+            window = keep_list[start:stop]
+            new_accepted = list(compress(histories[start:stop], window))
+            kept_opinions = list(compress(opinions[start:stop], window))
+            kept = len(kept_opinions) - kept_opinions.count(None)
+            # The verdicts are in frame order, one per suspicious history.
+            new_verdicts = judgement.verdicts[
+                bisect_left(suspicious_at, start) : bisect_left(suspicious_at, stop)
+            ]
+            new_ids = frozenset(compress(hist_ids[start:stop], window))
             old_ids = self._accepted_ids.get(entity_id, frozenset())
             if new_ids != old_ids:
                 # A flipped history invalidates the entity its slot claims.
@@ -395,55 +484,59 @@ class MaintenanceEngine:
                 flipped = new_ids ^ old_ids
                 for index in range(start, stop):
                     opinion = opinions[index]
-                    if opinion is not None and histories[index].history_id in flipped:
+                    if opinion is not None and hist_ids[index] in flipped:
                         claimed.add(opinion.entity_id)
-            self._surviving.difference_update(old_ids)
-            self._surviving.update(new_ids)
+                self._surviving.difference_update(old_ids - new_ids)
+                self._surviving.update(new_ids - old_ids)
             _set_or_pop(self.accepted, entity_id, new_accepted)
             _set_or_pop(self._accepted_ids, entity_id, new_ids)
             _set_or_pop(self.verdicts, entity_id, new_verdicts)
             _set_or_pop(self.kept, entity_id, kept)
 
         summarize_tracked = plan.dirty | flipped_owners | claimed
-        # Entities summarized without being judged keep their accepted
-        # histories from an earlier cycle.
-        rest = self._track(sorted(summarize_tracked - tracked.bounds.keys()))
-        rest_keep = np.fromiter(
-            (history_id in self._surviving for history_id in rest.frame.hist_ids),
-            dtype=bool,
-            count=rest.frame.n_histories,
-        )
         for entity_id in sorted(summarize_tracked):
+            block = self._block(entity_id)
             if entity_id in tracked.bounds:
-                self._resummarize(entity_id, tracked, keep)
+                start, stop = tracked.bounds[entity_id]
+                entity_keep = keep[start:stop].copy()
             else:
-                self._resummarize(entity_id, rest, rest_keep)
+                # Summarized without being judged: the accepted histories
+                # are an earlier cycle's.
+                entity_keep = np.fromiter(
+                    (history_id in self._surviving for history_id in block.frame.hist_ids),
+                    dtype=bool,
+                    count=block.frame.n_histories,
+                )
+            self._resummarize(entity_id, block, entity_keep)
         self._notify(summarize_tracked)
         return self._stats(plan, summarize_tracked)
 
-    def _resummarize(
-        self, entity_id: str, source: TrackedFrame, keep: np.ndarray
-    ) -> None:
-        """Recompute one entity's summary and panels from its slice of
-        ``source``; evict what is bare."""
-        self._repanel(entity_id)
+    def _resummarize(self, entity_id: str, block: EntityBlock, keep: np.ndarray) -> None:
+        """Refold one entity's kept histories, then recompute its summary
+        and panels from its block; evict what is bare."""
+        block.signatures = refold(
+            block.signatures, block.frame, block.folded, keep, block.unfolded
+        )
+        block.folded = keep
+        block.unfolded = NO_SIGNATURES
+        if keep.any():
+            self.panels[entity_id] = block_panels(block.frame, entity_id, keep)
+        else:
+            self.panels.pop(entity_id, None)
         explicit = self.view.explicit_ratings(entity_id)
         claimed = not self._surviving.isdisjoint(self._claims.get(entity_id, ()))
         if entity_id in self.accepted or claimed or explicit:
-            start, stop = source.bounds[entity_id]
-            self.summaries[entity_id] = summarize_slice(
-                source.frame, entity_id, start, stop, keep, source.opinions, explicit
+            self.summaries[entity_id] = summarize_block(
+                block.frame,
+                entity_id,
+                keep,
+                block.claims,
+                block.ratings,
+                block.signatures,
+                explicit,
             )
         else:
             self.summaries.pop(entity_id, None)
-
-    def _repanel(self, entity_id: str) -> None:
-        """Recompute one entity's panels from its accepted histories."""
-        histories = self.accepted.get(entity_id)
-        if histories:
-            self.panels[entity_id] = entity_panels(entity_id, histories)
-        else:
-            self.panels.pop(entity_id, None)
 
     def _stats(self, plan: CyclePlan, summarize_tracked: set[str]) -> CycleStats:
         return CycleStats(
@@ -471,6 +564,10 @@ class MaintenanceEngine:
     @property
     def n_opinions_kept(self) -> int:
         return sum(self.kept.values())
+
+
+def _by_history_id(slot: Slot) -> str:
+    return slot[0].history_id
 
 
 def _set_or_pop(mapping: dict, key: str, value) -> None:

@@ -136,9 +136,11 @@ class ShardedStoreView:
         """
         slots: list[Slot] = []
         for shard in self._server.shards:
-            opinions = shard.opinions
-            for history in shard.store.histories_for_entity(entity_id):
-                slots.append((history, opinions.get(history.history_id)))
+            slot_of = shard.opinions.get
+            slots += [
+                (history, slot_of(history.history_id))
+                for history in shard.store.histories_for_entity(entity_id)
+            ]
         return slots
 
     def explicit_ratings(self, entity_id: str) -> list[float]:

@@ -1,8 +1,10 @@
 """A NaN or infinity in an upload's numbers is malformed at intake.
 
-``InteractionUpload`` lets a NaN ``duration`` through its own checks
-(``nan < 0`` is false), and nothing stops a record from carrying one
-after construction.  Such a record must be rejected before it is filed:
+``InteractionUpload`` and ``OpinionUpload`` refuse a non-finite number
+at construction, but nothing stops a record from carrying one after it:
+a hand-built or decoded record can, so each poisoned record here is a
+valid upload with one field overwritten.  Such a record must be rejected
+before it is filed:
 the WAL refuses to encode it, so a journaled server that filed it would
 abort the whole batch with the record in the store and in no frame.
 

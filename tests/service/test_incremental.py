@@ -8,7 +8,8 @@ cross-entity opinion overwrite moves the claim exactly as a from-scratch
 server computes it, a delayed (reordered) opinion re-upload never
 clobbers a newer one, and an interaction upload whose identifier is
 bound to another entity is rejected as ``history-mismatch`` — at one
-shard and at four.
+shard and at four.  Work-count tests hold a cycle's layout and fold work
+to the histories that changed.
 """
 
 import pytest
@@ -20,9 +21,11 @@ from repro.durability.snapshot import capture_state, restore_state
 from repro.privacy.anonymity import Delivery
 from repro.privacy.history_store import InteractionUpload
 from repro.privacy.identifiers import DeviceIdentity
+from repro.scale import kernel
 from repro.service.server import RSPServer
 from repro.telemetry import Telemetry
 from repro.util.clock import DAY, HOUR
+from repro.util.rng import make_rng
 from repro.world.population import TownConfig, build_town
 
 
@@ -367,3 +370,130 @@ class TestSeqOrdering:
         assert deliver(server, copy, nonce=b"b")
         assert self.slot(flavor, server, history_id).rating == 3.0
         assert server.opinions_stale == 1
+
+
+def panels(server):
+    return dict(server._engine.panels)
+
+
+class TestWorkFollowsChanges:
+    """A dirty entity's cycle costs its changed histories, not all of
+    them: spies count the histories ``build_frame`` lays out and the
+    histories whose records the signature fold touches."""
+
+    def spy(self, monkeypatch):
+        laid_out: list[str] = []
+        touched: list[str] = []
+        build_frame = kernel.build_frame
+        signature_keys = kernel.signature_keys
+
+        def counting_build(histories, entity_kinds):
+            laid_out.extend(history.history_id for history in histories)
+            return build_frame(histories, entity_kinds)
+
+        def counting_keys(frame, mask):
+            touched.extend(
+                history_id for history_id, hit in zip(frame.hist_ids, mask.tolist()) if hit
+            )
+            return signature_keys(frame, mask)
+
+        monkeypatch.setattr(kernel, "build_frame", counting_build)
+        monkeypatch.setattr(kernel, "signature_keys", counting_keys)
+        return laid_out, touched
+
+    def test_one_append_lays_out_and_folds_one_history(self, monkeypatch):
+        town, server, _sharded = make_servers()
+        entity_id = town.entities[0].entity_id
+        users = [DeviceIdentity.create(f"regular-{index}", seed=index) for index in range(24)]
+        for index, user in enumerate(users):
+            # Two to five irregular visits each: nothing for the detector.
+            gaps = [7, 19, 11, 26][: 1 + index % 4]
+            visit_every(server, user, entity_id, gaps, b"r" + bytes([index]), t0=index * DAY)
+        assert server.run_maintenance().rejected == []
+        laid_out, touched = self.spy(monkeypatch)
+        target = users[5]
+        history_id = target.history_id(entity_id)
+        assert deliver(server, interaction(target, entity_id, t=200 * DAY), nonce=b"one")
+        report = server.run_maintenance()
+        assert report.rejected == []
+        assert laid_out == [history_id]
+        # Its old segment leaves the fold, its new one enters: nothing else.
+        assert sorted(touched) == [history_id, history_id]
+        fresh = from_scratch(town, server)
+        assert server.all_summaries() == fresh.all_summaries()
+        assert panels(server) == panels(fresh)
+
+    @pytest.mark.parametrize("n_shards", [1, 4])
+    def test_touch_schedule_lays_out_only_what_changed(self, monkeypatch, n_shards):
+        """Cycle after cycle, a few users visit a few entities and rewrite
+        some opinion slots: the histories laid out are at most those
+        that gained a record or were created since the last cycle."""
+        town = build_town(TownConfig(n_users=16), seed=40)
+        server = RSPServer(
+            catalog=town.entities, key_seed=40, require_tokens=False, n_shards=n_shards
+        )
+        entities = [entity.entity_id for entity in town.entities[:6]]
+        users = [DeviceIdentity.create(f"t-{index}", seed=index) for index in range(8)]
+        laid_out, _touched = self.spy(monkeypatch)
+        rng = make_rng(3, "tests/service/touch-schedule")
+        nonce = 0
+        for cycle in range(8):
+            changed: set[str] = set()
+            for _visit in range(int(rng.integers(1, 6))):
+                user = users[int(rng.integers(len(users)))]
+                entity_id = entities[int(rng.integers(len(entities)))]
+                nonce += 1
+                t = (cycle * 30 + float(rng.integers(0, 30))) * DAY
+                record = interaction(user, entity_id, t=t)
+                assert deliver(server, record, nonce=nonce.to_bytes(4, "big"))
+                changed.add(record.history_id)
+                if rng.random() < 0.5:
+                    nonce += 1
+                    opinion = OpinionUpload(
+                        history_id=record.history_id,
+                        entity_id=entity_id,
+                        rating=float(rng.integers(0, 11)) / 2,
+                        seq=nonce,
+                    )
+                    assert deliver(server, opinion, nonce=nonce.to_bytes(4, "big"))
+            del laid_out[:]
+            server.run_maintenance()
+            assert set(laid_out) <= changed
+            assert len(laid_out) == len(set(laid_out))
+        fresh = from_scratch(town, server)
+        assert server.all_summaries() == fresh.all_summaries()
+        assert panels(server) == panels(fresh)
+
+    @pytest.mark.parametrize("n_shards", [1, 4])
+    def test_compaction_moves_the_fold_with_the_popped_record(self, n_shards):
+        """On compacting stores every append past the bound pops the
+        history's oldest record, so the history's whole old segment,
+        popped record included, must leave the group-signature fold.
+        The first visit is a group outing of two users: once the first
+        user's copy is popped, only the second user's copy holds it."""
+        town = build_town(TownConfig(n_users=16), seed=40)
+        server = RSPServer(
+            catalog=town.entities, key_seed=40, require_tokens=False, n_shards=n_shards
+        )
+        for shard in server.shards:
+            shard.store.max_records_per_history = 2
+        entity_id = town.entities[0].entity_id
+        for index in range(6):
+            user = DeviceIdentity.create(f"b-{index}", seed=10 + index)
+            visit_every(
+                server, user, entity_id, [8, 15, 11][: 1 + index % 3], bytes([index, 0]),
+                t0=(40 + 3 * index) * DAY,
+            )
+        regular, friend = (DeviceIdentity.create(f"c-{index}", seed=index) for index in range(2))
+        assert deliver(server, interaction(friend, entity_id, t=DAY), nonce=b"friend")
+        for visit, day in enumerate([1, 12, 29]):
+            record = interaction(regular, entity_id, t=day * DAY)
+            assert deliver(server, record, nonce=b"regular" + bytes([visit]))
+            assert server.run_maintenance().rejected == []
+            fresh = from_scratch(town, server)
+            assert server.all_summaries() == fresh.all_summaries()
+            assert panels(server) == panels(fresh)
+        # The regular's first visit was popped; the friend's copy stays.
+        summary = server.summary(entity_id)
+        assert summary.n_interacting_users == 8
+        assert summary.effective_interactions == summary.raw_interactions
