@@ -42,6 +42,9 @@ def _bucket_label(lo: int, hi: float) -> str:
     return f"{lo}-{int(hi)}"
 
 
+VISIT_LABELS = tuple(_bucket_label(lo, hi) for lo, hi in VISIT_BUCKETS)
+
+
 @dataclass(frozen=True)
 class VisitsHistogram:
     """Figure 3(a) for one entity."""
@@ -86,7 +89,7 @@ def visits_histogram_from_counts(
     per_count = np.bincount(capped, minlength=top + 1).tolist()
     return VisitsHistogram(
         entity_id=entity_id,
-        labels=tuple(_bucket_label(lo, hi) for lo, hi in VISIT_BUCKETS),
+        labels=VISIT_LABELS,
         counts=tuple(
             sum(per_count[lo : int(min(hi, top)) + 1]) for lo, hi in VISIT_BUCKETS
         ),

@@ -531,17 +531,15 @@ def fold_signatures(
     """
     if not added.size and not dropped.size:
         return fold
-    delta = np.concatenate((added, dropped))
-    order = np.argsort(delta)
-    delta = delta[order]
-    starts = np.flatnonzero(np.concatenate(([True], delta[1:] != delta[:-1])))
-    values = delta[starts]
-    net = np.add.reduceat(np.where(order < added.size, 1, -1), starts)
-    keys, counts = fold.keys, fold.counts.copy()
+    values, inverse = np.unique(np.concatenate((added, dropped)), return_inverse=True)
+    net = np.bincount(inverse[: added.size], minlength=values.size) - np.bincount(
+        inverse[added.size :], minlength=values.size
+    )
+    keys, counts = fold.keys, fold.counts
     at = np.searchsorted(keys, values)
-    held = at < keys.size
-    held[held] = keys[at[held]] == values[held]
-    counts[at[held]] += net[held]
+    held = keys[np.minimum(at, keys.size - 1)] == values if keys.size else at < 0
+    moved = counts.copy()
+    moved[at[held]] += net[held].astype(counts.dtype)
     new = np.flatnonzero(~held & (net != 0))
     if new.size:
         # Merge the new keys in: each lands after the old keys below it
@@ -553,15 +551,15 @@ def fold_signatures(
         merged_keys[old_slots] = keys
         merged_keys[slots] = values[new]
         merged_counts = np.empty(old_slots.size, dtype=counts.dtype)
-        merged_counts[old_slots] = counts
+        merged_counts[old_slots] = moved
         merged_counts[slots] = net[new]
-        keys, counts = merged_keys, merged_counts
-    if (counts < 0).any():
+        keys, moved = merged_keys, merged_counts
+    if moved.min(initial=0) < 0:
         raise ValueError("dropped a group signature the fold does not hold")
-    live = counts > 0
+    live = moved > 0
     if not live.all():
-        keys, counts = keys[live], counts[live]
-    return SignatureFold(keys=keys, counts=counts)
+        keys, moved = keys[live], moved[live]
+    return SignatureFold(keys=keys, counts=moved)
 
 
 def carry_fold(
