@@ -186,7 +186,9 @@ def _travel_means(travels: np.ndarray, segment: np.ndarray, n: int) -> np.ndarra
     n_positive = np.bincount(segment[positive], minlength=n)
     starts = np.cumsum(n_positive) - n_positive
     values = travels[positive]
-    for count in np.unique(n_positive[n_positive > 0]).tolist():
+    # The positive counts that occur (bincount, not np.unique, which
+    # imports numpy.ma on first use).
+    for count in (np.flatnonzero(np.bincount(n_positive)[1:]) + 1).tolist():
         rows = np.flatnonzero(n_positive == count)
         means[rows] = np.mean(values[starts[rows, None] + np.arange(count)], axis=1)
     return means
