@@ -69,8 +69,9 @@ def rating_histogram(ratings: list[float]) -> list[int]:
     The same counts as ``np.histogram(ratings, bins=RATING_EDGES)``:
     each bucket is half-open except the last, which holds its right
     edge, and values outside ``[0, 5.0001]`` (NaN included) count
-    nowhere.  Counted in Python, because summaries hold a handful of
-    ratings and ``np.histogram`` costs microseconds per call.
+    nowhere.  Counted in Python, which costs less than
+    ``np.histogram``'s fixed overhead for the few ratings most summaries
+    hold.
     """
     counts = [0] * (len(RATING_EDGES) - 1)
     low, high, last = RATING_EDGES[0], RATING_EDGES[-1], len(counts) - 1

@@ -35,7 +35,7 @@ contract, argued operation by operation:
   order of adds and drops), and each history's mean positive travel
   (``travel_means``), a per-history column that a block keeps with the
   history's segment;
-* a block is re-laid per history (:func:`splice_frame`): a history
+* a block is re-laid per history (:func:`splice_frames`): a history
   changes only by an append, which raises its ``n_interactions`` by
   one, so a segment whose recorded count equals the live one is current
   and is copied, and only the other histories are laid out again.
