@@ -19,12 +19,11 @@ during fact extraction:
 * **durability** (``durability-fsync-before-ack``) — intake journals
   before it acknowledges, and WAL writes are flushed.
 
-A project-wide symbol table and call graph then feed three
+A project-wide symbol table and call graph then feed two
 interprocedural checkers (:mod:`repro.analysis.checkers`):
 
 * ``interproc-privacy-taint`` — identity values reaching a publishing
   position through any call chain;
-* ``merge-purity`` — side effects inside the commutative merge registry;
 * ``determinism-reachability`` — entropy/clock/unordered iteration
   reachable from digest and report entry points.
 
@@ -39,12 +38,11 @@ from repro.analysis.checkers import (
     Checker,
     DeterminismReachabilityChecker,
     InterprocPrivacyTaintChecker,
-    MergePurityChecker,
     all_checks,
     default_checkers,
 )
 from repro.analysis.config import AnalysisConfig
-from repro.analysis.dataflow import MutationSummaries, ReturnSummaries, TaintPropagator
+from repro.analysis.dataflow import ReturnSummaries, TaintPropagator
 from repro.analysis.engine import AnalysisResult, WholeProgramAnalyzer
 from repro.analysis.facts import ModuleFacts, extract
 from repro.analysis.project import ProjectIndex, ResolvedCall
@@ -61,9 +59,7 @@ __all__ = [
     "DeterminismReachabilityChecker",
     "Finding",
     "InterprocPrivacyTaintChecker",
-    "MergePurityChecker",
     "ModuleFacts",
-    "MutationSummaries",
     "ParsedModule",
     "ProjectIndex",
     "RULES",

@@ -10,7 +10,7 @@ happened elsewhere in the tree.
 
 Cache layout (one JSON document)::
 
-    {"version": 2,
+    {"version": 3,
      "config": "<AnalysisConfig.fingerprint()>",
      "files": {"<path>": {"digest": "<sha256>", "facts": {...}}},
      "program": {"key": "<sha256 over every file digest>",
@@ -41,7 +41,7 @@ from repro.analysis.config import AnalysisConfig
 from repro.analysis.facts import ModuleFacts, extract
 from repro.analysis.source import Finding, parse_error, parse_module
 
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 
 
 def file_digest(path: Path) -> str:

@@ -1,4 +1,4 @@
-"""The three whole-program checkers.
+"""The two whole-program checkers.
 
 ==============================  =================================================
 checker id                      what it proves the absence of
@@ -7,10 +7,6 @@ checker id                      what it proves the absence of
                                 (upload constructor, telemetry label,
                                 service-side log, export/digest payload)
                                 through *any* call chain
-``merge-purity``                merge-registry functions mutating their
-                                inputs, writing module state, or reading
-                                mutable globals — each breaks commutative
-                                replay
 ``determinism-reachability``    wall clock, unseeded RNG, or unordered-set
                                 iteration transitively reachable from a
                                 digest/export/report entry point
@@ -25,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.config import AnalysisConfig
-from repro.analysis.dataflow import MutationSummaries, ReturnSummaries, TaintPropagator
+from repro.analysis.dataflow import ReturnSummaries, TaintPropagator
 from repro.analysis.facts import FunctionFacts, SinkFact
 from repro.analysis.project import ProjectIndex
 from repro.analysis.rules import RULES, Rule
@@ -39,7 +35,6 @@ class CheckContext:
     config: AnalysisConfig
     index: ProjectIndex
     returns: ReturnSummaries
-    mutations: MutationSummaries
 
 
 class Checker:
@@ -108,104 +103,6 @@ class InterprocPrivacyTaintChecker(Checker):
 
         TaintPropagator(context.index, context.returns).run(on_hit)
         return list(findings.values())
-
-
-class MergePurityChecker(Checker):
-    """The commutative merge registry must be side-effect-free."""
-
-    checker_id = "merge-purity"
-    description = (
-        "merge-registry functions must not mutate their inputs, write "
-        "module state, or read mutable globals — replay and shard-order "
-        "independence depend on it"
-    )
-
-    def run(self, context: CheckContext) -> list[Finding]:
-        index = context.index
-        findings: list[Finding] = []
-        for qualname in sorted(index.functions):
-            facts = index.functions[qualname]
-            if not self._in_merge_registry(context.config, qualname, facts):
-                continue
-            summary = context.mutations.summaries[qualname]
-            for param_index, (line, via) in sorted(summary.params.items()):
-                param = (
-                    facts.params[param_index]
-                    if param_index < len(facts.params)
-                    else f"#{param_index}"
-                )
-                findings.append(
-                    Finding(
-                        checker_id=self.checker_id,
-                        path=facts.path,
-                        line=line,
-                        col=0,
-                        function=qualname,
-                        message=(
-                            f"merge function `{qualname}` may mutate its "
-                            f"input `{param}` ({via})"
-                        ),
-                        chain=(qualname,),
-                        detail=f"param:{param}:{via}",
-                    )
-                )
-            for dotted, (line, via) in sorted(summary.globals.items()):
-                findings.append(
-                    Finding(
-                        checker_id=self.checker_id,
-                        path=facts.path,
-                        line=line,
-                        col=0,
-                        function=qualname,
-                        message=(
-                            f"merge function `{qualname}` may write module "
-                            f"state `{dotted}` ({via})"
-                        ),
-                        chain=(qualname,),
-                        detail=f"global:{dotted}:{via}",
-                    )
-                )
-            findings.extend(self._mutable_reads(context, qualname))
-        return findings
-
-    @staticmethod
-    def _in_merge_registry(
-        config: AnalysisConfig, qualname: str, facts: FunctionFacts
-    ) -> bool:
-        if qualname.endswith(".<module>"):
-            return False  # registry construction itself runs at import
-        return any(
-            facts.module == module or facts.module.startswith(module + ".")
-            for module in config.merge_modules
-        )
-
-    def _mutable_reads(self, context: CheckContext, root: str) -> list[Finding]:
-        """Mutable-global reads anywhere in the merge function's cone."""
-        index = context.index
-        findings: list[Finding] = []
-        for qualname, chain in sorted(index.reachable([root]).items()):
-            facts = index.functions[qualname]
-            for dotted, line, col in facts.global_reads:
-                info = index.globals.get(dotted)
-                if not info or not (info.get("mutable") or info.get("rebound")):
-                    continue
-                at = "" if qualname == root else f" (in `{qualname}`)"
-                findings.append(
-                    Finding(
-                        checker_id=self.checker_id,
-                        path=facts.path,
-                        line=line,
-                        col=col,
-                        function=root,
-                        message=(
-                            f"merge function `{root}` may read mutable "
-                            f"global `{dotted}`{at}; chain: {_chain_text(chain)}"
-                        ),
-                        chain=chain,
-                        detail=f"read:{dotted}:{qualname}",
-                    )
-                )
-        return findings
 
 
 class DeterminismReachabilityChecker(Checker):
@@ -293,7 +190,6 @@ class DeterminismReachabilityChecker(Checker):
 def default_checkers() -> list[Checker]:
     return [
         InterprocPrivacyTaintChecker(),
-        MergePurityChecker(),
         DeterminismReachabilityChecker(),
     ]
 

@@ -178,8 +178,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         prog="repro.analysis",
         description=(
             "static analyzer: per-file privacy, determinism, layering, fault "
-            "and durability rules plus whole-program taint, merge-purity and "
-            "determinism checkers (docs/STATIC_ANALYSIS.md)"
+            "and durability rules plus whole-program taint and determinism "
+            "checkers (docs/STATIC_ANALYSIS.md)"
         ),
     )
     add_analyze_arguments(parser)

@@ -116,34 +116,6 @@ class AnalysisConfig:
     #: and their returns are treated conservatively (taint in → taint out).
     project_packages: tuple[str, ...] = ("repro",)
 
-    #: Modules whose top-level functions form the commutative merge
-    #: registry — everything here must be side-effect-free on its inputs
-    #: and read no mutable module state (``merge-purity``).
-    merge_modules: tuple[str, ...] = ("repro.scale.merge",)
-
-    #: Method names that mutate their receiver in place.
-    mutator_methods: frozenset[str] = frozenset(
-        {
-            "add",
-            "append",
-            "appendleft",
-            "clear",
-            "discard",
-            "extend",
-            "insert",
-            "pop",
-            "popitem",
-            "popleft",
-            "remove",
-            "reverse",
-            "setdefault",
-            "sort",
-            "update",
-            "write",
-            "writelines",
-        }
-    )
-
     #: Qualname suffixes that mark digest/export/report entry points for
     #: ``determinism-reachability`` (matched against the last segment).
     report_entry_names: frozenset[str] = frozenset(

@@ -1,16 +1,11 @@
 """Interprocedural dataflow over the per-file fact atoms.
 
-Three engines, all operating on :class:`~repro.analysis.project.ProjectIndex`:
+Two engines, both operating on :class:`~repro.analysis.project.ProjectIndex`:
 
 * :class:`ReturnSummaries` — bottom-up fixed point answering "which of a
   function's inputs may flow into its return value".  A summary is a set
   of parameter indices plus a set of constant atoms (identity sources,
   project globals, function references) that escape through the return.
-* :class:`MutationSummaries` — bottom-up fixed point answering "which
-  parameters / project globals may a function mutate, directly or through
-  any callee".  Argument atoms are bound to callee parameters at each
-  call site, so a helper mutating *its* first argument taints whatever
-  the caller passed there.
 * :class:`TaintPropagator` — top-down worklist that pushes identity
   taint through call edges.  Each work item is a function plus a map of
   tainted parameters to the source names that tainted them, along with
@@ -27,7 +22,7 @@ propagation exactly like it does in the per-file rules.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from repro.analysis.facts import Atom, AtomSet, CallSite, FunctionFacts
@@ -38,28 +33,6 @@ _EMPTY: AtomSet = frozenset()
 #: Cap on distinct tainted-parameter contexts explored per function —
 #: a safety valve, not a tuning knob; the repo stays far below it.
 _MAX_CONTEXTS_PER_FUNCTION = 64
-
-#: External callables returning a *fresh* (shallow-copied) object.  In
-#: object-identity mode (mutation analysis) their return aliases nothing:
-#: ``out = list(xs); out.append(...)`` does not mutate ``xs``.  In value
-#: mode (taint) they still forward their inputs — ``list(user_ids)`` is
-#: as identifying as ``user_ids``.
-_FRESH_EXTERNALS = frozenset(
-    f"builtins.{name}"
-    for name in (
-        "list", "dict", "set", "tuple", "frozenset", "sorted", "reversed",
-        "enumerate", "zip", "map", "filter", "sum", "min", "max", "len",
-        "abs", "round", "str", "repr", "bytes", "bytearray", "range",
-    )
-)
-#: Receiver methods returning a fresh object, same reasoning.
-_FRESH_METHODS = frozenset({"copy"})
-
-#: Container methods whose return aliases the receiver's *contents* (or
-#: the default argument), never the lookup key: ``d.setdefault(k, [])``
-#: returns a member of ``d`` or the fresh default — mutating it does not
-#: mutate ``k``.
-_RECEIVER_ALIASING_METHODS = frozenset({"get", "setdefault", "pop"})
 
 
 def bind_site_inputs(
@@ -146,15 +119,8 @@ class ReturnSummaries:
             if not changed:
                 return
 
-    def expand(
-        self, qualname: str, atoms: AtomSet, object_mode: bool = False
-    ) -> AtomSet:
-        """Eliminate ``("call", s)`` atoms using current summaries.
-
-        ``object_mode=True`` asks about object *identity* rather than
-        value content: fresh-constructor returns (``list(xs)``,
-        ``xs.copy()``, project-class instantiation) alias nothing.
-        """
+    def expand(self, qualname: str, atoms: AtomSet) -> AtomSet:
+        """Eliminate ``("call", s)`` atoms using current summaries."""
         out: set[Atom] = set()
         resolved_by_site = {
             r.site.site_id: r for r in self.index.resolved_calls(qualname)
@@ -172,34 +138,16 @@ class ReturnSummaries:
             resolved = resolved_by_site.get(atom[1])
             if resolved is None:
                 continue
-            pending.extend(self.call_return_atoms(qualname, resolved, object_mode))
+            pending.extend(self.call_return_atoms(resolved))
         return frozenset(out)
 
-    def call_return_atoms(
-        self, caller: str, resolved: ResolvedCall, object_mode: bool = False
-    ) -> AtomSet:
+    def call_return_atoms(self, resolved: ResolvedCall) -> AtomSet:
         """Atoms a call's return value may carry, in the caller's frame."""
         site = resolved.site
         out: set[Atom] = set()
         if resolved.constructor is not None:
-            if object_mode:
-                return _EMPTY  # a brand-new instance aliases nothing
             # Wrapping semantics: the instance carries its ctor inputs.
             return site_input_atoms(site)
-        if object_mode and not resolved.targets:
-            if resolved.external in _FRESH_EXTERNALS:
-                return _EMPTY
-            method = site.callee.get("method")
-            if method in _FRESH_METHODS:
-                return _EMPTY
-            if method in _RECEIVER_ALIASING_METHODS:
-                aliased: set[Atom] = set(site.recv or ())
-                for atoms in site.args[1:]:  # skip the lookup key
-                    aliased |= atoms
-                for atoms in site.kwargs.values():
-                    aliased |= atoms
-                aliased |= site.spill
-                return frozenset(aliased)
         matched = False
         for target in resolved.targets:
             facts = self.index.functions.get(target)
@@ -214,87 +162,6 @@ class ReturnSummaries:
         if resolved.external is not None or resolved.unknown or not matched:
             out |= site_input_atoms(site)
         return frozenset(out)
-
-
-# ----------------------------------------------------- mutation summaries
-
-
-@dataclass
-class MutationSummary:
-    #: param index → (line, witness callee-or-detail)
-    params: dict[int, tuple[int, str]] = field(default_factory=dict)
-    #: dotted global → (line, witness callee-or-detail)
-    globals: dict[str, tuple[int, str]] = field(default_factory=dict)
-
-
-class MutationSummaries:
-    """qualname → which parameters / project globals it may mutate."""
-
-    def __init__(self, index: ProjectIndex, returns: ReturnSummaries) -> None:
-        self.index = index
-        self.returns = returns
-        self.summaries: dict[str, MutationSummary] = {
-            qualname: MutationSummary() for qualname in index.functions
-        }
-        self._solve()
-
-    def _solve(self) -> None:
-        for _ in range(32):
-            changed = False
-            for qualname, facts in self.index.functions.items():
-                changed |= self._update(qualname, facts)
-            if not changed:
-                return
-
-    def _update(self, qualname: str, facts: FunctionFacts) -> bool:
-        summary = self.summaries[qualname]
-        changed = False
-
-        def note_param(idx: int, line: int, via: str) -> None:
-            nonlocal changed
-            if idx not in summary.params:
-                summary.params[idx] = (line, via)
-                changed = True
-
-        def note_global(dotted: str, line: int, via: str) -> None:
-            nonlocal changed
-            if dotted not in summary.globals:
-                summary.globals[dotted] = (line, via)
-                changed = True
-
-        for mutation in facts.mutations:
-            expanded = self.returns.expand(qualname, mutation.atoms, object_mode=True)
-            detail = f"{mutation.kind}:{mutation.detail}"
-            for atom in expanded:
-                if atom[0] == "param":
-                    note_param(atom[1], mutation.line, detail)
-                elif atom[0] == "global" and self.index.config.in_project(atom[1]):
-                    note_global(atom[1], mutation.line, detail)
-        for resolved in self.index.resolved_calls(qualname):
-            line = resolved.site.line
-            for target in resolved.targets:
-                callee_facts = self.index.functions.get(target)
-                callee_summary = self.summaries.get(target)
-                if callee_facts is None or callee_summary is None:
-                    continue
-                # Snapshot: on a recursive call the callee summary *is*
-                # this function's summary, which note_* mutates.
-                for dotted in list(callee_summary.globals):
-                    note_global(dotted, line, target)
-                if not callee_summary.params:
-                    continue
-                bound = bind_site_inputs(self.index, callee_facts, resolved)
-                for param_index in list(callee_summary.params):
-                    for atom in self.returns.expand(
-                        qualname, bound.get(param_index, _EMPTY), object_mode=True
-                    ):
-                        if atom[0] == "param":
-                            note_param(atom[1], line, target)
-                        elif atom[0] == "global" and self.index.config.in_project(
-                            atom[1]
-                        ):
-                            note_global(atom[1], line, target)
-        return changed
 
 
 # -------------------------------------------------------- taint worklist

@@ -4,7 +4,7 @@ Pipeline::
 
     files ──(FactLoader: cache or parse+extract+rules)──▶ ModuleFacts*
           ──(ProjectIndex.build)───────────────────────▶ symbols + call graph
-          ──(ReturnSummaries / MutationSummaries)───────▶ interproc summaries
+          ──(ReturnSummaries)───────────────────────────▶ return summaries
           ──(checkers)──────────────────────────────────▶ whole-program findings
           ──(inline waivers)────────────────────────────▶ produced findings
           ──(selection, baseline)───────────────────────▶ AnalysisResult
@@ -28,7 +28,7 @@ from repro.analysis.baseline import Baseline
 from repro.analysis.cache import FactLoader, file_digest
 from repro.analysis.checkers import CheckContext, all_checks, default_checkers
 from repro.analysis.config import AnalysisConfig
-from repro.analysis.dataflow import MutationSummaries, ReturnSummaries
+from repro.analysis.dataflow import ReturnSummaries
 from repro.analysis.facts import ModuleFacts
 from repro.analysis.project import ProjectIndex
 from repro.analysis.source import Finding, iter_python_files
@@ -127,12 +127,8 @@ class WholeProgramAnalyzer:
     def _produce(self, facts: Sequence[ModuleFacts]) -> dict[str, list[Finding]]:
         """Run every check, de-duplicate, and apply the inline waivers."""
         index = ProjectIndex.build(self.config, facts)
-        returns = ReturnSummaries(index)
         context = CheckContext(
-            config=self.config,
-            index=index,
-            returns=returns,
-            mutations=MutationSummaries(index, returns),
+            config=self.config, index=index, returns=ReturnSummaries(index)
         )
         modules_by_path = {module.path: module for module in facts}
         unsuppressed: list[Finding] = []

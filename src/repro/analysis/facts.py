@@ -2,9 +2,8 @@
 
 One parsed module compiles into a :class:`ModuleFacts` value: every
 function/method/lambda becomes a :class:`FunctionFacts` carrying its call
-sites, privacy sinks, state mutations, nondeterminism uses, and a local
-dataflow summary expressed over *atoms*.  An atom names where a value may
-come from::
+sites, privacy sinks, nondeterminism uses, and a local dataflow summary
+expressed over *atoms*.  An atom names where a value may come from::
 
     ("source", name)   an identity-bearing name/attribute read
     ("param", i)       the function's i-th parameter (0 = self for methods)
@@ -36,10 +35,6 @@ Atom = tuple
 AtomSet = frozenset
 
 _EMPTY: AtomSet = frozenset()
-
-#: Call targets treated as returning a value independent of their inputs
-#: (beyond the configured sanitizers): constructors of fresh immutables.
-_PURE_BUILTINS = frozenset({"len", "range", "enumerate", "id", "bool", "int", "float"})
 
 
 def atoms_to_json(atoms: AtomSet) -> list:
@@ -124,36 +119,6 @@ class SinkFact:
 
 
 @dataclass
-class MutationFact:
-    """An in-place write whose *target object* is described by atoms."""
-
-    kind: str  # "attr-store" | "index-store" | "mutate-call" | "global-write" | "delete"
-    detail: str  # attribute / method / global name
-    line: int
-    col: int
-    atoms: AtomSet
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "detail": self.detail,
-            "l": self.line,
-            "c": self.col,
-            "atoms": atoms_to_json(self.atoms),
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "MutationFact":
-        return cls(
-            kind=raw["kind"],
-            detail=raw["detail"],
-            line=raw["l"],
-            col=raw["c"],
-            atoms=atoms_from_json(raw["atoms"]),
-        )
-
-
-@dataclass
 class FunctionFacts:
     """Everything the whole-program phases need to know about one function."""
 
@@ -167,13 +132,9 @@ class FunctionFacts:
     decorators: tuple[str, ...] = ()
     calls: list[CallSite] = field(default_factory=list)
     sinks: list[SinkFact] = field(default_factory=list)
-    mutations: list[MutationFact] = field(default_factory=list)
     #: function-local unordered iterations: (name, line, col)
     unordered: list[tuple[str, int, int]] = field(default_factory=list)
-    #: reads of project module-level names: (dotted, line, col)
-    global_reads: list[tuple[str, int, int]] = field(default_factory=list)
     returns: AtomSet = _EMPTY
-    global_decls: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
         return {
@@ -187,11 +148,8 @@ class FunctionFacts:
             "dec": list(self.decorators),
             "calls": [c.to_dict() for c in self.calls],
             "sinks": [s.to_dict() for s in self.sinks],
-            "muts": [m.to_dict() for m in self.mutations],
             "unordered": [list(u) for u in self.unordered],
-            "greads": [list(g) for g in self.global_reads],
             "ret": atoms_to_json(self.returns),
-            "gdecls": list(self.global_decls),
         }
 
     @classmethod
@@ -207,11 +165,8 @@ class FunctionFacts:
             decorators=tuple(raw["dec"]),
             calls=[CallSite.from_dict(c) for c in raw["calls"]],
             sinks=[SinkFact.from_dict(s) for s in raw["sinks"]],
-            mutations=[MutationFact.from_dict(m) for m in raw["muts"]],
             unordered=[tuple(u) for u in raw["unordered"]],
-            global_reads=[tuple(g) for g in raw["greads"]],
             returns=atoms_from_json(raw["ret"]),
-            global_decls=tuple(raw["gdecls"]),
         )
 
 
@@ -247,8 +202,6 @@ class ModuleFacts:
     digest: str
     functions: dict[str, FunctionFacts] = field(default_factory=dict)
     classes: dict[str, ClassFacts] = field(default_factory=dict)
-    #: module-level name -> {"mutable": bool, "rebound": bool}
-    module_globals: dict[str, dict] = field(default_factory=dict)
     #: import alias -> dotted target (lets the index chase re-exports)
     imports: dict[str, str] = field(default_factory=dict)
     line_suppressions: dict[int, frozenset[str]] = field(default_factory=dict)
@@ -263,7 +216,6 @@ class ModuleFacts:
             "digest": self.digest,
             "functions": {q: f.to_dict() for q, f in sorted(self.functions.items())},
             "classes": {q: c.to_dict() for q, c in sorted(self.classes.items())},
-            "globals": {n: g for n, g in sorted(self.module_globals.items())},
             "imports": dict(sorted(self.imports.items())),
             "line_supp": {str(k): sorted(v) for k, v in self.line_suppressions.items()},
             "file_supp": sorted(self.file_suppressions),
@@ -280,7 +232,6 @@ class ModuleFacts:
                 q: FunctionFacts.from_dict(f) for q, f in raw["functions"].items()
             },
             classes={q: ClassFacts.from_dict(c) for q, c in raw["classes"].items()},
-            module_globals=dict(raw["globals"]),
             imports=dict(raw["imports"]),
             line_suppressions={
                 int(k): frozenset(v) for k, v in raw["line_supp"].items()
@@ -342,7 +293,6 @@ class _Scope:
         self.parent = parent
         self.env: dict[str, set[Atom]] = {}
         self.set_locals: set[str] = set()
-        self.global_decls: set[str] = set()
         self.funcrefs: dict[str, str] = {}
         self.site_ids: dict[int, int] = {}
         self.lambda_names: dict[int, str] = {}
@@ -366,6 +316,9 @@ class Extractor:
         self.imports: dict[str, str] = {}
         self.module_defs: dict[str, str] = {}  # name -> qualname (def/class)
         self.module_classes: set[str] = set()
+        #: names assigned at module level (``_name_atoms`` resolves them
+        #: to ``global`` atoms even when they shadow a builtin)
+        self.module_globals: set[str] = set()
         self.facts = ModuleFacts(
             path=parsed.path,
             module=parsed.module,
@@ -384,7 +337,7 @@ class Extractor:
         self.facts.imports = dict(self.imports)
         # Module body is a pseudo-function: module-level calls, sinks, and
         # decorator applications live there.
-        module_scope = self._function(
+        self._function(
             qualname=f"{self.module}.<module>",
             node_line=1,
             params=(),
@@ -394,8 +347,6 @@ class Extractor:
             parent=None,
             decorators=(),
         )
-        self._mark_rebound_globals()
-        del module_scope
         self.facts.findings = [f for rule in RULES for f in rule.check(self)]
         return self.facts
 
@@ -466,12 +417,7 @@ class Extractor:
                 )
                 for target in targets:
                     for name_node in self._target_names(target):
-                        info = self.facts.module_globals.setdefault(
-                            name_node.id, {"mutable": False, "rebound": False}
-                        )
-                        value = getattr(stmt, "value", None)
-                        if value is not None and self._is_mutable_value(value):
-                            info["mutable"] = True
+                        self.module_globals.add(name_node.id)
 
     @staticmethod
     def _target_names(target: ast.expr) -> Iterator[ast.Name]:
@@ -482,23 +428,6 @@ class Extractor:
                 yield from Extractor._target_names(element)
         elif isinstance(target, ast.Starred):
             yield from Extractor._target_names(target.value)
-
-    @staticmethod
-    def _is_mutable_value(value: ast.expr) -> bool:
-        if isinstance(value, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.SetComp, ast.DictComp)):
-            return True
-        if isinstance(value, ast.Call):
-            callee = last_segment(value.func)
-            return callee not in {"frozenset", "tuple", "namedtuple", "TypeVar"}
-        return False
-
-    def _mark_rebound_globals(self) -> None:
-        for facts in self.facts.functions.values():
-            for name in facts.global_decls:
-                info = self.facts.module_globals.setdefault(
-                    name, {"mutable": False, "rebound": False}
-                )
-                info["rebound"] = True
 
     # ----------------------------------------------------------- function
 
@@ -512,7 +441,7 @@ class Extractor:
         cls: str | None,
         parent: "_Scope | None",
         decorators: tuple[str, ...],
-    ) -> _Scope:
+    ) -> None:
         scope = _Scope(qualname, params, is_method, cls, parent)
         facts = FunctionFacts(
             qualname=qualname,
@@ -549,8 +478,7 @@ class Extractor:
         ):
             scope.site_ids[id(node)] = index
         self._env_fixpoint(scope, body)
-        self._collect(scope, facts, body, own)
-        return scope
+        self._collect(scope, facts, own)
 
     def _scope_base(self, scope: _Scope) -> str:
         if scope.qualname.endswith(".<module>"):
@@ -680,7 +608,7 @@ class Extractor:
                 self._bind_target(scope, element, atoms)
         elif isinstance(target, ast.Starred):
             self._bind_target(scope, target.value, atoms)
-        # Attribute/Subscript targets are mutations, collected later.
+        # Attribute/Subscript stores bind no local name.
 
     def _bind_unpacked(
         self, scope: _Scope, target: ast.expr, value: ast.expr, loop: bool = False
@@ -740,10 +668,6 @@ class Extractor:
                             item.optional_vars,
                             self._atoms(scope, item.context_expr),
                         )
-            elif isinstance(stmt, ast.Global):
-                if not scope.global_decls.issuperset(stmt.names):
-                    scope.global_decls.update(stmt.names)
-                    self._changed = True
             elif isinstance(stmt, (ast.Expr, ast.Return)):
                 if stmt.value is not None:
                     self._atoms(scope, stmt.value)  # walrus bindings
@@ -816,8 +740,7 @@ class Extractor:
             return atoms
         if isinstance(node, ast.Subscript):
             # ``d[k]`` is a member of ``d``; the key's atoms say nothing
-            # about what comes out (and polluting the result with them
-            # breaks object-identity reasoning for mutations).
+            # about what comes out.
             return self._atoms(scope, node.value, overlay)
         if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
             local = dict(overlay or {})
@@ -826,8 +749,7 @@ class Extractor:
                 for name_node in self._target_names(generator.target):
                     local[name_node.id] = iter_atoms
                     # Also register in env so later bare reads of the
-                    # target (e.g. the global-read sweep) see a local,
-                    # not a phantom module global.
+                    # target see a local, not a phantom module global.
                     self._bind(scope, name_node.id, iter_atoms)
             parts: set[Atom] = set()
             if isinstance(node, ast.DictComp):
@@ -879,7 +801,7 @@ class Extractor:
             if config.in_project(dotted):
                 result.add(("global", dotted))
             return frozenset(result)
-        if name in self.facts.module_globals or not hasattr(builtins, name):
+        if name in self.module_globals or not hasattr(builtins, name):
             result.add(("global", f"{self.module}.{name}"))
         return frozenset(result)
 
@@ -902,32 +824,14 @@ class Extractor:
     # ----------------------------------------------------------- collect
 
     def _collect(
-        self,
-        scope: _Scope,
-        facts: FunctionFacts,
-        body: list[ast.stmt],
-        own: list[ast.AST],
+        self, scope: _Scope, facts: FunctionFacts, own: list[ast.AST]
     ) -> None:
-        config = self.config
         returns: set[Atom] = set()
-        global_reads: set[tuple[str, int, int]] = set()
-
         for node in own:
             if isinstance(node, (ast.Return, ast.Yield, ast.YieldFrom)) and getattr(
                 node, "value", None
             ) is not None:
                 returns |= self._atoms(scope, node.value)
-            elif isinstance(node, ast.Assign):
-                for target in node.targets:
-                    self._mutation_target(scope, facts, target)
-            elif isinstance(node, ast.AnnAssign):
-                self._mutation_target(scope, facts, node.target)
-            elif isinstance(node, ast.AugAssign):
-                self._mutation_target(scope, facts, node.target)
-            elif isinstance(node, ast.Delete):
-                for target in node.targets:
-                    if isinstance(target, (ast.Attribute, ast.Subscript)):
-                        self._store_mutation(scope, facts, target, kind="delete")
             elif isinstance(node, (ast.For, ast.AsyncFor)):
                 self._check_unordered(scope, facts, node.iter)
             elif isinstance(
@@ -936,10 +840,6 @@ class Extractor:
                 if not self._order_insensitive(node, own):
                     for generator in node.generators:
                         self._check_unordered(scope, facts, generator.iter)
-            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                for atom in self._name_atoms(scope, node, None):
-                    if atom[0] == "global" and config.in_project(atom[1]):
-                        global_reads.add((atom[1], node.lineno, node.col_offset))
 
         # Call sites (and the sinks they imply), in source order.
         calls = sorted(
@@ -950,81 +850,8 @@ class Extractor:
             site = self._call_site(scope, node)
             facts.calls.append(site)
             self._sinks_for(scope, facts, node, site)
-            callee = site.callee
-            method = callee.get("method") or (callee.get("target", "").rsplit(".", 1)[-1])
-            if (
-                callee["kind"] in ("method", "self")
-                and callee["method"] in config.mutator_methods
-                and site.recv
-            ):
-                facts.mutations.append(
-                    MutationFact(
-                        kind="mutate-call",
-                        detail=callee["method"],
-                        line=node.lineno,
-                        col=node.col_offset,
-                        atoms=site.recv,
-                    )
-                )
-            del method
-
-        for name in sorted(scope.global_decls):
-            facts.mutations.append(
-                MutationFact(
-                    kind="global-write",
-                    detail=f"{self.module}.{name}",
-                    line=facts.line,
-                    col=0,
-                    atoms=frozenset({("global", f"{self.module}.{name}")}),
-                )
-            )
         facts.returns = frozenset(returns)
-        facts.global_decls = tuple(sorted(scope.global_decls))
-        facts.global_reads = sorted(global_reads)
-        facts.mutations.sort(key=lambda m: (m.line, m.col, m.kind, m.detail))
         facts.sinks.sort(key=lambda s: (s.line, s.col, s.kind, s.name))
-        del body
-
-    def _mutation_target(
-        self, scope: _Scope, facts: FunctionFacts, target: ast.expr
-    ) -> None:
-        if isinstance(target, (ast.Attribute, ast.Subscript)):
-            self._store_mutation(
-                scope,
-                facts,
-                target,
-                kind="attr-store" if isinstance(target, ast.Attribute) else "index-store",
-            )
-        elif isinstance(target, ast.Name) and target.id in scope.global_decls:
-            dotted = f"{self.module}.{target.id}"
-            facts.mutations.append(
-                MutationFact(
-                    kind="global-write",
-                    detail=dotted,
-                    line=target.lineno,
-                    col=target.col_offset,
-                    atoms=frozenset({("global", dotted)}),
-                )
-            )
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            for element in target.elts:
-                self._mutation_target(scope, facts, element)
-
-    def _store_mutation(
-        self, scope: _Scope, facts: FunctionFacts, target: ast.expr, kind: str
-    ) -> None:
-        base = target.value  # type: ignore[attr-defined]
-        detail = target.attr if isinstance(target, ast.Attribute) else "[]"
-        atoms = self._atoms(scope, base)
-        facts.mutations.append(
-            MutationFact(
-                kind=kind,
-                detail=detail,
-                line=target.lineno,
-                col=target.col_offset,
-                atoms=atoms,
-            )
-        )
 
     #: Consumers for which element order cannot escape: flowing a set
     #: iteration into one of these is deterministic by construction.

@@ -63,8 +63,6 @@ class ProjectIndex:
     classes: dict[str, ClassFacts] = field(default_factory=dict)
     #: method name -> sorted qualnames of every project method so named
     method_index: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    #: dotted module-global name -> {"mutable": bool, "rebound": bool}
-    globals: dict[str, dict] = field(default_factory=dict)
     _resolved: dict[str, list[ResolvedCall]] = field(default_factory=dict)
     _successors: dict[str, list[tuple[str, int]]] = field(default_factory=dict)
 
@@ -75,8 +73,6 @@ class ProjectIndex:
             index.modules[module_facts.module] = module_facts
             index.functions.update(module_facts.functions)
             index.classes.update(module_facts.classes)
-            for name, info in module_facts.module_globals.items():
-                index.globals[f"{module_facts.module}.{name}"] = info
         methods: dict[str, set[str]] = {}
         for cls_facts in index.classes.values():
             for name, qualname in cls_facts.methods.items():
@@ -89,8 +85,8 @@ class ProjectIndex:
     # ------------------------------------------------------------ lookup
 
     def canonical(self, dotted: str) -> str:
-        """Chase import aliases: ``repro.scale.merge_counts`` (a package
-        re-export) resolves to ``repro.scale.merge.merge_counts``."""
+        """Chase import aliases: ``repro.service.RSPServer`` (a package
+        re-export) resolves to ``repro.service.server.RSPServer``."""
         for _ in range(8):
             if dotted in self.functions or dotted in self.classes:
                 return dotted

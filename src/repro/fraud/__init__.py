@@ -35,7 +35,6 @@ from repro.fraud.profiles import (
     FeatureBand,
     TypicalProfile,
     build_profiles,
-    profile_from_histories,
 )
 
 __all__ = [
@@ -61,5 +60,4 @@ __all__ = [
     "SybilAttacker",
     "TypicalProfile",
     "build_profiles",
-    "profile_from_histories",
 ]

@@ -175,28 +175,3 @@ def build_profiles(
         store.all_histories(), entity_kinds, min_history_length
     )
     return profiles_from_pools(pools)
-
-
-def profile_from_histories(
-    kind_label: str, histories: list[InteractionHistory]
-) -> TypicalProfile:
-    """Build one profile directly from a list of histories (test helper and
-    building block for per-entity profiles)."""
-    if not histories:
-        raise ValueError("need at least one history")
-    all_gaps: list[float] = []
-    all_durations: list[float] = []
-    all_counts: list[float] = []
-    for history in histories:
-        all_counts.append(float(history.n_interactions))
-        all_durations.extend(history.durations())
-        all_gaps.extend(history.gaps())
-    if not all_gaps:
-        raise ValueError("histories contain no repeat interactions; no gap statistics")
-    return TypicalProfile(
-        kind_label=kind_label,
-        gaps=FeatureBand.from_values(all_gaps),
-        durations=FeatureBand.from_values(all_durations),
-        counts=FeatureBand.from_values(all_counts),
-        n_histories=len(histories),
-    )

@@ -12,7 +12,6 @@ from repro.sensing.location import (
     StayPointConfig,
     StayPointFold,
     extract_stay_points,
-    travel_distance_before,
 )
 from repro.sensing.policy import SensingPolicy, continuous_policy, duty_cycled_policy
 from repro.sensing.resolution import (
@@ -76,5 +75,4 @@ __all__ = [
     "generate_trace",
     "generate_traces",
     "trace_carries",
-    "travel_distance_before",
 ]

@@ -149,19 +149,3 @@ def extract_stay_points(
     fold = StayPointFold(config)
     fold.extend(samples)
     return fold.stays()
-
-
-def travel_distance_before(
-    stays: list[StayPoint], index: int
-) -> float:
-    """Distance from the previous stay point to stay ``index`` (km).
-
-    This is the paper's effort feature: how far the user travelled since
-    their previous stationary spot.  The first stay has no predecessor and
-    reports 0.
-    """
-    if not 0 <= index < len(stays):
-        raise IndexError("stay index out of range")
-    if index == 0:
-        return 0.0
-    return stays[index - 1].center.distance_to(stays[index].center)

@@ -10,14 +10,12 @@ from repro.util.distributions import (
     DiscreteLogNormal,
     ParetoCount,
     bounded_zipf,
-    sample_categorical,
 )
 from repro.util.hashing import record_id, stable_digest, stable_u64
 from repro.util.rng import children, derive_seed, make_rng
 from repro.util.stats import (
     EmpiricalCDF,
     gini,
-    histogram_counts,
     median,
     pearson,
     percentile,
@@ -39,13 +37,11 @@ __all__ = [
     "derive_seed",
     "format_time",
     "gini",
-    "histogram_counts",
     "make_rng",
     "median",
     "pearson",
     "percentile",
     "record_id",
-    "sample_categorical",
     "spearman",
     "stable_digest",
     "stable_u64",

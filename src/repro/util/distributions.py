@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -122,34 +121,3 @@ def bounded_zipf(rng: int | np.random.Generator, exponent: float, n_items: int, 
     weights = ranks ** (-exponent)
     probabilities = weights / weights.sum()
     return gen.choice(n_items, size=size, p=probabilities)
-
-
-def zipf_weights(exponent: float, n_items: int) -> np.ndarray:
-    """Return normalized Zipf weights for ``n_items`` ranks."""
-    if n_items < 1:
-        raise ValueError("n_items must be >= 1")
-    ranks = np.arange(1, n_items + 1, dtype=np.float64)
-    weights = ranks ** (-exponent)
-    return weights / weights.sum()
-
-
-def sample_categorical(
-    rng: int | np.random.Generator,
-    items: Sequence[object],
-    weights: Sequence[float] | None = None,
-):
-    """Sample one item from ``items`` with optional unnormalized ``weights``."""
-    if not items:
-        raise ValueError("items must be non-empty")
-    gen = make_rng(rng)
-    if weights is None:
-        index = int(gen.integers(0, len(items)))
-        return items[index]
-    probabilities = np.asarray(weights, dtype=np.float64)
-    if probabilities.shape[0] != len(items):
-        raise ValueError("weights must match items in length")
-    total = probabilities.sum()
-    if total <= 0:
-        raise ValueError("weights must sum to a positive value")
-    index = int(gen.choice(len(items), p=probabilities / total))
-    return items[index]

@@ -167,19 +167,6 @@ def spearman(xs: Sequence[float] | np.ndarray, ys: Sequence[float] | np.ndarray)
     return pearson(rank_x, rank_y)
 
 
-def histogram_counts(
-    values: Sequence[float] | np.ndarray,
-    bin_edges: Sequence[float] | np.ndarray,
-) -> np.ndarray:
-    """Histogram counts over explicit bin edges (Figure 3(a) histograms)."""
-    array = _as_array(values)
-    edges = _as_array(bin_edges)
-    if edges.size < 2:
-        raise ValueError("need at least two bin edges")
-    counts, _ = np.histogram(array, bins=edges)
-    return counts
-
-
 def gini(values: Sequence[float] | np.ndarray) -> float:
     """Gini coefficient of a non-negative sample.
 

@@ -1,14 +1,30 @@
-"""CLI behaviour: selection, formats, baseline flags, exit codes."""
+"""CLI and reporters: selection, formats, baseline flags, exit codes.
+
+Whole-program cases run on ``tests/analysis/fixtures``; per-file rule
+cases run on ``tests/lint/fixtures`` (``LINT_ROOT``), where ``lint``
+reports the per-file rules only.
+"""
 
 import json
 
-from repro.analysis import all_checks
+import pytest
+
+from repro.analysis import all_checks, render_json, render_text
 from repro.analysis.cli import main
 
 from tests.analysis.conftest import FIXTURE_ROOT
+from tests.lint.conftest import FIXTURE_ROOT as LINT_ROOT
+from tests.lint.conftest import lint
 
 BAD = str(FIXTURE_ROOT / "service" / "bad_digest.py")
 GOOD = str(FIXTURE_ROOT / "service" / "good_digest.py")
+
+#: Deliberately broken per-file fixtures and the rule each must trip.
+BROKEN_FIXTURES = [
+    ("client/bad_upload.py", "priv-taint-sink"),
+    ("world/bad_random.py", "det-random-module"),
+    ("client/bad_import.py", "layer-client-service"),
+]
 
 
 class TestExitCodes:
@@ -27,12 +43,23 @@ class TestExitCodes:
         assert "no-such-checker" in capsys.readouterr().out
 
     def test_unknown_ignore_id_exits_two(self, capsys):
-        assert main([BAD, "--ignore", "merge-purty"]) == 2
-        assert "merge-purty" in capsys.readouterr().out
+        assert main([BAD, "--ignore", "determinism-reachabilty"]) == 2
+        assert "determinism-reachabilty" in capsys.readouterr().out
 
     def test_update_baseline_requires_baseline(self, capsys):
         assert main([BAD, "--update-baseline"]) == 2
         assert "--baseline" in capsys.readouterr().out
+
+    def test_empty_selection_is_a_usage_error(self, capsys):
+        # `--select ""` used to silently select *nothing* and exit green —
+        # a vacuous pass for any gate built on `--select <rule>`.
+        assert main(["--select", " , "]) == 2
+        assert "no rule ids parsed" in capsys.readouterr().out
+
+    def test_select_ignore_cancelling_out_is_a_usage_error(self, capsys):
+        exit_code = main(["--select", "priv-taint-sink", "--ignore", "priv-taint-sink"])
+        assert exit_code == 2
+        assert "leaves no rules" in capsys.readouterr().out
 
 
 class TestSelection:
@@ -42,25 +69,67 @@ class TestSelection:
         assert main([BAD, "--ignore", "determinism-reachability,det-wall-clock"]) == 0
 
     def test_selecting_a_non_firing_checker_is_clean(self, capsys):
-        assert main([BAD, "--select", "merge-purity"]) == 0
+        assert main([BAD, "--select", "interproc-privacy-taint"]) == 0
 
     def test_list_checkers(self, capsys):
         assert main(["--list-checkers"]) == 0
         out = capsys.readouterr().out
         listed = [line.split(":")[0] for line in out.splitlines() if not line.startswith(" ")]
         assert listed == [check.checker_id for check in all_checks()]
-        assert len(set(listed)) == 15  # 12 per-file rules + 3 whole-program checkers
+        assert len(set(listed)) == 14  # 12 per-file rules + 2 whole-program checkers
+
+    def test_select_limits_rules(self, capsys):
+        exit_code = main(
+            [str(LINT_ROOT / "service" / "bad_service.py"), "--select", "priv-server-identity"]
+        )
+        assert exit_code == 1
+        out = capsys.readouterr().out
+        assert "priv-server-identity" in out
+        assert "layer-service-client" not in out
+
+    def test_ignore_skips_rules(self, capsys):
+        exit_code = main(
+            [
+                str(LINT_ROOT / "service" / "bad_service.py"),
+                "--ignore",
+                "priv-server-identity,layer-service-client",
+            ]
+        )
+        assert exit_code == 0
+        capsys.readouterr()
 
 
 class TestFormats:
     def test_json_document_shape(self, capsys):
-        main([BAD, "--format", "json"])
+        assert main([str(LINT_ROOT / "client"), "--format", "json"]) == 1
         document = json.loads(capsys.readouterr().out)
         assert document["ok"] is False
+        assert document["files_analyzed"] == 9  # 8 modules + __init__
         assert document["finding_count"] == len(document["findings"])
-        finding = document["findings"][0]
-        for key in ("checker_id", "path", "line", "function", "fingerprint", "chain"):
-            assert key in finding
+        assert document["findings"]
+        for finding in document["findings"]:
+            assert set(finding) == {
+                "checker_id",
+                "path",
+                "line",
+                "col",
+                "function",
+                "message",
+                "chain",
+                "detail",
+                "fingerprint",
+            }
+
+    def test_suppressed_findings_are_reported_separately(self):
+        result = lint([LINT_ROOT / "service" / "suppressed_service.py"])
+        document = json.loads(render_json(result, show_suppressed=True))
+        assert document["ok"] is True
+        assert document["finding_count"] == 0
+        assert document["suppressed_count"] >= 2
+        assert {f["checker_id"] for f in document["suppressed"]} == {
+            "layer-service-client",
+            "priv-server-identity",
+        }
 
     def test_sarif_document_shape(self, capsys):
         main([BAD, "--format", "sarif"])
@@ -77,7 +146,49 @@ class TestFormats:
 
     def test_show_chains_prints_witness(self, capsys):
         main([BAD, "--show-chains"])
-        assert "->" in capsys.readouterr().out or "digest" in capsys.readouterr().out
+        assert "    chain: " in capsys.readouterr().out
+
+    def test_violation_lines_and_summary(self):
+        result = lint([LINT_ROOT / "world" / "bad_random.py"])
+        text = render_text(result)
+        assert "bad_random.py:3:0: det-random-module" in text
+        assert "FAIL: 2 problem(s); 1 file(s) analyzed" in text
+
+    def test_clean_run_reports_ok_and_suppressed_count(self):
+        result = lint([LINT_ROOT / "world" / "suppressed_random.py"])
+        text = render_text(result)
+        assert text.startswith("OK: 1 file(s) analyzed")
+        assert "2 suppressed" in text
+
+    def test_show_suppressed_lists_waived_findings(self):
+        result = lint([LINT_ROOT / "world" / "suppressed_random.py"])
+        text = render_text(result, show_suppressed=True)
+        assert "det-random-module" in text
+        assert "(suppressed)" in text
+
+    def test_duplicate_findings_are_reported_once(self, tmp_path):
+        # The inner and outer sink both reach the same `user_id` node with
+        # the same message; the engine reports each finding exactly once.
+        nested = tmp_path / "nested.py"
+        nested.write_text("Envelope(Envelope(user_id))\n")
+        result = lint([nested])
+        assert [f.checker_id for f in result.findings] == ["priv-taint-sink"]
+
+
+class TestBrokenFixturesBothFormats:
+    @pytest.mark.parametrize("relpath,expected_rule", BROKEN_FIXTURES)
+    def test_text_output_names_the_rule(self, capsys, relpath, expected_rule):
+        exit_code = main([str(LINT_ROOT / relpath)])
+        assert exit_code == 1
+        out = capsys.readouterr().out
+        assert expected_rule in out
+
+    @pytest.mark.parametrize("relpath,expected_rule", BROKEN_FIXTURES)
+    def test_json_output_names_the_rule(self, capsys, relpath, expected_rule):
+        exit_code = main([str(LINT_ROOT / relpath), "--format", "json"])
+        assert exit_code == 1
+        document = json.loads(capsys.readouterr().out)
+        assert expected_rule in {f["checker_id"] for f in document["findings"]}
 
 
 class TestBaselineWorkflow:
@@ -99,9 +210,9 @@ class TestBaselineWorkflow:
         assert "determinism-reachability" in accepted
         capsys.readouterr()
         # Entries of unselected ids are neither stale nor rewritten.
-        assert main([BAD, "--baseline", str(baseline), "--select", "merge-purity"]) == 0
+        argv = [BAD, "--baseline", str(baseline), "--select", "interproc-privacy-taint"]
+        assert main(argv) == 0
         assert "stale" not in capsys.readouterr().out
-        argv = [BAD, "--baseline", str(baseline), "--select", "merge-purity"]
         assert main(argv + ["--update-baseline"]) == 0
         assert baseline.read_text() == accepted
 

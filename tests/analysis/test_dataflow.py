@@ -1,20 +1,18 @@
-"""Interprocedural summaries: returns, mutations, taint propagation."""
+"""Interprocedural summaries: returns and taint propagation."""
 
-from repro.analysis import MutationSummaries, ReturnSummaries, TaintPropagator
+from repro.analysis import ReturnSummaries, TaintPropagator
 
 from tests.analysis.conftest import build_index
 
 
 def summaries_for(tmp_path, files):
     index = build_index(tmp_path, files)
-    returns = ReturnSummaries(index)
-    mutations = MutationSummaries(index, returns)
-    return index, returns, mutations
+    return index, ReturnSummaries(index)
 
 
 class TestReturnSummaries:
     def test_identity_survives_a_helper_chain(self, tmp_path):
-        index, returns, _ = summaries_for(
+        _, returns = summaries_for(
             tmp_path,
             {
                 "repro/m.py": """
@@ -32,7 +30,7 @@ class TestReturnSummaries:
         assert ("source", "user_id") in returns.summaries["repro.m.c"].atoms
 
     def test_recursion_terminates(self, tmp_path):
-        _, returns, _ = summaries_for(
+        _, returns = summaries_for(
             tmp_path,
             {
                 "repro/m.py": """
@@ -46,71 +44,9 @@ class TestReturnSummaries:
         assert ("source", "user_id") in returns.summaries["repro.m.walk"].atoms
 
 
-class TestMutationSummaries:
-    def test_mutation_through_a_callee_is_attributed_to_the_param(self, tmp_path):
-        _, _, mutations = summaries_for(
-            tmp_path,
-            {
-                "repro/m.py": """
-                    def push(bucket, row):
-                        bucket.append(row)
-
-                    def collect(out, rows):
-                        for row in rows:
-                            push(out, row)
-                    """
-            },
-        )
-        assert 0 in mutations.summaries["repro.m.push"].params
-        assert 0 in mutations.summaries["repro.m.collect"].params
-
-    def test_fresh_containers_do_not_count_as_param_mutation(self, tmp_path):
-        _, _, mutations = summaries_for(
-            tmp_path,
-            {
-                "repro/m.py": """
-                    def collect(rows):
-                        out = list(rows)
-                        out.append("sentinel")
-                        return out
-                    """
-            },
-        )
-        assert not mutations.summaries["repro.m.collect"].params
-
-    def test_setdefault_chain_aliases_the_receiver(self, tmp_path):
-        _, _, mutations = summaries_for(
-            tmp_path,
-            {
-                "repro/m.py": """
-                    def bucket(table, key, row):
-                        table.setdefault(key, []).append(row)
-                    """
-            },
-        )
-        assert 0 in mutations.summaries["repro.m.bucket"].params
-
-    def test_global_write_is_recorded_with_witness(self, tmp_path):
-        _, _, mutations = summaries_for(
-            tmp_path,
-            {
-                "repro/m.py": """
-                    _SEEN = set()
-
-                    def note(key):
-                        _SEEN.add(key)
-                    """
-            },
-        )
-        globals_ = mutations.summaries["repro.m.note"].globals
-        assert "repro.m._SEEN" in globals_
-        line, _via = globals_["repro.m._SEEN"]
-        assert line > 0
-
-
 class TestTaintPropagator:
     def run_taint(self, tmp_path, files):
-        index, returns, _ = summaries_for(tmp_path, files)
+        index, returns = summaries_for(tmp_path, files)
         hits = []
 
         def on_hit(facts, sink, sources, chain):

@@ -83,16 +83,13 @@ class TestAtoms:
             tmp_path,
             """
             def squares(xs):
-                return [x * x for x in xs]
+                return [square(x) for x in xs]
             """,
         )
-        assert not any(
-            atoms
-            for atoms in (
-                facts.functions["repro.mod.squares"].global_reads,
-            )
-            if any("x" == dotted.rsplit(".", 1)[-1] for dotted, _l, _c in atoms)
-        )
+        # Call-site arguments are read without the comprehension's
+        # overlay, so the target must be a bound local there too.
+        (site,) = facts.functions["repro.mod.squares"].calls
+        assert site.args == (frozenset({("param", 0)}),)
 
 
 class TestModuleFacts:
@@ -139,7 +136,7 @@ class TestModuleFacts:
             """,
         )
         assert facts.suppressed("interproc-privacy-taint", 3)
-        assert not facts.suppressed("merge-purity", 3)
+        assert not facts.suppressed("determinism-reachability", 3)
 
 
 class TestExtractionEquivalence:

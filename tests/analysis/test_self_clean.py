@@ -3,11 +3,13 @@ committed baseline — the same invariant CI enforces via ``make check``
 and ``make analyze``.  One shared pass (the ``self_analysis`` fixture)
 serves every self-clean assertion."""
 
+from dataclasses import fields
+
 import pytest
 
-from repro.analysis import Baseline
+from repro.analysis import AnalysisConfig, Baseline
 
-from tests.conftest import BASELINE
+from tests.conftest import BASELINE, REPO_ROOT
 
 
 @pytest.fixture(scope="module")
@@ -32,3 +34,19 @@ def test_baseline_entries_all_have_real_justifications(self_result):
 
 def test_the_whole_tree_is_actually_analyzed(self_result):
     assert self_result.n_files > 100
+
+
+def test_configured_modules_and_packages_exist():
+    """Every module or package a rule scopes itself to by default is real
+    code under ``src/repro``: a rule whose target was deleted polices
+    nothing and would pass vacuously."""
+    src = REPO_ROOT / "src"
+    missing = []
+    for spec in fields(AnalysisConfig):
+        if not spec.name.endswith(("_modules", "_packages")):
+            continue
+        for dotted in sorted(getattr(AnalysisConfig(), spec.name)):
+            path = src.joinpath(*dotted.split("."))
+            if not (path.with_suffix(".py").is_file() or (path / "__init__.py").is_file()):
+                missing.append(f"{spec.name}: {dotted}")
+    assert not missing, missing

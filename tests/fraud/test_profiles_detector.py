@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.fraud.detector import DetectorConfig, FraudDetector, FraudFlag
-from repro.fraud.profiles import FeatureBand, build_profiles, profile_from_histories
+from repro.fraud.profiles import FeatureBand, build_profiles
 from repro.privacy.history_store import HistoryStore, InteractionUpload
 from repro.privacy.identifiers import DeviceIdentity
 from repro.util.clock import DAY, HOUR
@@ -69,20 +69,6 @@ class TestBuildProfiles:
         store = honest_store()
         profiles = build_profiles(store, {})
         assert profiles == {}
-
-    def test_profile_from_histories_requires_repeats(self):
-        store = HistoryStore()
-        identity = DeviceIdentity.create("u", seed=0)
-        store.append(
-            InteractionUpload(identity.history_id("e"), "e", "visit", 0.0, 100.0, 1.0),
-            arrival_time=0.0,
-        )
-        with pytest.raises(ValueError):
-            profile_from_histories("kind", store.all_histories())
-
-    def test_profile_from_histories_rejects_empty(self):
-        with pytest.raises(ValueError):
-            profile_from_histories("kind", [])
 
 
 class TestDetectorOnHonestTraffic:

@@ -8,7 +8,6 @@ from repro.sensing.location import (
     StayPointConfig,
     StayPointFold,
     extract_stay_points,
-    travel_distance_before,
 )
 from repro.sensing.traces import (
     CallRecord,
@@ -221,11 +220,3 @@ class TestStayPointExtraction:
         if samples:
             assert fold.first_point == samples[0].point
             assert type(fold.first_point.x) is float and type(fold.first_point.y) is float
-
-    def test_travel_distance_before(self):
-        samples = fixes_at(Point(0, 0), 0.0, 4) + fixes_at(Point(3, 4), 10_000.0, 4)
-        stays = extract_stay_points(samples)
-        assert travel_distance_before(stays, 0) == 0.0
-        assert travel_distance_before(stays, 1) == pytest.approx(5.0, abs=0.05)
-        with pytest.raises(IndexError):
-            travel_distance_before(stays, 2)

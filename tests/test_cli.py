@@ -91,7 +91,7 @@ class TestCommands:
         assert main(["analyze", "--list-checkers"]) == 0
         out = capsys.readouterr().out
         assert "interproc-privacy-taint" in out
-        assert "merge-purity" in out
+        assert "determinism-reachability" in out
 
     def test_analyze_clean_against_committed_baseline(self, capsys, monkeypatch):
         import pathlib

@@ -9,8 +9,6 @@ from repro.util.distributions import (
     DiscreteLogNormal,
     ParetoCount,
     bounded_zipf,
-    sample_categorical,
-    zipf_weights,
 )
 
 
@@ -92,35 +90,3 @@ class TestBoundedZipf:
         sample = bounded_zipf(2, exponent=0.0, n_items=5, size=50_000)
         counts = np.bincount(sample, minlength=5)
         assert counts.min() > 0.8 * counts.max()
-
-    def test_weights_normalized(self):
-        weights = zipf_weights(1.5, 30)
-        assert abs(weights.sum() - 1.0) < 1e-12
-        assert np.all(np.diff(weights) <= 0)
-
-
-class TestSampleCategorical:
-    def test_unweighted_uniform(self):
-        items = ["a", "b", "c"]
-        draws = [sample_categorical(np.random.default_rng(i), items) for i in range(300)]
-        assert set(draws) == {"a", "b", "c"}
-
-    def test_weighted_prefers_heavy_item(self):
-        items = ["rare", "common"]
-        draws = [
-            sample_categorical(np.random.default_rng(i), items, weights=[1, 99])
-            for i in range(500)
-        ]
-        assert draws.count("common") > 400
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            sample_categorical(0, [])
-
-    def test_rejects_mismatched_weights(self):
-        with pytest.raises(ValueError):
-            sample_categorical(0, ["a"], weights=[1, 2])
-
-    def test_rejects_zero_weights(self):
-        with pytest.raises(ValueError):
-            sample_categorical(0, ["a", "b"], weights=[0, 0])

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.util.stats import (
     EmpiricalCDF,
     gini,
-    histogram_counts,
     median,
     pearson,
     percentile,
@@ -125,16 +124,6 @@ class TestCorrelation:
         other = rng.random(len(values))
         r = pearson(values, other)
         assert -1.0 - 1e-9 <= r <= 1.0 + 1e-9
-
-
-class TestHistogram:
-    def test_counts_sum_to_in_range_values(self):
-        counts = histogram_counts([1, 2, 3, 10], [0, 5, 20])
-        assert list(counts) == [3, 1]
-
-    def test_needs_two_edges(self):
-        with pytest.raises(ValueError):
-            histogram_counts([1], [0])
 
 
 class TestGini:
