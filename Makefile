@@ -90,11 +90,12 @@ bench-analyze:
 # Durability suite (the CI crash-matrix job): WAL format + torn-write
 # properties, the crash-at-every-frame-boundary differential, recovery
 # idempotency, replication/failover, the replica-outage chaos plans, the
+# reshard crash matrix (snapshots carry the topology), the
 # fsync-before-ack analyzer rule, and the line-coverage floor on
 # repro.durability.
 durable:
 	$(PYTHON) -m repro.analysis src/repro --baseline analysis_baseline.json --select durability-fsync-before-ack
-	$(PYTHON) -m pytest tests/durability tests/faults/test_replica_outages.py -q
+	$(PYTHON) -m pytest tests/durability tests/faults/test_replica_outages.py tests/reshard/test_reshard_recovery.py -q
 	$(PYTHON) scripts/coverage_gate.py --target durability --fail-under 85
 
 # Durable intake overhead + cold-replay benchmark; emits BENCH_7.json at

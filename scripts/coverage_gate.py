@@ -39,7 +39,10 @@ TARGETS = {
         ],
     ),
     "analysis": (SRC / "repro" / "analysis", ["tests/analysis", "tests/lint"]),
-    "durability": (SRC / "repro" / "durability", ["tests/durability"]),
+    "durability": (
+        SRC / "repro" / "durability",
+        ["tests/durability", "tests/reshard/test_reshard_recovery.py"],
+    ),
     "ingest": (
         SRC / "repro" / "ingest",
         ["tests/ingest", "tests/spec", "tests/scale/test_batch_routing.py"],

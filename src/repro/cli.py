@@ -444,7 +444,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     directory = base / "primary" if (base / "primary").is_dir() else base
     report = recover_server(server, directory)
     print(f"recovered from: {directory}")
-    print(f"snapshot seq:   {report.snapshot_seq}")
+    print(f"snapshot seq:   {report.snapshot_seq} ({server.router.n_shards} shards)")
     print(f"replayed:       {report.n_replayed} WAL record(s)")
     print(f"torn tail:      {'yes (discarded)' if report.torn_tail else 'no'}")
     print(f"next seq:       {report.next_seq}")
@@ -633,7 +633,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     recover.add_argument(
         "--shards", type=int, default=1,
-        help="deployment shape of the crashed run (must match)",
+        help="the crashed run's starting shard count; recovery replays its "
+        "reshards",
     )
     recover.set_defaults(func=_cmd_recover)
 
@@ -642,7 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser(
         "analyze",
         help="static analysis: per-file privacy/determinism/layering/fault/"
-        "durability rules, interprocedural taint, merge and determinism checkers",
+        "durability rules, interprocedural taint and determinism checkers",
     )
     add_analyze_arguments(analyze)
     analyze.set_defaults(func=_cmd_analyze)

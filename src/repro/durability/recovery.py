@@ -23,6 +23,10 @@ envelope — but not its state transition: :func:`apply_mutation` calls
 the store write, acceptance commit and quota charge live intake calls.
 It is shared with log shipping: a replica applying a shipped batch is
 replaying the primary's WAL.
+
+Reshards are re-run from the snapshot's history and the WAL's
+``reshard`` records, so ``server`` must be built at the deployment's
+*starting* shard count.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from repro.durability.journal import list_segments
 from repro.durability.snapshot import load_latest_snapshot, restore_state
 from repro.durability.wal import read_wal
 from repro.privacy.history_store import InteractionUpload
-from repro.reshard.topology import load_topology, save_topology, spec_from_json
+from repro.scale.router import spec_from_json
 from repro.scale.shard import MISMATCH, STALE
 from repro.telemetry import NULL, Telemetry
 
@@ -154,8 +158,8 @@ def _apply_reshard(server, mutation: dict) -> None:
     The migration is deterministic given the pre-state, so replaying the
     operation reproduces the crashed process's post-reshard placement
     bit for bit.  Idempotency is by WAL sequence number: an operation
-    already in ``server.reshard_history`` (pre-applied from the topology
-    ledger, or shipped twice) is skipped.  After applying, the router's
+    already in ``server.reshard_history`` (pre-applied from the snapshot,
+    or shipped twice) is skipped.  After applying, the router's
     table must equal the logged ``resulting`` spec — divergence means
     the log and the code disagree about the topology, which is never
     recoverable silently.
@@ -210,23 +214,22 @@ def recover_server(
 
     Loads the newest snapshot that passes its integrity seal (older ones
     are fallbacks; none at all means a cold replay from the full WAL),
-    replays every WAL record past it in global sequence order, tolerates
+    re-runs the reshards it records, replays every WAL record past it in
+    global sequence order — ``reshard`` records included — tolerates
     a torn final frame per lane, and rebuilds the engine's derived state.
     The server is then exactly where the crashed process was at its last
     acceptance commit — ready for re-deliveries and maintenance.
     """
     directory = Path(directory)
-    topology = load_topology(directory)
     snapshot_seq, state = load_latest_snapshot(directory) or (0, None)
-    # Rebuild the topology the snapshot was taken under *before* loading
-    # it: restore routes every key through the server's own router, and
-    # the operations covered by the snapshot may live in WAL segments
-    # truncation already deleted — the ledger is their only trace.
-    # Replaying them on the still-empty server is pure table surgery.
-    for entry in topology:
-        if entry["seq"] <= snapshot_seq:
-            _apply_reshard(server, entry)
     if state is not None:
+        # Rebuild the topology the snapshot was taken under *before*
+        # loading it: restore routes every key through the server's own
+        # router, and the operations may live in WAL segments truncation
+        # already deleted.  On the still-empty server this is pure table
+        # surgery.
+        for entry in state.get("reshards", ()):
+            _apply_reshard(server, entry)
         restore_state(server, state)
     # The parsed snapshot is dead once restored; release it before the
     # replay rather than holding it through the whole WAL.
@@ -234,18 +237,7 @@ def recover_server(
     mutations, torn = read_mutations(directory, after_seq=snapshot_seq)
     for mutation in mutations:
         apply_mutation(server, mutation)
-    # Catch-up: a ledger entry whose WAL record the crash cut away (the
-    # record is fsynced before the ledger, so this only covers harness
-    # truncation past acknowledged bytes) still applies, in order.
-    for entry in topology:
-        if entry["seq"] > snapshot_seq:
-            _apply_reshard(server, entry)
     finalize_recovery(server)
-    # A crash between the WAL append and the ledger rewrite leaves the
-    # ledger behind the log; re-save so the next truncation cannot strand
-    # a replayed-but-unledgered operation.
-    if server.reshard_history:
-        save_topology(directory, server.reshard_history)
     telemetry.inc("recovery.replayed", len(mutations))
     if torn:
         telemetry.inc("recovery.torn_tails")

@@ -27,7 +27,6 @@ from pathlib import Path
 
 from repro.durability.journal import DurableJournal, attach_journal
 from repro.durability.recovery import apply_mutation, finalize_recovery
-from repro.reshard.topology import save_topology
 from repro.telemetry import NULL, Telemetry
 from repro.telemetry.catalog import REPLICA_BATCH_BUCKETS
 
@@ -124,7 +123,9 @@ class ReplicatedRSPServer:
         store-directly, like recovery), attaches the shared telemetry,
         gives the promoted server its own journal under
         ``durable_root/promoted``, and seeds that journal with a baseline
-        snapshot so the new primary is itself recoverable from scratch.
+        snapshot so the new primary is itself recoverable from scratch —
+        topology included, since the snapshot carries the reshard history
+        the replica applied from shipped records.
         """
         if self.promoted:
             return self.replica
@@ -140,12 +141,6 @@ class ReplicatedRSPServer:
             sync_policy=self.journal.sync_policy,
         )
         attach_journal(replica, journal)
-        if replica.reshard_history:
-            # Shipped reshard records changed the replica's topology; the
-            # promoted directory needs the ledger for its own recovery
-            # (the baseline snapshot below is topology-independent, but a
-            # later crash must rebuild the prefix table first).
-            save_topology(journal.directory, replica.reshard_history)
         journal.take_snapshot(replica)
         self.telemetry.inc("replica.promotions")
         return replica

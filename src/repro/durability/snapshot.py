@@ -8,10 +8,14 @@ deployment partitions that state.  :func:`render_state` writes those
 bytes directly: each history, the bulk of a snapshot, through one
 template filled in by :func:`~repro.durability.codec.json_scalar`, the
 rest through the canonical encoder.  :func:`capture_state` is the parse
-of the same bytes.  The same content captured at any
-shard count is byte-identical, and a snapshot restores into any shard
-count: :func:`restore_state` routes every history, opinion slot and
-review through the target server's own router.
+of the same bytes.  The same content captured at any shard count is
+byte-identical, and a snapshot restores into any shard count:
+:func:`restore_state` routes every history, opinion slot and review
+through the target server's own router.
+
+A resharded deployment also records ``reshards``, its reshard history,
+under the seal; recovery re-runs it on the empty server before restoring
+the rest, so the topology outlives the WAL segments that logged it.
 
 Atomicity protocol (the classic one):
 
@@ -84,10 +88,11 @@ def snapshot_name(seq: int) -> str:
 _HISTORY = '{"entity_id":%s,"folded":%s,"history_id":%s,"records":[%s]}'
 _ROW = "[%s,%s,%s,%s,%s]"
 #: The whole state, keys in canonical order; only ``histories`` is
-#: rendered here, every other value by the canonical encoder.
+#: rendered here, every other value by the canonical encoder.  The slot
+#: before ``reviews`` holds the optional ``"reshards":[...],`` member.
 _STATE = (
     b'{"counters":%s,"histories":[%s],"issuer":%s,"nonces":%s,"opinions":%s,'
-    b'"reviews":%s,"spent_tokens":%s,"wal_seq":%s}'
+    b'%s"reviews":%s,"spent_tokens":%s,"wal_seq":%s}'
 )
 
 
@@ -162,7 +167,8 @@ def render_state(server, wal_seq: int = 0) -> bytes:
     and emitted in sorted key order, so the same content produces
     identical bytes at every shard count.  ``wal_seq`` records the
     last journaled mutation this snapshot covers; recovery replays only
-    WAL records with a greater sequence number.
+    WAL records with a greater sequence number.  ``reshards`` is the
+    topology the rest was captured under.
     """
     shards = server.shards
     histories = sorted(
@@ -182,6 +188,8 @@ def render_state(server, wal_seq: int = 0) -> bytes:
             ]
     issuer = server.issuer
     encode = canonical_json_bytes
+    # Only when non-empty: static snapshot bytes stay the same at every shard count.
+    reshards = server.reshard_history
     return _STATE % (
         encode({name: getattr(server, name) for name in _COUNTERS}),
         ",".join(map(render_history, histories)).encode(),
@@ -193,6 +201,7 @@ def render_state(server, wal_seq: int = 0) -> bytes:
         ),
         encode(sorted(nonce.hex() for nonce in server._seen_nonces)),
         encode(opinions),
+        b'"reshards":%s,' % encode(reshards) if reshards else b"",
         encode(reviews),
         encode(sorted(token_id.hex() for token_id in server._redeemer._spent)),
         encode(wal_seq),

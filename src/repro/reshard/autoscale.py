@@ -58,8 +58,6 @@ class Autoscaler:
 
     def __init__(self, policy: AutoscalePolicy) -> None:
         self.policy = policy
-        #: Every op this autoscaler has applied, in order (for reports).
-        self.applied: list[ReshardOp] = []
 
     def loads(self, server) -> list[int]:
         """Per-shard history counts, preferring the telemetry gauges."""
@@ -99,5 +97,4 @@ class Autoscaler:
         op = self.decide(server)
         if op is not None:
             perform(server, op)
-            self.applied.append(op)
         return op

@@ -10,21 +10,18 @@ The order of its steps is the crash-safety argument:
 2. **migrate** via :meth:`~repro.service.server.RSPServer.split_shard`
    / :meth:`~repro.service.server.RSPServer.merge_shards` (which
    also remaps the journal's WAL lanes to the new routing);
-3. **ledger**: append the entry to ``server.reshard_history`` and rewrite
-   ``topology.json`` (:mod:`repro.reshard.topology`) so the operation
-   survives WAL truncation;
+3. **record**: append the entry to ``server.reshard_history``, which
+   every later snapshot carries (:mod:`repro.durability.snapshot`), so
+   the operation outlives the truncation of its WAL segment;
 4. **telemetry**, all DEPLOYMENT-scoped — resharding must never touch
    the aggregate digest a static deployment is compared against.
-
-A crash between 1 and 3 leaves the WAL record without a ledger entry;
-recovery replays the record and re-saves the ledger, closing the window.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.reshard.topology import save_topology, spec_to_json
+from repro.scale.router import spec_to_json
 from repro.telemetry import DEPLOYMENT
 from repro.telemetry.catalog import RESHARD_MOVED_BUCKETS
 
@@ -87,8 +84,6 @@ def perform(server, op: ReshardOp) -> dict[str, int]:
     else:
         moved = server.merge_shards(op.a, op.b)
     server.reshard_history.append(entry)
-    if server.journal is not None:
-        save_topology(server.journal.directory, server.reshard_history)
     telemetry = server.telemetry
     telemetry.inc(
         "rsp.reshard.splits" if op.kind == "split" else "rsp.reshard.merges",

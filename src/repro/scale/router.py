@@ -120,12 +120,26 @@ def _coalesce(prefixes: list[Prefix]) -> tuple[Prefix, ...]:
     return tuple(sorted(current, key=_prefix_order))
 
 
+def spec_to_json(spec: RouterSpec) -> list:
+    """A router spec as nested lists (JSON has no tuples): the
+    ``resulting`` table a reshard record and a snapshot carry."""
+    return [[[int(v), int(d)] for v, d in prefixes] for prefixes in spec]
+
+
+def spec_from_json(raw) -> RouterSpec:
+    """The inverse of :func:`spec_to_json`: hashable nested tuples, the
+    form :meth:`ShardRouter.spec` returns."""
+    return tuple(
+        tuple((int(v), int(d)) for v, d in prefixes) for prefixes in raw
+    )
+
+
 class ShardRouter:
     """Maps string keys (record ids, entity ids) to shards.
 
     ``ShardRouter(n)`` builds the canonical table for ``n`` shards;
     :meth:`from_spec` rebuilds an arbitrary (validated) table, which is
-    how recovery reconstructs a post-reshard topology.  Routers are
+    how :meth:`split` and :meth:`merge` build their results.  Routers are
     immutable — :meth:`split` and :meth:`merge` return new routers, and
     the server swaps its reference atomically between batches.
     """
@@ -141,12 +155,7 @@ class ShardRouter:
     def from_spec(cls, spec: RouterSpec) -> "ShardRouter":
         """A router over an explicit prefix table (validated for tiling)."""
         router = cls.__new__(cls)
-        router._install(
-            tuple(
-                tuple((int(v), int(d)) for v, d in prefixes)
-                for prefixes in spec
-            )
-        )
+        router._install(spec_from_json(spec))
         return router
 
     def _install(self, spec: RouterSpec) -> None:

@@ -179,8 +179,8 @@ class RSPServer:
         self.attestation = attestation
         self.rejected_attestations = 0
         self.router = ShardRouter(n_shards)
-        #: The applied reshard operations, in order — recovery replays
-        #: these to rebuild the topology.
+        #: The applied reshard operations, in order.  Snapshots carry
+        #: it, and recovery re-runs it to rebuild the topology.
         self.reshard_history: list[dict] = []
         self.shards = [ShardState(index) for index in range(n_shards)]
         self._redeemer = TokenRedeemer(self.issuer.public_key)

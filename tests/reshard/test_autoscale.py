@@ -88,7 +88,6 @@ class TestEvaluate:
         applied = scaler.evaluate(server)
         assert applied is not None and applied.kind == "split"
         assert server.router.n_shards == before + 1
-        assert scaler.applied == [applied]
         assert server.reshard_history[-1]["op"] == "split"
 
     def test_noop_evaluation_records_nothing(self, catalog):
@@ -98,7 +97,6 @@ class TestEvaluate:
             AutoscalePolicy(split_above=max(loads), merge_below=1)
         )
         assert scaler.evaluate(server) is None
-        assert scaler.applied == []
         assert server.reshard_history == []
 
     def test_observes_the_load_histogram(self, catalog):

@@ -5,8 +5,7 @@ The workload journals batch 1, snapshots, accepts half of batch 2,
 the deployment at *every* global WAL position around the reshard record
 — every record boundary and every mid-frame byte, modelled faithfully:
 segments created after the crash point are removed (the post-split lanes
-did not exist yet) and the topology ledger is present only if the crash
-happened after its rewrite.
+did not exist yet).
 
 Every crash point must satisfy the recovery invariant end to end:
 
@@ -26,8 +25,8 @@ from repro.durability.journal import DurableJournal, attach_journal, list_segmen
 from repro.durability.recovery import recover_server
 from repro.durability.replication import ReplicatedRSPServer, ReplicationChannel
 from repro.durability.wal import read_wal
-from repro.reshard import ReshardOp, load_topology, perform
-from repro.reshard.topology import TOPOLOGY_FILE
+from repro.durability.snapshot import list_snapshots
+from repro.reshard import ReshardOp, perform
 from repro.util.clock import DAY
 
 from tests.durability.conftest import (
@@ -140,10 +139,6 @@ def test_crash_at_every_migration_step_recovers_exactly_once(
         work = crash_clone(
             baseline_dir, tmp_path / f"crash-{index:03d}", cut_seq, midframe
         )
-        if cut_seq < reshard_seq:
-            # The ledger rewrite happens strictly after the record's
-            # fsync; before the record, it cannot exist either.
-            (work / TOPOLOGY_FILE).unlink()
         recovered = make_server(catalog, N_SHARDS)
         recover_server(recovered, work)
         survived = cut_seq >= reshard_seq
@@ -160,31 +155,14 @@ def test_crash_at_every_migration_step_recovers_exactly_once(
         )
         if survived:
             # Exactly-once: the replayed op is in the recovered history
-            # once, and recovery re-saved the ledger even where the
-            # crash window had destroyed it.
+            # once.
             assert [e["seq"] for e in recovered.reshard_history] == [reshard_seq]
-            assert load_topology(work) == recovered.reshard_history
-
-
-def test_crash_between_record_and_ledger_replays_from_the_wal(catalog, tmp_path):
-    """The journal-before-migrate window: record durable, ledger not."""
-    baseline_dir = tmp_path / "baseline"
-    baseline, batch2, _snap, reshard_seq = run_workload(catalog, baseline_dir)
-    expected_state = comparable_state(baseline)
-    work = copy_durable_dir(baseline_dir, tmp_path / "window")
-    (work / TOPOLOGY_FILE).unlink()
-
-    recovered = make_server(catalog, N_SHARDS)
-    recover_server(recovered, work)
-    recovered.receive_all(batch2)
-    assert comparable_state(recovered) == expected_state
-    # Recovery closed the window: the ledger is back.
-    assert [e["seq"] for e in load_topology(work)] == [reshard_seq]
 
 
 def test_ledger_survives_wal_truncation_across_snapshots(catalog, tmp_path):
     """A snapshot *after* the split truncates the reshard record's
-    segment; the ledger alone must rebuild the topology."""
+    segment; the snapshot carries the split and must rebuild the
+    topology."""
     directory = tmp_path / "durable"
     server = make_server(catalog, N_SHARDS)
     journal = DurableJournal(
@@ -214,7 +192,19 @@ def test_ledger_survives_wal_truncation_across_snapshots(catalog, tmp_path):
     assert final_digest(recovered, now=FINAL_NOW) == expected_digest
 
 
-def test_corrupt_ledger_refuses_recovery(catalog, tmp_path):
+@pytest.mark.parametrize(
+    "split_first", [True, False], ids=["split-before-older", "split-after-older"]
+)
+def test_damaged_newest_snapshot_falls_back_across_a_split(
+    catalog, tmp_path, split_first
+):
+    """Two retained snapshots, the newest damaged in its ``reshards``.
+
+    Recovery falls back to the older snapshot.  When the split came
+    before it, the split's WAL segment is truncated and the older
+    snapshot alone carries the topology; when it came after, the
+    retained WAL replays it.
+    """
     directory = tmp_path / "durable"
     server = make_server(catalog, N_SHARDS)
     journal = DurableJournal(
@@ -222,12 +212,33 @@ def test_corrupt_ledger_refuses_recovery(catalog, tmp_path):
     )
     attach_journal(server, journal)
     server.receive_all(synth_deliveries(catalog, *BATCH_1))
-    perform(server, ReshardOp.split(0))
+    if split_first:
+        perform(server, ReshardOp.split(0))
+    journal.take_snapshot(server)
+    server.receive_all(synth_deliveries(catalog, *BATCH_2A))
+    if not split_first:
+        perform(server, ReshardOp.split(0))
+    journal.take_snapshot(server)
+    server.receive_all(synth_deliveries(catalog, *BATCH_2B))
     journal.close()
-    ledger = directory / TOPOLOGY_FILE
-    ledger.write_bytes(ledger.read_bytes()[:-10])
-    with pytest.raises(Exception, match="topology"):
-        recover_server(make_server(catalog, N_SHARDS), directory)
+    reshard_seq = server.reshard_history[-1]["seq"]
+    expected_state = comparable_state(server)
+    expected_digest = final_digest(server, now=FINAL_NOW)
+
+    (older_seq, _older), (_newest_seq, newest) = list_snapshots(directory)
+    assert (reshard_seq <= older_seq) == split_first
+    raw = newest.read_bytes()
+    logged = b'"seq":%d,"shard":0}' % reshard_seq
+    assert raw.count(logged) == 1
+    newest.write_bytes(raw.replace(logged, b'"seq":%d,"shard":1}' % reshard_seq))
+
+    recovered = make_server(catalog, N_SHARDS)
+    report = recover_server(recovered, directory)
+    assert report.snapshot_seq == older_seq
+    assert recovered.router.n_shards == N_SHARDS + 1
+    assert [e["seq"] for e in recovered.reshard_history] == [reshard_seq]
+    assert comparable_state(recovered) == expected_state
+    assert final_digest(recovered, now=FINAL_NOW) == expected_digest
 
 
 def test_torn_crash_after_lanes_shrink_recovers(catalog, tmp_path):
@@ -296,7 +307,7 @@ class TestReplicatedResharding:
         promoted = pair.fail_over(torn_bytes=9)
         assert promoted.router.n_shards == N_SHARDS + 1
         expected_digest = final_digest(promoted, now=FINAL_NOW)
-        # The promoted directory carries ledger + baseline snapshot: a
+        # The promoted directory's baseline snapshot carries the split: a
         # later crash of the *new* primary recovers the split topology.
         recovered = make_server(catalog, N_SHARDS)
         recover_server(recovered, tmp_path / "promoted")

@@ -1,64 +1,8 @@
-"""The topology ledger: atomic persistence + integrity sealing."""
-
-import json
+"""The JSON form of a router's prefix table, as reshard records carry it."""
 
 import pytest
 
-from repro.reshard.topology import (
-    TOPOLOGY_FILE,
-    CorruptTopologyError,
-    load_topology,
-    save_topology,
-    spec_from_json,
-    spec_to_json,
-)
-from repro.scale.router import ShardRouter
-
-ENTRIES = [
-    {"seq": 3, "op": "split", "shard": 0, "resulting": [[[0, 1]], [[1, 1]]]},
-    {"seq": 9, "op": "merge", "a": 0, "b": 1, "resulting": [[[0, 0]]]},
-]
-
-
-def test_round_trip(tmp_path):
-    save_topology(tmp_path, ENTRIES)
-    assert load_topology(tmp_path) == ENTRIES
-
-
-def test_missing_ledger_is_empty(tmp_path):
-    assert load_topology(tmp_path) == []
-
-
-def test_rewrite_replaces_whole_ledger(tmp_path):
-    save_topology(tmp_path, ENTRIES[:1])
-    save_topology(tmp_path, ENTRIES)
-    assert load_topology(tmp_path) == ENTRIES
-    assert not (tmp_path / (TOPOLOGY_FILE + ".tmp")).exists()
-
-
-def test_tampered_entries_fail_the_digest(tmp_path):
-    path = save_topology(tmp_path, ENTRIES)
-    payload = json.loads(path.read_text())
-    payload["entries"][0]["shard"] = 1
-    path.write_text(json.dumps(payload))
-    with pytest.raises(CorruptTopologyError, match="integrity"):
-        load_topology(tmp_path)
-
-
-def test_unknown_format_is_rejected(tmp_path):
-    path = save_topology(tmp_path, ENTRIES)
-    payload = json.loads(path.read_text())
-    payload["format"] = "rsp-topology/99"
-    path.write_text(json.dumps(payload))
-    with pytest.raises(CorruptTopologyError):
-        load_topology(tmp_path)
-
-
-def test_truncated_json_is_rejected(tmp_path):
-    path = save_topology(tmp_path, ENTRIES)
-    path.write_bytes(path.read_bytes()[:20])
-    with pytest.raises(CorruptTopologyError, match="unreadable"):
-        load_topology(tmp_path)
+from repro.scale.router import ShardRouter, spec_from_json, spec_to_json
 
 
 @pytest.mark.parametrize("n_shards", [1, 2, 5, 8])

@@ -87,6 +87,20 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "call-spam" in out and "employee" in out
 
+    def test_recover_rebuilds_a_resharded_run(self, capsys, tmp_path):
+        world = ["--users", "20", "--days", "20"]
+        durable = str(tmp_path / "durable")
+        assert main(["epochs", *world, "--epochs", "3", "--shards", "2",
+                     "--reshard", "2:split:0", "--durable-dir", durable]) == 0
+        last_row = capsys.readouterr().out.splitlines()[-1].split()
+        assert last_row[0] == "3"
+        records, histories = last_row[2], last_row[3]
+        assert main(["recover", *world, "--shards", "2",
+                     "--durable-dir", durable]) == 0
+        out = capsys.readouterr().out
+        assert "(3 shards)" in out
+        assert f"state: {records} records, {histories} histories," in out
+
     def test_analyze_lists_checkers(self, capsys):
         assert main(["analyze", "--list-checkers"]) == 0
         out = capsys.readouterr().out
