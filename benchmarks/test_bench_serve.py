@@ -18,11 +18,11 @@ Three parts:
   rounds of (Zipf intake → maintenance → query burst) against the cached
   path, with the dirty fraction of every cycle recorded off the
   maintenance notification feed;
-* **C. the uncached baseline** — the same query mix answered by fresh
-  recompute, giving the speedup denominator.
+* **C. the uncached baseline** — Part B's queries, recorded burst by
+  burst and replayed in order, answered by fresh recompute: the speedup
+  denominator, measured on exactly the queries the numerator timed.
 
-The two paths answer different numbers of queries (the uncached path a
-sample), so both are reported per query, in µs, beside the totals.
+Both paths are reported per query, in µs, beside the totals.
 
 Emits ``BENCH_9.json`` (consumed by ``make bench-serve`` and
 EXPERIMENTS.md).
@@ -61,7 +61,6 @@ WARMUP_BATCH_SIZE = 2_000
 ROUNDS = 4
 INTAKE_PER_ROUND = 40
 QUERIES_PER_ROUND = 1_000
-UNCACHED_SAMPLE = 400
 
 
 def build_server():
@@ -77,10 +76,15 @@ def build_server():
 
 
 def steady_state_cached(server, traffic):
-    """Part B: rounds of churn + burst; returns (qps, elapsed, dirty_fracs)."""
+    """Part B: rounds of churn + burst.
+
+    Returns ``(qps, elapsed, dirty_fracs, asked)``, ``asked`` being every
+    timed query in the order it was answered.
+    """
     queries = SyntheticQueries(traffic.catalog, QUERIES)
     serving = server.serving
     dirty_fractions = []
+    asked = []
     serving_time = 0.0
     n_entities = len(server.catalog)
     server._engine.subscribe(
@@ -91,24 +95,23 @@ def steady_state_cached(server, traffic):
         server.receive_all(traffic.batch(INTAKE_PER_ROUND, now), now=now)
         server.run_maintenance(now=now + 60.0)
         burst = queries.batch(QUERIES_PER_ROUND)
+        asked.extend(burst)
         start = time.perf_counter()
         for query in burst:
             serving.query(query)
         serving_time += time.perf_counter() - start
     total = ROUNDS * QUERIES_PER_ROUND
-    return total / serving_time, serving_time, dirty_fractions
+    return total / serving_time, serving_time, dirty_fractions, asked
 
 
-def uncached_baseline(server, traffic):
-    """Part C: the same query mix answered by fresh recompute every time."""
-    queries = SyntheticQueries(traffic.catalog, QUERIES)
+def uncached_baseline(server, asked):
+    """Part C: Part B's queries, in order, each answered by fresh recompute."""
     serving = server.serving
-    sample = queries.batch(UNCACHED_SAMPLE)
     start = time.perf_counter()
-    for query in sample:
+    for query in asked:
         serving.query_uncached(query)
     elapsed = time.perf_counter() - start
-    return UNCACHED_SAMPLE / elapsed, elapsed
+    return len(asked) / elapsed, elapsed
 
 
 def test_bench_serve_read_path(benchmark):
@@ -132,7 +135,7 @@ def test_bench_serve_read_path(benchmark):
         holder["result"] = steady_state_cached(server, traffic)
 
     benchmark.pedantic(cached_phase, rounds=1, iterations=1)
-    cached_qps, cached_s, dirty_fractions = holder["result"]
+    cached_qps, cached_s, dirty_fractions, asked = holder["result"]
 
     stats = server.serving.stats
     hit_rate = stats.hit_rate()
@@ -142,7 +145,7 @@ def test_bench_serve_read_path(benchmark):
     assert stats.invalidations > 0, "churn never invalidated a cached read"
 
     # --- Part C: the uncached recompute baseline.
-    uncached_qps, uncached_s = uncached_baseline(server, traffic)
+    uncached_qps, uncached_s = uncached_baseline(server, asked)
     speedup = cached_qps / uncached_qps
     cached_us = 1e6 / cached_qps
     uncached_us = 1e6 / uncached_qps
@@ -172,7 +175,7 @@ def test_bench_serve_read_path(benchmark):
             "read_qps_cached": round(cached_qps),
             "read_qps_uncached": round(uncached_qps),
             "cached_queries": ROUNDS * QUERIES_PER_ROUND,
-            "uncached_queries": UNCACHED_SAMPLE,
+            "uncached_queries": len(asked),
             "cached_s": round(cached_s, 4),
             "uncached_s": round(uncached_s, 4),
             "cached_us_per_query": round(cached_us, 2),

@@ -15,9 +15,9 @@ global ``seq`` order, so the replica's stores are byte-identical to the
 primary's at every acked offset — which is what makes failover exact.
 When :mod:`repro.faults` kills the primary (a :class:`PrimaryCrash` in
 the plan), :meth:`fail_over` tears the primary's WAL tail like a real
-mid-append death, promotes the replica (engine rebuild + fresh journal +
-baseline snapshot), and the epoch driver points clients at it; accepted-
-but-unshipped envelopes are re-sent by the existing client
+mid-append death, promotes the replica (engine rebuild + baseline
+snapshot + fresh journal), and the epoch driver points clients at it;
+accepted-but-unshipped envelopes are re-sent by the existing client
 retransmission machinery and deduplicated by the replicated nonce table.
 """
 
@@ -27,6 +27,7 @@ from pathlib import Path
 
 from repro.durability.journal import DurableJournal, attach_journal
 from repro.durability.recovery import apply_mutation, finalize_recovery
+from repro.durability.snapshot import render_state, write_snapshot
 from repro.telemetry import NULL, Telemetry
 from repro.telemetry.catalog import REPLICA_BATCH_BUCKETS
 
@@ -122,10 +123,16 @@ class ReplicatedRSPServer:
         Rebuilds the engine's derived state (shipping applies mutations
         store-directly, like recovery), attaches the shared telemetry,
         gives the promoted server its own journal under
-        ``durable_root/promoted``, and seeds that journal with a baseline
+        ``durable_root/promoted``, and seeds that directory with a baseline
         snapshot so the new primary is itself recoverable from scratch —
         topology included, since the snapshot carries the reshard history
         the replica applied from shipped records.
+
+        The baseline covers every seq the primary's journal issued and is
+        written before the new journal opens the directory, so the
+        journal resumes after it.  Seqs therefore stay unique across the
+        failover: a later reshard can never reuse a seq the inherited
+        history holds, which recovery's seq guard would skip.
         """
         if self.promoted:
             return self.replica
@@ -133,15 +140,17 @@ class ReplicatedRSPServer:
         replica = self.replica
         finalize_recovery(replica)
         replica.attach_telemetry(self.telemetry)
+        directory = self.durable_root / "promoted"
+        covered = self.journal.next_seq - 1
+        write_snapshot(directory, covered, render_state(replica, covered))
         journal = DurableJournal(
-            self.durable_root / "promoted",
+            directory,
             n_lanes=replica.router.n_shards,
             lane_of=replica.router.shard_of,
             telemetry=self.telemetry,
             sync_policy=self.journal.sync_policy,
         )
         attach_journal(replica, journal)
-        journal.take_snapshot(replica)
         self.telemetry.inc("replica.promotions")
         return replica
 

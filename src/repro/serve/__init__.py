@@ -13,14 +13,15 @@ and keeps them cheap across maintenance cycles:
   helpfulness-weighted blend of explicit and inferred opinions
   (:mod:`repro.serve.ranking`) and renders Figure-3-style comparative
   summaries for the top results;
-* :class:`~repro.serve.cache.SummaryVersionCache` — a result cache keyed
-  by per-entity summary versions and invalidated by the incremental
-  engine's mode-invariant dirty sets
+* :class:`~repro.serve.cache.SummaryVersionCache` — a result cache that
+  drops every entry a changed entity can reach when the incremental
+  engine reports its mode-invariant dirty sets
   (:meth:`repro.service.incremental.MaintenanceEngine.subscribe`), so a
   warm read is a dict probe and can never be stale — the panels are
-  published with the summaries, so one version covers both;
-* :class:`~repro.serve.facade.ServingLayer` — the one facade both
-  deployments expose as ``server.serving`` / ``server.query(...)``.
+  published with the summaries, so one notification covers both;
+* :class:`~repro.serve.facade.ServingLayer` — the one facade the server
+  exposes at every shard count as ``server.serving`` /
+  ``server.query(...)``.
 
 Everything on the read path inherits the repository's byte-identity
 contract: for the same intake and maintenance schedule, a query renders
@@ -31,7 +32,7 @@ holds the proof obligations, ``docs/SERVING.md`` the design.
 
 from __future__ import annotations
 
-from repro.serve.cache import CachedResult, SummaryVersionCache
+from repro.serve.cache import SummaryVersionCache
 from repro.serve.engine import QueryEngine, ServeQuery, ServeResponse, ServeResult
 from repro.serve.facade import ServingLayer
 from repro.serve.index import SummaryIndex
@@ -39,7 +40,6 @@ from repro.serve.loadgen import QueryWorkload, SyntheticQueries
 from repro.serve.ranking import RankingConfig, helpfulness_signal, rank_key, serve_score
 
 __all__ = [
-    "CachedResult",
     "QueryEngine",
     "QueryWorkload",
     "RankingConfig",

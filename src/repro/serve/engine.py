@@ -7,9 +7,9 @@ each entity's zero-evidence summary and empty-history panels (functions
 of the static entity id alone), and each entity's score together with
 the summary object it was computed from, reused only while the published
 summary is that same object.  Being pure is what lets
-:class:`~repro.serve.facade.ServingLayer` interpose the summary-version
-cache: the same inputs always produce byte-identical rendered responses
-(``ServeResponse.render``), on any deployment shape.
+:class:`~repro.serve.facade.ServingLayer` interpose its result cache:
+the same inputs always produce byte-identical rendered responses
+(``ServeResponse.render``), at any shard count.
 """
 
 from __future__ import annotations

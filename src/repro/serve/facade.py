@@ -100,14 +100,13 @@ class ServingLayer:
     # ------------------------------------------------------------ reads
 
     def query(self, query: ServeQuery) -> ServeResponse:
-        """Answer from cache when current, else compute and fill."""
+        """Answer from cache when present, else compute and fill."""
         start = time.perf_counter()  # repro: allow[det-wall-clock]
         instruments = self._instruments
         if instruments.telemetry is not self._server.telemetry:
             instruments = self._instruments = _ServeInstruments(self._server.telemetry)
-        entry = self.cache.get(query)
-        if entry is not None:
-            response: ServeResponse = entry.response
+        response: ServeResponse | None = self.cache.get(query)
+        if response is not None:
             instruments.hits.inc()
         else:
             response = self._compute(query)

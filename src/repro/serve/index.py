@@ -143,7 +143,7 @@ class SummaryIndex:
         """Every id matching the discrete predicates, in id order.
 
         This is the query's *dependency set* — the entities whose summary
-        versions a cached result is keyed on.  It deliberately ignores
+        change evicts a cached result.  It deliberately ignores
         the location predicate: the geometry never changes, so keying on
         the widest discrete match keeps the set independent of float
         distance edge cases.  The catalog is static, so each

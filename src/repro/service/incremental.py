@@ -256,9 +256,14 @@ class MaintenanceEngine:
     def subscribe(self, listener: Callable[[frozenset[str]], None]) -> None:
         """Register a listener called after every cycle with the tracked
         summary-change set (``summarize_tracked`` — every entity whose
-        summary *could* have changed).  This is the cache-coherence feed
-        of :class:`repro.serve.cache.SummaryVersionCache`."""
+        summary *could* have changed).  This is the one coherence feed of
+        :class:`repro.serve.cache.SummaryVersionCache`: the serving layer
+        evicts every cached result that depends on an entity in it."""
         self._listeners.append(listener)
+
+    def unsubscribe(self, listener: Callable[[frozenset[str]], None]) -> None:
+        """Stop notifying ``listener`` (registered by :meth:`subscribe`)."""
+        self._listeners.remove(listener)
 
     def _notify(self, summarize_tracked: set[str]) -> None:
         changed = frozenset(summarize_tracked)

@@ -239,11 +239,14 @@ class RSPServer:
         Keyword arguments are forwarded to
         :class:`~repro.serve.facade.ServingLayer` (``grid``, ``ranking``,
         ``max_cache_entries``).  Idempotent only in the trivial sense:
-        attaching again replaces the layer and cold-starts its cache.
+        attaching again replaces the layer and cold-starts its cache; the
+        replaced layer stops receiving maintenance notifications.
         """
         from repro.serve.facade import ServingLayer
 
-        self._serving = ServingLayer(self, **kwargs)
+        replaced, self._serving = self._serving, ServingLayer(self, **kwargs)
+        if replaced is not None:
+            self._engine.unsubscribe(replaced._on_summaries_changed)
         return self._serving
 
     @property

@@ -313,3 +313,33 @@ class TestReplicatedResharding:
         recover_server(recovered, tmp_path / "promoted")
         assert recovered.router.n_shards == N_SHARDS + 1
         assert final_digest(recovered, now=FINAL_NOW) == expected_digest
+
+    def test_a_reshard_on_the_promoted_server_survives_its_recovery(
+        self, catalog, tmp_path
+    ):
+        """The promoted journal's seqs continue after the primary's, so a
+        reshard on the promoted server never reuses the seq of one it
+        inherited — recovery's seq guard would skip it."""
+        pair = self.make_pair(catalog, tmp_path)
+        pair.primary.receive_all(synth_deliveries(catalog, *BATCH_1))
+        perform(pair.primary, ReshardOp.split(0))
+        inherited_seq = pair.primary.reshard_history[-1]["seq"]
+        pair.ship(now=100.0)
+        promoted = pair.fail_over()
+        # As many fresh records as the primary logged before its split,
+        # then a second split: from seq 1, it would land on the inherited
+        # seq.
+        lo = BATCH_1[1]
+        promoted.receive_all(synth_deliveries(catalog, lo, lo + inherited_seq - 1))
+        perform(promoted, ReshardOp.split(1))
+        seqs = [entry["seq"] for entry in promoted.reshard_history]
+        assert len(set(seqs)) == 2 and seqs[1] > inherited_seq
+        expected_state = comparable_state(promoted)
+        promoted.journal.close()
+
+        recovered = make_server(catalog, N_SHARDS)
+        recover_server(recovered, tmp_path / "promoted")
+        assert recovered.router.n_shards == N_SHARDS + 2
+        assert recovered.router == promoted.router
+        assert [e["seq"] for e in recovered.reshard_history] == seqs
+        assert comparable_state(recovered) == expected_state

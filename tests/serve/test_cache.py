@@ -2,8 +2,10 @@
 
 Three layers of proof:
 
-* unit pins on :class:`SummaryVersionCache` — fingerprints, FIFO
-  eviction, the belt-and-braces staleness guard, and the stats counters;
+* unit pins on :class:`SummaryVersionCache` — eager eviction through
+  interned dependency groups, FIFO eviction, and the stats counters —
+  and a step-by-step comparison with a reference model that scans every
+  entry on invalidation;
 * a hand-rolled property sweep (hypothesis is deliberately not a
   dependency): randomized intake + maintenance + query schedules, drawn
   from the ``repro.util.rng`` discipline, asserting that at *every* point
@@ -38,83 +40,56 @@ class TestCacheUnit:
         cache = SummaryVersionCache()
         assert cache.get("q") is None
         cache.put("q", "response", ["a", "b"])
-        entry = cache.get("q")
-        assert entry is not None and entry.response == "response"
-        assert entry.fingerprint == (("a", 0), ("b", 0))
+        assert cache.get("q") == "response"
         assert (cache.stats.hits, cache.stats.misses) == (1, 1)
+        assert len(cache) == 1
 
     def test_invalidate_bumps_versions_and_drops_dependents(self):
+        # An invalidation drops exactly the entries depending on a
+        # changed entity, and counts them.
         cache = SummaryVersionCache()
         cache.put("q1", "r1", ["a", "b"])
         cache.put("q2", "r2", ["c"])
         assert cache.invalidate(["b"]) == 1
-        assert cache.version("b") == 1
+        assert len(cache) == 1
         assert cache.get("q1") is None  # dropped eagerly
-        assert cache.get("q2") is not None  # untouched dependency set
+        assert cache.get("q2") == "r2"  # untouched dependency set
         assert cache.stats.invalidations == 1
 
     def test_invalidating_an_uncached_entity_only_bumps_its_version(self):
+        # An entity no entry depends on: nothing is dropped or counted.
         cache = SummaryVersionCache()
+        cache.put("q", "r", ["a"])
         assert cache.invalidate(["ghost"]) == 0
-        assert cache.version("ghost") == 1
         assert cache.stats.invalidations == 0
-
-    def test_missed_eviction_degrades_to_a_miss_never_a_stale_hit(self):
-        # The fingerprint guard: simulate an invalidation whose reverse
-        # map lost track of the entry (versions bump, the eager drop is
-        # missed) — the entry must not serve.
-        cache = SummaryVersionCache()
-        cache.put("q", "stale", ["a"])
-        cache._dependents.clear()
-        assert cache.invalidate(["a"]) == 0
-        assert cache.get("q") is None
-        assert cache.stats.misses == 1
-        # The dead entry was reaped on the way out.
-        assert len(cache) == 0
+        assert len(cache) == 1
 
     def test_revalidation_restamps_an_untouched_entry(self):
-        # An invalidation of an unrelated entity forces one fingerprint
-        # scan; the entry survives it and the next hit is fast-path again.
+        # An invalidation of an unrelated entity leaves the entry
+        # hitting, as often as it is read.
         cache = SummaryVersionCache()
         cache.put("q", "r", ["a"])
         cache.invalidate(["other"])
-        assert cache.get("q") is not None  # full scan passes
-        assert cache._entries["q"].generation == cache._generation
-        assert cache.get("q") is not None
-        assert cache.stats.hits == 2
+        assert cache.get("q") == "r"
+        assert cache.get("q") == "r"
+        assert (cache.stats.hits, cache.stats.misses) == (2, 0)
 
-    def test_one_fingerprint_per_group_and_generation(self, monkeypatch):
-        # Fills on one group within a generation share one fingerprint,
-        # and the first reads after an invalidation rebuild it once per
-        # group, not once per entry.
+    def test_one_fingerprint_per_group_and_generation(self):
+        # Entries on one dependency set share one interned group, and one
+        # invalidation reaching the group drops every entry on it.
         cache = SummaryVersionCache()
-        built = []
-        stamp = cache._stamp
-        monkeypatch.setattr(
-            cache, "_stamp", lambda members: built.append(members) or stamp(members)
-        )
         shared, other = ("a", "b", "c"), ("d",)
         for index in range(5):
             cache.put(f"q{index}", f"r{index}", shared)
         cache.put("lone", "r", other)
-        assert built == [shared, other]
-        assert cache._entries["q0"].fingerprint is cache._entries["q4"].fingerprint
-
-        built.clear()
-        cache.invalidate(["unrelated"])
-        for key in [*(f"q{index}" for index in range(5)), "lone"]:
-            assert cache.get(key) is not None
-        cache.put("q5", "r5", shared)
-        assert built == [shared, other]
-
-        # An invalidation that reaches the group drops its entries; the
-        # next fills rebuild its fingerprint once, with the new version.
-        built.clear()
-        assert cache.invalidate(["b"]) == 6
-        for index in range(3):
-            entry = cache.put(f"q{index}", f"r{index}", shared)
-        assert built == [shared]
-        assert entry.fingerprint == (("a", 0), ("b", 1), ("c", 0))
+        (group,) = cache._dependents["b"]
+        assert cache._groups[shared] is group
+        assert group.keys == {f"q{index}" for index in range(5)}
+        assert cache.invalidate(["b"]) == 5
+        assert group.keys == set()
+        assert cache.get("lone") == "r"
+        assert all(cache.get(f"q{index}") is None for index in range(5))
+        assert (cache.stats.invalidations, len(cache)) == (5, 1)
 
     def test_fifo_eviction_at_capacity(self):
         cache = SummaryVersionCache(max_entries=2)
@@ -125,42 +100,33 @@ class TestCacheUnit:
         assert cache.get("q2") is not None
         assert cache.get("q3") is not None
         assert cache.stats.evictions == 1
+        # The evicted entry left its group: invalidating it drops nothing.
+        assert cache.invalidate(["a"]) == 0
 
     def test_overwriting_a_key_does_not_evict_others(self):
         cache = SummaryVersionCache(max_entries=2)
         cache.put("q1", "r1", ["a"])
-        cache.put("q1", "r1-new", ["a"])
-        cache.put("q2", "r2", ["b"])
-        assert cache.get("q1").response == "r1-new"
+        cache.put("q1", "r1-new", ["b"])
+        cache.put("q2", "r2", ["c"])
+        assert cache.get("q1") == "r1-new"
         assert cache.get("q2") is not None
         assert cache.stats.evictions == 0
-
-    def test_clear_keeps_versions_monotone(self):
-        cache = SummaryVersionCache()
-        cache.put("q", "r", ["a"])
-        cache.invalidate(["a"])
-        cache.clear()
-        assert cache.version("a") == 1
-        assert len(cache) == 0
-
-    def test_clear_counts_the_dropped_entries_as_evictions(self):
-        cache = SummaryVersionCache()
-        cache.put("q1", "r1", ["a"])
-        cache.put("q2", "r2", ["b"])
-        cache.clear()
-        assert cache.stats.evictions == 2
-        # An empty clear drops nothing and must not inflate the counter.
-        cache.clear()
-        assert cache.stats.evictions == 2
+        # The overwritten entry moved to its new dependency set.
+        assert cache.invalidate(["a"]) == 0
+        assert cache.invalidate(["b"]) == 1
 
     def test_fingerprint_deduplicates_repeated_dependencies(self):
+        # A duplicated or reordered dependency list interns to the group
+        # of its set, which each entity lists once.
         cache = SummaryVersionCache()
-        assert cache.fingerprint(["a", "a", "b"]) == cache.fingerprint(["a", "b"])
-        assert cache.fingerprint(["b", "a", "b"]) == (("a", 0), ("b", 0))
-        # A duplicated dependency list must not widen the stored entry's
-        # fingerprint (or every revalidation scan would re-check it).
-        entry = cache.put("q", "r", ["a", "b", "a"])
-        assert entry.fingerprint == (("a", 0), ("b", 0))
+        cache.put("q1", "r1", ["a", "b", "a"])
+        cache.put("q2", "r2", ["b", "a"])
+        cache.put("q3", "r3", ("a", "b"))
+        (group,) = cache._dependents["a"]
+        assert cache._dependents["b"] == [group]
+        assert cache._groups[("a", "b")] is group
+        assert group.keys == {"q1", "q2", "q3"}
+        assert cache.invalidate(["a"]) == 3
 
     def test_stats_hit_rate(self):
         cache = SummaryVersionCache()
@@ -179,14 +145,13 @@ class TestCacheUnit:
 
 
 class CacheModel:
-    """The cache's contract in plain Python, with no reverse map and no
-    generations: a FIFO of ``key -> (response, dependency set)``, the
-    per-entity versions, and an invalidation that scans every entry."""
+    """The cache's contract in plain Python, with no reverse map: a FIFO
+    of ``key -> (response, dependency set)`` and an invalidation that
+    scans every entry."""
 
     def __init__(self, capacity):
         self.capacity = capacity
         self.entries = {}
-        self.versions = {}
         self.hits = self.misses = self.invalidations = self.evictions = 0
 
     def get(self, key):
@@ -205,17 +170,11 @@ class CacheModel:
 
     def invalidate(self, changed_ids):
         changed = set(changed_ids)
-        for eid in changed:
-            self.versions[eid] = self.versions.get(eid, 0) + 1
         doomed = [key for key, (_, deps) in self.entries.items() if deps & changed]
         for key in doomed:
             del self.entries[key]
         self.invalidations += len(doomed)
         return len(doomed)
-
-    def clear(self):
-        self.evictions += len(self.entries)
-        self.entries.clear()
 
 
 ENTITIES = [f"e{index}" for index in range(10)]
@@ -258,25 +217,17 @@ def test_cache_matches_the_reference_model(capacity, seed):
             cache.put(key, response, deps)
             model.put(key, response, deps)
         elif roll < 0.75:
-            entry, expected = cache.get(key), model.get(key)
+            response, expected = cache.get(key), model.get(key)
             if expected is None:
-                assert entry is None, (step, key)
+                assert response is None, (step, key)
             else:
-                response, deps = expected
-                assert entry is not None, (step, key)
-                assert entry.response == response
-                assert entry.fingerprint == tuple(
-                    (eid, model.versions.get(eid, 0)) for eid in sorted(deps)
-                )
-        elif roll < 0.97:
+                assert response == expected[0], (step, key)
+        else:
             changed = [
                 ENTITIES[int(i)]
                 for i in gen.integers(0, len(ENTITIES), size=int(gen.integers(0, 4)))
             ]
             assert cache.invalidate(changed) == model.invalidate(changed), step
-        else:
-            cache.clear()
-            model.clear()
         assert stats() == (
             model.hits,
             model.misses,
@@ -284,8 +235,6 @@ def test_cache_matches_the_reference_model(capacity, seed):
             model.evictions,
             len(model.entries),
         ), step
-        for eid in ENTITIES:
-            assert cache.version(eid) == model.versions.get(eid, 0)
 
 
 # ------------------------------------------------- randomized schedules
@@ -500,15 +449,14 @@ def test_flipped_history_evicts_the_claimed_entitys_cached_results(
         start_nonce=100,
     )
     _FlippingJudge.armed = {"h-cross"}
-    version_before = server.serving.cache.version(claimed.entity_id)
     invalidations_before = server.serving.stats.invalidations
     server.run_maintenance(now=8000.0)
 
     # The cascade reached the claimed entity: it is in the notified set
-    # of the second cycle despite never being dirtied by its intake, its
-    # summary version advanced, and the cached entry was dropped.
+    # of the second cycle despite never being dirtied by its intake, and
+    # the cached entry was dropped.
     assert claimed.entity_id in notified[-1]
-    assert server.serving.cache.version(claimed.entity_id) > version_before
+    assert query not in server.serving.cache._entries
     assert server.serving.stats.invalidations > invalidations_before
     assert claimed.entity_id not in server.all_summaries()  # key evicted
 

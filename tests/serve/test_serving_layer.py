@@ -62,10 +62,28 @@ class TestLaziness:
     def test_attach_serving_replaces_the_layer(self):
         traffic = SyntheticTraffic(TRAFFIC)
         server = feed(make_server(catalog=traffic.catalog), traffic)
+        queries = SyntheticQueries(
+            traffic.catalog, QueryWorkload(n_distinct=16, seed=3)
+        ).batch(20)
         first = server.attach_serving()
+        for query in queries:
+            server.query(query)
         second = server.attach_serving(max_cache_entries=8)
         assert second is server.serving and second is not first
         assert second.cache.max_entries == 8
+        for query in queries:
+            server.query(query)
+        server.receive_all(traffic.batch(400, 5000.0), now=5000.0)
+        server.run_maintenance(now=5100.0)
+        # The replaced layer stopped listening: only the live cache is
+        # invalidated, and the shared counter is its count alone.
+        assert server._engine._listeners == [second._on_summaries_changed]
+        assert first.stats.invalidations == 0
+        assert second.stats.invalidations > 0
+        assert (
+            server.telemetry.total("rsp.serve.invalidations")
+            == second.stats.invalidations
+        )
 
     def test_telemetry_is_read_at_call_time(self):
         # Attaching serving before telemetry still routes metrics to the
