@@ -34,7 +34,7 @@ import numpy as np
 from repro.privacy.history_store import InteractionHistory
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OpinionUpload:
     """An anonymously uploaded inferred opinion for one entity.
 

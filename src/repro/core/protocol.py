@@ -25,7 +25,7 @@ from repro.privacy.tokens import UploadToken
 AnonymousRecord = InteractionUpload | OpinionUpload
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Envelope:
     """One anonymous upload: a record plus its spend-once token.
 

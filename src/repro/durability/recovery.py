@@ -31,13 +31,18 @@ Reshards are re-run from the snapshot's history and the WAL's
 
 from __future__ import annotations
 
+import heapq
+from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import partial
+from operator import itemgetter
 from pathlib import Path
+from sys import intern
 
 from repro.core.aggregation import OpinionUpload
 from repro.durability.journal import list_segments
 from repro.durability.snapshot import load_latest_snapshot, restore_state
-from repro.durability.wal import read_wal
+from repro.durability.wal import WalReadResult, scan_wal
 from repro.privacy.history_store import InteractionUpload
 from repro.scale.router import spec_from_json
 from repro.scale.shard import MISMATCH, STALE
@@ -58,30 +63,49 @@ class RecoveryReport:
     next_seq: int
 
 
-def read_mutations(directory: Path, after_seq: int) -> tuple[list[dict], bool]:
-    """All replayable mutations with ``seq > after_seq``, in seq order.
+def _lane_mutations(segments, after_seq: int, tail: WalReadResult) -> Iterator[dict]:
+    """One lane's mutations with ``seq > after_seq``, in seq order, each
+    decoded as it is reached; ``tail.torn`` ends up saying whether the
+    lane's final segment ended torn.
 
     A segment whose lane successor starts at or before ``after_seq + 1``
     holds only covered records (segments open at the next seq) and is not
     read.  Other non-final segments must read clean — rotation closed
-    them, so a torn tail there is real corruption and raises.  Lanes are
-    merged by the global sequence number, which restores the exact total
-    intake order across per-shard WAL files.
+    them, so a torn tail there is real corruption and raises.
     """
-    mutations: list[dict] = []
-    torn = False
+    for index, (_start, path) in enumerate(segments):
+        final = index == len(segments) - 1
+        if not final and segments[index + 1][0] <= after_seq + 1:
+            continue
+        for _offset, record in scan_wal(path, tail, tolerate_torn_tail=final):
+            if record["seq"] > after_seq:
+                yield record
+
+
+def stream_mutations(
+    directory: Path, after_seq: int, tails: list[WalReadResult]
+) -> Iterator[dict]:
+    """Every replayable mutation with ``seq > after_seq``, in seq order.
+
+    Lanes are merged by the global sequence number, which restores the
+    exact total intake order across per-shard WAL files; the merge holds
+    one decoded record per lane, never the whole tail.  Each lane appends
+    its tail status to ``tails``, complete once the stream is exhausted.
+    """
+    lanes = []
     for _lane, segments in sorted(list_segments(directory).items()):
-        for index, (_start, path) in enumerate(segments):
-            final = index == len(segments) - 1
-            if not final and segments[index + 1][0] <= after_seq + 1:
-                continue
-            result = read_wal(path, tolerate_torn_tail=final)
-            torn = torn or result.torn
-            mutations.extend(
-                record for record in result.records if record["seq"] > after_seq
-            )
-    mutations.sort(key=lambda record: record["seq"])
-    return mutations, torn
+        tail = WalReadResult()
+        tails.append(tail)
+        lanes.append(_lane_mutations(segments, after_seq, tail))
+    return heapq.merge(*lanes, key=itemgetter("seq"))
+
+
+def read_mutations(directory: Path, after_seq: int) -> tuple[list[dict], bool]:
+    """:func:`stream_mutations` as a list, and whether any lane's final
+    segment ended torn."""
+    tails: list[WalReadResult] = []
+    mutations = list(stream_mutations(directory, after_seq, tails))
+    return mutations, any(tail.torn for tail in tails)
 
 
 # ----------------------------------------------------------------- apply
@@ -93,7 +117,8 @@ def _decode(kind: str, mutation: dict):
         return InteractionUpload(
             history_id=mutation["history_id"],
             entity_id=mutation["entity_id"],
-            interaction_type=mutation["interaction_type"],
+            # Interned, as the snapshot decoder does: one string per kind.
+            interaction_type=intern(mutation["interaction_type"]),
             event_time=mutation["event_time"],
             duration=mutation["duration"],
             travel_km=mutation["travel_km"],
@@ -219,32 +244,43 @@ def recover_server(
     a torn final frame per lane, and rebuilds the engine's derived state.
     The server is then exactly where the crashed process was at its last
     acceptance commit — ready for re-deliveries and maintenance.
+
+    Both halves stream: the snapshot is decoded one history at a time,
+    and the WAL one record per lane as it is applied, so recovery holds
+    little beyond the snapshot's text and the state it rebuilds.  A
+    corrupt non-final segment therefore raises after the records before
+    it were applied; the half-recovered server is discarded with the
+    error.
     """
     directory = Path(directory)
-    snapshot_seq, state = load_latest_snapshot(directory) or (0, None)
-    if state is not None:
+    loaded = load_latest_snapshot(directory)
+    snapshot_seq = 0
+    if loaded is not None:
+        snapshot_seq, state = loaded
         # Rebuild the topology the snapshot was taken under *before*
-        # loading it: restore routes every key through the server's own
-        # router, and the operations may live in WAL segments truncation
-        # already deleted.  On the still-empty server this is pure table
-        # surgery.
-        for entry in state.get("reshards", ()):
-            _apply_reshard(server, entry)
-        restore_state(server, state)
-    # The parsed snapshot is dead once restored; release it before the
-    # replay rather than holding it through the whole WAL.
-    del state
-    mutations, torn = read_mutations(directory, after_seq=snapshot_seq)
-    for mutation in mutations:
+        # anything is adopted: restore routes every key through the
+        # server's own router, and the operations may live in WAL
+        # segments truncation already deleted.  On the still-empty
+        # server this is pure table surgery.
+        restore_state(server, state, rerun_reshard=partial(_apply_reshard, server))
+        # The loaded snapshot is dead once restored; release it before the
+        # replay rather than holding it through the whole WAL.
+        del loaded, state
+    tails: list[WalReadResult] = []
+    n_replayed = 0
+    last_seq = snapshot_seq
+    for mutation in stream_mutations(directory, snapshot_seq, tails):
         apply_mutation(server, mutation)
+        n_replayed += 1
+        last_seq = mutation["seq"]
     finalize_recovery(server)
-    telemetry.inc("recovery.replayed", len(mutations))
+    torn = any(tail.torn for tail in tails)
+    telemetry.inc("recovery.replayed", n_replayed)
     if torn:
         telemetry.inc("recovery.torn_tails")
-    last_seq = mutations[-1]["seq"] if mutations else snapshot_seq
     return RecoveryReport(
         snapshot_seq=snapshot_seq,
-        n_replayed=len(mutations),
+        n_replayed=n_replayed,
         torn_tail=torn,
         next_seq=last_seq + 1,
     )

@@ -46,6 +46,7 @@ import json
 import os
 import struct
 import zlib
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -124,14 +125,31 @@ class WriteAheadLog:
 
 
 def read_wal(path: Path, tolerate_torn_tail: bool = True) -> WalReadResult:
-    """Read one segment, applying the torn-tail policy documented above.
+    """Read one segment whole, applying the torn-tail policy documented above.
 
     ``tolerate_torn_tail=False`` turns every torn tail into a
     :class:`WalCorruptionError` — used for non-final segments, whose
     tails were implicitly sealed by the existence of a later segment.
     """
-    data = Path(path).read_bytes()
     result = WalReadResult()
+    for offset, record in scan_wal(path, result, tolerate_torn_tail):
+        result.records.append(record)
+        result.offsets.append(offset)
+    return result
+
+
+def scan_wal(
+    path: Path, result: WalReadResult, tolerate_torn_tail: bool = True
+) -> Iterator[tuple[int, dict]]:
+    """Yield ``(offset, record)`` for each valid frame of one segment, in
+    file order, each decoded as it is reached, under the same policy as
+    :func:`read_wal`.
+
+    When the scan ends, ``result.torn`` and ``result.valid_bytes`` say how
+    (its record lists are left alone).  Corruption raises at the damaged
+    frame, after the records before it were yielded.
+    """
+    data = Path(path).read_bytes()
     if not data.startswith(WAL_MAGIC):
         # A file shorter than (or equal to) a magic prefix is a crash
         # during segment creation — an empty, torn segment.  Anything
@@ -140,17 +158,16 @@ def read_wal(path: Path, tolerate_torn_tail: bool = True) -> WalReadResult:
             if not tolerate_torn_tail and data:
                 raise WalCorruptionError(f"{path}: truncated magic header")
             result.torn = bool(data)
-            return result
+            return
         raise WalCorruptionError(f"{path}: bad magic header")
     offset = len(WAL_MAGIC)
     total = len(data)
 
-    def torn(message: str) -> WalReadResult:
+    def torn(message: str) -> None:
         if not tolerate_torn_tail:
             raise WalCorruptionError(f"{path}: {message}")
         result.torn = True
         result.valid_bytes = offset
-        return result
 
     while offset < total:
         if total - offset < _HEADER.size:
@@ -175,8 +192,6 @@ def read_wal(path: Path, tolerate_torn_tail: bool = True) -> WalReadResult:
             raise WalCorruptionError(
                 f"{path}: undecodable frame at offset {offset} mid-file"
             ) from None
-        result.records.append(record)
-        result.offsets.append(offset)
+        yield offset, record
         offset = end
     result.valid_bytes = offset
-    return result

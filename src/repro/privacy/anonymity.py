@@ -30,7 +30,7 @@ from repro.util.rng import make_rng
 P = TypeVar("P")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Delivery(Generic[P]):
     """What the server observes for one delivered message."""
 

@@ -21,7 +21,7 @@ from math import isfinite
 from repro.privacy.tokens import TokenRedeemer, UploadToken
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InteractionUpload:
     """One anonymously uploaded interaction record.
 
@@ -48,7 +48,7 @@ class InteractionUpload:
             raise ValueError("duration and travel must be non-negative")
 
 
-@dataclass
+@dataclass(slots=True)
 class StoredRecord:
     """An accepted upload plus the server's own arrival timestamp."""
 
@@ -56,7 +56,7 @@ class StoredRecord:
     arrival_time: float
 
 
-@dataclass
+@dataclass(slots=True)
 class FoldedStats:
     """Streaming summary of records compacted out of a history.
 
@@ -84,7 +84,7 @@ class FoldedStats:
         self.travel_sum += record.upload.travel_km
 
 
-@dataclass
+@dataclass(slots=True)
 class InteractionHistory:
     """The record sequence stored under one ``hash(Ru, e)`` identifier.
 

@@ -33,6 +33,7 @@ the same for every shard count; ``tests/scale`` and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite
 from typing import TYPE_CHECKING
 
 from repro.core.aggregation import EntityOpinionSummary
@@ -68,6 +69,10 @@ class ExplicitReview:
     def __post_init__(self) -> None:
         if not 1 <= self.rating <= 5:
             raise ValueError("rating must lie in 1..5")
+        # No NaN or infinity may reach a store or a WAL frame; the range
+        # check above already refuses a NaN rating.
+        if not isfinite(self.time):
+            raise ValueError("review time must be finite")
 
 
 @dataclass

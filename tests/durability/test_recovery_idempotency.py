@@ -21,7 +21,7 @@ from repro.durability.journal import (
 )
 from repro.durability.recovery import recover_server
 from repro.durability.snapshot import capture_state
-from repro.durability.wal import read_wal
+from repro.durability.wal import read_wal, scan_wal
 from repro.privacy.anonymity import Delivery
 from repro.privacy.tokens import QuotaExceeded
 from repro.util.clock import DAY
@@ -184,11 +184,11 @@ def test_recovery_never_opens_a_segment_the_snapshot_covers(
     )
     opened = []
 
-    def spy(path, **kwargs):
+    def spy(path, *args, **kwargs):
         opened.append(path)
-        return read_wal(path, **kwargs)
+        return scan_wal(path, *args, **kwargs)
 
-    monkeypatch.setattr(recovery, "read_wal", spy)
+    monkeypatch.setattr(recovery, "scan_wal", spy)
     mutations, _ = recovery.read_mutations(directory, after_seq=20)
     assert mutations == [record for record in everything if record["seq"] > 20]
     assert set(opened) == set(segments) - covered
